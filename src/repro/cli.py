@@ -142,10 +142,10 @@ def _cmd_selftest(args) -> int:
         persist = getattr(args, "checkpoint", None) or getattr(args, "store_dir", None)
         if persist:
             # The persistent tiers only engage for on-demand B: a concrete
-            # B travels by shared memory, bypassing the store.  Swap B for
-            # a generated collection over the same sparse shape — the
-            # serial oracle uses the identical collection, so bit-parity
-            # still holds.
+            # B is read in place or from shared memory, bypassing the
+            # store.  Swap B for a generated collection over the same
+            # sparse shape — the serial oracle uses the identical
+            # collection, so bit-parity still holds.
             from repro.runtime.data import GeneratedCollection
 
             b_shape = b.sparse_shape()

@@ -4,8 +4,8 @@ The rest of the repository *models* the paper's distributed runtime; this
 package *runs* it: one Python worker process per planned rank, shared-
 memory tile arenas for zero-copy A/B/C traffic, a message fabric with
 per-link byte counters mirroring :mod:`repro.core.comm_model`, an
-on-demand per-rank B service with an LRU byte budget, prefetch/compute
-overlap inside every worker, and a coordinator with fault recovery
+on-demand per-rank B service with an LRU byte budget, operands read in
+place by forked workers, and a coordinator with fault recovery
 (retry-once-then-reassign).  The serial executor
 (:func:`repro.runtime.numeric.execute_plan`) is the bit-for-bit crosscheck
 oracle: same plan, same seeds, identical C.
@@ -14,8 +14,7 @@ oracle: same plan, same seeds, identical C.
 * :mod:`~repro.dist.comm` — coordinator/worker queues, per-link byte counts;
 * :mod:`~repro.dist.bservice` — per-rank on-demand B generation under an
   LRU budget (:class:`~repro.runtime.gpu_memory.GpuMemory` semantics);
-* :mod:`~repro.dist.worker` — the per-rank process with double-buffered
-  chunk prefetch and fault hooks;
+* :mod:`~repro.dist.worker` — the per-rank process and its fault hooks;
 * :mod:`~repro.dist.coordinator` — scatter / supervise / reduce / clean up;
 * :mod:`~repro.dist.pool` — a warm worker pool the coordinator can borrow,
   so the serving layer (:mod:`repro.serve`) reuses processes across runs;
@@ -31,7 +30,7 @@ serial oracle and checkpoint-safe (handoffs journal into per-handoff
 sidecar files under the origin rank).
 """
 
-from repro.dist.bservice import ArenaBSource, BService, TieredBStore, validate_b_budget
+from repro.dist.bservice import BService, ConcreteBSource, TieredBStore, validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -58,13 +57,13 @@ from repro.dist.tile_store import ArenaMeta, TileArena, active_segments
 from repro.dist.worker import ScatterMsg, WorkerReport
 
 __all__ = [
-    "ArenaBSource",
     "ArenaMeta",
     "BService",
     "BlockDoneMsg",
     "COORDINATOR",
     "CommLayer",
     "CommStats",
+    "ConcreteBSource",
     "DistExecutionError",
     "DistReport",
     "Endpoint",

@@ -12,9 +12,10 @@ rank.  Two backings exist:
   bytes), and cached under an LRU byte budget enforced through
   :class:`~repro.runtime.gpu_memory.GpuMemory` reservations — the same
   accounting discipline the block/chunk residency uses;
-* **arena** — a concrete B operand lives in the coordinator's shared-memory
-  arena and tiles are zero-copy views (nothing to cache or evict, but
-  distinct-tile pulls are still counted so stats match the serial
+* **concrete** — a materialised B is read where it lives, the matrix a
+  forked worker inherited or the shared-memory arena a pooled or spawned
+  one attached (nothing to cache or evict, but distinct-tile pulls are
+  still counted so stats match the serial
   :class:`~repro.runtime.data.MatrixSource` accounting).
 
 The generated backing optionally gains a **persistent second tier**: a
@@ -212,18 +213,21 @@ class TieredBStore:
             self._back.put(ns, key, arr)
 
 
-class ArenaBSource:
-    """A concrete B operand read zero-copy from a shared-memory arena.
+class ConcreteBSource:
+    """A concrete B operand read in place, never copied or cached.
 
-    Counts distinct tile pulls per rank so the merged
+    ``tiles`` is anything with ``get(key)`` and ``__contains__``: a
+    :class:`~repro.sparse.matrix.BlockSparseMatrix` or a
+    :class:`~repro.dist.tile_store.TileArena`.  Counts distinct tile pulls
+    per rank so the merged
     ``b_tiles_generated`` statistic equals the serial executor's
     ``len(MatrixSource.access_counts)``; repeat pulls count as cache hits
-    (the arena *is* the cache) so the B-service metrics stay comparable
-    across the two backings.
+    (the operand *is* the cache) so the B-service metrics stay comparable
+    with the generated backing.
     """
 
-    def __init__(self, arena, metrics: MetricsRegistry | None = None):
-        self._arena = arena
+    def __init__(self, tiles, metrics: MetricsRegistry | None = None):
+        self._tiles = tiles
         self._pulled: set[tuple[int, int]] = set()
         self.hits = 0
         self.lru_evictions = 0
@@ -236,10 +240,10 @@ class ArenaBSource:
         )
 
     def has_tile(self, k: int, j: int) -> bool:
-        return (k, j) in self._arena
+        return (k, j) in self._tiles
 
     def tile_nbytes(self, k: int, j: int) -> int:
-        return self._arena.meta().tile_nbytes((k, j))
+        return self._tiles.get((k, j)).nbytes
 
     def tile(self, proc: int, k: int, j: int) -> np.ndarray:
         if (k, j) in self._pulled:
@@ -248,7 +252,7 @@ class ArenaBSource:
         else:
             self._pulled.add((k, j))
             self._m_misses.inc()
-        return self._arena.get((k, j))
+        return self._tiles.get((k, j))
 
     def generated_tiles(self) -> int:
         return len(self._pulled)

@@ -76,15 +76,16 @@ class HandoffMsg:
     ``blocks`` are ``(gpu, position, block)`` triples in the *origin*
     rank's plan coordinates, so journals and store keys written during the
     handoff land under the origin's identity and resume stays coherent.
-    ``arena`` names a dedicated shared-memory arena for the produced C
-    tiles.  B-service parameters mirror the original ``ScatterMsg`` so the
-    helper reproduces tiles bit-for-bit.
+    ``c_meta`` names a dedicated shared-memory arena for the produced C
+    tiles.  Operand and B-service parameters mirror the original
+    ``ScatterMsg`` (resident plane included) so the helper reproduces
+    tiles bit-for-bit.
     """
 
     handoff_id: int
     origin: int
     blocks: tuple  # of (gpu, position, Block) in the origin's plan
-    a_meta: object  # ArenaMeta of the shared A arena
+    a_meta: object  # ArenaMeta of the shared A arena; None = resident
     b_spec: tuple
     c_meta: object  # ArenaMeta of the handoff's dedicated C arena
     gpu_memory_bytes: int

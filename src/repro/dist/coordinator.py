@@ -9,16 +9,22 @@ this one.
 
 Responsibilities:
 
-* **scatter** — pack A (and a concrete B) into shared-memory arenas, ship
-  each rank its :class:`~repro.dist.worker.ScatterMsg` through the
-  :class:`~repro.dist.comm.CommLayer` (bytes counted per link);
+* **scatter** — ship each rank its :class:`~repro.dist.worker.ScatterMsg`
+  through the :class:`~repro.dist.comm.CommLayer` (bytes counted per
+  link).  Operands take one of two data planes, chosen from what the code
+  can observe.  *Resident* (this call owns its processes and the start
+  method is ``fork``): workers are forked after A and B exist and get the
+  pair as process arguments, so nothing is packed.  *Arena* (a borrowed
+  pool predates the operands, ``spawn`` inherits nothing): A and a
+  concrete B are packed into shared-memory arenas first;
 * **supervise** — gather reports; a worker that exits without reporting
   (crash, kill fault) or reports an error is *retried once* in a fresh
   process, and if that attempt also fails its blocks are *reassigned* to a
   coordinator-local spare worker, so a single faulty rank cannot lose the
   contraction;
-* **reduce** — seed ``beta*C``, copy every rank's C tiles out of its
-  output arena enforcing the one-producer-per-tile invariant, and merge
+* **reduce** — seed ``beta*C``, add every rank's C tiles out of its
+  output arena (read as views; a tile the input C lacks is the one copy)
+  enforcing the one-producer-per-tile invariant, and merge
   per-rank :class:`~repro.runtime.numeric.NumericStats` via
   :meth:`NumericStats.merge`;
 * **observe** — merge every rank's monotonic
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from multiprocessing import resource_tracker
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -65,7 +72,7 @@ if TYPE_CHECKING:
     from repro.perf import Attribution, PerfModel, RooflineAudit
 
 from repro.core.plan import ExecutionPlan
-from repro.dist.bservice import ArenaBSource, BService, validate_b_budget
+from repro.dist.bservice import BService, ConcreteBSource, validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -77,6 +84,7 @@ from repro.dist.comm import (
 )
 from repro.dist.faults import FaultPlan
 from repro.dist.health import EventLog, RunHealth
+from repro.dist.pool import default_start_method
 from repro.dist.tile_store import TileArena
 from repro.dist.worker import (
     ABORT_EXIT_CODE,
@@ -220,8 +228,8 @@ class DistReport:
     def queue_wait_seconds(self) -> dict[int, float]:
         """Per-rank seconds spent blocked on queues.
 
-        Sums the prefetch hand-off waits (``*.qwait`` on the GPUs' ``.wait``
-        resources) and the initial scatter inbox wait per rank.
+        The initial scatter inbox wait per rank, plus whatever a trace
+        producer records on a rank's ``.wait`` resources.
         """
         waits: dict[int, float] = {}
         for e in self.trace.events:
@@ -300,10 +308,6 @@ class DistReport:
             comm_link_bytes=dict(self.comm.link_bytes),
             band=band if band is not None else DEFAULT_BAND,
         )
-
-
-def _start_method() -> str:
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 def execute_plan_distributed(
@@ -473,7 +477,7 @@ def execute_plan_distributed(
         ctx = pool.ctx
         comm = pool.comm
     else:
-        ctx = mp.get_context(start_method or _start_method())
+        ctx = mp.get_context(start_method or default_start_method())
         comm = CommLayer(nranks, ctx)
     coord = comm.endpoint(COORDINATOR)
     comm_stats = CommStats()
@@ -539,19 +543,22 @@ def execute_plan_distributed(
     # unattributable idle on the critical path.
     spawn_clock: dict[int, float] = {}
     report_clock: dict[int, float] = {}
+    # Processes this call forks itself are born holding A and B; a pool's
+    # predate them and spawned ones inherit nothing — those get arenas.
+    resident = pool is None and ctx.get_start_method() == "fork"
     try:
-        # ---- pack operands into shared memory -----------------------------
-        with rec.span("pack.a", "net.-1"):
-            a_arena = TileArena.pack("a", a.items())
-            arenas.append(a_arena)
-        a_meta = a_arena.meta()
+        a_meta = None
+        if not resident:
+            with rec.span("pack.a", "net.-1"):
+                arenas.append(TileArena.pack("a", a.items()))
+            a_meta = arenas[-1].meta()
 
-        b_arena = None
         if isinstance(b, BlockSparseMatrix):
-            with rec.span("pack.b", "net.-1"):
-                b_arena = TileArena.pack("b", b.items())
-                arenas.append(b_arena)
-            b_spec = ("arena", b_arena.meta())
+            b_spec = ("resident", None)
+            if not resident:
+                with rec.span("pack.b", "net.-1"):
+                    arenas.append(TileArena.pack("b", b.items()))
+                b_spec = ("arena", arenas[-1].meta())
         elif isinstance(b, GeneratedCollection):
             b_spec = ("generated", b.empty_clone())
         else:
@@ -559,6 +566,16 @@ def execute_plan_distributed(
                 f"distributed execution needs a BlockSparseMatrix or "
                 f"GeneratedCollection B, got {type(b).__name__}"
             )
+
+        #: What every scatter and handoff of this run says about operands,
+        #: numerics and persistence: one dict, so the two cannot drift.
+        run_fields = dict(
+            a_meta=a_meta, b_spec=b_spec, alpha=alpha,
+            gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
+            tau=plan.options.screen_threshold,
+            store_dir=store_dir, store_budget=store_budget_bytes,
+            b_hash=b_hash, ckpt_dir=checkpoint_dir, run_hash=run_hash,
+        )
 
         def make_c_arena(rank: int, attempt: int) -> TileArena:
             cap = sum(blk.c_bytes for blk in plan.procs[rank].blocks)
@@ -630,12 +647,6 @@ def execute_plan_distributed(
                 proc=plan.procs[rank],
                 grid=plan.grid,
                 gpus_per_proc=plan.grid.gpus_per_proc,
-                gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr,
-                tau=plan.options.screen_threshold,
-                alpha=alpha,
-                a_meta=a_meta,
-                b_spec=b_spec,
                 c_meta=c_arenas[rank].meta(),
                 fault=inj,
                 attempt=attempt,
@@ -643,14 +654,10 @@ def execute_plan_distributed(
                 max_spans=trace_max_spans,
                 heartbeat_interval=heartbeat_interval,
                 metrics=metrics,
-                store_dir=store_dir,
-                store_budget=store_budget_bytes,
-                b_hash=b_hash,
-                ckpt_dir=checkpoint_dir,
-                run_hash=run_hash,
                 completed=completed,
                 excluded=tuple(sorted(stolen)),
                 rebalance=rebalance,
+                **run_fields,
             )
             t_send = clock()
             sent = coord.send(rank, msg)
@@ -675,8 +682,13 @@ def execute_plan_distributed(
                 # supervise loop's liveness checks read one dict.
                 workers[rank] = pool.ensure(rank)
                 return
+            # One shared tracker, as in WorkerPool.ensure.
+            resource_tracker.ensure_running()
             proc = ctx.Process(
-                target=worker_main, args=(rank, comm.endpoint(rank)), daemon=True
+                target=worker_main,
+                args=(rank, comm.endpoint(rank), None, False,
+                      (a, b) if resident else None),
+                daemon=True,
             )
             proc.start()
             workers[rank] = proc
@@ -703,15 +715,18 @@ def execute_plan_distributed(
         handoff_results: dict[int, tuple] = {}
         next_handoff = 0
 
+        def local_b_source():
+            """The B source of the coordinator's inline spare: B itself."""
+            if isinstance(b, BlockSparseMatrix):
+                return ConcreteBSource(b)
+            return BService(
+                b.empty_clone(), budget_bytes=plan.gpu_memory_bytes, recorder=rec,
+                store=coord_store, store_ns=f"b:{b_hash}",
+            )
+
         def run_inline(rank: int) -> None:
             """Reassign a twice-failed rank to a coordinator-local worker."""
-            if b_arena is not None:
-                b_local = ArenaBSource(b_arena)
-            else:
-                b_local = BService(
-                    b.empty_clone(), budget_bytes=plan.gpu_memory_bytes, recorder=rec,
-                    store=coord_store, store_ns=f"b:{b_hash}",
-                )
+            b_local = local_b_source()
             restore_block = on_block = None
             journal = None
             ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
@@ -756,7 +771,7 @@ def execute_plan_distributed(
                 stats=stats,
                 c_index={},
                 spans=None,  # recorded directly into the coordinator's stream
-                link_bytes=modeled_a_link_bytes(plan.procs[rank], plan.grid, a_meta),
+                link_bytes=modeled_a_link_bytes(plan.procs[rank], plan.grid, a.get_tile),
                 b_max_instantiations=b_local.max_instantiations(),
                 b_hits=b_local.hits,
                 b_lru_evictions=b_local.lru_evictions,
@@ -883,13 +898,7 @@ def execute_plan_distributed(
             """
             h = pending_handoffs.pop(hid)
             origin = h["origin"]
-            if b_arena is not None:
-                b_local = ArenaBSource(b_arena)
-            else:
-                b_local = BService(
-                    b.empty_clone(), budget_bytes=plan.gpu_memory_bytes,
-                    recorder=rec, store=coord_store, store_ns=f"b:{b_hash}",
-                )
+            b_local = local_b_source()
             on_block = None
             journal = None
             if checkpoint_dir is not None:
@@ -963,18 +972,8 @@ def execute_plan_distributed(
                 handoff_id=hid,
                 origin=origin,
                 blocks=blocks_payload,
-                a_meta=a_meta,
-                b_spec=b_spec,
                 c_meta=arena.meta(),
-                gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr,
-                tau=plan.options.screen_threshold,
-                alpha=alpha,
-                store_dir=store_dir,
-                store_budget=store_budget_bytes,
-                b_hash=b_hash,
-                ckpt_dir=checkpoint_dir,
-                run_hash=run_hash,
+                **run_fields,
             ))
 
         def patrol() -> None:
@@ -1192,7 +1191,7 @@ def execute_plan_distributed(
                 else:
                     pending_handoffs.pop(hid)
                     handoff_results[hid] = (
-                        h["origin"], ("arena", h["arena"], msg[3]), msg[4]
+                        h["origin"], (h["arena"], msg[3]), msg[4]
                     )
                     events.emit(
                         "handoff_done", handoff=hid, origin=h["origin"],
@@ -1215,45 +1214,43 @@ def execute_plan_distributed(
 
         produced_by: dict[tuple[int, int], object] = {}
         t_reduce = clock()
-        for rank in range(nranks):
-            report = reports[rank]
-            if rank in local_results:
-                tiles = local_results[rank].items()
-            else:
-                arena = c_arenas[rank]
-                tiles = (
-                    ((i, j), arena.read(entry))
-                    for (i, j), entry in report.c_index.items()
+
+        def arena_tiles(arena: TileArena, c_index: dict):
+            """A producer's C tiles: views where the seeded ``beta*C`` is
+            only added to, the one owning copy where ``set_tile`` keeps the
+            array (a view must not outlive the arena)."""
+            arena.adopt(c_index)
+            for (i, j), entry in c_index.items():
+                yield (i, j), (
+                    arena.get((i, j)) if out.has_tile(i, j) else arena.read(entry)
                 )
+
+        def reduce_producer(producer, who: str, tiles) -> None:
             for (i, j), tile in tiles:
-                prev = produced_by.setdefault((i, j), rank)
+                prev = produced_by.setdefault((i, j), producer)
                 require(
-                    prev == rank,
-                    f"C tile ({i},{j}) produced by two processes ({prev}, {rank})",
+                    prev == producer,
+                    f"C tile ({i},{j}) produced by two processes ({prev}, {who})",
                 )
                 out.accumulate_tile(i, j, tile)
+
+        for rank in range(nranks):
+            reduce_producer(
+                rank, str(rank),
+                local_results[rank].items() if rank in local_results
+                else arena_tiles(c_arenas[rank], reports[rank].c_index),
+            )
         # Handoff producers reduce exactly like ranks: blocks within one
         # process hold disjoint column sets, so a stolen block's tiles can
         # collide neither with the origin's remaining blocks nor with any
         # other rank — the one-producer check enforces it (M407).
         for hid in sorted(handoff_results):
             origin, payload, _ = handoff_results[hid]
-            if isinstance(payload, dict):
-                tiles = payload.items()
-            else:
-                _, arena, c_index = payload
-                tiles = (
-                    ((i, j), arena.read(entry))
-                    for (i, j), entry in c_index.items()
-                )
-            for (i, j), tile in tiles:
-                prev = produced_by.setdefault((i, j), ("handoff", hid))
-                require(
-                    prev == ("handoff", hid),
-                    f"C tile ({i},{j}) produced by two processes "
-                    f"({prev}, handoff {hid} of rank {origin})",
-                )
-                out.accumulate_tile(i, j, tile)
+            reduce_producer(
+                ("handoff", hid), f"handoff {hid} of rank {origin}",
+                payload.items() if isinstance(payload, dict)
+                else arena_tiles(*payload),
+            )
         rec.record("reduce", "net.-1", t_reduce, clock())
 
         # ---- merge stats / trace / comm / metrics -------------------------

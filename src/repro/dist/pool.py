@@ -9,8 +9,8 @@ it owns the :class:`~repro.dist.comm.CommLayer` and one
 the *caller* wants, and the coordinator merely borrows them for one run
 (``execute_plan_distributed(..., pool=...)``).  The serving layer
 (:mod:`repro.serve`) keeps one pool warm across many jobs; passing no
-pool reproduces the classic one-shot behaviour exactly (the coordinator
-creates a private pool and closes it in its ``finally``).
+pool keeps the one-shot behaviour (the coordinator forks its own workers,
+born holding the operands, and reaps them in its ``finally``).
 
 Division of labour — deliberate, so the protocol surface stays where the
 conformance pass (M410-M412) audits it:
@@ -31,13 +31,14 @@ leave orphan workers behind.
 from __future__ import annotations
 
 import multiprocessing as mp
+from multiprocessing import resource_tracker
 
 from repro.dist.comm import COORDINATOR, CommLayer
 from repro.dist.worker import worker_main
 from repro.util.validation import require
 
 
-def _default_start_method() -> str:
+def default_start_method() -> str:
     """Prefer fork (cheap, inherits the warm page cache) when available."""
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
@@ -69,7 +70,7 @@ class WorkerPool:
                  tile_cache_factory=None):
         require(nranks >= 1, f"pool needs at least one rank, got {nranks}")
         self.nranks = nranks
-        self.ctx = mp.get_context(start_method or _default_start_method())
+        self.ctx = mp.get_context(start_method or default_start_method())
         self.comm = CommLayer(nranks, self.ctx)
         self._tile_cache_factory = tile_cache_factory
         self._workers: dict[int, mp.process.BaseProcess] = {}
@@ -94,6 +95,10 @@ class WorkerPool:
             self._tile_cache_factory()
             if self._tile_cache_factory is not None else None
         )
+        # Share the owner's resource tracker: a worker forked before it runs
+        # starts its own, which at exit warns about (and re-unlinks) every
+        # segment it attached.
+        resource_tracker.ensure_running()
         proc = self.ctx.Process(
             target=worker_main,
             args=(rank, self.comm.endpoint(rank), cache, True),
@@ -103,10 +108,6 @@ class WorkerPool:
         self._workers[rank] = proc
         self.spawns += 1
         return proc
-
-    def process(self, rank: int):
-        """The rank's current process record (possibly dead), or ``None``."""
-        return self._workers.get(rank)
 
     def alive_ranks(self) -> list[int]:
         return sorted(

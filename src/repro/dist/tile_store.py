@@ -1,15 +1,18 @@
-"""Shared-memory tile arenas: zero-copy A/B/C tiles between processes.
+"""Shared-memory tile arenas: zero-copy tiles between processes.
 
 A :class:`TileArena` is one ``multiprocessing.shared_memory`` segment
 holding many dense float64 tiles back to back, plus a small pickle-able
-index ``{key: (offset, m, n)}``.  The coordinator *creates* every arena (A
-and B operands packed up front, one C output arena per worker attempt) and
-is the only process that ever unlinks; workers merely attach and read or
-write through NumPy views, so no tile bytes are ever pickled through a
-queue.  Centralised ownership is what makes the leak discipline testable:
-:func:`active_segments` lists the names the current process has created and
-not yet unlinked, and the coordinator drains it in a ``finally`` even when
-a run fails or a worker is killed mid-flight.
+index ``{key: (offset, m, n)}``.  Every run has one C output arena per
+worker attempt (and per rebalance handoff); A and a concrete B are packed
+into arenas too only on the arena plane — a borrowed pool or a ``spawn``
+context — while forked one-shot workers read the operands they were born
+with (see :mod:`repro.dist.coordinator`).  The coordinator *creates* every
+arena and is the only process that ever unlinks; workers merely attach and
+read or write through NumPy views, so no tile bytes are ever pickled
+through a queue.  Centralised ownership is what makes the leak discipline
+testable: :func:`active_segments` lists the names the current process has
+created and not yet unlinked, and the coordinator drains it in a
+``finally`` even when a run fails or a worker is killed mid-flight.
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ class ArenaMeta:
     name: str
     size: int
     index: dict[TileKey, tuple[int, int, int]] = field(default_factory=dict)
-
-    def tile_nbytes(self, key: TileKey) -> int:
-        _, m, n = self.index[key]
-        return m * n * 8
 
 
 class TileArena:
@@ -146,10 +145,13 @@ class TileArena:
         """The pickle-able attachment metadata (current index snapshot)."""
         return ArenaMeta(name=self.name, size=self.size, index=dict(self.index))
 
+    def _view(self, entry: tuple[int, int, int]) -> np.ndarray:
+        off, m, n = entry
+        return np.ndarray((m, n), dtype=np.float64, buffer=self._shm.buf, offset=off)
+
     def get(self, key: TileKey) -> np.ndarray:
         """Zero-copy read-only view of a stored tile."""
-        off, m, n = self.index[key]
-        view = np.ndarray((m, n), dtype=np.float64, buffer=self._shm.buf, offset=off)
+        view = self._view(self.index[key])
         view.flags.writeable = False
         return view
 
@@ -162,23 +164,29 @@ class TileArena:
             off + arr.nbytes <= self.size,
             f"arena {self.name} overflow: {off + arr.nbytes} > {self.size}",
         )
-        dst = np.ndarray(arr.shape, dtype=np.float64, buffer=self._shm.buf, offset=off)
-        dst[...] = arr
         entry = (off, arr.shape[0], arr.shape[1])
+        self._view(entry)[...] = arr
         self.index[key] = entry
         self._cursor = off + arr.nbytes
         return entry
 
+    def adopt(self, index: dict[TileKey, tuple[int, int, int]]) -> None:
+        """Take over the index entries a worker appended through its own
+        attachment and reported, so :meth:`get` and :attr:`used_bytes` see
+        what the segment holds."""
+        self.index.update(index)
+        self._cursor = max(
+            [self._cursor, *(off + m * n * 8 for off, m, n in index.values())]
+        )
+
     def read(self, entry: tuple[int, int, int]) -> np.ndarray:
         """An *owning copy* of the tile at an index entry.
 
-        Used by the coordinator to pull another process's C tiles out of an
-        arena it is about to unlink — a zero-copy view must never outlive
-        the segment, so this is the one place the bytes are duplicated.
+        Used by the coordinator for a C tile the result keeps as-is — a
+        zero-copy view must never outlive the segment, so this is the one
+        place the bytes are duplicated.
         """
-        off, m, n = entry
-        view = np.ndarray((m, n), dtype=np.float64, buffer=self._shm.buf, offset=off)
-        return np.array(view)
+        return np.array(self._view(entry))
 
     def __contains__(self, key: TileKey) -> bool:
         return key in self.index

@@ -1,8 +1,8 @@
 """The per-rank worker process of the distributed executor.
 
 Each worker is one planned process rank.  Life of a worker: receive a
-:class:`ScatterMsg` from the coordinator, attach the shared-memory arenas,
-execute its :class:`~repro.core.plan.ProcPlan` through the *same*
+:class:`ScatterMsg` from the coordinator, open its operands, execute its
+:class:`~repro.core.plan.ProcPlan` through the *same*
 :func:`repro.runtime.numeric.execute_proc_plan` body the serial executor
 uses (hence bit-identical numerics), write its C tiles into its output
 arena, and send a :class:`WorkerReport` back.  The process then stays in
@@ -20,16 +20,19 @@ is reported out-of-band as a :class:`~repro.dist.comm.BlockDoneMsg` on
 the telemetry channel, so the coordinator knows which blocks are still
 unstarted without perturbing control-plane traffic.
 
-The worker overlaps transfers with compute the way the paper's control DAG
-does: a prefetch thread copies the *next* chunk's A tiles out of the shared
-A arena (the "H2D" of the double-buffered 25 % staging area) while the main
-thread runs the current chunk's GEMMs; a ``Queue(maxsize=1)`` is exactly
-the one-chunk-ahead prefetch depth the 25/25 split allows.
+Operands arrive on one of two data planes (the coordinator picks, see
+:mod:`repro.dist.coordinator`): a forked one-shot worker was born holding
+A and B and reads them in place (``a_meta=None``, ``("resident", None)``);
+a pooled or spawned one attaches the coordinator's shared-memory arenas.
+Either way a chunk's A tiles reach the GEMM stream as views, so there is
+no copy for a prefetch thread to overlap: the chunk "prefetch" (the H2D of
+the paper's 25 % staging area, still budgeted in ``execute_block``) is an
+inline span on the GPU's link resource.
 
 Observability: when the scatter carries ``trace=True`` the worker records
 spans through a :class:`~repro.runtime.tracing.SpanRecorder` on a
-*monotonic* clock — inbox wait, shared-memory attach, per-chunk prefetch
-and prefetch-queue wait, per-chunk GEMM, B-tile generation, C writeback —
+*monotonic* clock — inbox wait, shared-memory attach, per-chunk prefetch,
+per-chunk GEMM, B-tile generation, C writeback —
 and ships the :class:`~repro.runtime.tracing.SpanStream` home in its
 report for the coordinator to merge.  With ``trace=False`` no clock is
 read in the hot loop (``on_event`` is ``None``) and no spans are stored.
@@ -53,7 +56,6 @@ coordinator's missed-heartbeat detector exists to catch.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 import traceback
@@ -64,7 +66,7 @@ import numpy as np
 
 from repro.core.grid import ProcessGrid
 from repro.core.plan import Block, ProcPlan
-from repro.dist.bservice import ArenaBSource, BService, TieredBStore
+from repro.dist.bservice import BService, ConcreteBSource, TieredBStore
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -114,9 +116,12 @@ class ScatterMsg:
     b_csr: object
     tau: float | None
     alpha: float
-    a_meta: ArenaMeta
+    #: ``None`` = resident plane: read the A (and ``("resident", None)``
+    #: B) this rank was forked with; else ``b_spec`` is ``("arena", meta)``.
+    #: A generated B is ``("generated", collection)`` on both planes.
+    a_meta: ArenaMeta | None
     b_spec: tuple
-    c_meta: ArenaMeta | None
+    c_meta: ArenaMeta
     fault: FaultInjection | None
     attempt: int
     trace: bool = True
@@ -173,7 +178,7 @@ class WorkerReport:
 
 
 def modeled_a_link_bytes(
-    proc: ProcPlan, grid: ProcessGrid, a_meta: ArenaMeta
+    proc: ProcPlan, grid: ProcessGrid, a_get_tile
 ) -> dict[tuple[int, int], int]:
     """Grid-row A-broadcast bytes charged to ``owner -> rank`` links.
 
@@ -185,7 +190,7 @@ def modeled_a_link_bytes(
         owner_col = k % grid.q
         if owner_col != proc.col:
             owner = grid.rank(proc.row, owner_col)
-            links[(owner, proc.rank)] += a_meta.tile_nbytes((i, k))
+            links[(owner, proc.rank)] += a_get_tile(i, k).nbytes
     return dict(links)
 
 
@@ -326,67 +331,31 @@ class _HeartbeatThread:
         self._thread.join(timeout=1.0)
 
 
-def _prefetching_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int):
-    """A ``chunk_fetcher`` that double-buffers A chunks via a thread per block.
+def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
+                   registry: MetricsRegistry):
+    """A ``chunk_fetcher`` handing each chunk's A tiles out as views.
 
-    With the recorder enabled, the producer thread records each chunk's
-    copy-out as a ``prefetch`` span on the GPU's link resource, and the
-    consumer records the time it blocked on the hand-off queue as a
-    ``qwait`` span — the executor's measurable analogue of a starved H2D
-    pipeline.  Disabled, neither side reads a clock.
+    Runs inline, recorded as the chunk's ``prefetch`` span on the GPU's
+    link resource (and in ``repro_prefetch_seconds`` when metrics are on).
+    With recorder and metrics both off the caller passes no fetcher at all.
     """
-
-    return _instrumented_fetcher(a_arena, rec, rank, MetricsRegistry(enabled=False))
-
-
-def _instrumented_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int,
-                          registry: MetricsRegistry):
-    """The prefetching fetcher plus live-metric observation.
-
-    Prefetch copy-out and hand-off wait durations feed both the span
-    recorder (post-mortem trace) and, when metrics are on, the
-    ``repro_prefetch_seconds`` / ``repro_prefetch_qwait_seconds``
-    histograms (live telemetry).  With both disabled no clock is read.
-    """
-    observe = registry.enabled
     prefetch_hist = registry.histogram(
-        "repro_prefetch_seconds", "A-chunk prefetch copy-out durations"
+        "repro_prefetch_seconds", "A-chunk prefetch durations"
     )
-    qwait_hist = registry.histogram(
-        "repro_prefetch_qwait_seconds", "time blocked on the prefetch hand-off"
-    )
-    timed = rec.enabled or observe
 
     def fetcher(g: int, bi: int, block: Block):
-        chunk_q: queue.Queue = queue.Queue(maxsize=1)
         link = f"gpu.{rank}.{g}.link"
-        wait = f"gpu.{rank}.{g}.wait"
-
-        def produce() -> None:
-            for ci, chunk in enumerate(block.chunks):
-                t_start = rec.now() if timed else 0.0
-                tiles = [
-                    np.array(a_arena.get((i, k)))
-                    for i, k in zip(chunk.a_rows.tolist(), chunk.a_cols.tolist())
-                ]
-                if timed:
-                    t_end = rec.now()
-                    rec.record(f"block{bi}.chunk{ci}.prefetch", link, t_start, t_end)
-                    if observe:
-                        prefetch_hist.observe(t_end - t_start)
-                chunk_q.put(tiles)
-
-        threading.Thread(target=produce, daemon=True).start()
 
         def fetch(ci: int, chunk) -> list[np.ndarray]:
-            if not timed:
-                return chunk_q.get()
             t_start = rec.now()
-            tiles = chunk_q.get()
+            tiles = [
+                a_get_tile(i, k)
+                for i, k in zip(chunk.a_rows.tolist(), chunk.a_cols.tolist())
+            ]
             t_end = rec.now()
-            rec.record(f"block{bi}.chunk{ci}.qwait", wait, t_start, t_end)
-            if observe:
-                qwait_hist.observe(t_end - t_start)
+            rec.record(f"block{bi}.chunk{ci}.prefetch", link, t_start, t_end)
+            if registry.enabled:
+                prefetch_hist.observe(t_end - t_start)
             return tiles
 
         return fetch
@@ -394,23 +363,52 @@ def _instrumented_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int,
     return fetcher
 
 
-def _b_store(tile_cache, store, b_hash: str):
-    """Compose the B service's store tier(s) for one scattered attempt.
+def _open_operands(msg, operands, *, registry: MetricsRegistry, store,
+                   tile_cache, rec: SpanRecorder | None = None):
+    """Open A and B for one :class:`ScatterMsg` or ``HandoffMsg``.
 
-    ``tile_cache`` is a process-lifetime in-memory warm cache a serving
-    pool injected at worker spawn; it layers in front of the per-run disk
-    store so a pooled worker's second job over the same B fingerprint is
-    served from memory.  Without a fingerprint the cache is skipped —
-    there is no namespace to key it by, and serving another operand's
-    tiles would be a correctness bug, not a cache miss.
+    Returns ``(a_get_tile, b_source, attached)``: ``operands`` is the
+    ``(a, b)`` pair a resident-plane process was forked with; on the arena
+    plane the mapped arenas are listed in ``attached`` for the caller to
+    close (a half-opened set is closed before raising).
     """
-    if tile_cache is None or not b_hash:
-        return store
-    return TieredBStore(tile_cache, store)
+    attached: list[TileArena] = []
+    try:
+        if msg.a_meta is None:
+            a_get_tile = operands[0].get_tile
+        else:
+            attached.append(TileArena.attach(msg.a_meta))
+            a_get = attached[-1].get
+
+            def a_get_tile(i: int, k: int) -> np.ndarray:
+                return a_get((i, k))
+        kind, payload = msg.b_spec
+        if kind == "generated":
+            # A serving pool's process-lifetime warm cache fronts the disk
+            # store, so job N+1 over the same B is served from memory.  No
+            # fingerprint, no namespace to key it by: serving another
+            # operand's tiles would be a correctness bug, so skip it.
+            if tile_cache is not None and msg.b_hash:
+                store = TieredBStore(tile_cache, store)
+            b_source = BService(
+                payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
+                metrics=registry, store=store, store_ns=f"b:{msg.b_hash}",
+            )
+        elif kind == "resident":
+            b_source = ConcreteBSource(operands[1], metrics=registry)
+        else:
+            attached.append(TileArena.attach(payload))
+            b_source = ConcreteBSource(attached[-1], metrics=registry)
+        return a_get_tile, b_source, attached
+    except BaseException:
+        for arena in attached:
+            arena.close()
+        raise
 
 
 def run_rank(
     msg: ScatterMsg,
+    operands=None,
     *,
     origin: float | None = None,
     recv_done: float | None = None,
@@ -425,7 +423,8 @@ def run_rank(
     carries heartbeats out on the telemetry channel; without one (or with
     ``msg.heartbeat_interval <= 0``) the rank runs silently as before.
     ``tile_cache`` is a serving pool's process-lifetime warm B-tile cache
-    (see :func:`_b_store`); ``None`` reproduces the one-shot behaviour.
+    (``None`` reproduces the one-shot behaviour) and ``operands`` the
+    forked-in ``(a, b)`` pair; :func:`_open_operands` consumes both.
     """
     rank = msg.proc.rank
     rec = SpanRecorder(enabled=msg.trace, max_spans=msg.max_spans, origin=origin)
@@ -462,25 +461,12 @@ def run_rank(
             )
 
         with rec.span("shm.attach", f"net.{rank}"):
-            a_arena = TileArena.attach(msg.a_meta)
-            attached.append(a_arena)
-
-            kind, payload = msg.b_spec
-            if kind == "arena":
-                b_arena = TileArena.attach(payload)
-                attached.append(b_arena)
-                b_source = ArenaBSource(b_arena, metrics=registry)
-            else:
-                b_source = BService(
-                    payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
-                    metrics=registry,
-                    store=_b_store(tile_cache, store, msg.b_hash),
-                    store_ns=f"b:{msg.b_hash}",
-                )
-
-            c_arena = TileArena.attach(msg.c_meta) if msg.c_meta is not None else None
-            if c_arena is not None:
-                attached.append(c_arena)
+            a_get_tile, b_source, attached = _open_operands(
+                msg, operands, registry=registry, store=store,
+                tile_cache=tile_cache, rec=rec,
+            )
+            c_arena = TileArena.attach(msg.c_meta)
+            attached.append(c_arena)
         registry.gauge(
             "repro_shm_attached_bytes", "shared-memory bytes attached", agg="sum"
         ).set(sum(arena.size for arena in attached))
@@ -607,14 +593,17 @@ def run_rank(
 
         produced, stats = execute_proc_plan(
             msg.proc,
-            lambda i, k: a_arena.get((i, k)),
+            a_get_tile,
             b_source,
             gpus_per_proc=msg.gpus_per_proc,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
             tau=msg.tau,
             alpha=msg.alpha,
-            chunk_fetcher=_instrumented_fetcher(a_arena, rec, rank, registry),
+            chunk_fetcher=(
+                _chunk_fetcher(a_get_tile, rec, rank, registry)
+                if rec.enabled or registry.enabled else None
+            ),
             on_task=on_task if need_on_task else None,
             on_event=on_event,
             clock=rec.now,
@@ -650,7 +639,7 @@ def run_rank(
             stats=stats,
             c_index=c_index,
             spans=rec.stream() if rec.enabled else None,
-            link_bytes=modeled_a_link_bytes(msg.proc, msg.grid, msg.a_meta),
+            link_bytes=modeled_a_link_bytes(msg.proc, msg.grid, a_get_tile),
             b_max_instantiations=b_source.max_instantiations(),
             b_hits=b_source.hits,
             b_lru_evictions=b_source.lru_evictions,
@@ -735,11 +724,11 @@ def execute_handoff_blocks(
     return produced, stats
 
 
-def run_handoff(msg, tile_cache=None) -> tuple[dict, NumericStats]:
+def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats]:
     """Execute one :class:`~repro.dist.comm.HandoffMsg` on a helper rank.
 
-    Attaches the shared A arena and the handoff's dedicated C arena,
-    rebuilds the B source the origin would have used, and (when the run
+    Opens the operands the way the origin did (:func:`_open_operands`),
+    attaches the handoff's dedicated C arena, and (when the run
     checkpoints) journals each completed block under the *origin's* rank
     into a ``.h<id>`` sidecar journal — store keys and record contents
     identical to what the origin itself would have written, which is what
@@ -763,25 +752,15 @@ def run_handoff(msg, tile_cache=None) -> tuple[dict, NumericStats]:
                 store, journal, msg.run_hash, msg.origin, {}, registry
             )
 
-        a_arena = TileArena.attach(msg.a_meta)
-        attached.append(a_arena)
-        kind, payload = msg.b_spec
-        if kind == "arena":
-            b_arena = TileArena.attach(payload)
-            attached.append(b_arena)
-            b_source = ArenaBSource(b_arena, metrics=registry)
-        else:
-            b_source = BService(
-                payload, budget_bytes=msg.gpu_memory_bytes, metrics=registry,
-                store=_b_store(tile_cache, store, msg.b_hash),
-                store_ns=f"b:{msg.b_hash}",
-            )
+        a_get_tile, b_source, attached = _open_operands(
+            msg, operands, registry=registry, store=store, tile_cache=tile_cache
+        )
         c_arena = TileArena.attach(msg.c_meta)
         attached.append(c_arena)
 
         produced, stats = execute_handoff_blocks(
             msg.blocks,
-            lambda i, k: a_arena.get((i, k)),
+            a_get_tile,
             b_source,
             origin=msg.origin,
             gpu_memory_bytes=msg.gpu_memory_bytes,
@@ -803,7 +782,7 @@ def run_handoff(msg, tile_cache=None) -> tuple[dict, NumericStats]:
 
 
 def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
-                pooled: bool = False) -> None:
+                pooled: bool = False, operands=None) -> None:
     """Process entry point: a dispatch loop over coordinator messages.
 
     The first message is normally this rank's :class:`ScatterMsg`; after
@@ -822,6 +801,9 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     job N+1 over the same B fingerprint start hot.  Any unrecognised
     directive — the serving layer's shutdown pill included — exits the
     loop quietly.
+
+    ``operands`` is the run's ``(a, b)`` pair on the resident plane —
+    process arguments cross a fork by inheritance, not by pickle.
 
     Protocol:
         recv scatter: coordinator -> worker [data]
@@ -852,7 +834,7 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                 # inbox-wait accounting.  One-shot workers keep the
                 # spawn-rooted origin so process startup stays visible.
                 report = run_rank(
-                    msg,
+                    msg, operands,
                     origin=None if pooled else t_spawn,
                     recv_done=None if pooled else time.monotonic(),
                     endpoint=endpoint, tile_cache=tile_cache,
@@ -864,7 +846,7 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                 )
             elif isinstance(msg, HandoffMsg):
                 try:
-                    c_index, stats = run_handoff(msg, tile_cache=tile_cache)
+                    c_index, stats = run_handoff(msg, operands, tile_cache=tile_cache)
                 except Exception:  # noqa: BLE001 - helper failure is recoverable
                     endpoint.send(
                         COORDINATOR,

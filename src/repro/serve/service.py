@@ -62,6 +62,10 @@ from repro.util.validation import require
 #: rule whose violation would OOM (and thereby kill) a warm worker.
 MEMORY_RULES = frozenset({"P110", "P111", "P112", "P114"})
 
+#: Queue entry that sorts ahead of every job and names none: shutdown puts
+#: it to wake a scheduler asleep in ``get`` so it sees ``_stop`` at once.
+_WAKE = (float("-inf"), 0, None)
+
 #: Job life-cycle states, in order.
 QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
     "queued", "running", "done", "failed", "cancelled",
@@ -279,6 +283,7 @@ class ContractionService:
         if drain:
             self._idle.wait(timeout=timeout)
         self._stop.set()
+        self._pending.put(_WAKE)
         self._scheduler.join(timeout=timeout)
         while True:  # cancel whatever the scheduler never claimed
             try:
@@ -321,15 +326,10 @@ class ContractionService:
             try:
                 _, _, job_id = self._pending.get(timeout=0.1)
             except _queue.Empty:
-                with self._lock:
-                    if self._pending.empty() and not any(
-                        j.state in (QUEUED, RUNNING) for j in self._jobs.values()
-                    ):
-                        self._idle.set()
                 continue
-            job = self._jobs[job_id]
-            if job.state != QUEUED:
-                continue  # cancelled while queued
+            job = self._jobs.get(job_id)
+            if job is None or job.state != QUEUED:
+                continue  # shutdown's wake-up, or cancelled while queued
             self._execute(job)
 
     def _execute(self, job: Job) -> None:
@@ -363,9 +363,16 @@ class ContractionService:
             self._finish(job, FAILED, error=exc)
 
     def _finish(self, job: Job, state: str, error: BaseException | None = None):
-        job.state = state
-        job.error = error
-        job.finished_s = time.monotonic()
+        with self._lock:
+            job.state = state
+            job.error = error
+            job.finished_s = time.monotonic()
+            # Idle the moment the last job ends: drain() and shutdown()
+            # must not wait out a scheduler poll interval to learn it.
+            if not any(
+                j.state in (QUEUED, RUNNING) for j in self._jobs.values()
+            ):
+                self._idle.set()
         job.done.set()
 
     def _write_artifacts(self, job: Job, report) -> None:

@@ -86,6 +86,15 @@ class BlockSparseMatrix:
         """The stored tile ``(i, j)``; raises :class:`KeyError` if absent."""
         return self._tiles[(i, j)]
 
+    def get(self, key: TileKey) -> np.ndarray:
+        """The stored tile under ``key = (i, j)`` — the key-addressed read
+        a :class:`~repro.dist.TileArena` also offers, so one B source can
+        serve a resident matrix and a shared-memory arena alike."""
+        return self._tiles[key]
+
+    def __contains__(self, key: TileKey) -> bool:
+        return key in self._tiles
+
     def tile_or_zeros(self, i: int, j: int) -> np.ndarray:
         """The stored tile, or a fresh zero tile of the right shape."""
         t = self._tiles.get((i, j))

@@ -21,6 +21,7 @@ from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
 from repro.store import read_store_stats
 from repro.tiling import random_tiling
+from tests.test_dist_executor import assert_resident
 
 
 def operands(seed=0, m=200, nk=600, density=0.5):
@@ -86,6 +87,7 @@ class TestKillResume:
         assert report.blocks_restored >= 1
         assert report.tasks_skipped > 0
         assert not active_segments()
+        assert_resident(report)  # the re-forked retry read A in place too
 
     def test_second_invocation_resumes_completed_run(self, tmp_path):
         """A finished checkpointed run re-executed over the same directory

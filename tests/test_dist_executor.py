@@ -10,6 +10,7 @@ Fast parity checks run in tier-1; the slower multi-process scenarios
 and run via ``make test-dist``.
 """
 
+import multiprocessing as mp
 import os
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.dist import (
     DistExecutionError,
     FaultPlan,
     TileArena,
+    WorkerPool,
     active_segments,
     execute_plan_distributed,
 )
@@ -131,6 +133,95 @@ class TestCommAndTrace:
         assert {f"rank {pp.rank}" for pp in plan.procs} <= names
 
 
+def pack_spans(report):
+    return sorted(e.task for e in report.trace.events if e.task.startswith("pack."))
+
+
+def segment_tags(report):
+    """The tag each segment name ends in: ``a``, ``b``, ``c<rank>a<attempt>``, ``h<id>``."""
+    return [name.rsplit("-", 1)[1] for name in report.segments]
+
+
+def assert_resident(report):
+    """The run packed nothing: no pack span, no operand segment."""
+    assert pack_spans(report) == []
+    assert all(tag[0] in "ch" for tag in segment_tags(report))
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="resident plane needs fork"
+)
+
+
+@pytest.fixture(scope="module")
+def plane_runs():
+    """One plan with a C input run serially, resident, spawned and pooled."""
+    a, b = operands(seed=12)
+    c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=13)
+    plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+    kwargs = dict(c=c0, alpha=0.5, beta=2.0)
+    serial = execute_plan(plan, a, b, **kwargs)
+    runs = {
+        method: execute_plan_distributed(plan, a, b, start_method=method, **kwargs)
+        for method in ("fork", "spawn") if method in mp.get_all_start_methods()
+    }
+    pool = WorkerPool(plan.grid.nprocs)
+    try:
+        runs["pool"] = execute_plan_distributed(plan, a, b, pool=pool, **kwargs)
+    finally:
+        pool.close()
+    return plan, a, b, serial, runs
+
+
+class TestDataPlanes:
+    """Resident (fork) and arena (spawn, pool) planes: same bits, same counts."""
+
+    def test_every_plane_matches_the_oracle(self, plane_runs):
+        plan, _, _, (c_serial, s_serial), runs = plane_runs
+        expected_links = sum(pp.a_recv_bytes for pp in plan.procs)
+        assert len(runs) >= 2
+        worker_links, b_hits = [], []
+        for plane, (c, report) in runs.items():
+            assert np.array_equal(c_serial.to_dense(), c.to_dense()), plane
+            assert report.stats == s_serial, plane
+            assert report.comm.a_broadcast_bytes() == expected_links, plane
+            worker_links.append({
+                link: n for link, n in report.comm.link_bytes.items()
+                if -1 not in link
+            })
+            b_hits.append(report.b_hits)
+        assert all(links == worker_links[0] for links in worker_links)
+        assert all(hits == b_hits[0] for hits in b_hits)
+
+    @needs_fork
+    def test_resident_run_packs_nothing(self, plane_runs):
+        _, report = plane_runs[-1]["fork"]
+        assert_resident(report)
+        assert sorted(segment_tags(report)) == ["c0a0", "c1a0"]
+        # What shared memory held is exactly the C tiles written back.
+        assert report.shm_bytes == report.stats.d2h_bytes
+
+    @pytest.mark.parametrize("plane", ["spawn", "pool"])
+    def test_arena_planes_still_pack_operands(self, plane_runs, plane):
+        _, a, b, _, runs = plane_runs
+        _, report = runs[plane]
+        assert pack_spans(report) == ["pack.a", "pack.b"]
+        assert sorted(segment_tags(report)) == ["a", "b", "c0a0", "c1a0"]
+        assert report.shm_bytes == a.nbytes + b.nbytes + report.stats.d2h_bytes
+
+    def test_prefetch_spans_survive_without_the_thread(self, plane_runs):
+        plan, _, _, _, runs = plane_runs
+        chunks = sum(
+            len(blk.chunks) for pp in plan.procs
+            for g in range(plan.grid.gpus_per_proc) for blk in pp.gpu_blocks(g)
+        )
+        for plane, (_, report) in runs.items():
+            prefetch = [e for e in report.trace.events if e.task.endswith(".prefetch")]
+            assert len(prefetch) == chunks, plane
+            assert all(e.resource.endswith(".link") for e in prefetch)
+            assert not any(e.task.endswith(".qwait") for e in report.trace.events)
+
+
 class TestSharedMemoryLifecycle:
     def test_all_segments_unlinked_after_success(self, q2_run):
         from multiprocessing import shared_memory
@@ -190,6 +281,9 @@ class TestFaultRecovery:
         assert report.attempts[0] == 2  # one failure, one successful retry
         assert all(report.attempts[r] == 1 for r in report.attempts if r != 0)
         assert report.reassigned == []
+        # The retry was re-forked holding the same operands: still no arena.
+        assert_resident(report)
+        assert sorted(segment_tags(report)) == ["c0a0", "c0a1", "c1a0"]
 
     @pytest.mark.dist
     def test_persistently_failing_rank_is_reassigned(self):
@@ -199,6 +293,7 @@ class TestFaultRecovery:
         )
         assert report.attempts[1] == 3  # initial + retry + reassigned inline
         assert report.reassigned == [1]
+        assert_resident(report)  # the inline spare read A and B directly too
 
     @pytest.mark.dist
     def test_killed_worker_with_generated_b_still_exact(self):
@@ -372,7 +467,7 @@ class TestTelemetry:
         # much of the trace is missing instead of silently truncating.
         a, b = operands(seed=13, m=100, nk=200)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
-        c_dist, report = execute_plan_distributed(plan, a, b, trace_max_spans=8)
+        c_dist, report = execute_plan_distributed(plan, a, b, trace_max_spans=4)
         c_serial, _ = execute_plan(plan, a, b)
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
         assert report.spans_dropped > 0

@@ -24,6 +24,7 @@ from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
 from repro.store.journal import CompletedBlock, WritebackJournal, read_journal
 from repro.tiling import random_tiling
+from tests.test_dist_executor import assert_resident, pack_spans
 
 
 def operands(seed=0, m=300, nk=900, density=0.5):
@@ -55,23 +56,35 @@ def kinds(events):
 
 
 class TestRebalanceParity:
-    def test_rebalanced_run_matches_serial_bit_for_bit(self, tmp_path):
-        """The tentpole invariant: steal + handoff changes *where* blocks
-        run, never *what* they produce — C and merged stats are identical
-        to the serial oracle, with stolen work attributed to the origin."""
+    def _rebalanced_run(self, tmp_path, **kwargs):
+        """One slow-rank-0 rebalanced run, checked against the oracle."""
         a, b = operands(seed=0)
         c_serial, s_serial = psgemm_numeric(a, b, summit(3), p=3)
         events = str(tmp_path / "events.jsonl")
         c_dist, rep = psgemm_distributed(
             a, b, summit(3), p=3, fault_plan=slow_rank0(),
-            events_path=events, **REBALANCE_KWARGS,
+            events_path=events, **REBALANCE_KWARGS, **kwargs,
         )
         assert np.array_equal(c_dist.to_dense(), c_serial.to_dense())
         assert rep.stats == s_serial
         assert rep.blocks_rebalanced > 0
         assert rep.handoffs >= 1
         assert rep.tasks_rebalanced > 0
-        seen = kinds(read_events(events))
+        evs = read_events(events)
+        # the other ranks finished long ago, so a helper *rank* (not the
+        # coordinator's inline spare) ran at least one handoff
+        assert any(
+            e.get("helper") is not None for e in evs if e.get("event") == "handoff"
+        )
+        return rep, kinds(evs)
+
+    def test_rebalanced_run_matches_serial_bit_for_bit(self, tmp_path):
+        """The tentpole invariant: steal + handoff changes *where* blocks
+        run, never *what* they produce — C and merged stats are identical
+        to the serial oracle, with stolen work attributed to the origin.
+        The helper rank was forked holding A and B: no arena anywhere."""
+        rep, seen = self._rebalanced_run(tmp_path)
+        assert_resident(rep)
         # the full excursion is journaled: flag -> request -> ack ->
         # handoff -> absorb (patrol-under-load: traffic never stops, so
         # the bounded-interval patrol is what makes "straggler" appear)
@@ -79,6 +92,12 @@ class TestRebalanceParity:
                      "handoff_done"):
             assert kind in seen, f"missing {kind!r} in {sorted(set(seen))}"
         assert "block_done" in seen  # per-block telemetry feeds the patrol
+
+    @pytest.mark.dist
+    def test_rebalanced_spawn_run_hands_off_over_arenas(self, tmp_path):
+        """The arena plane's handoff: a spawned helper attaches A and B."""
+        rep, _ = self._rebalanced_run(tmp_path, start_method="spawn")
+        assert pack_spans(rep) == ["pack.a", "pack.b"]
 
     def test_rebalance_is_off_by_default(self):
         """Without opting in, a slow rank is flagged but never stolen

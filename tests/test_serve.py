@@ -13,6 +13,8 @@ runs via ``make test-dist``.
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -285,6 +287,46 @@ class TestContractionService:
             svc.result(jid2, timeout=120)
         finally:
             svc.shutdown()
+
+    def test_idle_the_moment_the_last_job_finishes(self, problem):
+        """Bugfix regression: idleness used to be noticed only by the
+        scheduler's next 0.1 s queue poll, so drain()/shutdown() stalled a
+        poll interval after the last result was already out."""
+        plan, a, b, _ = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+            assert svc.drain(timeout=0)
+        finally:
+            svc.shutdown()
+        assert not svc._scheduler.is_alive()  # the stop sentinel woke it
+
+    def test_fresh_process_service_leaves_stderr_empty(self, tmp_path):
+        """Bugfix regression: workers forked before the owner ever touched
+        shared memory each started a resource tracker of their own, which
+        warned at exit about segments the coordinator had already unlinked."""
+        script = tmp_path / "fresh_service.py"
+        script.write_text(
+            "from tests.test_serve import operands\n"
+            "from repro.core import inspect\n"
+            "from repro.machine import summit\n"
+            "from repro.serve import ContractionService\n"
+            "a, b = operands(seed=0)\n"
+            "plan = inspect(a.sparse_shape(), b.shape, summit(2), p=1)\n"
+            "svc = ContractionService(plan.grid.nprocs)\n"
+            "try:\n"
+            "    svc.pool.start()  # fork before any segment exists\n"
+            "    svc.result(svc.submit(plan, a, b), timeout=120)\n"
+            "finally:\n"
+            "    svc.shutdown()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     def test_shutdown_is_graceful_and_idempotent(self, problem, tmp_path):
         plan, a, b, _ = problem
