@@ -45,8 +45,10 @@ test-dist:
 # counts, speedups within 15%).  After a deliberate performance change,
 # ratify with: python benchmarks/compare.py benchmarks/BENCH_dist.json \
 #   /tmp/BENCH_dist.json --update
+# BLAS is pinned to one thread per process: unpinned, two workers on a
+# 2-core runner oversubscribe and the speedup gate measures the host.
 bench-smoke:
-	PYTHONPATH=src timeout 300 python benchmarks/bench_dist_executor.py --small --json /tmp/BENCH_dist.json
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src timeout 300 python benchmarks/bench_dist_executor.py --small --json /tmp/BENCH_dist.json
 	PYTHONPATH=src python benchmarks/compare.py benchmarks/BENCH_dist.json /tmp/BENCH_dist.json
 
 # The repo benchmark's plumbing (BENCHMARK.json, `python3 benchmarks/e2e/run.py`):

@@ -78,7 +78,7 @@ class BService:
     """On-demand B tiles for one rank, LRU-cached under a byte budget.
 
     Implements the :class:`~repro.runtime.data.TileSource` protocol (plus
-    ``evict``) so it drops into :func:`repro.runtime.numeric.execute_proc_plan`
+    ``evict``) so it drops into :func:`repro.runtime.numeric.execute_blocks`
     unchanged.
     """
 

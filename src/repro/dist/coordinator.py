@@ -22,10 +22,13 @@ Responsibilities:
   process, and if that attempt also fails its blocks are *reassigned* to a
   coordinator-local spare worker, so a single faulty rank cannot lose the
   contraction;
-* **reduce** — seed ``beta*C``, add every rank's C tiles out of its
-  output arena (read as views; a tile the input C lacks is the one copy)
-  enforcing the one-producer-per-tile invariant, and merge
-  per-rank :class:`~repro.runtime.numeric.NumericStats` via
+* **reduce** — seed ``beta*C``, then take every producer's C tiles where
+  its worker wrote them (:meth:`~repro.dist.tile_store.TileArena.adopt`):
+  a tile the input C has is added to (``beta*C + S``), any other *becomes*
+  the result's tile — a view of the arena, whose mapping lives as long as
+  the tile while the segment's name goes with the run — enforcing the
+  one-producer-per-tile invariant, and merge per-rank
+  :class:`~repro.runtime.numeric.NumericStats` via
   :meth:`NumericStats.merge`;
 * **observe** — merge every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
@@ -50,7 +53,8 @@ Responsibilities:
   the protocol model);
 * **clean up** — terminate stragglers and unlink every shared-memory
   segment in a ``finally``, success or not (the leak tests attach-probe
-  every name afterwards).
+  every name afterwards); arenas of failed or superseded attempts are
+  unmapped there too, adopted ones when the result drops their tiles.
 
 Clock policy: every run-relative clock and deadline here is
 ``time.monotonic()`` — an NTP step can neither fire nor suppress the
@@ -91,13 +95,12 @@ from repro.dist.worker import (
     ScatterMsg,
     WorkerReport,
     checkpoint_hooks,
-    execute_handoff_blocks,
     modeled_a_link_bytes,
     worker_main,
 )
 from repro.runtime.data import GeneratedCollection, MatrixSource
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
-from repro.runtime.numeric import NumericStats, execute_proc_plan
+from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, Trace
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.store import (
@@ -429,6 +432,10 @@ def execute_plan_distributed(
         b = b.matrix
     require(a.rows == plan.a_shape.rows and a.cols == plan.a_shape.cols, "A tilings differ from plan")
     require(a.cols == plan.b_shape.rows, "A and B do not conform")
+    require(
+        c is None or (c.rows == a.rows and c.cols == plan.b_shape.cols),
+        "C tilings do not conform",
+    )
     if isinstance(b, GeneratedCollection):
         # Fail fast: a B tile larger than the per-rank LRU budget would
         # otherwise empty a worker's cache and kill it mid-run.
@@ -711,7 +718,7 @@ def execute_plan_distributed(
         outstanding_relinquish: dict[int, int] = {}
         #: handoff id -> dispatch record (origin, helper, blocks, arena).
         pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, tile payload, stats) for the reduction.
+        #: handoff id -> (origin, C tiles, stats) for the reduction.
         handoff_results: dict[int, tuple] = {}
         next_handoff = 0
 
@@ -740,11 +747,11 @@ def execute_plan_distributed(
                     registry,
                 )
             try:
-                produced, stats = execute_proc_plan(
-                    plan.procs[rank],
+                produced, stats = execute_blocks(
+                    proc_blocks(plan.procs[rank], plan.grid.gpus_per_proc),
+                    rank,
                     a.get_tile,
                     b_local,
-                    gpus_per_proc=plan.grid.gpus_per_proc,
                     gpu_memory_bytes=plan.gpu_memory_bytes,
                     b_csr=plan.b_shape.csr,
                     tau=plan.options.screen_threshold,
@@ -909,11 +916,11 @@ def execute_plan_distributed(
                     coord_store, journal, run_hash, origin, {}, registry
                 )
             try:
-                produced, stats = execute_handoff_blocks(
+                produced, stats = execute_blocks(
                     h["blocks"],
+                    origin,
                     a.get_tile,
                     b_local,
-                    origin=origin,
                     gpu_memory_bytes=plan.gpu_memory_bytes,
                     b_csr=plan.b_shape.csr,
                     tau=plan.options.screen_threshold,
@@ -1191,7 +1198,7 @@ def execute_plan_distributed(
                 else:
                     pending_handoffs.pop(hid)
                     handoff_results[hid] = (
-                        h["origin"], (h["arena"], msg[3]), msg[4]
+                        h["origin"], h["arena"].adopt(msg[3]), msg[4]
                     )
                     events.emit(
                         "handoff_done", handoff=hid, origin=h["origin"],
@@ -1205,28 +1212,17 @@ def execute_plan_distributed(
         # ---- reduce -------------------------------------------------------
         out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
         if c is not None:
-            require(
-                c.rows == a.rows and c.cols == plan.b_shape.cols,
-                "C tilings do not conform",
-            )
             for (i, j), tile in c.items():
                 out.set_tile(i, j, beta * tile)
 
         produced_by: dict[tuple[int, int], object] = {}
         t_reduce = clock()
 
-        def arena_tiles(arena: TileArena, c_index: dict):
-            """A producer's C tiles: views where the seeded ``beta*C`` is
-            only added to, the one owning copy where ``set_tile`` keeps the
-            array (a view must not outlive the arena)."""
-            arena.adopt(c_index)
-            for (i, j), entry in c_index.items():
-                yield (i, j), (
-                    arena.get((i, j)) if out.has_tile(i, j) else arena.read(entry)
-                )
-
-        def reduce_producer(producer, who: str, tiles) -> None:
-            for (i, j), tile in tiles:
+        def reduce_producer(producer, who: str, tiles: dict) -> None:
+            """Fold one producer's C tiles in: ``accumulate_tile`` adds to a
+            seeded ``beta*C`` tile and keeps any other as the result's own —
+            an adopted arena view stays where its worker wrote it."""
+            for (i, j), tile in tiles.items():
                 prev = produced_by.setdefault((i, j), producer)
                 require(
                     prev == producer,
@@ -1237,20 +1233,16 @@ def execute_plan_distributed(
         for rank in range(nranks):
             reduce_producer(
                 rank, str(rank),
-                local_results[rank].items() if rank in local_results
-                else arena_tiles(c_arenas[rank], reports[rank].c_index),
+                local_results[rank] if rank in local_results
+                else c_arenas[rank].adopt(reports[rank].c_index),
             )
         # Handoff producers reduce exactly like ranks: blocks within one
         # process hold disjoint column sets, so a stolen block's tiles can
         # collide neither with the origin's remaining blocks nor with any
         # other rank — the one-producer check enforces it (M407).
         for hid in sorted(handoff_results):
-            origin, payload, _ = handoff_results[hid]
-            reduce_producer(
-                ("handoff", hid), f"handoff {hid} of rank {origin}",
-                payload.items() if isinstance(payload, dict)
-                else arena_tiles(*payload),
-            )
+            origin, tiles, _ = handoff_results[hid]
+            reduce_producer(("handoff", hid), f"handoff {hid} of rank {origin}", tiles)
         rec.record("reduce", "net.-1", t_reduce, clock())
 
         # ---- merge stats / trace / comm / metrics -------------------------

@@ -13,13 +13,24 @@ through a queue.  Centralised ownership is what makes the leak discipline
 testable: :func:`active_segments` lists the names the current process has
 created and not yet unlinked, and the coordinator drains it in a
 ``finally`` even when a run fails or a worker is killed mid-flight.
+
+Lifetimes: a *name* lives for one run; a *mapping* lives as long as its
+tiles.  Views handed out by :meth:`TileArena.get` / :meth:`TileArena.slot`
+belong to the attachment and dangle once :meth:`TileArena.close` has
+unmapped it, so whoever closes drops them first.  C tiles the result keeps
+come from :meth:`TileArena.adopt` instead: views of a private mapping of
+the segment that holds no file descriptor, survives the unlink, and is
+unmapped when its last tile is dropped.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+import mmap
 import os
 import secrets
+import weakref
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
@@ -54,6 +65,44 @@ def next_segment_name(tag: str) -> str:
 
 TileKey = tuple[int, int]
 
+# ``mmap.mmap`` keeps a duplicate of the descriptor it maps for as long as
+# the mapping lives (no ``trackfd=False`` before Python 3.13), and
+# ``SharedMemory`` adds its own: a result that adopts its tiles would pin
+# two descriptors per arena.  libc's ``mmap`` needs the descriptor only
+# for the call.
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc.mmap.restype = ctypes.c_void_p
+_libc.mmap.argtypes = (
+    ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+    ctypes.c_int, ctypes.c_long,
+)
+_libc.munmap.restype = ctypes.c_int
+_libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+
+
+def _map_segment(name: str, size: int) -> np.ndarray:
+    """The float64 words of segment ``name``, mapped without a descriptor.
+
+    The mapping is independent of any ``SharedMemory`` object and of the
+    name (it survives ``unlink``); it is unmapped when the last array
+    viewing it is garbage-collected.
+    """
+    fd = os.open(f"/dev/shm/{name}", os.O_RDWR)
+    try:
+        addr = _libc.mmap(
+            None, size, mmap.PROT_READ | mmap.PROT_WRITE, mmap.MAP_SHARED, fd, 0
+        )
+    finally:
+        os.close(fd)
+    if addr in (None, ctypes.c_void_p(-1).value):
+        err = ctypes.get_errno()
+        raise OSError(err, f"mmap of {name}: {os.strerror(err)}")
+    buf = (ctypes.c_ubyte * size).from_address(addr)
+    # Views reference ``buf``; when the last one goes, so does the mapping.
+    # Never at interpreter exit: a tile may still be read by then.
+    weakref.finalize(buf, _libc.munmap, addr, size).atexit = False
+    return np.frombuffer(buf, dtype=np.float64, count=size // 8)
+
 
 @dataclass(frozen=True)
 class ArenaMeta:
@@ -70,7 +119,8 @@ class TileArena:
     Use :meth:`pack` (create + fill from tiles), :meth:`allocate` (create
     an empty writable arena for C output), or :meth:`attach` (map an
     existing segment in a worker).  ``get`` returns zero-copy read-only
-    NumPy views; ``put`` appends a tile and records it in the index.
+    NumPy views; ``slot`` appends a writable tile and records it in the
+    index (``put`` fills one from an array).
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, meta: ArenaMeta, owner: bool):
@@ -155,37 +205,41 @@ class TileArena:
         view.flags.writeable = False
         return view
 
-    def put(self, key: TileKey, arr: np.ndarray) -> tuple[int, int, int]:
-        """Append ``arr`` and index it under ``key``; returns the entry."""
+    def slot(self, key: TileKey, m: int, n: int) -> np.ndarray:
+        """Append an ``(m, n)`` tile under ``key``; returns its writable view
+        (contents undefined until written)."""
         require(key not in self.index, f"tile {key} already stored")
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
         off = self._cursor
-        require(
-            off + arr.nbytes <= self.size,
-            f"arena {self.name} overflow: {off + arr.nbytes} > {self.size}",
-        )
-        entry = (off, arr.shape[0], arr.shape[1])
-        self._view(entry)[...] = arr
-        self.index[key] = entry
-        self._cursor = off + arr.nbytes
-        return entry
+        end = off + m * n * 8
+        require(end <= self.size, f"arena {self.name} overflow: {end} > {self.size}")
+        self.index[key] = entry = (off, m, n)
+        self._cursor = end
+        return self._view(entry)
 
-    def adopt(self, index: dict[TileKey, tuple[int, int, int]]) -> None:
-        """Take over the index entries a worker appended through its own
-        attachment and reported, so :meth:`get` and :attr:`used_bytes` see
-        what the segment holds."""
+    def put(self, key: TileKey, arr: np.ndarray) -> tuple[int, int, int]:
+        """Append a copy of ``arr`` under ``key``; returns the entry."""
+        self.slot(key, *arr.shape)[...] = arr
+        return self.index[key]
+
+    def adopt(self, index: dict[TileKey, tuple[int, int, int]]) -> dict[TileKey, np.ndarray]:
+        """Take over the tiles a worker appended through its own attachment
+        and reported: :attr:`used_bytes` now counts them, and the returned
+        writable views belong to the caller — they sit on a mapping of their
+        own (:func:`_map_segment`) that outlives :meth:`unlink`."""
         self.index.update(index)
         self._cursor = max(
             [self._cursor, *(off + m * n * 8 for off, m, n in index.values())]
         )
+        if not index:
+            return {}
+        words = _map_segment(self.name, self.size)
+        return {
+            key: words[off // 8 : off // 8 + m * n].reshape(m, n)
+            for key, (off, m, n) in index.items()
+        }
 
     def read(self, entry: tuple[int, int, int]) -> np.ndarray:
-        """An *owning copy* of the tile at an index entry.
-
-        Used by the coordinator for a C tile the result keeps as-is — a
-        zero-copy view must never outlive the segment, so this is the one
-        place the bytes are duplicated.
-        """
+        """An *owning copy* of the tile at an index entry."""
         return np.array(self._view(entry))
 
     def __contains__(self, key: TileKey) -> bool:
@@ -199,11 +253,9 @@ class TileArena:
     # -- life-cycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop this process's mapping (workers; coordinator before unlink)."""
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - live views still around
-            pass
+        """Unmap this attachment (workers; coordinator before unlink); views
+        from :meth:`get` / :meth:`slot` must be gone by now."""
+        self._shm.close()
 
     def unlink(self) -> None:
         """Destroy the segment (coordinator only); idempotent."""

@@ -3,14 +3,21 @@
 Each worker is one planned process rank.  Life of a worker: receive a
 :class:`ScatterMsg` from the coordinator, open its operands, execute its
 :class:`~repro.core.plan.ProcPlan` through the *same*
-:func:`repro.runtime.numeric.execute_proc_plan` body the serial executor
-uses (hence bit-identical numerics), write its C tiles into its output
-arena, and send a :class:`WorkerReport` back.  The process then stays in
-its dispatch loop: a finished rank is the rebalancer's favourite helper,
-ready to accept a :class:`~repro.dist.comm.HandoffMsg` of blocks
-reclaimed from a straggler (executed through the same
-:func:`~repro.runtime.numeric.execute_block` body, so handoff tiles are
-bit-identical to the tiles the origin would have produced).
+:func:`repro.runtime.numeric.execute_blocks` body the serial executor
+uses (hence bit-identical numerics), and send a :class:`WorkerReport`
+back.  The process then stays in its dispatch loop: a finished rank is the
+rebalancer's favourite helper, ready to accept a
+:class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a straggler
+(the same body again, so handoff tiles are bit-identical to the tiles the
+origin would have produced).
+
+C is written once: the body's ``c_slot`` hook hands every C tile's first
+product a slot of the attempt's (or handoff's) shared-memory output arena,
+later products accumulate there, and a checkpoint-restored tile is copied
+from the store straight into its slot — when the rank is done its C is
+already where the coordinator will adopt it, and the report carries only
+the index.  The worker keeps no tile view past the close of its arenas
+(:func:`_opened`), which unmaps them there and then.
 
 Rebalancing yield points: between blocks the worker polls its inbox; a
 coordinator :class:`~repro.dist.comm.RelinquishMsg` makes it give up its
@@ -32,10 +39,11 @@ inline span on the GPU's link resource.
 Observability: when the scatter carries ``trace=True`` the worker records
 spans through a :class:`~repro.runtime.tracing.SpanRecorder` on a
 *monotonic* clock — inbox wait, shared-memory attach, per-chunk prefetch,
-per-chunk GEMM, B-tile generation, C writeback —
-and ships the :class:`~repro.runtime.tracing.SpanStream` home in its
-report for the coordinator to merge.  With ``trace=False`` no clock is
-read in the hot loop (``on_event`` is ``None``) and no spans are stored.
+per-chunk GEMM, B-tile generation, C writeback (the hand-over of the
+index: there is nothing left to copy) — and ships the
+:class:`~repro.runtime.tracing.SpanStream` home in its report for the
+coordinator to merge.  With ``trace=False`` no clock is read in the hot
+loop (``on_event`` is ``None``) and no spans are stored.
 
 Live telemetry: when the scatter carries a positive ``heartbeat_interval``
 the worker runs a daemon heartbeat thread that ships a
@@ -60,6 +68,7 @@ import threading
 import time
 import traceback
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +87,8 @@ from repro.dist.comm import (
 from repro.dist.faults import FaultInjection
 from repro.dist.health import HeartbeatMsg
 from repro.dist.tile_store import ArenaMeta, TileArena
-from repro.runtime.gpu_memory import GpuMemory
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
-from repro.runtime.numeric import (
-    NumericStats,
-    block_cols_of_k,
-    execute_block,
-    execute_proc_plan,
-)
+from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
 from repro.store import (
     CompletedBlock,
@@ -201,13 +204,16 @@ def checkpoint_hooks(
     rank: int,
     completed: dict[tuple[int, int], tuple],
     registry: MetricsRegistry,
+    c_slot=None,
 ):
     """Build the ``(restore_block, on_block, counters)`` checkpoint closures.
 
     Shared by the worker and the coordinator's inline-reassignment path so
     both journal and restore identically.  ``completed`` maps ``(gpu,
     block)`` to the journaled C-tile keys the coordinator already
-    validated against the store.
+    validated against the store.  A restored tile is copied once, out of
+    the store's read-only map into ``c_slot(key, m, n)`` (a worker's
+    output arena; a fresh array when ``None``).
 
     Crash-consistency ordering lives in ``on_block``: every C tile is
     durably in the store *before* the journal line is appended, so a kill
@@ -232,14 +238,16 @@ def checkpoint_hooks(
         tiles = completed.get((g, bi))
         if tiles is None:
             return None
+        arrs = [store.get(ns, ckpt_tile_key(rank, g, bi, i, j)) for i, j in tiles]
+        if any(arr is None for arr in arrs):
+            return None  # validated at scatter; lost to a racing GC since
         out: dict[tuple[int, int], np.ndarray] = {}
-        for i, j in tiles:
-            arr = store.get(ns, ckpt_tile_key(rank, g, bi, i, j))
-            if arr is None:  # validated at scatter; lost to a racing GC since
-                return None
-            # Copy out of the store's read-only map: restored tiles must be
-            # indistinguishable from freshly computed (writable) ones.
-            out[(i, j)] = np.array(arr)
+        for (i, j), arr in zip(tiles, arrs):
+            # Restored tiles must be indistinguishable from freshly
+            # computed ones: writable, and where a computed tile would be.
+            dst = np.empty(arr.shape) if c_slot is None else c_slot((i, j), *arr.shape)
+            dst[...] = arr
+            out[(i, j)] = dst
         counters["blocks_restored"] += 1
         counters["tasks_skipped"] += block.ntasks
         m_restored.inc()
@@ -300,8 +308,12 @@ class _HeartbeatThread:
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True)
 
-    def start(self) -> None:
+    def __enter__(self) -> "_HeartbeatThread":
         self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.suspend()
 
     def _loop(self) -> None:
         seq = 0
@@ -326,9 +338,6 @@ class _HeartbeatThread:
         """Stop beating without joining (callable from any thread)."""
         self._stop.set()
 
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=1.0)
 
 
 def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
@@ -363,47 +372,65 @@ def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
     return fetcher
 
 
-def _open_operands(msg, operands, *, registry: MetricsRegistry, store,
-                   tile_cache, rec: SpanRecorder | None = None):
-    """Open A and B for one :class:`ScatterMsg` or ``HandoffMsg``.
+@contextmanager
+def _opened(msg, operands, rank: int, *, registry: MetricsRegistry,
+            rec: SpanRecorder, tile_cache, journal_suffix: str = ""):
+    """Open what one :class:`ScatterMsg` or ``HandoffMsg`` executes against.
 
-    Returns ``(a_get_tile, b_source, attached)``: ``operands`` is the
-    ``(a, b)`` pair a resident-plane process was forked with; on the arena
-    plane the mapped arenas are listed in ``attached`` for the caller to
-    close (a half-opened set is closed before raising).
+    Yields ``(store, journal, a_get_tile, b_source, c_arena)``: the tile
+    store and ``rank``'s writeback journal (``None`` unless the run persists
+    / checkpoints), A and B — read in place from ``operands``, the ``(a,
+    b)`` pair a resident-plane process was forked with, or through attached
+    arenas — and the message's C output arena.  Everything is closed on the
+    way out, which unmaps the arenas: the body keeps no tile view past it.
     """
+    store = journal = None
     attached: list[TileArena] = []
     try:
-        if msg.a_meta is None:
-            a_get_tile = operands[0].get_tile
-        else:
-            attached.append(TileArena.attach(msg.a_meta))
-            a_get = attached[-1].get
+        if msg.store_dir is not None or msg.ckpt_dir is not None:
+            root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
+            store = TileStore(root, budget_bytes=msg.store_budget, metrics=registry)
+        if msg.ckpt_dir is not None:
+            journal = WritebackJournal(msg.ckpt_dir, rank, suffix=journal_suffix)
+        with rec.span("shm.attach", f"net.{rank}"):
+            if msg.a_meta is None:
+                a_get_tile = operands[0].get_tile
+            else:
+                attached.append(TileArena.attach(msg.a_meta))
+                a_get = attached[-1].get
 
-            def a_get_tile(i: int, k: int) -> np.ndarray:
-                return a_get((i, k))
-        kind, payload = msg.b_spec
-        if kind == "generated":
-            # A serving pool's process-lifetime warm cache fronts the disk
-            # store, so job N+1 over the same B is served from memory.  No
-            # fingerprint, no namespace to key it by: serving another
-            # operand's tiles would be a correctness bug, so skip it.
-            if tile_cache is not None and msg.b_hash:
-                store = TieredBStore(tile_cache, store)
-            b_source = BService(
-                payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
-                metrics=registry, store=store, store_ns=f"b:{msg.b_hash}",
-            )
-        elif kind == "resident":
-            b_source = ConcreteBSource(operands[1], metrics=registry)
-        else:
-            attached.append(TileArena.attach(payload))
-            b_source = ConcreteBSource(attached[-1], metrics=registry)
-        return a_get_tile, b_source, attached
-    except BaseException:
+                def a_get_tile(i: int, k: int) -> np.ndarray:
+                    return a_get((i, k))
+            kind, payload = msg.b_spec
+            if kind == "generated":
+                # A serving pool's process-lifetime warm cache fronts the disk
+                # store, so job N+1 over the same B is served from memory.  No
+                # fingerprint, no namespace to key it by: serving another
+                # operand's tiles would be a correctness bug, so skip it.
+                b_store = store
+                if tile_cache is not None and msg.b_hash:
+                    b_store = TieredBStore(tile_cache, store)
+                b_source = BService(
+                    payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
+                    metrics=registry, store=b_store, store_ns=f"b:{msg.b_hash}",
+                )
+            elif kind == "resident":
+                b_source = ConcreteBSource(operands[1], metrics=registry)
+            else:
+                attached.append(TileArena.attach(payload))
+                b_source = ConcreteBSource(attached[-1], metrics=registry)
+            attached.append(TileArena.attach(msg.c_meta))
+        registry.gauge(
+            "repro_shm_attached_bytes", "shared-memory bytes attached", agg="sum"
+        ).set(sum(arena.size for arena in attached))
+        yield store, journal, a_get_tile, b_source, attached[-1]
+    finally:
+        if journal is not None:
+            journal.close()
+        if store is not None:
+            store.close()
         for arena in attached:
             arena.close()
-        raise
 
 
 def run_rank(
@@ -415,7 +442,8 @@ def run_rank(
     endpoint: Endpoint | None = None,
     tile_cache=None,
 ) -> WorkerReport:
-    """Execute one scattered rank; returns the report (arena already written).
+    """Execute one scattered rank; returns the report (its C tiles are
+    already in the output arena, born there).
 
     ``origin``/``recv_done`` are monotonic instants bracketing the inbox
     wait in :func:`worker_main`; the recorder's clock is rooted at
@@ -424,7 +452,7 @@ def run_rank(
     ``msg.heartbeat_interval <= 0``) the rank runs silently as before.
     ``tile_cache`` is a serving pool's process-lifetime warm B-tile cache
     (``None`` reproduces the one-shot behaviour) and ``operands`` the
-    forked-in ``(a, b)`` pair; :func:`_open_operands` consumes both.
+    forked-in ``(a, b)`` pair; :func:`_opened` consumes both.
     """
     rank = msg.proc.rank
     rec = SpanRecorder(enabled=msg.trace, max_spans=msg.max_spans, origin=origin)
@@ -439,37 +467,18 @@ def run_rank(
             endpoint, rank, msg.attempt, msg.heartbeat_interval,
             progress, registry, rec,
         )
-        hb.start()
 
-    store: TileStore | None = None
-    journal: WritebackJournal | None = None
-    restore_block = on_block = None
-    ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
-    attached: list[TileArena] = []
-    try:
-        if msg.store_dir is not None or msg.ckpt_dir is not None:
-            root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
-            store = TileStore(
-                root, budget_bytes=msg.store_budget, metrics=registry
-            )
-        if msg.ckpt_dir is not None:
-            journal = WritebackJournal(msg.ckpt_dir, rank)
+    with hb or nullcontext(), _opened(
+        msg, operands, rank, registry=registry, rec=rec, tile_cache=tile_cache,
+    ) as (store, journal, a_get_tile, b_source, c_arena):
+        restore_block = on_block = None
+        ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
+        if journal is not None:
             restore_block, on_block, ckpt_counters = checkpoint_hooks(
                 store, journal, msg.run_hash, rank,
                 {(g, bi): tiles for g, bi, tiles in msg.completed},
-                registry,
+                registry, c_slot=c_arena.slot,
             )
-
-        with rec.span("shm.attach", f"net.{rank}"):
-            a_get_tile, b_source, attached = _open_operands(
-                msg, operands, registry=registry, store=store,
-                tile_cache=tile_cache, rec=rec,
-            )
-            c_arena = TileArena.attach(msg.c_meta)
-            attached.append(c_arena)
-        registry.gauge(
-            "repro_shm_attached_bytes", "shared-memory bytes attached", agg="sum"
-        ).set(sum(arena.size for arena in attached))
 
         fault = msg.fault
         tasks_counter = registry.counter(
@@ -525,9 +534,7 @@ def run_rank(
         telemetry_on = endpoint is not None and msg.heartbeat_interval > 0.0
         if skipped or (msg.rebalance and endpoint is not None):
             positions = [
-                (g, bi)
-                for g in range(msg.gpus_per_proc)
-                for bi in range(len(msg.proc.gpu_blocks(g)))
+                (g, bi) for g, bi, _ in proc_blocks(msg.proc, msg.gpus_per_proc)
             ]
             pos_index = {p: n for n, p in enumerate(positions)}
             restored_positions = {(g, bi) for g, bi, _ in msg.completed}
@@ -591,11 +598,13 @@ def run_rank(
                 except Exception:  # pragma: no cover - fabric torn down
                     pass
 
-        produced, stats = execute_proc_plan(
-            msg.proc,
+        # Only the stats are kept: the tiles are in the arena already, and
+        # a view held here would dangle once the attachment is closed.
+        stats = execute_blocks(
+            proc_blocks(msg.proc, msg.gpus_per_proc),
+            rank,
             a_get_tile,
             b_source,
-            gpus_per_proc=msg.gpus_per_proc,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
             tau=msg.tau,
@@ -610,15 +619,14 @@ def run_rank(
             restore_block=restore_block,
             on_block=on_block,
             skip_block=skip_block,
-        )
+            c_slot=c_arena.slot,
+        )[1]
         stats.b_tiles_generated = b_source.generated_tiles()
 
-        c_index: dict[tuple[int, int], tuple[int, int, int]] = {}
+        # C leaves the rank as an index: every tile was born in its slot.
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
-            for key, tile in produced.items():
-                c_index[key] = c_arena.put(key, tile)
-        if rec.enabled:
-            rec.count("bytes.writeback", sum(t.nbytes for t in produced.values()))
+            c_index = dict(c_arena.index)
+        rec.count("bytes.writeback", c_arena.used_bytes)
 
         if registry.enabled:
             registry.counter(
@@ -651,134 +659,43 @@ def run_rank(
             blocks_restored=ckpt_counters["blocks_restored"],
             tasks_skipped=ckpt_counters["tasks_skipped"],
         )
-    finally:
-        if hb is not None:
-            hb.suspend()
-        if journal is not None:
-            journal.close()
-        if store is not None:
-            store.close()
-        for arena in attached:
-            arena.close()
-
-
-def execute_handoff_blocks(
-    blocks,
-    a_get_tile,
-    b_source,
-    *,
-    origin: int,
-    gpu_memory_bytes: int,
-    b_csr,
-    tau: float | None,
-    alpha: float,
-    on_block=None,
-):
-    """Execute blocks reclaimed from rank ``origin``; returns ``(C, stats)``.
-
-    The single body behind both handoff paths — a finished worker rank
-    and the coordinator's inline spare — mirroring the per-block section
-    of :func:`~repro.runtime.numeric.execute_proc_plan` exactly (same
-    :func:`~repro.runtime.numeric.execute_block` call, same CSR column
-    order, same eviction and memory discipline), so a handed-off block's
-    C tiles are bit-identical to the tiles the origin would have written.
-
-    ``blocks`` are ``(gpu, position, Block)`` triples in the origin's
-    plan coordinates; ``on_block`` receives them unchanged, so handoff
-    journal records land under the origin's identity.  Stats (including
-    ``per_proc_tasks``) are attributed to the origin: the merged run
-    totals must match the serial oracle regardless of who computed what.
-    """
-    stats = NumericStats()
-    produced: dict[tuple[int, int], np.ndarray] = {}
-    for g, bi, block in blocks:
-        mem = GpuMemory(gpu_memory_bytes)
-        block_name = f"block{bi}"
-        mem.reserve(block_name, block.b_bytes + block.c_bytes)
-        stats.h2d_bytes += block.b_bytes
-        cols_of_k = block_cols_of_k(block, b_csr)
-        c_dev = execute_block(
-            block,
-            block_name,
-            rank=origin,
-            a_get_tile=a_get_tile,
-            b=b_source,
-            cols_of_k=cols_of_k,
-            mem=mem,
-            stats=stats,
-            tau=tau,
-            alpha=alpha,
-        )
-        for (i, j), tile in c_dev.items():
-            produced[(i, j)] = tile
-            stats.d2h_bytes += tile.nbytes
-        if on_block is not None:
-            on_block(g, bi, block, c_dev)
-        if hasattr(b_source, "evict"):
-            for k, js in cols_of_k.items():
-                for j in js:
-                    b_source.evict(origin, k, j)
-        mem.release(block_name)
-        stats.gpu_peak_bytes = max(stats.gpu_peak_bytes, mem.peak)
-    stats.per_proc_tasks[origin] = stats.ntasks
-    return produced, stats
 
 
 def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats]:
     """Execute one :class:`~repro.dist.comm.HandoffMsg` on a helper rank.
 
-    Opens the operands the way the origin did (:func:`_open_operands`),
-    attaches the handoff's dedicated C arena, and (when the run
-    checkpoints) journals each completed block under the *origin's* rank
-    into a ``.h<id>`` sidecar journal — store keys and record contents
-    identical to what the origin itself would have written, which is what
-    lets a resumed run replay the ownership transfer transparently.
+    Opens the operands the way the origin did and the handoff's dedicated
+    C arena (:func:`_opened`), runs the reclaimed blocks through the one
+    per-block body with the *origin* as rank — so the stats, and (when the
+    run checkpoints) the ``.h<id>`` sidecar journal with its store keys, are
+    exactly what the origin itself would have written, which is what lets
+    the reduction match the serial oracle and a resumed run replay the
+    ownership transfer transparently.  Returns ``(C index, stats)``.
     """
     registry = MetricsRegistry(enabled=False)
-    store = None
-    journal = None
-    attached: list[TileArena] = []
-    try:
-        if msg.store_dir is not None or msg.ckpt_dir is not None:
-            root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
-            store = TileStore(root, budget_bytes=msg.store_budget,
-                              metrics=registry)
+    with _opened(msg, operands, msg.origin, registry=registry,
+                 rec=SpanRecorder(enabled=False), tile_cache=tile_cache,
+                 journal_suffix=f".h{msg.handoff_id}",
+                 ) as (store, journal, a_get_tile, b_source, c_arena):
         on_block = None
-        if msg.ckpt_dir is not None:
-            journal = WritebackJournal(
-                msg.ckpt_dir, msg.origin, suffix=f".h{msg.handoff_id}"
-            )
+        if journal is not None:
             _, on_block, _ = checkpoint_hooks(
                 store, journal, msg.run_hash, msg.origin, {}, registry
             )
-
-        a_get_tile, b_source, attached = _open_operands(
-            msg, operands, registry=registry, store=store, tile_cache=tile_cache
-        )
-        c_arena = TileArena.attach(msg.c_meta)
-        attached.append(c_arena)
-
-        produced, stats = execute_handoff_blocks(
+        stats = execute_blocks(
             msg.blocks,
+            msg.origin,
             a_get_tile,
             b_source,
-            origin=msg.origin,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
             tau=msg.tau,
             alpha=msg.alpha,
             on_block=on_block,
-        )
+            c_slot=c_arena.slot,
+        )[1]
         stats.b_tiles_generated = b_source.generated_tiles()
-        c_index = {key: c_arena.put(key, tile) for key, tile in produced.items()}
-        return c_index, stats
-    finally:
-        if journal is not None:
-            journal.close()
-        if store is not None:
-            store.close()
-        for arena in attached:
-            arena.close()
+        return dict(c_arena.index), stats
 
 
 def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,

@@ -13,17 +13,21 @@ performance model alone cannot:
    exceed the other 50 %, B tiles are instantiated at most once per
    process, and every C tile is produced by exactly one process.
 
-The per-process body (:func:`execute_proc_plan`) is shared with the real
-multi-process executor in :mod:`repro.dist`: both walk blocks, chunks and
-GEMMs in the identical order with identical floating-point operations, so
-the distributed result is bit-for-bit the serial result and this executor
-doubles as the distributed executor's crosscheck oracle.
+The per-block body (:func:`execute_blocks`) is shared with the real
+multi-process executor in :mod:`repro.dist` — ranks, handoff helpers and
+the inline spare all run it: everyone walks blocks, chunks and GEMMs in the
+identical order with identical floating-point operations, so the
+distributed result is bit-for-bit the serial result and this executor
+doubles as the distributed executor's crosscheck oracle.  The one thing a
+caller may choose is *where* a C tile's first product lands (``c_slot``):
+the oracle lets NumPy allocate it, a distributed worker hands out slots of
+its shared-memory output arena so the tile is born where it will stay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -111,13 +115,17 @@ def execute_block(
     on_event: Callable[[str, str, float, float], None] | None = None,
     resource: str = "",
     clock: Callable[[], float] | None = None,
+    c_slot: Callable[[tuple[int, int], int, int], np.ndarray] | None = None,
 ) -> dict[tuple[int, int], np.ndarray]:
     """Run one resident block's chunk stream; returns the device C tiles.
 
     ``fetch_chunk(ci, chunk)`` may supply prefetched A tiles (in chunk tile
-    order) — the distributed worker's double-buffered prefetch thread —
-    otherwise tiles come from ``a_get_tile``.  The GEMM order is identical
-    either way, which is what makes serial and distributed runs bit-equal.
+    order) — the distributed worker's traced fetcher — otherwise tiles
+    come from ``a_get_tile``.  ``c_slot((i, j), m, n)`` may supply the
+    ``(m, n)`` float64 array a C tile's *first* product is written into
+    (``np.matmul(..., out=slot)``); without it NumPy allocates the product.
+    The GEMM order and every operand are identical either way, which is
+    what makes serial and distributed runs bit-equal.
     """
     c_dev: dict[tuple[int, int], np.ndarray] = {}
     prev_chunk: str | None = None
@@ -141,10 +149,16 @@ def execute_block(
                 if tau is not None:
                     if a_norm * np.linalg.norm(b_tile) <= tau:
                         continue
-                contrib = a_tile @ b_tile
+                acc = c_dev.get((i, j))
+                if acc is None and c_slot is not None:
+                    contrib = np.matmul(
+                        a_tile, b_tile,
+                        out=c_slot((i, j), a_tile.shape[0], b_tile.shape[1]),
+                    )
+                else:
+                    contrib = a_tile @ b_tile
                 if alpha != 1.0:
                     contrib *= alpha
-                acc = c_dev.get((i, j))
                 if acc is None:
                     c_dev[(i, j)] = contrib
                 else:
@@ -160,12 +174,19 @@ def execute_block(
     return c_dev
 
 
-def execute_proc_plan(
-    proc: ProcPlan,
+def proc_blocks(proc: ProcPlan, gpus_per_proc: int) -> Iterator[tuple[int, int, Block]]:
+    """A rank's ``(gpu, position, block)`` triples, in execution order."""
+    for g in range(gpus_per_proc):
+        for bi, block in enumerate(proc.gpu_blocks(g)):
+            yield g, bi, block
+
+
+def execute_blocks(
+    blocks: Iterable[tuple[int, int, Block]],
+    rank: int,
     a_get_tile: Callable[[int, int], np.ndarray],
     b: TileSource,
     *,
-    gpus_per_proc: int,
     gpu_memory_bytes: int,
     b_csr,
     tau: float | None,
@@ -177,14 +198,20 @@ def execute_proc_plan(
     restore_block: Callable[[int, int, Block], dict | None] | None = None,
     on_block: Callable[[int, int, Block, dict], None] | None = None,
     skip_block: Callable[[int, int, Block], bool] | None = None,
+    c_slot: Callable[[tuple[int, int], int, int], np.ndarray] | None = None,
 ) -> tuple[dict[tuple[int, int], np.ndarray], NumericStats]:
-    """Execute everything one process rank does; returns ``(C tiles, stats)``.
+    """Execute ``(gpu, position, block)`` triples of ``rank``'s plan;
+    returns ``(C tiles, stats)``.
 
-    This is the unit of work a distributed worker runs for its rank, and the
-    loop body the serial :func:`execute_plan` runs once per rank.  B tiles
-    are evicted at the end of each block's life-cycle (``b.evict``), C tiles
-    are counted as written back (d2h) once per block, exactly as PaRSEC's
-    control DAG forces on the real machine.
+    The one per-block body: the serial :func:`execute_plan` runs it over
+    every rank's :func:`proc_blocks`, a distributed worker over its own, and
+    a rebalance helper (or the coordinator's inline spare) over the blocks
+    reclaimed from ``rank`` — stats, B-source calls and ``per_proc_tasks``
+    are attributed to ``rank`` whoever computes.  B tiles are evicted at the
+    end of each block's life-cycle (``b.evict``), C tiles are counted as
+    written back (d2h) once per block, exactly as PaRSEC's control DAG
+    forces on the real machine.  ``c_slot`` is passed through to
+    :func:`execute_block`.
 
     Checkpoint hooks: ``restore_block(g, bi, block)`` may return the
     block's finished ``{(i, j): tile}`` dict — the whole block is then
@@ -203,57 +230,58 @@ def execute_proc_plan(
     """
     stats = NumericStats()
     produced: dict[tuple[int, int], np.ndarray] = {}
-    for g in range(gpus_per_proc):
-        mem = GpuMemory(gpu_memory_bytes)
-        resource = f"gpu.{proc.rank}.{g}.comp"
-        for bi, block in enumerate(proc.gpu_blocks(g)):
-            block_name = f"block{bi}"
-            if skip_block is not None and skip_block(g, bi, block):
+    mems: dict[int, GpuMemory] = {}
+    for g, bi, block in blocks:
+        block_name = f"block{bi}"
+        if skip_block is not None and skip_block(g, bi, block):
+            continue
+        if restore_block is not None:
+            restored = restore_block(g, bi, block)
+            if restored is not None:
+                produced.update(restored)
                 continue
-            if restore_block is not None:
-                restored = restore_block(g, bi, block)
-                if restored is not None:
-                    produced.update(restored)
-                    continue
-            mem.reserve(block_name, block.b_bytes + block.c_bytes)
-            stats.h2d_bytes += block.b_bytes
-            cols_of_k = block_cols_of_k(block, b_csr)
-            fetch = chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None
-            c_dev = execute_block(
-                block,
-                block_name,
-                rank=proc.rank,
-                a_get_tile=a_get_tile,
-                b=b,
-                cols_of_k=cols_of_k,
-                mem=mem,
-                stats=stats,
-                tau=tau,
-                alpha=alpha,
-                fetch_chunk=fetch,
-                on_task=on_task,
-                on_event=on_event,
-                resource=resource,
-                clock=clock,
-            )
+        mem = mems.get(g)
+        if mem is None:
+            mem = mems[g] = GpuMemory(gpu_memory_bytes)
+        mem.reserve(block_name, block.b_bytes + block.c_bytes)
+        stats.h2d_bytes += block.b_bytes
+        cols_of_k = block_cols_of_k(block, b_csr)
+        c_dev = execute_block(
+            block,
+            block_name,
+            rank=rank,
+            a_get_tile=a_get_tile,
+            b=b,
+            cols_of_k=cols_of_k,
+            mem=mem,
+            stats=stats,
+            tau=tau,
+            alpha=alpha,
+            fetch_chunk=chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None,
+            on_task=on_task,
+            on_event=on_event,
+            resource=f"gpu.{rank}.{g}.comp",
+            clock=clock,
+            c_slot=c_slot,
+        )
 
-            # Writeback: C tiles leave the device once per block.  Within a
-            # process, blocks hold disjoint column sets, so no key collides.
-            for (i, j), tile in c_dev.items():
-                produced[(i, j)] = tile
-                stats.d2h_bytes += tile.nbytes
-            if on_block is not None:
-                on_block(g, bi, block, c_dev)
+        # Writeback: C tiles leave the device once per block.  Within a
+        # process, blocks hold disjoint column sets, so no key collides.
+        for (i, j), tile in c_dev.items():
+            produced[(i, j)] = tile
+            stats.d2h_bytes += tile.nbytes
+        if on_block is not None:
+            on_block(g, bi, block, c_dev)
 
-            # Evict the block's B tiles at end of life-cycle.
-            if hasattr(b, "evict"):
-                for k, js in cols_of_k.items():
-                    for j in js:
-                        b.evict(proc.rank, k, j)
+        # Evict the block's B tiles at end of life-cycle.
+        if hasattr(b, "evict"):
+            for k, js in cols_of_k.items():
+                for j in js:
+                    b.evict(rank, k, j)
 
-            mem.release(block_name)
-        stats.gpu_peak_bytes = max(stats.gpu_peak_bytes, mem.peak)
-    stats.per_proc_tasks[proc.rank] = stats.ntasks
+        mem.release(block_name)
+    stats.gpu_peak_bytes = max((mem.peak for mem in mems.values()), default=0)
+    stats.per_proc_tasks[rank] = stats.ntasks
     return produced, stats
 
 
@@ -289,11 +317,11 @@ def execute_plan(
     parts: list[NumericStats] = []
 
     for proc in plan.procs:
-        produced, proc_stats = execute_proc_plan(
-            proc,
+        produced, proc_stats = execute_blocks(
+            proc_blocks(proc, plan.grid.gpus_per_proc),
+            proc.rank,
             a.get_tile,
             b,
-            gpus_per_proc=plan.grid.gpus_per_proc,
             gpu_memory_bytes=plan.gpu_memory_bytes,
             b_csr=b_csr,
             tau=plan.options.screen_threshold,

@@ -196,6 +196,28 @@ class TestDistributedGate:
             execute_plan_distributed(plan, a, b, verify_plan=True)
         assert active_segments() == before
 
+    def test_nonconforming_c_rejected_before_spawn(self, plan, tmp_path):
+        """Bugfix regression: a C input with the wrong tilings was only
+        checked at the reduce, after a full run had been paid for."""
+        from repro.dist import WorkerPool
+
+        a, b = _instance()
+        bad_c = random_block_sparse(a.cols, b.cols, 0.3, seed=5)  # rows of B, not of A
+        assert bad_c.rows != a.rows
+        events = tmp_path / "events.jsonl"
+        pool = WorkerPool(plan.grid.nprocs)
+        before = active_segments()
+        try:
+            with pytest.raises(ValueError, match="C tilings do not conform"):
+                execute_plan_distributed(
+                    plan, a, b, c=bad_c, pool=pool, events_path=str(events)
+                )
+            assert pool.spawns == 0
+        finally:
+            pool.close()
+        assert active_segments() == before
+        assert not events.exists()  # not even ``plan_accepted`` was logged
+
     def test_fault_rank_out_of_plan_rejected(self, plan):
         from repro.dist import FaultPlan
 

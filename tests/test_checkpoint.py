@@ -104,6 +104,11 @@ class TestKillResume:
         assert r2.blocks_restored > 0
         assert r2.tasks_skipped == r1.stats.ntasks
         assert not active_segments()
+        # Restored tiles land in arena slots exactly like computed ones: the
+        # result adopted all of them, and the arenas held nothing else.
+        assert not any(c2.get(key).flags.owndata for key in c2.keys())
+        assert all(c2.get(key).flags.writeable for key in c2.keys())
+        assert r2.shm_bytes == c2.nbytes == r1.stats.d2h_bytes
 
     def test_abort_then_resume_bit_identical(self, tmp_path):
         """The unrecoverable fault: abort raises with a resume hint, and a

@@ -10,8 +10,11 @@ Fast parity checks run in tier-1; the slower multi-process scenarios
 and run via ``make test-dist``.
 """
 
+import gc
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +156,24 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def mapped_segments(names, pid="self"):
+    """Which of the segment ``names`` process ``pid`` still has mapped."""
+    with open(f"/proc/{pid}/maps") as fh:
+        maps = fh.read()
+    return sorted(name for name in names if name in maps)
+
+
+def run_on_plane(plane, plan, a, b, **kwargs):
+    """``execute_plan_distributed`` on the fork, spawn or pool plane."""
+    if plane != "pool":
+        return execute_plan_distributed(plan, a, b, start_method=plane, **kwargs)
+    pool = WorkerPool(plan.grid.nprocs)
+    try:
+        return execute_plan_distributed(plan, a, b, pool=pool, **kwargs)
+    finally:
+        pool.close()
+
+
 @pytest.fixture(scope="module")
 def plane_runs():
     """One plan with a C input run serially, resident, spawned and pooled."""
@@ -162,14 +183,10 @@ def plane_runs():
     kwargs = dict(c=c0, alpha=0.5, beta=2.0)
     serial = execute_plan(plan, a, b, **kwargs)
     runs = {
-        method: execute_plan_distributed(plan, a, b, start_method=method, **kwargs)
+        method: run_on_plane(method, plan, a, b, **kwargs)
         for method in ("fork", "spawn") if method in mp.get_all_start_methods()
     }
-    pool = WorkerPool(plan.grid.nprocs)
-    try:
-        runs["pool"] = execute_plan_distributed(plan, a, b, pool=pool, **kwargs)
-    finally:
-        pool.close()
+    runs["pool"] = run_on_plane("pool", plan, a, b, **kwargs)
     return plan, a, b, serial, runs
 
 
@@ -220,6 +237,70 @@ class TestDataPlanes:
             assert len(prefetch) == chunks, plane
             assert all(e.resource.endswith(".link") for e in prefetch)
             assert not any(e.task.endswith(".qwait") for e in report.trace.events)
+
+    def test_tiles_without_a_c_input_are_adopted_not_copied(self, plane_runs):
+        """C is written once: such a tile is the arena view its worker's
+        first GEMM wrote into; one with a C input is ``beta*C`` added to."""
+        _, _, _, (c_serial, _), runs = plane_runs
+        for plane, (c, report) in runs.items():
+            adopted = [key for key in c.keys() if not c.get(key).flags.owndata]
+            assert adopted, plane
+            for i, j in c.keys():
+                tile = c.get_tile(i, j)
+                assert tile.flags.writeable, plane
+                assert np.array_equal(tile, c_serial.get_tile(i, j)), plane
+            # The names went with the run although the result is still alive.
+            assert active_segments() == frozenset()
+            assert not set(report.segments) & set(os.listdir("/dev/shm")), plane
+            assert mapped_segments(report.segments), plane
+
+    @pytest.mark.parametrize("plane", [
+        pytest.param("fork", marks=needs_fork), "spawn", "pool",
+    ])
+    def test_a_mapping_lives_as_long_as_its_tiles(self, plane):
+        a, b = operands(seed=14)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+        c_serial, _ = execute_plan(plan, a, b)
+        fds = len(os.listdir("/proc/self/fd"))
+        c, report = run_on_plane(plane, plan, a, b)
+        names = [n for n in report.segments if n.rsplit("-", 1)[1][0] == "c"]
+        # No C input: every tile is an arena view, and both C arenas stay
+        # mapped — without a name, a descriptor or an owner.
+        assert not any(c.get(key).flags.owndata for key in c.keys())
+        assert mapped_segments(report.segments) == sorted(names)
+        assert not set(report.segments) & set(os.listdir("/dev/shm"))
+        assert active_segments() == frozenset()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        i, j = next(iter(c.keys()))
+        tile = c.get_tile(i, j)
+        del c, report
+        gc.collect()
+        assert np.array_equal(tile, c_serial.get_tile(i, j))
+        tile += 1.0  # still writable memory, not a dangling view
+        assert len(mapped_segments(names)) == 1
+        del tile
+        gc.collect()
+        assert mapped_segments(names) == []
+
+    def test_one_shot_run_leaves_stderr_empty(self, tmp_path):
+        """A result kept until interpreter exit outlives every
+        ``SharedMemory`` object of its run; nothing may complain."""
+        script = tmp_path / "one_shot.py"
+        script.write_text(
+            "from tests.test_dist_executor import operands\n"
+            "from repro.core import psgemm_distributed\n"
+            "from repro.machine import summit\n"
+            "a, b = operands(seed=0)\n"
+            "c, report = psgemm_distributed(a, b, summit(2), p=2)\n"
+            "assert not any(c.get(key).flags.owndata for key in c.keys())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 class TestSharedMemoryLifecycle:
@@ -284,6 +365,12 @@ class TestFaultRecovery:
         # The retry was re-forked holding the same operands: still no arena.
         assert_resident(report)
         assert sorted(segment_tags(report)) == ["c0a0", "c0a1", "c1a0"]
+        # Only the live attempts' tiles were adopted: the dead attempt's
+        # arena is unmapped as well as unlinked.
+        assert sorted(
+            n.rsplit("-", 1)[1] for n in mapped_segments(report.segments)
+        ) == ["c0a1", "c1a0"]
+        assert not set(report.segments) & set(os.listdir("/dev/shm"))
 
     @pytest.mark.dist
     def test_persistently_failing_rank_is_reassigned(self):

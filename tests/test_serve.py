@@ -32,6 +32,7 @@ from repro.serve import (
 )
 from repro.sparse import random_block_sparse
 from repro.tiling import random_tiling
+from tests.test_dist_executor import mapped_segments
 
 
 def operands(seed=0, m=200, nk=600, density=0.5, gen_delay_s=0.0):
@@ -300,6 +301,31 @@ class TestContractionService:
         finally:
             svc.shutdown()
         assert not svc._scheduler.is_alive()  # the stop sentinel woke it
+
+    def test_twenty_jobs_leave_no_mapping_and_no_descriptor_behind(self, problem):
+        """Finished jobs keep their results (arena views) for the service's
+        lifetime: that may cost memory, never a descriptor per job — and a
+        pooled worker unmaps each job's arenas before it reports."""
+        plan, a, b, oracle = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            # Fork before the first job packs A: a worker forked later is
+            # born with the service's own mapping of that arena (and of
+            # whatever else its parent has mapped, hence the check by name).
+            svc.pool.start()
+            fds = []
+            for job in range(20):
+                out, report = svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+                assert np.array_equal(out.to_dense(), oracle)
+                fds.append(len(os.listdir("/proc/self/fd")))
+                if job < 5:
+                    for rank in range(plan.grid.nprocs):
+                        pid = svc.pool.ensure(rank).pid
+                        assert mapped_segments(report.segments, pid) == [], (job, rank)
+            assert fds[19] == fds[1], fds
+            assert svc.pool.spawns == plan.grid.nprocs
+        finally:
+            svc.shutdown()
 
     def test_fresh_process_service_leaves_stderr_empty(self, tmp_path):
         """Bugfix regression: workers forked before the owner ever touched
