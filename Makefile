@@ -1,9 +1,16 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-dist trace-smoke explain-smoke resume-smoke serve-smoke bench-smoke bench-e2e-smoke analyze model-check docs-rules bench bench-paper examples export selftest clean
+.PHONY: install loc test test-dist trace-smoke explain-smoke resume-smoke serve-smoke bench-smoke bench-e2e-smoke analyze model-check docs-rules bench bench-paper examples export selftest clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
+
+# Source size is a tracked number (ROADMAP aim 2): total lines of the
+# package, of the distributed executor and of the protocol model.
+loc:
+	@for d in src/repro src/repro/dist src/repro/analysis/protocol; do \
+	  printf '%-30s %6d lines\n' $$d $$(find $$d -name '*.py' | xargs cat | wc -l); \
+	done
 
 test: analyze model-check resume-smoke explain-smoke serve-smoke bench-e2e-smoke
 	pytest tests/

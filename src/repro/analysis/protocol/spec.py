@@ -17,9 +17,11 @@ Reading guide, message by message (the names match the docstring
   :class:`~repro.core.plan.ProcPlan`, arena metadata, fault injection,
   and checkpoint restore list.  One per (rank, attempt).
 * ``done`` — worker -> coordinator, data channel.  The
-  :class:`~repro.dist.worker.WorkerReport` ending a successful attempt.
-* ``error`` — worker -> coordinator, data channel.  A formatted
-  traceback from a worker whose attempt raised.
+  :class:`~repro.dist.comm.DoneMsg` carrying the
+  :class:`~repro.dist.worker.WorkerReport` that ends a successful attempt.
+* ``error`` — worker -> coordinator, data channel.  The
+  :class:`~repro.dist.comm.ErrorMsg`: a formatted traceback from a worker
+  whose attempt raised.
 * ``heartbeat`` — worker -> coordinator, telemetry channel.  The
   :class:`~repro.dist.health.HeartbeatMsg` liveness beat; rides the
   out-of-band queue so it can never delay or reorder control traffic.
@@ -30,14 +32,16 @@ Reading guide, message by message (the names match the docstring
   :class:`~repro.dist.comm.RelinquishMsg` asking a flagged straggler to
   yield its unstarted blocks; pinned to one attempt.
 * ``relinquished`` — worker -> coordinator, data channel.  The
-  straggler's ack, carrying the yielded block positions (possibly none:
-  the rank was already at its last block, or the request was stale).
+  :class:`~repro.dist.comm.RelinquishedMsg`: the straggler's ack,
+  carrying the yielded block positions (possibly none: the rank was
+  already at its last block, or the request was stale).
 * ``handoff`` — coordinator -> worker, data channel.  The
   :class:`~repro.dist.comm.HandoffMsg` shipping reclaimed blocks to a
   finished helper rank.
-* ``handoff_done`` — worker -> coordinator, data channel.  The helper's
-  result (C index + stats), or a failure marker that sends the blocks
-  to the coordinator's inline spare.
+* ``handoff_done`` — worker -> coordinator, data channel.  The
+  :class:`~repro.dist.comm.HandoffDoneMsg`: the helper's result (C index
+  + stats), or a failure marker (``c_index=None``) that sends the blocks
+  to the coordinator's in-process ``run_handoff``.
 
 Stale variants (``recv:<msg>:stale``) cover traffic from superseded
 attempts — a terminated worker's late heartbeat, a report that raced

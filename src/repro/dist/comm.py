@@ -19,14 +19,15 @@ queue so they can never reorder or delay the control-plane
 ``telemetry_bytes`` counter so the plan-derived comm-volume crosschecks
 stay byte-exact regardless of heartbeat cadence.
 
-Dynamic rebalancing adds three control-plane messages: the coordinator
-asks a flagged straggler to :class:`RelinquishMsg` its unstarted blocks
-(the worker answers with a ``("relinquished", rank, attempt, positions)``
-ack at its next block boundary), then ships the reclaimed blocks to a
-finished helper rank as a :class:`HandoffMsg` (answered with
-``("handoff_done", ...)``).  These ride the ordinary inbox/gather queues:
-they only exist when ``rebalance=True``, and the comm-volume crosscheck
-tests run without it.
+Every message is a class the receiver dispatches on: a worker ends an
+attempt with a :class:`DoneMsg` or an :class:`ErrorMsg`, and dynamic
+rebalancing adds two request/reply pairs — the coordinator asks a flagged
+straggler to :class:`RelinquishMsg` its unstarted blocks (acked with a
+:class:`RelinquishedMsg` at the worker's next block boundary), then ships
+the reclaimed blocks to a finished helper rank as a :class:`HandoffMsg`
+(answered with a :class:`HandoffDoneMsg`).  These ride the ordinary
+inbox/gather queues: they only exist when ``rebalance=True``, and the
+comm-volume crosscheck tests run without it.
 """
 
 from __future__ import annotations
@@ -97,6 +98,46 @@ class HandoffMsg:
     b_hash: str = ""
     ckpt_dir: str | None = None
     run_hash: str = ""
+
+
+@dataclass(frozen=True)
+class DoneMsg:
+    """Worker -> coordinator: ``report`` (a
+    :class:`~repro.dist.worker.WorkerReport`) ends a successful attempt."""
+
+    rank: int
+    report: object
+
+
+@dataclass(frozen=True)
+class ErrorMsg:
+    """Worker -> coordinator: the attempt raised; ``attempt`` is ``-1``
+    when the failure preceded any scatter."""
+
+    rank: int
+    attempt: int
+    traceback: str
+
+
+@dataclass(frozen=True)
+class RelinquishedMsg:
+    """Worker -> coordinator: the ack of a :class:`RelinquishMsg` —
+    the ``(gpu, index)`` block positions yielded, none if it was stale."""
+
+    rank: int
+    attempt: int
+    positions: tuple
+
+
+@dataclass(frozen=True)
+class HandoffDoneMsg:
+    """Helper -> coordinator: a :class:`HandoffMsg`'s C index and stats;
+    ``c_index=None`` means the helper failed and the blocks must be redone."""
+
+    rank: int
+    handoff_id: int
+    c_index: dict | None
+    stats: object
 
 
 @dataclass

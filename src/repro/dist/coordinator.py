@@ -17,11 +17,13 @@ Responsibilities:
   pair as process arguments, so nothing is packed.  *Arena* (a borrowed
   pool predates the operands, ``spawn`` inherits nothing): A and a
   concrete B are packed into shared-memory arenas first;
-* **supervise** — gather reports; a worker that exits without reporting
-  (crash, kill fault) or reports an error is *retried once* in a fresh
-  process, and if that attempt also fails its blocks are *reassigned* to a
-  coordinator-local spare worker, so a single faulty rank cannot lose the
-  contraction;
+* **supervise** — gather replies (classes of :mod:`repro.dist.comm`,
+  dispatched on type); a worker that exits without reporting (crash, kill
+  fault) or reports an error is *retried once* in a fresh process, and if
+  that attempt also fails its rank is *reassigned* to a coordinator-local
+  spare — :func:`~repro.dist.worker.run_rank` called in this process on
+  the message a worker would have got (minus the fault), so a single
+  faulty rank cannot lose the contraction;
 * **reduce** — seed ``beta*C``, then take every producer's C tiles where
   its worker wrote them (:meth:`~repro.dist.tile_store.TileArena.adopt`):
   a tile the input C has is added to (``beta*C + S``), any other *becomes*
@@ -44,10 +46,10 @@ Responsibilities:
   the ``events_path`` JSONL log (the attach point for ``repro monitor``);
 * **rebalance** — with ``rebalance=True``, a flagged straggler is asked
   to relinquish its unstarted blocks; the acked positions are handed off
-  to a finished worker rank (or the coordinator's inline spare) as a
-  :class:`~repro.dist.comm.HandoffMsg`, executed through the same block
-  body for bit parity, journaled under the origin's rank into sidecar
-  journals, and folded into the reduction as their own producer — one
+  to a finished worker rank as a :class:`~repro.dist.comm.HandoffMsg`
+  (or to :func:`~repro.dist.worker.run_handoff` in this process when
+  none is free or the helper fails), journaled under the origin's rank
+  into sidecar journals, and reduced as their own producer — one
   owner per block at every instant, so the one-producer-per-tile
   invariant survives any steal x fault interleaving (rules M407/M408 in
   the protocol model);
@@ -76,14 +78,18 @@ if TYPE_CHECKING:
     from repro.perf import Attribution, PerfModel, RooflineAudit
 
 from repro.core.plan import ExecutionPlan
-from repro.dist.bservice import BService, ConcreteBSource, validate_b_budget
+from repro.dist.bservice import validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
     CommLayer,
     CommStats,
+    DoneMsg,
     Empty,
+    ErrorMsg,
+    HandoffDoneMsg,
     HandoffMsg,
+    RelinquishedMsg,
     RelinquishMsg,
 )
 from repro.dist.faults import FaultPlan
@@ -94,18 +100,17 @@ from repro.dist.worker import (
     ABORT_EXIT_CODE,
     ScatterMsg,
     WorkerReport,
-    checkpoint_hooks,
-    modeled_a_link_bytes,
+    run_handoff,
+    run_rank,
     worker_main,
 )
 from repro.runtime.data import GeneratedCollection, MatrixSource
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
-from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
+from repro.runtime.numeric import NumericStats
 from repro.runtime.tracing import SpanRecorder, Trace
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.store import (
     TileStore,
-    WritebackJournal,
     b_fingerprint,
     plan_fingerprint,
     read_snapshot,
@@ -178,11 +183,6 @@ class DistReport:
     #: Run identifier the caller scoped this run's artifacts under
     #: (``None`` for unscoped one-shot runs).
     run_id: str | None = None
-
-    @property
-    def span_dropped(self) -> int:
-        """Deprecated alias for :attr:`spans_dropped` (pre-rename name)."""
-        return self.spans_dropped
 
     def summary(self) -> str:
         retried = {r: a for r, a in self.attempts.items() if a > 1}
@@ -583,10 +583,17 @@ def execute_plan_distributed(
             store_dir=store_dir, store_budget=store_budget_bytes,
             b_hash=b_hash, ckpt_dir=checkpoint_dir, run_hash=run_hash,
         )
+        #: The same, for a rank or handoff this process executes itself
+        #: (`run_rank` / `run_handoff` called in-process): it reads the A
+        #: and B it holds, whatever plane the worker processes are on.
+        in_process_fields = dict(
+            run_fields, a_meta=None,
+            b_spec=("resident", None) if b_spec[0] == "arena" else b_spec,
+        )
 
-        def make_c_arena(rank: int, attempt: int) -> TileArena:
-            cap = sum(blk.c_bytes for blk in plan.procs[rank].blocks)
-            arena = TileArena.allocate(f"c{rank}a{attempt}", cap)
+        def c_arena_for(tag: str, blocks) -> TileArena:
+            """A fresh output arena with room for every C tile of ``blocks``."""
+            arena = TileArena.allocate(tag, sum(blk.c_bytes for blk in blocks))
             arenas.append(arena)
             return arena
 
@@ -618,20 +625,24 @@ def execute_plan_distributed(
         #: rebalancer already owns (that would double-produce its tiles).
         stolen_blocks: dict[int, set[tuple[int, int]]] = {}
 
-        def stolen_tasks(rank: int) -> int:
+        def block_tasks(rank: int, positions) -> int:
+            """GEMM tasks in the ``(gpu, index)`` block positions of ``rank``."""
             return sum(
-                plan.procs[rank].gpu_blocks(g)[bi].ntasks
-                for g, bi in stolen_blocks.get(rank, ())
+                plan.procs[rank].gpu_blocks(g)[bi].ntasks for g, bi in positions
             )
 
-        def scatter(rank: int, attempt: int) -> None:
-            """Ship one rank's plan, arenas, restore and exclusion lists.
+        def rank_msg(rank: int, attempt: int, in_process: bool = False) -> ScatterMsg:
+            """One attempt of ``rank`` as a message: a fresh C arena, the
+            journaled blocks to restore, the stolen ones to skip.
 
-            Protocol:
-                send scatter: coordinator -> worker [data]
+            A worker process also gets the fault armed for this attempt; an
+            in-process execution never does — an injection armed for every
+            attempt would ``os._exit`` the coordinator.
             """
-            c_arenas[rank] = make_c_arena(rank, attempt)
-            inj = fault_plan.for_rank(rank) if fault_plan is not None else None
+            c_arenas[rank] = c_arena_for(
+                f"c{rank}a{attempt}", plan.procs[rank].blocks
+            )
+            inj = None if in_process or fault_plan is None else fault_plan.for_rank(rank)
             if inj is not None and not inj.armed(attempt):
                 inj = None
             stolen = stolen_blocks.get(rank, set())
@@ -645,12 +656,11 @@ def execute_plan_distributed(
                 events.emit(
                     "resume", rank=rank, attempt=attempt,
                     blocks=len(completed),
-                    tasks_skipped=sum(
-                        plan.procs[rank].gpu_blocks(g)[bi].ntasks
-                        for g, bi, _ in completed
+                    tasks_skipped=block_tasks(
+                        rank, [(g, bi) for g, bi, _ in completed]
                     ),
                 )
-            msg = ScatterMsg(
+            return ScatterMsg(
                 proc=plan.procs[rank],
                 grid=plan.grid,
                 gpus_per_proc=plan.grid.gpus_per_proc,
@@ -664,20 +674,28 @@ def execute_plan_distributed(
                 completed=completed,
                 excluded=tuple(sorted(stolen)),
                 rebalance=rebalance,
-                **run_fields,
+                **(in_process_fields if in_process else run_fields),
             )
+
+        def scatter(rank: int, attempt: int) -> None:
+            """Ship one rank its attempt.
+
+            Protocol:
+                send scatter: coordinator -> worker [data]
+            """
+            msg = rank_msg(rank, attempt)
             t_send = clock()
             sent = coord.send(rank, msg)
             rec.record(f"scatter.{rank}", f"net.{rank}", t_send, clock())
             rec.count("bytes.scatter", sent)
-            health.on_scatter(
-                rank, plan.procs[rank].ntasks - stolen_tasks(rank), attempt,
-                time.monotonic(),
-            )
+            # Net of the blocks stolen from earlier attempts: the rank's
+            # progress fraction is over what it still owns.
+            stolen = stolen_blocks.get(rank, ())
+            tasks_total = plan.procs[rank].ntasks - block_tasks(rank, stolen)
+            health.on_scatter(rank, tasks_total, attempt, time.monotonic())
             last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
             events.emit(
-                "scatter", rank=rank, attempt=attempt,
-                tasks_total=plan.procs[rank].ntasks,
+                "scatter", rank=rank, attempt=attempt, tasks_total=tasks_total
             )
 
         def spawn(rank: int) -> None:
@@ -706,7 +724,6 @@ def execute_plan_distributed(
 
         # ---- supervise / gather -------------------------------------------
         reports: dict[int, WorkerReport] = {}
-        local_results: dict[int, dict] = {}
         reassigned: list[int] = []
         stalled: list[int] = []
         pending = set(range(nranks))
@@ -716,75 +733,29 @@ def execute_plan_distributed(
         # ---- rebalance state ---------------------------------------------
         #: rank -> attempt of the one relinquish request in flight to it.
         outstanding_relinquish: dict[int, int] = {}
-        #: handoff id -> dispatch record (origin, helper, blocks, arena).
+        #: handoff id -> record of a dispatch to a helper rank (origin,
+        #: helper, blocks, arena, start instant).
         pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, C tiles, stats) for the reduction.
+        #: handoff id -> (origin, adopted C tiles, stats) for the reduction.
         handoff_results: dict[int, tuple] = {}
         next_handoff = 0
 
-        def local_b_source():
-            """The B source of the coordinator's inline spare: B itself."""
-            if isinstance(b, BlockSparseMatrix):
-                return ConcreteBSource(b)
-            return BService(
-                b.empty_clone(), budget_bytes=plan.gpu_memory_bytes, recorder=rec,
-                store=coord_store, store_ns=f"b:{b_hash}",
-            )
+        def accept_report(rank: int, report: WorkerReport) -> None:
+            """The live attempt of ``rank`` finished, wherever it ran."""
+            reports[rank] = report
+            report_clock[rank] = clock()
+            pending.discard(rank)
+            if report.metrics is not None:
+                last_metrics[rank] = report.metrics
 
         def run_inline(rank: int) -> None:
-            """Reassign a twice-failed rank to a coordinator-local worker."""
-            b_local = local_b_source()
-            restore_block = on_block = None
-            journal = None
-            ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
-            if checkpoint_dir is not None:
-                # The inline worker journals and restores exactly like a
-                # real rank, so a reassigned rank's progress survives too.
-                journal = WritebackJournal(checkpoint_dir, rank)
-                restore_block, on_block, ckpt_counters = checkpoint_hooks(
-                    coord_store, journal, run_hash, rank,
-                    {(g, bi): tiles for g, bi, tiles in completed_for(rank)},
-                    registry,
-                )
-            try:
-                produced, stats = execute_blocks(
-                    proc_blocks(plan.procs[rank], plan.grid.gpus_per_proc),
-                    rank,
-                    a.get_tile,
-                    b_local,
-                    gpu_memory_bytes=plan.gpu_memory_bytes,
-                    b_csr=plan.b_shape.csr,
-                    tau=plan.options.screen_threshold,
-                    alpha=alpha,
-                    on_event=rec.record if rec.enabled else None,
-                    clock=clock,
-                    restore_block=restore_block,
-                    on_block=on_block,
-                    # Blocks stolen from this rank belong to their handoffs
-                    # now — the inline spare must not produce them twice.
-                    skip_block=(
-                        (lambda g, bi, blk: (g, bi) in stolen_blocks[rank])
-                        if stolen_blocks.get(rank) else None
-                    ),
-                )
-            finally:
-                if journal is not None:
-                    journal.close()
-            stats.b_tiles_generated = b_local.generated_tiles()
-            local_results[rank] = produced
-            reports[rank] = WorkerReport(
-                rank=rank,
-                attempt=attempts[rank],
-                stats=stats,
-                c_index={},
-                spans=None,  # recorded directly into the coordinator's stream
-                link_bytes=modeled_a_link_bytes(plan.procs[rank], plan.grid, a.get_tile),
-                b_max_instantiations=b_local.max_instantiations(),
-                b_hits=b_local.hits,
-                b_lru_evictions=b_local.lru_evictions,
-                blocks_restored=ckpt_counters["blocks_restored"],
-                tasks_skipped=ckpt_counters["tasks_skipped"],
-            )
+            """Reassign a twice-failed rank to the coordinator-local spare:
+            :func:`~repro.dist.worker.run_rank`, called in this process —
+            same message, same arena, same report as a worker's, minus the
+            endpoint (no heartbeats, no inbox to poll)."""
+            msg = rank_msg(rank, attempts[rank] - 1, in_process=True)
+            spawn_clock.pop(rank, None)  # no process start-up to attribute
+            accept_report(rank, run_rank(msg, (a, b)))
             reassigned.append(rank)
             m_reassigned.inc()
             health.mark(rank, "reassigned")
@@ -816,7 +787,6 @@ def execute_plan_distributed(
             elif allow_reassign:
                 attempts[rank] += 1
                 run_inline(rank)
-                pending.discard(rank)
             else:
                 raise DistExecutionError(
                     f"rank {rank} failed after {attempts[rank]} attempt(s): {reason}"
@@ -883,62 +853,62 @@ def execute_plan_distributed(
         def pick_helper() -> int | None:
             """A finished worker rank able to absorb a handoff, or ``None``.
 
-            Only ranks that reported *through the comm layer* qualify: an
-            inline-reassigned rank has no worker process to send to.
+            Only ranks with a live process qualify: an inline-reassigned
+            rank has none (``on_failure`` dropped it from ``workers``).
             """
-            for r in sorted(reports):
-                if r in pending or r in local_results:
-                    continue
+            for r in sorted(reports):  # reported, hence no longer pending
                 proc = workers.get(r)
                 if proc is not None and proc.is_alive():
                     return r
             return None
 
-        def run_handoff_inline(hid: int) -> None:
-            """Execute one handoff's blocks in the coordinator process.
+        def handoff_msg(hid: int, origin: int, blocks: tuple,
+                        in_process: bool = False) -> tuple[HandoffMsg, TileArena]:
+            """One execution of a handoff as a message, with its own fresh
+            ``h<id>`` C arena: a re-execution never shares the arena a failed
+            or timed-out helper may still be writing."""
+            arena = c_arena_for(f"h{hid}", [blk for _, _, blk in blocks])
+            return HandoffMsg(
+                handoff_id=hid,
+                origin=origin,
+                blocks=blocks,
+                c_meta=arena.meta(),
+                **(in_process_fields if in_process else run_fields),
+            ), arena
+
+        def finish_handoff(hid: int, origin: int, helper: int | None,
+                           arena: TileArena, c_index: dict, stats) -> None:
+            handoff_results[hid] = (origin, arena.adopt(c_index), stats)
+            events.emit(
+                "handoff_done", handoff=hid, origin=origin, helper=helper,
+                tasks=stats.ntasks,
+            )
+
+        def run_handoff_inline(hid: int, origin: int, blocks: tuple) -> None:
+            """Execute one handoff's blocks in the coordinator process
+            (:func:`~repro.dist.worker.run_handoff`, called in-process).
 
             The fallback producer: used when no helper rank is free, when
             the chosen helper dies or reports failure mid-handoff, or when
             a handoff times out.  Re-executing after a partial helper run
             is safe — duplicate journal/store records are bit-identical
-            and only this inline result enters the reduction.
+            and only this result's arena is adopted.
             """
-            h = pending_handoffs.pop(hid)
-            origin = h["origin"]
-            b_local = local_b_source()
-            on_block = None
-            journal = None
-            if checkpoint_dir is not None:
-                journal = WritebackJournal(
-                    checkpoint_dir, origin, suffix=f".h{hid}"
-                )
-                _, on_block, _ = checkpoint_hooks(
-                    coord_store, journal, run_hash, origin, {}, registry
-                )
-            try:
-                produced, stats = execute_blocks(
-                    h["blocks"],
-                    origin,
-                    a.get_tile,
-                    b_local,
-                    gpu_memory_bytes=plan.gpu_memory_bytes,
-                    b_csr=plan.b_shape.csr,
-                    tau=plan.options.screen_threshold,
-                    alpha=alpha,
-                    on_block=on_block,
-                )
-            finally:
-                if journal is not None:
-                    journal.close()
-            stats.b_tiles_generated = b_local.generated_tiles()
-            handoff_results[hid] = (origin, dict(produced), stats)
-            events.emit(
-                "handoff_done", handoff=hid, origin=origin, helper=None,
-                tasks=stats.ntasks,
-            )
+            msg, arena = handoff_msg(hid, origin, blocks, in_process=True)
+            finish_handoff(hid, origin, None, arena, *run_handoff(msg, (a, b)))
 
-        def dispatch_handoff(origin: int, positions: tuple) -> None:
-            """Ship reclaimed blocks to a helper rank (or run them inline).
+        def fail_handoff(hid: int, reason: str) -> None:
+            """A helper lost handoff ``hid``: redo its blocks inline."""
+            h = pending_handoffs.pop(hid)
+            events.emit(
+                "handoff_failed", handoff=hid, origin=h["origin"],
+                helper=h["helper"], reason=reason,
+            )
+            run_handoff_inline(hid, h["origin"], h["blocks"])
+
+        def dispatch_handoff(origin: int, positions: tuple, moved: int) -> None:
+            """Ship reclaimed blocks (``moved`` tasks) to a helper rank, or
+            run them inline.
 
             Protocol:
                 send handoff: coordinator -> worker [data]
@@ -946,42 +916,27 @@ def execute_plan_distributed(
             nonlocal next_handoff
             hid = next_handoff
             next_handoff += 1
-            blocks_payload = tuple(
+            blocks = tuple(
                 (g, bi, plan.procs[origin].gpu_blocks(g)[bi])
                 for g, bi in positions
             )
-            moved = sum(blk.ntasks for _, _, blk in blocks_payload)
             helper = pick_helper()
             m_rebalance_handoffs.inc()
-            m_rebalance_blocks.inc(len(blocks_payload))
+            m_rebalance_blocks.inc(len(blocks))
             m_rebalance_tasks.inc(moved)
             events.emit(
                 "handoff", handoff=hid, origin=origin, helper=helper,
-                blocks=len(blocks_payload), tasks=moved,
+                blocks=len(blocks), tasks=moved,
             )
             if helper is None:
-                pending_handoffs[hid] = {
-                    "origin": origin, "helper": None,
-                    "blocks": blocks_payload, "arena": None,
-                    "started": time.monotonic(),
-                }
-                run_handoff_inline(hid)
+                run_handoff_inline(hid, origin, blocks)
                 return
-            cap = sum(blk.c_bytes for _, _, blk in blocks_payload)
-            arena = TileArena.allocate(f"h{hid}", cap)
-            arenas.append(arena)
+            msg, arena = handoff_msg(hid, origin, blocks)
             pending_handoffs[hid] = {
-                "origin": origin, "helper": helper,
-                "blocks": blocks_payload, "arena": arena,
-                "started": time.monotonic(),
+                "origin": origin, "helper": helper, "blocks": blocks,
+                "arena": arena, "started": time.monotonic(),
             }
-            coord.send(helper, HandoffMsg(
-                handoff_id=hid,
-                origin=origin,
-                blocks=blocks_payload,
-                c_meta=arena.meta(),
-                **run_fields,
-            ))
+            coord.send(helper, msg)
 
         def patrol() -> None:
             """Dead-worker, stall, and straggler checks between messages."""
@@ -1037,19 +992,11 @@ def execute_plan_distributed(
                     events.emit("straggler_recovered", rank=rank)
             for hid in sorted(pending_handoffs):
                 h = pending_handoffs[hid]
-                helper = h["helper"]
-                if helper is None:
-                    continue
-                proc = workers.get(helper)
-                helper_dead = proc is None or proc.exitcode is not None
-                timed_out = now - h["started"] > _HANDOFF_TIMEOUT_SECONDS
-                if helper_dead or timed_out:
-                    events.emit(
-                        "handoff_failed", handoff=hid, origin=h["origin"],
-                        helper=helper,
-                        reason="helper died" if helper_dead else "timeout",
-                    )
-                    run_handoff_inline(hid)
+                proc = workers.get(h["helper"])
+                if proc is None or proc.exitcode is not None:
+                    fail_handoff(hid, "helper died")
+                elif now - h["started"] > _HANDOFF_TIMEOUT_SECONDS:
+                    fail_handoff(hid, "timeout")
 
         def snapshot(state: str) -> None:
             """Atomically refresh ``coordinator.json`` with live progress."""
@@ -1103,84 +1050,64 @@ def execute_plan_distributed(
                 patrol()
                 last_patrol = time.monotonic()
                 continue
-            kind, rank = msg[0], msg[1]
+            rank = msg.rank
             comm_stats.absorb({(rank, COORDINATOR): nbytes}, {(rank, COORDINATOR): 1})
-            if kind == "done":
+            if isinstance(msg, DoneMsg):
                 # Accept only the live attempt's report: a stale one from a
                 # superseded attempt (its worker lost the race against the
                 # patrol's grace window) points at a retired C arena — the
                 # protocol model's recv:done:stale -> discard edge.
-                if rank in pending and msg[2].attempt == attempts[rank] - 1:
-                    reports[rank] = msg[2]
-                    report_clock[rank] = clock()
-                    pending.discard(rank)
+                report = msg.report
+                if rank in pending and report.attempt == attempts[rank] - 1:
+                    accept_report(rank, report)
                     suspects.pop(rank, None)
                     # A done report supersedes any relinquish in flight to
                     # this rank (M408) and retires its straggler flag.
                     outstanding_relinquish.pop(rank, None)
                     flagged_stragglers.discard(rank)
-                    if msg[2].metrics is not None:
-                        last_metrics[rank] = msg[2].metrics
                     health.on_done(rank, time.monotonic())
                     events.emit(
-                        "rank_done", rank=rank, attempt=msg[2].attempt,
-                        tasks=msg[2].stats.ntasks,
+                        "rank_done", rank=rank, attempt=report.attempt,
+                        tasks=report.stats.ntasks,
                     )
                 else:
                     events.emit(
                         "stale_report", rank=rank, kind="done",
-                        attempt=msg[2].attempt,
+                        attempt=report.attempt,
                     )
-            elif kind == "error":
-                # msg = ("error", rank, attempt, traceback); attempt -1
-                # means the worker died before it even received a scatter.
-                if rank in pending and msg[2] in (-1, attempts[rank] - 1):
-                    on_failure(rank, msg[3])
+            elif isinstance(msg, ErrorMsg):
+                if rank in pending and msg.attempt in (-1, attempts[rank] - 1):
+                    on_failure(rank, msg.traceback)
                 else:
                     events.emit(
                         "stale_report", rank=rank, kind="error",
-                        attempt=msg[2],
+                        attempt=msg.attempt,
                     )
-            elif kind == "relinquished":
-                # msg = ("relinquished", rank, attempt, positions): the
-                # straggler's ack.  Accept only the ack for the request we
-                # sent to the live attempt; anything else is stale (the
-                # rank finished, died, or was retried in between).
-                att, positions = msg[2], tuple(tuple(p) for p in msg[3])
-                live = (
-                    outstanding_relinquish.get(rank) == att
-                    and rank in pending
-                    and att == attempts[rank] - 1
-                )
-                if live:
-                    outstanding_relinquish.pop(rank, None)
+            elif isinstance(msg, RelinquishedMsg):
+                # Accept only the ack for the request we sent to the live
+                # attempt; anything else is stale (the rank finished, died,
+                # or was retried in between).
+                att, positions = msg.attempt, msg.positions
+                requested = outstanding_relinquish.get(rank) == att
+                if requested:
+                    del outstanding_relinquish[rank]
+                if requested and rank in pending and att == attempts[rank] - 1:
+                    moved = block_tasks(rank, positions)
                     events.emit(
                         "relinquished", rank=rank, attempt=att,
-                        blocks=len(positions),
+                        blocks=len(positions), tasks=moved,
                     )
                     if positions:
                         stolen_blocks.setdefault(rank, set()).update(positions)
-                        moved = sum(
-                            plan.procs[rank].gpu_blocks(g)[bi].ntasks
-                            for g, bi in positions
-                        )
-                        rh = health.ranks.get(rank)
-                        if rh is not None:
-                            # The origin's denominator shrinks with its
-                            # schedule, so progress fractions stay honest.
-                            rh.tasks_total = max(0, rh.tasks_total - moved)
-                        dispatch_handoff(rank, positions)
+                        health.on_relinquished(rank, moved)
+                        dispatch_handoff(rank, positions, moved)
                 else:
-                    if outstanding_relinquish.get(rank) == att:
-                        outstanding_relinquish.pop(rank, None)
                     events.emit(
                         "stale_report", rank=rank, kind="relinquished",
                         attempt=att,
                     )
-            elif kind == "handoff_done":
-                # msg = ("handoff_done", rank, hid, c_index, stats);
-                # c_index None flags a helper-side failure -> redo inline.
-                hid = msg[2]
+            elif isinstance(msg, HandoffDoneMsg):
+                hid = msg.handoff_id
                 h = pending_handoffs.get(hid)
                 if h is None:
                     # Already resolved (timed out and redone inline, or a
@@ -1189,23 +1116,15 @@ def execute_plan_distributed(
                         "stale_report", rank=rank, kind="handoff_done",
                         handoff=hid,
                     )
-                elif msg[3] is None:
-                    events.emit(
-                        "handoff_failed", handoff=hid, origin=h["origin"],
-                        helper=rank, reason="helper error",
-                    )
-                    run_handoff_inline(hid)
+                elif msg.c_index is None:
+                    fail_handoff(hid, "helper error")
                 else:
-                    pending_handoffs.pop(hid)
-                    handoff_results[hid] = (
-                        h["origin"], h["arena"].adopt(msg[3]), msg[4]
+                    del pending_handoffs[hid]
+                    finish_handoff(
+                        hid, h["origin"], rank, h["arena"], msg.c_index, msg.stats
                     )
-                    events.emit(
-                        "handoff_done", handoff=hid, origin=h["origin"],
-                        helper=rank, tasks=msg[4].ntasks,
-                    )
-            else:  # pragma: no cover - unknown message kind
-                raise DistExecutionError(f"unexpected message {kind!r} from rank {rank}")
+            else:  # pragma: no cover - unknown message type
+                raise DistExecutionError(f"unexpected message {msg!r}")
         drain_telemetry()  # beats raced against the final reports
         snapshot("done")
 
@@ -1232,9 +1151,7 @@ def execute_plan_distributed(
 
         for rank in range(nranks):
             reduce_producer(
-                rank, str(rank),
-                local_results[rank] if rank in local_results
-                else c_arenas[rank].adopt(reports[rank].c_index),
+                rank, str(rank), c_arenas[rank].adopt(reports[rank].c_index)
             )
         # Handoff producers reduce exactly like ranks: blocks within one
         # process hold disjoint column sets, so a stolen block's tiles can
@@ -1332,7 +1249,7 @@ def execute_plan_distributed(
             b_store_hits=sum(reports[r].b_store_hits for r in range(nranks)),
             handoffs=len(handoff_results),
             blocks_rebalanced=sum(len(s) for s in stolen_blocks.values()),
-            tasks_rebalanced=sum(stolen_tasks(r) for r in stolen_blocks),
+            tasks_rebalanced=sum(block_tasks(r, s) for r, s in stolen_blocks.items()),
             model=perf_model,
             span_counters=span_counters,
             run_id=run_id,

@@ -227,6 +227,13 @@ class RunHealth:
             del rh.samples[0]
         rh.last_signal = now
 
+    def on_relinquished(self, rank: int, tasks: int) -> None:
+        """``rank`` yielded blocks worth ``tasks`` to the rebalancer: its
+        denominator shrinks with its schedule, so progress stays honest."""
+        rh = self.ranks.get(rank)
+        if rh is not None:
+            rh.tasks_total = max(0, rh.tasks_total - tasks)
+
     def mark(self, rank: int, state: str) -> None:
         rh = self.ranks.get(rank)
         if rh is not None:
@@ -449,13 +456,15 @@ def _replay_event(health: RunHealth, ev: dict) -> None:
         for r, total in (ev.get("tasks_per_rank") or {}).items():
             health.on_scatter(int(r), int(total), attempt=0, now=t)
     elif kind == "scatter" and rank is not None:
-        prev = health.ranks.get(int(rank))
+        # The logged total is net of blocks stolen from earlier attempts.
         health.on_scatter(
             int(rank),
-            prev.tasks_total if prev else ev.get("tasks_total", 0),
+            int(ev.get("tasks_total", 0)),
             attempt=int(ev.get("attempt", 0)),
             now=t,
         )
+    elif kind == "relinquished" and rank is not None:
+        health.on_relinquished(int(rank), int(ev.get("tasks", 0)))
     elif kind == "heartbeat" and rank is not None:
         health.on_heartbeat(
             HeartbeatMsg(

@@ -1,4 +1,6 @@
-"""The per-rank worker process of the distributed executor.
+"""The per-rank worker process of the distributed executor, and the one
+place a rank (:func:`run_rank`) or a handoff (:func:`run_handoff`) runs:
+the coordinator's inline spare calls the same two in its own process.
 
 Each worker is one planned process rank.  Life of a worker: receive a
 :class:`ScatterMsg` from the coordinator, open its operands, execute its
@@ -79,9 +81,13 @@ from repro.dist.bservice import BService, ConcreteBSource, TieredBStore
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
+    DoneMsg,
     Empty,
     Endpoint,
+    ErrorMsg,
+    HandoffDoneMsg,
     HandoffMsg,
+    RelinquishedMsg,
     RelinquishMsg,
 )
 from repro.dist.faults import FaultInjection
@@ -204,16 +210,14 @@ def checkpoint_hooks(
     rank: int,
     completed: dict[tuple[int, int], tuple],
     registry: MetricsRegistry,
-    c_slot=None,
+    c_slot,
 ):
     """Build the ``(restore_block, on_block, counters)`` checkpoint closures.
 
-    Shared by the worker and the coordinator's inline-reassignment path so
-    both journal and restore identically.  ``completed`` maps ``(gpu,
-    block)`` to the journaled C-tile keys the coordinator already
-    validated against the store.  A restored tile is copied once, out of
-    the store's read-only map into ``c_slot(key, m, n)`` (a worker's
-    output arena; a fresh array when ``None``).
+    ``completed`` maps ``(gpu, block)`` to the journaled C-tile keys the
+    coordinator already validated against the store.  A restored tile is
+    copied once, out of the store's read-only map into ``c_slot(key, m,
+    n)`` — its place in the output arena.
 
     Crash-consistency ordering lives in ``on_block``: every C tile is
     durably in the store *before* the journal line is appended, so a kill
@@ -245,7 +249,7 @@ def checkpoint_hooks(
         for (i, j), arr in zip(tiles, arrs):
             # Restored tiles must be indistinguishable from freshly
             # computed ones: writable, and where a computed tile would be.
-            dst = np.empty(arr.shape) if c_slot is None else c_slot((i, j), *arr.shape)
+            dst = c_slot((i, j), *arr.shape)
             dst[...] = arr
             out[(i, j)] = dst
         counters["blocks_restored"] += 1
@@ -337,7 +341,6 @@ class _HeartbeatThread:
     def suspend(self) -> None:
         """Stop beating without joining (callable from any thread)."""
         self._stop.set()
-
 
 
 def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
@@ -448,8 +451,9 @@ def run_rank(
     ``origin``/``recv_done`` are monotonic instants bracketing the inbox
     wait in :func:`worker_main`; the recorder's clock is rooted at
     ``origin`` so the wait appears as the rank's first span.  ``endpoint``
-    carries heartbeats out on the telemetry channel; without one (or with
-    ``msg.heartbeat_interval <= 0``) the rank runs silently as before.
+    carries heartbeats out on the telemetry channel; without one — the
+    coordinator's in-process call — the rank neither beats nor polls an
+    inbox (as with ``msg.heartbeat_interval <= 0`` and ``rebalance`` off).
     ``tile_cache`` is a serving pool's process-lifetime warm B-tile cache
     (``None`` reproduces the one-shot behaviour) and ``operands`` the
     forked-in ``(a, b)`` pair; :func:`_opened` consumes both.
@@ -477,7 +481,7 @@ def run_rank(
             restore_block, on_block, ckpt_counters = checkpoint_hooks(
                 store, journal, msg.run_hash, rank,
                 {(g, bi): tiles for g, bi, tiles in msg.completed},
-                registry, c_slot=c_arena.slot,
+                registry, c_arena.slot,
             )
 
         fault = msg.fault
@@ -531,7 +535,6 @@ def run_rank(
         # inbox poll at every block boundary.
         skipped: set[tuple[int, int]] = set(msg.excluded)
         skip_block = None
-        telemetry_on = endpoint is not None and msg.heartbeat_interval > 0.0
         if skipped or (msg.rebalance and endpoint is not None):
             positions = [
                 (g, bi) for g, bi, _ in proc_blocks(msg.proc, msg.gpus_per_proc)
@@ -560,27 +563,22 @@ def run_rank(
                             break
                         if not isinstance(req, RelinquishMsg):
                             continue  # foreign message; not ours mid-run
-                        if req.attempt != msg.attempt:
-                            endpoint.send(
-                                COORDINATOR,
-                                ("relinquished", rank, req.attempt, ()),
+                        remaining = ()
+                        if req.attempt == msg.attempt:
+                            remaining = tuple(
+                                p for p in positions[pos_index[(g, bi)]:]
+                                if p not in skipped
+                                and p not in restored_positions
                             )
-                            continue
-                        here = pos_index[(g, bi)]
-                        remaining = tuple(
-                            p for p in positions[here:]
-                            if p not in skipped
-                            and p not in restored_positions
-                        )
-                        skipped.update(remaining)
+                            skipped.update(remaining)
                         endpoint.send(
                             COORDINATOR,
-                            ("relinquished", rank, msg.attempt, remaining),
+                            RelinquishedMsg(rank, req.attempt, remaining),
                         )
                 return (g, bi) in skipped
 
         ckpt_on_block = on_block
-        if telemetry_on:
+        if hb is not None:
 
             def on_block(g: int, bi: int, block, c_dev: dict) -> None:
                 """Report block completion out-of-band.
@@ -662,7 +660,8 @@ def run_rank(
 
 
 def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats]:
-    """Execute one :class:`~repro.dist.comm.HandoffMsg` on a helper rank.
+    """Execute one :class:`~repro.dist.comm.HandoffMsg` (on a helper rank
+    or, as the fallback, inside the coordinator).
 
     Opens the operands the way the origin did and the handoff's dedicated
     C arena (:func:`_opened`), runs the reclaimed blocks through the one
@@ -680,7 +679,8 @@ def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats
         on_block = None
         if journal is not None:
             _, on_block, _ = checkpoint_hooks(
-                store, journal, msg.run_hash, msg.origin, {}, registry
+                store, journal, msg.run_hash, msg.origin, {}, registry,
+                c_arena.slot,
             )
         stats = execute_blocks(
             msg.blocks,
@@ -731,12 +731,9 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
         recv handoff: coordinator -> worker [data]
         send handoff_done: worker -> coordinator [data]
 
-    The ``error`` message carries the attempt number of the scatter it
-    was executing (``-1`` if the failure preceded the scatter), so the
-    coordinator can discard reports from superseded attempts instead of
-    recovering a rank it already recovered.  A failed handoff is reported
-    as a ``handoff_done`` with a ``None`` C index — the coordinator
-    re-executes those blocks on its inline spare.
+    Every reply is a class of :mod:`repro.dist.comm` and names the attempt
+    or handoff it belongs to, so the coordinator can discard one from a
+    superseded attempt instead of recovering a rank it already recovered.
     """
     t_spawn = time.monotonic()
     attempt = -1
@@ -756,30 +753,26 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                     recv_done=None if pooled else time.monotonic(),
                     endpoint=endpoint, tile_cache=tile_cache,
                 )
-                endpoint.send(COORDINATOR, ("done", rank, report))
+                endpoint.send(COORDINATOR, DoneMsg(rank, report))
             elif isinstance(msg, RelinquishMsg):
                 endpoint.send(
-                    COORDINATOR, ("relinquished", rank, msg.attempt, ())
+                    COORDINATOR, RelinquishedMsg(rank, msg.attempt, ())
                 )
             elif isinstance(msg, HandoffMsg):
                 try:
                     c_index, stats = run_handoff(msg, operands, tile_cache=tile_cache)
                 except Exception:  # noqa: BLE001 - helper failure is recoverable
-                    endpoint.send(
-                        COORDINATOR,
-                        ("handoff_done", rank, msg.handoff_id, None, None),
-                    )
-                else:
-                    endpoint.send(
-                        COORDINATOR,
-                        ("handoff_done", rank, msg.handoff_id, c_index, stats),
-                    )
+                    c_index = stats = None
+                endpoint.send(
+                    COORDINATOR,
+                    HandoffDoneMsg(rank, msg.handoff_id, c_index, stats),
+                )
             else:
                 return  # unknown directive (incl. the serve pool's shutdown pill): exit quietly
     except BaseException:  # noqa: BLE001 - ship the traceback to the coordinator
         try:
             endpoint.send(
-                COORDINATOR, ("error", rank, attempt, traceback.format_exc())
+                COORDINATOR, ErrorMsg(rank, attempt, traceback.format_exc())
             )
         except Exception:  # pragma: no cover - fabric itself broken
             pass

@@ -13,6 +13,7 @@ and run via ``make test-dist``.
 import gc
 import multiprocessing as mp
 import os
+import pickle
 import subprocess
 import sys
 
@@ -21,14 +22,17 @@ import pytest
 
 from repro.core import inspect, psgemm_distributed, psgemm_numeric
 from repro.dist import (
+    COORDINATOR,
     BService,
     DistExecutionError,
     FaultPlan,
     TileArena,
     WorkerPool,
+    WorkerReport,
     active_segments,
     execute_plan_distributed,
 )
+from repro.dist.comm import DoneMsg, HandoffDoneMsg
 from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan
 from repro.runtime.numeric import NumericStats
@@ -416,6 +420,116 @@ class TestFaultRecovery:
             FaultPlan.parse("0:0")  # at_task is 1-based
         with pytest.raises(ValueError):
             FaultPlan.parse("0:5:explode")  # unknown fault kind
+
+
+@pytest.mark.dist
+class TestInlineSpare:
+    """A twice-failed rank runs ``run_rank`` inside the coordinator: one
+    more producer like any other — its own arena, its own report, its own
+    span stream."""
+
+    def test_reassigned_rank_is_adopted_and_traced_like_any_other(self):
+        a, b = operands(seed=8)
+        c, report = assert_bit_equal_runs(
+            a, b, summit(2), 2, 6, fault_plan=FaultPlan.kill(1, 3, once=False)
+        )
+        assert report.reassigned == [1]
+        # No C input: every tile, the spare's included, is an arena view.
+        assert not any(c.get(key).flags.owndata for key in c.keys())
+        assert sorted(segment_tags(report)) == ["c0a0", "c1a0", "c1a1", "c1a2"]
+        assert active_segments() == frozenset()
+        assert not set(report.segments) & set(os.listdir("/dev/shm"))
+        # Only the attempts that reported are mapped; the dead ones never were.
+        assert sorted(
+            n.rsplit("-", 1)[1] for n in mapped_segments(report.segments)
+        ) == ["c0a0", "c1a2"]
+        # The spare's spans arrive as a merged stream, in the vocabulary of
+        # every other rank, and no spawn window stretches over dead attempts.
+        rank1 = {e.task for e in report.trace.events if e.resource == "net.1"}
+        assert {"shm.attach", "writeback.1", "report.1"} <= rank1
+        assert any(
+            e.resource.startswith("gpu.1.") and e.resource.endswith(".comp")
+            for e in report.trace.events
+        )
+        assert not any(e.task == "spawn.1" for e in report.trace.events)
+        assert report.attribution().path[0].start == pytest.approx(0.0, abs=1e-3)
+        names = list(report.segments)
+        del c, report
+        gc.collect()
+        assert mapped_segments(names) == []
+
+    def test_reassigned_rank_says_what_it_restored(self, tmp_path):
+        """The spare gets the message a worker would: the restore list, and
+        the ``resume`` event that goes with it."""
+        from repro.dist import read_events
+
+        a, b = operands(seed=8)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
+        first_block = plan.procs[1].blocks[0].ntasks
+        assert len(plan.procs[1].blocks) > 1
+        c_serial, _ = execute_plan(plan, a, b)
+        events_path = _events_path(tmp_path, "inline-resume-events.jsonl")
+        c_dist, report = execute_plan_distributed(
+            plan, a, b,
+            fault_plan=FaultPlan.kill(1, first_block + 1, once=False),
+            checkpoint_dir=str(tmp_path / "ckpt"), events_path=events_path,
+        )
+        assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
+        assert report.reassigned == [1]
+        assert report.blocks_restored > 0
+        resumes = [e for e in read_events(events_path) if e["event"] == "resume"]
+        assert [(e["rank"], e["attempt"]) for e in resumes] == [(1, 1), (1, 2)]
+        assert resumes[-1]["blocks"] == report.blocks_restored
+        assert active_segments() == frozenset()
+
+    def test_one_shot_run_with_a_reassignment_leaves_stderr_empty(self, tmp_path):
+        script = tmp_path / "reassigned.py"
+        script.write_text(
+            "from tests.test_dist_executor import operands\n"
+            "from repro.core import psgemm_distributed\n"
+            "from repro.dist import FaultPlan\n"
+            "from repro.machine import summit\n"
+            "a, b = operands(seed=8)\n"
+            "c, report = psgemm_distributed(\n"
+            "    a, b, summit(2), p=2, fault_plan=FaultPlan.kill(1, 3, once=False))\n"
+            "assert report.reassigned == [1]\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+
+class TestStaleReplies:
+    @pytest.mark.parametrize("reply,kind", [
+        (DoneMsg(0, WorkerReport(0, 7, NumericStats(), c_index={})), "done"),
+        (HandoffDoneMsg(0, 99, {}, NumericStats()), "handoff_done"),
+    ], ids=["superseded-attempt", "unknown-handoff"])
+    def test_stale_reply_is_discarded(self, reply, kind, tmp_path):
+        """A reply from a superseded attempt, or for a handoff nobody is
+        waiting on, is logged and dropped — never credited."""
+        from repro.dist import read_events
+
+        assert pickle.loads(pickle.dumps(reply)) == reply
+        a, b = operands(seed=12, m=100, nk=200)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+        c_serial, s_serial = execute_plan(plan, a, b)
+        events_path = str(tmp_path / "events.jsonl")
+        pool = WorkerPool(plan.grid.nprocs)
+        try:
+            pool.comm.endpoint(0).send(COORDINATOR, reply)
+            c_dist, report = execute_plan_distributed(
+                plan, a, b, pool=pool, events_path=events_path
+            )
+        finally:
+            pool.close()
+        assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
+        assert report.stats == s_serial
+        stale = [e for e in read_events(events_path) if e["event"] == "stale_report"]
+        assert [(e["rank"], e["kind"]) for e in stale] == [(0, kind)]
 
 
 class TestBService:

@@ -388,6 +388,24 @@ class TestReplay:
         # And the reconstructed view renders (the monitor's whole job).
         assert "reassigned" in health.table(now=events[-1]["t"])
 
+    def test_replay_shrinks_a_rebalanced_rank(self, tmp_path):
+        """Blocks a straggler gave away leave its denominator, in this
+        attempt (``relinquished``) and in a retry (net ``scatter`` total)."""
+        events = self._log(tmp_path, [
+            ("plan_accepted", dict(nranks=1, heartbeat_interval=0.1,
+                                   tasks_per_rank={"0": 245})),
+            ("scatter", dict(rank=0, attempt=0, tasks_total=245)),
+            ("relinquished", dict(rank=0, attempt=0, blocks=5, tasks=198)),
+            ("rank_done", dict(rank=0, attempt=0, tasks=47)),
+        ])
+        rh = replay_health(events).ranks[0]
+        assert (rh.tasks_done, rh.tasks_total, rh.progress) == (47, 47, 1.0)
+        events += self._log(tmp_path, [
+            ("retry", dict(rank=0, attempt=0, reason="killed")),
+            ("scatter", dict(rank=0, attempt=1, tasks_total=47)),
+        ])
+        assert replay_health(events).ranks[0].tasks_total == 47
+
     def test_replay_tolerates_malformed_fields(self, tmp_path):
         # A record with the right event name but a garbage payload (hand
         # edits, version skew) must degrade to "skip that event", not

@@ -260,7 +260,6 @@ class TestMergedDistributedTrace:
         waits = report.queue_wait_seconds()
         assert all(w >= 0.0 for w in waits.values())
         assert report.spans_dropped == 0
-        assert report.span_dropped == 0  # deprecated alias stays readable
         assert report.shm_bytes > 0
         text = report.observability_summary()
         assert "busy fraction" in text and "B service" in text

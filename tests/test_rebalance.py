@@ -18,13 +18,18 @@ import numpy as np
 import pytest
 
 from repro.core import psgemm_distributed, psgemm_numeric
-from repro.dist import FaultInjection, FaultPlan, read_events
+from repro.dist import FaultInjection, FaultPlan, read_events, replay_health
 from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
 from repro.store.journal import CompletedBlock, WritebackJournal, read_journal
 from repro.tiling import random_tiling
-from tests.test_dist_executor import assert_resident, pack_spans
+from tests.test_dist_executor import (
+    assert_resident,
+    mapped_segments,
+    pack_spans,
+    segment_tags,
+)
 
 
 def operands(seed=0, m=300, nk=900, density=0.5):
@@ -76,6 +81,13 @@ class TestRebalanceParity:
         assert any(
             e.get("helper") is not None for e in evs if e.get("event") == "handoff"
         )
+        # ``repro monitor`` replays the log: a rank that gave blocks away
+        # must end at 100 % of what it kept, exactly as the live view does.
+        replayed = replay_health(evs)
+        for rank, live in rep.health.ranks.items():
+            assert replayed.ranks[rank].tasks_total == live.tasks_total, rank
+            assert replayed.ranks[rank].progress == live.progress == 1.0, rank
+        assert rep.health.ranks[0].tasks_total < s_serial.per_proc_tasks[0]
         return rep, kinds(evs)
 
     def test_rebalanced_run_matches_serial_bit_for_bit(self, tmp_path):
@@ -163,6 +175,84 @@ class TestRebalanceParity:
         # set was never cleared and a rank could be flagged at most once
         # per run even across recoveries
         assert any(e.get("rank") == 0 for e in flagged)
+
+
+@pytest.mark.dist
+class TestInlineHandoff:
+    """The coordinator's fallback producer is ``run_handoff`` in-process:
+    its tiles are adopted from an ``h<id>`` arena like a helper's."""
+
+    def _adopted_handoff_arenas(self, c, rep):
+        assert not any(c.get(key).flags.owndata for key in c.keys())
+        assert not set(rep.segments) & set(os.listdir("/dev/shm"))
+        return [
+            n for n in mapped_segments(rep.segments)
+            if n.rsplit("-", 1)[1].startswith("h")
+        ]
+
+    def test_no_helper_free_runs_the_handoff_inline(self, tmp_path):
+        """Ranks 1 and 2 race to their last task and sit on it for longer
+        than rank 0 needs to reach its first block boundary: when it yields
+        there is nobody to send to, so the coordinator runs the blocks."""
+        a, b = operands(seed=0)
+        c_serial, s_serial = psgemm_numeric(a, b, summit(3), p=3)
+        plan = FaultPlan(injections=(
+            FaultInjection(rank=0, at_task=1, kind="slow", delay_seconds=0.03,
+                           once=False),
+            *(
+                FaultInjection(rank=r, at_task=s_serial.per_proc_tasks[r],
+                               kind="delay", delay_seconds=4.0)
+                for r in (1, 2)
+            ),
+        ))
+        events = str(tmp_path / "events.jsonl")
+        c, rep = psgemm_distributed(
+            a, b, summit(3), p=3, fault_plan=plan, events_path=events,
+            **REBALANCE_KWARGS,
+        )
+        assert np.array_equal(c.to_dense(), c_serial.to_dense())
+        assert rep.stats == s_serial
+        handoffs = [e for e in read_events(events) if e.get("event") == "handoff"]
+        assert handoffs and handoffs[0]["helper"] is None
+        assert "h0" in segment_tags(rep)
+        assert len(self._adopted_handoff_arenas(c, rep)) == rep.handoffs
+
+    def test_dead_helper_is_superseded_by_the_inline_run(self, tmp_path, monkeypatch):
+        """A helper that dies mid-handoff leaves an ``h<id>`` arena nobody
+        adopts; the inline re-execution gets a fresh one."""
+        from repro.dist import worker
+
+        coordinator_pid, real = os.getpid(), worker.run_handoff
+
+        def dying(msg, *args, **kwargs):
+            if os.getpid() != coordinator_pid:
+                os._exit(1)  # forked workers inherit the patch
+            return real(msg, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "run_handoff", dying)
+        a, b = operands(seed=0)
+        c_serial, s_serial = psgemm_numeric(a, b, summit(3), p=3)
+        events = str(tmp_path / "events.jsonl")
+        c, rep = psgemm_distributed(
+            a, b, summit(3), p=3, fault_plan=slow_rank0(), events_path=events,
+            start_method="fork", **REBALANCE_KWARGS,
+        )
+        assert np.array_equal(c.to_dense(), c_serial.to_dense())
+        assert rep.stats == s_serial
+        evs = read_events(events)
+        failed = [e for e in evs if e.get("event") == "handoff_failed"]
+        assert failed and {e["reason"] for e in failed} == {"helper died"}
+        hid = failed[0]["handoff"]
+        assert [
+            e["helper"] for e in evs
+            if e.get("event") == "handoff_done" and e["handoff"] == hid
+        ] == [None]
+        # Two arenas carry the failed handoff's tag, one is adopted.
+        tag = f"h{hid}"
+        assert segment_tags(rep).count(tag) == 2
+        adopted = self._adopted_handoff_arenas(c, rep)
+        assert [n.rsplit("-", 1)[1] for n in adopted].count(tag) == 1
+        assert len(adopted) == rep.handoffs
 
 
 @pytest.mark.dist

@@ -11,6 +11,7 @@ tier-1; everything that spawns worker processes is marked ``dist`` and
 runs via ``make test-dist``.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -317,12 +318,16 @@ class TestContractionService:
             for job in range(20):
                 out, report = svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
                 assert np.array_equal(out.to_dense(), oracle)
+                # Garbage from elsewhere in the process (an earlier test's
+                # queues, say) may be collected mid-loop and *drop* the
+                # count: collect first, and gate on growth only.
+                gc.collect()
                 fds.append(len(os.listdir("/proc/self/fd")))
                 if job < 5:
                     for rank in range(plan.grid.nprocs):
                         pid = svc.pool.ensure(rank).pid
                         assert mapped_segments(report.segments, pid) == [], (job, rank)
-            assert fds[19] == fds[1], fds
+            assert fds[19] <= fds[1], fds
             assert svc.pool.spawns == plan.grid.nprocs
         finally:
             svc.shutdown()
