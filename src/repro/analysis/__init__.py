@@ -17,10 +17,10 @@ Four layers reporting through one uniform :class:`Finding` vocabulary
   excepts (rules ``L3xx``, suppressible with ``# repro: noqa[RULE]``;
   a stale suppression is itself flagged, ``L399``);
 * :mod:`~repro.analysis.protocol` — the protocol model checker: the
-  coordinator/worker message protocol declared as explicit state
-  machines, explored exhaustively over small fault scopes (deadlock
-  freedom, bounded queues, recovery/resume safety) and pinned to the
-  ``repro.dist`` call sites by an AST conformance pass (rules ``M4xx``).
+  coordinator/worker state machines :mod:`repro.dist.protocol` declares
+  (and the runtime dispatches on), explored exhaustively over small fault
+  scopes — deadlock freedom, bounded queues, recovery/resume safety
+  (rules ``M4xx``).
 
 CLI: ``repro analyze`` (plan + task-graph checks; ``--model-check``
 adds the protocol layer), ``repro lint`` (source checks), and ``repro
@@ -50,12 +50,11 @@ from repro.analysis.plan_checks import (
     verify_plan,
 )
 from repro.analysis.protocol import (
+    PROTOCOL,
     ModelCheckResult,
     ProtocolModel,
     Scenario,
-    build_protocol_model,
     check_protocol,
-    check_protocol_conformance,
     default_scenarios,
 )
 from repro.analysis.rules import Rule, all_rules, get_rule
@@ -77,6 +76,7 @@ __all__ = [
     "Finding",
     "Location",
     "ModelCheckResult",
+    "PROTOCOL",
     "PlanVerificationError",
     "ProtocolModel",
     "Rule",
@@ -85,12 +85,10 @@ __all__ = [
     "Severity",
     "all_rules",
     "assert_plan_valid",
-    "build_protocol_model",
     "check_checkpoint_compat",
     "check_conflicts",
     "check_engine",
     "check_protocol",
-    "check_protocol_conformance",
     "check_rule_catalog",
     "check_store_capacity",
     "check_task_graph",

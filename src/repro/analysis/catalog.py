@@ -38,8 +38,7 @@ _FAMILIES = (
      "idioms the runtime relies on (`repro lint`)."),
     ("M4", "M4xx — protocol model checker",
      "Bounded exhaustive exploration of the coordinator/worker message "
-     "protocol plus the AST/docstring conformance pass "
-     "(`repro analyze --model-check`)."),
+     "protocol the runtime dispatches on (`repro analyze --model-check`)."),
 )
 
 

@@ -1,16 +1,11 @@
 """Protocol model checking for the distributed executor (M4xx rules).
 
-Three layers, consumed together by ``repro analyze --model-check``:
-
-* :mod:`~repro.analysis.protocol.model` — the declarative vocabulary
-  (messages, role state machines, budgets, disciplines);
-* :mod:`~repro.analysis.protocol.spec` — the executor's declared
-  protocol, the single source of truth;
-* :mod:`~repro.analysis.protocol.checker` — bounded exhaustive
-  exploration proving deadlock freedom, bounded queues, and recovery /
-  resume safety over small scopes, with reproducing traces;
-* :mod:`~repro.analysis.protocol.conformance` — the AST/docstring pass
-  pinning the model to the ``repro.dist`` call sites.
+The protocol itself — wire vocabulary, role state machines, budgets — is
+declared in :mod:`repro.dist.protocol`, beside the message classes, and is
+the table the runtime dispatches on; this package *explores* it:
+:mod:`~repro.analysis.protocol.checker` is a bounded exhaustive search
+proving deadlock freedom, bounded queues, and recovery / resume safety over
+small scopes, with reproducing traces (``repro analyze --model-check``).
 """
 
 from repro.analysis.protocol.checker import (
@@ -20,39 +15,14 @@ from repro.analysis.protocol.checker import (
     check_protocol,
     default_scenarios,
 )
-from repro.analysis.protocol.conformance import (
-    Annotation,
-    CallSite,
-    check_protocol_conformance,
-)
-from repro.analysis.protocol.model import (
-    COORDINATOR_ROLE,
-    DATA_CHANNEL,
-    TELEMETRY_CHANNEL,
-    WORKER_ROLE,
-    MsgSpec,
-    ProtocolModel,
-    RoleMachine,
-    Transition,
-)
-from repro.analysis.protocol.spec import build_protocol_model
+from repro.dist.protocol import PROTOCOL, ProtocolModel
 
 __all__ = [
-    "Annotation",
-    "CallSite",
-    "COORDINATOR_ROLE",
-    "DATA_CHANNEL",
     "FaultSpec",
     "ModelCheckResult",
-    "MsgSpec",
+    "PROTOCOL",
     "ProtocolModel",
-    "RoleMachine",
     "Scenario",
-    "TELEMETRY_CHANNEL",
-    "Transition",
-    "WORKER_ROLE",
-    "build_protocol_model",
     "check_protocol",
-    "check_protocol_conformance",
     "default_scenarios",
 ]

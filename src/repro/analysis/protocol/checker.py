@@ -5,7 +5,7 @@ deadlocks, unbounded queues) almost always have counterexamples within a
 tiny scope — one to three ranks, one injected fault, a couple of work
 units, at most one steal excursion.  This module explores *every*
 interleaving of the declared protocol model
-(:mod:`repro.analysis.protocol.spec`) over exactly those scopes with an
+(:mod:`repro.dist.protocol`) over exactly those scopes with an
 explicit-state breadth-first search, and reports violations as ordinary
 analysis findings (``M40x``) carrying a **reproducing trace**: the
 ordered message/action sequence from the initial state to the bad one.
@@ -72,15 +72,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.findings import AnalysisReport
-from repro.analysis.protocol.model import (
-    COORDINATOR_ROLE,
-    WORKER_ROLE,
-    ProtocolModel,
-)
-
-#: Worker fault kinds the scenario generator covers. ``fail`` is
-#: accepted as an alias of ``kill`` (the paper-facing name).
-FAULT_KINDS = ("kill", "stall", "abort", "raise")
+from repro.dist.protocol import COORDINATOR_ROLE, WORKER_ROLE, ProtocolModel
 
 #: Longest counterexample trace rendered into a finding message.
 _MAX_TRACE_STEPS = 60

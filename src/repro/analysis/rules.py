@@ -8,8 +8,7 @@ Rule ids are stable, grep-able, and grouped by layer:
 * ``L3xx`` — AST concurrency lint (:mod:`repro.analysis.lint`);
 * ``M4xx`` — protocol model checker (:mod:`repro.analysis.protocol`):
   bounded exhaustive exploration of the coordinator/worker message
-  protocol plus the AST/docstring conformance pass that pins the model
-  to the code in :mod:`repro.dist`.
+  protocol :mod:`repro.dist.protocol` declares and the runtime runs.
 
 Lint findings may be suppressed per line with ``# repro: noqa[RULE]``
 (comma-separate several ids, or ``noqa[all]``); the structural P/D/M
@@ -223,17 +222,3 @@ register(Rule("M408", "protocol-relinquish-unacked", E,
               "worker (with the yielded positions, or empty when stale) "
               "or be provably superseded by the rank's own completion or "
               "recovery"))
-register(Rule("M410", "protocol-undeclared-message", E,
-              "a send/recv site or docstring protocol annotation in "
-              "repro.dist references a message the protocol model does not "
-              "declare, or disagrees with the model's source/destination "
-              "roles or channel"))
-register(Rule("M411", "protocol-unimplemented-edge", W,
-              "the protocol model declares a message that no annotated "
-              "send site (or no annotated recv site) in repro.dist "
-              "implements: the model has drifted ahead of the code"))
-register(Rule("M412", "protocol-unannotated-site", W,
-              "a send/recv call site in repro.dist has no covering "
-              "'send/recv <msg>: <src> -> <dst> [channel]' protocol "
-              "annotation in its enclosing function, class, or module "
-              "docstring: the conformance pass cannot tie it to the model"))

@@ -248,42 +248,6 @@ def _write_artifact(path: str, report, meta: dict) -> None:
     )
 
 
-def _cmd_trace(args) -> int:
-    import json
-
-    from repro.core import psgemm_distributed
-    from repro.machine import summit
-    from repro.sparse import random_block_sparse
-    from repro.tiling import random_tiling
-
-    rows = random_tiling(args.m, 20, 80, seed=args.seed)
-    inner = random_tiling(args.k, 20, 80, seed=args.seed + 1)
-    a = random_block_sparse(rows, inner, 0.5, seed=args.seed + 2)
-    b = random_block_sparse(inner, inner, 0.5, seed=args.seed + 3)
-    _, report = psgemm_distributed(
-        a, b, summit(args.procs), p=args.procs, trace=True
-    )
-    _write_artifact(
-        args.output, report,
-        meta={"command": "trace", "procs": args.procs, "seed": args.seed},
-    )
-    # Parse the artifact back: a trace that Perfetto cannot load is a bug.
-    # Metadata ("M") events label rank lanes; the spans are the "X" events.
-    with open(args.output, encoding="utf-8") as fh:
-        parsed = json.load(fh)
-    events = parsed["traceEvents"]
-    spans = [ev for ev in events if ev.get("ph") == "X"]
-    if not spans or any(
-        ev.get("ph") not in ("X", "M") for ev in events
-    ) or any("ts" not in ev or "dur" not in ev for ev in spans):
-        print(f"error: {args.output} is not a valid Chrome trace")
-        return 1
-    print(f"wrote {args.output}: {len(spans)} span(s) across "
-          f"{report.nworkers} rank(s)")
-    print(report.observability_summary())
-    return 0
-
-
 def _parse_band(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     try:
@@ -385,22 +349,28 @@ def _cmd_monitor(args) -> int:
     import time
 
     from repro.dist import read_events, replay_health, resolve_events_path
+    from repro.dist.health import TERMINAL_EVENTS
 
     run_id = getattr(args, "run_id", None)
     path = resolve_events_path(args.events, run_id)
 
-    def render() -> tuple[str, bool]:
+    def render() -> tuple[str, str | None]:
+        """The table, and the run's terminal event once it is logged."""
         if not os.path.exists(path):
-            return f"(waiting for {path})", False
+            return f"(waiting for {path})", None
         events = read_events(path, run_id=run_id)
         health = replay_health(events)
-        finished = any(ev.get("event") == "done" for ev in events)
-        last = events[-1]["t"] if events else None
-        table = health.table(now=last)
-        head = f"{path}: {len(events)} event(s)" + (
-            " — run complete" if finished else ""
+        end = next(
+            (ev for ev in events if ev.get("event") in TERMINAL_EVENTS), None
         )
-        return head + "\n" + table, finished
+        ended = end["event"] if end else None
+        last = events[-1]["t"] if events else None
+        head = f"{path}: {len(events)} event(s)"
+        if ended == "done":
+            head += " — run complete"
+        elif ended:
+            head += f" — run {ended}: {end.get('reason', '')}"
+        return head + "\n" + health.table(now=last), ended
 
     if not args.follow:
         text, _ = render()
@@ -408,10 +378,10 @@ def _cmd_monitor(args) -> int:
         return 0 if os.path.exists(path) else 1
 
     while True:
-        text, finished = render()
+        text, ended = render()
         print(text, flush=True)
-        if finished:
-            return 0
+        if ended:
+            return 0 if ended == "done" else 1
         time.sleep(args.interval)
 
 
@@ -597,20 +567,13 @@ def _cmd_analyze(args) -> int:
     print(f"analyzed plan: {plan.grid.nprocs} rank(s), "
           f"{sum(len(pp.blocks) for pp in plan.procs)} block(s)")
     if args.model_check:
-        from repro.analysis import (
-            build_protocol_model,
-            check_protocol,
-            check_protocol_conformance,
-            default_scenarios,
-        )
+        from repro.analysis import PROTOCOL, check_protocol, default_scenarios
 
-        model = build_protocol_model()
         result = check_protocol(
-            model, default_scenarios(max_ranks=args.max_ranks)
+            PROTOCOL, default_scenarios(max_ranks=args.max_ranks)
         )
         print(result.summary())
         report.extend(result.report)
-        report.extend(check_protocol_conformance(model))
     print(report.render())
     if args.sarif:
         from repro.analysis import write_sarif
@@ -749,29 +712,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "PATH for `repro explain`")
     st.set_defaults(func=_cmd_selftest)
 
-    tr = sub.add_parser(
-        "trace",
-        help="run the multi-process executor and write its Chrome trace",
-    )
-    tr.add_argument("--procs", type=int, default=2,
-                    help="number of real worker processes (default 2)")
-    tr.add_argument("-o", "--output", default="trace.json",
-                    help="Chrome-trace JSON path (load in Perfetto / "
-                         "chrome://tracing)")
-    tr.add_argument("--m", type=int, default=300,
-                    help="rows of A (problem size)")
-    tr.add_argument("--k", type=int, default=900,
-                    help="inner dimension (problem size)")
-    tr.set_defaults(func=_cmd_trace)
-
     exp = sub.add_parser(
         "explain",
         help="attribute a traced run: critical path, blame buckets, "
              "model-vs-measured audit, optional run-to-run diff",
     )
     exp.add_argument("--trace", required=True, metavar="PATH",
-                     help="run artifact to analyze (from `repro trace -o` or "
-                          "`repro selftest --trace`)")
+                     help="run artifact to analyze (from "
+                          "`repro selftest --procs N --trace PATH`)")
     exp.add_argument("--baseline", metavar="PATH",
                      help="a second run artifact of the same plan to diff "
                           "against (attributes the makespan delta to "
@@ -796,7 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="path to the run's JSONL event log "
                          "(default run-events.jsonl)")
     mo.add_argument("--follow", action="store_true",
-                    help="keep re-rendering until the run's 'done' event")
+                    help="keep re-rendering until the run's terminal event "
+                         "(exit 0 on 'done', 1 on 'aborted' / 'failed')")
     mo.add_argument("--interval", type=float, default=1.0,
                     help="seconds between --follow refreshes (default 1)")
     mo.add_argument("--run-id",
@@ -860,8 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="GC budget assumed for the store pre-flight")
     an.add_argument("--model-check", action="store_true",
                     help="also model-check the distributed executor protocol "
-                         "(bounded exhaustive exploration, M4xx rules) and "
-                         "run the dist-tree conformance pass")
+                         "(bounded exhaustive exploration, M4xx rules)")
     an.add_argument("--max-ranks", type=int, default=2,
                     help="largest rank count the model check explores "
                          "(default 2; 3 is exhaustive but slower)")

@@ -12,6 +12,8 @@ oracle: same plan, same seeds, identical C.
 
 * :mod:`~repro.dist.tile_store` — shared-memory tile arenas + leak registry;
 * :mod:`~repro.dist.comm` — coordinator/worker queues, per-link byte counts;
+* :mod:`~repro.dist.protocol` — the protocol declared once: what endpoints
+  enforce, the coordinator dispatches on and the model checker explores;
 * :mod:`~repro.dist.bservice` — per-rank on-demand B generation under an
   LRU budget (:class:`~repro.runtime.gpu_memory.GpuMemory` semantics);
 * :mod:`~repro.dist.worker` — the per-rank process and its fault hooks;

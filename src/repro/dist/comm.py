@@ -27,11 +27,19 @@ straggler to :class:`RelinquishMsg` its unstarted blocks (acked with a
 the reclaimed blocks to a finished helper rank as a :class:`HandoffMsg`
 (answered with a :class:`HandoffDoneMsg`).  These ride the ordinary
 inbox/gather queues: they only exist when ``rebalance=True``, and the
-comm-volume crosscheck tests run without it.
+comm-volume crosscheck tests run without it.  A serving pool ends a warm
+worker between jobs with a :class:`ShutdownMsg`.
+
+The vocabulary is closed: :mod:`repro.dist.protocol` declares each message
+class with its sending role, receiving role and channel, and an
+:class:`Endpoint` refuses to send a class that is not declared, or one
+leaving the wrong role or on the wrong channel (:class:`ProtocolError`) —
+one check, in the one place every sender goes through.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 import queue as _queue
 from collections import Counter
@@ -41,6 +49,41 @@ from repro.util.units import fmt_bytes
 
 #: The coordinator's rank in link keys (workers are ``0..nprocs-1``).
 COORDINATOR = -1
+
+#: Role names used throughout the protocol declaration.
+COORDINATOR_ROLE = "coordinator"
+WORKER_ROLE = "worker"
+
+#: The two physical channels of :class:`CommLayer`: ``data`` (inboxes +
+#: gather queue) and the out-of-band ``telemetry`` queue heartbeats ride so
+#: they can never delay control messages.
+DATA_CHANNEL = "data"
+TELEMETRY_CHANNEL = "telemetry"
+
+
+class ProtocolError(RuntimeError):
+    """A send the declared protocol (:mod:`repro.dist.protocol`) forbids."""
+
+
+@functools.cache
+def _wire() -> dict:
+    """Message class -> declaration.  Imported on first use: the protocol
+    module imports this one for the classes it declares."""
+    from repro.dist.protocol import WIRE
+
+    return WIRE
+
+
+def _role(rank: int) -> str:
+    return COORDINATOR_ROLE if rank == COORDINATOR else WORKER_ROLE
+
+
+@dataclass(frozen=True)
+class ShutdownMsg:
+    """Coordinator -> pooled worker: leave the dispatch loop and exit.
+    Sent by the serving layer between jobs, never during a run."""
+
+    reason: str = "shutdown"
 
 
 @dataclass(frozen=True)
@@ -160,7 +203,27 @@ class Endpoint:
     messages: Counter = field(default_factory=Counter)
     telemetry_bytes: Counter = field(default_factory=Counter)
 
+    def _check(self, dst: int, msg, channel: str) -> None:
+        """Refuse a message the protocol does not declare for this link.
+
+        Objects of builtin types are raw payloads, not messages: the fabric
+        carries and counts them (its accounting tests and the benchmark's
+        ping do exactly that) and no role machine has a row for one.
+        """
+        spec = _wire().get(type(msg))
+        if spec is None:
+            if type(msg).__module__ == "builtins":
+                return
+            raise ProtocolError(f"undeclared message class {type(msg).__name__}")
+        link = (_role(self.rank), _role(dst), channel)
+        if link != (spec.src, spec.dst, spec.channel):
+            raise ProtocolError(
+                f"{spec.name!r} is declared {spec.src} -> {spec.dst} "
+                f"[{spec.channel}], not {link[0]} -> {link[1]} [{link[2]}]"
+            )
+
     def send(self, dst: int, msg) -> int:
+        self._check(dst, msg, DATA_CHANNEL)
         blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         self.link_bytes[(self.rank, dst)] += len(blob)
         self.messages[(self.rank, dst)] += 1
@@ -194,6 +257,7 @@ class Endpoint:
         call from a worker's heartbeat thread while the main thread uses
         :meth:`send` — the two paths touch disjoint queues and counters.
         """
+        self._check(COORDINATOR, msg, TELEMETRY_CHANNEL)
         blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         self.telemetry_bytes[(self.rank, COORDINATOR)] += len(blob)
         self.telemetry.put((self.rank, blob))

@@ -7,7 +7,7 @@ the reduction applies the identical ``beta*C`` seeding and one-producer
 accumulation).  The serial executor is therefore the crosscheck oracle for
 this one.
 
-Responsibilities:
+One run is one :class:`_Coordinator`; its phases, in order:
 
 * **scatter** — ship each rank its :class:`~repro.dist.worker.ScatterMsg`
   through the :class:`~repro.dist.comm.CommLayer` (bytes counted per
@@ -17,46 +17,31 @@ Responsibilities:
   pair as process arguments, so nothing is packed.  *Arena* (a borrowed
   pool predates the operands, ``spawn`` inherits nothing): A and a
   concrete B are packed into shared-memory arenas first;
-* **supervise** — gather replies (classes of :mod:`repro.dist.comm`,
-  dispatched on type); a worker that exits without reporting (crash, kill
-  fault) or reports an error is *retried once* in a fresh process, and if
-  that attempt also fails its rank is *reassigned* to a coordinator-local
-  spare — :func:`~repro.dist.worker.run_rank` called in this process on
-  the message a worker would have got (minus the fault), so a single
-  faulty rank cannot lose the contraction;
+* **supervise** — every reply (a class of :mod:`repro.dist.comm`), every
+  heartbeat and every patrol verdict (dead worker, missed-heartbeat stall,
+  straggler, abort) is an *event* of the coordinator machine
+  :mod:`repro.dist.protocol` declares, and the row's ``action`` names the
+  method that handles it: the table the model checker proves (M401-M408)
+  is the dispatch table.  A failed rank is *retried once* in a fresh
+  process, then *reassigned* to a coordinator-local spare —
+  :func:`~repro.dist.worker.run_rank` called in this process on the
+  message a worker would have got (minus the fault) — so a single faulty
+  rank cannot lose the contraction;
 * **reduce** — seed ``beta*C``, then take every producer's C tiles where
   its worker wrote them (:meth:`~repro.dist.tile_store.TileArena.adopt`):
   a tile the input C has is added to (``beta*C + S``), any other *becomes*
   the result's tile — a view of the arena, whose mapping lives as long as
-  the tile while the segment's name goes with the run — enforcing the
-  one-producer-per-tile invariant, and merge per-rank
-  :class:`~repro.runtime.numeric.NumericStats` via
-  :meth:`NumericStats.merge`;
-* **observe** — merge every rank's monotonic
+  the tile while the segment's name goes with the run;
+* **report** — merge per-rank stats and every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
   each recorder's single wall-clock sample) into one
   :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
   utilization queries work on real runs exactly as on simulated ones;
-* **monitor** — drain worker heartbeats off the comm layer's telemetry
-  channel into a live :class:`~repro.dist.health.RunHealth`: a rank
-  silent for ``stall_after_beats`` heartbeat intervals is declared
-  *stalled* and fed into the same recovery path a crashed worker takes
-  (terminate, retry once, then reassign), slow-but-beating ranks are
-  flagged as stragglers, and every life-cycle transition is appended to
-  the ``events_path`` JSONL log (the attach point for ``repro monitor``);
-* **rebalance** — with ``rebalance=True``, a flagged straggler is asked
-  to relinquish its unstarted blocks; the acked positions are handed off
-  to a finished worker rank as a :class:`~repro.dist.comm.HandoffMsg`
-  (or to :func:`~repro.dist.worker.run_handoff` in this process when
-  none is free or the helper fails), journaled under the origin's rank
-  into sidecar journals, and reduced as their own producer — one
-  owner per block at every instant, so the one-producer-per-tile
-  invariant survives any steal x fault interleaving (rules M407/M408 in
-  the protocol model);
-* **clean up** — terminate stragglers and unlink every shared-memory
-  segment in a ``finally``, success or not (the leak tests attach-probe
-  every name afterwards); arenas of failed or superseded attempts are
-  unmapped there too, adopted ones when the result drops their tiles.
+* **teardown** — success or not, reap the processes this run owns and
+  unlink every shared-memory segment (the leak tests attach-probe every
+  name afterwards).  By then the ``events_path`` JSONL log (the attach
+  point for ``repro monitor``) has its one terminal record: ``done`` from
+  ``report``, ``aborted`` / ``failed`` from ``fail``.
 
 Clock policy: every run-relative clock and deadline here is
 ``time.monotonic()`` — an NTP step can neither fire nor suppress the
@@ -68,6 +53,7 @@ span streams.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import time
 from multiprocessing import resource_tracker
@@ -81,7 +67,8 @@ from repro.core.plan import ExecutionPlan
 from repro.dist.bservice import validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
-    BlockDoneMsg,
+    COORDINATOR_ROLE,
+    TELEMETRY_CHANNEL,
     CommLayer,
     CommStats,
     DoneMsg,
@@ -95,6 +82,7 @@ from repro.dist.comm import (
 from repro.dist.faults import FaultPlan
 from repro.dist.health import EventLog, RunHealth
 from repro.dist.pool import default_start_method
+from repro.dist.protocol import COORDINATOR_MACHINE, WIRE
 from repro.dist.tile_store import TileArena
 from repro.dist.worker import (
     ABORT_EXIT_CODE,
@@ -313,46 +301,51 @@ class DistReport:
         )
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """The keywords of :func:`execute_plan_distributed`, declared once
+    (its docstring says what each does)."""
+
+    fault_plan: FaultPlan | None = None
+    max_retries: int = 1
+    allow_reassign: bool = True
+    timeout: float = 120.0
+    start_method: str | None = None
+    verify_plan: bool = False
+    trace: bool = True
+    trace_max_spans: int = 200_000
+    heartbeat_interval: float = 0.25
+    stall_after_beats: int = 8
+    straggler_fraction: float = 0.25
+    metrics: bool = True
+    events_path: str | None = None
+    checkpoint_dir: str | None = None
+    store_dir: str | None = None
+    store_budget_bytes: int | None = None
+    snapshot_interval: float = 1.0
+    rebalance: bool = False
+    pool: object = None
+    run_id: str | None = None
+
+
 def execute_plan_distributed(
-    plan: ExecutionPlan,
-    a: BlockSparseMatrix,
-    b,
-    c: BlockSparseMatrix | None = None,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    *,
-    fault_plan: FaultPlan | None = None,
-    max_retries: int = 1,
-    allow_reassign: bool = True,
-    timeout: float = 120.0,
-    start_method: str | None = None,
-    verify_plan: bool = False,
-    trace: bool = True,
-    trace_max_spans: int = 200_000,
-    heartbeat_interval: float = 0.25,
-    stall_after_beats: int = 8,
-    straggler_fraction: float = 0.25,
-    metrics: bool = True,
-    events_path: str | None = None,
-    checkpoint_dir: str | None = None,
-    store_dir: str | None = None,
-    store_budget_bytes: int | None = None,
-    snapshot_interval: float = 1.0,
-    rebalance: bool = False,
-    pool=None,
-    run_id: str | None = None,
+    plan: ExecutionPlan, a: BlockSparseMatrix, b,
+    c: BlockSparseMatrix | None = None, alpha: float = 1.0, beta: float = 1.0,
+    **config,
 ) -> tuple[BlockSparseMatrix, DistReport]:
     """Run the plan across one real worker process per planned rank.
 
     Returns ``(C, report)`` with ``C`` bit-for-bit equal to the serial
     :func:`~repro.runtime.numeric.execute_plan` result for the same
-    operands and seeds.  ``fault_plan`` sabotages workers for recovery
-    testing; ``max_retries``/``allow_reassign`` tune the recovery policy
-    (retry-once-then-reassign by default).  ``verify_plan=True`` runs the
-    static plan verifier (:func:`repro.analysis.verify_plan`) first and
-    raises :class:`repro.analysis.PlanVerificationError` on any finding —
-    a corrupted plan is rejected before a single worker process spawns or
-    a single shared-memory segment is created.  ``trace=False`` disables
+    operands and seeds.  ``config`` takes the fields of :class:`RunConfig`
+    (anything else is a ``TypeError``).  ``fault_plan`` sabotages workers
+    for recovery testing; ``max_retries``/``allow_reassign`` tune the
+    recovery policy (retry-once-then-reassign by default).
+    ``verify_plan=True`` runs the static plan verifier
+    (:func:`repro.analysis.verify_plan`) first and raises
+    :class:`repro.analysis.PlanVerificationError` on any finding — a
+    corrupted plan is rejected before a single worker process spawns or a
+    single shared-memory segment is created.  ``trace=False`` disables
     span recording end to end (no clock reads in the workers' hot loops);
     the numeric result is identical either way.
 
@@ -365,23 +358,23 @@ def execute_plan_distributed(
     :class:`~repro.runtime.metrics.MetricsSnapshot` with each beat and
     report; the merged run-wide snapshot lands in ``report.metrics``.
     ``events_path`` appends the run's life-cycle (``plan_accepted``,
-    ``worker_up``, ``heartbeat``, ``stall``, ``reassign``, ``done``, ...)
-    as JSONL — the file ``repro monitor`` tails.  A ``run_id`` scopes the
-    log to a per-run file (``run-events.<run_id>.jsonl``) and stamps
-    every record, so concurrent jobs sharing an events directory never
-    clobber each other; ``report.events_path`` names the file written.
+    ``worker_up``, ``heartbeat``, ``stall``, ``reassign``, ...) as JSONL —
+    the file ``repro monitor`` tails — ending in exactly one terminal
+    record: ``done``, or ``aborted`` / ``failed`` with a ``reason``.  A
+    ``run_id`` scopes the log to a per-run file
+    (``run-events.<run_id>.jsonl``) and stamps every record, so concurrent
+    jobs sharing an events directory never clobber each other;
+    ``report.events_path`` names the file written.
 
     Pooled execution: ``pool`` (a :class:`~repro.dist.pool.WorkerPool`
     with ``pool.nranks == plan.grid.nprocs``) lends this run its comm
     layer and warm worker processes — the coordinator spawns nothing it
-    can reuse and, crucially, terminates nothing in its ``finally``, so
-    the processes (and any warm B-tile caches inside them) survive for
-    the next run.  The pool's owner is responsible for teardown
-    (:meth:`~repro.dist.pool.WorkerPool.close`) and, after a run that
-    raised, for resetting the pool (a worker may still be computing for
-    the dead run; :mod:`repro.serve` recycles the processes and drains
-    stale traffic).  ``start_method`` is ignored when a pool is given —
-    the pool's context wins.
+    can reuse and terminates nothing at teardown, so the processes (and
+    any warm B-tile caches inside them) survive for the next run.  The
+    pool's owner closes it and, after a run that raised, resets it (a
+    worker may still be computing for the dead run; :mod:`repro.serve`
+    recycles the processes and drains stale traffic).  ``start_method``
+    is ignored when a pool is given — the pool's context wins.
 
     Persistence: ``store_dir`` roots a :class:`~repro.store.TileStore`
     that backs every rank's B service as a second cache tier (tiles
@@ -389,15 +382,13 @@ def execute_plan_distributed(
     additionally turns on crash-consistent checkpointing: each rank
     journals every completed block (C tiles to the store first, then an
     fsynced journal line), the coordinator snapshots run identity and
-    per-rank progress every ``snapshot_interval`` seconds, and *every*
-    scatter — first attempt, retry, or a whole fresh run over the same
-    directory — first restores the journaled blocks instead of
-    recomputing them.  A run killed at any instant (including via the
-    ``abort`` fault, which fails the whole job unrecoverably) therefore
-    resumes bit-for-bit identical to an uninterrupted run.  A checkpoint
-    directory whose snapshot records a *different plan* is refused up
-    front (the P121 analysis rule makes the same check statically);
-    ``store_budget_bytes`` bounds the store on disk via LRU GC.
+    progress every ``snapshot_interval`` seconds, and *every* scatter —
+    first attempt, retry, or a fresh run over the same directory — restores
+    the journaled blocks instead of recomputing them, so a run killed at
+    any instant (the ``abort`` fault included) resumes bit-for-bit.  A
+    checkpoint directory of a *different plan* is refused up front (P121
+    checks the same statically); ``store_budget_bytes`` bounds the store
+    on disk via LRU GC.
 
     Rebalancing: ``rebalance=True`` turns straggler detection into
     action.  A flagged straggler is sent a cooperative relinquish
@@ -409,22 +400,9 @@ def execute_plan_distributed(
     the origin's rank, so checkpoint/resume replays ownership transfers
     transparently.  The result stays bit-for-bit equal to the serial
     executor.
-
-    Protocol:
-        recv done: worker -> coordinator [data]
-        recv error: worker -> coordinator [data]
-        recv relinquished: worker -> coordinator [data]
-        recv handoff_done: worker -> coordinator [data]
-
-    Both reports carry the attempt number they belong to; the supervise
-    loop discards any report from a superseded attempt (a retry raced
-    the patrol's grace window) — acting on one would credit a
-    half-written C arena or recover a rank twice.  The full protocol is
-    declared as a checkable model in
-    :mod:`repro.analysis.protocol.spec`; ``repro analyze --model-check``
-    explores it exhaustively over small scopes.
     """
-    if verify_plan:
+    cfg = RunConfig(**config)
+    if cfg.verify_plan:
         from repro.analysis import assert_plan_valid  # late import: avoid cycle
 
         assert_plan_valid(plan)
@@ -440,132 +418,228 @@ def execute_plan_distributed(
         # Fail fast: a B tile larger than the per-rank LRU budget would
         # otherwise empty a worker's cache and kill it mid-run.
         validate_b_budget(b.shape, plan.gpu_memory_bytes)
-    if fault_plan is not None:
-        for inj in fault_plan.injections:
+    if cfg.fault_plan is not None:
+        for inj in cfg.fault_plan.injections:
             require(
                 inj.rank < plan.grid.nprocs,
                 f"fault injection targets rank {inj.rank}, but the plan has "
                 f"only {plan.grid.nprocs} rank(s)",
             )
-
-    # ---- persistence / checkpoint identity --------------------------------
-    persist = checkpoint_dir is not None or store_dir is not None
-    plan_hash = b_hash = run_hash = ""
-    coord_store: TileStore | None = None
-    if persist or pool is not None:
-        # A pooled run fingerprints its operands even without a disk
-        # tier: the workers' process-lifetime warm caches are keyed by
-        # the B fingerprint, and an empty namespace would alias operands.
-        plan_hash = plan_fingerprint(plan)
-        b_hash = b_fingerprint(b)
-        run_hash = run_fingerprint(plan_hash, b_hash, alpha)
-    if persist:
-        store_root = store_dir or f"{checkpoint_dir}/store"
-        if checkpoint_dir is not None:
-            snap = read_snapshot(checkpoint_dir)
-            if snap is not None and snap.get("plan") not in (None, plan_hash):
-                raise DistExecutionError(
-                    f"checkpoint directory {checkpoint_dir!r} belongs to a "
-                    f"different plan (snapshot plan hash "
-                    f"{str(snap.get('plan'))[:12]}..., this plan "
-                    f"{plan_hash[:12]}...); resume with the original "
-                    f"operands/grid or point checkpoint_dir at a fresh "
-                    f"directory"
-                )
-        coord_store = TileStore(store_root, budget_bytes=store_budget_bytes)
-
-    nranks = plan.grid.nprocs
-    if pool is not None:
-        require(not pool.closed, "worker pool is closed")
-        require(
-            pool.nranks == nranks,
-            f"plan wants {nranks} rank(s) but the pool serves {pool.nranks}",
-        )
-        ctx = pool.ctx
-        comm = pool.comm
-    else:
-        ctx = mp.get_context(start_method or default_start_method())
-        comm = CommLayer(nranks, ctx)
-    coord = comm.endpoint(COORDINATOR)
-    comm_stats = CommStats()
-    # The coordinator's own recorder doubles as the run's monotonic clock
-    # and the alignment anchor for every rank's span stream.
-    rec = SpanRecorder(enabled=trace, max_spans=trace_max_spans)
-    clock = rec.now
-
-    registry = MetricsRegistry(enabled=metrics)
-    m_heartbeats = registry.counter(
-        "repro_heartbeats_total", "worker heartbeats received"
-    )
-    m_stalls = registry.counter(
-        "repro_stalls_detected_total", "ranks declared stalled via missed heartbeats"
-    )
-    m_retries = registry.counter(
-        "repro_worker_retries_total", "worker processes respawned after a failure"
-    )
-    m_reassigned = registry.counter(
-        "repro_ranks_reassigned_total", "ranks reassigned to the coordinator"
-    )
-    m_rebalance_requests = registry.counter(
-        "repro_rebalance_requests_total",
-        "relinquish requests sent to flagged stragglers",
-    )
-    m_rebalance_blocks = registry.counter(
-        "repro_rebalance_blocks_reclaimed_total",
-        "blocks reclaimed from stragglers and handed off",
-    )
-    m_rebalance_tasks = registry.counter(
-        "repro_rebalance_tasks_moved_total",
-        "GEMM tasks moved off stragglers by the rebalancer",
-    )
-    m_rebalance_handoffs = registry.counter(
-        "repro_rebalance_handoffs_total",
-        "handoffs dispatched (to helper ranks or the inline spare)",
-    )
-    m_blocks_completed = registry.counter(
-        "repro_blocks_completed_total",
-        "per-block completion reports received on the telemetry channel",
-    )
-    health = RunHealth(
-        heartbeat_interval=heartbeat_interval,
-        stall_after_beats=stall_after_beats,
-        straggler_fraction=straggler_fraction,
-    )
-    events = EventLog(events_path, run_id)
-    events.emit(
-        "plan_accepted",
-        nranks=nranks,
-        heartbeat_interval=heartbeat_interval,
-        stall_after_beats=stall_after_beats,
-        tasks_per_rank={r: plan.procs[r].ntasks for r in range(nranks)},
-    )
-
-    arenas: list[TileArena] = []
-    workers: dict[int, mp.Process] = {}
-    # clock() stamps bracketing each rank's life outside its own recorder:
-    # ``spawn_clock`` at proc.start(), ``report_clock`` at done-report
-    # receipt.  At merge time the windows they bound against the worker's
-    # own span extent become measured ``spawn.<rank>`` / ``report.<rank>``
-    # spans (process startup; report serialization + shipping) instead of
-    # unattributable idle on the critical path.
-    spawn_clock: dict[int, float] = {}
-    report_clock: dict[int, float] = {}
-    # Processes this call forks itself are born holding A and B; a pool's
-    # predate them and spawned ones inherit nothing — those get arenas.
-    resident = pool is None and ctx.get_start_method() == "fork"
+    run = _Coordinator(plan, a, b, alpha, cfg)
     try:
-        a_meta = None
-        if not resident:
-            with rec.span("pack.a", "net.-1"):
-                arenas.append(TileArena.pack("a", a.items()))
-            a_meta = arenas[-1].meta()
+        run.scatter()
+        run.supervise()
+        out = run.reduce(c, beta)
+        return out, run.report()
+    except BaseException as exc:
+        run.fail(exc)
+        raise
+    finally:
+        run.teardown()
 
+
+#: The coordinator's own counters: ``repro_<key>_total`` -> help.
+_COUNTERS = {
+    "heartbeats": "worker heartbeats received",
+    "stalls_detected": "ranks declared stalled via missed heartbeats",
+    "worker_retries": "worker processes respawned after a failure",
+    "ranks_reassigned": "ranks reassigned to the coordinator",
+    "rebalance_requests": "relinquish requests sent to flagged stragglers",
+    "rebalance_blocks_reclaimed": "blocks reclaimed from stragglers and handed off",
+    "rebalance_tasks_moved": "GEMM tasks moved off stragglers by the rebalancer",
+    "rebalance_handoffs": "handoffs dispatched (to helper ranks or the inline spare)",
+    "blocks_completed":
+        "per-block completion reports received on the telemetry channel",
+}
+
+#: When a reply is *live* — from the attempt (or handoff) the run is
+#: waiting on; anything else is the table's ``:stale`` variant, discarded:
+#: acting on it would credit a half-written C arena or recover a rank
+#: twice.  One predicate per message a worker may send, keyed by wire name.
+_LIVE = {
+    "done": lambda run, m: (
+        m.rank in run.pending and m.report.attempt == run.live_attempt(m.rank)
+    ),
+    # attempt -1: the worker failed before it had read any scatter.
+    "error": lambda run, m: (
+        m.rank in run.pending and m.attempt in (-1, run.live_attempt(m.rank))
+    ),
+    # Only the ack of the request sent to the live attempt: the rank may
+    # have finished, died or been retried in between.
+    "relinquished": lambda run, m: (
+        m.rank in run.pending
+        and m.attempt == run.live_attempt(m.rank)
+        == run.outstanding_relinquish.get(m.rank)
+    ),
+    # Already resolved (timed out and redone inline) or a duplicate.
+    "handoff_done": lambda run, m: m.handoff_id in run.pending_handoffs,
+    "heartbeat": lambda run, m: run.health.expects(m),
+    "block_done": lambda run, m: m.attempt == run.live_attempt(m.rank),
+}
+
+
+class _Coordinator:
+    """One distributed run: state as attributes, phases as methods.
+
+    ``state`` walks :data:`~repro.dist.protocol.COORDINATOR_MACHINE`
+    (``supervising -> draining -> done``, or ``aborted`` / ``failed``):
+    every reply (:meth:`event_of`) and patrol verdict is an event :meth:`fire`
+    looks up there, and the row's ``action`` names the handling method.
+    """
+
+    machine = COORDINATOR_MACHINE
+
+    def __init__(self, plan: ExecutionPlan, a, b, alpha: float, cfg: RunConfig):
+        self.plan, self.a, self.b, self.alpha, self.cfg = plan, a, b, alpha, cfg
+        self.nranks = nranks = plan.grid.nprocs
+        self.state = self.machine.initial
+        pool = cfg.pool
+
+        # ---- persistence / checkpoint identity ----------------------------
+        persist = cfg.checkpoint_dir is not None or cfg.store_dir is not None
+        self.plan_hash = self.b_hash = self.run_hash = ""
+        self.store: TileStore | None = None
+        if persist or pool is not None:
+            # A pooled run fingerprints its operands even without a disk
+            # tier: the workers' process-lifetime warm caches are keyed by
+            # the B fingerprint, and an empty namespace would alias operands.
+            self.plan_hash = plan_fingerprint(plan)
+            self.b_hash = b_fingerprint(b)
+            self.run_hash = run_fingerprint(self.plan_hash, self.b_hash, alpha)
+        if persist:
+            if cfg.checkpoint_dir is not None:
+                snap = read_snapshot(cfg.checkpoint_dir)
+                if snap is not None and snap.get("plan") not in (None, self.plan_hash):
+                    raise DistExecutionError(
+                        f"checkpoint directory {cfg.checkpoint_dir!r} belongs to a "
+                        f"different plan (snapshot plan hash "
+                        f"{str(snap.get('plan'))[:12]}..., this plan "
+                        f"{self.plan_hash[:12]}...); resume with the original "
+                        f"operands/grid or point checkpoint_dir at a fresh "
+                        f"directory"
+                    )
+            self.store = TileStore(
+                cfg.store_dir or f"{cfg.checkpoint_dir}/store",
+                budget_bytes=cfg.store_budget_bytes,
+            )
+
+        if pool is not None:
+            require(not pool.closed, "worker pool is closed")
+            require(
+                pool.nranks == nranks,
+                f"plan wants {nranks} rank(s) but the pool serves {pool.nranks}",
+            )
+            self.ctx, self.comm = pool.ctx, pool.comm
+        else:
+            self.ctx = mp.get_context(cfg.start_method or default_start_method())
+            self.comm = CommLayer(nranks, self.ctx)
+        self.coord = self.comm.endpoint(COORDINATOR)
+        self.comm_stats = CommStats()
+        # The coordinator's own recorder doubles as the run's monotonic clock
+        # and the alignment anchor for every rank's span stream.
+        self.rec = SpanRecorder(enabled=cfg.trace, max_spans=cfg.trace_max_spans)
+        self.registry = MetricsRegistry(enabled=cfg.metrics)
+        self.counters = {
+            key: self.registry.counter(f"repro_{key}_total", text)
+            for key, text in _COUNTERS.items()
+        }
+        self.health = RunHealth(
+            heartbeat_interval=cfg.heartbeat_interval,
+            stall_after_beats=cfg.stall_after_beats,
+            straggler_fraction=cfg.straggler_fraction,
+        )
+        self.events = EventLog(cfg.events_path, cfg.run_id)
+        self.events.emit(
+            "plan_accepted",
+            nranks=nranks,
+            heartbeat_interval=cfg.heartbeat_interval,
+            stall_after_beats=cfg.stall_after_beats,
+            tasks_per_rank={r: plan.procs[r].ntasks for r in range(nranks)},
+        )
+
+        self.arenas: list[TileArena] = []
+        self.workers: dict[int, mp.Process] = {}
+        # rec.now() at proc.start() and at done-report receipt: against the
+        # worker's own span extent they bound the measured ``spawn.<rank>``
+        # (process startup) and ``report.<rank>`` (report pickling +
+        # shipping) spans, else unattributable idle on the critical path.
+        self.spawn_clock: dict[int, float] = {}
+        self.report_clock: dict[int, float] = {}
+        # Processes this call forks itself are born holding A and B; a pool's
+        # predate them and spawned ones inherit nothing — those get arenas.
+        self.resident = pool is None and self.ctx.get_start_method() == "fork"
+
+        #: rank -> attempts started (the live attempt is one less).
+        self.attempts = {rank: 1 for rank in range(nranks)}
+        self.c_arenas: dict[int, TileArena] = {}
+        #: The freshest cumulative MetricsSnapshot per rank — heartbeats
+        #: update it live, the rank's final report supersedes them.
+        self.last_metrics: dict[int, MetricsSnapshot] = {}
+        #: Block positions reclaimed from each rank, cumulative across its
+        #: attempts: a retried origin must never re-execute a block the
+        #: rebalancer already owns (that would double-produce its tiles).
+        self.stolen_blocks: dict[int, set[tuple[int, int]]] = {}
+        self.reports: dict[int, WorkerReport] = {}
+        self.reassigned: list[int] = []
+        self.stalled: list[int] = []
+        self.pending = set(range(nranks))
+        self.suspects: dict[int, float] = {}
+        self.flagged_stragglers: set[int] = set()
+        #: rank -> attempt of the one relinquish request in flight to it.
+        self.outstanding_relinquish: dict[int, int] = {}
+        #: handoff id -> record of a dispatch to a helper rank (origin,
+        #: helper, blocks, arena, start instant).
+        self.pending_handoffs: dict[int, dict] = {}
+        #: handoff id -> (origin, adopted C tiles, stats) for the reduction.
+        self.handoff_results: dict[int, tuple] = {}
+        self.handoff_ids = itertools.count()
+
+    def live_attempt(self, rank: int) -> int:
+        """The 0-based attempt of ``rank`` whose replies count."""
+        return self.attempts.get(rank, 0) - 1
+
+    # ---- the table, dispatched ---------------------------------------------
+
+    def event_of(self, msg) -> str:
+        """Classify a reply as ``recv:<name>``, or ``recv:<name>:stale`` when
+        it is not from the attempt (or handoff) the run is waiting on."""
+        spec = WIRE.get(type(msg))
+        if spec is None or spec.dst != COORDINATOR_ROLE:
+            raise DistExecutionError(f"unexpected message {msg!r}")
+        live = _LIVE[spec.name](self, msg)
+        return f"recv:{spec.name}" if live else f"recv:{spec.name}:stale"
+
+    def fire(self, event: str, *subject) -> None:
+        """Take the table's row for ``event`` in the current state and call
+        the method its ``action`` names.  No row, no run: the model checker
+        proves (M402) that this cannot happen to the declared table."""
+        row = self.machine.on(self.state, event)
+        if row is None:
+            raise DistExecutionError(
+                f"coordinator state {self.state!r} has no transition for {event!r}"
+            )
+        self.state = row.next_state
+        if row.action:
+            getattr(self, row.action)(*subject)
+
+    def fail(self, exc: BaseException) -> None:
+        """The run is lost (``aborted`` already, else ``failed``): end the
+        log with its one terminal record."""
+        if self.state != "aborted":
+            self.state = "failed"
+        self.events.emit(self.state, reason=str(exc) or type(exc).__name__)
+
+    # ---- scatter -------------------------------------------------------------
+
+    def scatter(self) -> None:
+        """Pack what the data plane needs, then spawn and scatter each rank."""
+        plan, cfg, b = self.plan, self.cfg, self.b
+        a_meta = None if self.resident else self.pack("a", self.a)
         if isinstance(b, BlockSparseMatrix):
-            b_spec = ("resident", None)
-            if not resident:
-                with rec.span("pack.b", "net.-1"):
-                    arenas.append(TileArena.pack("b", b.items()))
-                b_spec = ("arena", arenas[-1].meta())
+            b_spec = (
+                ("resident", None) if self.resident
+                else ("arena", self.pack("b", b))
+            )
         elif isinstance(b, GeneratedCollection):
             b_spec = ("generated", b.empty_clone())
         else:
@@ -576,566 +650,510 @@ def execute_plan_distributed(
 
         #: What every scatter and handoff of this run says about operands,
         #: numerics and persistence: one dict, so the two cannot drift.
-        run_fields = dict(
-            a_meta=a_meta, b_spec=b_spec, alpha=alpha,
+        self.run_fields = dict(
+            a_meta=a_meta, b_spec=b_spec, alpha=self.alpha,
             gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
             tau=plan.options.screen_threshold,
-            store_dir=store_dir, store_budget=store_budget_bytes,
-            b_hash=b_hash, ckpt_dir=checkpoint_dir, run_hash=run_hash,
+            store_dir=cfg.store_dir, store_budget=cfg.store_budget_bytes,
+            b_hash=self.b_hash, ckpt_dir=cfg.checkpoint_dir,
+            run_hash=self.run_hash,
         )
         #: The same, for a rank or handoff this process executes itself
         #: (`run_rank` / `run_handoff` called in-process): it reads the A
         #: and B it holds, whatever plane the worker processes are on.
-        in_process_fields = dict(
-            run_fields, a_meta=None,
+        self.in_process_fields = dict(
+            self.run_fields, a_meta=None,
             b_spec=("resident", None) if b_spec[0] == "arena" else b_spec,
         )
+        for rank in range(self.nranks):
+            self.scatter_rank(rank)
 
-        def c_arena_for(tag: str, blocks) -> TileArena:
-            """A fresh output arena with room for every C tile of ``blocks``."""
-            arena = TileArena.allocate(tag, sum(blk.c_bytes for blk in blocks))
-            arenas.append(arena)
-            return arena
+    # Every arena goes on ``self.arenas`` the moment it exists, and
+    # ``teardown`` unlinks them all: hence the two noqa[L301].
 
-        # ---- scatter ------------------------------------------------------
-        attempts = {rank: 1 for rank in range(nranks)}
-        c_arenas: dict[int, TileArena] = {}
-        #: The freshest cumulative MetricsSnapshot per rank — heartbeats
-        #: update it live, the rank's final report supersedes them.
-        last_metrics: dict[int, MetricsSnapshot] = {}
+    def pack(self, tag: str, matrix):
+        """Pack an operand into a shared-memory arena; returns its meta."""
+        with self.rec.span(f"pack.{tag}", "net.-1"):
+            self.arenas.append(TileArena.pack(tag, matrix.items()))  # repro: noqa[L301]
+        return self.arenas[-1].meta()
 
-        def completed_for(rank: int) -> tuple:
-            """Journaled-and-validated blocks this scatter may skip.
+    def c_arena_for(self, tag: str, blocks) -> TileArena:
+        """A fresh output arena with room for every C tile of ``blocks``."""
+        self.arenas.append(
+            TileArena.allocate(tag, sum(blk.c_bytes for blk in blocks))  # repro: noqa[L301]
+        )
+        return self.arenas[-1]
 
-            Re-read from disk on *every* scatter: a fresh run resumes a
-            prior run's journal, and a retried rank resumes whatever its
-            killed predecessor managed to journal this run.
-            """
-            if checkpoint_dir is None:
-                return ()
-            done = validated_completed_blocks(
-                checkpoint_dir, rank, run_hash, coord_store
+    def completed_for(self, rank: int) -> tuple:
+        """Journaled-and-validated blocks this scatter may skip, re-read on
+        *every* scatter: a fresh run resumes a prior run's journal, a retried
+        rank whatever its killed predecessor journaled this run."""
+        if self.cfg.checkpoint_dir is None:
+            return ()
+        done = validated_completed_blocks(
+            self.cfg.checkpoint_dir, rank, self.run_hash, self.store
+        )
+        return tuple((g, bi, rec_.tiles) for (g, bi), rec_ in sorted(done.items()))
+
+    def block_tasks(self, rank: int, positions) -> int:
+        """GEMM tasks in the ``(gpu, index)`` block positions of ``rank``."""
+        return sum(
+            self.plan.procs[rank].gpu_blocks(g)[bi].ntasks for g, bi in positions
+        )
+
+    def rank_msg(self, rank: int, in_process: bool = False) -> ScatterMsg:
+        """The live attempt of ``rank`` as a message: a fresh C arena, the
+        journaled blocks to restore, the stolen ones to skip.
+
+        A worker process also gets the fault armed for this attempt; an
+        in-process execution never does — an injection armed for every
+        attempt would ``os._exit`` the coordinator.
+        """
+        plan, cfg, attempt = self.plan, self.cfg, self.live_attempt(rank)
+        self.c_arenas[rank] = self.c_arena_for(
+            f"c{rank}a{attempt}", plan.procs[rank].blocks
+        )
+        inj = None
+        if not in_process and cfg.fault_plan is not None:
+            inj = cfg.fault_plan.for_rank(rank)
+        if inj is not None and not inj.armed(attempt):
+            inj = None
+        stolen = self.stolen_blocks.get(rank, set())
+        # A journal may already hold stolen blocks (the handoff's
+        # sidecar): they are the handoff's to produce, not this rank's
+        # to restore.
+        completed = tuple(
+            t for t in self.completed_for(rank) if (t[0], t[1]) not in stolen
+        )
+        if completed:
+            self.events.emit(
+                "resume", rank=rank, attempt=attempt, blocks=len(completed),
+                tasks_skipped=self.block_tasks(
+                    rank, [(g, bi) for g, bi, _ in completed]
+                ),
             )
-            return tuple(
-                (g, bi, rec_.tiles) for (g, bi), rec_ in sorted(done.items())
+        return ScatterMsg(
+            proc=plan.procs[rank],
+            grid=plan.grid,
+            gpus_per_proc=plan.grid.gpus_per_proc,
+            c_meta=self.c_arenas[rank].meta(),
+            fault=inj,
+            attempt=attempt,
+            trace=cfg.trace,
+            max_spans=cfg.trace_max_spans,
+            heartbeat_interval=cfg.heartbeat_interval,
+            metrics=cfg.metrics,
+            completed=completed,
+            excluded=tuple(sorted(stolen)),
+            rebalance=cfg.rebalance,
+            **(self.in_process_fields if in_process else self.run_fields),
+        )
+
+    def scatter_rank(self, rank: int) -> None:
+        """Bring up a process for ``rank`` and ship it its live attempt."""
+        self.spawn(rank)
+        msg = self.rank_msg(rank)
+        t_send = self.rec.now()
+        sent = self.coord.send(rank, msg)
+        self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.rec.now())
+        self.rec.count("bytes.scatter", sent)
+        # Net of the blocks stolen from earlier attempts: the rank's
+        # progress fraction is over what it still owns.
+        tasks_total = self.plan.procs[rank].ntasks - self.block_tasks(
+            rank, self.stolen_blocks.get(rank, ())
+        )
+        self.health.on_scatter(rank, tasks_total, msg.attempt, time.monotonic())
+        self.last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
+        self.events.emit(
+            "scatter", rank=rank, attempt=msg.attempt, tasks_total=tasks_total
+        )
+
+    def spawn(self, rank: int) -> None:
+        self.spawn_clock[rank] = self.rec.now()
+        if self.cfg.pool is not None:
+            # Borrowed: warm from a previous run, or respawned by the pool
+            # after a failure; mirrored so liveness checks read one dict.
+            self.workers[rank] = self.cfg.pool.ensure(rank)
+            return
+        # One shared tracker, as in WorkerPool.ensure.
+        resource_tracker.ensure_running()
+        proc = self.ctx.Process(
+            target=worker_main,
+            args=(rank, self.comm.endpoint(rank), None, False,
+                  (self.a, self.b) if self.resident else None),
+            daemon=True,
+        )
+        proc.start()
+        self.workers[rank] = proc
+
+    # ---- supervise: the handlers the table names ---------------------------
+
+    def accept_report(self, rank: int, report: WorkerReport) -> None:
+        """The live attempt of ``rank`` finished, wherever it ran."""
+        self.reports[rank] = report
+        self.report_clock[rank] = self.rec.now()
+        self.pending.discard(rank)
+        if report.metrics is not None:
+            self.last_metrics[rank] = report.metrics
+
+    def complete_rank(self, msg: DoneMsg) -> None:
+        rank, report = msg.rank, msg.report
+        self.accept_report(rank, report)
+        self.suspects.pop(rank, None)
+        # A done report supersedes any relinquish in flight to
+        # this rank (M408) and retires its straggler flag.
+        self.outstanding_relinquish.pop(rank, None)
+        self.flagged_stragglers.discard(rank)
+        self.health.on_done(rank, time.monotonic())
+        self.events.emit(
+            "rank_done", rank=rank, attempt=report.attempt,
+            tasks=report.stats.ntasks,
+        )
+
+    def discard(self, msg) -> None:
+        """A stale reply is logged and dropped, never credited (late
+        telemetry is routine: dropped silently)."""
+        spec = WIRE[type(msg)]
+        if spec.channel == TELEMETRY_CHANNEL:
+            return
+        if spec.name == "handoff_done":
+            ref = {"handoff": msg.handoff_id}
+        else:  # a DoneMsg names its attempt inside the report
+            ref = {"attempt": getattr(msg, "report", msg).attempt}
+        self.events.emit("stale_report", rank=msg.rank, kind=spec.name, **ref)
+
+    def run_inline(self, rank: int) -> None:
+        """Reassign a twice-failed rank to the coordinator-local spare:
+        :func:`~repro.dist.worker.run_rank`, called in this process —
+        same message, same arena, same report as a worker's, minus the
+        endpoint (no heartbeats, no inbox to poll)."""
+        msg = self.rank_msg(rank, in_process=True)
+        self.spawn_clock.pop(rank, None)  # no process start-up to attribute
+        self.accept_report(rank, run_rank(msg, (self.a, self.b)))
+        self.reassigned.append(rank)
+        self.counters["ranks_reassigned"].inc()
+        self.health.mark(rank, "reassigned")
+        self.events.emit("reassign", rank=rank, attempt=self.attempts[rank])
+
+    def recover_rank(self, failure: ErrorMsg) -> None:
+        """Retry the rank once in a fresh process, then reassign it inline.
+        ``failure`` is the worker's own report, or the one the patrol files
+        for a rank that exited or went silent."""
+        rank, reason = failure.rank, failure.traceback
+        self.suspects.pop(rank, None)
+        # A retried or reassigned rank starts a fresh attempt: its
+        # straggler flag must not outlive the attempt it measured (a
+        # slow *second* attempt must be re-flaggable), and any
+        # relinquish in flight to the dead attempt is superseded.
+        self.flagged_stragglers.discard(rank)
+        self.outstanding_relinquish.pop(rank, None)
+        old = self.workers.pop(rank, None)
+        if old is not None and old.is_alive():
+            # Still breathing (a stalled or wedged worker): put it down
+            # before its rank is re-executed anywhere else.
+            old.terminate()
+            old.join(timeout=1.0)
+        if self.attempts[rank] <= self.cfg.max_retries:
+            self.attempts[rank] += 1
+            self.counters["worker_retries"].inc()
+            self.health.mark(rank, "retried")
+            self.events.emit(
+                "retry", rank=rank, attempt=self.live_attempt(rank), reason=reason
+            )
+            self.scatter_rank(rank)
+        elif self.cfg.allow_reassign:
+            self.attempts[rank] += 1
+            self.run_inline(rank)
+        else:
+            raise DistExecutionError(
+                f"rank {rank} failed after {self.attempts[rank]} attempt(s): {reason}"
             )
 
-        #: Block positions reclaimed from each rank, cumulative across its
-        #: attempts: a retried origin must never re-execute a block the
-        #: rebalancer already owns (that would double-produce its tiles).
-        stolen_blocks: dict[int, set[tuple[int, int]]] = {}
+    def abort_run(self, rank: int) -> None:
+        """The abort fault: the whole job is lost, not one rank — no retry,
+        no reassignment.  Whatever the journals captured is the resume point."""
+        self.events.emit("abort", rank=rank, attempt=self.live_attempt(rank))
+        ckpt = self.cfg.checkpoint_dir
+        raise DistExecutionError(
+            f"rank {rank} aborted (unrecoverable kill)"
+            + (f"; resume by re-running with checkpoint_dir={ckpt!r}"
+               if ckpt is not None else "")
+        )
 
-        def block_tasks(rank: int, positions) -> int:
-            """GEMM tasks in the ``(gpu, index)`` block positions of ``rank``."""
-            return sum(
-                plan.procs[rank].gpu_blocks(g)[bi].ntasks for g, bi in positions
-            )
+    def fold_health(self, hb) -> None:
+        """Fold one live heartbeat into the health picture."""
+        first = self.health.ranks[hb.rank].first_beat is None
+        self.health.on_heartbeat(hb, time.monotonic())
+        self.counters["heartbeats"].inc()
+        if hb.metrics is not None:
+            self.last_metrics[hb.rank] = hb.metrics
+        if first:
+            self.events.emit("worker_up", rank=hb.rank, attempt=hb.attempt)
+        self.events.emit(
+            "heartbeat", rank=hb.rank, attempt=hb.attempt, seq=hb.seq,
+            tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
+        )
 
-        def rank_msg(rank: int, attempt: int, in_process: bool = False) -> ScatterMsg:
-            """One attempt of ``rank`` as a message: a fresh C arena, the
-            journaled blocks to restore, the stolen ones to skip.
+    def fold_progress(self, msg) -> None:
+        self.counters["blocks_completed"].inc()
+        self.events.emit(
+            "block_done", rank=msg.rank, attempt=msg.attempt,
+            gpu=msg.gpu, block=msg.block, tasks=msg.ntasks,
+        )
 
-            A worker process also gets the fault armed for this attempt; an
-            in-process execution never does — an injection armed for every
-            attempt would ``os._exit`` the coordinator.
-            """
-            c_arenas[rank] = c_arena_for(
-                f"c{rank}a{attempt}", plan.procs[rank].blocks
-            )
-            inj = None if in_process or fault_plan is None else fault_plan.for_rank(rank)
-            if inj is not None and not inj.armed(attempt):
-                inj = None
-            stolen = stolen_blocks.get(rank, set())
-            # A journal may already hold stolen blocks (the handoff's
-            # sidecar): they are the handoff's to produce, not this rank's
-            # to restore.
-            completed = tuple(
-                t for t in completed_for(rank) if (t[0], t[1]) not in stolen
-            )
-            if completed:
-                events.emit(
-                    "resume", rank=rank, attempt=attempt,
-                    blocks=len(completed),
-                    tasks_skipped=block_tasks(
-                        rank, [(g, bi) for g, bi, _ in completed]
-                    ),
-                )
-            return ScatterMsg(
-                proc=plan.procs[rank],
-                grid=plan.grid,
-                gpus_per_proc=plan.grid.gpus_per_proc,
-                c_meta=c_arenas[rank].meta(),
-                fault=inj,
-                attempt=attempt,
-                trace=trace,
-                max_spans=trace_max_spans,
-                heartbeat_interval=heartbeat_interval,
-                metrics=metrics,
-                completed=completed,
-                excluded=tuple(sorted(stolen)),
-                rebalance=rebalance,
-                **(in_process_fields if in_process else run_fields),
-            )
+    def request_relinquish(self, rank: int) -> None:
+        """Flag a straggler and, when rebalancing, ask it to yield its
+        unstarted blocks.
 
-        def scatter(rank: int, attempt: int) -> None:
-            """Ship one rank its attempt.
+        At most one request per rank is in flight, pinned to the live
+        attempt so worker and :data:`_LIVE` discard one that raced a retry.
+        """
+        self.flagged_stragglers.add(rank)
+        self.health.mark(rank, "straggler")
+        self.events.emit("straggler", rank=rank)
+        if (not self.cfg.rebalance or rank in self.outstanding_relinquish
+                or rank not in self.pending):
+            return
+        att = self.live_attempt(rank)
+        self.outstanding_relinquish[rank] = att
+        self.coord.send(rank, RelinquishMsg(attempt=att))
+        self.counters["rebalance_requests"].inc()
+        self.events.emit("rebalance", rank=rank, attempt=att)
 
-            Protocol:
-                send scatter: coordinator -> worker [data]
-            """
-            msg = rank_msg(rank, attempt)
-            t_send = clock()
-            sent = coord.send(rank, msg)
-            rec.record(f"scatter.{rank}", f"net.{rank}", t_send, clock())
-            rec.count("bytes.scatter", sent)
-            # Net of the blocks stolen from earlier attempts: the rank's
-            # progress fraction is over what it still owns.
-            stolen = stolen_blocks.get(rank, ())
-            tasks_total = plan.procs[rank].ntasks - block_tasks(rank, stolen)
-            health.on_scatter(rank, tasks_total, attempt, time.monotonic())
-            last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
-            events.emit(
-                "scatter", rank=rank, attempt=attempt, tasks_total=tasks_total
-            )
+    def pick_helper(self) -> int | None:
+        """A finished worker rank able to absorb a handoff, or ``None``: one
+        with a live process (an inline-reassigned rank has none)."""
+        for r in sorted(self.reports):  # reported, hence no longer pending
+            proc = self.workers.get(r)
+            if proc is not None and proc.is_alive():
+                return r
+        return None
 
-        def spawn(rank: int) -> None:
-            spawn_clock[rank] = clock()
-            if pool is not None:
-                # Borrowed process: alive from a previous run (warm) or
-                # respawned by the pool after a failure.  The pool keeps
-                # the canonical record; ``workers`` mirrors it so the
-                # supervise loop's liveness checks read one dict.
-                workers[rank] = pool.ensure(rank)
+    def handoff_msg(self, hid: int, origin: int, blocks: tuple,
+                    in_process: bool = False) -> tuple[HandoffMsg, TileArena]:
+        """One execution of a handoff as a message, with its own fresh
+        ``h<id>`` C arena: a re-execution never shares the arena a failed
+        or timed-out helper may still be writing."""
+        arena = self.c_arena_for(f"h{hid}", [blk for _, _, blk in blocks])
+        return HandoffMsg(
+            handoff_id=hid,
+            origin=origin,
+            blocks=blocks,
+            c_meta=arena.meta(),
+            **(self.in_process_fields if in_process else self.run_fields),
+        ), arena
+
+    def finish_handoff(self, hid: int, origin: int, helper: int | None,
+                       arena: TileArena, c_index: dict, stats) -> None:
+        self.handoff_results[hid] = (origin, arena.adopt(c_index), stats)
+        self.events.emit(
+            "handoff_done", handoff=hid, origin=origin, helper=helper,
+            tasks=stats.ntasks,
+        )
+
+    def run_handoff_inline(self, hid: int, origin: int, blocks: tuple) -> None:
+        """Execute one handoff's blocks in the coordinator process
+        (:func:`~repro.dist.worker.run_handoff`, called in-process).
+
+        The fallback producer: no helper rank is free, or the chosen one
+        died, reported failure or timed out.  Re-executing after a partial
+        helper run is safe — duplicate journal/store records are
+        bit-identical and only this result's arena is adopted.
+        """
+        msg, arena = self.handoff_msg(hid, origin, blocks, in_process=True)
+        self.finish_handoff(
+            hid, origin, None, arena, *run_handoff(msg, (self.a, self.b))
+        )
+
+    def fail_handoff(self, hid: int, reason: str) -> None:
+        """A helper lost handoff ``hid``: redo its blocks inline."""
+        h = self.pending_handoffs.pop(hid)
+        self.events.emit(
+            "handoff_failed", handoff=hid, origin=h["origin"],
+            helper=h["helper"], reason=reason,
+        )
+        self.run_handoff_inline(hid, h["origin"], h["blocks"])
+
+    def dispatch_handoff(self, ack: RelinquishedMsg) -> None:
+        """The live ack of a relinquish request: the yielded blocks now
+        belong to a handoff — shipped to a helper rank, or run inline."""
+        origin, positions = ack.rank, ack.positions
+        del self.outstanding_relinquish[origin]
+        moved = self.block_tasks(origin, positions)
+        self.events.emit(
+            "relinquished", rank=origin, attempt=ack.attempt,
+            blocks=len(positions), tasks=moved,
+        )
+        if not positions:
+            return
+        self.stolen_blocks.setdefault(origin, set()).update(positions)
+        self.health.on_relinquished(origin, moved)
+        hid = next(self.handoff_ids)
+        blocks = tuple(
+            (g, bi, self.plan.procs[origin].gpu_blocks(g)[bi])
+            for g, bi in positions
+        )
+        helper = self.pick_helper()
+        self.counters["rebalance_handoffs"].inc()
+        self.counters["rebalance_blocks_reclaimed"].inc(len(blocks))
+        self.counters["rebalance_tasks_moved"].inc(moved)
+        self.events.emit(
+            "handoff", handoff=hid, origin=origin, helper=helper,
+            blocks=len(blocks), tasks=moved,
+        )
+        if helper is None:
+            self.run_handoff_inline(hid, origin, blocks)
+            return
+        msg, arena = self.handoff_msg(hid, origin, blocks)
+        self.pending_handoffs[hid] = {
+            "origin": origin, "helper": helper, "blocks": blocks,
+            "arena": arena, "started": time.monotonic(),
+        }
+        self.coord.send(helper, msg)
+
+    def absorb_handoff(self, msg: HandoffDoneMsg) -> None:
+        hid = msg.handoff_id
+        if msg.c_index is None:
+            self.fail_handoff(hid, "helper error")
+            return
+        h = self.pending_handoffs.pop(hid)
+        self.finish_handoff(
+            hid, h["origin"], msg.rank, h["arena"], msg.c_index, msg.stats
+        )
+
+    # ---- supervise: the loop -------------------------------------------------
+
+    def drain_telemetry(self) -> None:
+        """Dispatch every queued heartbeat and block completion."""
+        while True:
+            try:
+                src, msg, nbytes = self.coord.recv_telemetry()
+            except Empty:
                 return
-            # One shared tracker, as in WorkerPool.ensure.
-            resource_tracker.ensure_running()
-            proc = ctx.Process(
-                target=worker_main,
-                args=(rank, comm.endpoint(rank), None, False,
-                      (a, b) if resident else None),
-                daemon=True,
+            self.comm_stats.absorb_telemetry({(src, COORDINATOR): nbytes})
+            self.fire(self.event_of(msg), msg)
+
+    def patrol(self) -> None:
+        """Dead-worker, stall, and straggler checks between messages; each
+        verdict is an ``obs:`` event of the table."""
+        now = time.monotonic()
+        for rank in sorted(self.pending):
+            proc = self.workers.get(rank)
+            if proc is None or proc.exitcode is None:
+                continue
+            if proc.exitcode == ABORT_EXIT_CODE:
+                self.fire("obs:abort", rank)
+            elif now - self.suspects.setdefault(rank, now) >= _GRACE_SECONDS:
+                self.fire("obs:worker_exit", ErrorMsg(
+                    rank, self.live_attempt(rank),
+                    f"worker exited with code {proc.exitcode}",
+                ))
+        for rank in self.health.stalled_ranks(time.monotonic(), self.pending):
+            self.counters["stalls_detected"].inc()
+            self.stalled.append(rank)
+            self.health.mark(rank, "stalled")
+            silent = time.monotonic() - self.health.ranks[rank].last_signal
+            att = self.live_attempt(rank)
+            self.events.emit(
+                "stall", rank=rank, attempt=att, silent_seconds=round(silent, 3)
             )
-            proc.start()
-            workers[rank] = proc
+            self.fire("obs:stall", ErrorMsg(
+                rank, att,
+                f"stalled: no heartbeat for {silent:.2f} s "
+                f"(> {self.cfg.stall_after_beats} x {self.cfg.heartbeat_interval} s)",
+            ))
+        current = set(self.health.straggler_ranks(time.monotonic()))
+        for rank in sorted(current - self.flagged_stragglers):
+            self.fire("obs:straggler", rank)
+        for rank in sorted(self.flagged_stragglers - current):
+            # Recovery: the rank's windowed rate climbed back over the
+            # threshold (or it finished).  Clear the flag so a later
+            # slowdown re-flags it — a sticky flag would mute every
+            # straggler after its first offense.
+            self.flagged_stragglers.discard(rank)
+            rh = self.health.ranks.get(rank)
+            if rh is not None and rh.state == "straggler":
+                self.health.mark(rank, "running")
+                self.events.emit("straggler_recovered", rank=rank)
+        for hid in sorted(self.pending_handoffs):
+            h = self.pending_handoffs[hid]
+            proc = self.workers.get(h["helper"])
+            if proc is None or proc.exitcode is not None:
+                self.fail_handoff(hid, "helper died")
+            elif now - h["started"] > _HANDOFF_TIMEOUT_SECONDS:
+                self.fail_handoff(hid, "timeout")
 
-        for rank in range(nranks):
-            spawn(rank)
-            scatter(rank, attempt=0)
+    def snapshot(self, state: str) -> None:
+        """Atomically refresh ``coordinator.json`` with live progress."""
+        if self.cfg.checkpoint_dir is None:
+            return
+        write_snapshot(self.cfg.checkpoint_dir, {
+            "v": 1,
+            "state": state,
+            "plan": self.plan_hash,
+            "b": self.b_hash,
+            "run": self.run_hash,
+            "alpha": float(self.alpha),
+            "nranks": self.nranks,
+            "attempts": {str(r): a for r, a in self.attempts.items()},
+            "ranks": {
+                str(r): {
+                    "state": rh.state,
+                    "tasks_done": rh.tasks_done,
+                    "tasks_total": rh.tasks_total,
+                }
+                for r, rh in self.health.ranks.items()
+            },
+        })
 
-        # ---- supervise / gather -------------------------------------------
-        reports: dict[int, WorkerReport] = {}
-        reassigned: list[int] = []
-        stalled: list[int] = []
-        pending = set(range(nranks))
-        suspects: dict[int, float] = {}
-        deadline = time.monotonic() + timeout
-
-        # ---- rebalance state ---------------------------------------------
-        #: rank -> attempt of the one relinquish request in flight to it.
-        outstanding_relinquish: dict[int, int] = {}
-        #: handoff id -> record of a dispatch to a helper rank (origin,
-        #: helper, blocks, arena, start instant).
-        pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, adopted C tiles, stats) for the reduction.
-        handoff_results: dict[int, tuple] = {}
-        next_handoff = 0
-
-        def accept_report(rank: int, report: WorkerReport) -> None:
-            """The live attempt of ``rank`` finished, wherever it ran."""
-            reports[rank] = report
-            report_clock[rank] = clock()
-            pending.discard(rank)
-            if report.metrics is not None:
-                last_metrics[rank] = report.metrics
-
-        def run_inline(rank: int) -> None:
-            """Reassign a twice-failed rank to the coordinator-local spare:
-            :func:`~repro.dist.worker.run_rank`, called in this process —
-            same message, same arena, same report as a worker's, minus the
-            endpoint (no heartbeats, no inbox to poll)."""
-            msg = rank_msg(rank, attempts[rank] - 1, in_process=True)
-            spawn_clock.pop(rank, None)  # no process start-up to attribute
-            accept_report(rank, run_rank(msg, (a, b)))
-            reassigned.append(rank)
-            m_reassigned.inc()
-            health.mark(rank, "reassigned")
-            events.emit("reassign", rank=rank, attempt=attempts[rank])
-
-        def on_failure(rank: int, reason: str) -> None:
-            suspects.pop(rank, None)
-            # A retried or reassigned rank starts a fresh attempt: its
-            # straggler flag must not outlive the attempt it measured (a
-            # slow *second* attempt must be re-flaggable), and any
-            # relinquish in flight to the dead attempt is superseded.
-            flagged_stragglers.discard(rank)
-            outstanding_relinquish.pop(rank, None)
-            old = workers.pop(rank, None)
-            if old is not None and old.is_alive():
-                # Still breathing (a stalled or wedged worker): put it down
-                # before its rank is re-executed anywhere else.
-                old.terminate()
-                old.join(timeout=1.0)
-            if attempts[rank] <= max_retries:
-                attempts[rank] += 1
-                m_retries.inc()
-                health.mark(rank, "retried")
-                events.emit(
-                    "retry", rank=rank, attempt=attempts[rank] - 1, reason=reason
-                )
-                spawn(rank)
-                scatter(rank, attempt=attempts[rank] - 1)
-            elif allow_reassign:
-                attempts[rank] += 1
-                run_inline(rank)
-            else:
-                raise DistExecutionError(
-                    f"rank {rank} failed after {attempts[rank]} attempt(s): {reason}"
-                )
-
-        def drain_telemetry() -> None:
-            """Fold every queued heartbeat into the live health picture.
-
-            Protocol:
-                recv heartbeat: worker -> coordinator [telemetry]
-                recv block_done: worker -> coordinator [telemetry]
-            """
-            while True:
-                try:
-                    src, hb, nbytes = coord.recv_telemetry()
-                except Empty:
-                    return
-                comm_stats.absorb_telemetry({(src, COORDINATOR): nbytes})
-                if isinstance(hb, BlockDoneMsg):
-                    if hb.attempt == attempts.get(hb.rank, 0) - 1:
-                        m_blocks_completed.inc()
-                        events.emit(
-                            "block_done", rank=hb.rank, attempt=hb.attempt,
-                            gpu=hb.gpu, block=hb.block, tasks=hb.ntasks,
-                        )
-                    continue
-                now = time.monotonic()
-                first = (
-                    health.ranks.get(hb.rank) is not None
-                    and health.ranks[hb.rank].first_beat is None
-                )
-                if not health.on_heartbeat(hb, now):
-                    continue  # late beat from a terminated attempt
-                m_heartbeats.inc()
-                if hb.metrics is not None:
-                    last_metrics[hb.rank] = hb.metrics
-                if first:
-                    events.emit("worker_up", rank=hb.rank, attempt=hb.attempt)
-                events.emit(
-                    "heartbeat", rank=hb.rank, attempt=hb.attempt, seq=hb.seq,
-                    tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
-                )
-
-        flagged_stragglers: set[int] = set()
-
-        def maybe_relinquish(rank: int) -> None:
-            """Ask a flagged straggler to yield its unstarted blocks.
-
-            At most one request per rank is in flight; the pin to the live
-            attempt lets the worker (and the supervise loop) discard a
-            request that raced a retry.
-
-            Protocol:
-                send relinquish: coordinator -> worker [data]
-            """
-            if not rebalance or rank in outstanding_relinquish or rank not in pending:
-                return
-            att = attempts[rank] - 1
-            outstanding_relinquish[rank] = att
-            coord.send(rank, RelinquishMsg(attempt=att))
-            m_rebalance_requests.inc()
-            events.emit("rebalance", rank=rank, attempt=att)
-
-        def pick_helper() -> int | None:
-            """A finished worker rank able to absorb a handoff, or ``None``.
-
-            Only ranks with a live process qualify: an inline-reassigned
-            rank has none (``on_failure`` dropped it from ``workers``).
-            """
-            for r in sorted(reports):  # reported, hence no longer pending
-                proc = workers.get(r)
-                if proc is not None and proc.is_alive():
-                    return r
-            return None
-
-        def handoff_msg(hid: int, origin: int, blocks: tuple,
-                        in_process: bool = False) -> tuple[HandoffMsg, TileArena]:
-            """One execution of a handoff as a message, with its own fresh
-            ``h<id>`` C arena: a re-execution never shares the arena a failed
-            or timed-out helper may still be writing."""
-            arena = c_arena_for(f"h{hid}", [blk for _, _, blk in blocks])
-            return HandoffMsg(
-                handoff_id=hid,
-                origin=origin,
-                blocks=blocks,
-                c_meta=arena.meta(),
-                **(in_process_fields if in_process else run_fields),
-            ), arena
-
-        def finish_handoff(hid: int, origin: int, helper: int | None,
-                           arena: TileArena, c_index: dict, stats) -> None:
-            handoff_results[hid] = (origin, arena.adopt(c_index), stats)
-            events.emit(
-                "handoff_done", handoff=hid, origin=origin, helper=helper,
-                tasks=stats.ntasks,
-            )
-
-        def run_handoff_inline(hid: int, origin: int, blocks: tuple) -> None:
-            """Execute one handoff's blocks in the coordinator process
-            (:func:`~repro.dist.worker.run_handoff`, called in-process).
-
-            The fallback producer: used when no helper rank is free, when
-            the chosen helper dies or reports failure mid-handoff, or when
-            a handoff times out.  Re-executing after a partial helper run
-            is safe — duplicate journal/store records are bit-identical
-            and only this result's arena is adopted.
-            """
-            msg, arena = handoff_msg(hid, origin, blocks, in_process=True)
-            finish_handoff(hid, origin, None, arena, *run_handoff(msg, (a, b)))
-
-        def fail_handoff(hid: int, reason: str) -> None:
-            """A helper lost handoff ``hid``: redo its blocks inline."""
-            h = pending_handoffs.pop(hid)
-            events.emit(
-                "handoff_failed", handoff=hid, origin=h["origin"],
-                helper=h["helper"], reason=reason,
-            )
-            run_handoff_inline(hid, h["origin"], h["blocks"])
-
-        def dispatch_handoff(origin: int, positions: tuple, moved: int) -> None:
-            """Ship reclaimed blocks (``moved`` tasks) to a helper rank, or
-            run them inline.
-
-            Protocol:
-                send handoff: coordinator -> worker [data]
-            """
-            nonlocal next_handoff
-            hid = next_handoff
-            next_handoff += 1
-            blocks = tuple(
-                (g, bi, plan.procs[origin].gpu_blocks(g)[bi])
-                for g, bi in positions
-            )
-            helper = pick_helper()
-            m_rebalance_handoffs.inc()
-            m_rebalance_blocks.inc(len(blocks))
-            m_rebalance_tasks.inc(moved)
-            events.emit(
-                "handoff", handoff=hid, origin=origin, helper=helper,
-                blocks=len(blocks), tasks=moved,
-            )
-            if helper is None:
-                run_handoff_inline(hid, origin, blocks)
-                return
-            msg, arena = handoff_msg(hid, origin, blocks)
-            pending_handoffs[hid] = {
-                "origin": origin, "helper": helper, "blocks": blocks,
-                "arena": arena, "started": time.monotonic(),
-            }
-            coord.send(helper, msg)
-
-        def patrol() -> None:
-            """Dead-worker, stall, and straggler checks between messages."""
-            now = time.monotonic()
-            for rank in sorted(pending):
-                proc = workers.get(rank)
-                if proc is not None and proc.exitcode == ABORT_EXIT_CODE:
-                    # The abort fault: the whole job is lost, not one rank —
-                    # no retry, no reassignment.  Whatever the journals
-                    # captured is the resume point.
-                    events.emit("abort", rank=rank, attempt=attempts[rank] - 1)
-                    raise DistExecutionError(
-                        f"rank {rank} aborted (unrecoverable kill)"
-                        + (
-                            f"; resume by re-running with "
-                            f"checkpoint_dir={checkpoint_dir!r}"
-                            if checkpoint_dir is not None else ""
-                        )
-                    )
-                if proc is not None and proc.exitcode is not None:
-                    first = suspects.setdefault(rank, now)
-                    if now - first >= _GRACE_SECONDS:
-                        on_failure(rank, f"worker exited with code {proc.exitcode}")
-            for rank in health.stalled_ranks(time.monotonic(), pending):
-                m_stalls.inc()
-                stalled.append(rank)
-                health.mark(rank, "stalled")
-                silent = time.monotonic() - health.ranks[rank].last_signal
-                events.emit(
-                    "stall", rank=rank, attempt=attempts[rank] - 1,
-                    silent_seconds=round(silent, 3),
-                )
-                on_failure(
-                    rank,
-                    f"stalled: no heartbeat for {silent:.2f} s "
-                    f"(> {stall_after_beats} x {heartbeat_interval} s)",
-                )
-            current = set(health.straggler_ranks(time.monotonic()))
-            for rank in sorted(current - flagged_stragglers):
-                flagged_stragglers.add(rank)
-                health.mark(rank, "straggler")
-                events.emit("straggler", rank=rank)
-                maybe_relinquish(rank)
-            for rank in sorted(flagged_stragglers - current):
-                # Recovery: the rank's windowed rate climbed back over the
-                # threshold (or it finished).  Clear the flag so a later
-                # slowdown re-flags it — a sticky flag would mute every
-                # straggler after its first offense.
-                flagged_stragglers.discard(rank)
-                rh = health.ranks.get(rank)
-                if rh is not None and rh.state == "straggler":
-                    health.mark(rank, "running")
-                    events.emit("straggler_recovered", rank=rank)
-            for hid in sorted(pending_handoffs):
-                h = pending_handoffs[hid]
-                proc = workers.get(h["helper"])
-                if proc is None or proc.exitcode is not None:
-                    fail_handoff(hid, "helper died")
-                elif now - h["started"] > _HANDOFF_TIMEOUT_SECONDS:
-                    fail_handoff(hid, "timeout")
-
-        def snapshot(state: str) -> None:
-            """Atomically refresh ``coordinator.json`` with live progress."""
-            if checkpoint_dir is None:
-                return
-            write_snapshot(checkpoint_dir, {
-                "v": 1,
-                "state": state,
-                "plan": plan_hash,
-                "b": b_hash,
-                "run": run_hash,
-                "alpha": float(alpha),
-                "nranks": nranks,
-                "attempts": {str(r): a for r, a in attempts.items()},
-                "ranks": {
-                    str(r): {
-                        "state": rh.state,
-                        "tasks_done": rh.tasks_done,
-                        "tasks_total": rh.tasks_total,
-                    }
-                    for r, rh in health.ranks.items()
-                },
-            })
-
+    def supervise(self) -> None:
+        """Gather replies until no rank and no handoff is pending."""
         # The first snapshot lands before any worker makes progress, so a
         # run killed at any later instant still records its identity (and a
         # later mismatched plan is refused).
-        snapshot("running")
-        last_snapshot = time.monotonic()
-        last_patrol = time.monotonic()
-
-        while pending or pending_handoffs:
+        self.snapshot("running")
+        deadline = time.monotonic() + self.cfg.timeout
+        last_snapshot = last_patrol = time.monotonic()
+        while self.pending or self.pending_handoffs:
             if time.monotonic() > deadline:
                 raise DistExecutionError(
-                    f"distributed run timed out after {timeout:.0f} s "
-                    f"(pending ranks: {sorted(pending)})"
+                    f"distributed run timed out after {self.cfg.timeout:.0f} s "
+                    f"(pending ranks: {sorted(self.pending)})"
                 )
-            if time.monotonic() - last_snapshot >= snapshot_interval:
-                snapshot("running")
+            if time.monotonic() - last_snapshot >= self.cfg.snapshot_interval:
+                self.snapshot("running")
                 last_snapshot = time.monotonic()
-            drain_telemetry()
+            self.drain_telemetry()
             # Patrol on a bounded monotonic cadence, not only when the
             # inbox goes quiet: a steady message stream used to starve
             # dead-worker/stall/straggler detection entirely.
             if time.monotonic() - last_patrol >= _PATROL_INTERVAL_SECONDS:
-                patrol()
+                self.patrol()
                 last_patrol = time.monotonic()
             try:
-                src, msg, nbytes = coord.recv(timeout=0.1)
+                src, msg, nbytes = self.coord.recv(timeout=0.1)
             except Empty:
-                patrol()
+                self.patrol()
                 last_patrol = time.monotonic()
                 continue
-            rank = msg.rank
-            comm_stats.absorb({(rank, COORDINATOR): nbytes}, {(rank, COORDINATOR): 1})
-            if isinstance(msg, DoneMsg):
-                # Accept only the live attempt's report: a stale one from a
-                # superseded attempt (its worker lost the race against the
-                # patrol's grace window) points at a retired C arena — the
-                # protocol model's recv:done:stale -> discard edge.
-                report = msg.report
-                if rank in pending and report.attempt == attempts[rank] - 1:
-                    accept_report(rank, report)
-                    suspects.pop(rank, None)
-                    # A done report supersedes any relinquish in flight to
-                    # this rank (M408) and retires its straggler flag.
-                    outstanding_relinquish.pop(rank, None)
-                    flagged_stragglers.discard(rank)
-                    health.on_done(rank, time.monotonic())
-                    events.emit(
-                        "rank_done", rank=rank, attempt=report.attempt,
-                        tasks=report.stats.ntasks,
-                    )
-                else:
-                    events.emit(
-                        "stale_report", rank=rank, kind="done",
-                        attempt=report.attempt,
-                    )
-            elif isinstance(msg, ErrorMsg):
-                if rank in pending and msg.attempt in (-1, attempts[rank] - 1):
-                    on_failure(rank, msg.traceback)
-                else:
-                    events.emit(
-                        "stale_report", rank=rank, kind="error",
-                        attempt=msg.attempt,
-                    )
-            elif isinstance(msg, RelinquishedMsg):
-                # Accept only the ack for the request we sent to the live
-                # attempt; anything else is stale (the rank finished, died,
-                # or was retried in between).
-                att, positions = msg.attempt, msg.positions
-                requested = outstanding_relinquish.get(rank) == att
-                if requested:
-                    del outstanding_relinquish[rank]
-                if requested and rank in pending and att == attempts[rank] - 1:
-                    moved = block_tasks(rank, positions)
-                    events.emit(
-                        "relinquished", rank=rank, attempt=att,
-                        blocks=len(positions), tasks=moved,
-                    )
-                    if positions:
-                        stolen_blocks.setdefault(rank, set()).update(positions)
-                        health.on_relinquished(rank, moved)
-                        dispatch_handoff(rank, positions, moved)
-                else:
-                    events.emit(
-                        "stale_report", rank=rank, kind="relinquished",
-                        attempt=att,
-                    )
-            elif isinstance(msg, HandoffDoneMsg):
-                hid = msg.handoff_id
-                h = pending_handoffs.get(hid)
-                if h is None:
-                    # Already resolved (timed out and redone inline, or a
-                    # duplicate): the late result is stale, not an error.
-                    events.emit(
-                        "stale_report", rank=rank, kind="handoff_done",
-                        handoff=hid,
-                    )
-                elif msg.c_index is None:
-                    fail_handoff(hid, "helper error")
-                else:
-                    del pending_handoffs[hid]
-                    finish_handoff(
-                        hid, h["origin"], rank, h["arena"], msg.c_index, msg.stats
-                    )
-            else:  # pragma: no cover - unknown message type
-                raise DistExecutionError(f"unexpected message {msg!r}")
-        drain_telemetry()  # beats raced against the final reports
-        snapshot("done")
+            self.comm_stats.absorb({(src, COORDINATOR): nbytes}, {(src, COORDINATOR): 1})
+            self.fire(self.event_of(msg), msg)
+        self.fire("obs:all_done")
+        self.drain_telemetry()  # beats raced against the final reports
+        self.fire("obs:drained")
+        self.snapshot("done")
 
-        # ---- reduce -------------------------------------------------------
-        out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
+    # ---- reduce ----------------------------------------------------------------
+
+    def reduce(self, c: BlockSparseMatrix | None, beta: float) -> BlockSparseMatrix:
+        """Seed ``beta*C``, then adopt every producer's C tiles."""
+        out = BlockSparseMatrix(self.a.rows, self.plan.b_shape.cols)
         if c is not None:
             for (i, j), tile in c.items():
                 out.set_tile(i, j, beta * tile)
 
         produced_by: dict[tuple[int, int], object] = {}
-        t_reduce = clock()
+        t_reduce = self.rec.now()
 
         def reduce_producer(producer, who: str, tiles: dict) -> None:
             """Fold one producer's C tiles in: ``accumulate_tile`` adds to a
@@ -1149,139 +1167,151 @@ def execute_plan_distributed(
                 )
                 out.accumulate_tile(i, j, tile)
 
-        for rank in range(nranks):
+        for rank in range(self.nranks):
             reduce_producer(
-                rank, str(rank), c_arenas[rank].adopt(reports[rank].c_index)
+                rank, str(rank),
+                self.c_arenas[rank].adopt(self.reports[rank].c_index),
             )
         # Handoff producers reduce exactly like ranks: blocks within one
         # process hold disjoint column sets, so a stolen block's tiles can
         # collide neither with the origin's remaining blocks nor with any
         # other rank — the one-producer check enforces it (M407).
-        for hid in sorted(handoff_results):
-            origin, tiles, _ = handoff_results[hid]
+        for hid in sorted(self.handoff_results):
+            origin, tiles, _ = self.handoff_results[hid]
             reduce_producer(("handoff", hid), f"handoff {hid} of rank {origin}", tiles)
-        rec.record("reduce", "net.-1", t_reduce, clock())
+        self.rec.record("reduce", "net.-1", t_reduce, self.rec.now())
+        return out
 
-        # ---- merge stats / trace / comm / metrics -------------------------
+    # ---- report: merge stats / trace / comm / metrics ------------------------
+
+    def report(self) -> DistReport:
+        """Everything observed, merged; ends the log with ``done``."""
+        cfg, rec, plan = self.cfg, self.rec, self.plan
+        reports = [self.reports[rank] for rank in range(self.nranks)]
         stats = NumericStats.merge(
-            [reports[rank].stats for rank in range(nranks)]
-            + [s for _, _, s in handoff_results.values()]
+            [r.stats for r in reports]
+            + [s for _, _, s in self.handoff_results.values()]
         )
         run_trace = Trace()
         run_trace.extend(rec.spans)
         spans_dropped = rec.dropped
         span_counters: dict[str, float] = dict(rec.counters)
-        for rank in range(nranks):
-            stream = reports[rank].spans
+        for rank, rank_report in enumerate(reports):
+            stream = rank_report.spans
             if stream is not None:
-                # Re-base the rank's monotonic clock onto the coordinator's
-                # via the two recorders' wall-clock origin samples.
+                # Re-base the rank's clock onto the coordinator's via the
+                # two recorders' wall-clock origin samples.
                 offset = stream.wall_origin - rec.wall_origin
                 run_trace.extend(stream.spans, offset=offset)
                 spans_dropped += stream.dropped
                 for key, val in stream.counters.items():
                     span_counters[key] = span_counters.get(key, 0.0) + val
-                t_spawn = spawn_clock.get(rank)
+                t_spawn = self.spawn_clock.get(rank)
                 if stream.spans and t_spawn is not None and offset > t_spawn:
-                    # The measured process-startup window: proc.start() on
-                    # the coordinator's clock up to the worker recorder's
-                    # origin (its own spans begin at ~0).
+                    # Process startup: proc.start() up to the worker
+                    # recorder's origin (its own spans begin at ~0).
                     run_trace.add(f"spawn.{rank}", f"cpu.{rank}", t_spawn, offset)
-                t_report = report_clock.get(rank)
+                t_report = self.report_clock.get(rank)
                 if stream.spans and t_report is not None:
-                    # ... and the report-shipping window: the worker's last
-                    # recorded span to the coordinator's receipt (report
-                    # pickling + queue transfer).
+                    # Report shipping: the worker's last span up to receipt
+                    # here (report pickling + queue transfer).
                     last = max(e for _, _, _, e in stream.spans) + offset
                     if t_report > last:
                         run_trace.add(
                             f"report.{rank}", f"net.{rank}", last, t_report
                         )
-            comm_stats.absorb(reports[rank].link_bytes)
-        comm_stats.absorb(coord.link_bytes, coord.messages)
-        registry.counter(
+            self.comm_stats.absorb(rank_report.link_bytes)
+        self.comm_stats.absorb(self.coord.link_bytes, self.coord.messages)
+        self.registry.counter(
             "repro_spans_dropped_total",
             "trace spans discarded at the recorder bound",
         ).inc(rec.dropped)
         merged_metrics = MetricsSnapshot.merge(
-            [last_metrics[r] for r in sorted(last_metrics)] + [registry.snapshot()]
-        ) if metrics else None
+            [self.last_metrics[r] for r in sorted(self.last_metrics)]
+            + [self.registry.snapshot()]
+        ) if cfg.metrics else None
 
         perf_model = None
-        if trace:
+        if cfg.trace:
             # The predicted-cost twin of the measured trace: cheap to build
             # (reads stored plan aggregates) and what `repro explain` audits
             # the run against.
             from repro.perf import PerfModel
 
             perf_model = PerfModel.from_plan(
-                plan, plan_hash=plan_hash or plan_fingerprint(plan)
+                plan, plan_hash=self.plan_hash or plan_fingerprint(plan)
             )
 
+        blocks_rebalanced = sum(len(s) for s in self.stolen_blocks.values())
         dist_report = DistReport(
             stats=stats,
             trace=run_trace,
-            comm=comm_stats,
-            attempts=attempts,
-            reassigned=reassigned,
-            segments=[arena.name for arena in arenas],
+            comm=self.comm_stats,
+            attempts=self.attempts,
+            reassigned=self.reassigned,
+            segments=[arena.name for arena in self.arenas],
             b_max_instantiations=max(
-                (reports[r].b_max_instantiations for r in range(nranks)), default=0
+                (r.b_max_instantiations for r in reports), default=0
             ),
-            nworkers=nranks,
+            nworkers=self.nranks,
             started_at=rec.wall_origin,
-            b_hits=sum(reports[r].b_hits for r in range(nranks)),
-            b_evictions=sum(reports[r].b_lru_evictions for r in range(nranks)),
+            b_hits=sum(r.b_hits for r in reports),
+            b_evictions=sum(r.b_lru_evictions for r in reports),
             spans_dropped=spans_dropped,
-            shm_bytes=sum(arena.used_bytes for arena in arenas),
+            shm_bytes=sum(arena.used_bytes for arena in self.arenas),
             metrics=merged_metrics,
-            health=health,
-            events_path=events.path,
-            stalled=stalled,
-            checkpoint_dir=checkpoint_dir,
-            run_hash=run_hash,
-            plan_hash=plan_hash,
-            blocks_restored=sum(reports[r].blocks_restored for r in range(nranks)),
-            tasks_skipped=sum(reports[r].tasks_skipped for r in range(nranks)),
-            store_hits=sum(reports[r].store_hits for r in range(nranks)),
-            store_misses=sum(reports[r].store_misses for r in range(nranks)),
-            store_puts=sum(reports[r].store_puts for r in range(nranks)),
-            b_store_hits=sum(reports[r].b_store_hits for r in range(nranks)),
-            handoffs=len(handoff_results),
-            blocks_rebalanced=sum(len(s) for s in stolen_blocks.values()),
-            tasks_rebalanced=sum(block_tasks(r, s) for r, s in stolen_blocks.items()),
+            health=self.health,
+            events_path=self.events.path,
+            stalled=self.stalled,
+            checkpoint_dir=cfg.checkpoint_dir,
+            run_hash=self.run_hash,
+            plan_hash=self.plan_hash,
+            blocks_restored=sum(r.blocks_restored for r in reports),
+            tasks_skipped=sum(r.tasks_skipped for r in reports),
+            store_hits=sum(r.store_hits for r in reports),
+            store_misses=sum(r.store_misses for r in reports),
+            store_puts=sum(r.store_puts for r in reports),
+            b_store_hits=sum(r.b_store_hits for r in reports),
+            handoffs=len(self.handoff_results),
+            blocks_rebalanced=blocks_rebalanced,
+            tasks_rebalanced=sum(
+                self.block_tasks(r, s) for r, s in self.stolen_blocks.items()
+            ),
             model=perf_model,
             span_counters=span_counters,
-            run_id=run_id,
+            run_id=cfg.run_id,
         )
-        events.emit(
-            "done",
+        self.events.emit(
+            "done",  # the log's terminal record
             ntasks=stats.ntasks,
-            heartbeats=health.heartbeats,
-            retried=sorted(r for r, a in attempts.items() if a > 1),
-            stalled=sorted(set(stalled)),
-            reassigned=sorted(reassigned),
-            handoffs=len(handoff_results),
-            blocks_rebalanced=sum(len(s) for s in stolen_blocks.values()),
+            heartbeats=self.health.heartbeats,
+            retried=sorted(r for r, a in self.attempts.items() if a > 1),
+            stalled=sorted(set(self.stalled)),
+            reassigned=sorted(self.reassigned),
+            handoffs=len(self.handoff_results),
+            blocks_rebalanced=blocks_rebalanced,
         )
-        return out, dist_report
-    finally:
-        events.close()
-        if coord_store is not None:
-            coord_store.close()
-        if pool is None:
-            # One-shot run: the coordinator owns the processes and the
-            # comm layer, so it tears both down.  A borrowed pool stays
-            # warm — its owner (the serving layer) decides when workers
-            # die, and resets the pool itself after a failed run.
-            for proc in workers.values():
+        return dist_report
+
+    # ---- clean up ------------------------------------------------------------------
+
+    def teardown(self) -> None:
+        """Success or not: close the log and the store, reap the processes
+        this run owns, unlink every segment."""
+        self.events.close()
+        if self.store is not None:
+            self.store.close()
+        if self.cfg.pool is None:
+            # One-shot run: the processes and the comm layer are ours.  A
+            # borrowed pool stays warm; its owner resets it after a failure.
+            for proc in self.workers.values():
                 if proc.is_alive():
                     proc.terminate()
                 proc.join(timeout=2.0)
-        for arena in arenas:
+        for arena in self.arenas:
             arena.unlink()
-        if pool is None:
+        if self.cfg.pool is None:
             try:
-                comm.close()
+                self.comm.close()
             except Exception:  # pragma: no cover - queue teardown best-effort
                 pass

@@ -37,9 +37,11 @@ Three pieces:
 * :class:`EventLog` — a structured JSONL stream (``run-events.jsonl``)
   of the run's life-cycle: ``plan_accepted``, ``worker_up``,
   ``heartbeat``, ``stall``, ``straggler``, ``retry``, ``reassign``,
-  ``rank_done``, ``done``.  One writer (the coordinator), append-only,
-  one JSON object per line — the attach point for ``repro monitor`` and
-  the artifact CI uploads when a distributed test fails.
+  ``rank_done``, and exactly one terminal record — ``done``, or
+  ``aborted`` / ``failed`` with a ``reason`` (:data:`TERMINAL_EVENTS`).
+  One writer (the coordinator), append-only, one JSON object per line —
+  the attach point for ``repro monitor`` and the artifact CI uploads
+  when a distributed test fails.
 
 Clock policy: detection runs purely on ``time.monotonic()`` deltas; the
 single wall-clock stamp per event exists only to label log lines for
@@ -54,6 +56,9 @@ from dataclasses import dataclass, field
 from statistics import median
 
 from repro.runtime.metrics import MetricsSnapshot
+
+#: The events that end a run's log; ``repro monitor --follow`` stops at one.
+TERMINAL_EVENTS = ("done", "aborted", "failed")
 
 #: Extra seconds granted before a rank's *first* heartbeat of an attempt
 #: counts as missing (process spawn + import can dwarf the interval).
@@ -175,13 +180,20 @@ class RunHealth:
             rate_window=self.rate_window_beats,
         )
 
+    def expects(self, hb: HeartbeatMsg) -> bool:
+        """Whether ``hb`` is live: from the rank's current attempt (not a
+        terminated one) and not racing the rank's final report."""
+        rh = self.ranks.get(hb.rank)
+        return (
+            rh is not None and hb.attempt == rh.attempt
+            and rh.state not in ("done", "reassigned", "failed")
+        )
+
     def on_heartbeat(self, hb: HeartbeatMsg, now: float) -> bool:
         """Fold one heartbeat in; returns False for stale or late beats."""
-        rh = self.ranks.get(hb.rank)
-        if rh is None or hb.attempt != rh.attempt:
-            return False  # late beat from a terminated attempt
-        if rh.state in ("done", "reassigned", "failed"):
-            return False  # beat raced against the rank's final report
+        if not self.expects(hb):
+            return False
+        rh = self.ranks[hb.rank]
         rh.beats += 1
         rh.seq = max(rh.seq, hb.seq)
         rh.tasks_done = max(rh.tasks_done, hb.tasks_done)
@@ -490,3 +502,8 @@ def _replay_event(health: RunHealth, ev: dict) -> None:
         if rh is not None:
             rh.state = "done"
             rh.tasks_done = int(ev.get("tasks", rh.tasks_done))
+    elif kind in ("aborted", "failed"):
+        # The run's terminal record: whatever had not finished never will.
+        for rh in health.ranks.values():
+            if rh.state not in ("done", "reassigned"):
+                rh.state = "failed"

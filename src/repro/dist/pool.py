@@ -12,8 +12,7 @@ the *caller* wants, and the coordinator merely borrows them for one run
 pool keeps the one-shot behaviour (the coordinator forks its own workers,
 born holding the operands, and reaps them in its ``finally``).
 
-Division of labour — deliberate, so the protocol surface stays where the
-conformance pass (M410-M412) audits it:
+Division of labour:
 
 * **this module** handles *process* lifecycle only: spawn, respawn after
   a failure, liveness, terminate.  It never sends or receives a message.

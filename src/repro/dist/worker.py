@@ -289,9 +289,6 @@ class _Progress:
 class _HeartbeatThread:
     """Emits one :class:`HeartbeatMsg` per interval on a daemon thread.
 
-    Protocol:
-        send heartbeat: worker -> coordinator [telemetry]
-
     The first beat goes out immediately (the coordinator's "worker up"
     signal), later beats every ``interval`` seconds.  ``suspend()`` stops
     emission *without* waiting for the thread — the stall fault calls it
@@ -550,10 +547,6 @@ def run_rank(
                 neither journaled nor already skipped; the positions are
                 acked back so the coordinator knows exactly which blocks
                 it now owns.  A stale request is acked empty.
-
-                Protocol:
-                    recv relinquish: coordinator -> worker [data]
-                    send relinquished: worker -> coordinator [data]
                 """
                 if msg.rebalance and endpoint is not None:
                     while True:
@@ -581,11 +574,7 @@ def run_rank(
         if hb is not None:
 
             def on_block(g: int, bi: int, block, c_dev: dict) -> None:
-                """Report block completion out-of-band.
-
-                Protocol:
-                    send block_done: worker -> coordinator [telemetry]
-                """
+                """Report block completion out-of-band."""
                 if ckpt_on_block is not None:
                     ckpt_on_block(g, bi, block, c_dev)
                 try:
@@ -715,21 +704,11 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     (``pooled=True``) the same loop serves one :class:`ScatterMsg` *per
     job*, process outliving run; ``tile_cache`` (pickled empty at spawn,
     populated here) is the process-lifetime warm B-tile cache that makes
-    job N+1 over the same B fingerprint start hot.  Any unrecognised
-    directive — the serving layer's shutdown pill included — exits the
-    loop quietly.
+    job N+1 over the same B fingerprint start hot.  The serving layer's
+    :class:`~repro.dist.comm.ShutdownMsg` exits the loop quietly.
 
     ``operands`` is the run's ``(a, b)`` pair on the resident plane —
     process arguments cross a fork by inheritance, not by pickle.
-
-    Protocol:
-        recv scatter: coordinator -> worker [data]
-        send done: worker -> coordinator [data]
-        send error: worker -> coordinator [data]
-        recv relinquish: coordinator -> worker [data]
-        send relinquished: worker -> coordinator [data]
-        recv handoff: coordinator -> worker [data]
-        send handoff_done: worker -> coordinator [data]
 
     Every reply is a class of :mod:`repro.dist.comm` and names the attempt
     or handoff it belongs to, so the coordinator can discard one from a
@@ -768,7 +747,9 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                     HandoffDoneMsg(rank, msg.handoff_id, c_index, stats),
                 )
             else:
-                return  # unknown directive (incl. the serve pool's shutdown pill): exit quietly
+                # ShutdownMsg — the only other class an endpoint lets a
+                # coordinator send (repro.dist.protocol): exit quietly.
+                return
     except BaseException:  # noqa: BLE001 - ship the traceback to the coordinator
         try:
             endpoint.send(

@@ -1,15 +1,13 @@
 """Cross-run pool housekeeping: shutdown pill and stale-traffic drain.
 
-The :class:`~repro.dist.pool.WorkerPool` deliberately never sends or
-receives a message — the protocol surface the conformance pass audits
-lives in the coordinator.  The *cross-run* traffic that keeps a warm
-pool healthy between jobs lives here instead:
+The :class:`~repro.dist.pool.WorkerPool` never sends or receives a
+message.  The *cross-run* traffic that keeps a warm pool healthy between
+jobs lives here:
 
-* :class:`ShutdownMsg` — the pill.  A pooled worker's dispatch loop
-  treats any directive it does not recognize as "exit quietly", so the
-  pill needs no worker-side handler and no protocol-model change: it can
-  never race a run, because the serving layer only sends it when no run
-  is in flight.
+* :class:`~repro.dist.comm.ShutdownMsg` — the pill a pooled worker's
+  dispatch loop exits on, declared ``coordinator -> worker`` in
+  :mod:`repro.dist.protocol` like every other message.  It can never
+  race a run: the serving layer only sends it when no run is in flight.
 * :func:`drain_stale` — empties the coordinator-side gather and
   telemetry queues.  After a failed or timed-out run, a worker may still
   flush reports or heartbeats for the dead run; if those lingered they
@@ -21,17 +19,9 @@ pool healthy between jobs lives here instead:
 from __future__ import annotations
 
 import queue as _queue
-from dataclasses import dataclass
 
+from repro.dist.comm import ShutdownMsg
 from repro.dist.pool import WorkerPool
-
-
-@dataclass(frozen=True)
-class ShutdownMsg:
-    """The pill a pooled worker exits on (any unrecognized directive works;
-    a named message keeps intent greppable in logs and tests)."""
-
-    reason: str = "shutdown"
 
 
 def drain_stale(pool: WorkerPool) -> int:

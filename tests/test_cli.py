@@ -70,6 +70,35 @@ class TestCli:
         assert "run complete" not in out
         assert "2/6" in out  # live task progress from the heartbeat
 
+    @pytest.mark.parametrize("ending,code", [("done", 0), ("aborted", 1), ("failed", 1)])
+    def test_monitor_follow_stops_at_the_terminal_record(self, capsys, tmp_path,
+                                                         ending, code):
+        """Every run ends its log — a lost one too (it used to leave
+        ``--follow`` polling forever) — and what had not finished by then
+        is shown as failed, not as still running."""
+        from repro.dist import EventLog
+
+        path = str(tmp_path / "run-events.jsonl")
+        log = EventLog(path)
+        log.emit("plan_accepted", nranks=2, heartbeat_interval=0.1,
+                 tasks_per_rank={"0": 6, "1": 4})
+        log.emit("heartbeat", rank=1, attempt=0, seq=0, tasks_done=1)
+        log.emit("rank_done", rank=0, attempt=0, tasks=6)
+        if ending == "done":
+            log.emit("rank_done", rank=1, attempt=0, tasks=4)
+            log.emit("done", ntasks=10, heartbeats=1)
+        else:
+            log.emit(ending, reason="rank 1 is gone")
+        log.close()
+        assert main(["monitor", path, "--follow", "--interval", "0.01"]) == code
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[2:]}
+        if ending == "done":
+            assert "run complete" in out and rows == {"0": "done", "1": "done"}
+        else:
+            assert f"run {ending}: rank 1 is gone" in out
+            assert rows == {"0": "done", "1": "failed"}
+
     def test_monitor_missing_file(self, capsys, tmp_path):
         path = str(tmp_path / "nope.jsonl")
         assert main(["monitor", path]) == 1

@@ -409,6 +409,33 @@ class TestFaultRecovery:
         assert all(n == 1 for n in report.attempts.values())
         assert report.reassigned == []
 
+    @pytest.mark.dist
+    @pytest.mark.parametrize("fault,ending,reason", [
+        (FaultPlan.abort(0, 5), "aborted", "rank 0 aborted"),
+        (FaultPlan.kill(0, 5, once=False), "failed", "rank 0 failed after 2 attempt"),
+    ], ids=["abort", "unrecoverable-rank"])
+    def test_lost_run_ends_its_log(self, tmp_path, capsys, fault, ending, reason):
+        """A lost run leaves exactly one terminal record, with the reason,
+        and a monitor following the log stops (exit 1) on it."""
+        from repro.cli import main
+        from repro.dist import read_events
+        from repro.dist.health import TERMINAL_EVENTS
+
+        a, b = operands(seed=6)
+        events_path = str(tmp_path / "events.jsonl")
+        with pytest.raises(DistExecutionError, match=reason):
+            psgemm_distributed(
+                a, b, summit(2), p=2, events_path=events_path,
+                fault_plan=fault, allow_reassign=False,
+            )
+        assert not active_segments()
+        events = read_events(events_path)
+        ends = [e for e in events if e["event"] in TERMINAL_EVENTS]
+        assert [e["event"] for e in ends] == [ending] and ends[0] is events[-1]
+        assert reason in ends[0]["reason"]
+        assert main(["monitor", events_path, "--follow"]) == 1
+        assert f"run {ending}: {reason}" in capsys.readouterr().out
+
     def test_fault_plan_parsing(self):
         plan = FaultPlan.parse("1:20")
         assert plan.for_rank(1).kind == "kill" and plan.for_rank(1).at_task == 20

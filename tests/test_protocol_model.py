@@ -12,9 +12,9 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.protocol import (
+    PROTOCOL,
     FaultSpec,
     Scenario,
-    build_protocol_model,
     check_protocol,
     default_scenarios,
 )
@@ -22,7 +22,7 @@ from repro.analysis.protocol import (
 
 @pytest.fixture(scope="module")
 def model():
-    return build_protocol_model()
+    return PROTOCOL
 
 
 class TestCleanProtocol:
