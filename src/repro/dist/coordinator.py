@@ -3,7 +3,7 @@
 :func:`execute_plan_distributed` is the multi-process twin of
 :func:`repro.runtime.numeric.execute_plan`: same signature semantics, same
 result *bit for bit* (each rank runs the identical per-process body, and
-the reduction applies the identical ``beta*C`` seeding and one-producer
+the reduction applies the identical ``beta*C`` term and one-producer
 accumulation).  The serial executor is therefore the crosscheck oracle for
 this one.
 
@@ -27,11 +27,11 @@ One run is one :class:`_Coordinator`; its phases, in order:
   :func:`~repro.dist.worker.run_rank` called in this process on the
   message a worker would have got (minus the fault) — so a single faulty
   rank cannot lose the contraction;
-* **reduce** — seed ``beta*C``, then take every producer's C tiles where
-  its worker wrote them (:meth:`~repro.dist.tile_store.TileArena.adopt`):
-  a tile the input C has is added to (``beta*C + S``), any other *becomes*
-  the result's tile — a view of the arena, whose mapping lives as long as
-  the tile while the segment's name goes with the run;
+* **reduce** — take every producer's C tiles where its worker wrote them
+  (:meth:`~repro.dist.tile_store.TileArena.adopt`): each *becomes* the
+  result's tile — a view of the arena, whose mapping lives as long as the
+  tile while the segment's name goes with the run — after the input C
+  tile, if any, is added into it in place (``S + beta*C``);
 * **report** — merge per-rank stats and every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
   each recorder's single wall-clock sample) into one
@@ -1146,39 +1146,37 @@ class _Coordinator:
     # ---- reduce ----------------------------------------------------------------
 
     def reduce(self, c: BlockSparseMatrix | None, beta: float) -> BlockSparseMatrix:
-        """Seed ``beta*C``, then adopt every producer's C tiles."""
+        """Adopt every producer's C tiles, folding ``beta*C`` into them."""
         out = BlockSparseMatrix(self.a.rows, self.plan.b_shape.cols)
-        if c is not None:
-            for (i, j), tile in c.items():
-                out.set_tile(i, j, beta * tile)
-
         produced_by: dict[tuple[int, int], object] = {}
         t_reduce = self.rec.now()
 
-        def reduce_producer(producer, who: str, tiles: dict) -> None:
-            """Fold one producer's C tiles in: ``accumulate_tile`` adds to a
-            seeded ``beta*C`` tile and keeps any other as the result's own —
-            an adopted arena view stays where its worker wrote it."""
+        def reduce_producer(producer, tiles: dict) -> None:
+            """Fold one producer's C tiles in: an adopted arena view stays
+            where its worker wrote it, and an input C tile is added to it
+            there (``P + beta*C`` has the bits of the oracle's ``beta*C + P``)."""
             for (i, j), tile in tiles.items():
                 prev = produced_by.setdefault((i, j), producer)
                 require(
                     prev == producer,
-                    f"C tile ({i},{j}) produced by two processes ({prev}, {who})",
+                    f"C tile ({i},{j}) produced by two processes ({prev}, {producer})",
                 )
-                out.accumulate_tile(i, j, tile)
+                if c is not None and (i, j) in c:
+                    tile += c.get((i, j)) if beta == 1.0 else beta * c.get((i, j))
+                out.set_tile(i, j, tile)
 
         for rank in range(self.nranks):
-            reduce_producer(
-                rank, str(rank),
-                self.c_arenas[rank].adopt(self.reports[rank].c_index),
-            )
+            reduce_producer(rank, self.c_arenas[rank].adopt(self.reports[rank].c_index))
         # Handoff producers reduce exactly like ranks: blocks within one
         # process hold disjoint column sets, so a stolen block's tiles can
         # collide neither with the origin's remaining blocks nor with any
         # other rank — the one-producer check enforces it (M407).
         for hid in sorted(self.handoff_results):
             origin, tiles, _ = self.handoff_results[hid]
-            reduce_producer(("handoff", hid), f"handoff {hid} of rank {origin}", tiles)
+            reduce_producer(f"handoff {hid} of rank {origin}", tiles)
+        for (i, j), tile in c.items() if c is not None else ():
+            if (i, j) not in produced_by:  # no product: the tile is beta*C alone
+                out.set_tile(i, j, beta * tile)
         self.rec.record("reduce", "net.-1", t_reduce, self.rec.now())
         return out
 
@@ -1297,7 +1295,8 @@ class _Coordinator:
 
     def teardown(self) -> None:
         """Success or not: close the log and the store, reap the processes
-        this run owns, unlink every segment."""
+        this run owns (all signalled, then all joined: their exits overlap),
+        unlink every segment."""
         self.events.close()
         if self.store is not None:
             self.store.close()
@@ -1307,6 +1306,7 @@ class _Coordinator:
             for proc in self.workers.values():
                 if proc.is_alive():
                     proc.terminate()
+            for proc in self.workers.values():
                 proc.join(timeout=2.0)
         for arena in self.arenas:
             arena.unlink()

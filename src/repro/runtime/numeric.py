@@ -18,10 +18,13 @@ multi-process executor in :mod:`repro.dist` — ranks, handoff helpers and
 the inline spare all run it: everyone walks blocks, chunks and GEMMs in the
 identical order with identical floating-point operations, so the
 distributed result is bit-for-bit the serial result and this executor
-doubles as the distributed executor's crosscheck oracle.  The one thing a
-caller may choose is *where* a C tile's first product lands (``c_slot``):
-the oracle lets NumPy allocate it, a distributed worker hands out slots of
-its shared-memory output arena so the tile is born where it will stay.
+doubles as the distributed executor's crosscheck oracle.  (Parity is
+between the executors of one build: how a chunk's GEMMs are grouped —
+:func:`chunk_groups` — may change the last bit from build to build.)  The
+one thing a caller may choose is *where* a C tile's first product lands
+(``c_slot``): the oracle lets NumPy allocate it, a distributed worker hands
+out slots of its shared-memory output arena so the tile is born where it
+will stay.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.plan import Block, ExecutionPlan, ProcPlan
+from repro.core.plan import Block, Chunk, ExecutionPlan, ProcPlan
 from repro.runtime.data import MatrixSource, TileSource
 from repro.runtime.gpu_memory import GpuMemory
 from repro.sparse.matrix import BlockSparseMatrix
@@ -98,6 +101,29 @@ def block_cols_of_k(block: Block, b_csr) -> dict[int, list[int]]:
     return cols_of_k
 
 
+#: Mean flops per task of a chunk up to which stacking its A tiles pays: the
+#: crossover of ``benchmarks/tile_sweep.py`` (tile size 48; EXPERIMENTS.md).
+KGROUP_MAX_TASK_FLOPS = 2.0 * 48**3
+
+
+def chunk_groups(chunk: Chunk, tau: float | None) -> list[list[int]]:
+    """Positions of ``chunk``'s A tiles, grouped for execution.
+
+    A fine-tiled chunk is walked as *k-groups*: the tiles that share an
+    inner index, in order of first appearance, multiply each B tile as one
+    stacked panel.  A chunk whose mean task is large gains nothing from
+    that and would pay the stack copy, and screening decides per pair, so
+    both run groups of one — the chunk's own tile order.  A pure function
+    of the plan: every executor of a chunk walks the same groups.
+    """
+    if tau is not None or chunk.flops > KGROUP_MAX_TASK_FLOPS * chunk.ntasks:
+        return [[ti] for ti in range(chunk.ntiles)]
+    by_k: dict[int, list[int]] = {}
+    for ti, k in enumerate(chunk.a_cols.tolist()):
+        by_k.setdefault(k, []).append(ti)
+    return list(by_k.values())
+
+
 def execute_block(
     block: Block,
     block_name: str,
@@ -119,15 +145,24 @@ def execute_block(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Run one resident block's chunk stream; returns the device C tiles.
 
+    Each chunk is walked by :func:`chunk_groups`.  A group of one is a
+    plain ``A(i,k) @ B(k,j)`` per task, in chunk tile order.  A k-group's
+    tiles are stacked once and multiply each B tile ``(k, j)`` of the block
+    as one panel into a reused scratch buffer; the product's contiguous row
+    slices are the tasks' ``(m_i, n_j)`` contributions, applied to C in
+    group order, with ``on_task`` fired once per task either way.
+
     ``fetch_chunk(ci, chunk)`` may supply prefetched A tiles (in chunk tile
     order) — the distributed worker's traced fetcher — otherwise tiles
     come from ``a_get_tile``.  ``c_slot((i, j), m, n)`` may supply the
-    ``(m, n)`` float64 array a C tile's *first* product is written into
-    (``np.matmul(..., out=slot)``); without it NumPy allocates the product.
-    The GEMM order and every operand are identical either way, which is
-    what makes serial and distributed runs bit-equal.
+    ``(m, n)`` float64 array a C tile's *first* contribution lands in (a
+    group of one writes it there, ``np.matmul(..., out=slot)``; a k-group
+    copies its piece in); without it NumPy allocates the tile.  The GEMM
+    order and every operand are identical either way, which is what makes
+    serial and distributed runs of one build bit-equal.
     """
     c_dev: dict[tuple[int, int], np.ndarray] = {}
+    scratch = np.empty(0)  # one reused product buffer for the fused panels
     prev_chunk: str | None = None
     for ci, chunk in enumerate(block.chunks):
         chunk_name = f"{block_name}.chunk{ci}"
@@ -141,32 +176,54 @@ def execute_block(
 
         a_tiles = fetch_chunk(ci, chunk) if fetch_chunk is not None else None
         t_start = clock() if on_event is not None and clock is not None else 0.0
-        for ti, (i, k) in enumerate(zip(chunk.a_rows.tolist(), chunk.a_cols.tolist())):
-            a_tile = a_tiles[ti] if a_tiles is not None else a_get_tile(i, k)
-            a_norm = np.linalg.norm(a_tile) if tau is not None else None
+        rows, ks = chunk.a_rows.tolist(), chunk.a_cols.tolist()
+        for group in chunk_groups(chunk, tau):
+            k = ks[group[0]]
+            if a_tiles is not None:
+                tiles = [a_tiles[ti] for ti in group]
+            else:
+                tiles = [a_get_tile(rows[ti], k) for ti in group]
+            members = [(rows[ti], tile.shape[0]) for ti, tile in zip(group, tiles)]
+            fused = len(tiles) > 1
+            # The group's A tiles stacked once: the chunk's device copy.
+            panel = np.concatenate(tiles) if fused else tiles[0]
+            nrows, kdim = panel.shape
+            a_norm = np.linalg.norm(panel) if tau is not None else None
             for j in cols_of_k[k]:
                 b_tile = b.tile(rank, k, j)
                 if tau is not None:
                     if a_norm * np.linalg.norm(b_tile) <= tau:
                         continue
-                acc = c_dev.get((i, j))
-                if acc is None and c_slot is not None:
-                    contrib = np.matmul(
-                        a_tile, b_tile,
-                        out=c_slot((i, j), a_tile.shape[0], b_tile.shape[1]),
-                    )
+                n = b_tile.shape[1]
+                if fused:
+                    if scratch.size < nrows * n:
+                        scratch = np.empty(nrows * n)
+                    out = scratch[: nrows * n].reshape(nrows, n)
+                elif c_slot is not None and (members[0][0], j) not in c_dev:
+                    out = c_slot((members[0][0], j), nrows, n)  # born where it stays
                 else:
-                    contrib = a_tile @ b_tile
+                    out = None
+                prod = np.matmul(panel, b_tile, out=out)
                 if alpha != 1.0:
-                    contrib *= alpha
-                if acc is None:
-                    c_dev[(i, j)] = contrib
-                else:
-                    acc += contrib
-                stats.ntasks += 1
-                stats.flops += 2.0 * a_tile.shape[0] * b_tile.shape[1] * a_tile.shape[1]
-                if on_task is not None:
-                    on_task()
+                    prod *= alpha
+                lo = 0
+                for i, m in members:
+                    piece = prod[lo : lo + m] if fused else prod
+                    lo += m
+                    acc = c_dev.get((i, j))
+                    if acc is not None:
+                        acc += piece
+                    elif not fused:
+                        c_dev[(i, j)] = piece
+                    else:
+                        c_dev[(i, j)] = dest = (
+                            c_slot((i, j), m, n) if c_slot is not None else np.empty((m, n))
+                        )
+                        dest[...] = piece
+                    if on_task is not None:
+                        on_task()
+                stats.ntasks += len(members)
+                stats.flops += 2.0 * nrows * n * kdim
         if on_event is not None and clock is not None:
             on_event(f"{block_name}.chunk{ci}.gemm", resource, t_start, clock())
     if prev_chunk is not None:

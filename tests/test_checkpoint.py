@@ -11,15 +11,17 @@ here spawns real workers, so the slow scenarios carry the ``dist`` mark
 (run via ``make test-dist``).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import inspect, psgemm_distributed, psgemm_numeric
-from repro.dist import DistExecutionError, FaultPlan, active_segments
+from repro.dist import DistExecutionError, FaultPlan, active_segments, coordinator
 from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
-from repro.store import read_store_stats
+from repro.store import read_store_stats, run_fingerprint
 from repro.tiling import random_tiling
 from tests.test_dist_executor import assert_resident
 
@@ -109,6 +111,33 @@ class TestKillResume:
         assert not any(c2.get(key).flags.owndata for key in c2.keys())
         assert all(c2.get(key).flags.writeable for key in c2.keys())
         assert r2.shm_bytes == c2.nbytes == r1.stats.d2h_bytes
+
+    def test_journal_of_the_per_pair_kernel_is_not_resumed(self, tmp_path, monkeypatch):
+        """A checkpoint written under the ``repro-run-v1`` tag (C tiles
+        summed pair by pair, by an older build) is another namespace: none
+        of its blocks is restored and the run is the oracle's, not a
+        tile-by-tile mix of two kernels."""
+        a, b, b_shape = operands(seed=2)
+        kwargs = dict(b_shape=b_shape, checkpoint_dir=str(tmp_path))
+
+        def v1_fingerprint(plan_hash, b_hash, alpha):
+            h = hashlib.sha256(b"repro-run-v1")
+            for part in (plan_hash, b_hash, repr(float(alpha))):
+                h.update(part.encode())
+            return h.hexdigest()
+
+        assert v1_fingerprint("p", "b", 1.0) != run_fingerprint("p", "b", 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(coordinator, "run_fingerprint", v1_fingerprint)
+            _, r1 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
+        assert r1.store_puts > 0
+        c2, r2 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
+        assert r2.blocks_restored == 0 and r2.tasks_skipped == 0
+        assert np.array_equal(c2.to_dense(), serial_oracle(a, b, b_shape))
+        # Its own journal is resumed as ever.
+        _, r3 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
+        assert r3.tasks_skipped == r2.stats.ntasks
+        assert not active_segments()
 
     def test_abort_then_resume_bit_identical(self, tmp_path):
         """The unrecoverable fault: abort raises with a resume hint, and a

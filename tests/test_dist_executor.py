@@ -35,10 +35,11 @@ from repro.dist import (
 from repro.dist.comm import DoneMsg, HandoffDoneMsg
 from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan
-from repro.runtime.numeric import NumericStats
+from repro.runtime.numeric import NumericStats, block_cols_of_k, chunk_groups, proc_blocks
 from repro.sparse import random_block_sparse
 from repro.sparse.gemm_ref import gemm_against_dense
 from repro.tiling import random_tiling
+from tests.test_numeric_executor import fine_operands, straddling_operands
 
 
 def operands(seed=0, m=200, nk=600, density=0.5):
@@ -107,6 +108,21 @@ class TestParity:
         c_serial, _ = psgemm_numeric(a, b, summit(2), c=c0, p=2, alpha=2.0, beta=0.5)
         c_dist, _ = psgemm_distributed(a, b, summit(2), c=c0, p=2, alpha=2.0, beta=0.5)
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
+
+    @pytest.mark.dist
+    def test_plan_straddling_the_kgroup_gate(self):
+        """Each rank runs blocks of stacked k-groups and blocks of single
+        tiles in one attempt; the grouping is the plan's, so the bits are
+        the oracle's."""
+        a, b = straddling_operands()
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, gpus_per_proc=6)
+        for proc in plan.procs:
+            fused = {
+                any(len(g) > 1 for g in chunk_groups(ch, None))
+                for blk in proc.blocks for ch in blk.chunks
+            }
+            assert fused == {True, False}
+        assert_bit_equal_runs(a, b, summit(2), 2, 6)
 
 
 class TestCommAndTrace:
@@ -375,6 +391,29 @@ class TestFaultRecovery:
             n.rsplit("-", 1)[1] for n in mapped_segments(report.segments)
         ) == ["c0a1", "c1a0"]
         assert not set(report.segments) & set(os.listdir("/dev/shm"))
+
+    @pytest.mark.dist
+    def test_kill_inside_a_kgroup_is_retried_and_result_exact(self):
+        """``on_task`` fires per task, not per stacked GEMM: a kill armed for
+        the second row slice of a panel product fires, and the retry —
+        which starts the group over — reproduces the oracle."""
+        a, b = fine_operands(seed=6)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, gpus_per_proc=6)
+        at, before = None, 0
+        for _, _, block in proc_blocks(plan.procs[0], plan.grid.gpus_per_proc):
+            cols_of_k = block_cols_of_k(block, plan.b_shape.csr)
+            for chunk in block.chunks:
+                for group in chunk_groups(chunk, None):
+                    ncols = len(cols_of_k[int(chunk.a_cols[group[0]])])
+                    if at is None and len(group) > 1 and ncols:
+                        at = before + 2
+                    before += len(group) * ncols
+        assert before == plan.procs[0].ntasks
+        assert at is not None, "rank 0 runs no k-group"
+        _, report = assert_bit_equal_runs(
+            a, b, summit(2), 2, 6, fault_plan=FaultPlan.kill(0, at)
+        )
+        assert report.attempts[0] == 2
 
     @pytest.mark.dist
     def test_persistently_failing_rank_is_reassigned(self):

@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PlanOptions, inspect, psgemm_numeric
+from repro.dist import BService
 from repro.machine import summit
-from repro.runtime import GeneratedCollection, execute_plan
+from repro.runtime import GeneratedCollection, execute_plan, numeric
+from repro.runtime.data import MatrixSource
 from repro.sparse import random_block_sparse
 from repro.sparse.construct import from_shape
 from repro.sparse.gemm_ref import block_gemm_reference, gemm_against_dense
 from repro.sparse.random_sparsity import random_shape_with_density
 from repro.tiling import random_tiling
+from repro.tiling.tiling import Tiling
 
 
 def operands(density=0.5, seed=0, m=600, nk=3000):
@@ -174,3 +177,175 @@ class TestGemmScalars:
         c1, _ = psgemm_numeric(a, b, summit(1))
         c2, _ = psgemm_numeric(a, b, summit(1), alpha=1.0, beta=1.0)
         assert c1.allclose(c2)
+
+
+def fine_operands(seed=0, m=160, nk=480, lo=8, hi=40):
+    """Tiles far below the k-group gate: every chunk runs stacked panels."""
+    rows = random_tiling(m, lo, hi, seed=seed)
+    inner = random_tiling(nk, lo, hi, seed=seed + 1)
+    a = random_block_sparse(rows, inner, 0.6, seed=seed + 2)
+    b = random_block_sparse(inner, inner, 0.6, seed=seed + 3)
+    return a, b
+
+
+def straddling_operands(seed=0):
+    """B with 8-wide and 400-wide tile columns: the blocks of the narrow ones
+    run k-groups, the blocks of the wide ones groups of one."""
+    rows = random_tiling(200, 20, 60, seed=seed)
+    inner = random_tiling(400, 20, 60, seed=seed + 1)
+    cols = Tiling.from_sizes([8] * 12 + [400] * 4)
+    a = random_block_sparse(rows, inner, 0.6, seed=seed + 2)
+    b = random_block_sparse(inner, cols, 0.6, seed=seed + 3)
+    return a, b
+
+
+def same_tiles(tiles, c, keys=None):
+    """``tiles`` (a dict) holds exactly ``c``'s tiles under ``keys``, bit for bit."""
+    keys = sorted(tiles) if keys is None else sorted(keys)
+    return sorted(tiles) == keys and all(
+        np.array_equal(tiles[key], c.get_tile(*key)) for key in keys
+    )
+
+
+class TestKGroups:
+    """The fused path (one GEMM per k-group and B tile) against groups of one.
+
+    ``numeric.KGROUP_MAX_TASK_FLOPS`` is the only switch: 0 forces groups of
+    one on any plan, infinity forces k-groups.  The two paths agree to
+    roundoff; bit-parity is between executors on one path.
+    """
+
+    GATES = pytest.mark.parametrize("gate", [0.0, float("inf")], ids=["ones", "kgroups"])
+
+    @staticmethod
+    def plan_for(a, b, **kwargs):
+        return inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, **kwargs)
+
+    @staticmethod
+    def b_pulls_per_chunk(plan):
+        """One pull per B tile ``(k, j)`` of the block per chunk that has ``k``."""
+        return sum(
+            len(cols_of_k[k])
+            for proc in plan.procs
+            for blk in proc.blocks
+            for cols_of_k in [numeric.block_cols_of_k(blk, plan.b_shape.csr)]
+            for chunk in blk.chunks
+            for k in set(chunk.a_cols.tolist())
+        )
+
+    @GATES
+    def test_every_executor_of_a_path_has_the_same_bits(self, gate, monkeypatch):
+        """``execute_plan``, a rank's ``execute_blocks`` writing into
+        ``c_slot`` buffers, and a one-block handoff: same tiles, same bits."""
+        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", gate)
+        a, b = fine_operands(seed=1)
+        plan = self.plan_for(a, b, gpus_per_proc=2)
+        source = MatrixSource(b)
+        c, _ = execute_plan(plan, a, source)
+        assert np.allclose(c.to_dense(), gemm_against_dense(a, b))
+        fused = gate > 0
+        pulls = sum(source.access_counts.values())
+        assert pulls == (self.b_pulls_per_chunk(plan) if fused else plan.total_tasks)
+        assert fused == (pulls < plan.total_tasks)
+
+        common = dict(gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr, tau=None)
+        seen = set()
+        for proc in plan.procs:
+            arena = np.full(sum(blk.c_bytes for blk in proc.blocks) // 8, np.nan)
+            cursor = [0]
+
+            def c_slot(key, m, n):
+                cursor[0] += m * n
+                return arena[cursor[0] - m * n : cursor[0]].reshape(m, n)
+
+            triples = list(numeric.proc_blocks(proc, plan.grid.gpus_per_proc))
+            produced, _ = numeric.execute_blocks(
+                triples, proc.rank, a.get_tile, MatrixSource(b), c_slot=c_slot, **common
+            )
+            assert same_tiles(produced, c, produced)
+            assert not any(tile.flags.owndata for tile in produced.values())
+            seen.update(produced)
+            # A handoff helper runs one reclaimed block of the rank on its own.
+            g, bi, block = triples[-1]
+            stolen, _ = numeric.execute_blocks(
+                [(g, bi, block)], proc.rank, a.get_tile, MatrixSource(b), **common
+            )
+            assert stolen and same_tiles(stolen, c, stolen)
+        assert seen == set(c.keys())
+
+    def test_on_task_and_stats_count_every_task(self, monkeypatch):
+        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", float("inf"))
+        a, b = fine_operands(seed=2)
+        plan = self.plan_for(a, b)
+        fired, parts = [0], []
+
+        def on_task():
+            fired[0] += 1
+
+        for proc in plan.procs:
+            parts.append(numeric.execute_blocks(
+                numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
+                a.get_tile, MatrixSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
+                b_csr=plan.b_shape.csr, tau=None, on_task=on_task,
+            )[1])
+        stats = numeric.NumericStats.merge(parts)
+        assert fired[0] == stats.ntasks == plan.total_tasks
+        assert stats.flops == plan.total_flops
+        assert stats.per_proc_tasks == {pp.rank: pp.ntasks for pp in plan.procs}
+
+    def test_alpha_and_c_input(self):
+        a, b = fine_operands(seed=3)
+        c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=4)
+        plan = self.plan_for(a, b)
+        assert any(len(g) > 1 for g in numeric.chunk_groups(plan.procs[0].blocks[0].chunks[0], None))
+        c, _ = execute_plan(plan, a, b, c0, alpha=0.5, beta=2.0)
+        expect = 2.0 * c0.to_dense() + 0.5 * (a.to_dense() @ b.to_dense())
+        assert np.allclose(c.to_dense(), expect)
+
+    def test_generated_b_is_pulled_once_per_tile_per_chunk(self):
+        a, bmat = fine_operands(seed=5)
+        plan = self.plan_for(a, bmat)
+        gen = GeneratedCollection(plan.b_shape, seed=6)
+        reference = block_gemm_reference(a, gen.as_matrix())
+        pulls, produced = 0, {}
+        for proc in plan.procs:
+            service = BService(gen.empty_clone(), budget_bytes=plan.gpu_memory_bytes)
+            tiles, _ = numeric.execute_blocks(
+                numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
+                a.get_tile, service, gpu_memory_bytes=plan.gpu_memory_bytes,
+                b_csr=plan.b_shape.csr, tau=None,
+            )
+            produced.update(tiles)
+            pulls += service.hits + sum(service.instantiations.values())
+            assert service.max_instantiations() == 1
+        assert pulls == self.b_pulls_per_chunk(plan) < plan.total_tasks
+        assert all(np.allclose(tile, reference.get_tile(*key)) for key, tile in produced.items())
+        assert sorted(produced) == sorted(reference.keys())
+
+    def test_screening_forces_groups_of_one(self, monkeypatch):
+        a, b = fine_operands(seed=7)
+        a_sh, b_sh = a.sparse_shape(with_norms=True), b.sparse_shape(with_norms=True)
+        tau = float(np.median(a_sh.csr.data) * np.median(b_sh.csr.data))
+        plan = inspect(a_sh, b_sh, summit(2), p=2, options=PlanOptions(screen_threshold=tau))
+        chunks = [ch for pp in plan.procs for blk in pp.blocks for ch in blk.chunks]
+        assert all(len(g) == 1 for ch in chunks for g in numeric.chunk_groups(ch, tau))
+        assert any(len(g) > 1 for ch in chunks for g in numeric.chunk_groups(ch, None))
+        c, stats = execute_plan(plan, a, b)
+        assert stats.ntasks == plan.total_tasks
+        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", 0.0)
+        c_ones, _ = execute_plan(plan, a, b)
+        assert np.array_equal(c.to_dense(), c_ones.to_dense())
+
+    def test_gate_splits_a_plan_by_chunk(self):
+        """Narrow and wide B columns in one plan: their blocks fall on either
+        side of the gate and the run is still the dense product."""
+        a, b = straddling_operands()
+        plan = self.plan_for(a, b, gpus_per_proc=6)
+        sizes = {
+            max(len(g) for g in numeric.chunk_groups(ch, None)) > 1
+            for pp in plan.procs for blk in pp.blocks for ch in blk.chunks
+        }
+        assert sizes == {True, False}
+        c, stats = execute_plan(plan, a, b)
+        assert np.allclose(c.to_dense(), gemm_against_dense(a, b))
+        assert stats.ntasks == plan.total_tasks
