@@ -6,10 +6,12 @@ linter does not know about:
 
 * **L301** — a shared-memory segment (``SharedMemory(...)`` or a
   ``TileArena.pack/allocate/attach`` factory) created outside any ``try``
-  whose ``finally``/``except`` calls ``.close()``/``.unlink()``, and not
-  handed off via an immediate ``return``.  Segments outlive the process;
-  an exception between creation and the cleanup path leaks them until
-  reboot.
+  whose ``finally``/``except`` calls ``.close()``/``.unlink()``, and handed
+  to nobody: neither returned at once nor stored on an *owner* — ``self.x =
+  ...``, ``self.x[k] = ...`` or ``self.x.append(...)`` inside a class one of
+  whose methods unlinks (a run's coordinator until teardown, a worker pool
+  until it is terminated).  Segments outlive the process; an exception
+  between creation and the cleanup path leaks them until reboot.
 * **L302** — a ``Queue``/``Process``/``Pool`` created directly on the
   ``multiprocessing`` module.  Start-method defaults differ per platform
   (fork vs spawn); all primitives must come from an explicit
@@ -181,6 +183,11 @@ class _Walker(ast.NodeVisitor):
         # (.close()/.unlink()) in a finally or except block.
         self._cleanup_trys = 0
         self._in_return = 0
+        # Enclosing classes (module level first), True for one with a method
+        # that unlinks; and whether the expression being visited is stored on
+        # such an owner.
+        self._owner_classes: list[bool] = [False]
+        self._in_owner_store = 0
         self._in_with_item = 0
 
     # -- helpers -------------------------------------------------------------
@@ -234,6 +241,29 @@ class _Walker(ast.NodeVisitor):
         self.generic_visit(node)
         self._in_return -= 1
 
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._owner_classes.append(any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "unlink"
+            for n in ast.walk(node)
+        ))
+        self.generic_visit(node)
+        self._owner_classes.pop()
+
+    def _on_owner(self, target: ast.AST) -> bool:
+        """Whether ``target`` is ``self.x`` / ``self.x[...]`` in a class
+        that unlinks what it holds."""
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        chain = _attr_chain(target)
+        return len(chain) >= 2 and chain[0] == "self" and self._owner_classes[-1]
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        owned = any(self._on_owner(t) for t in node.targets)
+        self._in_owner_store += owned
+        self.generic_visit(node)
+        self._in_owner_store -= owned
+
     def visit_With(self, node: ast.With) -> None:
         # Context-manager expressions are the sanctioned way to open a
         # resource — handles created there are exempt from L308.
@@ -262,7 +292,7 @@ class _Walker(ast.NodeVisitor):
         chain = _attr_chain(node.func)
 
         if _is_shm_creation(node):
-            if not self._cleanup_trys and not self._in_return:
+            if not (self._cleanup_trys or self._in_return or self._in_owner_store):
                 self._emit(
                     "L301",
                     node,
@@ -271,6 +301,13 @@ class _Walker(ast.NodeVisitor):
                     f"finally/except closes or unlinks it; a failure before "
                     f"cleanup leaks the segment until reboot",
                 )
+
+        # ``self.x.append(<creation>)`` stores its argument on the owner.
+        owned = (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "append"
+            and self._on_owner(node.func.value)
+        )
+        self._in_owner_store += owned
 
         if (
             len(chain) == 2
@@ -392,6 +429,7 @@ class _Walker(ast.NodeVisitor):
             )
 
         self.generic_visit(node)
+        self._in_owner_store -= owned
 
     def run(self, tree: ast.Module) -> list[Finding]:
         self._mp_aliases = _mp_aliases(tree)

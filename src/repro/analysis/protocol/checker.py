@@ -481,6 +481,16 @@ class _Run:
                     and (wstate != "running" or w[_W_SUB] == 0)):
                 self._worker_recv(state, r, out)
 
+            # a finished one-shot worker may leave at any moment — unless the
+            # run rebalances: then it is a helper, and stays for handoffs
+            tr = self.worker_m.on(wstate, "act:leave")
+            if tr is not None and not sc.steal:
+                left = (tr.next_state,) + w[1:]
+                out.append((f"rank{r}: leave", (
+                    coord_state, workers[:r] + (left,) + workers[r + 1:],
+                    complete, inboxes, gather, telemetry, steal,
+                )))
+
             if wstate == "running":
                 target = self._target(r, steal)
                 armed = (fault is not None and fault.rank == r

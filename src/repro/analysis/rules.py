@@ -133,7 +133,8 @@ register(Rule("L300", "lint-parse-error", E,
 register(Rule("L301", "shm-no-cleanup", W,
               "a shared-memory segment (SharedMemory / TileArena) is created "
               "outside any try whose finally/except closes or unlinks it, "
-              "and is not handed off via an immediate return"))
+              "and is neither returned at once nor stored on an owner (an "
+              "attribute of a class that unlinks what it holds)"))
 register(Rule("L302", "mp-no-context", W,
               "a multiprocessing Queue/Process/Pool is created directly on "
               "the module instead of through an explicit "

@@ -38,10 +38,10 @@ One run is one :class:`_Coordinator`; its phases, in order:
   :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
   utilization queries work on real runs exactly as on simulated ones;
 * **teardown** — success or not, reap the processes this run owns and
-  unlink every shared-memory segment (the leak tests attach-probe every
-  name afterwards).  By then the ``events_path`` JSONL log (the attach
-  point for ``repro monitor``) has its one terminal record: ``done`` from
-  ``report``, ``aborted`` / ``failed`` from ``fail``.
+  unlink every segment it created — a pool's operand arenas stay the pool's
+  (the leak tests attach-probe every name).  By then the ``events_path``
+  JSONL log (the attach point for ``repro monitor``) has its one terminal
+  record: ``done`` from ``report``, ``aborted`` / ``failed`` from ``fail``.
 
 Clock policy: every run-relative clock and deadline here is
 ``time.monotonic()`` — an NTP step can neither fire nor suppress the
@@ -503,7 +503,7 @@ class _Coordinator:
             # A pooled run fingerprints its operands even without a disk
             # tier: the workers' process-lifetime warm caches are keyed by
             # the B fingerprint, and an empty namespace would alias operands.
-            self.plan_hash = plan_fingerprint(plan)
+            self.plan_hash = (plan_fingerprint if pool is None else pool.plan_hash)(plan)
             self.b_hash = b_fingerprint(b)
             self.run_hash = run_fingerprint(self.plan_hash, self.b_hash, alpha)
         if persist:
@@ -557,7 +557,9 @@ class _Coordinator:
             tasks_per_rank={r: plan.procs[r].ntasks for r in range(nranks)},
         )
 
+        #: Arenas this run unlinks; the pool's, filled and reported, not unlinked.
         self.arenas: list[TileArena] = []
+        self.borrowed: list[TileArena] = []
         self.workers: dict[int, mp.Process] = {}
         # rec.now() at proc.start() and at done-report receipt: against the
         # worker's own span extent they bound the measured ``spawn.<rank>``
@@ -668,19 +670,19 @@ class _Coordinator:
         for rank in range(self.nranks):
             self.scatter_rank(rank)
 
-    # Every arena goes on ``self.arenas`` the moment it exists, and
-    # ``teardown`` unlinks them all: hence the two noqa[L301].
-
     def pack(self, tag: str, matrix):
-        """Pack an operand into a shared-memory arena; returns its meta."""
+        """Copy an operand into the pool's arena, else a fresh one; its meta."""
         with self.rec.span(f"pack.{tag}", "net.-1"):
-            self.arenas.append(TileArena.pack(tag, matrix.items()))  # repro: noqa[L301]
-        return self.arenas[-1].meta()
+            if self.cfg.pool is None:
+                self.arenas.append(TileArena.pack(tag, matrix.items()))
+                return self.arenas[-1].meta()
+            self.borrowed.append(self.cfg.pool.pack(tag, matrix.items()))
+            return self.borrowed[-1].meta()
 
     def c_arena_for(self, tag: str, blocks) -> TileArena:
         """A fresh output arena with room for every C tile of ``blocks``."""
         self.arenas.append(
-            TileArena.allocate(tag, sum(blk.c_bytes for blk in blocks))  # repro: noqa[L301]
+            TileArena.allocate(tag, sum(blk.c_bytes for blk in blocks))
         )
         return self.arenas[-1]
 
@@ -1241,13 +1243,14 @@ class _Coordinator:
             )
 
         blocks_rebalanced = sum(len(s) for s in self.stolen_blocks.values())
+        arenas = self.borrowed + self.arenas
         dist_report = DistReport(
             stats=stats,
             trace=run_trace,
             comm=self.comm_stats,
             attempts=self.attempts,
             reassigned=self.reassigned,
-            segments=[arena.name for arena in self.arenas],
+            segments=[arena.name for arena in arenas],
             b_max_instantiations=max(
                 (r.b_max_instantiations for r in reports), default=0
             ),
@@ -1256,7 +1259,7 @@ class _Coordinator:
             b_hits=sum(r.b_hits for r in reports),
             b_evictions=sum(r.b_lru_evictions for r in reports),
             spans_dropped=spans_dropped,
-            shm_bytes=sum(arena.used_bytes for arena in self.arenas),
+            shm_bytes=sum(arena.used_bytes for arena in arenas),
             metrics=merged_metrics,
             health=self.health,
             events_path=self.events.path,
@@ -1304,6 +1307,8 @@ class _Coordinator:
             # One-shot run: the processes and the comm layer are ours.  A
             # borrowed pool stays warm; its owner resets it after a failure.
             for proc in self.workers.values():
+                if self.state == "done" and not self.cfg.rebalance:
+                    proc.join(timeout=2.0)  # it has left (``act:leave``)
                 if proc.is_alive():
                     proc.terminate()
             for proc in self.workers.values():

@@ -1,30 +1,24 @@
-"""Warm worker pool: process lifecycle split out of the coordinator.
+"""Warm worker pool: what outlives a run, split out of the coordinator.
 
-Historically :func:`repro.dist.coordinator.execute_plan_distributed`
-owned its worker processes — spawned at run start, terminated in the
-run's ``finally`` — so every contraction paid process startup, and
-nothing could be reused across runs.  :class:`WorkerPool` inverts that:
-it owns the :class:`~repro.dist.comm.CommLayer` and one
-:func:`~repro.dist.worker.worker_main` process per rank for as long as
-the *caller* wants, and the coordinator merely borrows them for one run
-(``execute_plan_distributed(..., pool=...)``).  The serving layer
-(:mod:`repro.serve`) keeps one pool warm across many jobs; passing no
-pool keeps the one-shot behaviour (the coordinator forks its own workers,
-born holding the operands, and reaps them in its ``finally``).
+A :class:`WorkerPool` owns, for as long as the *caller* wants, the
+:class:`~repro.dist.comm.CommLayer`, one
+:func:`~repro.dist.worker.worker_main` process per rank (daemons, lint rule
+L307: a crashed owner leaves no orphans), the operand arenas its runs
+repack in place (:meth:`pack`) and the fingerprints of the plans it has run
+(:meth:`plan_hash`).  The coordinator borrows all of it for one run
+(``execute_plan_distributed(..., pool=...)``) and speaks the protocol over
+the pool's endpoints; passing no pool keeps the one-shot behaviour (the
+coordinator forks its own workers, born holding the operands, and reaps
+them in its ``finally``).
 
-Division of labour:
-
-* **this module** handles *process* lifecycle only: spawn, respawn after
-  a failure, liveness, terminate.  It never sends or receives a message.
-* **the coordinator** speaks the declared protocol (scatter/report/
-  relinquish/handoff) over the pool's endpoints, exactly as before.
-* **the serving layer** owns cross-run concerns: the shutdown pill a
-  pooled worker's dispatch loop exits on, draining stale traffic between
-  jobs, and the process-lifetime warm B-tile cache it injects through
-  ``tile_cache_factory``.
-
-Worker processes are daemons (lint rule L307): a crashed owner can never
-leave orphan workers behind.
+This module handles lifecycle only — spawn, respawn after a failure,
+liveness, terminate (which unlinks the arenas: a reset or closed pool
+leaves ``/dev/shm`` empty) — and never sends or receives a message.  The
+serving layer (:mod:`repro.serve`) keeps one pool warm across many jobs and
+owns the cross-run concerns: the shutdown pill a pooled worker's dispatch
+loop exits on, draining stale traffic between jobs, and the
+process-lifetime warm B-tile cache it injects through
+``tile_cache_factory``.
 """
 
 from __future__ import annotations
@@ -33,7 +27,10 @@ import multiprocessing as mp
 from multiprocessing import resource_tracker
 
 from repro.dist.comm import COORDINATOR, CommLayer
+from repro.dist.tile_store import TileArena
 from repro.dist.worker import worker_main
+from repro.store import plan_fingerprint
+from repro.util.memo import IdentityMemo
 from repro.util.validation import require
 
 
@@ -73,6 +70,8 @@ class WorkerPool:
         self.comm = CommLayer(nranks, self.ctx)
         self._tile_cache_factory = tile_cache_factory
         self._workers: dict[int, mp.process.BaseProcess] = {}
+        self._arenas: dict[str, TileArena] = {}
+        self._plan_hashes = IdentityMemo()
         self.spawns = 0
         self._closed = False
 
@@ -117,6 +116,23 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
+    def pack(self, tag: str, tiles) -> TileArena:
+        """The pool's ``tag`` operand arena, now holding ``tiles``: repacked in
+        place while they fit, else replaced (one run at a time: no reader)."""
+        tiles = list(tiles)
+        arena = self._arenas.get(tag)
+        if arena is not None and sum(t.nbytes for _, t in tiles) <= arena.size:
+            arena.repack(tiles)
+            return arena
+        if arena is not None:
+            self._arenas.pop(tag).unlink()
+        arena = self._arenas[tag] = TileArena.pack(tag, tiles)
+        return arena
+
+    def plan_hash(self, plan) -> str:
+        """``plan_fingerprint(plan)``, computed once per plan object."""
+        return self._plan_hashes.get(plan, plan_fingerprint)
+
     # -- teardown ------------------------------------------------------------
 
     def endpoint(self):
@@ -129,13 +145,15 @@ class WorkerPool:
         return self.comm.endpoint(COORDINATOR)
 
     def terminate(self, timeout: float = 2.0) -> None:
-        """Hard-stop every worker process (keeps the comm layer usable)."""
+        """Hard-stop every worker, unlink the arenas (comm layer stays usable)."""
         for proc in self._workers.values():
             if proc.is_alive():
                 proc.terminate()
         for proc in self._workers.values():
             proc.join(timeout=timeout)
         self._workers.clear()
+        while self._arenas:
+            self._arenas.popitem()[1].unlink()
 
     def join(self, timeout: float = 5.0) -> list[int]:
         """Wait for workers to exit on their own; returns ranks still alive.

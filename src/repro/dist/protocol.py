@@ -255,7 +255,8 @@ QUEUE_BUDGETS = {
 #: acked empty so the coordinator can retire the request (rule M408).
 #: Unit completion also emits a ``block_done`` telemetry beat (on
 #: ``act:work`` without checkpointing, on the final ``act:journal``
-#: substep with it).  ``recv:shutdown`` ends a pooled worker between jobs.
+#: substep with it).  ``recv:shutdown`` ends a pooled worker between jobs,
+#: ``act:leave`` a one-shot one once it has reported (if no handoff can come).
 WORKER_MACHINE = RoleMachine(_W, "idle", (
     Transition("idle", "recv:scatter", "running",
                sends=("heartbeat",), action="attach_and_restore"),
@@ -280,6 +281,7 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
     Transition("idle_done", "recv:handoff", "idle_done",
                sends=("handoff_done",), action="execute_handoff"),
     Transition("idle_done", "recv:shutdown", "exited"),
+    Transition("idle_done", "act:leave", "exited"),
 ))
 
 #: The coordinator: supervise, recover, drain — then reduce.

@@ -4,23 +4,23 @@ A :class:`TileArena` is one ``multiprocessing.shared_memory`` segment
 holding many dense float64 tiles back to back, plus a small pickle-able
 index ``{key: (offset, m, n)}``.  Every run has one C output arena per
 worker attempt (and per rebalance handoff); A and a concrete B are packed
-into arenas too only on the arena plane — a borrowed pool or a ``spawn``
-context — while forked one-shot workers read the operands they were born
-with (see :mod:`repro.dist.coordinator`).  The coordinator *creates* every
-arena and is the only process that ever unlinks; workers merely attach and
-read or write through NumPy views, so no tile bytes are ever pickled
-through a queue.  Centralised ownership is what makes the leak discipline
-testable: :func:`active_segments` lists the names the current process has
-created and not yet unlinked, and the coordinator drains it in a
-``finally`` even when a run fails or a worker is killed mid-flight.
+into arenas too only on the arena plane (see
+:mod:`repro.dist.coordinator`).  Workers merely attach, and read or write
+through NumPy views, so no tile bytes are ever pickled through a queue.
+Every arena has one owner that creates and unlinks it: the run's
+coordinator (in its ``finally``, even when a run fails or a worker is
+killed mid-flight), or — for the operand arenas of pooled runs, repacked in
+place job after job — the :class:`~repro.dist.pool.WorkerPool`, when it is
+terminated.  :func:`active_segments` lists the names the current process
+has created and not yet unlinked: the leak discipline is testable.
 
-Lifetimes: a *name* lives for one run; a *mapping* lives as long as its
-tiles.  Views handed out by :meth:`TileArena.get` / :meth:`TileArena.slot`
-belong to the attachment and dangle once :meth:`TileArena.close` has
-unmapped it, so whoever closes drops them first.  C tiles the result keeps
-come from :meth:`TileArena.adopt` instead: views of a private mapping of
-the segment that holds no file descriptor, survives the unlink, and is
-unmapped when its last tile is dropped.
+Lifetimes: a *name* lives as long as its owner holds it; a *mapping* lives
+as long as its tiles.  Views handed out by :meth:`TileArena.get` /
+:meth:`TileArena.slot` belong to the attachment and dangle once
+:meth:`TileArena.close` has unmapped it, so whoever closes drops them
+first.  C tiles the result keeps come from :meth:`TileArena.adopt` instead:
+views of a private mapping of the segment that holds no file descriptor,
+survives the unlink, and is unmapped when its last tile is dropped.
 """
 
 from __future__ import annotations
@@ -139,15 +139,12 @@ class TileArena:
     def pack(cls, tag: str, tiles) -> "TileArena":
         """Create a segment sized for ``tiles`` (``(key, ndarray)`` pairs)
         and copy every tile in.  If any copy fails (duplicate key, sizing
-        bug) the half-filled segment is unlinked before re-raising — the
-        caller never sees, and can never leak, a partially packed arena."""
+        bug) the half-filled segment is unlinked before re-raising."""
         tiles = list(tiles)
-        total = sum(arr.nbytes for _, arr in tiles)
         arena = None
         try:
-            arena = cls.allocate(tag, total)
-            for key, arr in tiles:
-                arena.put(key, arr)
+            arena = cls.allocate(tag, sum(arr.nbytes for _, arr in tiles))
+            arena.repack(tiles)
             return arena
         except BaseException:
             if arena is not None:
@@ -220,6 +217,17 @@ class TileArena:
         """Append a copy of ``arr`` under ``key``; returns the entry."""
         self.slot(key, *arr.shape)[...] = arr
         return self.index[key]
+
+    def repack(self, tiles) -> None:
+        """Replace the contents with ``tiles``: same name, same mapping, pages
+        already touched.  Too large a packing is refused, nothing overwritten."""
+        tiles = list(tiles)
+        total = sum(arr.nbytes for _, arr in tiles)
+        require(total <= self.size, f"arena {self.name} cannot hold {total} B")
+        self.index.clear()
+        self._cursor = 0
+        for key, arr in tiles:
+            self.put(key, arr)
 
     def adopt(self, index: dict[TileKey, tuple[int, int, int]]) -> dict[TileKey, np.ndarray]:
         """Take over the tiles a worker appended through its own attachment

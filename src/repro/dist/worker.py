@@ -7,8 +7,8 @@ Each worker is one planned process rank.  Life of a worker: receive a
 :class:`~repro.core.plan.ProcPlan` through the *same*
 :func:`repro.runtime.numeric.execute_blocks` body the serial executor
 uses (hence bit-identical numerics), and send a :class:`WorkerReport`
-back.  The process then stays in its dispatch loop: a finished rank is the
-rebalancer's favourite helper, ready to accept a
+back.  A one-shot process then leaves; when the run rebalances (or the
+process is a pool's) it stays in its dispatch loop, ready to accept a
 :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a straggler
 (the same body again, so handoff tiles are bit-identical to the tiles the
 origin would have produced).
@@ -692,10 +692,10 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     """Process entry point: a dispatch loop over coordinator messages.
 
     The first message is normally this rank's :class:`ScatterMsg`; after
-    reporting ``done`` the process stays in the loop as a rebalance
-    helper, ready to execute a :class:`~repro.dist.comm.HandoffMsg` of
-    blocks reclaimed from a straggler, until the coordinator terminates
-    it at teardown.  A :class:`~repro.dist.comm.RelinquishMsg` landing
+    reporting ``done`` a one-shot worker of a run that does not rebalance
+    leaves (``os._exit``); any other stays in the loop, a helper for a
+    :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a
+    straggler, until teardown.  A :class:`~repro.dist.comm.RelinquishMsg` landing
     here (rather than at a mid-run block boundary) raced against this
     rank's completion or respawn — it is acked empty so the coordinator
     can retire the request.
@@ -733,6 +733,13 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                     endpoint=endpoint, tile_cache=tile_cache,
                 )
                 endpoint.send(COORDINATOR, DoneMsg(rank, report))
+                if not pooled and not msg.rebalance:
+                    # ``act:leave``: nothing can follow; its teardown overlaps
+                    # the slower ranks.  Flush, or the reply dies in the feeder.
+                    for q in (endpoint.gather, endpoint.telemetry):
+                        q.close()
+                        q.join_thread()
+                    os._exit(0)
             elif isinstance(msg, RelinquishMsg):
                 endpoint.send(
                     COORDINATOR, RelinquishedMsg(rank, msg.attempt, ())

@@ -18,7 +18,10 @@ before a job ever queues:
   budget, ``P111`` chunk over budget, ``P112`` prefetch overflow,
   ``P114`` B tile over budget) must pass — a plan that would exhaust a
   worker's memory is rejected with the findings attached
-  (:class:`AdmissionError`) instead of killing a warm worker mid-run;
+  (:class:`AdmissionError`) instead of killing a warm worker mid-run.
+  The verdict is remembered per plan object (the last few), so a loop
+  that resubmits its plan verifies it once, and :meth:`submit` verifies
+  before it takes the service lock;
 * at most ``queue_limit`` jobs may be queued or running
   (:class:`BackpressureError`) — unbounded queues just move the failure
   to wherever memory runs out.
@@ -28,7 +31,9 @@ Warm reuse: every worker carries a process-lifetime
 persistent :class:`~repro.store.TileStore` tier, both keyed by the B
 operand's content fingerprint.  A job whose B matches an earlier job's
 starts hot — visible as ``report.store_hits > 0`` with zero new process
-spawns.
+spawns.  The pool also keeps the operand arenas: each job's A (and a
+concrete B) is repacked in place into the segment the previous job
+touched, and the segments go when the pool is reset or shut down.
 
 Isolation: each job gets a run id and run-id-scoped artifacts under
 ``artifacts_dir`` — ``run-events.<run_id>.jsonl`` (the monitor-able
@@ -56,11 +61,18 @@ from repro.analysis.plan_checks import verify_plan
 from repro.dist.pool import WorkerPool
 from repro.serve.pool import drain_stale, reset_pool, shutdown_pool
 from repro.serve.warmcache import DEFAULT_BUDGET_BYTES, WarmTileCache
+from repro.util.memo import IdentityMemo
 from repro.util.validation import require
 
 #: The plan-verifier rules admission control enforces: every memory-budget
 #: rule whose violation would OOM (and thereby kill) a warm worker.
 MEMORY_RULES = frozenset({"P110", "P111", "P112", "P114"})
+
+
+def memory_findings(plan) -> list:
+    """What the memory-budget rules hold against ``plan`` (empty: admit)."""
+    return [f for f in verify_plan(plan).findings if f.rule in MEMORY_RULES]
+
 
 #: Queue entry that sorts ahead of every job and names none: shutdown puts
 #: it to wake a scheduler asleep in ``get`` so it sees ``_stop`` at once.
@@ -175,6 +187,10 @@ class ContractionService:
         self._verify = verify
         self._dist_kwargs = dict(dist_kwargs)
         self._jobs: dict[str, Job] = {}
+        #: The memory-rule verdict of each plan admitted or refused so far
+        #: (a plan is immutable once submitted, like the operands of a
+        #: queued job): a loop resubmitting its plan pays a lookup.
+        self._verdicts = IdentityMemo()
         self._lock = threading.Lock()
         self._seq = 0
         self._open = True
@@ -201,11 +217,13 @@ class ContractionService:
         Raises :class:`AdmissionError` when the plan cannot run on this
         pool, :class:`BackpressureError` when the queue is full.
         """
+        # Outside the lock: verifying a new plan takes milliseconds, and the
+        # scheduler's _finish, jobs() and status() must not wait behind it.
+        self._admit(plan)
         with self._lock:
             require(self._open, "service is shut down")
             if self._draining:
                 raise AdmissionError("service is draining; not accepting jobs")
-            self._admit(plan)
             active = sum(
                 1 for j in self._jobs.values() if j.state in (QUEUED, RUNNING)
             )
@@ -305,7 +323,7 @@ class ContractionService:
                 f"plan wants {nranks} rank(s) but the pool serves "
                 f"{self.pool.nranks}; resubmit to a matching service"
             )
-        bad = [f for f in verify_plan(plan).findings if f.rule in MEMORY_RULES]
+        bad = self._verdicts.get(plan, memory_findings)
         if bad:
             lines = "; ".join(f"{f.rule}: {f.message}" for f in bad[:3])
             raise AdmissionError(
@@ -367,6 +385,9 @@ class ContractionService:
             job.state = state
             job.error = error
             job.finished_s = time.monotonic()
+            # Result and report stay; the operands are the client's again.
+            job.a = job.b = None
+            job.kwargs = {}
             # Idle the moment the last job ends: drain() and shutdown()
             # must not wait out a scheduler poll interval to learn it.
             if not any(

@@ -78,6 +78,43 @@ class TestShmCleanup:
         """)
 
 
+    def test_store_on_an_owner_that_unlinks_is_clean(self):
+        """A run's coordinator, a worker pool: the segment goes on ``self``
+        the moment it exists and the class has the method that unlinks."""
+        assert _rules("""
+            class Pool:
+                def pack(self, tag, tiles):
+                    arena = self.arenas[tag] = TileArena.pack(tag, tiles)
+                    self.scratch = TileArena.allocate("s", 64)
+                    self.held.append(TileArena.allocate(tag, 64))
+                    return arena
+
+                def terminate(self):
+                    for arena in self.arenas.values():
+                        arena.unlink()
+        """) == set()
+
+    def test_store_on_self_needs_a_method_that_unlinks(self):
+        assert _rules("""
+            class Holder:
+                def pack(self, tag, tiles):
+                    self.arenas[tag] = TileArena.pack(tag, tiles)
+        """) == {"L301"}
+
+    def test_owner_class_still_answers_for_its_locals(self):
+        findings = _lint("""
+            class Pool:
+                def pack(self, tag, tiles):
+                    arena = TileArena.pack(tag, tiles)
+                    held.append(TileArena.allocate(tag, 64))
+                    self.arenas[tag] = arena
+
+                def terminate(self):
+                    self.arenas.popitem()[1].unlink()
+        """)
+        assert [(f.rule, f.location.line) for f in findings] == [("L301", 4), ("L301", 5)]
+
+
 class TestMpContext:
     def test_module_level_queue_fires_l302(self):
         findings = _lint("""

@@ -371,6 +371,84 @@ class TestSharedMemoryLifecycle:
         finally:
             arena.unlink()
 
+    def test_repack_reuses_the_segment_and_forgets_the_old_packing(self):
+        rng = np.random.default_rng(1)
+        first = {(0, 0): rng.standard_normal((4, 5)), (1, 2): rng.standard_normal((3, 3))}
+        second = {(0, 1): rng.standard_normal((2, 6)), (0, 0): rng.standard_normal((1, 1))}
+        arena = TileArena.pack("t", first.items())
+        try:
+            name, size, before = arena.name, arena.size, mapped_segments([arena.name])
+            arena.repack(second.items())
+            assert (arena.name, arena.size) == (name, size)
+            assert mapped_segments([name]) == before == [name]
+            assert active_segments() == {name}
+            assert sorted(arena.index) == sorted(second)  # (1, 2) is gone
+            assert arena.used_bytes == sum(t.nbytes for t in second.values())
+            attached = TileArena.attach(arena.meta())  # by the same name
+            for key, tile in second.items():
+                assert np.array_equal(attached.get(key), tile)
+            attached.close()
+            # Too large: refused, and the arena still holds the second packing.
+            with pytest.raises(ValueError, match="cannot hold"):
+                arena.repack([((0, 0), np.zeros((40, 40)))])
+            assert sorted(arena.index) == sorted(second)
+            assert np.array_equal(arena.get((0, 1)), second[(0, 1)])
+        finally:
+            arena.unlink()
+        assert active_segments() == frozenset()
+
+
+@pytest.fixture()
+def reaped(monkeypatch):
+    """The worker processes of every run in this test, as its teardown left them."""
+    from repro.dist.coordinator import _Coordinator
+
+    procs, teardown = [], _Coordinator.teardown
+
+    def spying(self):
+        teardown(self)
+        procs.extend(self.workers.values())
+
+    monkeypatch.setattr(_Coordinator, "teardown", spying)
+    return procs
+
+
+class TestWorkersLeave:
+    """A one-shot rank that has reported — and can get no handoff — exits on
+    its own; teardown finds nothing to signal."""
+
+    @pytest.mark.parametrize("plane", [pytest.param("fork", marks=needs_fork), "spawn"])
+    def test_fault_free_workers_exit_zero(self, reaped, plane):
+        a, b = operands(seed=15)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+        c_serial, _ = execute_plan(plan, a, b)
+        c, _ = execute_plan_distributed(plan, a, b, start_method=plane)
+        assert np.array_equal(c.to_dense(), c_serial.to_dense())
+        assert [p.exitcode for p in reaped] == [0, 0]  # not -15: nobody was signalled
+        assert mp.active_children() == []
+        assert active_segments() == frozenset()
+
+    @pytest.mark.dist
+    def test_rebalancing_run_keeps_its_helpers_until_teardown(self, reaped):
+        a, b = operands(seed=15)
+        assert_bit_equal_runs(a, b, summit(2), 1, 6, rebalance=True)
+        assert [p.exitcode for p in reaped] == [-15, -15]
+        assert mp.active_children() == []
+
+    @pytest.mark.dist
+    def test_late_kill_is_retried_after_the_sibling_has_left(self, reaped):
+        """Rank 0 dies on its last task: by the time the patrol's grace has
+        passed and the retry is forked, rank 1 is long gone."""
+        a, b = operands(seed=6)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, gpus_per_proc=6)
+        _, report = assert_bit_equal_runs(
+            a, b, summit(2), 2, 6,
+            fault_plan=FaultPlan.kill(0, plan.procs[0].ntasks),
+        )
+        assert report.attempts == {0: 2, 1: 1}
+        assert [p.exitcode for p in reaped] == [0, 0]  # the retry and the sibling
+        assert mp.active_children() == []
+
 
 class TestFaultRecovery:
     @pytest.mark.dist

@@ -31,9 +31,11 @@ from repro.serve import (
     JobFailedError,
     WarmTileCache,
 )
+from repro.dist import active_segments
+from repro.serve import service as service_module
 from repro.sparse import random_block_sparse
 from repro.tiling import random_tiling
-from tests.test_dist_executor import mapped_segments
+from tests.test_dist_executor import mapped_segments, segment_tags
 
 
 def operands(seed=0, m=200, nk=600, density=0.5, gen_delay_s=0.0):
@@ -113,6 +115,19 @@ class TestWarmTileCache:
 # ---- admission control (tier-1: rejected before any process spawns) --------
 
 
+@pytest.fixture()
+def verify_calls(monkeypatch):
+    """The plans ``verify_plan`` was asked about, in order."""
+    calls, real = [], service_module.verify_plan
+
+    def counting(plan):
+        calls.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(service_module, "verify_plan", counting)
+    return calls
+
+
 class TestAdmission:
     def test_rank_mismatch_rejected(self, problem):
         plan, a, b, _ = problem
@@ -144,6 +159,60 @@ class TestAdmission:
                 svc.result("nope")
         finally:
             svc.shutdown()
+
+    def test_refusal_is_remembered_and_raised_on_every_submit(self, problem, verify_calls):
+        plan, a, b, _ = problem
+        plan.procs[0].blocks[0].c_bytes = plan.gpu_memory_bytes  # fires P110
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            for _ in range(3):
+                with pytest.raises(AdmissionError) as exc:
+                    svc.submit(plan, a, b.empty_clone())
+                assert any(f.rule == "P110" for f in exc.value.findings)
+            # verified once, refused three times
+            assert len(verify_calls) == 1 and verify_calls[0] is plan
+            assert svc.pool.spawns == 0 and svc.jobs() == []
+        finally:
+            svc.shutdown()
+
+    def test_submit_verifies_outside_the_service_lock(self, problem, monkeypatch):
+        """Bugfix regression: ``submit`` ran ``verify_plan`` holding the lock,
+        so ``jobs()``, ``status()`` and the scheduler's ``_finish`` of the
+        running job waited behind every submission."""
+        plan, a, b, _ = problem
+        plan.procs[0].blocks[0].c_bytes = plan.gpu_memory_bytes  # refused: no job runs
+        verifying, release = threading.Event(), threading.Event()
+        real = service_module.verify_plan
+
+        def slow_verify(p):
+            verifying.set()
+            assert release.wait(timeout=30)
+            return real(p)
+
+        monkeypatch.setattr(service_module, "verify_plan", slow_verify)
+        svc = ContractionService(plan.grid.nprocs)
+        outcome = []
+
+        def client():
+            try:
+                svc.submit(plan, a, b.empty_clone())
+            except AdmissionError as exc:
+                outcome.append(exc)
+
+        submitter = threading.Thread(target=client)
+        try:
+            submitter.start()
+            assert verifying.wait(timeout=30)
+            listed = []
+            lister = threading.Thread(target=lambda: listed.append(svc.jobs()))
+            lister.start()
+            lister.join(timeout=10)
+            assert listed == [[]], "jobs() waited behind a submit that was verifying"
+        finally:
+            release.set()
+            submitter.join(timeout=30)
+            svc.shutdown()
+        assert not submitter.is_alive() and len(outcome) == 1
 
 
 # ---- full service behaviour (multi-process; `make test-dist`) --------------
@@ -275,6 +344,31 @@ class TestContractionService:
         finally:
             svc.shutdown()
 
+    def test_finished_jobs_give_their_operands_back(self, problem):
+        """Bugfix regression: a ``Job`` kept ``a``, ``b`` and ``kwargs`` after
+        it finished, so a long-lived service pinned every operand ever
+        submitted until ``shutdown()``."""
+        from repro.dist import FaultPlan
+
+        plan, a, b, oracle = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            ok = svc.submit(plan, a, b.empty_clone(), alpha=1.0)
+            svc.result(ok, timeout=120)
+            doomed = svc.submit(
+                plan, a, b.empty_clone(),
+                fault_plan=FaultPlan.parse("0:1:abort", plan.grid.nprocs),
+            )
+            with pytest.raises(JobFailedError):
+                svc.result(doomed, timeout=120)
+            for jid in (ok, doomed):
+                job = svc._job(jid)
+                assert job.a is None and job.b is None and job.kwargs == {}
+            out, report = svc.result(ok)  # result and report stay
+            assert np.array_equal(out.to_dense(), oracle) and report is svc.report(ok)
+        finally:
+            svc.shutdown()
+
     def test_drain_and_resume(self, problem, tmp_path):
         plan, a, b, _ = problem
         svc = ContractionService(plan.grid.nprocs, artifacts_dir=str(tmp_path))
@@ -369,3 +463,146 @@ class TestContractionService:
         assert svc.status(jid) == "done"  # graceful shutdown drained it
         with pytest.raises(ValueError, match="shut down"):
             svc.submit(plan, a, b.empty_clone())
+
+
+# ---- what the pool keeps between jobs (multi-process; `make test-dist`) -----
+
+
+def fresh_values(a, seed):
+    """``a``'s occupancy (hence its plan) with new tile values."""
+    rng = np.random.default_rng(seed)
+    out = type(a)(a.rows, a.cols)
+    for (i, j), tile in a.items():
+        out.set_tile(i, j, rng.standard_normal(tile.shape))
+    return out
+
+
+def own_segments():
+    """This process's segments still named under ``/dev/shm``."""
+    prefix = f"psgemm-{os.getpid()}-"
+    return sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
+
+
+def operand_segments(report):
+    return [n for n, tag in zip(report.segments, segment_tags(report)) if tag in "ab"]
+
+
+@pytest.mark.dist
+class TestPoolLifetimeArenas:
+    def test_five_jobs_repack_one_a_segment(self, problem):
+        plan, a, b, _ = problem
+        svc = ContractionService(plan.grid.nprocs)
+        names = []
+        try:
+            for job in range(5):
+                a_job = fresh_values(a, seed=100 + job)
+                ref, _ = execute_plan(plan, a_job, b.empty_clone())
+                out, report = svc.result(
+                    svc.submit(plan, a_job, b.empty_clone()), timeout=120
+                )
+                assert np.array_equal(out.to_dense(), ref.to_dense()), job
+                assert segment_tags(report)[0] == "a"
+                names.append(report.segments[0])
+                # The run reports what it packed this job, and has unlinked
+                # everything but the pool's arena.
+                assert report.shm_bytes == a_job.nbytes + report.stats.d2h_bytes
+                assert own_segments() == [names[0]]
+                assert active_segments() == {names[0]}
+            assert len(set(names)) == 1
+            assert svc.pool.spawns == plan.grid.nprocs
+        finally:
+            svc.shutdown()
+        assert own_segments() == [] and active_segments() == frozenset()
+
+    def test_an_a_that_outgrows_the_segment_gets_a_new_one(self, problem):
+        plan, a, b, oracle = problem
+        big_a, big_b = operands(seed=5, m=320, nk=600)
+        big_plan = inspect(big_a.sparse_shape(), big_b.shape, summit(2), p=1)
+        assert big_a.nbytes > a.nbytes
+        big_ref, _ = execute_plan(big_plan, big_a, big_b.empty_clone())
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            _, small = svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+            out, big = svc.result(
+                svc.submit(big_plan, big_a, big_b.empty_clone()), timeout=120
+            )
+            assert np.array_equal(out.to_dense(), big_ref.to_dense())
+            assert big.segments[0] != small.segments[0]
+            assert own_segments() == [big.segments[0]]  # the old one is unlinked
+            # ... and a smaller A moves back into the larger segment.
+            out, again = svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+            assert np.array_equal(out.to_dense(), oracle)
+            assert again.segments[0] == big.segments[0]
+            assert again.shm_bytes == a.nbytes + again.stats.d2h_bytes
+        finally:
+            svc.shutdown()
+        assert own_segments() == []
+
+    def test_a_failed_job_takes_its_segments_with_it(self, problem):
+        from repro.dist import FaultPlan
+
+        plan, a, b, _ = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            _, first = svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+            doomed = svc.submit(
+                plan, a, b.empty_clone(),
+                fault_plan=FaultPlan.parse("0:1:abort", plan.grid.nprocs),
+            )
+            with pytest.raises(JobFailedError):
+                svc.result(doomed, timeout=120)
+            # reset_pool: the workers and the pool's arena are gone.
+            assert own_segments() == [] and active_segments() == frozenset()
+            a_next = fresh_values(a, seed=7)
+            ref, _ = execute_plan(plan, a_next, b.empty_clone())
+            out, after = svc.result(svc.submit(plan, a_next, b.empty_clone()), timeout=120)
+            assert np.array_equal(out.to_dense(), ref.to_dense())
+            assert after.segments[0] != first.segments[0]
+            assert own_segments() == [after.segments[0]]
+        finally:
+            svc.shutdown()
+        assert own_segments() == []
+
+    def test_a_plan_is_verified_once_however_often_it_is_submitted(
+        self, problem, verify_calls
+    ):
+        plan, a, b, oracle = problem
+        other_a, other_b = operands(seed=5, m=320, nk=600)
+        other = inspect(other_a.sparse_shape(), other_b.shape, summit(2), p=1)
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            for _ in range(2):
+                out, _ = svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+                assert np.array_equal(out.to_dense(), oracle)
+            assert len(verify_calls) == 1 and verify_calls[0] is plan
+            svc.result(svc.submit(other, other_a, other_b.empty_clone()), timeout=120)
+            svc.result(svc.submit(plan, a, b.empty_clone()), timeout=120)
+            assert [p is plan for p in verify_calls] == [True, False]
+        finally:
+            svc.shutdown()
+
+    def test_a_pooled_concrete_b_is_repacked_like_a(self):
+        from repro.dist import WorkerPool, execute_plan_distributed
+        from tests.test_dist_executor import operands as concrete_operands
+
+        a, b = concrete_operands(seed=0)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+        pool = WorkerPool(plan.grid.nprocs)
+        seen = []
+        try:
+            for job in range(3):
+                a_job, b_job = fresh_values(a, 20 + job), fresh_values(b, 30 + job)
+                ref, _ = execute_plan(plan, a_job, b_job)
+                out, report = execute_plan_distributed(plan, a_job, b_job, pool=pool)
+                assert np.array_equal(out.to_dense(), ref.to_dense()), job
+                assert segment_tags(report)[:2] == ["a", "b"]
+                seen.append(operand_segments(report))
+                assert own_segments() == sorted(seen[0])
+                assert report.shm_bytes == (
+                    a_job.nbytes + b_job.nbytes + report.stats.d2h_bytes
+                )
+            assert seen[0] == seen[1] == seen[2]
+            assert pool.spawns == plan.grid.nprocs
+        finally:
+            pool.close()
+        assert own_segments() == [] and active_segments() == frozenset()

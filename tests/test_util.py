@@ -19,6 +19,7 @@ from repro.util import (
     resolve_rng,
     spawn_rng,
 )
+from repro.util.memo import IdentityMemo
 
 
 class TestUnits:
@@ -118,3 +119,35 @@ class TestRngBitGenerators:
         c3 = spawn_rng(np.random.Generator(cls(42)), 2).standard_normal(4)
         assert np.allclose(c1, c2)
         assert not np.allclose(c1, c3)
+
+
+class TestIdentityMemo:
+    def test_computes_once_per_object_not_per_value(self):
+        calls = []
+
+        def compute(obj):
+            calls.append(obj)
+            return len(obj)
+
+        memo = IdentityMemo()
+        first, twin = [1, 2], [1, 2]  # equal, unhashable, distinct
+        assert memo.get(first, compute) == 2
+        assert memo.get(first, compute) == 2
+        assert memo.get(twin, compute) == 2
+        assert calls == [first, twin] and calls[1] is twin
+
+    def test_holds_the_last_few_objects_only(self):
+        calls = []
+        memo = IdentityMemo(maxsize=2)
+        objs = [[i] for i in range(3)]
+        for obj in objs + [objs[2], objs[1], objs[0]]:
+            memo.get(obj, lambda o: calls.append(o[0]))
+        # 0 was evicted by 2; 2 and 1 are remembered; 0 is computed again.
+        assert calls == [0, 1, 2, 0]
+
+    def test_a_failed_compute_is_not_remembered(self):
+        memo = IdentityMemo()
+        obj = []
+        with pytest.raises(ZeroDivisionError):
+            memo.get(obj, lambda o: 1 / 0)
+        assert memo.get(obj, lambda o: "ok") == "ok"
