@@ -192,8 +192,8 @@ def _cmd_selftest(args) -> int:
         print(f"distributed executor ran {report.summary()}")
         print(f"per-rank tasks: {dict(sorted(report.stats.per_proc_tasks.items()))}")
         if getattr(args, "trace", None):
-            _write_artifact(
-                args.trace, report,
+            report.write_artifact(
+                args.trace,
                 meta={
                     "command": "selftest", "procs": args.procs,
                     "seed": args.seed, "fault": args.inject_fault or "",
@@ -235,19 +235,6 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _write_artifact(path: str, report, meta: dict) -> None:
-    """Write a run's enriched Chrome-trace artifact from its DistReport."""
-    from repro.perf import write_run_artifact
-
-    write_run_artifact(
-        path,
-        report.trace,
-        model=report.model,
-        comm_link_bytes=dict(report.comm.link_bytes),
-        meta=meta,
-    )
-
-
 def _parse_band(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     try:
@@ -260,30 +247,22 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 
 def _events_digest(path: str) -> str:
-    """A one-screen life-cycle digest of a run's JSONL event log."""
+    """A one-screen digest of a run's JSONL event log: what was logged, and
+    the per-rank table it folds to (``repro monitor``'s)."""
     from collections import Counter
 
-    from repro.dist import read_events
+    from repro.dist import read_events, replay_health
 
     events = read_events(path)
     if not events:
         return f"{path}: no events"
     kinds = Counter(ev.get("event", "?") for ev in events)
-    span = events[-1].get("t", 0.0) - events[0].get("t", 0.0)
-    lines = [
-        f"{path}: {len(events)} event(s) over {span:.2f} s — "
+    last = events[-1].get("t", 0.0)
+    return (
+        f"{path}: {len(events)} event(s) over {last - events[0].get('t', 0.0):.2f} s — "
         + ", ".join(f"{k} x{n}" for k, n in sorted(kinds.items()))
-    ]
-    for ev in events:
-        if ev.get("event") in ("stalled", "retry", "reassigned", "handoff"):
-            lines.append(
-                f"  t={ev.get('t', 0.0):.2f}s {ev['event']}: "
-                + ", ".join(
-                    f"{k}={v}" for k, v in sorted(ev.items())
-                    if k not in ("event", "t")
-                )
-            )
-    return "\n".join(lines)
+        + "\n" + replay_health(events).table(now=last)
+    )
 
 
 def _cmd_explain(args) -> int:

@@ -32,28 +32,32 @@ One run is one :class:`_Coordinator`; its phases, in order:
   result's tile — a view of the arena, whose mapping lives as long as the
   tile while the segment's name goes with the run — after the input C
   tile, if any, is added into it in place (``S + beta*C``);
-* **report** — merge per-rank stats and every rank's monotonic
+* **report** — merge per-rank stats, tallies and every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
   each recorder's single wall-clock sample) into one
   :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
   utilization queries work on real runs exactly as on simulated ones;
 * **teardown** — success or not, reap the processes this run owns and
   unlink every segment it created — a pool's operand arenas stay the pool's
-  (the leak tests attach-probe every name).  By then the ``events_path``
-  JSONL log (the attach point for ``repro monitor``) has its one terminal
-  record: ``done`` from ``report``, ``aborted`` / ``failed`` from ``fail``.
+  (the leak tests attach-probe every name).  By then the event log has its
+  one terminal record: ``done`` from ``report``, ``aborted`` / ``failed``
+  from ``fail``.
+
+The run is recorded once: every recovery fact is one ``events.emit``.  The
+:class:`~repro.dist.health.EventLog` folds it into the live
+:class:`~repro.dist.health.RunHealth`, tallies it and (given
+``events_path``) appends it to the file ``repro monitor`` replays through
+the same fold; ``report`` derives its metrics and recovery fields from both.
 
 Clock policy: every run-relative clock and deadline here is
 ``time.monotonic()`` — an NTP step can neither fire nor suppress the
 fault-recovery deadline, and durations can never go negative.  The single
-wall-clock stamp (``DistReport.started_at``, taken inside
-:class:`SpanRecorder`) exists only to label reports and align per-rank
-span streams.
+wall-clock stamp (taken inside :class:`SpanRecorder`) exists only to align
+per-rank span streams.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
 import time
 from multiprocessing import resource_tracker
@@ -80,12 +84,13 @@ from repro.dist.comm import (
     RelinquishMsg,
 )
 from repro.dist.faults import FaultPlan
-from repro.dist.health import EventLog, RunHealth
+from repro.dist.health import EVENT_COUNTERS, EventLog, RunHealth
 from repro.dist.pool import default_start_method
 from repro.dist.protocol import COORDINATOR_MACHINE, WIRE
 from repro.dist.tile_store import TileArena
 from repro.dist.worker import (
     ABORT_EXIT_CODE,
+    RankTally,
     ScatterMsg,
     WorkerReport,
     run_handoff,
@@ -128,8 +133,9 @@ class DistExecutionError(RuntimeError):
 
 
 @dataclass
-class DistReport:
-    """Everything observed about one distributed run."""
+class DistReport(RankTally):
+    """Everything observed about one distributed run (the
+    :class:`~repro.dist.worker.RankTally` fields: the ranks' merged)."""
 
     stats: NumericStats
     trace: Trace
@@ -137,36 +143,20 @@ class DistReport:
     attempts: dict[int, int]
     reassigned: list[int]
     segments: list[str]
-    b_max_instantiations: int = 0
     nworkers: int = 0
-    started_at: float = 0.0  # wall-clock stamp, labeling only
-    b_hits: int = 0
-    b_evictions: int = 0
-    spans_dropped: int = 0
     shm_bytes: int = 0
     metrics: MetricsSnapshot | None = None
     health: RunHealth | None = None
     events_path: str | None = None
     stalled: list[int] = field(default_factory=list)
-    checkpoint_dir: str | None = None
-    run_hash: str = ""
-    plan_hash: str = ""
-    blocks_restored: int = 0
-    tasks_skipped: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    store_puts: int = 0
-    #: B tiles served from any cache tier (warm in-process or disk)
-    #: instead of generated — nonzero on a warm pooled run's repeat job.
-    b_store_hits: int = 0
     handoffs: int = 0
     blocks_rebalanced: int = 0
     tasks_rebalanced: int = 0
     #: Predicted-cost model of the executed plan (when tracing was on);
     #: feeds :meth:`audit` and ``repro explain``.
     model: "PerfModel | None" = None
-    #: Merged recorder counters from every rank (dropped.<resource>
-    #: seconds, bytes.* accumulators, B-service hit counts, ...).
+    #: Busy seconds lost to the recorder bound, per resource
+    #: (``dropped.<resource>``), merged over every rank.
     span_counters: dict[str, float] = field(default_factory=dict)
     #: Run identifier the caller scoped this run's artifacts under
     #: (``None`` for unscoped one-shot runs).
@@ -178,8 +168,8 @@ class DistReport:
             f"{self.nworkers} workers, {self.stats.ntasks} tasks, "
             f"comm: {self.comm.summary()}"
             + (f", retried {sorted(retried)}" if retried else "")
-            + (f", stalled {sorted(set(self.stalled))}" if self.stalled else "")
-            + (f", reassigned {sorted(self.reassigned)}" if self.reassigned else "")
+            + (f", stalled {self.stalled}" if self.stalled else "")
+            + (f", reassigned {self.reassigned}" if self.reassigned else "")
             + (
                 f", resumed {self.blocks_restored} block(s) "
                 f"({self.tasks_skipped} tasks skipped)"
@@ -229,9 +219,10 @@ class DistReport:
                 waits[rank] = waits.get(rank, 0.0) + e.duration
         return dict(sorted(waits.items()))
 
-    def observability_summary(self) -> str:
-        """A human-readable digest of the merged trace and counters."""
-        lines = [f"makespan {fmt_time(self.trace.makespan)}; {self.summary()}"]
+    def render(self) -> str:
+        """The run as text: :meth:`summary`, then what it leaves out — a
+        digest of the merged trace, the tallies and the per-link traffic."""
+        lines = [self.summary(), f"makespan {fmt_time(self.trace.makespan)}"]
         util = self.rank_utilization()
         if util:
             lines.append(
@@ -252,32 +243,30 @@ class DistReport:
             f"shared memory: {len(self.segments)} segments, "
             f"{fmt_bytes(self.shm_bytes)} of tiles"
         )
-        if self.checkpoint_dir is not None or self.store_puts or self.store_hits:
+        if self.store_puts or self.store_hits or self.store_misses:
             lines.append(
                 f"tile store: {self.store_hits} hits, {self.store_misses} "
                 f"misses, {self.store_puts} puts"
-                + (
-                    f"; checkpoint: {self.blocks_restored} block(s) restored, "
-                    f"{self.tasks_skipped} tasks skipped"
-                    if self.checkpoint_dir is not None else ""
-                )
             )
         if self.health is not None and self.health.heartbeats:
-            lines.append(
-                f"telemetry: {self.health.heartbeats} heartbeats "
-                f"({fmt_bytes(self.comm.telemetry_total())})"
-            )
+            lines.append(f"telemetry: {self.health.heartbeats} heartbeats")
         if self.spans_dropped:
-            lost = sum(
-                v for k, v in self.span_counters.items()
-                if k.startswith("dropped.")
-            )
+            lost = sum(self.span_counters.values())
             lines.append(
                 f"WARNING: {self.spans_dropped} spans dropped at the recorder "
                 f"bound" + (f" ({fmt_time(lost)} of busy time lost)" if lost else "")
             )
         lines.append(self.comm.table())
         return "\n".join(lines)
+
+    def write_artifact(self, path: str, meta: dict | None = None) -> None:
+        """Write the run's one artifact: the Chrome trace enriched with the
+        model and the link bytes ``repro explain --trace`` audits it against."""
+        from repro.perf import write_run_artifact
+
+        write_run_artifact(
+            path, self.trace, self.model, dict(self.comm.link_bytes), meta
+        )
 
     # -- performance attribution (repro.perf) --------------------------------
 
@@ -322,7 +311,6 @@ class RunConfig:
     checkpoint_dir: str | None = None
     store_dir: str | None = None
     store_budget_bytes: int | None = None
-    snapshot_interval: float = 1.0
     rebalance: bool = False
     pool: object = None
     run_id: str | None = None
@@ -355,7 +343,7 @@ def execute_plan_distributed(
     first beat) is treated exactly like a crashed one — terminated,
     retried, then reassigned.  ``heartbeat_interval=0`` disables both
     heartbeats and stall detection.  ``metrics`` ships a cumulative
-    :class:`~repro.runtime.metrics.MetricsSnapshot` with each beat and
+    :class:`~repro.runtime.metrics.MetricsSnapshot` with each rank's
     report; the merged run-wide snapshot lands in ``report.metrics``.
     ``events_path`` appends the run's life-cycle (``plan_accepted``,
     ``worker_up``, ``heartbeat``, ``stall``, ``reassign``, ...) as JSONL —
@@ -381,8 +369,8 @@ def execute_plan_distributed(
     generated once are reused across runs and ranks).  ``checkpoint_dir``
     additionally turns on crash-consistent checkpointing: each rank
     journals every completed block (C tiles to the store first, then an
-    fsynced journal line), the coordinator snapshots run identity and
-    progress every ``snapshot_interval`` seconds, and *every* scatter —
+    fsynced journal line), the coordinator records the run's identity in
+    ``coordinator.json`` before any worker starts, and *every* scatter —
     first attempt, retry, or a fresh run over the same directory — restores
     the journaled blocks instead of recomputing them, so a run killed at
     any instant (the ``abort`` fault included) resumes bit-for-bit.  A
@@ -437,20 +425,6 @@ def execute_plan_distributed(
     finally:
         run.teardown()
 
-
-#: The coordinator's own counters: ``repro_<key>_total`` -> help.
-_COUNTERS = {
-    "heartbeats": "worker heartbeats received",
-    "stalls_detected": "ranks declared stalled via missed heartbeats",
-    "worker_retries": "worker processes respawned after a failure",
-    "ranks_reassigned": "ranks reassigned to the coordinator",
-    "rebalance_requests": "relinquish requests sent to flagged stragglers",
-    "rebalance_blocks_reclaimed": "blocks reclaimed from stragglers and handed off",
-    "rebalance_tasks_moved": "GEMM tasks moved off stragglers by the rebalancer",
-    "rebalance_handoffs": "handoffs dispatched (to helper ranks or the inline spare)",
-    "blocks_completed":
-        "per-block completion reports received on the telemetry channel",
-}
 
 #: When a reply is *live* — from the attempt (or handoff) the run is
 #: waiting on; anything else is the table's ``:stale`` variant, discarded:
@@ -538,17 +512,13 @@ class _Coordinator:
         # The coordinator's own recorder doubles as the run's monotonic clock
         # and the alignment anchor for every rank's span stream.
         self.rec = SpanRecorder(enabled=cfg.trace, max_spans=cfg.trace_max_spans)
-        self.registry = MetricsRegistry(enabled=cfg.metrics)
-        self.counters = {
-            key: self.registry.counter(f"repro_{key}_total", text)
-            for key, text in _COUNTERS.items()
-        }
         self.health = RunHealth(
             heartbeat_interval=cfg.heartbeat_interval,
             stall_after_beats=cfg.stall_after_beats,
             straggler_fraction=cfg.straggler_fraction,
         )
-        self.events = EventLog(cfg.events_path, cfg.run_id)
+        #: The run's one record; ``health`` changes only by its fold.
+        self.events = EventLog(cfg.events_path, cfg.run_id, self.health)
         self.events.emit(
             "plan_accepted",
             nranks=nranks,
@@ -574,19 +544,13 @@ class _Coordinator:
         #: rank -> attempts started (the live attempt is one less).
         self.attempts = {rank: 1 for rank in range(nranks)}
         self.c_arenas: dict[int, TileArena] = {}
-        #: The freshest cumulative MetricsSnapshot per rank — heartbeats
-        #: update it live, the rank's final report supersedes them.
-        self.last_metrics: dict[int, MetricsSnapshot] = {}
         #: Block positions reclaimed from each rank, cumulative across its
         #: attempts: a retried origin must never re-execute a block the
         #: rebalancer already owns (that would double-produce its tiles).
         self.stolen_blocks: dict[int, set[tuple[int, int]]] = {}
         self.reports: dict[int, WorkerReport] = {}
-        self.reassigned: list[int] = []
-        self.stalled: list[int] = []
         self.pending = set(range(nranks))
         self.suspects: dict[int, float] = {}
-        self.flagged_stragglers: set[int] = set()
         #: rank -> attempt of the one relinquish request in flight to it.
         self.outstanding_relinquish: dict[int, int] = {}
         #: handoff id -> record of a dispatch to a helper rank (origin,
@@ -594,7 +558,6 @@ class _Coordinator:
         self.pending_handoffs: dict[int, dict] = {}
         #: handoff id -> (origin, adopted C tiles, stats) for the reduction.
         self.handoff_results: dict[int, tuple] = {}
-        self.handoff_ids = itertools.count()
 
     def live_attempt(self, rank: int) -> int:
         """The 0-based attempt of ``rank`` whose replies count."""
@@ -636,6 +599,15 @@ class _Coordinator:
     def scatter(self) -> None:
         """Pack what the data plane needs, then spawn and scatter each rank."""
         plan, cfg, b = self.plan, self.cfg, self.b
+        if cfg.checkpoint_dir is not None:
+            # The run's identity, on disk before any worker exists: a later
+            # mismatched plan is refused (``__init__``, P121) whenever this
+            # run dies.  Progress is the event log's and the journals' job.
+            write_snapshot(cfg.checkpoint_dir, {
+                "v": 1, "plan": self.plan_hash, "b": self.b_hash,
+                "run": self.run_hash, "alpha": float(self.alpha),
+                "nranks": self.nranks,
+            })
         a_meta = None if self.resident else self.pack("a", self.a)
         if isinstance(b, BlockSparseMatrix):
             b_spec = (
@@ -756,16 +728,13 @@ class _Coordinator:
         self.spawn(rank)
         msg = self.rank_msg(rank)
         t_send = self.rec.now()
-        sent = self.coord.send(rank, msg)
+        self.coord.send(rank, msg)
         self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.rec.now())
-        self.rec.count("bytes.scatter", sent)
         # Net of the blocks stolen from earlier attempts: the rank's
         # progress fraction is over what it still owns.
         tasks_total = self.plan.procs[rank].ntasks - self.block_tasks(
             rank, self.stolen_blocks.get(rank, ())
         )
-        self.health.on_scatter(rank, tasks_total, msg.attempt, time.monotonic())
-        self.last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
         self.events.emit(
             "scatter", rank=rank, attempt=msg.attempt, tasks_total=tasks_total
         )
@@ -795,18 +764,13 @@ class _Coordinator:
         self.reports[rank] = report
         self.report_clock[rank] = self.rec.now()
         self.pending.discard(rank)
-        if report.metrics is not None:
-            self.last_metrics[rank] = report.metrics
 
     def complete_rank(self, msg: DoneMsg) -> None:
         rank, report = msg.rank, msg.report
         self.accept_report(rank, report)
         self.suspects.pop(rank, None)
-        # A done report supersedes any relinquish in flight to
-        # this rank (M408) and retires its straggler flag.
+        # A done report supersedes any relinquish in flight to it (M408).
         self.outstanding_relinquish.pop(rank, None)
-        self.flagged_stragglers.discard(rank)
-        self.health.on_done(rank, time.monotonic())
         self.events.emit(
             "rank_done", rank=rank, attempt=report.attempt,
             tasks=report.stats.ntasks,
@@ -832,9 +796,6 @@ class _Coordinator:
         msg = self.rank_msg(rank, in_process=True)
         self.spawn_clock.pop(rank, None)  # no process start-up to attribute
         self.accept_report(rank, run_rank(msg, (self.a, self.b)))
-        self.reassigned.append(rank)
-        self.counters["ranks_reassigned"].inc()
-        self.health.mark(rank, "reassigned")
         self.events.emit("reassign", rank=rank, attempt=self.attempts[rank])
 
     def recover_rank(self, failure: ErrorMsg) -> None:
@@ -843,11 +804,9 @@ class _Coordinator:
         for a rank that exited or went silent."""
         rank, reason = failure.rank, failure.traceback
         self.suspects.pop(rank, None)
-        # A retried or reassigned rank starts a fresh attempt: its
-        # straggler flag must not outlive the attempt it measured (a
-        # slow *second* attempt must be re-flaggable), and any
+        # A retried or reassigned rank starts a fresh attempt (its health
+        # state with it: a slow *second* attempt is re-flaggable), and any
         # relinquish in flight to the dead attempt is superseded.
-        self.flagged_stragglers.discard(rank)
         self.outstanding_relinquish.pop(rank, None)
         old = self.workers.pop(rank, None)
         if old is not None and old.is_alive():
@@ -857,8 +816,6 @@ class _Coordinator:
             old.join(timeout=1.0)
         if self.attempts[rank] <= self.cfg.max_retries:
             self.attempts[rank] += 1
-            self.counters["worker_retries"].inc()
-            self.health.mark(rank, "retried")
             self.events.emit(
                 "retry", rank=rank, attempt=self.live_attempt(rank), reason=reason
             )
@@ -883,13 +840,8 @@ class _Coordinator:
         )
 
     def fold_health(self, hb) -> None:
-        """Fold one live heartbeat into the health picture."""
-        first = self.health.ranks[hb.rank].first_beat is None
-        self.health.on_heartbeat(hb, time.monotonic())
-        self.counters["heartbeats"].inc()
-        if hb.metrics is not None:
-            self.last_metrics[hb.rank] = hb.metrics
-        if first:
+        """Log one live heartbeat (the log folds it into the health)."""
+        if self.health.ranks[hb.rank].first_beat is None:
             self.events.emit("worker_up", rank=hb.rank, attempt=hb.attempt)
         self.events.emit(
             "heartbeat", rank=hb.rank, attempt=hb.attempt, seq=hb.seq,
@@ -897,7 +849,6 @@ class _Coordinator:
         )
 
     def fold_progress(self, msg) -> None:
-        self.counters["blocks_completed"].inc()
         self.events.emit(
             "block_done", rank=msg.rank, attempt=msg.attempt,
             gpu=msg.gpu, block=msg.block, tasks=msg.ntasks,
@@ -910,8 +861,6 @@ class _Coordinator:
         At most one request per rank is in flight, pinned to the live
         attempt so worker and :data:`_LIVE` discard one that raced a retry.
         """
-        self.flagged_stragglers.add(rank)
-        self.health.mark(rank, "straggler")
         self.events.emit("straggler", rank=rank)
         if (not self.cfg.rebalance or rank in self.outstanding_relinquish
                 or rank not in self.pending):
@@ -919,7 +868,6 @@ class _Coordinator:
         att = self.live_attempt(rank)
         self.outstanding_relinquish[rank] = att
         self.coord.send(rank, RelinquishMsg(attempt=att))
-        self.counters["rebalance_requests"].inc()
         self.events.emit("rebalance", rank=rank, attempt=att)
 
     def pick_helper(self) -> int | None:
@@ -989,16 +937,12 @@ class _Coordinator:
         if not positions:
             return
         self.stolen_blocks.setdefault(origin, set()).update(positions)
-        self.health.on_relinquished(origin, moved)
-        hid = next(self.handoff_ids)
+        hid = self.events.total("handoff")  # ids number the ``handoff`` records
         blocks = tuple(
             (g, bi, self.plan.procs[origin].gpu_blocks(g)[bi])
             for g, bi in positions
         )
         helper = self.pick_helper()
-        self.counters["rebalance_handoffs"].inc()
-        self.counters["rebalance_blocks_reclaimed"].inc(len(blocks))
-        self.counters["rebalance_tasks_moved"].inc(moved)
         self.events.emit(
             "handoff", handoff=hid, origin=origin, helper=helper,
             blocks=len(blocks), tasks=moved,
@@ -1051,9 +995,6 @@ class _Coordinator:
                     f"worker exited with code {proc.exitcode}",
                 ))
         for rank in self.health.stalled_ranks(time.monotonic(), self.pending):
-            self.counters["stalls_detected"].inc()
-            self.stalled.append(rank)
-            self.health.mark(rank, "stalled")
             silent = time.monotonic() - self.health.ranks[rank].last_signal
             att = self.live_attempt(rank)
             self.events.emit(
@@ -1064,19 +1005,16 @@ class _Coordinator:
                 f"stalled: no heartbeat for {silent:.2f} s "
                 f"(> {self.cfg.stall_after_beats} x {self.cfg.heartbeat_interval} s)",
             ))
+        flagged = {r for r, rh in self.health.ranks.items() if rh.state == "straggler"}
         current = set(self.health.straggler_ranks(time.monotonic()))
-        for rank in sorted(current - self.flagged_stragglers):
+        for rank in sorted(current - flagged):
             self.fire("obs:straggler", rank)
-        for rank in sorted(self.flagged_stragglers - current):
+        for rank in sorted(flagged - current):
             # Recovery: the rank's windowed rate climbed back over the
-            # threshold (or it finished).  Clear the flag so a later
-            # slowdown re-flags it — a sticky flag would mute every
-            # straggler after its first offense.
-            self.flagged_stragglers.discard(rank)
-            rh = self.health.ranks.get(rank)
-            if rh is not None and rh.state == "straggler":
-                self.health.mark(rank, "running")
-                self.events.emit("straggler_recovered", rank=rank)
+            # threshold.  Clearing the flag lets a later slowdown re-flag it
+            # — a sticky flag would mute every straggler after its first
+            # offense.
+            self.events.emit("straggler_recovered", rank=rank)
         for hid in sorted(self.pending_handoffs):
             h = self.pending_handoffs[hid]
             proc = self.workers.get(h["helper"])
@@ -1085,46 +1023,16 @@ class _Coordinator:
             elif now - h["started"] > _HANDOFF_TIMEOUT_SECONDS:
                 self.fail_handoff(hid, "timeout")
 
-    def snapshot(self, state: str) -> None:
-        """Atomically refresh ``coordinator.json`` with live progress."""
-        if self.cfg.checkpoint_dir is None:
-            return
-        write_snapshot(self.cfg.checkpoint_dir, {
-            "v": 1,
-            "state": state,
-            "plan": self.plan_hash,
-            "b": self.b_hash,
-            "run": self.run_hash,
-            "alpha": float(self.alpha),
-            "nranks": self.nranks,
-            "attempts": {str(r): a for r, a in self.attempts.items()},
-            "ranks": {
-                str(r): {
-                    "state": rh.state,
-                    "tasks_done": rh.tasks_done,
-                    "tasks_total": rh.tasks_total,
-                }
-                for r, rh in self.health.ranks.items()
-            },
-        })
-
     def supervise(self) -> None:
         """Gather replies until no rank and no handoff is pending."""
-        # The first snapshot lands before any worker makes progress, so a
-        # run killed at any later instant still records its identity (and a
-        # later mismatched plan is refused).
-        self.snapshot("running")
         deadline = time.monotonic() + self.cfg.timeout
-        last_snapshot = last_patrol = time.monotonic()
+        last_patrol = time.monotonic()
         while self.pending or self.pending_handoffs:
             if time.monotonic() > deadline:
                 raise DistExecutionError(
                     f"distributed run timed out after {self.cfg.timeout:.0f} s "
                     f"(pending ranks: {sorted(self.pending)})"
                 )
-            if time.monotonic() - last_snapshot >= self.cfg.snapshot_interval:
-                self.snapshot("running")
-                last_snapshot = time.monotonic()
             self.drain_telemetry()
             # Patrol on a bounded monotonic cadence, not only when the
             # inbox goes quiet: a steady message stream used to starve
@@ -1143,7 +1051,6 @@ class _Coordinator:
         self.fire("obs:all_done")
         self.drain_telemetry()  # beats raced against the final reports
         self.fire("obs:drained")
-        self.snapshot("done")
 
     # ---- reduce ----------------------------------------------------------------
 
@@ -1185,16 +1092,18 @@ class _Coordinator:
     # ---- report: merge stats / trace / comm / metrics ------------------------
 
     def report(self) -> DistReport:
-        """Everything observed, merged; ends the log with ``done``."""
-        cfg, rec, plan = self.cfg, self.rec, self.plan
+        """Everything observed, merged (recovery fields and coordinator
+        metrics: folds of the event log); ends the log with ``done``."""
+        cfg, rec, plan, events = self.cfg, self.rec, self.plan, self.events
         reports = [self.reports[rank] for rank in range(self.nranks)]
+        tally = RankTally.merge(reports)
+        tally.spans_dropped += rec.dropped
         stats = NumericStats.merge(
             [r.stats for r in reports]
             + [s for _, _, s in self.handoff_results.values()]
         )
         run_trace = Trace()
         run_trace.extend(rec.spans)
-        spans_dropped = rec.dropped
         span_counters: dict[str, float] = dict(rec.counters)
         for rank, rank_report in enumerate(reports):
             stream = rank_report.spans
@@ -1203,7 +1112,6 @@ class _Coordinator:
                 # two recorders' wall-clock origin samples.
                 offset = stream.wall_origin - rec.wall_origin
                 run_trace.extend(stream.spans, offset=offset)
-                spans_dropped += stream.dropped
                 for key, val in stream.counters.items():
                     span_counters[key] = span_counters.get(key, 0.0) + val
                 t_spawn = self.spawn_clock.get(rank)
@@ -1222,14 +1130,21 @@ class _Coordinator:
                         )
             self.comm_stats.absorb(rank_report.link_bytes)
         self.comm_stats.absorb(self.coord.link_bytes, self.coord.messages)
-        self.registry.counter(
-            "repro_spans_dropped_total",
-            "trace spans discarded at the recorder bound",
-        ).inc(rec.dropped)
-        merged_metrics = MetricsSnapshot.merge(
-            [self.last_metrics[r] for r in sorted(self.last_metrics)]
-            + [self.registry.snapshot()]
-        ) if cfg.metrics else None
+        merged_metrics = None
+        if cfg.metrics:
+            registry = MetricsRegistry()
+            registry.counter(
+                "repro_spans_dropped_total",
+                "trace spans discarded at the recorder bound",
+            ).inc(tally.spans_dropped)
+            for key, (kind, summed, text) in EVENT_COUNTERS.items():
+                registry.counter(f"repro_{key}_total", text).inc(
+                    events.total(kind, summed)
+                )
+            merged_metrics = MetricsSnapshot.merge(
+                [r.metrics for r in reports if r.metrics is not None]
+                + [registry.snapshot()]
+            )
 
         perf_model = None
         if cfg.trace:
@@ -1242,55 +1157,40 @@ class _Coordinator:
                 plan, plan_hash=self.plan_hash or plan_fingerprint(plan)
             )
 
-        blocks_rebalanced = sum(len(s) for s in self.stolen_blocks.values())
+        ranks = self.health.ranks
+        stalled = sorted(r for r, rh in ranks.items() if rh.stalls)
+        reassigned = sorted(r for r, rh in ranks.items() if rh.state == "reassigned")
         arenas = self.borrowed + self.arenas
         dist_report = DistReport(
             stats=stats,
             trace=run_trace,
             comm=self.comm_stats,
             attempts=self.attempts,
-            reassigned=self.reassigned,
+            reassigned=reassigned,
             segments=[arena.name for arena in arenas],
-            b_max_instantiations=max(
-                (r.b_max_instantiations for r in reports), default=0
-            ),
             nworkers=self.nranks,
-            started_at=rec.wall_origin,
-            b_hits=sum(r.b_hits for r in reports),
-            b_evictions=sum(r.b_lru_evictions for r in reports),
-            spans_dropped=spans_dropped,
             shm_bytes=sum(arena.used_bytes for arena in arenas),
             metrics=merged_metrics,
             health=self.health,
-            events_path=self.events.path,
-            stalled=self.stalled,
-            checkpoint_dir=cfg.checkpoint_dir,
-            run_hash=self.run_hash,
-            plan_hash=self.plan_hash,
-            blocks_restored=sum(r.blocks_restored for r in reports),
-            tasks_skipped=sum(r.tasks_skipped for r in reports),
-            store_hits=sum(r.store_hits for r in reports),
-            store_misses=sum(r.store_misses for r in reports),
-            store_puts=sum(r.store_puts for r in reports),
-            b_store_hits=sum(r.b_store_hits for r in reports),
-            handoffs=len(self.handoff_results),
-            blocks_rebalanced=blocks_rebalanced,
-            tasks_rebalanced=sum(
-                self.block_tasks(r, s) for r, s in self.stolen_blocks.items()
-            ),
+            events_path=events.path,
+            stalled=stalled,
+            handoffs=events.total("handoff"),
+            blocks_rebalanced=events.total("handoff", "blocks"),
+            tasks_rebalanced=events.total("handoff", "tasks"),
             model=perf_model,
             span_counters=span_counters,
             run_id=cfg.run_id,
+            **vars(tally),
         )
-        self.events.emit(
+        events.emit(
             "done",  # the log's terminal record
             ntasks=stats.ntasks,
-            heartbeats=self.health.heartbeats,
+            heartbeats=events.total("heartbeat"),
             retried=sorted(r for r, a in self.attempts.items() if a > 1),
-            stalled=sorted(set(self.stalled)),
-            reassigned=sorted(self.reassigned),
-            handoffs=len(self.handoff_results),
-            blocks_rebalanced=blocks_rebalanced,
+            stalled=stalled,
+            reassigned=reassigned,
+            handoffs=dist_report.handoffs,
+            blocks_rebalanced=dist_report.blocks_rebalanced,
         )
         return dist_report
 

@@ -9,12 +9,13 @@ Three pieces:
 
 * :class:`HeartbeatMsg` — the wire format workers emit on the comm
   layer's telemetry channel every ``heartbeat_interval`` seconds: a
-  monotone sequence number, the rank's task progress, and a cumulative
-  :class:`~repro.runtime.metrics.MetricsSnapshot`.  Cumulative (not
-  incremental) on purpose: a lost heartbeat costs freshness, never data.
+  monotone sequence number and the rank's cumulative task progress.
+  Cumulative, not incremental: a lost heartbeat costs freshness, not data.
 * :class:`RunHealth` — the coordinator's aggregate: per-rank
-  :class:`RankHealth` state machines fed by heartbeats and supervision
-  events.  Two detectors run on it:
+  :class:`RankHealth` state machines, a *fold of the event log*
+  (:meth:`RunHealth.apply`, run on every record emitted and, by
+  :func:`replay_health`, on every record read back — the live table and
+  ``repro monitor``'s cannot disagree).  Two detectors run on it:
 
   - **stall** — a rank whose last signal (scatter or heartbeat) is older
     than ``stall_after_beats * heartbeat_interval`` is declared stalled.
@@ -34,31 +35,61 @@ Three pieces:
     whole uptime; finished ranks anchor the median at their final rate,
     so detection keeps working after the fast ranks complete.
 
-* :class:`EventLog` — a structured JSONL stream (``run-events.jsonl``)
-  of the run's life-cycle: ``plan_accepted``, ``worker_up``,
-  ``heartbeat``, ``stall``, ``straggler``, ``retry``, ``reassign``,
-  ``rank_done``, and exactly one terminal record — ``done``, or
-  ``aborted`` / ``failed`` with a ``reason`` (:data:`TERMINAL_EVENTS`).
-  One writer (the coordinator), append-only, one JSON object per line —
-  the attach point for ``repro monitor`` and the artifact CI uploads
-  when a distributed test fails.
+* :class:`EventLog` — the run's one record, a structured stream of its
+  life-cycle: ``plan_accepted``, ``worker_up``, ``heartbeat``, ``stall``,
+  ``straggler``, ``retry``, ``reassign``, ``rank_done``, and exactly one
+  terminal record — ``done``, or ``aborted`` / ``failed`` with a
+  ``reason`` (:data:`TERMINAL_EVENTS`).  Every record is folded into the
+  health and tallied (:data:`EVENT_COUNTERS`: the coordinator's metrics);
+  given a path it is also a JSONL file (``run-events.jsonl``), append-only,
+  one JSON object per line — the attach point for ``repro monitor`` and
+  the artifact CI uploads when a distributed test fails.
 
 Clock policy: detection runs purely on ``time.monotonic()`` deltas; the
-single wall-clock stamp per event exists only to label log lines for
-humans (same policy as ``DistReport.started_at``).
+single wall-clock stamp per event only labels log lines for humans.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from statistics import median
 
-from repro.runtime.metrics import MetricsSnapshot
-
 #: The events that end a run's log; ``repro monitor --follow`` stops at one.
 TERMINAL_EVENTS = ("done", "aborted", "failed")
+
+#: The coordinator's own counters, each a fold of the event log:
+#: ``repro_<key>_total`` -> (event kind, summed field or ``None`` to count
+#: the records, help).
+EVENT_COUNTERS = {
+    "heartbeats": ("heartbeat", None, "worker heartbeats received"),
+    "stalls_detected": ("stall", None, "ranks declared stalled via missed heartbeats"),
+    "worker_retries": ("retry", None, "worker processes respawned after a failure"),
+    "ranks_reassigned": ("reassign", None, "ranks reassigned to the coordinator"),
+    "rebalance_requests":
+        ("rebalance", None, "relinquish requests sent to flagged stragglers"),
+    "rebalance_blocks_reclaimed":
+        ("handoff", "blocks", "blocks reclaimed from stragglers and handed off"),
+    "rebalance_tasks_moved":
+        ("handoff", "tasks", "GEMM tasks moved off stragglers by the rebalancer"),
+    "rebalance_handoffs":
+        ("handoff", None, "handoffs dispatched (to helper ranks or the inline spare)"),
+    "blocks_completed":
+        ("block_done", None, "per-block completion reports received as telemetry"),
+}
+
+#: Events that only move a rank to a state (:meth:`RunHealth.apply`).
+_STATE_OF_EVENT = {
+    "stall": "stalled",
+    "straggler": "straggler",
+    "straggler_recovered": "running",
+    "retry": "retried",
+}
+
+#: The ``(event kind, field)`` sums :data:`EVENT_COUNTERS` asks for.
+_SUMMED = {(kind, name) for kind, name, _ in EVENT_COUNTERS.values() if name}
 
 #: Extra seconds granted before a rank's *first* heartbeat of an attempt
 #: counts as missing (process spawn + import can dwarf the interval).
@@ -81,8 +112,6 @@ class HeartbeatMsg:
         sent as soon as the scatter is received).
     tasks_done:
         GEMM tasks the rank has executed so far (cumulative).
-    metrics:
-        Cumulative registry snapshot (``None`` when metrics are off).
     uptime:
         Seconds since the worker's monotonic origin — labeling only.
     """
@@ -91,7 +120,6 @@ class HeartbeatMsg:
     attempt: int
     seq: int
     tasks_done: int
-    metrics: MetricsSnapshot | None = None
     uptime: float = 0.0
 
 
@@ -147,8 +175,8 @@ class RankHealth:
 class RunHealth:
     """Aggregated live health of one distributed run.
 
-    Fed by the coordinator's supervise loop; queried by the stall and
-    straggler detectors and rendered by :meth:`table` (the ``repro
+    A fold of the run's event records (:meth:`apply`); queried by the stall
+    and straggler detectors and rendered by :meth:`table` (the ``repro
     monitor`` view).  Picklable — it rides inside :class:`DistReport` so
     post-mortem consumers see the final health picture too.
     """
@@ -167,6 +195,49 @@ class RunHealth:
     @property
     def enabled(self) -> bool:
         return self.heartbeat_interval > 0.0
+
+    def apply(self, record: dict, now: float) -> None:
+        """Fold one event record in — the one way a run's health changes:
+        its :class:`EventLog` calls it on every record emitted (``now`` = the
+        monotonic clock), :func:`replay_health` on every one read back
+        (``now`` = the logged ``t``)."""
+        kind, rank = record.get("event"), record.get("rank")
+
+        def num(name: str) -> int:
+            return int(record.get(name, 0))
+
+        if kind == "plan_accepted":
+            self.heartbeat_interval = record.get("heartbeat_interval", 0.0)
+            for r, total in (record.get("tasks_per_rank") or {}).items():
+                self.on_scatter(int(r), int(total), attempt=0, now=now)
+        elif kind in ("aborted", "failed"):
+            # The run's terminal record: whatever had not finished never will.
+            for rh in self.ranks.values():
+                if rh.state not in ("done", "reassigned"):
+                    rh.state = "failed"
+        elif rank is None:
+            return
+        elif kind == "scatter":
+            # The logged total is net of blocks stolen from earlier attempts.
+            self.on_scatter(int(rank), num("tasks_total"), num("attempt"), now)
+        elif kind == "heartbeat":
+            self.on_heartbeat(
+                HeartbeatMsg(int(rank), num("attempt"), num("seq"), num("tasks_done")),
+                now,
+            )
+        elif kind == "rank_done":
+            self.on_done(int(rank), now)
+        elif kind in _STATE_OF_EVENT:
+            self.mark(int(rank), _STATE_OF_EVENT[kind])
+        elif kind == "reassign":
+            # Logged once the inline spare has run the rank to its end.
+            self.on_done(int(rank), now)
+            self.mark(int(rank), "reassigned")
+        elif kind == "relinquished" and int(rank) in self.ranks:
+            # Blocks yielded to the rebalancer leave the denominator, so
+            # progress stays honest.
+            rh = self.ranks[int(rank)]
+            rh.tasks_total = max(0, rh.tasks_total - num("tasks"))
 
     def on_scatter(self, rank: int, tasks_total: int, attempt: int,
                    now: float) -> None:
@@ -205,9 +276,9 @@ class RunHealth:
         if len(rh.samples) > rh.rate_window:
             del rh.samples[0]
         # A flagged straggler stays flagged until the detector clears it
-        # (the coordinator marks it back to "running" on recovery) — a
-        # beat alone must not flicker the table back to "running" while
-        # the rank is still below threshold.
+        # (a ``straggler_recovered`` record) — a beat alone must not
+        # flicker the table back to "running" while the rank is still
+        # below threshold.
         if hb.tasks_done > 0 and rh.state == "up":
             rh.state = "running"
         self.heartbeats += 1
@@ -238,13 +309,6 @@ class RunHealth:
         if len(rh.samples) > rh.rate_window:
             del rh.samples[0]
         rh.last_signal = now
-
-    def on_relinquished(self, rank: int, tasks: int) -> None:
-        """``rank`` yielded blocks worth ``tasks`` to the rebalancer: its
-        denominator shrinks with its schedule, so progress stays honest."""
-        rh = self.ranks.get(rank)
-        if rh is not None:
-            rh.tasks_total = max(0, rh.tasks_total - tasks)
 
     def mark(self, rank: int, state: str) -> None:
         rh = self.ranks.get(rank)
@@ -365,14 +429,15 @@ def resolve_events_path(path: str, run_id: str | None = None) -> str:
 
 
 class EventLog:
-    """Append-only JSONL run events (``run-events.jsonl``).
+    """The run's one record: every life-cycle event, as it happens.
 
-    One JSON object per line: ``{"t": <wall seconds>, "event": <kind>,
-    ...fields}``.  A ``path`` of ``None`` disables the log entirely (no
-    file handle, ``emit`` is a no-op); the coordinator is the only
-    writer, so lines are never interleaved.  Each ``emit`` flushes — a
-    monitor tailing the file (or a human with ``tail -f``) sees events
-    as they happen, and a crashed coordinator loses nothing.
+    ``emit`` builds the record ``{"t": <wall seconds>, "event": <kind>,
+    ...fields}``, folds it into ``health`` (:meth:`RunHealth.apply`) and
+    tallies it (:meth:`total`); with a ``path`` it also appends it to a
+    JSONL file, one object per line.  The coordinator is the only writer,
+    so lines are never interleaved, and each ``emit`` flushes — a monitor
+    tailing the file (or a human with ``tail -f``) sees events as they
+    happen, and a crashed coordinator loses nothing.
 
     A ``run_id`` redirects the log to the per-run filename
     (:func:`run_scoped_events_path`) and stamps every record with a
@@ -380,24 +445,35 @@ class EventLog:
     clobber each other; ``path`` reports the file actually written.
     """
 
-    def __init__(self, path: str | None, run_id: str | None = None):
+    def __init__(self, path: str | None, run_id: str | None = None,
+                 health: RunHealth | None = None):
         if path and run_id:
             path = run_scoped_events_path(path, run_id)
         self.path = path
         self.run_id = run_id
+        self.health = health
         self._fh = open(path, "w", encoding="utf-8") if path else None  # repro: noqa[L308] - handle owned by the log, closed in close()
-        self.count = 0
+        self._tally: Counter = Counter()
 
     def emit(self, event: str, **fields) -> None:
-        if self._fh is None:
-            return
         record = {"t": time.time(), "event": event}  # repro: noqa[L306]
         if self.run_id:
             record["run"] = self.run_id
         record.update(fields)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        self.count += 1
+        self._tally[event] += 1
+        for kind, name in _SUMMED:
+            if kind == event:
+                self._tally[kind, name] += fields[name]
+        if self.health is not None:
+            self.health.apply(record, time.monotonic())
+        if self._fh is not None:
+            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.flush()
+
+    def total(self, event: str, summed: str | None = None) -> int:
+        """Records of kind ``event`` so far, or (for the fields
+        :data:`EVENT_COUNTERS` names) the sum of their ``summed`` field."""
+        return self._tally[event if summed is None else (event, summed)]
 
     def close(self) -> None:
         if self._fh is not None:
@@ -443,67 +519,17 @@ def replay_health(events: list[dict]) -> RunHealth:
     """Rebuild a :class:`RunHealth` view from logged events.
 
     This is how ``repro monitor`` attaches to a run it does not own: the
-    event log carries enough of the heartbeat stream to reconstruct the
-    per-rank table (sequence numbers, task progress, state transitions).
-    Wall timestamps in the log stand in for the coordinator's monotonic
-    clock — fine for display, never used for detection.  Events whose
-    fields do not parse (a half-flushed record from a killed coordinator)
-    are skipped; replay never raises on a readable log.
+    same :meth:`RunHealth.apply` the run folded each record through when
+    it emitted it, over the records read back.  Wall timestamps in the log
+    stand in for the coordinator's monotonic clock — fine for display,
+    never used for detection.  Events whose fields do not parse (a
+    half-flushed record from a killed coordinator) are skipped; replay
+    never raises on a readable log.
     """
     health = RunHealth()
     for ev in events:
         try:
-            _replay_event(health, ev)
+            health.apply(ev, ev.get("t", 0.0))
         except (TypeError, ValueError, KeyError):
             continue  # malformed fields in a torn/foreign record
     return health
-
-
-def _replay_event(health: RunHealth, ev: dict) -> None:
-    kind = ev.get("event")
-    rank = ev.get("rank")
-    t = ev.get("t", 0.0)
-    if kind == "plan_accepted":
-        health.heartbeat_interval = ev.get("heartbeat_interval", 0.0)
-        for r, total in (ev.get("tasks_per_rank") or {}).items():
-            health.on_scatter(int(r), int(total), attempt=0, now=t)
-    elif kind == "scatter" and rank is not None:
-        # The logged total is net of blocks stolen from earlier attempts.
-        health.on_scatter(
-            int(rank),
-            int(ev.get("tasks_total", 0)),
-            attempt=int(ev.get("attempt", 0)),
-            now=t,
-        )
-    elif kind == "relinquished" and rank is not None:
-        health.on_relinquished(int(rank), int(ev.get("tasks", 0)))
-    elif kind == "heartbeat" and rank is not None:
-        health.on_heartbeat(
-            HeartbeatMsg(
-                rank=int(rank),
-                attempt=int(ev.get("attempt", 0)),
-                seq=int(ev.get("seq", 0)),
-                tasks_done=int(ev.get("tasks_done", 0)),
-            ),
-            now=t,
-        )
-    elif kind == "worker_up" and rank is not None:
-        health.mark(int(rank), "up")
-    elif kind == "stall" and rank is not None:
-        health.mark(int(rank), "stalled")
-    elif kind == "straggler" and rank is not None:
-        health.mark(int(rank), "straggler")
-    elif kind == "retry" and rank is not None:
-        health.mark(int(rank), "retried")
-    elif kind == "reassign" and rank is not None:
-        health.mark(int(rank), "reassigned")
-    elif kind == "rank_done" and rank is not None:
-        rh = health.ranks.get(int(rank))
-        if rh is not None:
-            rh.state = "done"
-            rh.tasks_done = int(ev.get("tasks", rh.tasks_done))
-    elif kind in ("aborted", "failed"):
-        # The run's terminal record: whatever had not finished never will.
-        for rh in health.ranks.values():
-            if rh.state not in ("done", "reassigned"):
-                rh.state = "failed"

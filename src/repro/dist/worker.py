@@ -49,10 +49,9 @@ loop (``on_event`` is ``None``) and no spans are stored.
 
 Live telemetry: when the scatter carries a positive ``heartbeat_interval``
 the worker runs a daemon heartbeat thread that ships a
-:class:`~repro.dist.health.HeartbeatMsg` — sequence number, cumulative
-task progress, a :class:`~repro.runtime.metrics.MetricsSnapshot` — to the
-coordinator on the comm layer's out-of-band telemetry channel every
-interval.  The first beat goes out immediately ("worker up"); the thread
+:class:`~repro.dist.health.HeartbeatMsg` — sequence number and cumulative
+task progress — to the coordinator on the comm layer's out-of-band
+telemetry channel every interval.  The first beat goes out immediately ("worker up"); the thread
 stops when the rank finishes, errors, or is deliberately stalled.
 
 Fault injection lives here too: after the *k*-th GEMM task the worker
@@ -71,7 +70,7 @@ import time
 import traceback
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,9 +159,43 @@ class ScatterMsg:
     rebalance: bool = False
 
 
+@dataclass(kw_only=True)
+class RankTally:
+    """The scalar tallies a rank reports and a run totals: a
+    :class:`WorkerReport` and the run's ``DistReport`` carry them under
+    these names, and :meth:`merge` turns the ones into the other."""
+
+    b_hits: int = 0
+    b_evictions: int = 0
+    #: B tiles the B service read from *any* store tier (warm in-process
+    #: cache or persistent disk store) instead of generating — the
+    #: warm-reuse signal a serving pool's second job shows even when no
+    #: disk store is configured.
+    b_store_hits: int = 0
+    b_max_instantiations: int = 0  # merged by max: a per-tile bound
+    store_hits: int = 0
+    store_misses: int = 0
+    store_puts: int = 0
+    blocks_restored: int = 0
+    tasks_skipped: int = 0
+    spans_dropped: int = 0
+
+    @staticmethod
+    def merge(parts) -> "RankTally":
+        """Every field summed over ``parts``; the bound is their max."""
+        out = RankTally()
+        for part in parts:
+            for f in fields(RankTally):
+                mine, theirs = getattr(out, f.name), getattr(part, f.name)
+                bound = f.name == "b_max_instantiations"
+                setattr(out, f.name, max(mine, theirs) if bound else mine + theirs)
+        return out
+
+
 @dataclass
-class WorkerReport:
-    """One rank's results: stats, C-tile index, span stream, link bytes."""
+class WorkerReport(RankTally):
+    """One rank's results: stats, C-tile index, span stream, link bytes,
+    and its :class:`RankTally`."""
 
     rank: int
     attempt: int
@@ -170,20 +203,7 @@ class WorkerReport:
     c_index: dict[tuple[int, int], tuple[int, int, int]]
     spans: SpanStream | None = None
     link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    b_max_instantiations: int = 0
-    b_hits: int = 0
-    b_lru_evictions: int = 0
     metrics: MetricsSnapshot | None = None
-    store_hits: int = 0
-    store_misses: int = 0
-    store_puts: int = 0
-    #: B tiles the rank's B service read from *any* store tier (warm
-    #: in-process cache or persistent disk store) instead of generating.
-    #: This is the warm-reuse signal a serving pool's second job shows
-    #: even when no disk store is configured.
-    b_store_hits: int = 0
-    blocks_restored: int = 0
-    tasks_skipped: int = 0
 
 
 def modeled_a_link_bytes(
@@ -286,58 +306,34 @@ class _Progress:
         self.tasks = 0
 
 
-class _HeartbeatThread:
-    """Emits one :class:`HeartbeatMsg` per interval on a daemon thread.
+@contextmanager
+def _heartbeats(beat, interval: float):
+    """Call ``beat(seq)`` — ship one :class:`HeartbeatMsg` — per interval on
+    a daemon thread for the span of the ``with``; yields the stop event.
 
     The first beat goes out immediately (the coordinator's "worker up"
-    signal), later beats every ``interval`` seconds.  ``suspend()`` stops
-    emission *without* waiting for the thread — the stall fault calls it
-    from the executing thread right before hanging, so the rank goes
+    signal), later beats every ``interval`` seconds.  Setting the event
+    stops emission *without* waiting for the thread — the stall fault does
+    it from the executing thread right before hanging, so the rank goes
     silent exactly the way a livelocked worker would.
     """
+    stop = threading.Event()
 
-    def __init__(self, endpoint: Endpoint, rank: int, attempt: int,
-                 interval: float, progress: _Progress,
-                 registry: MetricsRegistry, rec: SpanRecorder):
-        self._endpoint = endpoint
-        self._rank = rank
-        self._attempt = attempt
-        self._interval = interval
-        self._progress = progress
-        self._registry = registry
-        self._rec = rec
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-
-    def __enter__(self) -> "_HeartbeatThread":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.suspend()
-
-    def _loop(self) -> None:
+    def loop() -> None:
         seq = 0
-        while not self._stop.is_set():
+        while not stop.is_set():
             try:
-                self._endpoint.send_telemetry(
-                    HeartbeatMsg(
-                        rank=self._rank,
-                        attempt=self._attempt,
-                        seq=seq,
-                        tasks_done=self._progress.tasks,
-                        metrics=self._registry.snapshot(),
-                        uptime=self._rec.now(),
-                    )
-                )
+                beat(seq)
             except Exception:  # pragma: no cover - fabric torn down mid-beat
                 return
             seq += 1
-            self._stop.wait(self._interval)
+            stop.wait(interval)
 
-    def suspend(self) -> None:
-        """Stop beating without joining (callable from any thread)."""
-        self._stop.set()
+    threading.Thread(target=loop, daemon=True).start()
+    try:
+        yield stop
+    finally:
+        stop.set()
 
 
 def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
@@ -462,14 +458,16 @@ def run_rank(
     registry = MetricsRegistry(enabled=msg.metrics)
     progress = _Progress()
 
-    hb: _HeartbeatThread | None = None
+    beating = nullcontext()  # ``hb``: the beats' stop event, or None
     if endpoint is not None and msg.heartbeat_interval > 0.0:
-        hb = _HeartbeatThread(
-            endpoint, rank, msg.attempt, msg.heartbeat_interval,
-            progress, registry, rec,
+        beating = _heartbeats(
+            lambda seq: endpoint.send_telemetry(HeartbeatMsg(
+                rank, msg.attempt, seq, tasks_done=progress.tasks, uptime=rec.now(),
+            )),
+            msg.heartbeat_interval,
         )
 
-    with hb or nullcontext(), _opened(
+    with beating as hb, _opened(
         msg, operands, rank, registry=registry, rec=rec, tile_cache=tile_cache,
     ) as (store, journal, a_get_tile, b_source, c_arena):
         restore_block = on_block = None
@@ -505,7 +503,7 @@ def run_rank(
                     # Go silent the way a livelocked rank would: stop the
                     # heartbeat thread, then hang the executing thread.
                     if hb is not None:
-                        hb.suspend()
+                        hb.set()
                     time.sleep(STALL_SLEEP_SECONDS)
                 else:
                     time.sleep(fault.delay_seconds)
@@ -613,7 +611,6 @@ def run_rank(
         # C leaves the rank as an index: every tile was born in its slot.
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
             c_index = dict(c_arena.index)
-        rec.count("bytes.writeback", c_arena.used_bytes)
 
         if registry.enabled:
             registry.counter(
@@ -622,10 +619,6 @@ def run_rank(
             registry.gauge(
                 "repro_gpu_peak_bytes", "peak device-memory high-water mark"
             ).set(stats.gpu_peak_bytes)
-            registry.counter(
-                "repro_spans_dropped_total",
-                "trace spans discarded at the recorder bound",
-            ).inc(rec.dropped)
 
         store_stats = store.stats() if store is not None else None
         return WorkerReport(
@@ -635,16 +628,16 @@ def run_rank(
             c_index=c_index,
             spans=rec.stream() if rec.enabled else None,
             link_bytes=modeled_a_link_bytes(msg.proc, msg.grid, a_get_tile),
+            metrics=registry.snapshot() if registry.enabled else None,
             b_max_instantiations=b_source.max_instantiations(),
             b_hits=b_source.hits,
-            b_lru_evictions=b_source.lru_evictions,
-            metrics=registry.snapshot() if registry.enabled else None,
+            b_evictions=b_source.lru_evictions,
+            b_store_hits=getattr(b_source, "store_hits", 0),
             store_hits=store_stats.hits if store_stats else 0,
             store_misses=store_stats.misses if store_stats else 0,
             store_puts=store_stats.puts if store_stats else 0,
-            b_store_hits=getattr(b_source, "store_hits", 0),
-            blocks_restored=ckpt_counters["blocks_restored"],
-            tasks_skipped=ckpt_counters["tasks_skipped"],
+            spans_dropped=rec.dropped,
+            **ckpt_counters,
         )
 
 

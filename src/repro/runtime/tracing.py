@@ -91,9 +91,8 @@ class SpanRecorder:
     * **bounded** — at most ``max_spans`` spans are retained; further
       ``record`` calls bump ``dropped`` and accumulate the lost duration
       per resource in ``counters`` (key ``dropped.<resource>``);
-    * **zero-cost when disabled** — ``record``/``count`` return
-      immediately, and callers can branch on ``enabled`` to skip clock
-      reads entirely.
+    * **zero-cost when disabled** — ``record`` returns immediately, and
+      callers can branch on ``enabled`` to skip clock reads entirely.
 
     Exactly one wall-clock sample is taken (at construction) to stamp
     ``wall_origin`` for cross-process alignment and report labeling.
@@ -150,11 +149,6 @@ class SpanRecorder:
             yield
         finally:
             self.record(task, resource, start, self.now())
-
-    def count(self, name: str, n: float = 1) -> None:
-        """Bump a named counter (B-service hits, drops, ...)."""
-        if self.enabled:
-            self.counters[name] = self.counters.get(name, 0) + n
 
     def stream(self) -> SpanStream:
         """A pickle-able snapshot to ship home in a worker report."""

@@ -37,7 +37,8 @@ touched, and the segments go when the pool is reset or shut down.
 
 Isolation: each job gets a run id and run-id-scoped artifacts under
 ``artifacts_dir`` — ``run-events.<run_id>.jsonl`` (the monitor-able
-event log), ``trace.<run_id>.json`` (Chrome trace), and
+event log), ``trace.<run_id>.json`` (the run artifact ``repro explain
+--trace`` audits: Chrome trace, model, link bytes), and
 ``metrics.<run_id>.prom`` (Prometheus text) — so concurrent clients
 never clobber each other's observability.
 
@@ -48,7 +49,6 @@ and drains stale traffic so the next job starts clean.
 
 from __future__ import annotations
 
-import json
 import os
 import queue as _queue
 import secrets
@@ -399,10 +399,11 @@ class ContractionService:
     def _write_artifacts(self, job: Job, report) -> None:
         if self.artifacts_dir is None:
             return
-        if report.trace is not None and report.trace.events:
-            path = os.path.join(self.artifacts_dir, f"trace.{job.job_id}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report.trace.to_chrome_trace(), fh)
+        if report.trace.events:
+            report.write_artifact(
+                os.path.join(self.artifacts_dir, f"trace.{job.job_id}.json"),
+                meta={"command": "serve", "job": job.job_id},
+            )
         if report.metrics is not None:
             path = os.path.join(self.artifacts_dir, f"metrics.{job.job_id}.prom")
             with open(path, "w", encoding="utf-8") as fh:

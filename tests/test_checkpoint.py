@@ -21,9 +21,9 @@ from repro.dist import DistExecutionError, FaultPlan, active_segments, coordinat
 from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
-from repro.store import read_store_stats, run_fingerprint
+from repro.store import read_snapshot, read_store_stats, run_fingerprint
 from repro.tiling import random_tiling
-from tests.test_dist_executor import assert_resident
+from tests.test_dist_executor import assert_report_folds_its_log, assert_resident
 
 
 def operands(seed=0, m=200, nk=600, density=0.5):
@@ -71,6 +71,10 @@ class TestCheckpointParity:
         assert report.blocks_restored == 0
         assert report.store_puts > 0  # B tiles + C tiles landed on disk
         assert not active_segments()
+        # coordinator.json is the run's identity; progress is not its job.
+        assert sorted(read_snapshot(str(tmp_path))) == [
+            "alpha", "b", "nranks", "plan", "run", "v",
+        ]
 
 
 @pytest.mark.dist
@@ -151,14 +155,22 @@ class TestKillResume:
                 fault_plan=FaultPlan.abort(1, at),
             )
         assert not active_segments()  # the failed run cleaned up after itself
+        # The lost run claimed the directory before its workers started.
+        with pytest.raises(DistExecutionError, match="different plan"):
+            psgemm_distributed(
+                a, b, summit(2), p=1, b_shape=b_shape,
+                checkpoint_dir=str(tmp_path),
+            )
         c_dist, report = psgemm_distributed(
             a, b, summit(2), p=2, b_shape=b_shape,
             checkpoint_dir=str(tmp_path),
+            events_path=str(tmp_path / "resumed-events.jsonl"),
         )
         assert np.array_equal(c_dist.to_dense(), serial_oracle(a, b, b_shape))
         assert report.blocks_restored >= 1
         assert report.tasks_skipped > 0
         assert not active_segments()
+        assert_report_folds_its_log(report)
 
     def test_mismatched_plan_refused(self, tmp_path):
         """A checkpoint directory is married to its plan: reusing it with a

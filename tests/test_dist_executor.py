@@ -50,6 +50,31 @@ def operands(seed=0, m=200, nk=600, density=0.5):
     return a, b
 
 
+def assert_report_folds_its_log(report):
+    """The run was recorded once: replaying ``report.events_path`` rebuilds
+    the live health rank by rank (every field no clock feeds), and each of
+    the coordinator's counters is the count / sum of its event kind."""
+    from repro.dist import read_events, replay_health
+    from repro.dist.health import EVENT_COUNTERS
+
+    events = read_events(report.events_path)
+    replayed = replay_health(events)
+    assert sorted(replayed.ranks) == sorted(report.health.ranks)
+    for rank, live in report.health.ranks.items():
+        for name in ("state", "attempt", "beats", "seq", "tasks_done",
+                     "tasks_total", "stalls"):
+            assert getattr(replayed.ranks[rank], name) == getattr(live, name), (
+                rank, name,
+            )
+    assert replayed.heartbeats == report.health.heartbeats
+    for key, (kind, summed, _) in EVENT_COUNTERS.items():
+        logged = [ev for ev in events if ev["event"] == kind]
+        expected = sum(ev[summed] for ev in logged) if summed else len(logged)
+        assert report.metrics.get(f"repro_{key}_total", None) == expected, key
+    assert report.stalled == events[-1]["stalled"]
+    assert report.reassigned == events[-1]["reassigned"]
+
+
 def assert_bit_equal_runs(a, b, machine, p, gpus_per_proc, **dist_kwargs):
     c_serial, s_serial = psgemm_numeric(a, b, machine, p=p, gpus_per_proc=gpus_per_proc)
     c_dist, report = psgemm_distributed(
@@ -624,6 +649,7 @@ class TestInlineSpare:
         resumes = [e for e in read_events(events_path) if e["event"] == "resume"]
         assert [(e["rank"], e["attempt"]) for e in resumes] == [(1, 1), (1, 2)]
         assert resumes[-1]["blocks"] == report.blocks_restored
+        assert_report_folds_its_log(report)
         assert active_segments() == frozenset()
 
     def test_one_shot_run_with_a_reassignment_leaves_stderr_empty(self, tmp_path):
@@ -674,6 +700,7 @@ class TestStaleReplies:
         assert report.stats == s_serial
         stale = [e for e in read_events(events_path) if e["event"] == "stale_report"]
         assert [(e["rank"], e["kind"]) for e in stale] == [(0, kind)]
+        assert_report_folds_its_log(report)
 
 
 class TestBService:
@@ -779,7 +806,7 @@ class TestTelemetry:
         # Every beat's bytes are counted on receipt, accepted or not —
         # and beat 0 fires on scatter receipt, so some always arrive.
         assert report.comm.telemetry_total() > 0
-        assert "telemetry" in report.observability_summary()
+        assert "telemetry" in report.render()
 
     def test_prometheus_export_from_real_run(self, q2_run):
         _, report = q2_run
@@ -817,7 +844,7 @@ class TestTelemetry:
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
         assert report.spans_dropped > 0
         assert report.metrics.get("repro_spans_dropped_total") == report.spans_dropped
-        assert "spans dropped" in report.observability_summary()
+        assert "spans dropped" in report.render()
 
     @pytest.mark.dist
     def test_stalled_rank_detected_and_reassigned(self, tmp_path):
@@ -857,11 +884,7 @@ class TestTelemetry:
         assert events[-1]["event"] == "done"
         assert events[-1]["stalled"] == [1]
         # And the monitor's replay reconstructs the same terminal state.
-        from repro.dist import replay_health
-
-        replayed = replay_health(events)
-        assert replayed.ranks[1].state == "reassigned"
-        assert replayed.ranks[1].stalls == 2
+        assert_report_folds_its_log(report)
 
     @pytest.mark.dist
     def test_healthy_run_event_log_lifecycle(self, tmp_path):
@@ -897,6 +920,7 @@ class TestTelemetry:
             # per rank is a safe floor.
             assert rk.count("heartbeat") >= 2
         assert events[-1]["heartbeats"] == report.health.heartbeats
+        assert_report_folds_its_log(report)
 
 
 class TestCliIntegration:

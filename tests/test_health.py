@@ -289,7 +289,8 @@ class TestEventLog:
     def test_none_path_disables(self):
         log = EventLog(None)
         log.emit("heartbeat", rank=0)
-        assert log.count == 0
+        assert log.path is None  # nothing is written ...
+        assert log.total("heartbeat") == 1  # ... the record still counts
         log.close()
 
     def test_emit_read_roundtrip(self, tmp_path):
@@ -405,6 +406,63 @@ class TestReplay:
             ("scatter", dict(rank=0, attempt=1, tasks_total=47)),
         ])
         assert replay_health(events).ranks[0].tasks_total == 47
+
+    def test_replay_clears_a_recovered_straggler_and_closes_the_rate(self, tmp_path):
+        """The replayed table is the live one: ``straggler_recovered`` puts
+        the rank back to ``running`` (it used to stay ``straggler`` until
+        ``rank_done``), and a finished rank carries the closing ``(t,
+        tasks_total)`` sample its frozen rate is read from."""
+        events = self._log(tmp_path, [
+            ("plan_accepted", dict(nranks=1, heartbeat_interval=0.1,
+                                   tasks_per_rank={"0": 10})),
+            ("scatter", dict(rank=0, attempt=0, tasks_total=10)),
+            ("heartbeat", dict(rank=0, attempt=0, seq=0, tasks_done=2)),
+            ("straggler", dict(rank=0)),
+            ("straggler_recovered", dict(rank=0)),
+            ("rank_done", dict(rank=0, attempt=0, tasks=10)),
+        ])
+        assert replay_health(events[:4]).ranks[0].state == "straggler"
+        assert replay_health(events[:5]).ranks[0].state == "running"
+        rh = replay_health(events).ranks[0]
+        assert rh.state == "done"
+        assert rh.samples[-1] == (events[-1]["t"], 10)
+        assert rh.last_signal == events[-1]["t"]
+        assert rh.rate(rh.last_signal) > 0.0
+
+    def test_replay_is_the_fold_the_log_ran_live(self, tmp_path):
+        """One ``apply``: the health an ``EventLog`` folds its records into
+        as it emits them is the health ``replay_health`` rebuilds from the
+        file, and the log's tallies are the counts / sums of its records."""
+        live = RunHealth()
+        path = str(tmp_path / "run-events.jsonl")
+        log = EventLog(path, health=live)
+        log.emit("plan_accepted", nranks=2, heartbeat_interval=0.1,
+                 tasks_per_rank={0: 8, 1: 8})
+        for rank in (0, 1):
+            log.emit("scatter", rank=rank, attempt=0, tasks_total=8)
+            log.emit("heartbeat", rank=rank, attempt=0, seq=0, tasks_done=1)
+        log.emit("stall", rank=1, attempt=0, silent_seconds=0.5)
+        log.emit("retry", rank=1, attempt=1, reason="stalled")
+        log.emit("scatter", rank=1, attempt=1, tasks_total=8)
+        log.emit("relinquished", rank=0, attempt=0, blocks=2, tasks=5)
+        log.emit("handoff", handoff=0, origin=0, helper=1, blocks=2, tasks=5)
+        log.emit("handoff", handoff=1, origin=0, helper=None, blocks=1, tasks=2)
+        log.emit("rank_done", rank=0, attempt=0, tasks=3)
+        log.emit("reassign", rank=1, attempt=3)
+        log.close()
+        replayed = replay_health(read_events(path))
+        for rank, rh in live.ranks.items():
+            for name in ("state", "attempt", "beats", "seq", "tasks_done",
+                         "tasks_total", "stalls"):
+                assert getattr(replayed.ranks[rank], name) == getattr(rh, name)
+        assert (live.ranks[0].state, live.ranks[0].tasks_total) == ("done", 3)
+        assert (live.ranks[1].state, live.ranks[1].stalls) == ("reassigned", 1)
+        assert live.ranks[1].progress == 1.0  # the spare ran it to its end
+        assert log.total("heartbeat") == live.heartbeats == 2
+        assert log.total("handoff") == 2
+        assert log.total("handoff", "blocks") == 3
+        assert log.total("handoff", "tasks") == 7
+        assert log.total("no_such_event") == 0
 
     def test_replay_tolerates_malformed_fields(self, tmp_path):
         # A record with the right event name but a garbage payload (hand

@@ -224,7 +224,7 @@ class TestRunConfig:
             trace_max_spans=200_000, heartbeat_interval=0.25,
             stall_after_beats=8, straggler_fraction=0.25, metrics=True,
             events_path=None, checkpoint_dir=None, store_dir=None,
-            store_budget_bytes=None, snapshot_interval=1.0, rebalance=False,
+            store_budget_bytes=None, rebalance=False,
             pool=None, run_id=None,
         )
 

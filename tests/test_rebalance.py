@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from repro.core import psgemm_distributed, psgemm_numeric
-from repro.dist import FaultInjection, FaultPlan, read_events, replay_health
+from repro.dist import FaultInjection, FaultPlan, read_events
 from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
 from repro.store.journal import CompletedBlock, WritebackJournal, read_journal
 from repro.tiling import random_tiling
 from tests.test_dist_executor import (
+    assert_report_folds_its_log,
     assert_resident,
     mapped_segments,
     pack_spans,
@@ -83,10 +84,8 @@ class TestRebalanceParity:
         )
         # ``repro monitor`` replays the log: a rank that gave blocks away
         # must end at 100 % of what it kept, exactly as the live view does.
-        replayed = replay_health(evs)
-        for rank, live in rep.health.ranks.items():
-            assert replayed.ranks[rank].tasks_total == live.tasks_total, rank
-            assert replayed.ranks[rank].progress == live.progress == 1.0, rank
+        assert_report_folds_its_log(rep)
+        assert all(rh.progress == 1.0 for rh in rep.health.ranks.values())
         assert rep.health.ranks[0].tasks_total < s_serial.per_proc_tasks[0]
         return rep, kinds(evs)
 
@@ -150,6 +149,7 @@ class TestRebalanceParity:
         assert any(att > 1 for att in rep.attempts.values())
         seen = kinds(read_events(events))
         assert "retry" in seen
+        assert_report_folds_its_log(rep)
 
     @pytest.mark.dist
     def test_flagged_rank_can_be_reflagged_after_retry(self, tmp_path):
@@ -175,6 +175,7 @@ class TestRebalanceParity:
         # set was never cleared and a rank could be flagged at most once
         # per run even across recoveries
         assert any(e.get("rank") == 0 for e in flagged)
+        assert_report_folds_its_log(rep)
 
 
 @pytest.mark.dist
@@ -214,6 +215,7 @@ class TestInlineHandoff:
         assert rep.stats == s_serial
         handoffs = [e for e in read_events(events) if e.get("event") == "handoff"]
         assert handoffs and handoffs[0]["helper"] is None
+        assert_report_folds_its_log(rep)
         assert "h0" in segment_tags(rep)
         assert len(self._adopted_handoff_arenas(c, rep)) == rep.handoffs
 
@@ -242,6 +244,7 @@ class TestInlineHandoff:
         evs = read_events(events)
         failed = [e for e in evs if e.get("event") == "handoff_failed"]
         assert failed and {e["reason"] for e in failed} == {"helper died"}
+        assert_report_folds_its_log(rep)
         hid = failed[0]["handoff"]
         assert [
             e["helper"] for e in evs

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import inspect
 from repro.machine import summit
+from repro.perf import read_run_artifact
 from repro.runtime import DelayedGeneratedCollection, GeneratedCollection, execute_plan
 from repro.serve import (
     AdmissionError,
@@ -287,8 +288,11 @@ class TestContractionService:
             with open(os.path.join(tmp_path, f"run-events.{jid}.jsonl")) as fh:
                 records = [json.loads(line) for line in fh]
             assert records and all(r["run"] == jid for r in records)
-            with open(os.path.join(tmp_path, f"trace.{jid}.json")) as fh:
-                assert json.load(fh), "empty chrome trace"
+            # The trace is the run artifact `repro explain --trace` audits:
+            # spans plus the model and the link bytes, like a one-shot run's.
+            art = read_run_artifact(os.path.join(tmp_path, f"trace.{jid}.json"))
+            assert art.trace.events and art.model is not None and art.links
+            assert art.meta["job"] == jid
 
     def test_priority_jumps_queue_under_saturation(self, tmp_path):
         a, b = operands(seed=2, m=150, nk=450, gen_delay_s=0.02)
