@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install loc loc-check test test-dist trace-smoke explain-smoke resume-smoke serve-smoke bench-e2e-smoke tile-sweep tile-sweep-smoke serve-phases serve-phases-smoke analyze model-check docs-rules bench bench-paper examples export selftest clean
+.PHONY: install loc loc-check reach test test-dist trace-smoke explain-smoke resume-smoke serve-smoke bench-e2e-smoke tile-sweep tile-sweep-smoke serve-phases serve-phases-smoke analyze model-check docs-rules bench bench-paper examples export selftest clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -17,7 +17,7 @@ loc:
 # shrinks the tree, raise them only with a reason in CHANGES.md).
 # Deterministic and host-independent — the CI slot a wall-clock benchmark
 # gate used to hold.
-LOC_MAX_REPRO := 20947
+LOC_MAX_REPRO := 19341
 LOC_MAX_DIST_PROTOCOL := 5269
 loc-check:
 	@lines() { find "$$@" -name '*.py' | xargs cat | wc -l; }; \
@@ -26,24 +26,31 @@ loc-check:
 	echo "src/repro $$repro / $(LOC_MAX_REPRO); dist + analysis/protocol $$dist / $(LOC_MAX_DIST_PROTOCOL)"; \
 	test $$repro -le $(LOC_MAX_REPRO) && test $$dist -le $(LOC_MAX_DIST_PROTOCOL)
 
-test: analyze model-check loc-check resume-smoke explain-smoke serve-smoke bench-e2e-smoke tile-sweep-smoke serve-phases-smoke
+# Who reaches each module of src/repro?  An import walk (tools/reach.py, stdlib
+# ast) from the declared entry points — public API, CLI, benchmarks/e2e, the
+# two bench tools, the paper-figure benchmarks, examples/ — that fails when a
+# module is reached by none of them, or only through a package __init__
+# re-export.  Tests are not entry points: "only its own test imports it" is the
+# finding.  Deterministic and host-independent, like loc-check.
+reach:
+	python3 tools/reach.py
+
+test: analyze model-check loc-check reach resume-smoke explain-smoke serve-smoke bench-e2e-smoke tile-sweep-smoke serve-phases-smoke
 	pytest tests/
 
 # Static analysis gate: the AST concurrency lint over the source tree, then
 # the plan verifier + task-graph checks on an inspector-built plan.  Both
 # exit nonzero exactly when findings exist, so this fails the build early.
-# Findings are mirrored as SARIF under /tmp/repro-sarif for code-scanning
-# ingestion and failure artifacts.
 analyze:
-	PYTHONPATH=src python -m repro lint src/repro --sarif /tmp/repro-sarif/lint.sarif
-	PYTHONPATH=src python -m repro analyze --sarif /tmp/repro-sarif/analysis.sarif
+	PYTHONPATH=src python -m repro lint src/repro
+	PYTHONPATH=src python -m repro analyze
 
 # Protocol model check: bounded exhaustive exploration of the
 # coordinator/worker protocol (deadlock freedom, bounded queues,
 # recovery/resume safety; M4xx) — over repro.dist.protocol, the table the
 # coordinator dispatches on at runtime.
 model-check:
-	PYTHONPATH=src python -m repro analyze --model-check --sarif /tmp/repro-sarif/model-check.sarif
+	PYTHONPATH=src python -m repro analyze --model-check
 
 # Regenerate the committed rule catalog from the registry; CI fails when
 # docs/rules.md drifts (repro rules --check docs/rules.md).

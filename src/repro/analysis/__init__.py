@@ -25,8 +25,7 @@ Four layers reporting through one uniform :class:`Finding` vocabulary
 CLI: ``repro analyze`` (plan + task-graph checks; ``--model-check``
 adds the protocol layer), ``repro lint`` (source checks), and ``repro
 rules`` (the generated rule catalog) — the first two exiting nonzero
-exactly when findings exist, and both exporting SARIF 2.1.0 via
-``--sarif`` (:mod:`~repro.analysis.sarif`) for code-scanning ingestion.
+exactly when findings exist.
 Executors opt in via ``psgemm_distributed(..., verify_plan=True)``,
 which raises :class:`PlanVerificationError` before any worker spawns.
 """
@@ -58,13 +57,6 @@ from repro.analysis.protocol import (
     default_scenarios,
 )
 from repro.analysis.rules import Rule, all_rules, get_rule
-from repro.analysis.sarif import (
-    SarifValidationError,
-    to_sarif,
-    validate_sarif,
-    validate_sarif_file,
-    write_sarif,
-)
 from repro.analysis.store_checks import (
     check_checkpoint_compat,
     check_store_capacity,
@@ -80,7 +72,6 @@ __all__ = [
     "PlanVerificationError",
     "ProtocolModel",
     "Rule",
-    "SarifValidationError",
     "Scenario",
     "Severity",
     "all_rules",
@@ -95,14 +86,10 @@ __all__ = [
     "default_scenarios",
     "get_rule",
     "rule_catalog_markdown",
-    "to_sarif",
-    "validate_sarif",
-    "validate_sarif_file",
     "verify_plan",
     "verify_store_setup",
     "lint_paths",
     "lint_source",
     "plan_tile_accesses",
     "write_rule_catalog",
-    "write_sarif",
 ]

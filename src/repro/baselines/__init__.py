@@ -5,20 +5,15 @@
   with the capacity failure mode the paper observed ("problems of size
   (48k, 192k, 192k) or more result in an error when trying to allocate
   the memory on some CUDA devices");
-* :mod:`~repro.baselines.summa` — a stationary-C SUMMA model with the
-  prior-work limitation that C must fit in aggregate accelerator memory;
 * :mod:`~repro.baselines.cpu_mpqc` — the CPU-only MPQC yardstick of
   Section 5.2.
 """
 
 from repro.baselines.dbcsr import DbcsrReport, dbcsr_simulate
-from repro.baselines.summa import SummaReport, summa_simulate
 from repro.baselines.cpu_mpqc import mpqc_cpu_time
 
 __all__ = [
     "DbcsrReport",
     "dbcsr_simulate",
-    "SummaReport",
-    "summa_simulate",
     "mpqc_cpu_time",
 ]

@@ -8,8 +8,6 @@ Commands mirror the paper's evaluation artifacts:
 * ``mpqc``       — the Section 5.2 CPU comparison;
 * ``advise``     — the tiling advisor (the paper's future work);
 * ``selftest``   — numeric end-to-end check of the distributed plan;
-* ``trace``      — run a problem on the real multi-process executor and
-  write its merged per-rank Chrome trace plus a metrics summary;
 * ``explain``    — performance attribution of a traced run: critical-path
   blame buckets, model-vs-measured roofline audit, and (with
   ``--baseline``) a run-to-run diff of what got slower;
@@ -19,12 +17,13 @@ Commands mirror the paper's evaluation artifacts:
 * ``serve``      — run a batch of contraction jobs from a spec file
   through one persistent :class:`~repro.serve.ContractionService`
   (warm worker pool, priority queue, per-job artifacts);
-* ``metrics``    — run a small distributed job and print its merged
-  metrics in Prometheus text exposition format;
 * ``analyze``    — static plan verifier + task-graph checks (CI gate);
 * ``store``      — inspect (``stats``) or garbage-collect (``gc``) a
   persistent tile store;
-* ``lint``       — AST concurrency lint over the source tree (CI gate).
+* ``lint``       — AST concurrency lint over the source tree (CI gate);
+* ``rules``      — the analysis rule catalog generated from the registry
+  (``--check`` is the CI drift gate for ``docs/rules.md``);
+* ``export``     — dump every experiment's data as one JSON file.
 """
 
 from __future__ import annotations
@@ -464,30 +463,6 @@ def _cmd_serve(args) -> int:
         svc.shutdown()
 
 
-def _cmd_metrics(args) -> int:
-    from repro.core import psgemm_distributed
-    from repro.machine import summit
-    from repro.sparse import random_block_sparse
-    from repro.tiling import random_tiling
-
-    rows = random_tiling(args.m, 20, 80, seed=args.seed)
-    inner = random_tiling(args.k, 20, 80, seed=args.seed + 1)
-    a = random_block_sparse(rows, inner, 0.5, seed=args.seed + 2)
-    b = random_block_sparse(inner, inner, 0.5, seed=args.seed + 3)
-    _, report = psgemm_distributed(
-        a, b, summit(args.procs), p=args.procs,
-        heartbeat_interval=args.heartbeat_interval,
-    )
-    text = report.metrics.to_prometheus()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}: {len(text.splitlines())} line(s)")
-    else:
-        print(text, end="")
-    return 0
-
-
 def _cmd_store(args) -> int:
     from repro.store import TileStore, read_store_stats
 
@@ -554,10 +529,6 @@ def _cmd_analyze(args) -> int:
         print(result.summary())
         report.extend(result.report)
     print(report.render())
-    if args.sarif:
-        from repro.analysis import write_sarif
-
-        print(f"sarif: {write_sarif(report, args.sarif)}")
     return report.exit_code()
 
 
@@ -575,10 +546,6 @@ def _cmd_lint(args) -> int:
         print(f"warning: no files matched {' '.join(paths)!s}; "
               f"nothing was linted")
     print(report.render())
-    if args.sarif:
-        from repro.analysis import write_sarif
-
-        print(f"sarif: {write_sarif(report, args.sarif, tool_name='repro-lint')}")
     return report.exit_code()
 
 
@@ -755,22 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the full static plan verifier inside each job")
     se.set_defaults(func=_cmd_serve)
 
-    me = sub.add_parser(
-        "metrics",
-        help="run a small distributed job and print Prometheus metrics",
-    )
-    me.add_argument("--procs", type=int, default=2,
-                    help="number of real worker processes (default 2)")
-    me.add_argument("--m", type=int, default=200,
-                    help="rows of A (problem size)")
-    me.add_argument("--k", type=int, default=600,
-                    help="inner dimension (problem size)")
-    me.add_argument("--heartbeat-interval", type=float, default=0.1,
-                    help="worker heartbeat cadence in seconds (default 0.1)")
-    me.add_argument("-o", "--output",
-                    help="write the exposition text to a file instead of stdout")
-    me.set_defaults(func=_cmd_metrics)
-
     an = sub.add_parser(
         "analyze",
         help="statically verify an inspector-built plan and its task graph",
@@ -792,8 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--max-ranks", type=int, default=2,
                     help="largest rank count the model check explores "
                          "(default 2; 3 is exhaustive but slower)")
-    an.add_argument("--sarif", metavar="PATH",
-                    help="also write the findings as SARIF 2.1.0 to PATH")
     an.set_defaults(func=_cmd_analyze)
 
     so = sub.add_parser(
@@ -818,8 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     li.add_argument("paths", nargs="*",
                     help="files or directories to lint (default: the installed "
                          "repro package tree)")
-    li.add_argument("--sarif", metavar="PATH",
-                    help="also write the findings as SARIF 2.1.0 to PATH")
     li.set_defaults(func=_cmd_lint)
 
     ru = sub.add_parser(

@@ -132,8 +132,11 @@ def psgemm_distributed(
     ``trace=False`` removes all span recording from the hot loops; the
     numeric result is identical either way.
 
-    Extra keyword arguments (``fault_plan``, ``max_retries``,
-    ``allow_reassign``, ``timeout``) pass through to the coordinator.
+    Extra keyword arguments are the fields of
+    :class:`repro.dist.coordinator.RunConfig` (recovery policy, telemetry,
+    checkpoint / store tiers, rebalancing, pool);
+    :func:`repro.dist.execute_plan_distributed` documents each one, and
+    anything else is a ``TypeError``.
 
     Returns
     -------

@@ -26,7 +26,7 @@ Design constraints, in order:
 * **Prometheus text exposition** — :meth:`MetricsSnapshot.to_prometheus`
   renders the standard ``# HELP`` / ``# TYPE`` / sample format, with
   ``_bucket{le="..."}`` / ``_sum`` / ``_count`` series per histogram, so
-  ``repro metrics`` output can be scraped or diffed by stock tooling.
+  a job's ``metrics.<id>.prom`` can be scraped or diffed by stock tooling.
 
 Naming convention (enforced loosely, documented in
 ``docs/architecture.md``): ``repro_<area>_<name>[_total|_bytes|_seconds]``

@@ -32,7 +32,6 @@ from repro.sparse.shape_algebra import (
     screened_product,
 )
 from repro.sparse.random_sparsity import random_shape_with_density
-from repro.sparse.lowrank import ClrMatrix, LowRankTile, clr_gemm, compress_tile
 
 __all__ = [
     "SparseShape",
@@ -49,8 +48,4 @@ __all__ = [
     "product_shape",
     "screened_product",
     "random_shape_with_density",
-    "ClrMatrix",
-    "LowRankTile",
-    "clr_gemm",
-    "compress_tile",
 ]

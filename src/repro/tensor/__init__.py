@@ -11,7 +11,6 @@ a GEMM over matricized operands.
 from repro.tensor.tensor import BlockSparseTensor
 from repro.tensor.matricize import matricize, unmatricize
 from repro.tensor.contraction import ContractionSpec, contract, plan_contraction
-from repro.tensor.distributed import contract_distributed
 
 __all__ = [
     "BlockSparseTensor",
@@ -20,5 +19,4 @@ __all__ = [
     "ContractionSpec",
     "contract",
     "plan_contraction",
-    "contract_distributed",
 ]

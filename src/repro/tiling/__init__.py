@@ -16,7 +16,6 @@ runs).  This package provides:
 * :mod:`~repro.tiling.stats` — tile-size distributions (paper Fig. 6).
 """
 
-from repro.tiling.index_range import IndexRange
 from repro.tiling.tiling import Tiling
 from repro.tiling.random import random_tiling
 from repro.tiling.product import FusedTiling, fuse
@@ -25,7 +24,6 @@ from repro.tiling.kmeans import kmeans
 from repro.tiling.stats import TileSizeStats, matricized_tile_sizes_bytes, tile_size_stats
 
 __all__ = [
-    "IndexRange",
     "Tiling",
     "random_tiling",
     "FusedTiling",

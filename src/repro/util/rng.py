@@ -37,9 +37,6 @@ def spawn_rng(rng: np.random.Generator, key: int) -> np.random.Generator:
     order in which tiles are instantiated (the paper generates B tiles *on
     demand*, so instantiation order is schedule-dependent).
     """
-    seed = int(rng.integers(0, 2**63 - 1)) if key is None else None
-    if seed is not None:  # pragma: no cover - defensive, key is never None
-        return np.random.default_rng(seed)
     # Mix the key into fresh entropy drawn deterministically from the parent
     # state *without* advancing the parent (so sibling spawns commute).
     ss = np.random.SeedSequence(entropy=_state_entropy(rng), spawn_key=(key,))

@@ -61,31 +61,6 @@ class TestLintNoFilesMatched:
         assert "no files matched" in capsys.readouterr().out
 
 
-class TestSarifExport:
-    def test_lint_sarif_round_trips(self, tmp_path, capsys):
-        from repro.analysis import validate_sarif_file
-
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nnp.random.seed(0)\n")
-        sarif = tmp_path / "lint.sarif"
-        assert main(["lint", str(bad), "--sarif", str(sarif)]) == 1
-        doc = validate_sarif_file(sarif)
-        (result,) = doc["runs"][0]["results"]
-        assert result["ruleId"] == "L303"
-        uri = result["locations"][0]["physicalLocation"]["artifactLocation"]
-        assert uri["uri"] == str(bad)
-        assert f"sarif: {sarif}" in capsys.readouterr().out
-
-    def test_analyze_sarif_validates_when_clean(self, tmp_path, capsys):
-        from repro.analysis import validate_sarif_file
-
-        sarif = tmp_path / "analysis.sarif"
-        assert main(["analyze", "--procs", "2", "--nodes", "2",
-                     "--sarif", str(sarif)]) == 0
-        doc = validate_sarif_file(sarif)
-        assert doc["runs"][0]["results"] == []
-
-
 class TestModelCheckCommand:
     def test_analyze_model_check_passes_clean(self, capsys):
         """The shipped protocol model-checks clean from the CLI — the same

@@ -1,8 +1,8 @@
-"""Tests for the libDBCSR/SUMMA/CPU baselines."""
+"""Tests for the libDBCSR and CPU baselines."""
 
 import pytest
 
-from repro.baselines import dbcsr_simulate, mpqc_cpu_time, summa_simulate
+from repro.baselines import dbcsr_simulate, mpqc_cpu_time
 from repro.baselines.cpu_mpqc import PAPER_MEASURED
 from repro.baselines.dbcsr import _factor_grids
 from repro.core import psgemm_simulate
@@ -72,30 +72,6 @@ class TestDbcsr:
             dbcsr_simulate(a, b, summit(1))
 
 
-class TestSumma:
-    def test_infeasible_when_c_exceeds_gpus(self):
-        # C = 48k x 480k doubles = 184 GB > half of 6 GPUs' 96 GiB.
-        a, b = instance(480_000, density=1.0, seed=11)
-        rep = summa_simulate(a, b, summit(1))
-        assert not rep.feasible
-        assert "exceeds" in rep.error
-
-    def test_feasible_small(self):
-        a, b = instance(48_000, density=0.5, seed=13, m=10_000)
-        rep = summa_simulate(a, b, summit(16))
-        assert rep.feasible and rep.perf > 0
-
-    def test_stationary_b_wins_on_paper_shape(self):
-        # With B huge and C small-ish, streaming B (SUMMA) must lose to
-        # keeping it stationary (the paper's algorithm).
-        a, b = instance(96_000, density=0.5, seed=15, m=4_000)
-        machine = summit(16)
-        sm = summa_simulate(a, b, machine)
-        _, rep = psgemm_simulate(a, b, machine, p=1)
-        if sm.feasible:
-            assert rep.makespan < sm.makespan
-
-
 class TestCpuBaseline:
     def test_anchor_times(self):
         flops = 877e12  # the paper's v1 count
@@ -104,40 +80,3 @@ class TestCpuBaseline:
 
     def test_scaling(self):
         assert mpqc_cpu_time(1e15, 16) < mpqc_cpu_time(1e15, 8)
-
-
-class TestTransposeReduce:
-    def _shapes(self):
-        from repro.sparse import random_shape_with_density
-        from repro.tiling import random_tiling
-
-        rows = random_tiling(600, 40, 160, seed=20)
-        inner = random_tiling(3000, 40, 160, seed=21)
-        a = random_shape_with_density(rows, inner, 0.5, seed=22)
-        b = random_shape_with_density(inner, inner, 0.5, seed=23)
-        return a, b
-
-    def test_report_fields(self):
-        from repro.baselines.transpose_reduce import transpose_reduce_simulate
-
-        a, b = self._shapes()
-        rep = transpose_reduce_simulate(a, b, summit(4))
-        assert rep.makespan > 0
-        assert rep.c_reduce_bytes > 0
-        assert rep.gen_saved_s >= 0
-        assert "C reduced" in rep.summary()
-
-    def test_needs_two_grid_rows(self):
-        from repro.baselines.transpose_reduce import transpose_reduce_simulate
-
-        a, b = self._shapes()
-        with pytest.raises(ValueError):
-            transpose_reduce_simulate(a, b, summit(4), grid_rows=1)
-
-    def test_reduction_grows_with_grid_rows(self):
-        from repro.baselines.transpose_reduce import transpose_reduce_simulate
-
-        a, b = self._shapes()
-        r2 = transpose_reduce_simulate(a, b, summit(4), grid_rows=2)
-        r4 = transpose_reduce_simulate(a, b, summit(4), grid_rows=4)
-        assert r4.c_reduce_bytes > r2.c_reduce_bytes

@@ -141,6 +141,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    def test_help_names_exactly_the_registered_commands(self):
+        """``repro --help`` prints the module docstring; its bullet list is
+        the sub-parsers, no more (a deleted ``trace``) and no fewer."""
+        import argparse
+        import re
+
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        named = re.findall(r"^\* ``(\w+)``", parser.description, flags=re.M)
+        assert sorted(named) == sorted(sub.choices)
+
 
 class TestAdvisor:
     def _builder(self):

@@ -955,17 +955,3 @@ class TestCliIntegration:
         from repro.dist import read_events
 
         assert any(e["event"] == "stall" for e in read_events(events))
-
-    @pytest.mark.dist
-    def test_metrics_command_emits_prometheus(self, capsys, tmp_path):
-        from repro.cli import main
-
-        outfile = str(tmp_path / "metrics.prom")
-        assert main(["metrics", "--procs", "2", "--m", "150", "--k", "450",
-                     "-o", outfile]) == 0
-        with open(outfile, encoding="utf-8") as fh:
-            text = fh.read()
-        assert "# TYPE repro_gemm_tasks_total counter" in text
-        for line in text.splitlines():
-            if not line.startswith("#"):
-                float(line.rsplit(" ", 1)[1])

@@ -98,11 +98,3 @@ class TestFormattingEdges:
         assert fmt_count(0) == "0"
         assert fmt_flops(0) == "0 flop"
         assert fmt_rate(0) == "0 flop/s"
-
-
-class TestIoEdges:
-    def test_load_missing_file(self, tmp_path):
-        from repro.sparse.io import load_matrix
-
-        with pytest.raises(FileNotFoundError):
-            load_matrix(str(tmp_path / "nope.npz"))

@@ -4,30 +4,13 @@ import numpy as np
 import pytest
 
 from repro.chem import TilingVariant, alkane, build_abcd_problem
-from repro.experiments.ablations import (
-    ablation_column_assignment,
-    ablation_control_flow,
-    ablation_grid_rows,
-    ablation_memory_split,
-    simulate_without_control_flow,
-)
 from repro.experiments.report import ascii_spy, fmt_series, fmt_table
 from repro.experiments.synthetic import run_synthetic_point
 from repro.machine import summit
-from repro.sparse import random_shape_with_density
-from repro.tiling import random_tiling
 
 
 def small_problem():
     return build_abcd_problem(alkane(15), TilingVariant("t", 4, 10), seed=0)
-
-
-def small_shapes(seed=0):
-    rows = random_tiling(600, 40, 160, seed=seed)
-    inner = random_tiling(3000, 40, 160, seed=seed + 1)
-    a = random_shape_with_density(rows, inner, 0.5, seed=seed + 2)
-    b = random_shape_with_density(inner, inner, 0.5, seed=seed + 3)
-    return a, b
 
 
 class TestReport:
@@ -72,38 +55,6 @@ class TestSyntheticDriver:
         )
         assert p.dbcsr is None
         assert p.fig2_row()[-1] == "-"
-
-
-class TestAblationDrivers:
-    def test_grid_rows_rows(self):
-        a, b = small_shapes()
-        rows = ablation_grid_rows(a, b, summit(4), candidates=(1, 2))
-        assert len(rows) == 2
-        assert rows[0][0] == 1
-
-    def test_column_assignment_rows(self):
-        a, b = small_shapes(seed=5)
-        rows = ablation_column_assignment(a, b, q=4)
-        assert [r[0] for r in rows] == ["mirrored", "cyclic", "lpt"]
-
-    def test_memory_split_rows(self):
-        a, b = small_shapes(seed=7)
-        rows = ablation_memory_split(a, b, summit(1), splits=((0.5, 0.25),))
-        assert len(rows) == 1
-
-    def test_control_flow_slowdown_positive(self):
-        a, b = small_shapes(seed=9)
-        rows = ablation_control_flow(a, b, summit(1))
-        slowdown = float(rows[-1][1].rstrip("x"))
-        assert slowdown >= 1.0
-
-    def test_without_control_flow_worse(self):
-        from repro.core import psgemm_simulate
-
-        a, b = small_shapes(seed=11)
-        plan, rep = psgemm_simulate(a, b, summit(1), p=1)
-        t_off = simulate_without_control_flow(plan, summit(1))
-        assert t_off >= rep.nodes[0].gpu_busy.max()
 
 
 class TestC65Drivers:

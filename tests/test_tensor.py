@@ -190,20 +190,3 @@ class TestContract:
         B, b_dense = rand_tensor("kj", [k, j], seed=seed + 1, sparsity=0.7)
         C = contract("ik,kj->ij", A, B)
         assert np.allclose(C.to_dense(), a_dense @ b_dense)
-
-
-class TestDistributedContraction:
-    def test_matches_serial_contract(self):
-        from repro.machine import summit
-        from repro.tensor import contract_distributed
-
-        o = Tiling.from_sizes([3, 2])
-        u = Tiling.from_sizes([4, 3])
-        T, t_dense = rand_tensor("ijcd", [o, o, u, u], seed=20)
-        V, v_dense = rand_tensor("cdab", [u, u, u, u], seed=21)
-        R, stats = contract_distributed(
-            "ijcd,cdab->ijab", T, V, summit(2), p=2, gpus_per_proc=3
-        )
-        ref = np.einsum("ijcd,cdab->ijab", t_dense, v_dense)
-        assert np.allclose(R.to_dense(), ref)
-        assert stats.ntasks > 0

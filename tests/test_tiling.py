@@ -5,24 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tiling import IndexRange, Tiling, random_tiling
-
-
-class TestIndexRange:
-    def test_basic(self):
-        r = IndexRange("i", 196)
-        assert r.extent == 196
-
-    def test_fused(self):
-        ij = IndexRange("i", 196).fused(IndexRange("j", 196))
-        assert ij.name == "ij"
-        assert ij.extent == 196 * 196
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            IndexRange("i", 0)
-        with pytest.raises(ValueError):
-            IndexRange("", 5)
+from repro.tiling import Tiling, random_tiling
 
 
 class TestTiling:
