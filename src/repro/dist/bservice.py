@@ -41,9 +41,10 @@ spawns, and statically in the plan verifier (rule ``P114``).
 
 Observability: pass a :class:`~repro.runtime.tracing.SpanRecorder` and the
 service records one ``gen.<k>.<j>`` span per instantiation on the rank's
-``cpu.<rank>`` resource (the simulator's B-generation vocabulary) plus
-hit/miss/eviction counters surfaced through
-:class:`~repro.dist.DistReport`.
+``cpu.<rank>`` resource (the simulator's B-generation vocabulary).  Hits,
+instantiations and evictions are plain attributes; the rank's report
+carries them into :class:`~repro.dist.DistReport`, whose ``metrics`` is a
+fold of those fields (:data:`repro.runtime.metrics.SERIES`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from collections import Counter, OrderedDict
 import numpy as np
 
 from repro.runtime.gpu_memory import GpuMemory
-from repro.runtime.metrics import MetricsRegistry
 
 
 def validate_b_budget(shape, budget_bytes: int) -> None:
@@ -83,7 +83,6 @@ class BService:
     """
 
     def __init__(self, collection, budget_bytes: int, recorder=None,
-                 metrics: MetricsRegistry | None = None,
                  store=None, store_ns: str = ""):
         validate_b_budget(collection.shape, budget_bytes)
         self._col = collection
@@ -96,19 +95,6 @@ class BService:
         self._store = store
         self._store_ns = store_ns
         self._rec = recorder
-        registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self._m_hits = registry.counter(
-            "repro_b_service_hits_total", "B-tile cache hits"
-        )
-        self._m_misses = registry.counter(
-            "repro_b_service_misses_total", "B-tile instantiations (cache misses)"
-        )
-        self._m_evictions = registry.counter(
-            "repro_b_service_evictions_total", "B-tile LRU evictions"
-        )
-        self._m_cached = registry.gauge(
-            "repro_b_service_cached_bytes", "bytes resident in the B LRU", agg="sum"
-        )
 
     def has_tile(self, k: int, j: int) -> bool:
         return self._col.has_tile(k, j)
@@ -122,7 +108,6 @@ class BService:
         if hit is not None:
             self._lru.move_to_end(key)
             self.hits += 1
-            self._m_hits.inc()
             return hit
         rec = self._rec
         timed = rec is not None and rec.enabled
@@ -149,16 +134,13 @@ class BService:
         # and toward ``b_tiles_generated`` (keeping distributed stats
         # bit-comparable with the serial executor's).
         self.instantiations[key] += 1
-        self._m_misses.inc()
         # Make room: shed least-recently-used tiles until the budget fits.
         while self._lru and self._mem.free < data.nbytes:
             old, _ = self._lru.popitem(last=False)
             self._mem.release(f"b{old}")
             self.lru_evictions += 1
-            self._m_evictions.inc()
         self._mem.reserve(f"b{key}", data.nbytes)
         self._lru[key] = data
-        self._m_cached.set_max(self._mem.used)
         return data
 
     def evict(self, proc: int, k: int, j: int) -> None:
@@ -222,22 +204,15 @@ class ConcreteBSource:
     per rank so the merged
     ``b_tiles_generated`` statistic equals the serial executor's
     ``len(MatrixSource.access_counts)``; repeat pulls count as cache hits
-    (the operand *is* the cache) so the B-service metrics stay comparable
+    (the operand *is* the cache) so the B-service tallies stay comparable
     with the generated backing.
     """
 
-    def __init__(self, tiles, metrics: MetricsRegistry | None = None):
+    def __init__(self, tiles):
         self._tiles = tiles
         self._pulled: set[tuple[int, int]] = set()
         self.hits = 0
         self.lru_evictions = 0
-        registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self._m_hits = registry.counter(
-            "repro_b_service_hits_total", "B-tile cache hits"
-        )
-        self._m_misses = registry.counter(
-            "repro_b_service_misses_total", "B-tile instantiations (cache misses)"
-        )
 
     def has_tile(self, k: int, j: int) -> bool:
         return (k, j) in self._tiles
@@ -248,10 +223,8 @@ class ConcreteBSource:
     def tile(self, proc: int, k: int, j: int) -> np.ndarray:
         if (k, j) in self._pulled:
             self.hits += 1
-            self._m_hits.inc()
         else:
             self._pulled.add((k, j))
-            self._m_misses.inc()
         return self._tiles.get((k, j))
 
     def generated_tiles(self) -> int:

@@ -84,7 +84,7 @@ from repro.dist.comm import (
     RelinquishMsg,
 )
 from repro.dist.faults import FaultPlan
-from repro.dist.health import EVENT_COUNTERS, EventLog, RunHealth
+from repro.dist.health import EventLog, RunHealth
 from repro.dist.pool import default_start_method
 from repro.dist.protocol import COORDINATOR_MACHINE, WIRE
 from repro.dist.tile_store import TileArena
@@ -98,7 +98,7 @@ from repro.dist.worker import (
     worker_main,
 )
 from repro.runtime.data import GeneratedCollection, MatrixSource
-from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
+from repro.runtime.metrics import MetricsSnapshot, snapshot_of
 from repro.runtime.numeric import NumericStats
 from repro.runtime.tracing import SpanRecorder, Trace
 from repro.sparse.matrix import BlockSparseMatrix
@@ -145,9 +145,14 @@ class DistReport(RankTally):
     segments: list[str]
     nworkers: int = 0
     shm_bytes: int = 0
+    #: The series of :data:`repro.runtime.metrics.SERIES`, folded from this
+    #: report (``None`` when the run was configured ``metrics=False``).
     metrics: MetricsSnapshot | None = None
     health: RunHealth | None = None
     events_path: str | None = None
+    #: The event log's tallies: ``(kind, None)`` -> records emitted,
+    #: ``(kind, field)`` -> the sum of that field over them.
+    event_totals: dict = field(default_factory=dict)
     stalled: list[int] = field(default_factory=list)
     handoffs: int = 0
     blocks_rebalanced: int = 0
@@ -342,9 +347,10 @@ def execute_plan_distributed(
     ``stall_after_beats`` intervals (plus a startup grace before its
     first beat) is treated exactly like a crashed one — terminated,
     retried, then reassigned.  ``heartbeat_interval=0`` disables both
-    heartbeats and stall detection.  ``metrics`` ships a cumulative
-    :class:`~repro.runtime.metrics.MetricsSnapshot` with each rank's
-    report; the merged run-wide snapshot lands in ``report.metrics``.
+    heartbeats and stall detection.  ``metrics`` folds the finished report
+    into ``report.metrics``, the :class:`~repro.runtime.metrics.MetricsSnapshot`
+    of the series :data:`~repro.runtime.metrics.SERIES` declares (nothing is
+    counted for it while the run executes, and nothing crosses the wire).
     ``events_path`` appends the run's life-cycle (``plan_accepted``,
     ``worker_up``, ``heartbeat``, ``stall``, ``reassign``, ...) as JSONL —
     the file ``repro monitor`` tails — ending in exactly one terminal
@@ -716,7 +722,6 @@ class _Coordinator:
             trace=cfg.trace,
             max_spans=cfg.trace_max_spans,
             heartbeat_interval=cfg.heartbeat_interval,
-            metrics=cfg.metrics,
             completed=completed,
             excluded=tuple(sorted(stolen)),
             rebalance=cfg.rebalance,
@@ -1092,8 +1097,8 @@ class _Coordinator:
     # ---- report: merge stats / trace / comm / metrics ------------------------
 
     def report(self) -> DistReport:
-        """Everything observed, merged (recovery fields and coordinator
-        metrics: folds of the event log); ends the log with ``done``."""
+        """Everything observed, merged (recovery fields: folds of the event
+        log; ``metrics``: a fold of the report); ends the log with ``done``."""
         cfg, rec, plan, events = self.cfg, self.rec, self.plan, self.events
         reports = [self.reports[rank] for rank in range(self.nranks)]
         tally = RankTally.merge(reports)
@@ -1130,22 +1135,6 @@ class _Coordinator:
                         )
             self.comm_stats.absorb(rank_report.link_bytes)
         self.comm_stats.absorb(self.coord.link_bytes, self.coord.messages)
-        merged_metrics = None
-        if cfg.metrics:
-            registry = MetricsRegistry()
-            registry.counter(
-                "repro_spans_dropped_total",
-                "trace spans discarded at the recorder bound",
-            ).inc(tally.spans_dropped)
-            for key, (kind, summed, text) in EVENT_COUNTERS.items():
-                registry.counter(f"repro_{key}_total", text).inc(
-                    events.total(kind, summed)
-                )
-            merged_metrics = MetricsSnapshot.merge(
-                [r.metrics for r in reports if r.metrics is not None]
-                + [registry.snapshot()]
-            )
-
         perf_model = None
         if cfg.trace:
             # The predicted-cost twin of the measured trace: cheap to build
@@ -1170,9 +1159,9 @@ class _Coordinator:
             segments=[arena.name for arena in arenas],
             nworkers=self.nranks,
             shm_bytes=sum(arena.used_bytes for arena in arenas),
-            metrics=merged_metrics,
             health=self.health,
             events_path=events.path,
+            event_totals=dict(events.totals),
             stalled=stalled,
             handoffs=events.total("handoff"),
             blocks_rebalanced=events.total("handoff", "blocks"),
@@ -1182,6 +1171,8 @@ class _Coordinator:
             run_id=cfg.run_id,
             **vars(tally),
         )
+        if cfg.metrics:
+            dist_report.metrics = snapshot_of(dist_report)
         events.emit(
             "done",  # the log's terminal record
             ntasks=stats.ntasks,

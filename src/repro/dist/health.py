@@ -40,7 +40,8 @@ Three pieces:
   ``straggler``, ``retry``, ``reassign``, ``rank_done``, and exactly one
   terminal record — ``done``, or ``aborted`` / ``failed`` with a
   ``reason`` (:data:`TERMINAL_EVENTS`).  Every record is folded into the
-  health and tallied (:data:`EVENT_COUNTERS`: the coordinator's metrics);
+  health and tallied (the ``events`` rows of
+  :data:`~repro.runtime.metrics.SERIES`: the coordinator's counters);
   given a path it is also a JSONL file (``run-events.jsonl``), append-only,
   one JSON object per line — the attach point for ``repro monitor`` and
   the artifact CI uploads when a distributed test fails.
@@ -57,28 +58,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from statistics import median
 
+from repro.runtime.metrics import SERIES
+
 #: The events that end a run's log; ``repro monitor --follow`` stops at one.
 TERMINAL_EVENTS = ("done", "aborted", "failed")
-
-#: The coordinator's own counters, each a fold of the event log:
-#: ``repro_<key>_total`` -> (event kind, summed field or ``None`` to count
-#: the records, help).
-EVENT_COUNTERS = {
-    "heartbeats": ("heartbeat", None, "worker heartbeats received"),
-    "stalls_detected": ("stall", None, "ranks declared stalled via missed heartbeats"),
-    "worker_retries": ("retry", None, "worker processes respawned after a failure"),
-    "ranks_reassigned": ("reassign", None, "ranks reassigned to the coordinator"),
-    "rebalance_requests":
-        ("rebalance", None, "relinquish requests sent to flagged stragglers"),
-    "rebalance_blocks_reclaimed":
-        ("handoff", "blocks", "blocks reclaimed from stragglers and handed off"),
-    "rebalance_tasks_moved":
-        ("handoff", "tasks", "GEMM tasks moved off stragglers by the rebalancer"),
-    "rebalance_handoffs":
-        ("handoff", None, "handoffs dispatched (to helper ranks or the inline spare)"),
-    "blocks_completed":
-        ("block_done", None, "per-block completion reports received as telemetry"),
-}
 
 #: Events that only move a rank to a state (:meth:`RunHealth.apply`).
 _STATE_OF_EVENT = {
@@ -88,8 +71,11 @@ _STATE_OF_EVENT = {
     "retry": "retried",
 }
 
-#: The ``(event kind, field)`` sums :data:`EVENT_COUNTERS` asks for.
-_SUMMED = {(kind, name) for kind, name, _ in EVENT_COUNTERS.values() if name}
+#: The ``(event kind, field)`` sums the ``events`` rows of
+#: :data:`~repro.runtime.metrics.SERIES` (the coordinator's counters) ask for.
+_SUMMED = {
+    fold[1:] for _, _, fold in SERIES.values() if fold[0] == "events" and fold[2]
+}
 
 #: Extra seconds granted before a rank's *first* heartbeat of an attempt
 #: counts as missing (process spawn + import can dwarf the interval).
@@ -453,17 +439,19 @@ class EventLog:
         self.run_id = run_id
         self.health = health
         self._fh = open(path, "w", encoding="utf-8") if path else None  # repro: noqa[L308] - handle owned by the log, closed in close()
-        self._tally: Counter = Counter()
+        #: ``(event kind, None)`` -> records so far; ``(kind, field)`` -> the
+        #: sum of that field, for the pairs in ``_SUMMED``.
+        self.totals: Counter = Counter()
 
     def emit(self, event: str, **fields) -> None:
         record = {"t": time.time(), "event": event}  # repro: noqa[L306]
         if self.run_id:
             record["run"] = self.run_id
         record.update(fields)
-        self._tally[event] += 1
+        self.totals[event, None] += 1
         for kind, name in _SUMMED:
             if kind == event:
-                self._tally[kind, name] += fields[name]
+                self.totals[kind, name] += fields[name]
         if self.health is not None:
             self.health.apply(record, time.monotonic())
         if self._fh is not None:
@@ -471,9 +459,9 @@ class EventLog:
             self._fh.flush()
 
     def total(self, event: str, summed: str | None = None) -> int:
-        """Records of kind ``event`` so far, or (for the fields
-        :data:`EVENT_COUNTERS` names) the sum of their ``summed`` field."""
-        return self._tally[event if summed is None else (event, summed)]
+        """Records of kind ``event`` so far, or (for the pairs an ``events``
+        row of ``SERIES`` names) the sum of their ``summed`` field."""
+        return self.totals[event, summed]
 
     def close(self) -> None:
         if self._fh is not None:

@@ -41,11 +41,15 @@ inline span on the GPU's link resource.
 Observability: when the scatter carries ``trace=True`` the worker records
 spans through a :class:`~repro.runtime.tracing.SpanRecorder` on a
 *monotonic* clock — inbox wait, shared-memory attach, per-chunk prefetch,
-per-chunk GEMM, B-tile generation, C writeback (the hand-over of the
-index: there is nothing left to copy) — and ships the
-:class:`~repro.runtime.tracing.SpanStream` home in its report for the
-coordinator to merge.  With ``trace=False`` no clock is read in the hot
-loop (``on_event`` is ``None``) and no spans are stored.
+per-chunk GEMM, B-tile generation, per-block checkpoint writeback, C
+writeback (the hand-over of the index: there is nothing left to copy) —
+and ships the :class:`~repro.runtime.tracing.SpanStream` home in its report
+for the coordinator to merge.  With ``trace=False`` no clock is read in the
+hot loop (``on_event`` is ``None``) and no spans are stored.  What a rank
+counts it counts once, on the plain fields of its :class:`WorkerReport`
+(``stats`` and the :class:`RankTally`); ``report.metrics`` is the
+coordinator's fold of the merged report
+(:func:`repro.runtime.metrics.snapshot_of`), not something a rank measures.
 
 Live telemetry: when the scatter carries a positive ``heartbeat_interval``
 the worker runs a daemon heartbeat thread that ships a
@@ -92,11 +96,11 @@ from repro.dist.comm import (
 from repro.dist.faults import FaultInjection
 from repro.dist.health import HeartbeatMsg
 from repro.dist.tile_store import ArenaMeta, TileArena
-from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
 from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
 from repro.store import (
     CompletedBlock,
+    StoreStats,
     TileStore,
     WritebackJournal,
     ckpt_namespace,
@@ -135,7 +139,6 @@ class ScatterMsg:
     trace: bool = True
     max_spans: int = 200_000
     heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
-    metrics: bool = False
     #: Persistent-store / checkpoint wiring (all inert when left at their
     #: defaults): ``store_dir`` roots the B-tile persistence tier,
     #: ``ckpt_dir`` enables the writeback journal (and, when ``store_dir``
@@ -176,6 +179,9 @@ class RankTally:
     store_hits: int = 0
     store_misses: int = 0
     store_puts: int = 0
+    store_evictions: int = 0
+    store_bytes_written: int = 0
+    store_bytes_read: int = 0
     blocks_restored: int = 0
     tasks_skipped: int = 0
     spans_dropped: int = 0
@@ -203,7 +209,6 @@ class WorkerReport(RankTally):
     c_index: dict[tuple[int, int], tuple[int, int, int]]
     spans: SpanStream | None = None
     link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    metrics: MetricsSnapshot | None = None
 
 
 def modeled_a_link_bytes(
@@ -229,7 +234,7 @@ def checkpoint_hooks(
     run_hash: str,
     rank: int,
     completed: dict[tuple[int, int], tuple],
-    registry: MetricsRegistry,
+    rec: SpanRecorder,
     c_slot,
 ):
     """Build the ``(restore_block, on_block, counters)`` checkpoint closures.
@@ -242,20 +247,10 @@ def checkpoint_hooks(
     Crash-consistency ordering lives in ``on_block``: every C tile is
     durably in the store *before* the journal line is appended, so a kill
     between the two leaves an unreferenced (harmless) object, never a
-    journal record promising tiles that do not exist.
+    journal record promising tiles that do not exist.  Its time is the
+    ``writeback.ckpt.block<bi>`` span ``rec`` records on ``net.<rank>``.
     """
     ns = ckpt_namespace(run_hash)
-    hist = registry.histogram(
-        "repro_checkpoint_seconds", "per-block checkpoint writeback durations"
-    )
-    m_restored = registry.counter(
-        "repro_checkpoint_blocks_restored_total",
-        "blocks restored from the journal instead of recomputed",
-    )
-    m_skipped = registry.counter(
-        "repro_checkpoint_tasks_skipped_total",
-        "GEMM tasks skipped thanks to journaled blocks",
-    )
     counters = {"blocks_restored": 0, "tasks_skipped": 0}
 
     def restore_block(g: int, bi: int, block) -> dict | None:
@@ -274,20 +269,17 @@ def checkpoint_hooks(
             out[(i, j)] = dst
         counters["blocks_restored"] += 1
         counters["tasks_skipped"] += block.ntasks
-        m_restored.inc()
-        m_skipped.inc(block.ntasks)
         return out
 
     def on_block(g: int, bi: int, block, c_dev: dict) -> None:
-        t_start = time.monotonic()
         tiles = tuple(sorted(c_dev))
-        for i, j in tiles:
-            store.put(ns, ckpt_tile_key(rank, g, bi, i, j), c_dev[(i, j)])
-        journal.record(run_hash, CompletedBlock(
-            rank=rank, gpu=g, block=bi, chunks=len(block.chunks),
-            ntasks=block.ntasks, tiles=tiles,
-        ))
-        hist.observe(time.monotonic() - t_start)
+        with rec.span(f"writeback.ckpt.block{bi}", f"net.{rank}"):
+            for i, j in tiles:
+                store.put(ns, ckpt_tile_key(rank, g, bi, i, j), c_dev[(i, j)])
+            journal.record(run_hash, CompletedBlock(
+                rank=rank, gpu=g, block=bi, chunks=len(block.chunks),
+                ntasks=block.ntasks, tiles=tiles,
+            ))
 
     return restore_block, on_block, counters
 
@@ -336,17 +328,12 @@ def _heartbeats(beat, interval: float):
         stop.set()
 
 
-def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
-                   registry: MetricsRegistry):
+def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int):
     """A ``chunk_fetcher`` handing each chunk's A tiles out as views.
 
     Runs inline, recorded as the chunk's ``prefetch`` span on the GPU's
-    link resource (and in ``repro_prefetch_seconds`` when metrics are on).
-    With recorder and metrics both off the caller passes no fetcher at all.
+    link resource.  With the recorder off the caller passes no fetcher.
     """
-    prefetch_hist = registry.histogram(
-        "repro_prefetch_seconds", "A-chunk prefetch durations"
-    )
 
     def fetcher(g: int, bi: int, block: Block):
         link = f"gpu.{rank}.{g}.link"
@@ -357,10 +344,7 @@ def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
                 a_get_tile(i, k)
                 for i, k in zip(chunk.a_rows.tolist(), chunk.a_cols.tolist())
             ]
-            t_end = rec.now()
-            rec.record(f"block{bi}.chunk{ci}.prefetch", link, t_start, t_end)
-            if registry.enabled:
-                prefetch_hist.observe(t_end - t_start)
+            rec.record(f"block{bi}.chunk{ci}.prefetch", link, t_start, rec.now())
             return tiles
 
         return fetch
@@ -369,8 +353,8 @@ def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int,
 
 
 @contextmanager
-def _opened(msg, operands, rank: int, *, registry: MetricsRegistry,
-            rec: SpanRecorder, tile_cache, journal_suffix: str = ""):
+def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache,
+            journal_suffix: str = ""):
     """Open what one :class:`ScatterMsg` or ``HandoffMsg`` executes against.
 
     Yields ``(store, journal, a_get_tile, b_source, c_arena)``: the tile
@@ -385,7 +369,7 @@ def _opened(msg, operands, rank: int, *, registry: MetricsRegistry,
     try:
         if msg.store_dir is not None or msg.ckpt_dir is not None:
             root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
-            store = TileStore(root, budget_bytes=msg.store_budget, metrics=registry)
+            store = TileStore(root, budget_bytes=msg.store_budget)
         if msg.ckpt_dir is not None:
             journal = WritebackJournal(msg.ckpt_dir, rank, suffix=journal_suffix)
         with rec.span("shm.attach", f"net.{rank}"):
@@ -408,17 +392,14 @@ def _opened(msg, operands, rank: int, *, registry: MetricsRegistry,
                     b_store = TieredBStore(tile_cache, store)
                 b_source = BService(
                     payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
-                    metrics=registry, store=b_store, store_ns=f"b:{msg.b_hash}",
+                    store=b_store, store_ns=f"b:{msg.b_hash}",
                 )
             elif kind == "resident":
-                b_source = ConcreteBSource(operands[1], metrics=registry)
+                b_source = ConcreteBSource(operands[1])
             else:
                 attached.append(TileArena.attach(payload))
-                b_source = ConcreteBSource(attached[-1], metrics=registry)
+                b_source = ConcreteBSource(attached[-1])
             attached.append(TileArena.attach(msg.c_meta))
-        registry.gauge(
-            "repro_shm_attached_bytes", "shared-memory bytes attached", agg="sum"
-        ).set(sum(arena.size for arena in attached))
         yield store, journal, a_get_tile, b_source, attached[-1]
     finally:
         if journal is not None:
@@ -455,7 +436,6 @@ def run_rank(
     rec = SpanRecorder(enabled=msg.trace, max_spans=msg.max_spans, origin=origin)
     if msg.trace and origin is not None and recv_done is not None:
         rec.record("inbox.wait", f"net.{rank}", 0.0, recv_done - origin)
-    registry = MetricsRegistry(enabled=msg.metrics)
     progress = _Progress()
 
     beating = nullcontext()  # ``hb``: the beats' stop event, or None
@@ -468,7 +448,7 @@ def run_rank(
         )
 
     with beating as hb, _opened(
-        msg, operands, rank, registry=registry, rec=rec, tile_cache=tile_cache,
+        msg, operands, rank, rec=rec, tile_cache=tile_cache,
     ) as (store, journal, a_get_tile, b_source, c_arena):
         restore_block = on_block = None
         ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
@@ -476,17 +456,13 @@ def run_rank(
             restore_block, on_block, ckpt_counters = checkpoint_hooks(
                 store, journal, msg.run_hash, rank,
                 {(g, bi): tiles for g, bi, tiles in msg.completed},
-                registry, c_arena.slot,
+                rec, c_arena.slot,
             )
 
         fault = msg.fault
-        tasks_counter = registry.counter(
-            "repro_gemm_tasks_total", "GEMM tasks executed"
-        )
 
         def on_task() -> None:
             progress.tasks += 1
-            tasks_counter.inc()
             if fault is None:
                 return
             if fault.kind == "slow":
@@ -507,21 +483,6 @@ def run_rank(
                     time.sleep(STALL_SLEEP_SECONDS)
                 else:
                     time.sleep(fault.delay_seconds)
-
-        need_on_task = fault is not None or hb is not None or registry.enabled
-        gemm_hist = registry.histogram(
-            "repro_chunk_gemm_seconds", "per-chunk GEMM stream durations"
-        )
-
-        if rec.enabled or registry.enabled:
-            observe = registry.enabled
-
-            def on_event(task: str, resource: str, start: float, end: float) -> None:
-                rec.record(task, resource, start, end)
-                if observe and task.endswith(".gemm"):
-                    gemm_hist.observe(end - start)
-        else:
-            on_event = None
 
         # ---- rebalancing yield points -------------------------------
         # ``skipped`` holds block positions this rank must not execute:
@@ -594,12 +555,9 @@ def run_rank(
             b_csr=msg.b_csr,
             tau=msg.tau,
             alpha=msg.alpha,
-            chunk_fetcher=(
-                _chunk_fetcher(a_get_tile, rec, rank, registry)
-                if rec.enabled or registry.enabled else None
-            ),
-            on_task=on_task if need_on_task else None,
-            on_event=on_event,
+            chunk_fetcher=_chunk_fetcher(a_get_tile, rec, rank) if rec.enabled else None,
+            on_task=on_task if fault is not None or hb is not None else None,
+            on_event=rec.record if rec.enabled else None,
             clock=rec.now,
             restore_block=restore_block,
             on_block=on_block,
@@ -612,15 +570,7 @@ def run_rank(
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
             c_index = dict(c_arena.index)
 
-        if registry.enabled:
-            registry.counter(
-                "repro_gemm_flops_total", "floating-point operations executed"
-            ).inc(stats.flops)
-            registry.gauge(
-                "repro_gpu_peak_bytes", "peak device-memory high-water mark"
-            ).set(stats.gpu_peak_bytes)
-
-        store_stats = store.stats() if store is not None else None
+        store_stats = store.stats() if store is not None else StoreStats()
         return WorkerReport(
             rank=rank,
             attempt=msg.attempt,
@@ -628,14 +578,16 @@ def run_rank(
             c_index=c_index,
             spans=rec.stream() if rec.enabled else None,
             link_bytes=modeled_a_link_bytes(msg.proc, msg.grid, a_get_tile),
-            metrics=registry.snapshot() if registry.enabled else None,
             b_max_instantiations=b_source.max_instantiations(),
             b_hits=b_source.hits,
             b_evictions=b_source.lru_evictions,
             b_store_hits=getattr(b_source, "store_hits", 0),
-            store_hits=store_stats.hits if store_stats else 0,
-            store_misses=store_stats.misses if store_stats else 0,
-            store_puts=store_stats.puts if store_stats else 0,
+            store_hits=store_stats.hits,
+            store_misses=store_stats.misses,
+            store_puts=store_stats.puts,
+            store_evictions=store_stats.evictions,
+            store_bytes_written=store_stats.bytes_written,
+            store_bytes_read=store_stats.bytes_read,
             spans_dropped=rec.dropped,
             **ckpt_counters,
         )
@@ -653,16 +605,14 @@ def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats
     the reduction match the serial oracle and a resumed run replay the
     ownership transfer transparently.  Returns ``(C index, stats)``.
     """
-    registry = MetricsRegistry(enabled=False)
-    with _opened(msg, operands, msg.origin, registry=registry,
-                 rec=SpanRecorder(enabled=False), tile_cache=tile_cache,
+    rec = SpanRecorder(enabled=False)
+    with _opened(msg, operands, msg.origin, rec=rec, tile_cache=tile_cache,
                  journal_suffix=f".h{msg.handoff_id}",
                  ) as (store, journal, a_get_tile, b_source, c_arena):
         on_block = None
         if journal is not None:
             _, on_block, _ = checkpoint_hooks(
-                store, journal, msg.run_hash, msg.origin, {}, registry,
-                c_arena.slot,
+                store, journal, msg.run_hash, msg.origin, {}, rec, c_arena.slot,
             )
         stats = execute_blocks(
             msg.blocks,

@@ -44,22 +44,22 @@ def classify(task: str, resource: str = "") -> str:
     Understands both span vocabularies that feed a :class:`Trace`: the
     measured executor's (``block0.chunk1.gemm``, ``gen.3.7``,
     ``inbox.wait``, ...) and the discrete-event engine's task-graph names
-    (``gemm.p0.g0.b1.c2``, ``h2d.*``, ``recv.a.*``).
+    (``gemm.p0.g0.b1.c2``, ``load_a.*``, ``store_c.*``, ``recv_a.*``).
     """
     if task.endswith(".gemm") or task.startswith("gemm."):
         return "gemm"
     if task.startswith("gen."):
         return "bgen"
-    if task.endswith(".prefetch") or task.startswith(("h2d.", "load.")):
+    if task.endswith(".prefetch") or task.startswith(("h2d.", "load.", "load_a.")):
         return "fetch"
     if task.endswith(".qwait") or task == "inbox.wait":
         return "qwait"
     if task == "shm.attach":
         return "shm"
-    if task.startswith(("writeback", "store.", "d2h.")):
+    if task.startswith(("writeback", "store.", "store_c.", "d2h.")):
         return "writeback"
-    if task.startswith(("scatter", "pack.", "reduce", "recv.", "send.",
-                        "report.")):
+    if task.startswith(("scatter", "pack.", "reduce", "recv.", "recv_a.",
+                        "send.", "report.")):
         return "comm"
     return "other"
 

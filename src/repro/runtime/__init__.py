@@ -28,15 +28,12 @@ from repro.runtime.data import (
     TileSource,
 )
 from repro.runtime.gpu_memory import GpuMemory, GpuMemoryError
-from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
 from repro.runtime.numeric import NumericStats, execute_plan
 from repro.runtime.engine import DiscreteEventEngine, Resource, SimTask
 from repro.runtime.dag import build_task_graph
 from repro.runtime.tracing import SpanRecorder, SpanStream, Trace, TraceEvent
 
 __all__ = [
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "TileSource",
     "DelayedGeneratedCollection",
     "GeneratedCollection",

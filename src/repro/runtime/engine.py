@@ -85,14 +85,13 @@ class DiscreteEventEngine:
         engine)."""
         return dict(self._tasks)
 
-    def run(self, metrics=None) -> Trace:
+    def run(self) -> Trace:
         """Simulate to completion; raises on cycles or missing deps.
 
-        ``metrics`` (a :class:`repro.runtime.metrics.MetricsRegistry`)
-        makes the engine emit the same series the real executor does —
-        ``repro_sim_tasks_total`` and the per-task
-        ``repro_sim_task_seconds`` histogram — so simulated and measured
-        runs of one plan expose comparable metrics.
+        The returned :class:`Trace` uses the span vocabulary
+        :func:`repro.perf.attribution.classify` reads, so
+        :func:`repro.runtime.metrics.histograms_of` yields the same duration
+        series for a simulated run as for a measured one.
         """
         tasks = self._tasks
         indeg: dict[str, int] = {}
@@ -154,17 +153,4 @@ class DiscreteEventEngine:
                 f"task graph has a dependency cycle; {len(stuck)} tasks never ran "
                 f"(e.g. {stuck[:5]})"
             )
-        if metrics is not None and metrics.enabled:
-            counter = metrics.counter(
-                "repro_sim_tasks_total", "simulated tasks executed"
-            )
-            hist = metrics.histogram(
-                "repro_sim_task_seconds", "simulated task durations"
-            )
-            counter.inc(done)
-            for e in trace.events:
-                hist.observe(e.duration)
-            metrics.gauge(
-                "repro_sim_makespan_seconds", "simulated makespan", agg="max"
-            ).set(trace.makespan)
         return trace

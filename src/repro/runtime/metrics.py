@@ -1,37 +1,26 @@
-"""A process-local metrics registry with a snapshot/merge protocol.
+"""The run's metric series: one declared table, folded from the report.
 
-The live-telemetry layer's vocabulary: **counters** (monotone totals),
-**gauges** (instantaneous values with a declared merge aggregation), and
-**fixed-bucket histograms** (latency distributions), owned by one
-:class:`MetricsRegistry` per process.  The registry is shared by the
-simulator (:mod:`repro.runtime.engine`) and the real executor
-(:mod:`repro.dist`): both sides increment the same metric names, so a
-simulated run and a real run of one plan expose comparable series.
+A run is measured once.  What a rank counts it counts on plain attributes
+that its report carries home (``NumericStats``, the ``RankTally`` fields),
+what the coordinator sees it emits as events, and what took time is a span
+of the trace; ``RankTally.merge`` / ``NumericStats.merge`` total the ranks
+(handoffs included).  Every series here is a *fold* of that one report:
+:data:`SERIES` declares each series' name, kind, help text and the report
+field, event tally or span kind it reads, and :func:`snapshot_of` evaluates
+the table into a :class:`MetricsSnapshot` — ``report.metrics``, rendered by
+:meth:`MetricsSnapshot.to_prometheus` into a job's ``metrics.<id>.prom``.
+A series therefore cannot disagree with the report field beside it.
 
-Design constraints, in order:
+The duration histograms bucket the trace's spans through the one span
+vocabulary of ``src/``, :func:`repro.perf.attribution.classify`, which
+reads the measured executor's names and the discrete-event engine's alike:
+:func:`histograms_of` yields the same series for a simulated
+:class:`~repro.runtime.tracing.Trace` as for a measured one.  A run with
+``trace=False`` recorded no spans, so its snapshot has every counter and
+the gauge but no histograms.
 
-* **zero-cost when disabled** — a disabled registry hands out a single
-  no-op metric object; the hot loops pay one attribute lookup and an
-  empty call, never a dict update or clock read;
-* **picklable snapshots** — workers cannot ship live metric objects
-  across processes, so :meth:`MetricsRegistry.snapshot` freezes the
-  registry into a :class:`MetricsSnapshot` (plain dicts and tuples) that
-  rides inside heartbeats and worker reports;
-* **merge-able** — :meth:`MetricsSnapshot.merge` combines per-rank
-  snapshots into fleet totals: counters sum, gauges aggregate by their
-  declared ``agg`` (``max`` for high-watermarks, ``sum`` for additive
-  levels, ``last`` for configuration stamps), histogram buckets add
-  elementwise (same buckets required — bucket layouts are part of the
-  metric's identity);
-* **Prometheus text exposition** — :meth:`MetricsSnapshot.to_prometheus`
-  renders the standard ``# HELP`` / ``# TYPE`` / sample format, with
-  ``_bucket{le="..."}`` / ``_sum`` / ``_count`` series per histogram, so
-  a job's ``metrics.<id>.prom`` can be scraped or diffed by stock tooling.
-
-Naming convention (enforced loosely, documented in
-``docs/architecture.md``): ``repro_<area>_<name>[_total|_bytes|_seconds]``
-— counters end in ``_total``, byte gauges in ``_bytes``, duration
-histograms in ``_seconds``.
+Naming: ``repro_<area>_<name>[_total|_bytes|_seconds]`` — counters end in
+``_total``, byte gauges in ``_bytes``, duration histograms in ``_seconds``.
 """
 
 from __future__ import annotations
@@ -45,100 +34,83 @@ DEFAULT_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Gauge merge aggregations.
-GAUGE_AGGS = ("max", "sum", "last")
-
-
-class Counter:
-    """A monotone total.  ``inc`` only; negative increments are rejected."""
-
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {n})")
-        self.value += n
-
-
-class Gauge:
-    """An instantaneous value with a declared cross-rank aggregation."""
-
-    __slots__ = ("name", "help", "agg", "value")
-
-    def __init__(self, name: str, help: str = "", agg: str = "max"):
-        if agg not in GAUGE_AGGS:
-            raise ValueError(f"gauge agg must be one of {GAUGE_AGGS}, got {agg!r}")
-        self.name = name
-        self.help = help
-        self.agg = agg
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = float(v)
-
-    def set_max(self, v: float) -> None:
-        """High-watermark update: keep the larger of the two."""
-        if v > self.value:
-            self.value = float(v)
-
-
-class Histogram:
-    """A fixed-bucket histogram (cumulative counts computed at snapshot).
-
-    ``buckets`` are the upper bounds of the finite buckets, strictly
-    increasing; observations above the last bound land only in the
-    implicit ``+Inf`` bucket.  ``observe`` is one ``bisect`` plus one
-    list increment — cheap enough for per-chunk instrumentation.
-    """
-
-    __slots__ = ("name", "help", "buckets", "counts", "sum", "count")
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS):
-        if list(buckets) != sorted(set(buckets)):
-            raise ValueError(f"histogram buckets must be strictly increasing: {buckets}")
-        self.name = name
-        self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # trailing slot = +Inf
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, v: float) -> None:
-        self.counts[bisect_left(self.buckets, v)] += 1
-        self.sum += v
-        self.count += 1
-
-
-class _NullMetric:
-    """The one no-op metric a disabled registry hands out for every name."""
-
-    __slots__ = ()
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def set_max(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-
-_NULL = _NullMetric()
+#: ``series name -> (kind, help, fold)``.  A fold names where the value is
+#: read: ``("stats", field)`` off ``report.stats``, ``("report", field)`` off
+#: the report's own (``RankTally``) fields, ``("events", kind, summed)`` off
+#: ``report.event_totals`` — the count of the run's ``kind`` event records,
+#: or the sum of their ``summed`` field — and ``("spans", bucket, prefix)``:
+#: the durations of the trace's spans that ``classify`` files under
+#: ``bucket`` and whose task name starts with ``prefix``.
+SERIES = {
+    "repro_gemm_tasks_total":
+        ("counter", "GEMM tasks executed", ("stats", "ntasks")),
+    "repro_gemm_flops_total":
+        ("counter", "floating-point operations executed", ("stats", "flops")),
+    "repro_b_service_misses_total":
+        ("counter", "B-tile instantiations (cache misses)", ("stats", "b_tiles_generated")),
+    "repro_gpu_peak_bytes":
+        ("gauge", "peak device-memory high-water mark", ("stats", "gpu_peak_bytes")),
+    "repro_b_service_hits_total":
+        ("counter", "B-tile cache hits", ("report", "b_hits")),
+    "repro_b_service_evictions_total":
+        ("counter", "B-tile LRU evictions", ("report", "b_evictions")),
+    "repro_store_hits_total":
+        ("counter", "persistent tile-store hits", ("report", "store_hits")),
+    "repro_store_misses_total":
+        ("counter", "persistent tile-store misses", ("report", "store_misses")),
+    "repro_store_evictions_total":
+        ("counter", "tile-store LRU evictions", ("report", "store_evictions")),
+    "repro_store_written_bytes_total":
+        ("counter", "bytes written to the tile store", ("report", "store_bytes_written")),
+    "repro_store_read_bytes_total":
+        ("counter", "bytes read from the tile store", ("report", "store_bytes_read")),
+    "repro_checkpoint_blocks_restored_total":
+        ("counter", "blocks restored from the journal instead of recomputed",
+         ("report", "blocks_restored")),
+    "repro_checkpoint_tasks_skipped_total":
+        ("counter", "GEMM tasks skipped thanks to journaled blocks",
+         ("report", "tasks_skipped")),
+    "repro_spans_dropped_total":
+        ("counter", "trace spans discarded at the recorder bound",
+         ("report", "spans_dropped")),
+    "repro_heartbeats_total":
+        ("counter", "worker heartbeats received", ("events", "heartbeat", None)),
+    "repro_stalls_detected_total":
+        ("counter", "ranks declared stalled via missed heartbeats",
+         ("events", "stall", None)),
+    "repro_worker_retries_total":
+        ("counter", "worker processes respawned after a failure",
+         ("events", "retry", None)),
+    "repro_ranks_reassigned_total":
+        ("counter", "ranks reassigned to the coordinator", ("events", "reassign", None)),
+    "repro_rebalance_requests_total":
+        ("counter", "relinquish requests sent to flagged stragglers",
+         ("events", "rebalance", None)),
+    "repro_rebalance_blocks_reclaimed_total":
+        ("counter", "blocks reclaimed from stragglers and handed off",
+         ("events", "handoff", "blocks")),
+    "repro_rebalance_tasks_moved_total":
+        ("counter", "GEMM tasks moved off stragglers by the rebalancer",
+         ("events", "handoff", "tasks")),
+    "repro_rebalance_handoffs_total":
+        ("counter", "handoffs dispatched (to helper ranks or the inline spare)",
+         ("events", "handoff", None)),
+    "repro_blocks_completed_total":
+        ("counter", "per-block completion reports received as telemetry",
+         ("events", "block_done", None)),
+    "repro_chunk_gemm_seconds":
+        ("histogram", "per-chunk GEMM stream durations", ("spans", "gemm", "")),
+    "repro_prefetch_seconds":
+        ("histogram", "A-chunk prefetch durations", ("spans", "fetch", "")),
+    "repro_checkpoint_seconds":
+        ("histogram", "per-block checkpoint writeback durations",
+         ("spans", "writeback", "writeback.ckpt.")),
+}
 
 
 @dataclass(frozen=True)
 class HistogramSnapshot:
-    """Frozen histogram state: per-bucket counts (not yet cumulative)."""
+    """A fixed-bucket histogram: per-bucket counts (not yet cumulative)."""
 
     buckets: tuple[float, ...]
     counts: tuple[int, ...]
@@ -146,18 +118,34 @@ class HistogramSnapshot:
     count: int
 
 
+def bucket_durations(durations, buckets=DEFAULT_BUCKETS) -> HistogramSnapshot:
+    """Bucket ``durations`` under the upper bounds ``buckets``.
+
+    The bounds must be strictly increasing and are upper-inclusive (a value
+    equal to a bound lands in that bound's bucket, as Prometheus' ``le``
+    wants); values above the last bound land only in the trailing ``+Inf``
+    slot of ``counts``.
+    """
+    if list(buckets) != sorted(set(buckets)):
+        raise ValueError(f"histogram buckets must be strictly increasing: {buckets}")
+    counts = [0] * (len(buckets) + 1)
+    total, n = 0.0, 0
+    for v in durations:
+        counts[bisect_left(buckets, v)] += 1
+        total += v
+        n += 1
+    return HistogramSnapshot(tuple(float(b) for b in buckets), tuple(counts), total, n)
+
+
 @dataclass
 class MetricsSnapshot:
-    """A picklable freeze of one registry (or a merge of several).
+    """The evaluated series of one run (plain dicts and tuples: picklable).
 
-    ``gauge_aggs`` remembers each gauge's declared aggregation so a later
-    merge applies the right combiner; ``helps`` carries the help strings
-    into the Prometheus exposition.
+    ``helps`` carries the help strings into the Prometheus exposition.
     """
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    gauge_aggs: dict[str, str] = field(default_factory=dict)
     histograms: dict[str, HistogramSnapshot] = field(default_factory=dict)
     helps: dict[str, str] = field(default_factory=dict)
 
@@ -170,45 +158,6 @@ class MetricsSnapshot:
         if name in self.counters:
             return self.counters[name]
         return self.gauges.get(name, default)
-
-    @classmethod
-    def merge(cls, parts) -> "MetricsSnapshot":
-        """Combine snapshots: counters sum, gauges by ``agg``, buckets add."""
-        out = cls()
-        for snap in parts:
-            if snap is None:
-                continue
-            for name, v in snap.counters.items():
-                out.counters[name] = out.counters.get(name, 0.0) + v
-            for name, v in snap.gauges.items():
-                agg = snap.gauge_aggs.get(name, "max")
-                out.gauge_aggs[name] = agg
-                if name not in out.gauges:
-                    out.gauges[name] = v
-                elif agg == "sum":
-                    out.gauges[name] += v
-                elif agg == "last":
-                    out.gauges[name] = v
-                else:  # max
-                    out.gauges[name] = max(out.gauges[name], v)
-            for name, h in snap.histograms.items():
-                prev = out.histograms.get(name)
-                if prev is None:
-                    out.histograms[name] = h
-                else:
-                    if prev.buckets != h.buckets:
-                        raise ValueError(
-                            f"histogram {name!r} merged with mismatched "
-                            f"buckets; bucket layout is part of the metric"
-                        )
-                    out.histograms[name] = HistogramSnapshot(
-                        buckets=prev.buckets,
-                        counts=tuple(a + b for a, b in zip(prev.counts, h.counts)),
-                        sum=prev.sum + h.sum,
-                        count=prev.count + h.count,
-                    )
-            out.helps.update(snap.helps)
-        return out
 
     def to_prometheus(self) -> str:
         """The standard text exposition format (version 0.0.4).
@@ -252,67 +201,35 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-class MetricsRegistry:
-    """The per-process home of every live metric.
+def histograms_of(trace) -> dict[str, HistogramSnapshot]:
+    """The ``histogram`` rows of :data:`SERIES` over one trace, measured or
+    simulated; a series none of whose spans occur is left out."""
+    from repro.perf.attribution import classify
 
-    Metric constructors are idempotent by name (the first call fixes the
-    help/agg/buckets; later calls return the same object), so independent
-    subsystems can ask for ``registry.counter("repro_x_total")`` without
-    coordinating creation order.  A disabled registry returns the shared
-    no-op metric and snapshots to an empty :class:`MetricsSnapshot`.
-    """
+    rows = [(name, fold[1:]) for name, (_, _, fold) in SERIES.items()
+            if fold[0] == "spans"]
+    durations: dict[str, list[float]] = {}
+    for e in trace.events:
+        bucket = classify(e.task, e.resource)
+        for name, (wanted, prefix) in rows:
+            if bucket == wanted and e.task.startswith(prefix):
+                durations.setdefault(name, []).append(e.duration)
+    return {name: bucket_durations(ds) for name, ds in durations.items()}
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str, help: str = ""):
-        if not self.enabled:
-            return _NULL
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name, help)
-        return c
-
-    def gauge(self, name: str, help: str = "", agg: str = "max"):
-        if not self.enabled:
-            return _NULL
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name, help, agg)
-        return g
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: tuple[float, ...] = DEFAULT_BUCKETS):
-        if not self.enabled:
-            return _NULL
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name, help, buckets)
-        return h
-
-    def snapshot(self) -> MetricsSnapshot:
-        """Freeze the registry into a picklable, merge-able snapshot."""
-        snap = MetricsSnapshot()
-        if not self.enabled:
-            return snap
-        for name, c in self._counters.items():
-            snap.counters[name] = c.value
-            if c.help:
-                snap.helps[name] = c.help
-        for name, g in self._gauges.items():
-            snap.gauges[name] = g.value
-            snap.gauge_aggs[name] = g.agg
-            if g.help:
-                snap.helps[name] = g.help
-        for name, h in self._histograms.items():
-            snap.histograms[name] = HistogramSnapshot(
-                buckets=h.buckets, counts=tuple(h.counts), sum=h.sum, count=h.count
-            )
-            if h.help:
-                snap.helps[name] = h.help
-        return snap
+def snapshot_of(report) -> MetricsSnapshot:
+    """Evaluate :data:`SERIES` over a ``DistReport`` (anything with its
+    ``stats``, tally fields, ``event_totals`` and ``trace``)."""
+    snap = MetricsSnapshot(histograms=histograms_of(report.trace))
+    for name, (kind, text, (source, *key)) in SERIES.items():
+        if source == "spans":
+            if name in snap.histograms:
+                snap.helps[name] = text
+            continue
+        if source == "events":
+            value = report.event_totals.get(tuple(key), 0)
+        else:
+            value = getattr(report.stats if source == "stats" else report, *key)
+        (snap.counters if kind == "counter" else snap.gauges)[name] = value
+        snap.helps[name] = text
+    return snap

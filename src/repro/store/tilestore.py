@@ -41,7 +41,7 @@ import json
 import mmap
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +81,7 @@ class StoreStats:
         return self.hits / total if total else 0.0
 
     def as_dict(self) -> dict:
+        """The session counters, as one ``stats.jsonl`` record carries them."""
         return {
             "hits": self.hits, "misses": self.misses, "puts": self.puts,
             "evictions": self.evictions, "corrupt": self.corrupt,
@@ -100,25 +101,6 @@ class ObjectInfo:
     key: tuple = ()
 
 
-@dataclass
-class _SessionCounters:
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-    bytes_written: int = 0
-    bytes_read: int = 0
-    closed: bool = field(default=False, repr=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits, "misses": self.misses, "puts": self.puts,
-            "evictions": self.evictions, "corrupt": self.corrupt,
-            "bytes_written": self.bytes_written, "bytes_read": self.bytes_read,
-        }
-
-
 class TileStore:
     """A persistent tile store rooted at one directory.
 
@@ -131,41 +113,18 @@ class TileStore:
         LRU sweep back under budget.
     compress:
         Default zlib level for :meth:`put` (``None`` = raw, mappable).
-    metrics:
-        Optional :class:`~repro.runtime.metrics.MetricsRegistry`; the
-        store feeds ``repro_store_*`` counters and gauges when given.
     """
 
     def __init__(self, root: str, *, budget_bytes: int | None = None,
-                 compress: int | None = None, metrics=None):
+                 compress: int | None = None):
         self.root = root
         self.budget_bytes = budget_bytes
         self.compress = compress
         self._objects_dir = os.path.join(root, "objects")
         os.makedirs(self._objects_dir, exist_ok=True)
         self._maps: list[mmap.mmap] = []
-        self._session = _SessionCounters()
-        if metrics is None:
-            from repro.runtime.metrics import MetricsRegistry
-            metrics = MetricsRegistry(enabled=False)
-        self._m_hits = metrics.counter(
-            "repro_store_hits_total", "persistent tile-store hits"
-        )
-        self._m_misses = metrics.counter(
-            "repro_store_misses_total", "persistent tile-store misses"
-        )
-        self._m_evictions = metrics.counter(
-            "repro_store_evictions_total", "tile-store LRU evictions"
-        )
-        self._m_written = metrics.counter(
-            "repro_store_written_bytes_total", "bytes written to the tile store"
-        )
-        self._m_read = metrics.counter(
-            "repro_store_read_bytes_total", "bytes read from the tile store"
-        )
-        self._m_disk = metrics.gauge(
-            "repro_store_disk_bytes", "bytes resident in the tile store", agg="max"
-        )
+        self._session = StoreStats()  # objects / disk_bytes filled by stats()
+        self._closed = False
 
     # -- paths ---------------------------------------------------------------
 
@@ -217,7 +176,6 @@ class TileStore:
             os.replace(tmp, path)
         self._session.puts += 1
         self._session.bytes_written += len(blob)
-        self._m_written.inc(len(blob))
         self._append_index(digest, ns, key, len(blob))
         if self.budget_bytes is not None:
             self.gc(self.budget_bytes)
@@ -253,7 +211,6 @@ class TileStore:
             return None
         if mm is None:
             self._session.misses += 1
-            self._m_misses.inc()
             return None
         try:
             if verify:
@@ -278,8 +235,6 @@ class TileStore:
             return None
         self._session.hits += 1
         self._session.bytes_read += arr.nbytes
-        self._m_hits.inc()
-        self._m_read.inc(arr.nbytes)
         self._touch(path)
         return arr
 
@@ -303,7 +258,6 @@ class TileStore:
     def _corrupt(self) -> None:
         self._session.corrupt += 1
         self._session.misses += 1
-        self._m_misses.inc()
 
     @staticmethod
     def _touch(path: str) -> None:
@@ -375,8 +329,6 @@ class TileStore:
             freed += obj.nbytes
             evicted += 1
             self._session.evictions += 1
-            self._m_evictions.inc()
-        self._m_disk.set(total)
         return evicted, freed
 
     # -- stats / life-cycle --------------------------------------------------
@@ -384,11 +336,8 @@ class TileStore:
     def stats(self) -> StoreStats:
         """This session's counters plus the current on-disk totals."""
         objs = self.scan()
-        s = self._session
-        return StoreStats(
-            hits=s.hits, misses=s.misses, puts=s.puts, evictions=s.evictions,
-            corrupt=s.corrupt, bytes_written=s.bytes_written,
-            bytes_read=s.bytes_read, objects=len(objs),
+        return replace(
+            self._session, objects=len(objs),
             disk_bytes=sum(o.nbytes for o in objs),
         )
 
@@ -399,13 +348,13 @@ class TileStore:
         still referenced by live views are left open (closing them would
         invalidate the views) — they die with the process.
         """
-        if not self._session.closed:
+        if not self._closed:
             s = self._session
             if s.hits or s.misses or s.puts or s.evictions:
                 record = {"t": time.time(), **s.as_dict()}
                 with open(self.stats_path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._session.closed = True
+            self._closed = True
         kept: list[mmap.mmap] = []
         for mm in self._maps:
             try:
@@ -439,13 +388,8 @@ def read_store_stats(root: str) -> StoreStats:
                 continue  # torn final record of a killed session
             if not isinstance(rec, dict):
                 continue
-            total.hits += int(rec.get("hits", 0))
-            total.misses += int(rec.get("misses", 0))
-            total.puts += int(rec.get("puts", 0))
-            total.evictions += int(rec.get("evictions", 0))
-            total.corrupt += int(rec.get("corrupt", 0))
-            total.bytes_written += int(rec.get("bytes_written", 0))
-            total.bytes_read += int(rec.get("bytes_read", 0))
+            for name in total.as_dict():
+                setattr(total, name, getattr(total, name) + int(rec.get(name, 0)))
     if os.path.isdir(os.path.join(root, "objects")):
         store = TileStore(root)
         try:

@@ -69,6 +69,10 @@ class TestClassify:
         assert classify("scatter.1") == "comm"
         assert classify("report.2") == "comm"
         assert classify("recv.a.0") == "comm"
+        # the names runtime/dag.py gives the discrete-event engine's tasks
+        assert classify("load_a.p0.g0.b1.c2") == "fetch"
+        assert classify("store_c.p0.g0.b1") == "writeback"
+        assert classify("recv_a.0") == "comm"
         assert classify("spawn.1") == "other"
 
     def test_every_bucket_is_known(self):

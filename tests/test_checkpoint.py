@@ -22,6 +22,7 @@ from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
 from repro.store import read_snapshot, read_store_stats, run_fingerprint
+from repro.store.journal import read_journal
 from repro.tiling import random_tiling
 from tests.test_dist_executor import assert_report_folds_its_log, assert_resident
 
@@ -71,6 +72,15 @@ class TestCheckpointParity:
         assert report.blocks_restored == 0
         assert report.store_puts > 0  # B tiles + C tiles landed on disk
         assert not active_segments()
+        # Checkpoint time is on the trace: one span per journaled block, and
+        # the duration series is the fold of exactly those spans.
+        run = read_snapshot(str(tmp_path))["run"]
+        journaled = sum(len(read_journal(str(tmp_path), r, run)) for r in (0, 1))
+        ckpt_spans = [e for e in report.trace.events
+                      if e.task.startswith("writeback.ckpt.block")]
+        assert len(ckpt_spans) == journaled > 0
+        assert {e.resource for e in ckpt_spans} <= {"net.0", "net.1"}
+        assert report.metrics.histograms["repro_checkpoint_seconds"].count == journaled
         # coordinator.json is the run's identity; progress is not its job.
         assert sorted(read_snapshot(str(tmp_path))) == [
             "alpha", "b", "nranks", "plan", "run", "v",

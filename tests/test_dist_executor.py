@@ -55,7 +55,7 @@ def assert_report_folds_its_log(report):
     the live health rank by rank (every field no clock feeds), and each of
     the coordinator's counters is the count / sum of its event kind."""
     from repro.dist import read_events, replay_health
-    from repro.dist.health import EVENT_COUNTERS
+    from repro.runtime.metrics import SERIES
 
     events = read_events(report.events_path)
     replayed = replay_health(events)
@@ -67,10 +67,13 @@ def assert_report_folds_its_log(report):
                 rank, name,
             )
     assert replayed.heartbeats == report.health.heartbeats
-    for key, (kind, summed, _) in EVENT_COUNTERS.items():
+    for name, (_, _, (source, *key)) in SERIES.items():
+        if source != "events":
+            continue
+        kind, summed = key
         logged = [ev for ev in events if ev["event"] == kind]
         expected = sum(ev[summed] for ev in logged) if summed else len(logged)
-        assert report.metrics.get(f"repro_{key}_total", None) == expected, key
+        assert report.metrics.get(name, None) == expected, name
     assert report.stalled == events[-1]["stalled"]
     assert report.reassigned == events[-1]["reassigned"]
 
@@ -921,6 +924,37 @@ class TestTelemetry:
             assert rk.count("heartbeat") >= 2
         assert events[-1]["heartbeats"] == report.health.heartbeats
         assert_report_folds_its_log(report)
+
+
+class TestSeriesAreFolds:
+    """``report.metrics`` is a fold of the report the run returns
+    (:data:`repro.runtime.metrics.SERIES`); nothing is counted for it live."""
+
+    def test_simulated_and_measured_traces_expose_the_same_duration_series(self, q2_run):
+        from repro.runtime.dag import simulate_des
+        from repro.runtime.metrics import histograms_of
+
+        plan, report = q2_run
+        simulated, _ = simulate_des(plan, summit(2))
+        n_simulated = sum(e.task.startswith("gemm.") for e in simulated.events)
+        n_measured = sum(e.task.endswith(".gemm") for e in report.trace.events)
+        assert n_simulated == n_measured == plan.total_chunks
+        for trace in (simulated, report.trace):
+            hists = histograms_of(trace)
+            assert hists["repro_chunk_gemm_seconds"].count == plan.total_chunks
+            assert hists["repro_prefetch_seconds"].count > 0
+
+    def test_untraced_run_has_counters_and_no_histograms(self):
+        a, b = operands(seed=12, m=100, nk=200)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+        _, report = execute_plan_distributed(plan, a, b, trace=False)
+        snap = report.metrics
+        assert snap.get("repro_gemm_tasks_total") == report.stats.ntasks > 0
+        assert snap.get("repro_gemm_flops_total") == report.stats.flops
+        assert snap.get("repro_b_service_misses_total") == report.stats.b_tiles_generated
+        assert snap.get("repro_gpu_peak_bytes") == report.stats.gpu_peak_bytes
+        assert snap.histograms == {}
+        assert not report.trace.events
 
 
 class TestCliIntegration:

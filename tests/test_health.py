@@ -58,8 +58,8 @@ class TestStateMachine:
 
     def test_terminal_state_beat_discarded(self):
         # Regression: a heartbeat drained *after* the rank's final report
-        # must not resurrect the rank to "up" (it briefly did, which also
-        # let a stale near-empty snapshot clobber the final metrics).
+        # must not resurrect the rank to "up": ``done`` / ``reassigned`` /
+        # ``failed`` are terminal, and a late beat is discarded.
         h = _health()
         h.on_scatter(0, tasks_total=10, attempt=0, now=0.0)
         _beat(h, 0, seq=0, tasks_done=0, now=0.05)

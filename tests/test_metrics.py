@@ -1,192 +1,141 @@
-"""Unit tests for the live-metrics registry (:mod:`repro.runtime.metrics`).
+"""Unit tests for the run's metric series (:mod:`repro.runtime.metrics`).
 
-Covers the three metric kinds, the disabled-registry zero-cost path, the
-snapshot/merge protocol (including the mismatched-bucket rejection), and
-the Prometheus text exposition format — validated by actually parsing the
-output line by line, not just substring checks.
+Covers the one function that buckets durations (the histogram semantics),
+the snapshot's lookup and pickling, the fold of a hand-built report through
+:data:`SERIES` (no processes), and the Prometheus text exposition format —
+validated by actually parsing the output line by line, not just substring
+checks.
 """
 
 import pickle
 import re
+from dataclasses import fields
 
 import pytest
 
+from repro.dist.comm import CommStats
+from repro.dist.coordinator import DistReport
+from repro.dist.worker import RankTally, WorkerReport
 from repro.runtime.metrics import (
     DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    MetricsRegistry,
+    SERIES,
     MetricsSnapshot,
+    bucket_durations,
+    histograms_of,
+    snapshot_of,
 )
-
-
-class TestCounter:
-    def test_monotone(self):
-        c = Counter("repro_x_total")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_negative_increment_rejected(self):
-        c = Counter("repro_x_total")
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.inc(-1)
-        assert c.value == 0.0
-
-
-class TestGauge:
-    def test_set_and_set_max(self):
-        g = Gauge("repro_x_bytes")
-        g.set(10.0)
-        g.set_max(5.0)  # below the watermark: ignored
-        assert g.value == 10.0
-        g.set_max(20.0)
-        assert g.value == 20.0
-        g.set(1.0)  # plain set always wins
-        assert g.value == 1.0
-
-    def test_bad_agg_rejected(self):
-        with pytest.raises(ValueError, match="agg must be one of"):
-            Gauge("g", agg="avg")
+from repro.runtime.numeric import NumericStats
+from repro.runtime.tracing import Trace
 
 
 class TestHistogram:
     def test_observations_land_in_buckets(self):
-        h = Histogram("repro_x_seconds", buckets=(0.1, 1.0))
-        h.observe(0.05)   # <= 0.1
-        h.observe(0.5)    # <= 1.0
-        h.observe(5.0)    # +Inf only
-        assert h.counts == [1, 1, 1]
+        h = bucket_durations([0.05, 0.5, 5.0], buckets=(0.1, 1.0))
+        # <= 0.1, <= 1.0, and overflow: the trailing slot is +Inf only.
+        assert h.counts == (1, 1, 1)
         assert h.count == 3
         assert h.sum == pytest.approx(5.55)
 
     def test_boundary_is_inclusive(self):
-        # Prometheus buckets are upper-inclusive: observe(b) lands in le="b".
-        h = Histogram("repro_x_seconds", buckets=(0.1, 1.0))
-        h.observe(0.1)
-        assert h.counts == [1, 0, 0]
+        # Prometheus buckets are upper-inclusive: a value b lands in le="b".
+        assert bucket_durations([0.1], buckets=(0.1, 1.0)).counts == (1, 0, 0)
 
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("h", buckets=(1.0, 1.0, 2.0))
+            bucket_durations([], buckets=(1.0, 1.0, 2.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("h", buckets=(2.0, 1.0))
+            bucket_durations([], buckets=(2.0, 1.0))
 
 
-class TestRegistry:
-    def test_idempotent_by_name(self):
-        reg = MetricsRegistry()
-        c1 = reg.counter("repro_x_total", help="first wins")
-        c2 = reg.counter("repro_x_total", help="ignored")
-        assert c1 is c2
-        assert c1.help == "first wins"
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
-
-    def test_disabled_registry_hands_out_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("repro_x_total")
-        # The no-op metric accepts every mutator and is shared across kinds.
-        c.inc(5)
-        reg.gauge("g").set(1.0)
-        reg.gauge("g").set_max(2.0)
-        reg.histogram("h").observe(0.1)
-        assert reg.counter("other") is c  # one shared singleton
-        assert reg.snapshot().empty
-
-    def test_snapshot_freezes_state(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_tasks_total", help="tasks").inc(7)
-        reg.gauge("repro_peak_bytes", agg="max").set_max(100)
-        reg.histogram("repro_lat_seconds", buckets=(0.1, 1.0)).observe(0.05)
-        snap = reg.snapshot()
-        assert snap.counters["repro_tasks_total"] == 7
-        assert snap.gauges["repro_peak_bytes"] == 100
-        assert snap.gauge_aggs["repro_peak_bytes"] == "max"
-        assert snap.histograms["repro_lat_seconds"].counts == (1, 0, 0)
-        assert snap.helps["repro_tasks_total"] == "tasks"
-        # Mutating the registry afterwards must not leak into the snapshot.
-        reg.counter("repro_tasks_total").inc()
-        reg.histogram("repro_lat_seconds").observe(0.05)
-        assert snap.counters["repro_tasks_total"] == 7
-        assert snap.histograms["repro_lat_seconds"].counts == (1, 0, 0)
-
+class TestSnapshot:
     def test_snapshot_is_picklable(self):
-        # The whole point of snapshots: they ride inside heartbeats.
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.histogram("h").observe(0.01)
-        clone = pickle.loads(pickle.dumps(reg.snapshot()))
+        snap = MetricsSnapshot(
+            counters={"c": 1}, histograms={"h": bucket_durations([0.01])}
+        )
+        clone = pickle.loads(pickle.dumps(snap))
         assert clone.counters["c"] == 1
         assert clone.histograms["h"].count == 1
 
     def test_get_lookup(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.gauge("g").set(4)
-        snap = reg.snapshot()
+        snap = MetricsSnapshot(counters={"c": 3}, gauges={"g": 4})
         assert snap.get("c") == 3
         assert snap.get("g") == 4
         assert snap.get("missing") == 0.0
         assert snap.get("missing", -1.0) == -1.0
 
 
-def _snap(**kwargs):
-    reg = MetricsRegistry()
-    for name, v in kwargs.items():
-        reg.counter(name).inc(v)
-    return reg.snapshot()
+def _rank_report(rank, seed):
+    """A WorkerReport whose every tally field holds a distinct value."""
+    tally = {f.name: seed + n for n, f in enumerate(fields(RankTally), start=1)}
+    stats = NumericStats(
+        ntasks=10 * seed, flops=1e3 * seed, b_tiles_generated=7 * seed,
+        gpu_peak_bytes=100 * seed, per_proc_tasks={rank: 10 * seed},
+    )
+    return WorkerReport(rank, 0, stats, c_index={}, **tally)
 
 
-class TestMerge:
-    def test_counters_sum(self):
-        merged = MetricsSnapshot.merge([_snap(a=1, b=2), _snap(a=10)])
-        assert merged.counters == {"a": 11.0, "b": 2.0}
+class TestSeriesFold:
+    """``snapshot_of`` over a hand-built report: two ranks and one handoff."""
 
-    def test_none_parts_skipped(self):
-        # Workers with metrics off report None; merge must tolerate it.
-        merged = MetricsSnapshot.merge([None, _snap(a=1), None])
-        assert merged.counters == {"a": 1.0}
-        assert MetricsSnapshot.merge([None, None]).empty
+    def _report(self):
+        ranks = [_rank_report(0, seed=3), _rank_report(1, seed=5)]
+        handoff = NumericStats(ntasks=4, flops=44.0, b_tiles_generated=2,
+                               gpu_peak_bytes=9999, per_proc_tasks={0: 4})
+        trace = Trace()
+        for n, (task, resource) in enumerate([
+            ("block0.chunk0.gemm", "gpu.0.0.comp"),
+            ("block0.chunk1.gemm", "gpu.0.0.comp"),
+            ("block0.chunk0.prefetch", "gpu.0.0.link"),
+            ("writeback.ckpt.block0", "net.0"),
+            ("writeback.0", "net.0"),  # the index hand-over: not a checkpoint
+            ("gen.1.2", "cpu.0"),
+        ]):
+            trace.add(task, resource, float(n), n + 0.002)
+        totals = {("heartbeat", None): 6, ("stall", None): 1, ("retry", None): 1,
+                  ("reassign", None): 1, ("rebalance", None): 2,
+                  ("handoff", None): 2, ("handoff", "blocks"): 3,
+                  ("handoff", "tasks"): 4, ("block_done", None): 9}
+        report = DistReport(
+            stats=NumericStats.merge([r.stats for r in ranks] + [handoff]),
+            trace=trace, comm=CommStats(), attempts={}, reassigned=[],
+            segments=[], event_totals=totals, **vars(RankTally.merge(ranks)),
+        )
+        return ranks, handoff, totals, report
 
-    def test_gauges_by_declared_agg(self):
-        def gsnap(peak, level, stamp):
-            reg = MetricsRegistry()
-            reg.gauge("peak", agg="max").set(peak)
-            reg.gauge("level", agg="sum").set(level)
-            reg.gauge("stamp", agg="last").set(stamp)
-            return reg.snapshot()
+    def test_every_row_equals_its_source(self):
+        ranks, handoff, totals, report = self._report()
+        snap = snapshot_of(report)
+        parts = [r.stats for r in ranks] + [handoff]
+        for name, (kind, text, (source, *key)) in SERIES.items():
+            assert snap.helps[name] == text
+            if source == "stats":
+                values = [getattr(s, key[0]) for s in parts]
+                # every stat is a sum over ranks and handoffs; the gauge a max
+                expected = max(values) if kind == "gauge" else sum(values)
+            elif source == "report":
+                expected = sum(getattr(r, key[0]) for r in ranks)
+            elif source == "events":
+                expected = totals[tuple(key)]
+            else:
+                assert kind == "histogram"
+                continue
+            assert snap.get(name, None) == expected, name
+        assert snap.get("repro_gemm_tasks_total") == 30 + 50 + 4
+        assert snap.get("repro_gpu_peak_bytes") == 9999
+        assert {n: h.count for n, h in snap.histograms.items()} == {
+            "repro_chunk_gemm_seconds": 2, "repro_prefetch_seconds": 1,
+            "repro_checkpoint_seconds": 1,
+        }
+        kinds = {kind for kind, _, _ in SERIES.values()}
+        assert kinds == {"counter", "gauge", "histogram"}
+        assert set(snap.counters) | set(snap.gauges) | set(snap.histograms) == set(SERIES)
 
-        merged = MetricsSnapshot.merge([gsnap(5, 1, 7), gsnap(3, 2, 9)])
-        assert merged.gauges["peak"] == 5    # max
-        assert merged.gauges["level"] == 3   # sum
-        assert merged.gauges["stamp"] == 9   # last
-
-    def test_histograms_add_elementwise(self):
-        def hsnap(values):
-            reg = MetricsRegistry()
-            h = reg.histogram("h", buckets=(0.1, 1.0))
-            for v in values:
-                h.observe(v)
-            return reg.snapshot()
-
-        merged = MetricsSnapshot.merge([hsnap([0.05, 5.0]), hsnap([0.5])])
-        h = merged.histograms["h"]
-        assert h.counts == (1, 1, 1)
-        assert h.count == 3
-        assert h.sum == pytest.approx(5.55)
-
-    def test_mismatched_buckets_rejected(self):
-        a = MetricsSnapshot(histograms={
-            "h": HistogramSnapshot(buckets=(0.1,), counts=(1, 0), sum=0.05, count=1)
-        })
-        b = MetricsSnapshot(histograms={
-            "h": HistogramSnapshot(buckets=(0.2,), counts=(1, 0), sum=0.05, count=1)
-        })
-        with pytest.raises(ValueError, match="mismatched"):
-            MetricsSnapshot.merge([a, b])
+    def test_untraced_report_has_no_histograms(self):
+        _, _, _, report = self._report()
+        report.trace = Trace()
+        snap = snapshot_of(report)
+        assert snap.histograms == {} and histograms_of(Trace()) == {}
+        assert snap.get("repro_gemm_tasks_total") == report.stats.ntasks
 
 
 #: One Prometheus sample line: name[{labels}] value
@@ -217,10 +166,10 @@ class TestPrometheus:
         assert MetricsSnapshot().to_prometheus() == ""
 
     def test_counter_and_gauge_lines(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_tasks_total", help="tasks executed").inc(42)
-        reg.gauge("repro_peak_bytes").set(1.5)
-        text = reg.snapshot().to_prometheus()
+        text = MetricsSnapshot(
+            counters={"repro_tasks_total": 42}, gauges={"repro_peak_bytes": 1.5},
+            helps={"repro_tasks_total": "tasks executed"},
+        ).to_prometheus()
         types, samples = _parse_exposition(text)
         assert types == {"repro_tasks_total": "counter", "repro_peak_bytes": "gauge"}
         assert ("repro_tasks_total", None, 42.0) in samples
@@ -230,11 +179,8 @@ class TestPrometheus:
         assert "repro_tasks_total 42\n" in text
 
     def test_histogram_series_are_cumulative_and_end_at_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_lat_seconds", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        text = reg.snapshot().to_prometheus()
+        h = bucket_durations((0.05, 0.5, 5.0), buckets=(0.1, 1.0))
+        text = MetricsSnapshot(histograms={"repro_lat_seconds": h}).to_prometheus()
         types, samples = _parse_exposition(text)
         assert types == {"repro_lat_seconds": "histogram"}
         buckets = [(labels, v) for name, labels, v in samples
@@ -246,9 +192,7 @@ class TestPrometheus:
         assert ("repro_lat_seconds_count", None, 3.0) in samples
 
     def test_default_buckets_render(self):
-        reg = MetricsRegistry()
-        reg.histogram("h").observe(0.3)
-        text = reg.snapshot().to_prometheus()
+        text = MetricsSnapshot(histograms={"h": bucket_durations([0.3])}).to_prometheus()
         _, samples = _parse_exposition(text)
         nbuckets = sum(1 for n, _, _ in samples if n == "h_bucket")
         assert nbuckets == len(DEFAULT_BUCKETS) + 1  # finite bounds + +Inf

@@ -76,6 +76,12 @@ class TestRebalanceParity:
         assert rep.blocks_rebalanced > 0
         assert rep.handoffs >= 1
         assert rep.tasks_rebalanced > 0
+        # Handed-off work is in the series too: they are folds of this report
+        # (a handoff used to run with a disabled registry and go uncounted).
+        assert rep.metrics.get("repro_gemm_tasks_total") == rep.stats.ntasks
+        assert rep.metrics.get("repro_gemm_flops_total") == rep.stats.flops
+        assert (rep.metrics.get("repro_b_service_misses_total")
+                == rep.stats.b_tiles_generated)
         evs = read_events(events)
         # the other ranks finished long ago, so a helper *rank* (not the
         # coordinator's inline spare) ran at least one handoff
