@@ -447,13 +447,6 @@ class _Run:
                 coord_state, workers, complete, new_inboxes, new_gather,
                 telemetry, new_steal,
             )))
-            return
-
-        # Declared but unmodeled message kind: consume and drop.
-        out.append((label, (
-            coord_state, workers, complete, new_inboxes, gather, telemetry,
-            steal,
-        )))
 
     def successors(self, state):
         """Every (label, next_state) enabled in ``state``."""
@@ -527,24 +520,15 @@ class _Run:
                             label = f"rank{r}: compute unit (attempt {att})"
                             nw = list(w)
                             nw[_W_COMP] = computed
-                            new_telemetry = telemetry
                             if sc.checkpoint:
                                 nw[_W_SUB] = 1
                             else:
                                 nw[_W_DONE] = w[_W_DONE] + 1
-                                if "block_done" in tr_work.sends:
-                                    new_telemetry = self._send(
-                                        state, "telemetry", telemetry,
-                                        ("block_done", r, att), label,
-                                    )
-                            if new_telemetry is not None:
-                                out.append((label, (
-                                    coord_state,
-                                    workers[:r] + (tuple(nw),)
-                                    + workers[r + 1:],
-                                    complete, inboxes, gather,
-                                    new_telemetry, steal,
-                                )))
+                            out.append((label, (
+                                coord_state,
+                                workers[:r] + (tuple(nw),) + workers[r + 1:],
+                                complete, inboxes, gather, telemetry, steal,
+                            )))
 
                 # checkpoint micro-steps: store then journal (or the
                 # mutated reverse order, which M406 condemns)
@@ -566,24 +550,16 @@ class _Run:
                             nw[_W_STORED] = w[_W_STORED] + 1
                         else:
                             nw[_W_JRN] = w[_W_JRN] + 1
-                        new_telemetry = telemetry
                         if w[_W_SUB] == 2:
                             nw[_W_SUB] = 0
                             nw[_W_DONE] = w[_W_DONE] + 1
-                            if "block_done" in tr_step.sends:
-                                new_telemetry = self._send(
-                                    state, "telemetry", telemetry,
-                                    ("block_done", r, att), label,
-                                )
                         else:
                             nw[_W_SUB] = 2
-                        if new_telemetry is not None:
-                            out.append((label, (
-                                coord_state,
-                                workers[:r] + (tuple(nw),) + workers[r + 1:],
-                                complete, inboxes, gather, new_telemetry,
-                                steal,
-                            )))
+                        out.append((label, (
+                            coord_state,
+                            workers[:r] + (tuple(nw),) + workers[r + 1:],
+                            complete, inboxes, gather, telemetry, steal,
+                        )))
 
                 # extra heartbeat (bounded)
                 if w[_W_SUB] == 0 and w[_W_BEATS] < model.max_extra_beats:
@@ -663,7 +639,7 @@ class _Run:
                 cs, ws, cm, ib, ga, te, st = base
                 st = ("done", st[_S_ATT], st[_S_STOLEN], st[_S_JRN])
                 out.append((label, (cs, ws, cm, ib, ga, te, st)))
-            else:  # discard / fold_health / fold_progress
+            else:  # discard / fold_health
                 out.append((label, base))
 
         if gather:

@@ -416,7 +416,7 @@ def _cmd_serve(args) -> int:
         procs,
         artifacts_dir=args.artifacts,
         queue_limit=args.queue_limit,
-        verify=args.verify,
+        verify_plan=args.verify,
     )
     submitted: list[str] = []
     failures = 0

@@ -105,8 +105,6 @@ def psgemm_distributed(
     b_shape: SparseShape | None = None,
     alpha: float = 1.0,
     beta: float = 1.0,
-    verify_plan: bool = False,
-    trace: bool = True,
     **dist_kwargs,
 ):
     """Execute ``C <- beta*C + alpha*A @ B`` across real worker processes.
@@ -118,23 +116,10 @@ def psgemm_distributed(
     bit-for-bit identical to :func:`psgemm_numeric` for the same seeds —
     the serial executor is the crosscheck oracle.
 
-    With ``verify_plan=True`` the static plan verifier
-    (:func:`repro.analysis.verify_plan`) audits the inspector's plan —
-    coverage, memory budgets, comm consistency — and raises
-    :class:`repro.analysis.PlanVerificationError` before any worker
-    process is spawned if it finds a violation.
-
-    ``trace`` (default on) makes every worker record monotonic spans —
-    task execution, B generation, prefetch and queue waits, shm attach,
-    writeback — which the coordinator merges into ``report.trace`` (a
-    :class:`repro.runtime.tracing.Trace`, Chrome-trace exportable) with
-    derived per-rank utilization and queue-wait metrics on the report.
-    ``trace=False`` removes all span recording from the hot loops; the
-    numeric result is identical either way.
-
     Extra keyword arguments are the fields of
-    :class:`repro.dist.coordinator.RunConfig` (recovery policy, telemetry,
-    checkpoint / store tiers, rebalancing, pool);
+    :class:`repro.dist.coordinator.RunConfig` (plan verification, tracing,
+    recovery policy, telemetry, checkpoint / store tiers, rebalancing,
+    pool);
     :func:`repro.dist.execute_plan_distributed` documents each one, and
     anything else is a ``TypeError``.
 
@@ -158,6 +143,5 @@ def psgemm_distributed(
         options=options,
     )
     return execute_plan_distributed(
-        plan, a, b, c=c, alpha=alpha, beta=beta, verify_plan=verify_plan,
-        trace=trace, **dist_kwargs
+        plan, a, b, c=c, alpha=alpha, beta=beta, **dist_kwargs
     )

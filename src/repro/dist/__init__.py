@@ -35,12 +35,12 @@ sidecar files under the origin rank).
 from repro.dist.bservice import BService, ConcreteBSource, TieredBStore, validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
-    BlockDoneMsg,
     CommLayer,
     CommStats,
     Endpoint,
     HandoffMsg,
     RelinquishMsg,
+    ScatterMsg,
 )
 from repro.dist.coordinator import DistExecutionError, DistReport, execute_plan_distributed
 from repro.dist.faults import FaultInjection, FaultPlan
@@ -56,12 +56,11 @@ from repro.dist.health import (
 )
 from repro.dist.pool import WorkerPool
 from repro.dist.tile_store import ArenaMeta, TileArena, active_segments
-from repro.dist.worker import ScatterMsg, WorkerReport
+from repro.dist.worker import WorkerReport
 
 __all__ = [
     "ArenaMeta",
     "BService",
-    "BlockDoneMsg",
     "COORDINATOR",
     "CommLayer",
     "CommStats",

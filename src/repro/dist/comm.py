@@ -12,15 +12,15 @@ reproduces the inspector's ``a_recv_bytes`` per process exactly (the tests
 assert this).
 
 A third, out-of-band channel carries **telemetry**: periodic worker
-heartbeats (:class:`repro.dist.health.HeartbeatMsg`) and per-block
-completion reports (:class:`BlockDoneMsg`) flow through their own shared
-queue so they can never reorder or delay the control-plane
+heartbeats (:class:`repro.dist.health.HeartbeatMsg`) flow through their own
+shared queue so they can never reorder or delay the control-plane
 ``done``/``error`` messages, and their bytes are accounted in a separate
 ``telemetry_bytes`` counter so the plan-derived comm-volume crosschecks
 stay byte-exact regardless of heartbeat cadence.
 
-Every message is a class the receiver dispatches on: a worker ends an
-attempt with a :class:`DoneMsg` or an :class:`ErrorMsg`, and dynamic
+Every message is a class the receiver dispatches on: the coordinator
+starts an attempt with a :class:`ScatterMsg`, a worker ends it with a
+:class:`DoneMsg` or an :class:`ErrorMsg`, and dynamic
 rebalancing adds two request/reply pairs — the coordinator asks a flagged
 straggler to :class:`RelinquishMsg` its unstarted blocks (acked with a
 :class:`RelinquishedMsg` at the worker's next block boundary), then ships
@@ -45,6 +45,10 @@ import queue as _queue
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.core.grid import ProcessGrid
+from repro.core.plan import ProcPlan
+from repro.dist.faults import FaultInjection
+from repro.dist.tile_store import ArenaMeta
 from repro.util.units import fmt_bytes
 
 #: The coordinator's rank in link keys (workers are ``0..nprocs-1``).
@@ -79,6 +83,50 @@ def _role(rank: int) -> str:
 
 
 @dataclass(frozen=True)
+class ScatterMsg:
+    """Coordinator -> worker: one attempt of one rank's slice of the plan."""
+
+    proc: ProcPlan
+    grid: ProcessGrid
+    gpus_per_proc: int
+    gpu_memory_bytes: int
+    b_csr: object
+    tau: float | None
+    alpha: float
+    #: ``None`` = resident plane: read the A (and ``("resident", None)``
+    #: B) this rank was forked with; else ``b_spec`` is ``("arena", meta)``.
+    #: A generated B is ``("generated", collection)`` on both planes.
+    a_meta: ArenaMeta | None
+    b_spec: tuple
+    c_meta: ArenaMeta
+    fault: FaultInjection | None
+    attempt: int
+    trace: bool = True
+    max_spans: int = 200_000
+    heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
+    #: Persistent-store / checkpoint wiring (all inert when left at their
+    #: defaults): ``store_dir`` roots the B-tile persistence tier,
+    #: ``ckpt_dir`` enables the writeback journal (and, when ``store_dir``
+    #: is unset, hosts the store under ``<ckpt_dir>/store``), ``b_hash`` /
+    #: ``run_hash`` are the coordinator-computed operand and run
+    #: fingerprints, and ``completed`` lists the already-journaled blocks
+    #: to restore instead of recompute: ``((gpu, block, ((i, j), ...)), ...)``.
+    store_dir: str | None = None
+    store_budget: int | None = None
+    b_hash: str = ""
+    ckpt_dir: str | None = None
+    run_hash: str = ""
+    completed: tuple = ()
+    #: Block positions ``(gpu, index)`` this rank must *not* execute: they
+    #: were relinquished to the rebalancer in an earlier attempt and are
+    #: owned by a handoff now (producing them here would double-produce).
+    excluded: tuple = ()
+    #: Whether the rank polls its inbox between blocks for relinquish
+    #: requests (the coordinator's ``rebalance=True``).
+    rebalance: bool = False
+
+
+@dataclass(frozen=True)
 class ShutdownMsg:
     """Coordinator -> pooled worker: leave the dispatch loop and exit.
     Sent by the serving layer between jobs, never during a run."""
@@ -96,21 +144,6 @@ class RelinquishMsg:
     """
 
     attempt: int
-
-
-@dataclass(frozen=True)
-class BlockDoneMsg:
-    """Worker -> coordinator (telemetry): one block finished writeback.
-
-    Out-of-band like heartbeats — block completions are progress
-    telemetry, not control flow, and must never delay ``done``/``error``.
-    """
-
-    rank: int
-    attempt: int
-    gpu: int
-    block: int
-    ntasks: int
 
 
 @dataclass(frozen=True)

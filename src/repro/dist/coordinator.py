@@ -9,7 +9,7 @@ this one.
 
 One run is one :class:`_Coordinator`; its phases, in order:
 
-* **scatter** — ship each rank its :class:`~repro.dist.worker.ScatterMsg`
+* **scatter** — ship each rank its :class:`~repro.dist.comm.ScatterMsg`
   through the :class:`~repro.dist.comm.CommLayer` (bytes counted per
   link).  Operands take one of two data planes, chosen from what the code
   can observe.  *Resident* (this call owns its processes and the start
@@ -82,6 +82,7 @@ from repro.dist.comm import (
     HandoffMsg,
     RelinquishedMsg,
     RelinquishMsg,
+    ScatterMsg,
 )
 from repro.dist.faults import FaultPlan
 from repro.dist.health import EventLog, RunHealth
@@ -91,7 +92,6 @@ from repro.dist.tile_store import TileArena
 from repro.dist.worker import (
     ABORT_EXIT_CODE,
     RankTally,
-    ScatterMsg,
     WorkerReport,
     run_handoff,
     run_rank,
@@ -454,7 +454,6 @@ _LIVE = {
     # Already resolved (timed out and redone inline) or a duplicate.
     "handoff_done": lambda run, m: m.handoff_id in run.pending_handoffs,
     "heartbeat": lambda run, m: run.health.expects(m),
-    "block_done": lambda run, m: m.attempt == run.live_attempt(m.rank),
 }
 
 
@@ -853,12 +852,6 @@ class _Coordinator:
             tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
         )
 
-    def fold_progress(self, msg) -> None:
-        self.events.emit(
-            "block_done", rank=msg.rank, attempt=msg.attempt,
-            gpu=msg.gpu, block=msg.block, tasks=msg.ntasks,
-        )
-
     def request_relinquish(self, rank: int) -> None:
         """Flag a straggler and, when rebalancing, ask it to yield its
         unstarted blocks.
@@ -975,7 +968,7 @@ class _Coordinator:
     # ---- supervise: the loop -------------------------------------------------
 
     def drain_telemetry(self) -> None:
-        """Dispatch every queued heartbeat and block completion."""
+        """Dispatch every queued heartbeat."""
         while True:
             try:
                 src, msg, nbytes = self.coord.recv_telemetry()

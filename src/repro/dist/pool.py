@@ -47,8 +47,6 @@ class WorkerPool:
     nranks:
         Ranks the pool serves; a borrowed run's plan must match exactly
         (the coordinator enforces it).
-    start_method:
-        Multiprocessing start method; defaults to fork when available.
     tile_cache_factory:
         Zero-argument callable producing the process-lifetime warm
         B-tile cache handed to each spawned worker (pickled empty across
@@ -62,11 +60,10 @@ class WorkerPool:
     second job reused the warm pool" checks it did not grow.
     """
 
-    def __init__(self, nranks: int, *, start_method: str | None = None,
-                 tile_cache_factory=None):
+    def __init__(self, nranks: int, *, tile_cache_factory=None):
         require(nranks >= 1, f"pool needs at least one rank, got {nranks}")
         self.nranks = nranks
-        self.ctx = mp.get_context(start_method or default_start_method())
+        self.ctx = mp.get_context(default_start_method())
         self.comm = CommLayer(nranks, self.ctx)
         self._tile_cache_factory = tile_cache_factory
         self._workers: dict[int, mp.process.BaseProcess] = {}

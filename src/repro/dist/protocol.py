@@ -1,7 +1,7 @@
 """The executor's protocol, declared once: wire vocabulary, role machines.
 
 This is the one place the coordinator/worker message protocol is written
-down, as data three consumers share *by identity*:
+down, as data four consumers share *by identity*:
 
 * :class:`~repro.dist.comm.Endpoint` refuses to send a message class
   :data:`MESSAGES` does not declare, or one leaving the wrong role or on
@@ -10,6 +10,9 @@ down, as data three consumers share *by identity*:
   and patrol verdict as an event and *dispatches on*
   :data:`COORDINATOR_MACHINE`: the row's ``action`` names the method that
   runs, and a ``(state, event)`` without a row fails the run;
+* the worker (:mod:`repro.dist.worker`) does the same with every inbox
+  message on :data:`WORKER_MACHINE`: a message its state has no row for
+  fails the attempt, shipped home as an ``error`` the coordinator recovers;
 * the model checker (:mod:`repro.analysis.protocol.checker`) explores
   :data:`PROTOCOL` exhaustively over small fault scopes (rules M401-M408).
 
@@ -20,17 +23,16 @@ watches the checker — or the coordinator's ``fire`` — catch it.
 
 Reading guide, message by message:
 
-* ``scatter`` — the :class:`~repro.dist.worker.ScatterMsg` carrying one
+* ``scatter`` — the :class:`~repro.dist.comm.ScatterMsg` carrying one
   rank's :class:`~repro.core.plan.ProcPlan`, arena metadata, fault
   injection and checkpoint restore list.  One per (rank, attempt).
 * ``done`` / ``error`` — a :class:`~repro.dist.comm.DoneMsg` (the
   :class:`~repro.dist.worker.WorkerReport`) or
   :class:`~repro.dist.comm.ErrorMsg` (a formatted traceback) ends an
   attempt.
-* ``heartbeat`` / ``block_done`` — :class:`~repro.dist.health.HeartbeatMsg`
-  liveness beats and :class:`~repro.dist.comm.BlockDoneMsg` per-block
-  progress; they ride the out-of-band telemetry queue so they can never
-  delay or reorder control traffic.
+* ``heartbeat`` — :class:`~repro.dist.health.HeartbeatMsg` liveness beats
+  (cumulative task progress); they ride the out-of-band telemetry queue so
+  they can never delay or reorder control traffic.
 * ``relinquish`` / ``relinquished`` — the coordinator asks a flagged
   straggler (:class:`~repro.dist.comm.RelinquishMsg`, pinned to one
   attempt) to yield its unstarted blocks; the ack
@@ -60,17 +62,16 @@ from repro.dist.comm import (
     DATA_CHANNEL,
     TELEMETRY_CHANNEL,
     WORKER_ROLE,
-    BlockDoneMsg,
     DoneMsg,
     ErrorMsg,
     HandoffDoneMsg,
     HandoffMsg,
     RelinquishedMsg,
     RelinquishMsg,
+    ScatterMsg,
     ShutdownMsg,
 )
 from repro.dist.health import HeartbeatMsg
-from repro.dist.worker import ScatterMsg
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,6 @@ MESSAGES = (
     MsgSpec("done", DoneMsg, _W, _C, DATA_CHANNEL, 2048),
     MsgSpec("error", ErrorMsg, _W, _C, DATA_CHANNEL, 512),
     MsgSpec("heartbeat", HeartbeatMsg, _W, _C, TELEMETRY_CHANNEL, 256),
-    MsgSpec("block_done", BlockDoneMsg, _W, _C, TELEMETRY_CHANNEL, 128),
     MsgSpec("relinquish", RelinquishMsg, _C, _W, DATA_CHANNEL, 128),
     MsgSpec("relinquished", RelinquishedMsg, _W, _C, DATA_CHANNEL, 256),
     MsgSpec("handoff", HandoffMsg, _C, _W, DATA_CHANNEL, 2048),
@@ -253,21 +253,18 @@ QUEUE_BUDGETS = {
 #: of blocks reclaimed from stragglers.  A relinquish landing on a
 #: freshly (re)spawned ``idle`` worker is from a superseded attempt —
 #: acked empty so the coordinator can retire the request (rule M408).
-#: Unit completion also emits a ``block_done`` telemetry beat (on
-#: ``act:work`` without checkpointing, on the final ``act:journal``
-#: substep with it).  ``recv:shutdown`` ends a pooled worker between jobs,
-#: ``act:leave`` a one-shot one once it has reported (if no handoff can come).
+#: ``recv:shutdown`` ends a pooled worker between jobs, ``recv:scatter``
+#: starts its next job, and ``act:leave`` ends a one-shot one once it has
+#: reported (if no handoff can come).
 WORKER_MACHINE = RoleMachine(_W, "idle", (
     Transition("idle", "recv:scatter", "running",
                sends=("heartbeat",), action="attach_and_restore"),
     Transition("idle", "recv:relinquish", "idle",
                sends=("relinquished",), action="stale_ack"),
     Transition("idle", "recv:shutdown", "exited"),
-    Transition("running", "act:work", "running", action="compute_unit",
-               sends=("block_done",)),
+    Transition("running", "act:work", "running", action="compute_unit"),
     Transition("running", "act:store", "running", action="store_unit"),
-    Transition("running", "act:journal", "running", action="journal_unit",
-               sends=("block_done",)),
+    Transition("running", "act:journal", "running", action="journal_unit"),
     Transition("running", "act:beat", "running", sends=("heartbeat",)),
     Transition("running", "recv:relinquish", "running",
                sends=("relinquished",), action="yield_unstarted"),
@@ -281,6 +278,9 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
     Transition("idle_done", "recv:handoff", "idle_done",
                sends=("handoff_done",), action="execute_handoff"),
     Transition("idle_done", "recv:shutdown", "exited"),
+    # Not explored (the model runs one job): a pooled worker's next job.
+    Transition("idle_done", "recv:scatter", "running",
+               sends=("heartbeat",), action="attach_and_restore"),
     Transition("idle_done", "act:leave", "exited"),
 ))
 
@@ -300,8 +300,6 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
 #: (``recv:relinquished``) dispatches a handoff to a finished helper (or
 #: runs the blocks on the coordinator's inline spare) and
 #: ``recv:handoff_done`` absorbs the helper's C tiles into the reduce.
-#: ``block_done`` folds into progress telemetry in both supervising and
-#: draining, exactly like heartbeats.
 COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "recv:done", "supervising",
                action="complete_rank"),
@@ -314,10 +312,6 @@ COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "recv:heartbeat", "supervising",
                action="fold_health"),
     Transition("supervising", "recv:heartbeat:stale", "supervising",
-               action="discard"),
-    Transition("supervising", "recv:block_done", "supervising",
-               action="fold_progress"),
-    Transition("supervising", "recv:block_done:stale", "supervising",
                action="discard"),
     Transition("supervising", "obs:straggler", "supervising",
                sends=("relinquish",), action="request_relinquish"),
@@ -341,10 +335,6 @@ COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("draining", "recv:heartbeat", "draining",
                action="fold_health"),
     Transition("draining", "recv:heartbeat:stale", "draining",
-               action="discard"),
-    Transition("draining", "recv:block_done", "draining",
-               action="fold_progress"),
-    Transition("draining", "recv:block_done:stale", "draining",
                action="discard"),
     Transition("draining", "recv:relinquished:stale", "draining",
                action="discard"),

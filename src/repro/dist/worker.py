@@ -2,16 +2,17 @@
 place a rank (:func:`run_rank`) or a handoff (:func:`run_handoff`) runs:
 the coordinator's inline spare calls the same two in its own process.
 
-Each worker is one planned process rank.  Life of a worker: receive a
-:class:`ScatterMsg` from the coordinator, open its operands, execute its
-:class:`~repro.core.plan.ProcPlan` through the *same*
-:func:`repro.runtime.numeric.execute_blocks` body the serial executor
-uses (hence bit-identical numerics), and send a :class:`WorkerReport`
-back.  A one-shot process then leaves; when the run rebalances (or the
-process is a pool's) it stays in its dispatch loop, ready to accept a
-:class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a straggler
-(the same body again, so handoff tiles are bit-identical to the tiles the
-origin would have produced).
+Each worker is one planned process rank, and its life is
+:data:`~repro.dist.protocol.WORKER_MACHINE`, run (:func:`worker_main`):
+receive a :class:`~repro.dist.comm.ScatterMsg` from the coordinator, open
+its operands, execute its :class:`~repro.core.plan.ProcPlan` through the
+*same* :func:`repro.runtime.numeric.execute_blocks` body the serial
+executor uses (hence bit-identical numerics), and send a
+:class:`WorkerReport` back.  A one-shot process then leaves; when the run
+rebalances (or the process is a pool's) it stays in its dispatch loop,
+ready to accept a :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed
+from a straggler (the same body again, so handoff tiles are bit-identical
+to the tiles the origin would have produced).
 
 C is written once: the body's ``c_slot`` hook hands every C tile's first
 product a slot of the attempt's (or handoff's) shared-memory output arena,
@@ -24,10 +25,7 @@ the index.  The worker keeps no tile view past the close of its arenas
 Rebalancing yield points: between blocks the worker polls its inbox; a
 coordinator :class:`~repro.dist.comm.RelinquishMsg` makes it give up its
 not-yet-started blocks (acked with their positions, skipped thereafter)
-while the in-flight block finishes normally.  Completion of every block
-is reported out-of-band as a :class:`~repro.dist.comm.BlockDoneMsg` on
-the telemetry channel, so the coordinator knows which blocks are still
-unstarted without perturbing control-plane traffic.
+while the in-flight block finishes normally.
 
 Operands arrive on one of two data planes (the coordinator picks, see
 :mod:`repro.dist.coordinator`): a forked one-shot worker was born holding
@@ -83,19 +81,20 @@ from repro.core.plan import Block, ProcPlan
 from repro.dist.bservice import BService, ConcreteBSource, TieredBStore
 from repro.dist.comm import (
     COORDINATOR,
-    BlockDoneMsg,
     DoneMsg,
     Empty,
     Endpoint,
     ErrorMsg,
     HandoffDoneMsg,
     HandoffMsg,
+    ProtocolError,
     RelinquishedMsg,
     RelinquishMsg,
+    ScatterMsg,
 )
-from repro.dist.faults import FaultInjection
 from repro.dist.health import HeartbeatMsg
-from repro.dist.tile_store import ArenaMeta, TileArena
+from repro.dist.protocol import WIRE, WORKER_MACHINE, Transition
+from repro.dist.tile_store import TileArena
 from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
 from repro.store import (
@@ -115,51 +114,6 @@ ABORT_EXIT_CODE = 98
 #: coordinator long before this elapses; the bound only guards against a
 #: run with stall detection disabled wedging forever past its timeout).
 STALL_SLEEP_SECONDS = 3600.0
-
-
-@dataclass(frozen=True)
-class ScatterMsg:
-    """Everything one rank needs to execute its slice of the plan."""
-
-    proc: ProcPlan
-    grid: ProcessGrid
-    gpus_per_proc: int
-    gpu_memory_bytes: int
-    b_csr: object
-    tau: float | None
-    alpha: float
-    #: ``None`` = resident plane: read the A (and ``("resident", None)``
-    #: B) this rank was forked with; else ``b_spec`` is ``("arena", meta)``.
-    #: A generated B is ``("generated", collection)`` on both planes.
-    a_meta: ArenaMeta | None
-    b_spec: tuple
-    c_meta: ArenaMeta
-    fault: FaultInjection | None
-    attempt: int
-    trace: bool = True
-    max_spans: int = 200_000
-    heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
-    #: Persistent-store / checkpoint wiring (all inert when left at their
-    #: defaults): ``store_dir`` roots the B-tile persistence tier,
-    #: ``ckpt_dir`` enables the writeback journal (and, when ``store_dir``
-    #: is unset, hosts the store under ``<ckpt_dir>/store``), ``b_hash`` /
-    #: ``run_hash`` are the coordinator-computed operand and run
-    #: fingerprints, and ``completed`` lists the already-journaled blocks
-    #: to restore instead of recompute: ``((gpu, block, ((i, j), ...)), ...)``.
-    store_dir: str | None = None
-    store_budget: int | None = None
-    b_hash: str = ""
-    ckpt_dir: str | None = None
-    run_hash: str = ""
-    completed: tuple = ()
-    #: Block positions ``(gpu, index)`` this rank must *not* execute: they
-    #: were relinquished to the rebalancer in an earlier attempt and are
-    #: owned by a handoff now (producing them here would double-produce).
-    excluded: tuple = ()
-    #: Whether the rank honours relinquish requests between blocks (set by
-    #: the coordinator's ``rebalance=True``; off, the inbox is never
-    #: polled mid-run and the worker behaves exactly as before).
-    rebalance: bool = False
 
 
 @dataclass(kw_only=True)
@@ -499,7 +453,9 @@ def run_rank(
             restored_positions = {(g, bi) for g, bi, _ in msg.completed}
 
             def skip_block(g: int, bi: int, block) -> bool:
-                """Poll the inbox at a block boundary; honour relinquishes.
+                """Poll the inbox at a block boundary: each message is an
+                event of ``running`` (:func:`_row`), and its one ``recv:``
+                row is ``yield_unstarted``.
 
                 A current-attempt :class:`RelinquishMsg` yields every
                 position not yet started (including this one) that is
@@ -507,42 +463,23 @@ def run_rank(
                 acked back so the coordinator knows exactly which blocks
                 it now owns.  A stale request is acked empty.
                 """
-                if msg.rebalance and endpoint is not None:
-                    while True:
-                        try:
-                            _, req, _ = endpoint.recv_nowait()
-                        except Empty:
-                            break
-                        if not isinstance(req, RelinquishMsg):
-                            continue  # foreign message; not ours mid-run
-                        remaining = ()
-                        if req.attempt == msg.attempt:
-                            remaining = tuple(
-                                p for p in positions[pos_index[(g, bi)]:]
-                                if p not in skipped
-                                and p not in restored_positions
-                            )
-                            skipped.update(remaining)
-                        endpoint.send(
-                            COORDINATOR,
-                            RelinquishedMsg(rank, req.attempt, remaining),
+                while msg.rebalance and endpoint is not None:
+                    try:
+                        _, req, _ = endpoint.recv_nowait()
+                    except Empty:
+                        break
+                    _row("running", _event_of(req))
+                    remaining = ()
+                    if req.attempt == msg.attempt:
+                        remaining = tuple(
+                            p for p in positions[pos_index[(g, bi)]:]
+                            if p not in skipped and p not in restored_positions
                         )
+                        skipped.update(remaining)
+                    endpoint.send(
+                        COORDINATOR, RelinquishedMsg(rank, req.attempt, remaining)
+                    )
                 return (g, bi) in skipped
-
-        ckpt_on_block = on_block
-        if hb is not None:
-
-            def on_block(g: int, bi: int, block, c_dev: dict) -> None:
-                """Report block completion out-of-band."""
-                if ckpt_on_block is not None:
-                    ckpt_on_block(g, bi, block, c_dev)
-                try:
-                    endpoint.send_telemetry(BlockDoneMsg(
-                        rank=rank, attempt=msg.attempt, gpu=g, block=bi,
-                        ntasks=block.ntasks,
-                    ))
-                except Exception:  # pragma: no cover - fabric torn down
-                    pass
 
         # Only the stats are kept: the tiles are in the arena already, and
         # a view held here would dangle once the attachment is closed.
@@ -630,18 +567,90 @@ def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats
         return dict(c_arena.index), stats
 
 
+def _event_of(msg) -> str:
+    """An inbox message as a worker event: ``recv:<its wire name>``."""
+    return f"recv:{getattr(WIRE.get(type(msg)), 'name', type(msg).__name__)}"
+
+
+def _row(state: str, event: str) -> Transition:
+    """:data:`WORKER_MACHINE`'s row for ``event`` in ``state``.  No row, no
+    attempt: a :class:`ProtocolError`, shipped home as an ``ErrorMsg`` the
+    coordinator recovers from (M402 at runtime)."""
+    row = WORKER_MACHINE.on(state, event)
+    if row is None:
+        raise ProtocolError(f"worker state {state!r} has no transition for {event!r}")
+    return row
+
+
+class _Worker:
+    """A worker process's ``state`` in :data:`WORKER_MACHINE`; :meth:`fire`
+    calls the method an event's row names, as ``_Coordinator.fire`` does
+    (``running``'s ``yield_unstarted`` is :func:`run_rank`'s poll)."""
+
+    def __init__(self, rank, endpoint, tile_cache, pooled, operands):
+        self.rank, self.endpoint, self.tile_cache = rank, endpoint, tile_cache
+        self.pooled, self.operands = pooled, operands
+        self.state, self.attempt = WORKER_MACHINE.initial, -1
+        self.t_spawn = time.monotonic()
+
+    def fire(self, event: str, msg=None) -> None:
+        row = _row(self.state, event)
+        self.state = row.next_state
+        if row.action:
+            getattr(self, row.action)(msg)
+
+    def attach_and_restore(self, msg: ScatterMsg) -> None:
+        """Run this rank's attempt and report it; a one-shot worker of a run
+        that does not rebalance then leaves."""
+        self.attempt = msg.attempt
+        # A pooled worker roots each job's trace at scatter receipt: its idle
+        # stretch between jobs (and every previous job's spans) must not
+        # bleed into this job's inbox-wait accounting.  One-shot workers keep
+        # the spawn-rooted origin so process startup stays visible.
+        report = run_rank(
+            msg, self.operands,
+            origin=None if self.pooled else self.t_spawn,
+            recv_done=None if self.pooled else time.monotonic(),
+            endpoint=self.endpoint, tile_cache=self.tile_cache,
+        )
+        self.endpoint.send(COORDINATOR, DoneMsg(self.rank, report))
+        self.fire("act:report")
+        if not self.pooled and not msg.rebalance:
+            # ``act:leave``: nothing can follow; its teardown overlaps the
+            # slower ranks.  Flush, or the reply dies in the feeder.
+            self.fire("act:leave")
+            for q in (self.endpoint.gather, self.endpoint.telemetry):
+                q.close()
+                q.join_thread()
+            os._exit(0)
+
+    def stale_ack(self, msg: RelinquishMsg) -> None:
+        self.endpoint.send(COORDINATOR, RelinquishedMsg(self.rank, msg.attempt, ()))
+
+    def execute_handoff(self, msg: HandoffMsg) -> None:
+        try:
+            c_index, stats = run_handoff(msg, self.operands, tile_cache=self.tile_cache)
+        except Exception:  # noqa: BLE001 - helper failure is recoverable
+            c_index = stats = None
+        self.endpoint.send(
+            COORDINATOR, HandoffDoneMsg(self.rank, msg.handoff_id, c_index, stats)
+        )
+
+
 def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                 pooled: bool = False, operands=None) -> None:
-    """Process entry point: a dispatch loop over coordinator messages.
+    """Process entry point: a dispatch loop over coordinator messages, each
+    an event of :data:`WORKER_MACHINE` (:class:`_Worker`).
 
     The first message is normally this rank's :class:`ScatterMsg`; after
     reporting ``done`` a one-shot worker of a run that does not rebalance
-    leaves (``os._exit``); any other stays in the loop, a helper for a
+    leaves (``act:leave``); any other stays in the loop, a helper for a
     :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a
-    straggler, until teardown.  A :class:`~repro.dist.comm.RelinquishMsg` landing
-    here (rather than at a mid-run block boundary) raced against this
-    rank's completion or respawn — it is acked empty so the coordinator
-    can retire the request.
+    straggler, until teardown.  A :class:`~repro.dist.comm.RelinquishMsg`
+    landing here (rather than at a mid-run block boundary) raced against
+    this rank's completion or respawn — it is acked empty so the
+    coordinator can retire the request.  A message the state has no row
+    for fails the attempt, shipped home as an ``ErrorMsg``.
 
     Pooled lifetime: under a :class:`~repro.dist.pool.WorkerPool`
     (``pooled=True``) the same loop serves one :class:`ScatterMsg` *per
@@ -657,53 +666,15 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     or handoff it belongs to, so the coordinator can discard one from a
     superseded attempt instead of recovering a rank it already recovered.
     """
-    t_spawn = time.monotonic()
-    attempt = -1
+    worker = _Worker(rank, endpoint, tile_cache, pooled, operands)
     try:
-        while True:
+        while worker.state != "exited":
             _, msg, _ = endpoint.recv()
-            if isinstance(msg, ScatterMsg):
-                attempt = msg.attempt
-                # A pooled worker roots each job's trace at scatter
-                # receipt: its idle stretch between jobs (and every
-                # previous job's spans) must not bleed into this job's
-                # inbox-wait accounting.  One-shot workers keep the
-                # spawn-rooted origin so process startup stays visible.
-                report = run_rank(
-                    msg, operands,
-                    origin=None if pooled else t_spawn,
-                    recv_done=None if pooled else time.monotonic(),
-                    endpoint=endpoint, tile_cache=tile_cache,
-                )
-                endpoint.send(COORDINATOR, DoneMsg(rank, report))
-                if not pooled and not msg.rebalance:
-                    # ``act:leave``: nothing can follow; its teardown overlaps
-                    # the slower ranks.  Flush, or the reply dies in the feeder.
-                    for q in (endpoint.gather, endpoint.telemetry):
-                        q.close()
-                        q.join_thread()
-                    os._exit(0)
-            elif isinstance(msg, RelinquishMsg):
-                endpoint.send(
-                    COORDINATOR, RelinquishedMsg(rank, msg.attempt, ())
-                )
-            elif isinstance(msg, HandoffMsg):
-                try:
-                    c_index, stats = run_handoff(msg, operands, tile_cache=tile_cache)
-                except Exception:  # noqa: BLE001 - helper failure is recoverable
-                    c_index = stats = None
-                endpoint.send(
-                    COORDINATOR,
-                    HandoffDoneMsg(rank, msg.handoff_id, c_index, stats),
-                )
-            else:
-                # ShutdownMsg — the only other class an endpoint lets a
-                # coordinator send (repro.dist.protocol): exit quietly.
-                return
+            worker.fire(_event_of(msg), msg)
     except BaseException:  # noqa: BLE001 - ship the traceback to the coordinator
         try:
             endpoint.send(
-                COORDINATOR, ErrorMsg(rank, attempt, traceback.format_exc())
+                COORDINATOR, ErrorMsg(rank, worker.attempt, traceback.format_exc())
             )
         except Exception:  # pragma: no cover - fabric itself broken
             pass

@@ -106,7 +106,7 @@ def build_task_graph(
         for g in range(grid.gpus_per_proc):
             link_res = f"gpu.{r}.{g}.link"
             comp_res = f"gpu.{r}.{g}.comp"
-            prev_block_done: str | None = None
+            prev_block_end: str | None = None
             for bi, block in enumerate(proc.gpu_blocks(g)):
                 base = f"p{r}.g{g}.b{bi}"
                 gen_name = f"gen.{base}"
@@ -120,10 +120,10 @@ def build_task_graph(
                 load_bc = f"load_bc.{base}"
                 deps = [gen_name]
                 df_edges += 1
-                if prev_block_done is not None:
+                if prev_block_end is not None:
                     # CONTROL: blocking block streaming — next block's B/C
                     # cannot move until the previous block fully finished.
-                    deps.append(prev_block_done)
+                    deps.append(prev_block_end)
                     cf_edges += 1
                 engine.add_task(
                     SimTask(
@@ -210,7 +210,7 @@ def build_task_graph(
                     )
                 )
                 df_edges += max(len(compute_dones), 1)
-                prev_block_done = store_c
+                prev_block_end = store_c
 
     return TaskGraph(
         engine=engine,

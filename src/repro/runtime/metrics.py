@@ -95,9 +95,6 @@ SERIES = {
     "repro_rebalance_handoffs_total":
         ("counter", "handoffs dispatched (to helper ranks or the inline spare)",
          ("events", "handoff", None)),
-    "repro_blocks_completed_total":
-        ("counter", "per-block completion reports received as telemetry",
-         ("events", "block_done", None)),
     "repro_chunk_gemm_seconds":
         ("histogram", "per-chunk GEMM stream durations", ("spans", "gemm", "")),
     "repro_prefetch_seconds":

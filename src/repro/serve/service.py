@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.analysis.plan_checks import verify_plan
+from repro.dist.coordinator import RunConfig, execute_plan_distributed
 from repro.dist.pool import WorkerPool
 from repro.serve.pool import drain_stale, reset_pool, shutdown_pool
 from repro.serve.warmcache import DEFAULT_BUDGET_BYTES, WarmTileCache
@@ -72,6 +73,18 @@ MEMORY_RULES = frozenset({"P110", "P111", "P112", "P114"})
 def memory_findings(plan) -> list:
     """What the memory-budget rules hold against ``plan`` (empty: admit)."""
     return [f for f in verify_plan(plan).findings if f.rule in MEMORY_RULES]
+
+
+def _check_job_keywords(kwargs: dict) -> None:
+    """Raise the ``TypeError`` a job would die of before anything queues:
+    ``kwargs`` must be keywords of
+    :func:`~repro.dist.execute_plan_distributed` — ``c``, ``alpha``,
+    ``beta`` or a :class:`RunConfig` field — other than the two the service
+    sets itself (``pool``, ``run_id``)."""
+    RunConfig(**{k: v for k, v in kwargs.items() if k not in ("c", "alpha", "beta")})
+    own = sorted({"pool", "run_id"} & set(kwargs))
+    if own:
+        raise TypeError(f"ContractionService sets {own} itself")
 
 
 #: Queue entry that sorts ahead of every job and names none: shutdown puts
@@ -155,37 +168,27 @@ class ContractionService:
         Per-worker budget of the process-lifetime B-tile cache; ``0``
         disables the warm tier (pool reuse then amortizes process
         startup only).
-    store_dir:
-        Optional persistent :class:`~repro.store.TileStore` root shared
-        by every job (the disk tier under the warm cache).
-    verify:
-        Run the full static plan verifier inside each job (in addition
-        to the memory-rule admission check, which always runs).
     dist_kwargs:
-        Defaults forwarded to every job's
-        :func:`~repro.dist.execute_plan_distributed` call (a job's own
-        kwargs win).
+        Defaults for every job's :func:`~repro.dist.execute_plan_distributed`
+        call (a job's own kwargs win), checked here: e.g. ``verify_plan``
+        runs the full static plan verifier inside each job, ``store_dir``
+        roots a disk tier under the warm cache.
     """
 
     def __init__(self, nranks: int, *, artifacts_dir: str | None = None,
                  queue_limit: int = 8,
-                 warm_cache_bytes: int = DEFAULT_BUDGET_BYTES,
-                 store_dir: str | None = None, start_method: str | None = None,
-                 verify: bool = False, **dist_kwargs):
+                 warm_cache_bytes: int = DEFAULT_BUDGET_BYTES, **dist_kwargs):
         require(queue_limit >= 1, f"queue_limit must be >= 1, got {queue_limit}")
+        _check_job_keywords(dist_kwargs)
+        self._dist_kwargs = dist_kwargs
         factory = (
             partial(WarmTileCache, warm_cache_bytes) if warm_cache_bytes else None
         )
-        self.pool = WorkerPool(
-            nranks, start_method=start_method, tile_cache_factory=factory
-        )
+        self.pool = WorkerPool(nranks, tile_cache_factory=factory)
         self.artifacts_dir = artifacts_dir
         if artifacts_dir is not None:
             os.makedirs(artifacts_dir, exist_ok=True)
         self._queue_limit = queue_limit
-        self._store_dir = store_dir
-        self._verify = verify
-        self._dist_kwargs = dict(dist_kwargs)
         self._jobs: dict[str, Job] = {}
         #: The memory-rule verdict of each plan admitted or refused so far
         #: (a plan is immutable once submitted, like the operands of a
@@ -213,10 +216,12 @@ class ContractionService:
         """Queue one contraction; returns its job id.
 
         ``kwargs`` (``c``, ``alpha``, ``beta``, ``fault_plan``, ...) are
-        forwarded to :func:`~repro.dist.execute_plan_distributed`.
-        Raises :class:`AdmissionError` when the plan cannot run on this
-        pool, :class:`BackpressureError` when the queue is full.
+        forwarded to :func:`~repro.dist.execute_plan_distributed`; anything
+        else is a ``TypeError``, as in the constructor.  Raises
+        :class:`AdmissionError` when the plan cannot run on this pool,
+        :class:`BackpressureError` when the queue is full.
         """
+        _check_job_keywords(kwargs)
         # Outside the lock: verifying a new plan takes milliseconds, and the
         # scheduler's _finish, jobs() and status() must not wait behind it.
         self._admit(plan)
@@ -351,16 +356,11 @@ class ContractionService:
             self._execute(job)
 
     def _execute(self, job: Job) -> None:
-        from repro.dist.coordinator import execute_plan_distributed
-
         job.state = RUNNING
         job.started_s = time.monotonic()
         drain_stale(self.pool)  # a failed predecessor may have left traffic
         kwargs = dict(self._dist_kwargs)
         kwargs.update(job.kwargs)
-        kwargs.setdefault("verify_plan", self._verify)
-        if self._store_dir is not None:
-            kwargs.setdefault("store_dir", self._store_dir)
         if self.artifacts_dir is not None:
             kwargs.setdefault(
                 "events_path", os.path.join(self.artifacts_dir, "run-events.jsonl")

@@ -94,7 +94,7 @@ class TestSeriesFold:
         totals = {("heartbeat", None): 6, ("stall", None): 1, ("retry", None): 1,
                   ("reassign", None): 1, ("rebalance", None): 2,
                   ("handoff", None): 2, ("handoff", "blocks"): 3,
-                  ("handoff", "tasks"): 4, ("block_done", None): 9}
+                  ("handoff", "tasks"): 4}
         report = DistReport(
             stats=NumericStats.merge([r.stats for r in ranks] + [handoff]),
             trace=trace, comm=CommStats(), attempts={}, reassigned=[],

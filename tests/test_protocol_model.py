@@ -47,10 +47,7 @@ class TestCleanProtocol:
         assert any("resume=" in label for label, _ in result.per_scenario)
 
     def test_three_ranks_still_clean(self, model):
-        # Extra beats drive 3-rank interleavings past half a million
-        # states (~10 s); drop them — rank count is what this test is for.
-        small = replace(model, max_extra_beats=0)
-        result = check_protocol(small, [Scenario(3, FaultSpec(0, "kill", 1))])
+        result = check_protocol(model, [Scenario(3, FaultSpec(0, "kill", 1))])
         assert result.ok, result.report.render()
 
 
@@ -199,13 +196,6 @@ class TestRebalanceModel:
             "coordinator", "supervising", "recv:handoff_done"
         )
         result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        assert "M402" in result.report.rules_fired()
-
-    def test_dropped_block_done_fold_is_convicted(self, model):
-        mutated = model.without(
-            "coordinator", "supervising", "recv:block_done"
-        )
-        result = check_protocol(mutated, [Scenario(1)])
         assert "M402" in result.report.rules_fired()
 
 

@@ -1,11 +1,12 @@
 """The declared protocol is the runtime's: one table, dispatched and enforced.
 
 No process is started here.  `repro.dist.protocol` declares the wire
-vocabulary and both role machines; these tests hold the three places that
+vocabulary and both role machines; these tests hold the places that
 consume it to the declaration — the checker explores the *same objects*
-the coordinator dispatches on, every row's action is a coordinator method,
-every reply is classified live or stale by one function, and an endpoint
-refuses what is not declared.
+the coordinator and the worker dispatch on, every row's action is a
+handler of its role, every reply is classified live or stale by one
+function, a message a role has no row for fails (the run or the attempt),
+and an endpoint refuses what is not declared.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from repro.dist.comm import (
     Endpoint,
     ErrorMsg,
     HandoffDoneMsg,
+    HandoffMsg,
     ProtocolError,
     RelinquishedMsg,
     RelinquishMsg,
@@ -39,16 +41,20 @@ from repro.dist.coordinator import (
     execute_plan_distributed,
 )
 from repro.dist.health import HeartbeatMsg
-from repro.dist.worker import WorkerReport
+from repro.dist.worker import WorkerReport, _Worker, run_rank, worker_main
 from repro.machine import summit
 from repro.runtime.numeric import NumericStats
 from repro.sparse import random_block_sparse
 from repro.tiling import random_tiling
 
 HANDLERS = {
-    "complete_rank", "discard", "recover_rank", "fold_health", "fold_progress",
+    "complete_rank", "discard", "recover_rank", "fold_health",
     "request_relinquish", "dispatch_handoff", "absorb_handoff", "abort_run",
 }
+
+#: What a worker's ``recv:`` rows name: three in ``worker_main``'s loop, one
+#: (``yield_unstarted``) in ``run_rank``'s block-boundary poll.
+WORKER_HANDLERS = {"attach_and_restore", "stale_ack", "execute_handoff"}
 
 
 class TestOneDeclaration:
@@ -90,6 +96,22 @@ class TestOneDeclaration:
         worker = protocol.WORKER_MACHINE
         for state in ("idle", "idle_done"):
             assert worker.on(state, "recv:shutdown").next_state == "exited"
+
+    def test_every_worker_recv_action_is_dispatched_and_vice_versa(self):
+        recv = [tr for tr in protocol.WORKER_MACHINE.transitions
+                if tr.event.startswith("recv:") and tr.action]
+        assert {tr.action for tr in recv if tr.state != "running"} == WORKER_HANDLERS
+        assert {tr.action for tr in recv if tr.state == "running"} == {"yield_unstarted"}
+        methods = {name for name, v in vars(_Worker).items()
+                   if callable(v) and not name.startswith("_")}
+        assert methods - {"fire"} == WORKER_HANDLERS
+
+    def test_a_pooled_worker_takes_its_next_job_in_idle_done(self):
+        row = protocol.WORKER_MACHINE.on("idle_done", "recv:scatter")
+        first = protocol.WORKER_MACHINE.on("idle", "recv:scatter")
+        assert (row.next_state, row.sends, row.action) == (
+            first.next_state, first.sends, first.action
+        )
 
 
 def _fabric():
@@ -213,6 +235,56 @@ class TestFire:
         with pytest.raises(DistExecutionError, match="no transition for 'recv:done'"):
             run.fire(run.event_of(_done(0, 0)), _done(0, 0))
         assert 0 in run.pending  # nothing was credited
+
+
+def _worker_replies(*msgs):
+    """Run a pooled ``worker_main`` (nothing ``os._exit``s) over an inbox
+    holding ``msgs``; what it sent the coordinator, in order."""
+    coord, worker = _fabric()
+    for msg in msgs:
+        coord.send(0, msg)
+    worker_main(0, worker, pooled=True)
+    replies = []
+    while not worker.gather.empty():
+        replies.append(coord.recv(timeout=1)[1])
+    return replies
+
+
+class TestWorkerTable:
+    """The worker runs WORKER_MACHINE: a message its state has no row for
+    fails the attempt (M402 at runtime) instead of being dropped or run."""
+
+    def test_handoff_to_an_idle_worker_is_an_error_naming_the_row(self):
+        handoff = HandoffMsg(
+            handoff_id=0, origin=1, blocks=(), a_meta=None,
+            b_spec=("resident", None), c_meta=None, gpu_memory_bytes=0,
+            b_csr=None, tau=None, alpha=1.0,
+        )
+        # The pill only ends a worker that wrongly took the handoff.
+        [reply] = _worker_replies(handoff, ShutdownMsg())
+        assert isinstance(reply, ErrorMsg) and reply.attempt == -1
+        assert "state 'idle' has no transition for 'recv:handoff'" in reply.traceback
+
+    def test_relinquish_in_idle_is_acked_empty(self):
+        replies = _worker_replies(RelinquishMsg(attempt=3), ShutdownMsg())
+        assert replies == [RelinquishedMsg(0, 3, ())]
+
+    def test_shutdown_returns_with_nothing_sent(self):
+        assert _worker_replies(ShutdownMsg()) == []
+
+    def test_shutdown_mid_run_fails_a_rebalancing_rank(self, run):
+        # What ``scatter`` sets for an in-process rank (the run never scatters).
+        run.in_process_fields = dict(
+            a_meta=None, b_spec=("resident", None), alpha=run.alpha,
+            gpu_memory_bytes=run.plan.gpu_memory_bytes, b_csr=run.plan.b_shape.csr,
+            tau=run.plan.options.screen_threshold,
+        )
+        coord, worker = _fabric()
+        msg = dataclasses.replace(run.rank_msg(0, in_process=True), rebalance=True)
+        coord.send(0, ShutdownMsg())
+        with pytest.raises(ProtocolError, match="'running' has no transition for 'recv:shutdown'"):
+            run_rank(msg, (run.a, run.b), endpoint=worker)
+        assert worker.gather.empty()
 
 
 class TestRunConfig:

@@ -215,6 +215,35 @@ class TestAdmission:
             svc.shutdown()
         assert not submitter.is_alive() and len(outcome) == 1
 
+    @pytest.mark.parametrize("kwargs", [
+        {"no_such_knob": 1}, {"pool": None}, {"run_id": "mine"},
+    ], ids=lambda kw: next(iter(kw)))
+    def test_mistyped_keyword_fails_the_constructor(self, monkeypatch, kwargs):
+        """Bugfix regression: the constructor took any keyword, and every
+        job then died of it as a ``JobFailedError`` (and a pool reset)."""
+        # the frozen benchmark's call: RunConfig fields pass
+        ContractionService(2, trace=False, metrics=False, timeout=5.0).shutdown()
+        pools = []
+        monkeypatch.setattr(service_module, "WorkerPool",
+                            lambda *args, **kw: pools.append(args))
+        threads = threading.active_count()
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            ContractionService(2, **kwargs)
+        assert pools == [] and threading.active_count() == threads
+
+    @pytest.mark.parametrize("kwargs", [
+        {"no_such_knob": 1}, {"pool": None}, {"run_id": "mine"},
+    ], ids=lambda kw: next(iter(kw)))
+    def test_mistyped_keyword_fails_submit_not_the_job(self, problem, kwargs):
+        plan, a, b, _ = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            with pytest.raises(TypeError, match=next(iter(kwargs))):
+                svc.submit(plan, a, b.empty_clone(), **kwargs)
+            assert svc.pool.spawns == 0 and svc.jobs() == []
+        finally:
+            svc.shutdown()
+
 
 # ---- full service behaviour (multi-process; `make test-dist`) --------------
 
