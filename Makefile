@@ -17,7 +17,7 @@ loc:
 # shrinks the tree, raise them only with a reason in CHANGES.md).
 # Deterministic and host-independent — the CI slot a wall-clock benchmark
 # gate used to hold.
-LOC_MAX_REPRO := 19027
+LOC_MAX_REPRO := 18579
 LOC_MAX_DIST_PROTOCOL := 5130
 loc-check:
 	@lines() { find "$$@" -name '*.py' | xargs cat | wc -l; }; \
@@ -26,21 +26,25 @@ loc-check:
 	echo "src/repro $$repro / $(LOC_MAX_REPRO); dist + analysis/protocol $$dist / $(LOC_MAX_DIST_PROTOCOL)"; \
 	test $$repro -le $(LOC_MAX_REPRO) && test $$dist -le $(LOC_MAX_DIST_PROTOCOL)
 
-# Who reaches each module of src/repro?  An import walk (tools/reach.py, stdlib
-# ast) from the declared entry points — public API, CLI, benchmarks/e2e, the
-# two bench tools, the paper-figure benchmarks, examples/ — that fails when a
-# module is reached by none of them, or only through a package __init__
-# re-export.  Tests are not entry points: "only its own test imports it" is the
-# finding.  Deterministic and host-independent, like loc-check.
+# Who reaches each module of src/repro, and who names each of its top-level
+# functions and classes?  An import walk (tools/reach.py, stdlib ast) from the
+# declared entry points — public API, CLI, benchmarks/e2e, the two bench tools,
+# the paper-figure benchmarks, examples/ — that fails when a module is reached
+# by none of them, or only through a package __init__ re-export, and when a
+# def or class is named by no file they load (unless its module:name is in the
+# tool's KEEP table, with its reason).  Tests are not entry points: "only its
+# own test uses it" is the finding.  Deterministic and host-independent, like
+# loc-check.
 reach:
 	python3 tools/reach.py
 
 test: analyze model-check loc-check reach resume-smoke explain-smoke serve-smoke bench-e2e-smoke tile-sweep-smoke serve-phases-smoke
 	pytest tests/
 
-# Static analysis gate: the AST concurrency lint over the source tree, then
-# the plan verifier + task-graph checks on an inspector-built plan.  Both
-# exit nonzero exactly when findings exist, so this fails the build early.
+# Static analysis gate, the first two of the three analysis layers: the AST
+# concurrency lint over the source tree, then the plan verifier on an
+# inspector-built plan (model-check below is the third).  Both exit nonzero
+# exactly when findings exist, so this fails the build early.
 analyze:
 	PYTHONPATH=src python -m repro lint src/repro
 	PYTHONPATH=src python -m repro analyze

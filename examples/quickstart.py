@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.analysis import assert_plan_valid
 from repro.core import communication_volumes, psgemm_numeric, psgemm_simulate
 from repro.machine import summit
 from repro.sparse import random_block_sparse
@@ -41,7 +42,7 @@ def main() -> None:
 
     # 2) Simulated path: the same planner priced on Summit hardware models.
     plan, report = psgemm_simulate(a.sparse_shape(), b.sparse_shape(), machine, p=2)
-    plan.validate()
+    assert_plan_valid(plan)
     print(f"\n{plan.summary()}")
     print(f"Simulated on 2 Summit nodes (12 V100s): "
           f"{fmt_time(report.makespan)} at {fmt_rate(report.perf)}")

@@ -1,16 +1,14 @@
-"""Static analysis for plans, task graphs, the source tree, and the protocol.
+"""Static analysis for plans, the source tree, and the protocol.
 
-Four layers reporting through one uniform :class:`Finding` vocabulary
+Three layers reporting through one uniform :class:`Finding` vocabulary
 (rule id, severity, location, message) and one rule registry:
 
 * :mod:`~repro.analysis.plan_checks` — the plan verifier: coverage,
   memory safety, and comm-consistency proofs over an
   :class:`~repro.core.plan.ExecutionPlan` (rules ``P1xx``), joined by
   :mod:`~repro.analysis.store_checks` — checkpoint/plan compatibility
-  and tile-store capacity pre-flight (``P121``/``P122``);
-* :mod:`~repro.analysis.dag_checks` — deadlock (cycle) and unordered
-  same-tile access detection on expanded task graphs via a
-  happens-before closure (rules ``D2xx``);
+  and tile-store capacity pre-flight (``P121``/``P122``) — the one
+  verifier of the plan every executor trusts;
 * :mod:`~repro.analysis.lint` — an AST concurrency lint for the hazards
   specific to this codebase: leaked shared memory, start-method-unsafe
   multiprocessing, legacy global RNG, frozen-dataclass mutation, bare
@@ -22,7 +20,7 @@ Four layers reporting through one uniform :class:`Finding` vocabulary
   scopes — deadlock freedom, bounded queues, recovery/resume safety
   (rules ``M4xx``).
 
-CLI: ``repro analyze`` (plan + task-graph checks; ``--model-check``
+CLI: ``repro analyze`` (plan checks; ``--model-check``
 adds the protocol layer), ``repro lint`` (source checks), and ``repro
 rules`` (the generated rule catalog) — the first two exiting nonzero
 exactly when findings exist.
@@ -34,12 +32,6 @@ from repro.analysis.catalog import (
     check_rule_catalog,
     rule_catalog_markdown,
     write_rule_catalog,
-)
-from repro.analysis.dag_checks import (
-    check_conflicts,
-    check_engine,
-    check_task_graph,
-    plan_tile_accesses,
 )
 from repro.analysis.findings import AnalysisReport, Finding, Location, Severity
 from repro.analysis.lint import lint_paths, lint_source
@@ -77,12 +69,9 @@ __all__ = [
     "all_rules",
     "assert_plan_valid",
     "check_checkpoint_compat",
-    "check_conflicts",
-    "check_engine",
     "check_protocol",
     "check_rule_catalog",
     "check_store_capacity",
-    "check_task_graph",
     "default_scenarios",
     "get_rule",
     "rule_catalog_markdown",
@@ -90,6 +79,5 @@ __all__ = [
     "verify_store_setup",
     "lint_paths",
     "lint_source",
-    "plan_tile_accesses",
     "write_rule_catalog",
 ]

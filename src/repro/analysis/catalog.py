@@ -22,7 +22,7 @@ _HEADER = """\
 
 Every check the `repro` analysis subsystem can report, grouped by
 family.  Lint (`L3xx`) findings may be suppressed per line with
-`# repro: noqa[RULE]`; the structural families (P/D/M) are never
+`# repro: noqa[RULE]`; the structural families (P/M) are never
 suppressible, and `L399` (stale-noqa) cannot suppress itself.
 """
 
@@ -30,9 +30,6 @@ _FAMILIES = (
     ("P1", "P1xx — plan verifier",
      "Static checks over a fully materialized `ExecutionPlan` and the "
      "store/checkpoint pre-flight (`repro analyze`)."),
-    ("D2", "D2xx — task-graph checks",
-     "Schedulability and data-race checks over the executor's task "
-     "DAG."),
     ("L3", "L3xx — AST concurrency lint",
      "Source-level checks of the concurrency and reproducibility "
      "idioms the runtime relies on (`repro lint`)."),

@@ -1,7 +1,7 @@
 """Uniform finding records for every analyzer layer.
 
-All three analysis layers — the plan verifier, the task-graph checks, and
-the AST lint — report through the same vocabulary: a :class:`Finding`
+All three analysis layers — the plan verifier, the AST lint, and the
+protocol model checker — report through the same vocabulary: a :class:`Finding`
 carries the rule id (see :mod:`repro.analysis.rules`), a severity, a
 :class:`Location` (a file/line for lint, a plan path such as
 ``rank 3 / block 1 / chunk 0`` for the structural checks), and a message.
@@ -39,7 +39,7 @@ class Location:
         1-based source line (lint findings).
     obj:
         Structural path inside the analyzed object, e.g.
-        ``rank 3 / gpu 1 / block 2 / chunk 0`` or ``task 'store_c.p1...'``.
+        ``rank 3 / gpu 1 / block 2 / chunk 0`` or ``grid row 0``.
     """
 
     file: str | None = None

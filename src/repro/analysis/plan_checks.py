@@ -9,7 +9,9 @@ instead of failing deep inside a worker:
   (P101); every block's B-tile metadata is consistent with the B shape
   (P102); every nonzero C tile is owned by exactly one rank, so no
   cross-rank write races and no dropped output (P103); each grid row's
-  columns are partitioned exactly once (P104);
+  columns, and each rank's blocks, partition exactly once (P104) — a
+  column two blocks share is written twice even when every footprint
+  is honest;
 * **memory safety** — block footprints within ``block_fraction`` of GPU
   memory (P110), chunk footprints within ``chunk_fraction`` (P111),
   block + two double-buffered chunks fit the device (P112), round-robin
@@ -98,6 +100,17 @@ def _check_column_partition(plan: ExecutionPlan, report: AnalysisReport) -> None
                 f"columns {bad[:5].tolist()} outside the B tile grid (ntc={ntc})",
                 obj=f"grid row {r}",
             )
+    for proc in plan.procs:
+        cols = np.concatenate([b.columns for b in proc.blocks] or [np.empty(0, np.int64)])
+        uniq, counts = np.unique(cols, return_counts=True)
+        for what, bad in (
+            ("in more than one block", uniq[counts > 1]),
+            ("in no block", np.setdiff1d(proc.columns, uniq)),
+            ("not assigned to the rank", np.setdiff1d(uniq, proc.columns)),
+        ):
+            if bad.size:
+                report.add("P104", f"block columns {bad[:5].tolist()} {what}",
+                           obj=f"rank {proc.rank}")
 
 
 def _check_a_coverage(plan: ExecutionPlan, report: AnalysisReport) -> None:

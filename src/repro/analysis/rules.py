@@ -4,14 +4,13 @@ Rule ids are stable, grep-able, and grouped by layer:
 
 * ``P1xx`` — plan verifier (:mod:`repro.analysis.plan_checks`) and
   store/checkpoint pre-flight (:mod:`repro.analysis.store_checks`);
-* ``D2xx`` — task-graph checks (:mod:`repro.analysis.dag_checks`);
 * ``L3xx`` — AST concurrency lint (:mod:`repro.analysis.lint`);
 * ``M4xx`` — protocol model checker (:mod:`repro.analysis.protocol`):
   bounded exhaustive exploration of the coordinator/worker message
   protocol :mod:`repro.dist.protocol` declares and the runtime runs.
 
 Lint findings may be suppressed per line with ``# repro: noqa[RULE]``
-(comma-separate several ids, or ``noqa[all]``); the structural P/D/M
+(comma-separate several ids, or ``noqa[all]``); the structural P/M
 rules are never suppressible — a plan or protocol that violates them is
 wrong, not noisy.  A suppression whose rule never fires on its line is
 itself a finding (``L399``), so stale noqa comments cannot accumulate.
@@ -31,7 +30,7 @@ class Rule:
     Attributes
     ----------
     id:
-        Stable identifier (``P101``, ``D210``, ``L303``, ...).
+        Stable identifier (``P101``, ``L303``, ``M401``, ...).
     title:
         Short kebab-case name used in docs and rendered output.
     severity:
@@ -84,7 +83,8 @@ register(Rule("P103", "plan-c-ownership", E,
               "(cross-rank write race or dropped output)"))
 register(Rule("P104", "plan-column-partition", E,
               "the B tile columns of a grid row are not partitioned exactly "
-              "once across the row's processes"))
+              "once across the row's processes, or a rank's columns are not "
+              "partitioned exactly once across its blocks"))
 register(Rule("P110", "plan-block-over-budget", E,
               "a block's resident B+C footprint exceeds the block budget "
               "(block_fraction of GPU memory) or 95% of the device"))
@@ -115,16 +115,6 @@ register(Rule("P122", "store-capacity", W,
               "(the persistent tier could never hit), or the run's "
               "working set exceeds the free space of the store's "
               "filesystem"))
-
-# ---- D2xx: task-graph checks ----------------------------------------------
-
-register(Rule("D201", "dag-cycle", E,
-              "the task graph has a dependency cycle (the schedule deadlocks)"))
-register(Rule("D202", "dag-unknown-dep", E,
-              "a task depends on a task that does not exist"))
-register(Rule("D210", "dag-unordered-conflict", E,
-              "two tasks touch the same tile (write/write or read/write) "
-              "with no happens-before path between them"))
 
 # ---- L3xx: AST concurrency lint -------------------------------------------
 

@@ -27,8 +27,8 @@ communication structure.
 """
 
 from repro.chem.molecule import Atom, Molecule, alkane
-from repro.chem.basis import DEF2_SVP_AO_COUNTS, ao_count, ao_centers
-from repro.chem.orbitals import bond_orbitals, occupied_count
+from repro.chem.basis import DEF2_SVP_AO_COUNTS, ao_centers
+from repro.chem.orbitals import bond_orbitals
 from repro.chem.clustering import TilingVariant, make_tilings
 from repro.chem.screening import ScreeningModel
 from repro.chem.abcd import AbcdProblem, build_abcd_problem, C65H132_VARIANTS
@@ -40,10 +40,8 @@ __all__ = [
     "Molecule",
     "alkane",
     "DEF2_SVP_AO_COUNTS",
-    "ao_count",
     "ao_centers",
     "bond_orbitals",
-    "occupied_count",
     "TilingVariant",
     "make_tilings",
     "ScreeningModel",

@@ -25,15 +25,6 @@ DEF2_SVP_AO_COUNTS: dict[str, int] = {
 }
 
 
-def ao_count(molecule: Molecule, basis: dict[str, int] | None = None) -> int:
-    """Total number of AOs the molecule spans in the basis."""
-    table = basis or DEF2_SVP_AO_COUNTS
-    try:
-        return sum(table[s] for s in molecule.symbols())
-    except KeyError as e:  # pragma: no cover - defensive
-        raise ValueError(f"no AO count for element {e.args[0]!r}") from None
-
-
 def ao_centers(molecule: Molecule, basis: dict[str, int] | None = None) -> np.ndarray:
     """``(nAO, 3)`` center of every AO (its parent atom's position).
 

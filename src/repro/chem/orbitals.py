@@ -32,8 +32,3 @@ def bond_orbitals(molecule: Molecule) -> np.ndarray:
     spread = pos.max(axis=0) - pos.min(axis=0)
     axis = int(np.argmax(spread))
     return out[np.argsort(out[:, axis], kind="stable")]
-
-
-def occupied_count(molecule: Molecule) -> int:
-    """Number of localized valence occupied orbitals (= sigma bonds)."""
-    return len(bonds(molecule))

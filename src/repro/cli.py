@@ -17,7 +17,8 @@ Commands mirror the paper's evaluation artifacts:
 * ``serve``      — run a batch of contraction jobs from a spec file
   through one persistent :class:`~repro.serve.ContractionService`
   (warm worker pool, priority queue, per-job artifacts);
-* ``analyze``    — static plan verifier + task-graph checks (CI gate);
+* ``analyze``    — static plan verifier (CI gate; ``--model-check`` adds the
+  protocol model checker);
 * ``store``      — inspect (``stats``) or garbage-collect (``gc``) a
   persistent tile store;
 * ``lint``       — AST concurrency lint over the source tree (CI gate);
@@ -494,7 +495,7 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.analysis import check_task_graph, verify_plan
+    from repro.analysis import verify_plan
     from repro.core import psgemm_plan
     from repro.machine import summit
     from repro.sparse import random_block_sparse
@@ -508,7 +509,6 @@ def _cmd_analyze(args) -> int:
     plan = psgemm_plan(a.sparse_shape(), b.sparse_shape(), machine, p=args.procs)
 
     report = verify_plan(plan)
-    report.extend(check_task_graph(plan, machine))
     if args.checkpoint or args.store_dir:
         from repro.analysis import verify_store_setup
 
@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser(
         "analyze",
-        help="statically verify an inspector-built plan and its task graph",
+        help="statically verify an inspector-built plan",
     )
     an.add_argument("--procs", type=int, default=3,
                     help="grid rows (ranks) for the analyzed plan")

@@ -12,8 +12,7 @@
   quarter-GPU-memory chunks with prefetch double-buffering (3.2.3);
 * :mod:`~repro.core.inspector` — the inspector that turns shapes into an
   :class:`~repro.core.plan.ExecutionPlan` (the PTG input of Section 4);
-* :mod:`~repro.core.comm_model` — exact and worst-case communication
-  volumes (3.2.4);
+* :mod:`~repro.core.comm_model` — exact communication volumes (3.2.4);
 * :mod:`~repro.core.analytic` — the vectorized coarse performance model
   that prices a plan on a machine (used for every paper-scale figure);
 * :mod:`~repro.core.psgemm` — the user-facing plan/execute/simulate API;
@@ -25,7 +24,7 @@ from repro.core.plan import Block, Chunk, ExecutionPlan, PlanOptions, ProcPlan
 from repro.core.column_assignment import assign_columns
 from repro.core.block_partition import partition_columns_into_blocks
 from repro.core.inspector import inspect
-from repro.core.comm_model import CommReport, communication_volumes, worst_case_volumes
+from repro.core.comm_model import CommReport, communication_volumes
 from repro.core.analytic import SimReport, simulate
 from repro.core.psgemm import psgemm_distributed, psgemm_numeric, psgemm_plan, psgemm_simulate
 from repro.core.autotune import tune_grid_rows
@@ -43,7 +42,6 @@ __all__ = [
     "inspect",
     "CommReport",
     "communication_volumes",
-    "worst_case_volumes",
     "SimReport",
     "simulate",
     "psgemm_plan",

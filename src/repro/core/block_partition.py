@@ -140,11 +140,3 @@ def partition_columns_into_blocks(
 
     # Drop GPUs' initial blocks that stayed empty (fewer columns than GPUs).
     return [b for b in blocks if b.columns]
-
-
-def blocks_per_gpu(blocks: list[ColumnBlock], ngpus: int) -> np.ndarray:
-    """Number of blocks each GPU processes (for the balance invariant)."""
-    counts = np.zeros(ngpus, dtype=np.int64)
-    for b in blocks:
-        counts[b.gpu] += 1
-    return counts

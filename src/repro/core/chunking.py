@@ -59,34 +59,3 @@ def split_by_budget(sizes: np.ndarray, budget: int) -> list[slice]:
         out.append(slice(start, end))
         start = end
     return out
-
-
-def build_chunks(
-    tile_rows: np.ndarray,
-    tile_cols: np.ndarray,
-    tile_bytes: np.ndarray,
-    chunk_budget_bytes: int,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Segment a block's A tiles into chunks.
-
-    Parameters
-    ----------
-    tile_rows, tile_cols:
-        Coordinates of the A tiles the block needs (global tile indices).
-    tile_bytes:
-        Byte size of each tile.
-    chunk_budget_bytes:
-        The 25 %-of-GPU-memory chunk budget.
-
-    Returns
-    -------
-    List of ``(rows, cols, bytes)`` per chunk, in execution order.
-    """
-    order = cyclic_tile_order(tile_rows, tile_cols)
-    rows_o = np.asarray(tile_rows, dtype=np.int64)[order]
-    cols_o = np.asarray(tile_cols, dtype=np.int64)[order]
-    bytes_o = np.asarray(tile_bytes, dtype=np.int64)[order]
-    return [
-        (rows_o[s], cols_o[s], int(bytes_o[s].sum()))
-        for s in split_by_budget(bytes_o, chunk_budget_bytes)
-    ]

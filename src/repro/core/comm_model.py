@@ -1,9 +1,7 @@
 """Communication-volume analysis (paper Section 3.2.4).
 
 The exact volumes are data-dependent and are filled into the plan by the
-inspector; this module exposes them as a report and provides the paper's
-closed-form *worst-case* (fully dense) bounds: on a ``p x q`` grid each A
-tile is needed on ``q - 1`` remote processes and the entire C may move.
+inspector; this module exposes them as a report.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.plan import ExecutionPlan
-from repro.sparse.shape import SparseShape
 from repro.util.units import fmt_bytes
 
 
@@ -80,39 +77,4 @@ def communication_volumes(plan: ExecutionPlan) -> CommReport:
         c_send=np.array([p.c_send_bytes for p in procs], dtype=np.int64),
         c_recv=np.array([p.c_recv_bytes for p in procs], dtype=np.int64),
         b_generated=np.array([p.b_gen_bytes for p in procs], dtype=np.int64),
-    )
-
-
-@dataclass(frozen=True)
-class WorstCaseVolumes:
-    """The dense upper bounds of Section 3.2.4 (bytes)."""
-
-    a_broadcast: int
-    c_move: int
-    b_replicated: int
-
-
-def worst_case_volumes(
-    a_shape: SparseShape, b_shape: SparseShape, p: int, q: int
-) -> WorstCaseVolumes:
-    """Fully dense bounds: A broadcast to ``q - 1`` peers per grid row,
-    the whole C moved once, B replicated ``p`` times."""
-    a_bytes = a_shape.rows.extent * a_shape.cols.extent * 8
-    c_bytes = a_shape.rows.extent * b_shape.cols.extent * 8
-    b_bytes = b_shape.rows.extent * b_shape.cols.extent * 8
-    return WorstCaseVolumes(
-        a_broadcast=int(a_bytes * (q - 1)),
-        c_move=int(c_bytes),
-        b_replicated=int(b_bytes * p),
-    )
-
-
-def exact_within_worst_case(plan: ExecutionPlan) -> bool:
-    """Sanity invariant: the exact volumes never exceed the dense bounds."""
-    report = communication_volumes(plan)
-    wc = worst_case_volumes(plan.a_shape, plan.b_shape, plan.grid.p, plan.grid.q)
-    return (
-        report.total_a <= wc.a_broadcast
-        and report.total_c <= wc.c_move
-        and report.total_b_generated <= wc.b_replicated
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.plan_checks import assert_plan_valid
 from repro.core.analytic import simulate
 from repro.core.inspector import inspect
 from repro.machine.spec import MachineSpec, summit
@@ -102,7 +103,7 @@ def crosscheck(
     from repro.runtime.dag import simulate_des
 
     plan = inspect(a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc)
-    plan.validate()
+    assert_plan_valid(plan)
 
     a_mat = from_shape(a_shape, fill="random", seed=seed)
     b_gen = GeneratedCollection(b_shape, seed=seed + 1)

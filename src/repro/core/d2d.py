@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import ExecutionPlan, ProcPlan
+from repro.core.plan import ProcPlan
 
 
 def duplicated_traffic_fraction(proc: ProcPlan, nK: int, m: np.ndarray, k: np.ndarray, gpus: int) -> float:
@@ -58,17 +58,3 @@ def d2d_effective_bandwidth(
     """Harmonic blend of host-link and NVLink service rates."""
     r = min(max(duplicated_fraction, 0.0), 1.0)
     return 1.0 / ((1.0 - r) / bw_host + r / bw_d2d)
-
-
-def proc_d2d_bandwidths(
-    plan: ExecutionPlan, bw_host: float, bw_d2d: float
-) -> dict[int, float]:
-    """Effective per-GPU A bandwidth per process rank with d2d sharing."""
-    nK = plan.a_shape.ntile_cols
-    m = plan.a_shape.rows.sizes.astype(np.int64)
-    k = plan.a_shape.cols.sizes.astype(np.int64)
-    out = {}
-    for proc in plan.procs:
-        r = duplicated_traffic_fraction(proc, nK, m, k, plan.grid.gpus_per_proc)
-        out[proc.rank] = d2d_effective_bandwidth(bw_host, bw_d2d, r)
-    return out

@@ -237,45 +237,6 @@ class ExecutionPlan:
     def total_chunks(self) -> int:
         return sum(len(b.chunks) for p in self.procs for b in p.blocks)
 
-    def validate(self) -> None:
-        """Check structural invariants; raises ``AssertionError`` on breach.
-
-        * every B tile column is assigned to exactly one process per grid
-          row, and grid rows partition the A tile rows;
-        * block footprints respect the block budget;
-        * chunk footprints respect the chunk budget (single oversized tiles
-          excepted);
-        * no GPU holds more than one block more than any other (the paper's
-          round-robin balance guarantee).
-        """
-        ntc = self.b_shape.ntile_cols
-        block_budget = int(self.gpu_memory_bytes * self.options.block_fraction)
-        chunk_budget = int(self.gpu_memory_bytes * self.options.chunk_fraction)
-        for r in range(self.grid.p):
-            row_procs = [p for p in self.procs if p.row == r]
-            cols = np.concatenate([p.columns for p in row_procs]) if row_procs else []
-            assert sorted(cols) == list(range(ntc)), "columns not partitioned"
-        for p in self.procs:
-            counts = np.zeros(self.grid.gpus_per_proc, dtype=int)
-            for b in p.blocks:
-                counts[b.gpu] += 1
-                resident = b.b_bytes + b.c_bytes
-                assert resident <= block_budget or len(b.columns) == 1, "block over budget"
-                assert resident <= self.gpu_memory_bytes * 0.95, "block exceeds GPU"
-                cb = chunk_budget
-                if resident > block_budget:  # oversized singleton block
-                    cb = max((self.gpu_memory_bytes - resident) // 2, 1)
-                for ch in b.chunks:
-                    assert ch.a_bytes <= cb or ch.ntiles == 1, "chunk over budget"
-                    assert resident + 2 * ch.a_bytes <= self.gpu_memory_bytes or ch.ntiles == 1, (
-                        "block + double-buffered chunks exceed GPU memory"
-                    )
-            nonempty = counts[counts > 0]
-            if nonempty.size:
-                assert counts.max() - max(counts.min(), 0) <= 1 or counts.min() == 0, (
-                    "round-robin block balance violated"
-                )
-
     def summary(self) -> str:
         """A short human-readable description of the plan."""
         from repro.util.units import fmt_bytes, fmt_count, fmt_flops

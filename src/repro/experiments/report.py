@@ -17,14 +17,6 @@ def fmt_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def fmt_series(label: str, xs: Sequence[object], ys: Sequence[object]) -> str:
-    """One labelled x->y series, one point per line."""
-    lines = [label]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {x!s:>10} : {y!s}")
-    return "\n".join(lines)
-
-
 def ascii_spy(density_map, width: int = 64, height: int = 16) -> str:
     """A coarse ASCII rendering of a 2-D occupancy map (paper Fig. 5).
 

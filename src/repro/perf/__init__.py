@@ -10,7 +10,7 @@ The post-mortem side of the observability stack.  Where
 * :func:`audit_run` — join measured GEMM seconds and realized comm bytes
   to the plan's roofline predictions (:class:`PerfModel`) and flag
   tasks/ranks outside a configurable band;
-* :func:`diff_traces` — align two runs of the same plan and attribute the
+* :func:`diff_attributions` — align two runs of the same plan and attribute the
   makespan delta to buckets/ranks;
 * :func:`write_run_artifact` / :func:`read_run_artifact` — the enriched
   Chrome-trace file ``repro explain`` consumes;
@@ -39,7 +39,7 @@ from repro.perf.audit import (
     audit_run,
     measured_gemm_seconds,
 )
-from repro.perf.diff import TraceDiff, diff_attributions, diff_traces
+from repro.perf.diff import TraceDiff, diff_attributions
 from repro.perf.model import (
     GemmPrediction,
     PerfModel,
@@ -65,7 +65,6 @@ __all__ = [
     "classify",
     "critical_path",
     "diff_attributions",
-    "diff_traces",
     "html_report",
     "measured_gemm_seconds",
     "plan_task_id",

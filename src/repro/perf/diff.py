@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.perf.attribution import Attribution, attribute
-from repro.runtime.tracing import Trace
+from repro.perf.attribution import Attribution
 from repro.util.units import fmt_time
 
 
@@ -115,7 +114,7 @@ def diff_attributions(
     base_hash: str = "",
     cur_hash: str = "",
 ) -> TraceDiff:
-    """Diff two already-attributed runs (see :func:`diff_traces`)."""
+    """Attribute ``cur``'s makespan delta against ``base`` to buckets/ranks."""
     match: bool | None = None
     if base_hash and cur_hash:
         match = base_hash == cur_hash
@@ -144,13 +143,4 @@ def diff_attributions(
         bucket_deltas=buckets,
         rank_deltas=rank,
         rank_bucket_deltas=rank_bucket,
-    )
-
-
-def diff_traces(
-    base: Trace, cur: Trace, base_hash: str = "", cur_hash: str = ""
-) -> TraceDiff:
-    """Attribute ``cur``'s makespan delta against ``base`` to buckets/ranks."""
-    return diff_attributions(
-        attribute(base), attribute(cur), base_hash=base_hash, cur_hash=cur_hash
     )

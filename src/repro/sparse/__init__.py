@@ -19,7 +19,6 @@ from repro.sparse.matrix import BlockSparseMatrix
 from repro.sparse.construct import (
     from_dense,
     random_block_sparse,
-    random_full,
     zeros,
 )
 from repro.sparse.gemm_ref import block_gemm_reference
@@ -27,7 +26,6 @@ from repro.sparse.shape_algebra import (
     gemm_flops,
     gemm_task_count,
     per_column_flops,
-    per_column_task_counts,
     product_shape,
     screened_product,
 )
@@ -38,13 +36,11 @@ __all__ = [
     "BlockSparseMatrix",
     "from_dense",
     "random_block_sparse",
-    "random_full",
     "zeros",
     "block_gemm_reference",
     "gemm_flops",
     "gemm_task_count",
     "per_column_flops",
-    "per_column_task_counts",
     "product_shape",
     "screened_product",
     "random_shape_with_density",

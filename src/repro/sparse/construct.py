@@ -69,15 +69,6 @@ def from_shape(
     return out
 
 
-def random_full(
-    rows: Tiling,
-    cols: Tiling,
-    seed: int | None | np.random.Generator = None,
-) -> BlockSparseMatrix:
-    """A fully dense random matrix (every tile present)."""
-    return from_shape(SparseShape.full(rows, cols), fill="random", seed=seed)
-
-
 def random_block_sparse(
     rows: Tiling,
     cols: Tiling,

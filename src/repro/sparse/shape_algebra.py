@@ -87,28 +87,6 @@ def per_column_flops(a: SparseShape, b: SparseShape) -> np.ndarray:
     return np.asarray(fm.sum(axis=0)).ravel()
 
 
-def per_column_task_counts(a: SparseShape, b: SparseShape) -> np.ndarray:
-    """Number of GEMM tasks per tile column of B."""
-    pc = pair_count_matrix(a, b)
-    return np.asarray(pc.sum(axis=0)).ravel().astype(np.int64)
-
-
-def per_column_gpu_bytes(
-    a: SparseShape, b: SparseShape, c: SparseShape | None = None, dtype_bytes: int = 8
-) -> np.ndarray:
-    """Bytes each B column (plus its C tiles) occupies on a GPU.
-
-    This is the memory weight the block-partition phase (3.2.2) packs into
-    half-GPU-memory blocks: the present B tiles of the column and the C
-    tiles the column produces.
-    """
-    if c is None:
-        c = product_shape(a, b)
-    b_col = np.asarray(b.tile_bytes(dtype_bytes).sum(axis=0)).ravel()
-    c_col = np.asarray(c.tile_bytes(dtype_bytes).sum(axis=0)).ravel()
-    return b_col + c_col
-
-
 # -- screened ("opt") variants ------------------------------------------------
 
 

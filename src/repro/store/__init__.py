@@ -18,7 +18,6 @@ the object format, journal protocol, and resume walk-through.
 
 from repro.store.codec import (
     ALIGN,
-    FLAG_COMPRESSED,
     MAGIC,
     CodecError,
     decode_tile,
@@ -50,7 +49,6 @@ from repro.store.tilestore import (
 
 __all__ = [
     "ALIGN",
-    "FLAG_COMPRESSED",
     "MAGIC",
     "CodecError",
     "CompletedBlock",

@@ -5,13 +5,15 @@ the file itself:
 
 * bytes ``0..4``   — magic ``b"RTS1"``;
 * bytes ``4..6``   — format version (``u16``, currently 1);
-* bytes ``6..8``   — flags (``u16``; bit 0 = zlib-compressed payload);
+* bytes ``6..8``   — flags (``u16``; always 0 — an object with any flag
+  set is refused);
 * bytes ``8..12``  — header size (``u32``): the payload offset, always a
-  multiple of 64 so an uncompressed float64 payload is alignment-safe to
-  map directly with :func:`numpy.frombuffer`;
+  multiple of 64 so a float64 payload is alignment-safe to map directly
+  with :func:`numpy.frombuffer`;
 * bytes ``12..20`` — payload byte length as stored on disk (``u64``);
-* bytes ``20..28`` — decoded (uncompressed) payload byte length (``u64``);
-* bytes ``28..32`` — CRC32 of the *decoded* payload (``u32``);
+* bytes ``20..28`` — decoded payload byte length (``u64``; equal to the
+  stored length — the payload is the tile's own buffer);
+* bytes ``28..32`` — CRC32 of the payload (``u32``);
 * bytes ``32..36`` — metadata JSON length (``u32``);
 * bytes ``36..``   — metadata JSON (``{"ns", "key", "dtype", "shape"}``)
   followed by zero padding up to the header size.
@@ -35,7 +37,6 @@ import numpy as np
 
 MAGIC = b"RTS1"
 VERSION = 1
-FLAG_COMPRESSED = 0x1
 
 #: Fixed-width prefix before the metadata JSON: magic, version, flags,
 #: header size, stored payload bytes, decoded payload bytes, payload CRC32,
@@ -50,19 +51,10 @@ class CodecError(ValueError):
     """An object file is not a valid (or not an intact) encoded tile."""
 
 
-def encode_tile(ns: str, key, arr: np.ndarray, *, compress: int | None = None) -> bytes:
-    """Serialize one tile to the self-describing object format.
-
-    ``compress`` is a zlib level (1..9) or ``None`` for raw payload bytes
-    (raw objects can be read zero-copy via mmap; compressed ones cannot).
-    """
+def encode_tile(ns: str, key, arr: np.ndarray) -> bytes:
+    """Serialize one tile to the self-describing object format."""
     arr = np.ascontiguousarray(arr)
     raw = arr.tobytes()
-    flags = 0
-    payload = raw
-    if compress is not None:
-        payload = zlib.compress(raw, compress)
-        flags |= FLAG_COMPRESSED
     meta = json.dumps(
         {"ns": ns, "key": list(key), "dtype": str(arr.dtype), "shape": list(arr.shape)},
         sort_keys=True,
@@ -70,19 +62,20 @@ def encode_tile(ns: str, key, arr: np.ndarray, *, compress: int | None = None) -
     header_size = _PREFIX.size + len(meta)
     header_size += (-header_size) % ALIGN
     prefix = _PREFIX.pack(
-        MAGIC, VERSION, flags, header_size,
-        len(payload), len(raw), zlib.crc32(raw) & 0xFFFFFFFF, len(meta),
+        MAGIC, VERSION, 0, header_size,
+        len(raw), len(raw), zlib.crc32(raw) & 0xFFFFFFFF, len(meta),
     )
     pad = b"\x00" * (header_size - _PREFIX.size - len(meta))
-    return prefix + meta + pad + payload
+    return prefix + meta + pad + raw
 
 
 def read_header(buf) -> dict:
     """Parse an object's header from a buffer (file prefix or full object).
 
-    Returns ``{"ns", "key", "dtype", "shape", "flags", "header_size",
-    "payload_bytes", "decoded_bytes", "crc32"}``.  Raises
-    :class:`CodecError` on anything that is not an intact header.
+    Returns ``{"ns", "key", "dtype", "shape", "header_size",
+    "payload_bytes", "crc32"}``.  Raises :class:`CodecError` on anything
+    that is not an intact header, including one with a flag set or a
+    decoded length that differs from the stored one.
     """
     if len(buf) < _PREFIX.size:
         raise CodecError("object shorter than the codec prefix")
@@ -91,6 +84,11 @@ def read_header(buf) -> dict:
         raise CodecError(f"bad magic {magic!r} (not an RTS1 tile object)")
     if version != VERSION:
         raise CodecError(f"unsupported tile-object version {version}")
+    if flags or dbytes != pbytes:
+        raise CodecError(
+            f"unsupported payload encoding (flags {flags:#x}, {pbytes} B "
+            f"stored, {dbytes} B decoded)"
+        )
     if len(buf) < _PREFIX.size + mlen:
         raise CodecError("object truncated inside the metadata block")
     try:
@@ -102,10 +100,8 @@ def read_header(buf) -> dict:
         "key": tuple(meta.get("key", ())),
         "dtype": meta.get("dtype", "float64"),
         "shape": tuple(meta.get("shape", ())),
-        "flags": flags,
         "header_size": header_size,
         "payload_bytes": pbytes,
-        "decoded_bytes": dbytes,
         "crc32": crc,
     }
 
@@ -113,9 +109,8 @@ def read_header(buf) -> dict:
 def decode_tile(buf, *, verify: bool = True) -> tuple[dict, np.ndarray]:
     """Decode a full object buffer; returns ``(header, array)``.
 
-    ``verify=True`` checks the payload CRC (mandatory for compressed
-    payloads anyway, since zlib errors already surface corruption).
-    Raises :class:`CodecError` on truncation or checksum mismatch.
+    ``verify=True`` checks the payload CRC.  Raises :class:`CodecError`
+    on truncation or checksum mismatch.
     """
     header = read_header(buf)
     start = header["header_size"]
@@ -125,16 +120,6 @@ def decode_tile(buf, *, verify: bool = True) -> tuple[dict, np.ndarray]:
             f"object truncated: {len(buf)} B on disk, payload ends at {end} B"
         )
     payload = bytes(buf[start:end])
-    if header["flags"] & FLAG_COMPRESSED:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as e:
-            raise CodecError(f"corrupt compressed payload: {e}") from None
-    if len(payload) != header["decoded_bytes"]:
-        raise CodecError(
-            f"decoded payload is {len(payload)} B, header says "
-            f"{header['decoded_bytes']} B"
-        )
     if verify and (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
         raise CodecError("payload CRC32 mismatch (torn write or bit rot)")
     arr = np.frombuffer(payload, dtype=np.dtype(header["dtype"]))
@@ -142,14 +127,11 @@ def decode_tile(buf, *, verify: bool = True) -> tuple[dict, np.ndarray]:
 
 
 def map_tile(header: dict, buf) -> np.ndarray:
-    """A zero-copy read-only array over an *uncompressed* object buffer.
+    """A zero-copy read-only array over an object buffer.
 
     ``buf`` must stay alive (e.g. an open ``mmap``) as long as the view;
-    the store owns that life-cycle.  Compressed objects cannot be mapped —
-    callers fall back to :func:`decode_tile`.
+    the store owns that life-cycle.
     """
-    if header["flags"] & FLAG_COMPRESSED:
-        raise CodecError("compressed objects cannot be memory-mapped")
     arr = np.frombuffer(
         buf, dtype=np.dtype(header["dtype"]),
         count=int(np.prod(header["shape"], dtype=np.int64)) if header["shape"] else 1,

@@ -19,9 +19,9 @@ Properties the distributed executor leans on:
   same directory, fsynced, then :func:`os.replace`\\ d into place.  A
   reader sees either nothing or a complete object, never a torn one; the
   codec CRC catches anything the filesystem still manages to mangle;
-* **zero-copy reads** — uncompressed objects are memory-mapped and handed
-  out as read-only NumPy views (the store keeps the maps alive until
-  :meth:`close`); compressed objects are decoded into fresh arrays;
+* **zero-copy reads** — objects are memory-mapped and handed out as
+  read-only NumPy views (the store keeps the maps alive until
+  :meth:`close`);
 * **size-bounded GC** — :meth:`gc` evicts least-recently-used objects
   (access bumps an object's mtime) until the store fits a byte budget;
   with a ``budget_bytes`` every :meth:`put` triggers the same sweep;
@@ -30,7 +30,7 @@ Properties the distributed executor leans on:
   ``os.replace`` wins with identical bytes.  Index/stats appends are
   single short writes in append mode (atomic on POSIX for one line).
 
-The store is deliberately dependency-free: stdlib ``mmap``/``zlib`` and
+The store is deliberately dependency-free: stdlib ``mmap`` and
 NumPy only.
 """
 
@@ -111,15 +111,11 @@ class TileStore:
     budget_bytes:
         Optional size bound; exceeding it after a :meth:`put` triggers an
         LRU sweep back under budget.
-    compress:
-        Default zlib level for :meth:`put` (``None`` = raw, mappable).
     """
 
-    def __init__(self, root: str, *, budget_bytes: int | None = None,
-                 compress: int | None = None):
+    def __init__(self, root: str, *, budget_bytes: int | None = None):
         self.root = root
         self.budget_bytes = budget_bytes
-        self.compress = compress
         self._objects_dir = os.path.join(root, "objects")
         os.makedirs(self._objects_dir, exist_ok=True)
         self._maps: list[mmap.mmap] = []
@@ -141,8 +137,7 @@ class TileStore:
 
     # -- write ---------------------------------------------------------------
 
-    def put(self, ns: str, key, arr: np.ndarray, *,
-            compress: int | None = None) -> bool:
+    def put(self, ns: str, key, arr: np.ndarray) -> bool:
         """Store one tile; returns ``False`` if it was already present.
 
         Atomic: the object is written next to its final path and renamed
@@ -153,8 +148,7 @@ class TileStore:
         path = self._path(digest)
         if os.path.exists(path):
             return False
-        blob = encode_tile(ns, key, arr,
-                           compress=self.compress if compress is None else compress)
+        blob = encode_tile(ns, key, arr)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}{_TMP_SUFFIX}"
         with open(tmp, "wb") as fh:
@@ -197,11 +191,10 @@ class TileStore:
     def get(self, ns: str, key, *, verify: bool = False) -> np.ndarray | None:
         """Fetch a tile, or ``None`` when absent (or corrupt).
 
-        Uncompressed objects come back as zero-copy read-only views over a
-        private memory map the store keeps open until :meth:`close`;
-        compressed (or ``verify=True``) reads decode a fresh array.  A
-        corrupt object is counted, treated as a miss, and left in place
-        for post-mortems (GC will age it out).
+        Objects come back as zero-copy read-only views over a private
+        memory map the store keeps open until :meth:`close`; ``verify=True``
+        reads decode a fresh array.  A corrupt object is counted, treated
+        as a miss, and left in place for post-mortems (GC will age it out).
         """
         path = self._path(object_digest(ns, key))
         try:
@@ -219,16 +212,11 @@ class TileStore:
                 mm.close()  # decode copied the payload; the map can go
             else:
                 header = read_header(mm)
-                if header["flags"] & 0x1:  # compressed: decode a copy
-                    with memoryview(mm) as view:
-                        _, arr = decode_tile(view, verify=False)
-                    mm.close()
-                else:
-                    end = header["header_size"] + header["payload_bytes"]
-                    if len(mm) < end:
-                        raise CodecError("object truncated")
-                    arr = map_tile(header, mm)
-                    self._maps.append(mm)  # must outlive the view
+                end = header["header_size"] + header["payload_bytes"]
+                if len(mm) < end:
+                    raise CodecError("object truncated")
+                arr = map_tile(header, mm)
+                self._maps.append(mm)  # must outlive the view
         except CodecError:
             mm.close()
             self._corrupt()

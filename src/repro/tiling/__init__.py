@@ -21,7 +21,7 @@ from repro.tiling.random import random_tiling
 from repro.tiling.product import FusedTiling, fuse
 from repro.tiling.clustered import ClusteredRange, cluster_points
 from repro.tiling.kmeans import kmeans
-from repro.tiling.stats import TileSizeStats, matricized_tile_sizes_bytes, tile_size_stats
+from repro.tiling.stats import TileSizeStats
 
 __all__ = [
     "Tiling",
@@ -32,6 +32,4 @@ __all__ = [
     "cluster_points",
     "kmeans",
     "TileSizeStats",
-    "matricized_tile_sizes_bytes",
-    "tile_size_stats",
 ]

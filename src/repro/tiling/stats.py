@@ -1,8 +1,8 @@
 """Tile-size distribution statistics (paper Fig. 6 and Table 1 rows).
 
 The paper reports, per tiling variant, the distribution of matricized tile
-sizes in megabytes and the "average #rows/#columns per block" ranges.  These
-helpers compute both from :class:`~repro.tiling.Tiling` objects.
+sizes in megabytes and the "average #rows/#columns per block" ranges;
+:class:`TileSizeStats` summarizes either sample.
 """
 
 from __future__ import annotations
@@ -10,9 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.tiling.tiling import Tiling
-from repro.util.units import MEGA
 
 
 @dataclass(frozen=True)
@@ -52,28 +49,3 @@ class TileSizeStats:
             f"p25={self.p25:>8.0f}  med={self.median:>8.0f}  p75={self.p75:>8.0f}  "
             f"max={self.maximum:>10.0f}"
         )
-
-
-def tile_size_stats(tiling: Tiling) -> TileSizeStats:
-    """Distribution of element counts per tile of a 1-D tiling."""
-    return TileSizeStats.from_sample(tiling.sizes)
-
-
-def matricized_tile_sizes_bytes(
-    rows: Tiling, cols: Tiling, dtype_bytes: int = 8
-) -> np.ndarray:
-    """Byte sizes of all ``rows.ntiles * cols.ntiles`` matricized tiles.
-
-    This is what Fig. 6 histograms (in MB): the size of a 2-D tile is
-    ``row_size * col_size * sizeof(double)``.
-    """
-    return (np.multiply.outer(rows.sizes, cols.sizes) * dtype_bytes).reshape(-1)
-
-
-def tile_size_histogram_mb(
-    rows: Tiling, cols: Tiling, nbins: int = 40, dtype_bytes: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of matricized tile sizes in MB: ``(bin_edges_mb, counts)``."""
-    sizes_mb = matricized_tile_sizes_bytes(rows, cols, dtype_bytes) / MEGA
-    counts, edges = np.histogram(sizes_mb, bins=nbins)
-    return edges, counts

@@ -78,7 +78,7 @@ class TestRulesCommand:
         assert main(["rules"]) == 0
         out = capsys.readouterr().out
         assert "# Analysis rule catalog" in out
-        for rule_id in ("P101", "D201", "L399", "M401"):
+        for rule_id in ("P101", "L399", "M401"):
             assert f"`{rule_id}`" in out
 
     def test_check_detects_drift_and_accepts_fresh(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from repro.analysis import PlanVerificationError, assert_plan_valid, verify_plan
 from repro.core import PlanOptions, inspect, psgemm_plan
 from repro.core.block_partition import InfeasiblePartitionError
+from repro.core.inspector import DTYPE_BYTES
 from repro.dist import active_segments, execute_plan_distributed
 from repro.machine import summit
 from repro.sparse import random_block_sparse
@@ -116,6 +117,37 @@ class TestMutations:
         assert "P104" in report.rules_fired(), report.render()
         # The orphaned column's C tiles are now owned by nobody.
         assert "P103" in report.rules_fired(), report.render()
+
+    def test_duplicated_block_columns_fire_p104(self, plan):
+        """A rank whose block claims a sibling rank's columns writes C tiles
+        it does not own: convicted by name, not only by P102's footprint."""
+        src, dst = [p for p in plan.procs if p.row == 0][:2]
+        dst.blocks[0].columns = np.array(src.blocks[0].columns, copy=True)
+        report = verify_plan(plan)
+        p104 = report.by_rule("P104")
+        assert any("not assigned to the rank" in f.message for f in p104), report.render()
+        assert any("in no block" in f.message for f in p104), report.render()
+
+    @pytest.mark.parametrize("where", ["same rank", "sibling rank"])
+    def test_stolen_column_fires_p104(self, plan, where):
+        """Bugfix regression: a block that also takes one column of a sibling
+        block, with its B footprint recomputed honestly, double-writes that
+        column's C tiles while every footprint, ownership and volume check
+        passes."""
+        row0 = [p for p in plan.procs if p.row == 0]
+        thief = row0[0].blocks[0]
+        victim = row0[0].blocks[1] if where == "same rank" else row0[1].blocks[0]
+        thief.columns = np.append(thief.columns, victim.columns[0])
+        csc = plan.b_shape.csr.tocsc()
+        k_sizes, n_sizes = plan.a_shape.cols.sizes, plan.b_shape.cols.sizes
+        tiles = [(k, j) for j in thief.columns
+                 for k in csc.indices[csc.indptr[j]:csc.indptr[j + 1]]]
+        thief.b_tile_count = len(tiles)
+        thief.b_bytes = int(sum(k_sizes[k] * n_sizes[j] for k, j in tiles)) * DTYPE_BYTES
+        report = verify_plan(plan)
+        assert report.rules_fired() == {"P104"}, report.render()
+        with pytest.raises(PlanVerificationError, match="P104"):
+            assert_plan_valid(plan)
 
     def test_oversized_block_fires_p110(self, plan):
         plan.procs[0].blocks[0].c_bytes = plan.gpu_memory_bytes

@@ -31,7 +31,6 @@ from repro.perf import (
     classify,
     critical_path,
     diff_attributions,
-    diff_traces,
     html_report,
     plan_task_id,
     read_run_artifact,
@@ -174,6 +173,10 @@ def _gemm_trace(rank_seconds):
     return t
 
 
+def _diff(base, cur, **hashes):
+    return diff_attributions(attribute(base), attribute(cur), **hashes)
+
+
 class TestArtifactRoundTrip:
     def test_write_read_round_trip(self, tmp_path):
         path = str(tmp_path / "run.json")
@@ -275,7 +278,7 @@ class TestDiff:
     def test_delta_attributed_to_the_slowed_rank(self):
         base = _gemm_trace({0: 1.0, 1: 1.0})
         cur = _gemm_trace({0: 1.0, 1: 3.0})
-        d = diff_traces(base, cur, base_hash="h", cur_hash="h")
+        d = _diff(base, cur, base_hash="h", cur_hash="h")
         assert d.fingerprints_match is True
         assert d.regressed and d.delta == pytest.approx(2.0)
         assert d.slowest_rank() == 1
@@ -285,19 +288,19 @@ class TestDiff:
         assert "largest growth on rank 1" in d.summary()
 
     def test_improvement_reports_what_got_faster(self):
-        d = diff_traces(_gemm_trace({0: 3.0}), _gemm_trace({0: 1.0}))
+        d = _diff(_gemm_trace({0: 3.0}), _gemm_trace({0: 1.0}))
         assert not d.regressed and d.slowest_rank() is None
         assert d.fingerprints_match is None  # no hashes to compare
         assert "what got faster" in d.summary()
 
     def test_fingerprint_mismatch_warns(self):
-        d = diff_traces(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}),
+        d = _diff(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}),
                         base_hash="a", cur_hash="b")
         assert d.fingerprints_match is False
         assert "WARNING" in d.summary()
 
     def test_to_dict_lists_top_contributors(self):
-        d = diff_traces(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}))
+        d = _diff(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}))
         payload = json.loads(json.dumps(d.to_dict()))
         assert payload["top_contributors"][0]["what"] == "rank 0 gemm"
 
@@ -305,7 +308,7 @@ class TestDiff:
 class TestReports:
     def test_text_report_stitches_all_sections(self):
         att = attribute(_gemm_trace({0: 1.0, 1: 2.0}))
-        d = diff_traces(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}))
+        d = _diff(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}))
         out = text_report(att, None, d, title="t")
         assert "critical path" in out and "trace diff" in out
 

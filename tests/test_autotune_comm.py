@@ -6,7 +6,6 @@ from repro.core import (
     communication_volumes,
     inspect,
     tune_grid_rows,
-    worst_case_volumes,
 )
 from repro.core.autotune import replication_feasible
 from repro.machine import summit
@@ -63,15 +62,6 @@ class TestCommModel:
         assert rep.total_a == sum(p.a_recv_bytes for p in plan.procs)
         assert rep.total_b_generated == b.nbytes
         assert "A moved" in rep.summary()
-
-    def test_worst_case_formulas(self):
-        a, b = instance(seed=6)
-        wc = worst_case_volumes(a, b, p=2, q=4)
-        m_el, k_el = a.rows.extent, a.cols.extent
-        n_el = b.cols.extent
-        assert wc.a_broadcast == m_el * k_el * 8 * 3
-        assert wc.c_move == m_el * n_el * 8
-        assert wc.b_replicated == k_el * n_el * 8 * 2
 
     def test_single_proc_no_network(self):
         a, b = instance(seed=7)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.block_partition import (
     InfeasiblePartitionError,
-    blocks_per_gpu,
     partition_columns_into_blocks,
 )
 
@@ -41,7 +40,7 @@ class TestPartition:
         rng = np.random.default_rng(2)
         sizes = rng.integers(3 * GIB, 7 * GIB, 30)  # ~1-2 columns per block
         blocks = partition(sizes, ngpus=4)
-        counts = blocks_per_gpu(blocks, 4)
+        counts = np.bincount([b.gpu for b in blocks], minlength=4)
         assert counts.max() - counts.min() <= 1
 
     def test_worst_fit_prefers_most_remaining(self):

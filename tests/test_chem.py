@@ -9,12 +9,10 @@ from repro.chem import (
     TilingVariant,
     alkane,
     ao_centers,
-    ao_count,
     bond_orbitals,
     build_abcd_problem,
     compute_traits,
     make_tilings,
-    occupied_count,
 )
 from repro.chem.molecule import bonds
 from repro.sparse.shape_algebra import product_shape
@@ -60,26 +58,19 @@ class TestMolecule:
 class TestBasisAndOrbitals:
     def test_paper_dimensions(self):
         m = alkane(65)
-        assert ao_count(m) == 1570  # the paper's U
-        assert occupied_count(m) == 196  # the paper's O
+        assert len(ao_centers(m)) == 1570  # the paper's U
+        assert len(bond_orbitals(m)) == 196  # the paper's O
 
     def test_ao_centers_shape(self):
         m = alkane(3)
         centers = ao_centers(m)
-        assert centers.shape == (ao_count(m), 3)
+        assert centers.shape == (3 * 14 + 8 * 5, 3)  # C3H8 in def2-SVP
 
     def test_bond_orbitals_ordered_along_chain(self):
         m = alkane(20)
         orbs = bond_orbitals(m)
-        assert orbs.shape == (occupied_count(m), 3)
+        assert orbs.shape == (len(bonds(m)), 3)
         assert np.all(np.diff(orbs[:, 0]) >= -1e-12)
-
-    def test_unknown_element_rejected(self):
-        from repro.chem.molecule import Atom, Molecule
-
-        bad = Molecule((Atom("Xx", (0, 0, 0)),))
-        with pytest.raises(ValueError):
-            ao_count(bad)
 
 
 class TestTilings:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chunking import build_chunks, cyclic_tile_order, split_by_budget
+from repro.core.chunking import cyclic_tile_order, split_by_budget
 
 
 class TestCyclicOrder:
@@ -102,20 +102,3 @@ class TestSplitByBudget:
         for i, s in enumerate(segs[:-1]):
             nxt = int(sizes[segs[i + 1].start])
             assert int(sizes[s].sum()) + nxt > budget
-
-
-class TestBuildChunks:
-    def test_chunks_preserve_tiles_and_bytes(self):
-        rng = np.random.default_rng(1)
-        rows = rng.integers(0, 6, 50)
-        cols = rng.integers(0, 30, 50)
-        nbytes = rng.integers(10, 100, 50)
-        chunks = build_chunks(rows, cols, nbytes, 250)
-        total = sum(c[2] for c in chunks)
-        assert total == nbytes.sum()
-        emitted = sorted(zip(np.concatenate([c[0] for c in chunks]).tolist(),
-                             np.concatenate([c[1] for c in chunks]).tolist()))
-        assert emitted == sorted(zip(rows.tolist(), cols.tolist()))
-
-    def test_empty_input(self):
-        assert build_chunks(np.array([]), np.array([]), np.array([]), 10) == []

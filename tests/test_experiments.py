@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chem import TilingVariant, alkane, build_abcd_problem
-from repro.experiments.report import ascii_spy, fmt_series, fmt_table
+from repro.experiments.report import ascii_spy, fmt_table
 from repro.experiments.synthetic import run_synthetic_point
 from repro.machine import summit
 
@@ -19,10 +19,6 @@ class TestReport:
         lines = out.splitlines()
         assert len(lines) == 4
         assert len(set(len(l) for l in lines)) == 1  # rectangular
-
-    def test_fmt_series(self):
-        out = fmt_series("label", [1, 2], ["x", "y"])
-        assert "label" in out and ": x" in out
 
     def test_ascii_spy_shapes(self):
         m = np.zeros((100, 200))

@@ -9,7 +9,6 @@ from repro.sparse import (
     BlockSparseMatrix,
     block_gemm_reference,
     random_block_sparse,
-    random_full,
 )
 from repro.sparse.gemm_ref import gemm_against_dense
 from repro.tiling import Tiling, random_tiling
@@ -28,18 +27,18 @@ class TestGemmReference:
 
     def test_accumulates_into_c(self):
         t = Tiling.from_sizes([3, 4])
-        a = random_full(t, t, seed=0)
-        b = random_full(t, t, seed=1)
-        c0 = random_full(t, t, seed=2)
+        a = random_block_sparse(t, t, 1.0, seed=0)
+        b = random_block_sparse(t, t, 1.0, seed=1)
+        c0 = random_block_sparse(t, t, 1.0, seed=2)
         expect = c0.to_dense() + a.to_dense() @ b.to_dense()
         out = block_gemm_reference(a, b, c=c0.copy())
         assert np.allclose(out.to_dense(), expect)
 
     def test_alpha_beta(self):
         t = Tiling.from_sizes([5])
-        a = random_full(t, t, seed=0)
-        b = random_full(t, t, seed=1)
-        c0 = random_full(t, t, seed=2)
+        a = random_block_sparse(t, t, 1.0, seed=0)
+        b = random_block_sparse(t, t, 1.0, seed=1)
+        c0 = random_block_sparse(t, t, 1.0, seed=2)
         expect = 0.5 * c0.to_dense() + 2.0 * (a.to_dense() @ b.to_dense())
         out = block_gemm_reference(a, b, c=c0.copy(), alpha=2.0, beta=0.5)
         assert np.allclose(out.to_dense(), expect)
@@ -61,8 +60,8 @@ class TestGemmReference:
 
     def test_wrong_c_grid_raises(self):
         t = Tiling.single(3)
-        a = random_full(t, t, seed=0)
-        b = random_full(t, t, seed=1)
+        a = random_block_sparse(t, t, 1.0, seed=0)
+        b = random_block_sparse(t, t, 1.0, seed=1)
         bad_c = BlockSparseMatrix(Tiling.single(4), Tiling.single(4))
         with pytest.raises(ValueError):
             block_gemm_reference(a, b, c=bad_c)
@@ -70,7 +69,7 @@ class TestGemmReference:
     def test_empty_operands(self):
         t = Tiling.from_sizes([3, 4])
         a = BlockSparseMatrix(t, t)
-        b = random_full(t, t, seed=0)
+        b = random_block_sparse(t, t, 1.0, seed=0)
         c = block_gemm_reference(a, b)
         assert c.nnz_tiles == 0
 

@@ -9,6 +9,7 @@ the serial block GEMM and the order-4 tensor API.
 import numpy as np
 import pytest
 
+from repro.analysis import assert_plan_valid
 from repro.chem import ScreeningModel, TilingVariant, alkane, build_abcd_problem
 from repro.core import inspect, psgemm_simulate, tune_grid_rows
 from repro.machine import summit
@@ -79,7 +80,7 @@ class TestChemToNumeric:
     def test_simulation_runs_on_chem_problem(self, small_abcd):
         prob = small_abcd
         plan, rep = psgemm_simulate(prob.t_shape, prob.v_shape, summit(2), p=1)
-        plan.validate()
+        assert_plan_valid(plan)
         assert rep.makespan > 0
         _, des_time = simulate_des(plan, summit(2))
         assert 0.2 < des_time / rep.makespan < 5.0

@@ -7,7 +7,6 @@ from repro.sparse import (
     BlockSparseMatrix,
     from_dense,
     random_block_sparse,
-    random_full,
     zeros,
 )
 from repro.sparse.construct import from_shape
@@ -74,14 +73,14 @@ class TestBlockSparseMatrix:
 
     def test_transpose(self):
         r, c = grids()
-        m = random_full(r, c, seed=1)
+        m = random_block_sparse(r, c, 1.0, seed=1)
         t = m.transpose()
         assert np.allclose(t.to_dense(), m.to_dense().T)
 
     def test_scale_axpy(self):
         r, c = grids()
-        m1 = random_full(r, c, seed=2)
-        m2 = random_full(r, c, seed=3)
+        m1 = random_block_sparse(r, c, 1.0, seed=2)
+        m2 = random_block_sparse(r, c, 1.0, seed=3)
         d = 2.0 * m1.to_dense() + 0.5 * m2.to_dense()
         out = m1.copy().scale(2.0).axpy(0.5, m2)
         assert np.allclose(out.to_dense(), d)
@@ -95,7 +94,7 @@ class TestBlockSparseMatrix:
 
     def test_norm_fro(self):
         r, c = grids()
-        m = random_full(r, c, seed=4)
+        m = random_block_sparse(r, c, 1.0, seed=4)
         assert m.norm_fro() == pytest.approx(np.linalg.norm(m.to_dense()))
 
     def test_allclose_treats_missing_as_zero(self):
@@ -117,7 +116,7 @@ class TestBlockSparseMatrix:
 
     def test_copy_independent(self):
         r, c = grids()
-        m = random_full(r, c, seed=5)
+        m = random_block_sparse(r, c, 1.0, seed=5)
         cp = m.copy()
         cp.get_tile(0, 0)[:] = 0
         assert not np.allclose(m.get_tile(0, 0), 0)
@@ -138,7 +137,7 @@ class TestBlockSparseMatrix:
 
     def test_drop_tile(self):
         r, c = grids()
-        m = random_full(r, c, seed=6)
+        m = random_block_sparse(r, c, 1.0, seed=6)
         m.drop_tile(0, 0)
         m.drop_tile(0, 0)  # idempotent
         assert not m.has_tile(0, 0)
@@ -151,8 +150,8 @@ class TestConstructors:
 
     def test_random_full_deterministic(self):
         r, c = grids()
-        m1 = random_full(r, c, seed=7)
-        m2 = random_full(r, c, seed=7)
+        m1 = random_block_sparse(r, c, 1.0, seed=7)
+        m2 = random_block_sparse(r, c, 1.0, seed=7)
         assert m1.allclose(m2)
 
     def test_from_shape_fills(self):

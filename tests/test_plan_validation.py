@@ -1,11 +1,9 @@
-"""Mutation tests: the plan validator must catch corrupted plans.
+"""The plan's derived accessors agree with the blocks and chunks they sum.
 
-`ExecutionPlan.validate()` guards the invariants every executor relies
-on; these tests tamper with healthy plans and assert the validator
-actually trips — a validator that never fires is no validator.
+The plan's invariants are proven by :mod:`repro.analysis.plan_checks`
+(mutation tests in ``tests/test_analysis_plan.py``).
 """
 
-import numpy as np
 import pytest
 
 from repro.core import inspect
@@ -21,43 +19,6 @@ def plan():
     a = random_shape_with_density(rows, inner, 0.5, seed=2)
     b = random_shape_with_density(inner, inner, 0.5, seed=3)
     return inspect(a, b, summit(2), p=2, gpus_per_proc=3)
-
-
-class TestValidatorTrips:
-    def test_healthy_plan_passes(self, plan):
-        plan.validate()
-
-    def test_detects_missing_column(self, plan):
-        proc = next(p for p in plan.procs if p.columns.size > 0)
-        proc.columns = proc.columns[1:]
-        with pytest.raises(AssertionError, match="partitioned"):
-            plan.validate()
-
-    def test_detects_duplicated_column(self, plan):
-        proc = next(p for p in plan.procs if p.columns.size > 0)
-        proc.columns = np.concatenate((proc.columns, proc.columns[:1]))
-        with pytest.raises(AssertionError, match="partitioned"):
-            plan.validate()
-
-    def test_detects_block_over_budget(self, plan):
-        blk = next(
-            b for p in plan.procs for b in p.blocks if len(b.columns) > 1
-        )
-        blk.b_bytes = int(plan.gpu_memory_bytes * 0.96)
-        with pytest.raises(AssertionError):
-            plan.validate()
-
-    def test_detects_oversized_chunk(self, plan):
-        ch = next(
-            c
-            for p in plan.procs
-            for b in p.blocks
-            for c in b.chunks
-            if c.ntiles > 1
-        )
-        ch.a_bytes = int(plan.gpu_memory_bytes * 0.9)
-        with pytest.raises(AssertionError):
-            plan.validate()
 
 
 class TestPlanAccessors:

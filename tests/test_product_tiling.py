@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from repro.tiling import Tiling, fuse
 from repro.tiling.product import fuse_centers, fuse_radii
-from repro.tiling.stats import (
-    TileSizeStats,
-    matricized_tile_sizes_bytes,
-    tile_size_histogram_mb,
-    tile_size_stats,
-)
+from repro.tiling.stats import TileSizeStats
 
 
 class TestFuse:
@@ -72,7 +67,7 @@ class TestFusedGeometry:
 class TestStats:
     def test_tile_size_stats(self):
         t = Tiling.from_sizes([10, 20, 30])
-        s = tile_size_stats(t)
+        s = TileSizeStats.from_sample(t.sizes)
         assert s.count == 3
         assert s.mean == 20
         assert s.minimum == 10 and s.maximum == 30
@@ -81,16 +76,3 @@ class TestStats:
     def test_stats_row_formatting(self):
         s = TileSizeStats.from_sample(np.array([1.0, 2.0, 3.0]))
         assert "n=" in s.row() and "med=" in s.row()
-
-    def test_matricized_sizes(self):
-        r = Tiling.from_sizes([2, 3])
-        c = Tiling.from_sizes([4])
-        sizes = matricized_tile_sizes_bytes(r, c, dtype_bytes=8)
-        assert sorted(sizes.tolist()) == [64, 96]
-
-    def test_histogram(self):
-        r = Tiling.from_sizes([100, 200, 300])
-        c = Tiling.from_sizes([100, 400])
-        edges, counts = tile_size_histogram_mb(r, c, nbins=10)
-        assert counts.sum() == 6
-        assert len(edges) == 11

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import assert_plan_valid
 from repro.core import PlanOptions, inspect
 from repro.core.analytic import simulate
 from repro.core.block_partition import InfeasiblePartitionError
-from repro.machine.spec import GpuSpec, MachineSpec, NodeSpec
+from repro.machine.spec import GpuSpec, MachineSpec, NodeSpec, summit
 from repro.sparse import gemm_flops, gemm_task_count, random_shape_with_density
+from repro.sparse.shape import SparseShape
 from repro.tiling import random_tiling
 
 MIB = 2**20
@@ -66,7 +68,7 @@ class TestPlannerProperties:
         except ValueError as e:
             assert "exceeds" in str(e)  # p larger than the process count
             return
-        plan.validate()
+        assert_plan_valid(plan)
         assert plan.total_tasks == gemm_task_count(a, b)
         assert plan.total_flops == pytest.approx(gemm_flops(a, b))
 
@@ -80,7 +82,23 @@ class TestPlannerProperties:
             return
         rep = simulate(plan, machine)
         assert np.isfinite(rep.makespan) and rep.makespan > 0
-        assert rep.perf > 0
+        # A and B that share no inner tile make a plan with no work.
+        assert rep.perf > 0 if plan.total_flops > 0 else rep.perf == 0
+
+    def test_simulation_of_disjoint_operands_is_zero_work(self):
+        """Hypothesis found it: A and B with no inner tile in common plan
+        zero flops, which simulate reports as a positive makespan at zero
+        performance, not as an error."""
+        rows = random_tiling(300, 30, 120, seed=0)
+        inner = random_tiling(1200, 30, 120, seed=1)
+        first = np.arange(inner.ntiles) < inner.ntiles // 2
+        a = SparseShape(rows, inner, np.ones((rows.ntiles, 1)) * first)
+        b = SparseShape(inner, inner, ~first[:, None] * np.ones((1, inner.ntiles)))
+        plan = inspect(a, b, summit(1), p=1)
+        assert plan.total_flops == 0
+        rep = simulate(plan, summit(1))
+        assert np.isfinite(rep.makespan) and rep.makespan > 0
+        assert rep.perf == 0
 
     @settings(max_examples=10, deadline=None)
     @given(instances(), st.floats(min_value=0.2, max_value=0.9))

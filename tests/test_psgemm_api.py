@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import assert_plan_valid
 from repro.core import PlanOptions, psgemm_numeric, psgemm_plan, psgemm_simulate
 from repro.core.inspector import inspect
 from repro.machine import summit
@@ -45,7 +46,7 @@ class TestPsgemmApi:
         a, b = shapes(seed=7)
         opts = PlanOptions(block_fraction=0.3, chunk_fraction=0.15)
         plan = psgemm_plan(a, b, summit(1), options=opts)
-        plan.validate()
+        assert_plan_valid(plan)
         assert plan.options.block_fraction == 0.3
 
     def test_smaller_blocks_mean_more_blocks(self):

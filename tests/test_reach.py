@@ -1,5 +1,6 @@
 """The import-reachability gate (``tools/reach.py``, ``make reach``)."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -42,8 +43,38 @@ def test_names_the_orphan_and_the_reexport_only_module(tmp_path):
     assert typo.returncode != 0 and "matches nothing" in typo.stderr
 
 
+def test_names_the_definition_nothing_names(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("reach", TOOL)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    monkeypatch.setattr(reach, "KEEP", {"pkg.mod:oracle": "the reference the tests compare against"})
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from pkg.mod import dead, used\n")
+    mod = pkg / "mod.py"
+    mod.write_text(
+        '__all__ = ["dead", "oracle", "used"]\n\n'
+        "def used(): pass\n\n"
+        "def dead():\n    pass\n\n"
+        "class oracle: pass\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text("from pkg.mod import used\nused()\n")
+    argv = ["--root", str(tmp_path), "scripts=scripts/*.py"]
+
+    assert reach.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "named by no file an entry point loads: 1 names, 2 lines" in out
+    assert "src/pkg/mod.py:dead" in out
+    assert ":used" not in out and ":oracle" not in out
+
+    mod.write_text(mod.read_text().replace("def dead():\n    pass\n\n", ""))
+    assert reach.main(argv) == 0, capsys.readouterr().out
+
+
 def test_repository_has_no_unreached_module():
     out = run_reach()
     assert out.returncode == 0, out.stdout + out.stderr
     assert "unreachable from every entry point: 0 modules" in out.stdout
     assert "re-export: 0 modules" in out.stdout
+    assert "named by no file an entry point loads: 0 names" in out.stdout

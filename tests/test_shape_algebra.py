@@ -10,7 +10,6 @@ from repro.sparse import (
     gemm_flops,
     gemm_task_count,
     per_column_flops,
-    per_column_task_counts,
     product_shape,
     random_shape_with_density,
     screened_product,
@@ -19,7 +18,6 @@ from repro.sparse.shape_algebra import (
     arithmetic_intensity,
     flop_matrix,
     pair_count_matrix,
-    per_column_gpu_bytes,
 )
 from repro.tiling import Tiling, random_tiling
 
@@ -65,7 +63,6 @@ class TestCounting:
     def test_per_column_sums(self):
         a, b = random_pair(seed=20)
         assert per_column_flops(a, b).sum() == pytest.approx(gemm_flops(a, b))
-        assert per_column_task_counts(a, b).sum() == gemm_task_count(a, b)
 
     def test_dense_formula(self):
         r = Tiling.from_sizes([3, 4])
@@ -100,18 +97,6 @@ class TestCounting:
         assert fm[0, 0] == pytest.approx(2.0 * 2 * (3 + 4) * 5)
         pc = pair_count_matrix(a, b)
         assert pc[0, 0] == 2
-
-    def test_per_column_gpu_bytes(self):
-        a, b = random_pair(seed=30)
-        c = product_shape(a, b)
-        w = per_column_gpu_bytes(a, b, c)
-        expect = (
-            np.asarray(b.tile_bytes().sum(axis=0)).ravel()
-            + np.asarray(c.tile_bytes().sum(axis=0)).ravel()
-        )
-        assert np.allclose(w, expect)
-        # omitted C computes the same
-        assert np.allclose(per_column_gpu_bytes(a, b), expect)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Who reaches this module?  Import reachability of the packages under ``src/``
-from a declared list of entry points (``make reach``; stdlib ``ast`` only).
+"""Who reaches this module, and who names this function?  Import reachability of
+the packages under ``src/`` from a declared list of entry points, down to their
+top-level names (``make reach``; stdlib ``ast`` only).
 
 Two closures are walked from each entry point.  *Loaded* is what Python
 executes: every import statement, plus the ``__init__`` of every package on
@@ -9,8 +10,12 @@ imports somebody wrote on purpose: ``from pkg import name`` resolves through
 ``pkg/__init__.py`` to the module that defines ``name``, and an ``__init__``
 that merely runs on the way contributes nothing.  A module no entry point
 loads is unreachable; one that is loaded but not used is kept alive by a
-package re-export alone.  Either finding fails the gate.  Tests are
-deliberately not entry points: "only its own test imports it" is the finding.
+package re-export alone.  A top-level ``def`` or ``class`` of a loaded module
+(an entry file's own names are its surface) is dead when no loaded or entry file
+names it: an ``ast.Name``, an ``ast.Attribute`` or a ``from ... import`` counts,
+while its own definition, ``__all__`` strings and the imports of a package
+``__init__`` do not.  Each finding fails the gate.  Tests are deliberately not
+entry points: "only its own test uses it" is the finding.
 """
 
 from __future__ import annotations
@@ -42,6 +47,14 @@ ENTRY_POINTS = {
     "examples": ["examples/*.py"],
 }
 
+#: "module:name" -> reason.  A top-level name no entry point's closure names is
+#: kept by declaring it here with its reason, as a module is kept by an entry
+#: point — not because a test uses it.
+KEEP = {
+    "repro.sparse.gemm_ref:gemm_against_dense":
+        "the dense oracle every executor's tests compare a block-sparse product against",
+}
+
 
 class Reach:
     def __init__(self, root: Path):
@@ -53,12 +66,16 @@ class Reach:
         self.names = {path: name for name, path in self.modules.items()}
 
     @functools.cache
+    def tree(self, path: Path) -> ast.Module:
+        return ast.parse(path.read_text(), str(path))
+
+    @functools.cache
     def imports(self, path: Path) -> list[tuple[str, str | None, str | None]]:
         """``(module, imported name, bound name)`` per import in ``path``, anywhere in the file."""
         me = self.names.get(path, "")  # "" for an entry file outside src/: its relative imports are skipped
         package = (me if path.name == "__init__.py" else me.rpartition(".")[0]).split(".")
         found = []
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(self.tree(path)):
             if isinstance(node, ast.Import):
                 found += [(a.name, None, None) for a in node.names]
             elif isinstance(node, ast.ImportFrom) and (me or not node.level):
@@ -103,6 +120,20 @@ class Reach:
                 stack += self.packages(self.names.get(path))
         return seen & self.names.keys()
 
+    def mentions(self, path: Path) -> set[str]:
+        """The names ``path`` uses; a package ``__init__``'s imports are re-exports, not uses."""
+        found = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(self.tree(path)) if isinstance(n, (ast.Name, ast.Attribute))}
+        if path.name != "__init__.py":
+            found |= {name for _, name, _ in self.imports(path) if name}
+        return found
+
+    def definitions(self, path: Path) -> dict[str, int]:
+        """Top-level ``def`` / ``class`` names of ``path`` and their line counts."""
+        return {node.name: node.end_lineno - min(d.lineno for d in [node, *node.decorator_list]) + 1
+                for node in self.tree(path).body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
 
 def lines(paths) -> int:
     return sum(p.read_text().count("\n") for p in paths)
@@ -117,7 +148,7 @@ def main(argv=None) -> int:
     groups = {g: s.split(",") for g, _, s in (e.partition("=") for e in args.entry)} or ENTRY_POINTS
 
     reach = Reach(args.root.resolve())
-    everything, loaded, used = set(reach.names), set(), set()
+    everything, loaded, used, roots = set(reach.names), set(), set(), set()
     print(f"{'entry-point group':<20}{'modules':>8}{'lines':>8}")
     for group, specs in groups.items():
         entries = []
@@ -129,19 +160,26 @@ def main(argv=None) -> int:
         mine = reach.closure(entries, used=False)
         loaded |= mine
         used |= reach.closure(entries, used=True)
+        roots |= set(entries)
         print(f"{group:<20}{len(mine):>8}{lines(mine):>8}")
     print(f"{'any group':<20}{len(loaded):>8}{lines(loaded):>8}   of {len(everything)} modules, "
           f"{lines(everything)} lines in src/")
 
+    named = set().union(*map(reach.mentions, loaded | roots))
     findings = {  # an __init__ is loaded because its package is, never because of a re-export
-        "unreachable from every entry point": everything - loaded,
-        "reached only through a package __init__ re-export":
-            {p for p in loaded - used if p.name != "__init__.py"},
+        ("unreachable from every entry point", "modules"):
+            {(str(p.relative_to(reach.root)), lines([p])) for p in everything - loaded},
+        ("reached only through a package __init__ re-export", "modules"):
+            {(str(p.relative_to(reach.root)), lines([p])) for p in loaded - used if p.name != "__init__.py"},
+        ("named by no file an entry point loads", "names"):
+            {(f"{p.relative_to(reach.root)}:{name}", n)
+             for p in loaded - roots for name, n in reach.definitions(p).items()
+             if name not in named and f"{reach.names[p]}:{name}" not in KEEP},
     }
-    for title, paths in findings.items():
-        print(f"{title}: {len(paths)} modules, {lines(paths)} lines")
-        for path in sorted(paths):
-            print(f"  {path.relative_to(reach.root)}  {lines([path])}")
+    for (title, unit), found in findings.items():
+        print(f"{title}: {len(found)} {unit}, {sum(n for _, n in found)} lines")
+        for what, n in sorted(found):
+            print(f"  {what}  {n}")
     return 1 if any(findings.values()) else 0
 
 
