@@ -17,8 +17,8 @@ loc:
 # shrinks the tree, raise them only with a reason in CHANGES.md).
 # Deterministic and host-independent — the CI slot a wall-clock benchmark
 # gate used to hold.
-LOC_MAX_REPRO := 18579
-LOC_MAX_DIST_PROTOCOL := 5130
+LOC_MAX_REPRO := 18169
+LOC_MAX_DIST_PROTOCOL := 5000
 loc-check:
 	@lines() { find "$$@" -name '*.py' | xargs cat | wc -l; }; \
 	repro=$$(lines src/repro); \
@@ -27,19 +27,20 @@ loc-check:
 	test $$repro -le $(LOC_MAX_REPRO) && test $$dist -le $(LOC_MAX_DIST_PROTOCOL)
 
 # Who reaches each module of src/repro, and who names each of its top-level
-# functions and classes?  An import walk (tools/reach.py, stdlib ast) from the
-# declared entry points — public API, CLI, benchmarks/e2e, the two bench tools,
-# the paper-figure benchmarks, examples/ — that fails when a module is reached
-# by none of them, or only through a package __init__ re-export, and when a
-# def or class is named by no file they load (unless its module:name is in the
-# tool's KEEP table, with its reason).  Tests are not entry points: "only its
-# own test uses it" is the finding.  Deterministic and host-independent, like
-# loc-check.
+# functions and classes and each of their methods?  An import walk
+# (tools/reach.py, stdlib ast) from the declared entry points — public API, CLI,
+# benchmarks/e2e, the two bench tools, the paper-figure benchmarks, examples/ —
+# that fails when a module is reached by none of them, or only through a
+# package __init__ re-export, when a def or class is named by no file they
+# load, and when a method or property is named by none of them outside its own
+# class (unless its module:name or module:Class.member is in the tool's KEEP
+# table, with its reason).  Tests are not entry points: "only its own test
+# uses it" is the finding.  Deterministic and host-independent, like loc-check.
 reach:
 	python3 tools/reach.py
 
-test: analyze model-check loc-check reach resume-smoke explain-smoke serve-smoke bench-e2e-smoke tile-sweep-smoke serve-phases-smoke
-	pytest tests/
+test: analyze model-check loc-check reach trace-smoke resume-smoke explain-smoke serve-smoke bench-e2e-smoke tile-sweep-smoke serve-phases-smoke
+	PYTHONPATH=src python -m pytest tests/
 
 # Static analysis gate, the first two of the three analysis layers: the AST
 # concurrency lint over the source tree, then the plan verifier on an

@@ -112,12 +112,6 @@ class AnalysisReport:
         """True when no findings were recorded at all."""
         return not self.findings
 
-    def by_rule(self, rule: str) -> list[Finding]:
-        return [f for f in self.findings if f.rule == rule]
-
-    def rules_fired(self) -> set[str]:
-        return {f.rule for f in self.findings}
-
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity >= Severity.ERROR]
 

@@ -111,10 +111,8 @@ register(Rule("P121", "checkpoint-plan-mismatch", E,
               "per-rank journals — use a fresh checkpoint directory"))
 register(Rule("P122", "store-capacity", W,
               "the persistent tile store cannot hold what the run writes: "
-              "the GC budget is smaller than the largest single B tile "
-              "(the persistent tier could never hit), or the run's "
-              "working set exceeds the free space of the store's "
-              "filesystem"))
+              "the run's working set exceeds the free space of the "
+              "store's filesystem"))
 
 # ---- L3xx: AST concurrency lint -------------------------------------------
 

@@ -11,10 +11,8 @@ scripts) prove the same invariants statically, before a long run starts:
   recompute everything at best and mix journals at worst; the runtime
   raises, this reports.
 * **P122** — the store cannot hold what the run will ask of it: the
-  configured byte budget is smaller than the largest single B tile (the
-  GC would evict the whole store and still fail to retain it — the
-  on-disk twin of P114), or the bytes the run can write exceed the free
-  space of the filesystem backing the store.
+  bytes the run can write exceed the free space of the filesystem backing
+  the store.
 
 Both operate on paths that may not exist yet — an absent checkpoint dir
 or store is simply a fresh start and produces no findings.
@@ -40,14 +38,13 @@ def verify_store_setup(
     *,
     checkpoint_dir: str | None = None,
     store_dir: str | None = None,
-    store_budget_bytes: int | None = None,
 ) -> AnalysisReport:
     """Run every applicable store/checkpoint check for one planned run.
 
     Mirrors the argument surface of ``psgemm_distributed``: pass the same
-    ``checkpoint_dir``/``store_dir``/``store_budget_bytes`` you intend to
-    run with, and the report is empty exactly when the run would not be
-    refused (P121) or starved of disk (P122).
+    ``checkpoint_dir``/``store_dir`` you intend to run with, and the report
+    is empty exactly when the run would not be refused (P121) or starved of
+    disk (P122).
     """
     report = AnalysisReport()
     if checkpoint_dir is not None:
@@ -56,9 +53,7 @@ def verify_store_setup(
         os.path.join(checkpoint_dir, "store") if checkpoint_dir else None
     )
     if root is not None:
-        check_store_capacity(
-            plan, root, budget_bytes=store_budget_bytes, report=report
-        )
+        check_store_capacity(plan, root, report=report)
     return report
 
 
@@ -121,45 +116,28 @@ def check_checkpoint_compat(
 # ---- P122: store capacity ---------------------------------------------------
 
 
-def _b_tile_bytes(plan: ExecutionPlan) -> tuple[int, int]:
-    """(largest single B tile, total unique B tiles) in payload bytes."""
+def _b_tile_bytes(plan: ExecutionPlan) -> int:
+    """Payload bytes of every unique B tile."""
     k_sizes = plan.a_shape.cols.sizes.astype(np.int64)
     n_sizes = plan.b_shape.cols.sizes.astype(np.int64)
     kk, jj = plan.b_shape.nonzero_tiles()
-    if kk.size == 0:
-        return 0, 0
-    sizes = k_sizes[kk] * n_sizes[jj] * DTYPE_BYTES
-    return int(sizes.max()), int(sizes.sum())
+    return int((k_sizes[kk] * n_sizes[jj]).sum()) * DTYPE_BYTES
 
 
 def check_store_capacity(
     plan: ExecutionPlan,
     store_root: str,
-    *,
-    budget_bytes: int | None = None,
     report: AnalysisReport | None = None,
 ) -> AnalysisReport:
     """P122: can the store at ``store_root`` hold what this run writes?
 
-    Two failure modes: a GC budget smaller than the largest single B tile
-    (the store would evict everything it holds and *still* drop the tile
-    the moment ``put`` returns — a persistent cache that can never hit),
-    and a working set larger than the free space of the filesystem the
-    store lives on.  Free-space accounting credits bytes the store
-    already holds (they are re-used, not re-written) and treats the GC
-    budget as a cap on growth when one is set.
+    The failure mode: a working set larger than the free space of the
+    filesystem the store lives on.  Free-space accounting credits bytes
+    the store already holds (they are re-used, not re-written).
     """
     if report is None:
         report = AnalysisReport()
-    biggest, total = _b_tile_bytes(plan)
-    if budget_bytes is not None and 0 < budget_bytes < biggest:
-        report.add(
-            "P122",
-            f"store budget {budget_bytes} B is smaller than the largest "
-            f"B tile ({biggest} B payload); the GC would evict the entire "
-            f"store and still drop it — the persistent tier can never hit",
-            obj=store_root,
-        )
+    demand = _b_tile_bytes(plan)
     # Free space of the filesystem that will (or does) hold the store:
     # walk up to the nearest existing ancestor of a not-yet-created root.
     probe = os.path.abspath(store_root)
@@ -179,15 +157,14 @@ def check_store_capacity(
             held = sum(o.nbytes for o in store.scan())
         finally:
             store.close()
-    demand = total if budget_bytes is None else min(total, budget_bytes)
     growth = max(demand - held, 0)
     if growth > free:
         report.add(
             "P122",
             f"the run's persistent B working set (~{demand} B, "
             f"{held} B already on disk) exceeds the {free} B free on the "
-            f"store's filesystem; set store_budget_bytes below the free "
-            f"space or move the store",
+            f"store's filesystem; shrink the store (`repro store gc "
+            f"--budget`) or move it",
             obj=store_root,
         )
     return report

@@ -77,15 +77,6 @@ class AbcdProblem:
         """Retained occupied-pair elements (the paper's reported M)."""
         return self.screening.kept_pair_elements(self.tilings)
 
-    def describe(self) -> str:
-        return (
-            f"{self.molecule.formula()} {self.variant.name}: O={self.O} U={self.U}  "
-            f"M x N x K = {self.M} x {self.N} x {self.K}  "
-            f"T density {self.t_shape.element_density:.3%}, "
-            f"V density {self.v_shape.element_density:.3%}, "
-            f"R density {self.r_shape.element_density:.3%}"
-        )
-
 
 def build_abcd_problem(
     molecule: Molecule | None = None,

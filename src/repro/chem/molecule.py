@@ -28,10 +28,6 @@ class Atom:
     symbol: str
     position: tuple[float, float, float]
 
-    @property
-    def xyz(self) -> np.ndarray:
-        return np.array(self.position)
-
 
 @dataclass(frozen=True)
 class Molecule:
@@ -52,18 +48,6 @@ class Molecule:
 
     def count(self, symbol: str) -> int:
         return sum(1 for a in self.atoms if a.symbol == symbol)
-
-    def formula(self) -> str:
-        """Hill-order molecular formula, e.g. ``C65H132``."""
-        from collections import Counter
-
-        c = Counter(a.symbol for a in self.atoms)
-        parts = []
-        for sym in ["C", "H"] + sorted(set(c) - {"C", "H"}):
-            if c.get(sym, 0):
-                n = c[sym]
-                parts.append(f"{sym}{n if n > 1 else ''}")
-        return "".join(parts)
 
     def extent(self) -> float:
         """Largest coordinate spread — the "length" of the molecule."""

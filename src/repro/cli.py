@@ -516,7 +516,6 @@ def _cmd_analyze(args) -> int:
             plan,
             checkpoint_dir=args.checkpoint,
             store_dir=args.store_dir,
-            store_budget_bytes=args.store_budget,
         ))
     print(f"analyzed plan: {plan.grid.nprocs} rank(s), "
           f"{sum(len(pp.blocks) for pp in plan.procs)} block(s)")
@@ -735,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "analyzed plan (P121) and its store capacity (P122)")
     an.add_argument("--store-dir", metavar="DIR",
                     help="also pre-flight the tile store at DIR (P122)")
-    an.add_argument("--store-budget", type=int, metavar="BYTES",
-                    help="GC budget assumed for the store pre-flight")
     an.add_argument("--model-check", action="store_true",
                     help="also model-check the distributed executor protocol "
                          "(bounded exhaustive exploration, M4xx rules)")

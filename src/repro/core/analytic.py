@@ -82,10 +82,6 @@ class SimReport:
         """The paper's Fig. 8 metric."""
         return self.perf / total_gpus
 
-    def parallel_efficiency(self, baseline: "SimReport", gpu_ratio: float) -> float:
-        """Strong-scaling efficiency vs a baseline run (paper Fig. 7)."""
-        return baseline.makespan / (self.makespan * gpu_ratio)
-
     def summary(self) -> str:
         return f"time {fmt_time(self.makespan)}, {fmt_rate(self.perf)}"
 

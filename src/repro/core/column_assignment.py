@@ -40,12 +40,6 @@ class ColumnAssignment:
     def q(self) -> int:
         return len(self.columns)
 
-    @property
-    def imbalance(self) -> float:
-        """``max / mean`` processor load; 1.0 is perfect balance."""
-        mean = self.flops.mean()
-        return float(self.flops.max() / mean) if mean > 0 else 1.0
-
 
 def assign_columns(
     col_flops: np.ndarray, q: int, policy: str = "mirrored"

@@ -55,22 +55,9 @@ class ProcessGrid:
         require(0 <= row < self.p and 0 <= col < self.q, "coords out of grid")
         return row * self.q + col
 
-    def row_ranks(self, row: int) -> list[int]:
-        """All ranks of grid row ``row`` (they share the slice ``A^(row)``)."""
-        return [self.rank(row, l) for l in range(self.q)]
-
     def slice_tile_rows(self, row: int, ntile_rows: int) -> np.ndarray:
         """Global A tile-row indices belonging to slice ``A^(row)``."""
         return np.arange(row, ntile_rows, self.p, dtype=np.int64)
-
-    def a_owner(self, i, k):
-        """Owner rank of A tile ``(i, k)`` under the 2D-cyclic distribution
-        (vectorized)."""
-        return (np.asarray(i) % self.p) * self.q + (np.asarray(k) % self.q)
-
-    def c_owner(self, i, j):
-        """Final owner rank of C tile ``(i, j)`` (2D-cyclic, like A)."""
-        return (np.asarray(i) % self.p) * self.q + (np.asarray(j) % self.q)
 
 
 def make_grid(

@@ -102,7 +102,6 @@ class ScatterMsg:
     fault: FaultInjection | None
     attempt: int
     trace: bool = True
-    max_spans: int = 200_000
     heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
     #: Persistent-store / checkpoint wiring (all inert when left at their
     #: defaults): ``store_dir`` roots the B-tile persistence tier,
@@ -112,7 +111,6 @@ class ScatterMsg:
     #: fingerprints, and ``completed`` lists the already-journaled blocks
     #: to restore instead of recompute: ``((gpu, block, ((i, j), ...)), ...)``.
     store_dir: str | None = None
-    store_budget: int | None = None
     b_hash: str = ""
     ckpt_dir: str | None = None
     run_hash: str = ""
@@ -170,7 +168,6 @@ class HandoffMsg:
     tau: float | None
     alpha: float
     store_dir: str | None = None
-    store_budget: int | None = None
     b_hash: str = ""
     ckpt_dir: str | None = None
     run_hash: str = ""
@@ -380,18 +377,3 @@ class CommStats:
         if telemetry:
             text += f" (+{fmt_bytes(telemetry)} telemetry)"
         return text
-
-    def table(self) -> str:
-        """Per-link traffic rendered as text, heaviest links first."""
-
-        def who(rank: int) -> str:
-            return "coord" if rank == COORDINATOR else f"rank {rank}"
-
-        lines = ["per-link traffic:"]
-        for (s, d), v in sorted(self.link_bytes.items(), key=lambda kv: -kv[1]):
-            n = self.messages.get((s, d), 0)
-            lines.append(
-                f"  {who(s):>7s} -> {who(d):<7s} {fmt_bytes(v):>10s}"
-                + (f"  ({n} msg)" if n else "")
-            )
-        return "\n".join(lines)

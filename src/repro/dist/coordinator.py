@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.perf import Attribution, PerfModel, RooflineAudit
+    from repro.perf import Attribution, PerfModel
 
 from repro.core.plan import ExecutionPlan
 from repro.dist.bservice import validate_b_budget
@@ -111,7 +111,6 @@ from repro.store import (
     validated_completed_blocks,
     write_snapshot,
 )
-from repro.util.units import fmt_bytes, fmt_time
 from repro.util.validation import require
 
 #: Seconds a vanished worker gets to flush a late report before the
@@ -158,7 +157,7 @@ class DistReport(RankTally):
     blocks_rebalanced: int = 0
     tasks_rebalanced: int = 0
     #: Predicted-cost model of the executed plan (when tracing was on);
-    #: feeds :meth:`audit` and ``repro explain``.
+    #: what ``repro explain`` audits the run against.
     model: "PerfModel | None" = None
     #: Busy seconds lost to the recorder bound, per resource
     #: (``dropped.<resource>``), merged over every rank.
@@ -188,82 +187,6 @@ class DistReport(RankTally):
             )
         )
 
-    # -- derived observability metrics ---------------------------------------
-
-    def rank_utilization(self) -> dict[int, float]:
-        """Per-rank GPU busy fraction over the run.
-
-        GEMM-span seconds on a rank's ``gpu.<rank>.<g>.comp`` resources,
-        normalized by the makespan times the number of that rank's GPU
-        streams that appear in the trace (so a fully busy multi-GPU rank
-        reports 1.0, not the GPU count).  Empty when tracing was disabled.
-        """
-        span = self.trace.makespan
-        if span <= 0:
-            return {}
-        busy: dict[int, float] = {}
-        streams: dict[int, set[str]] = {}
-        for e in self.trace.events:
-            parts = e.resource.split(".")
-            if parts[0] == "gpu" and parts[-1] == "comp":
-                rank = int(parts[1])
-                busy[rank] = busy.get(rank, 0.0) + e.duration
-                streams.setdefault(rank, set()).add(e.resource)
-        return {r: busy[r] / (span * len(streams[r])) for r in sorted(busy)}
-
-    def queue_wait_seconds(self) -> dict[int, float]:
-        """Per-rank seconds spent blocked on queues.
-
-        The initial scatter inbox wait per rank, plus whatever a trace
-        producer records on a rank's ``.wait`` resources.
-        """
-        waits: dict[int, float] = {}
-        for e in self.trace.events:
-            if e.resource.endswith(".wait") or e.task == "inbox.wait":
-                rank = int(e.resource.split(".")[1])
-                waits[rank] = waits.get(rank, 0.0) + e.duration
-        return dict(sorted(waits.items()))
-
-    def render(self) -> str:
-        """The run as text: :meth:`summary`, then what it leaves out — a
-        digest of the merged trace, the tallies and the per-link traffic."""
-        lines = [self.summary(), f"makespan {fmt_time(self.trace.makespan)}"]
-        util = self.rank_utilization()
-        if util:
-            lines.append(
-                "per-rank GPU busy fraction: "
-                + ", ".join(f"rank {r}: {u:.1%}" for r, u in util.items())
-            )
-        waits = self.queue_wait_seconds()
-        if waits:
-            lines.append(
-                "per-rank queue wait: "
-                + ", ".join(f"rank {r}: {fmt_time(w)}" for r, w in waits.items())
-            )
-        lines.append(
-            f"B service: {self.stats.b_tiles_generated} generated, "
-            f"{self.b_hits} hits, {self.b_evictions} LRU evictions"
-        )
-        lines.append(
-            f"shared memory: {len(self.segments)} segments, "
-            f"{fmt_bytes(self.shm_bytes)} of tiles"
-        )
-        if self.store_puts or self.store_hits or self.store_misses:
-            lines.append(
-                f"tile store: {self.store_hits} hits, {self.store_misses} "
-                f"misses, {self.store_puts} puts"
-            )
-        if self.health is not None and self.health.heartbeats:
-            lines.append(f"telemetry: {self.health.heartbeats} heartbeats")
-        if self.spans_dropped:
-            lost = sum(self.span_counters.values())
-            lines.append(
-                f"WARNING: {self.spans_dropped} spans dropped at the recorder "
-                f"bound" + (f" ({fmt_time(lost)} of busy time lost)" if lost else "")
-            )
-        lines.append(self.comm.table())
-        return "\n".join(lines)
-
     def write_artifact(self, path: str, meta: dict | None = None) -> None:
         """Write the run's one artifact: the Chrome trace enriched with the
         model and the link bytes ``repro explain --trace`` audits it against."""
@@ -282,18 +205,6 @@ class DistReport(RankTally):
 
         return attribute(self.trace)
 
-    def audit(self, band: tuple[float, float] | None = None) -> "RooflineAudit":
-        """Model-vs-measured audit of the run (see
-        :func:`repro.perf.audit_run`).  Empty when the run was untraced."""
-        from repro.perf import DEFAULT_BAND, audit_run
-
-        return audit_run(
-            self.trace,
-            self.model,
-            comm_link_bytes=dict(self.comm.link_bytes),
-            band=band if band is not None else DEFAULT_BAND,
-        )
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -301,13 +212,9 @@ class RunConfig:
     (its docstring says what each does)."""
 
     fault_plan: FaultPlan | None = None
-    max_retries: int = 1
-    allow_reassign: bool = True
     timeout: float = 120.0
-    start_method: str | None = None
     verify_plan: bool = False
     trace: bool = True
-    trace_max_spans: int = 200_000
     heartbeat_interval: float = 0.25
     stall_after_beats: int = 8
     straggler_fraction: float = 0.25
@@ -315,7 +222,6 @@ class RunConfig:
     events_path: str | None = None
     checkpoint_dir: str | None = None
     store_dir: str | None = None
-    store_budget_bytes: int | None = None
     rebalance: bool = False
     pool: object = None
     run_id: str | None = None
@@ -332,8 +238,8 @@ def execute_plan_distributed(
     :func:`~repro.runtime.numeric.execute_plan` result for the same
     operands and seeds.  ``config`` takes the fields of :class:`RunConfig`
     (anything else is a ``TypeError``).  ``fault_plan`` sabotages workers
-    for recovery testing; ``max_retries``/``allow_reassign`` tune the
-    recovery policy (retry-once-then-reassign by default).
+    for recovery testing: a failed rank is retried once in a fresh process,
+    then reassigned to the coordinator-local spare.
     ``verify_plan=True`` runs the static plan verifier
     (:func:`repro.analysis.verify_plan`) first and raises
     :class:`repro.analysis.PlanVerificationError` on any finding — a
@@ -367,8 +273,9 @@ def execute_plan_distributed(
     any warm B-tile caches inside them) survive for the next run.  The
     pool's owner closes it and, after a run that raised, resets it (a
     worker may still be computing for the dead run; :mod:`repro.serve`
-    recycles the processes and drains stale traffic).  ``start_method``
-    is ignored when a pool is given — the pool's context wins.
+    recycles the processes and drains stale traffic).  A one-shot run
+    starts its processes with :func:`~repro.dist.pool.default_start_method`,
+    as a pool does.
 
     Persistence: ``store_dir`` roots a :class:`~repro.store.TileStore`
     that backs every rank's B service as a second cache tier (tiles
@@ -381,8 +288,8 @@ def execute_plan_distributed(
     the journaled blocks instead of recomputing them, so a run killed at
     any instant (the ``abort`` fault included) resumes bit-for-bit.  A
     checkpoint directory of a *different plan* is refused up front (P121
-    checks the same statically); ``store_budget_bytes`` bounds the store
-    on disk via LRU GC.
+    checks the same statically); ``repro store gc --budget`` bounds the
+    store on disk.
 
     Rebalancing: ``rebalance=True`` turns straggler detection into
     action.  A flagged straggler is sent a cooperative relinquish
@@ -497,10 +404,7 @@ class _Coordinator:
                         f"operands/grid or point checkpoint_dir at a fresh "
                         f"directory"
                     )
-            self.store = TileStore(
-                cfg.store_dir or f"{cfg.checkpoint_dir}/store",
-                budget_bytes=cfg.store_budget_bytes,
-            )
+            self.store = TileStore(cfg.store_dir or f"{cfg.checkpoint_dir}/store")
 
         if pool is not None:
             require(not pool.closed, "worker pool is closed")
@@ -510,13 +414,13 @@ class _Coordinator:
             )
             self.ctx, self.comm = pool.ctx, pool.comm
         else:
-            self.ctx = mp.get_context(cfg.start_method or default_start_method())
+            self.ctx = mp.get_context(default_start_method())
             self.comm = CommLayer(nranks, self.ctx)
         self.coord = self.comm.endpoint(COORDINATOR)
         self.comm_stats = CommStats()
         # The coordinator's own recorder doubles as the run's monotonic clock
         # and the alignment anchor for every rank's span stream.
-        self.rec = SpanRecorder(enabled=cfg.trace, max_spans=cfg.trace_max_spans)
+        self.rec = SpanRecorder(enabled=cfg.trace)
         self.health = RunHealth(
             heartbeat_interval=cfg.heartbeat_interval,
             stall_after_beats=cfg.stall_after_beats,
@@ -633,8 +537,7 @@ class _Coordinator:
             a_meta=a_meta, b_spec=b_spec, alpha=self.alpha,
             gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
             tau=plan.options.screen_threshold,
-            store_dir=cfg.store_dir, store_budget=cfg.store_budget_bytes,
-            b_hash=self.b_hash, ckpt_dir=cfg.checkpoint_dir,
+            store_dir=cfg.store_dir, b_hash=self.b_hash, ckpt_dir=cfg.checkpoint_dir,
             run_hash=self.run_hash,
         )
         #: The same, for a rank or handoff this process executes itself
@@ -719,7 +622,6 @@ class _Coordinator:
             fault=inj,
             attempt=attempt,
             trace=cfg.trace,
-            max_spans=cfg.trace_max_spans,
             heartbeat_interval=cfg.heartbeat_interval,
             completed=completed,
             excluded=tuple(sorted(stolen)),
@@ -818,19 +720,14 @@ class _Coordinator:
             # before its rank is re-executed anywhere else.
             old.terminate()
             old.join(timeout=1.0)
-        if self.attempts[rank] <= self.cfg.max_retries:
-            self.attempts[rank] += 1
+        self.attempts[rank] += 1
+        if self.attempts[rank] == 2:
             self.events.emit(
                 "retry", rank=rank, attempt=self.live_attempt(rank), reason=reason
             )
             self.scatter_rank(rank)
-        elif self.cfg.allow_reassign:
-            self.attempts[rank] += 1
-            self.run_inline(rank)
         else:
-            raise DistExecutionError(
-                f"rank {rank} failed after {self.attempts[rank]} attempt(s): {reason}"
-            )
+            self.run_inline(rank)
 
     def abort_run(self, rank: int) -> None:
         """The abort fault: the whole job is lost, not one rank — no retry,

@@ -30,7 +30,7 @@ Three pieces:
     stall it triggers no recovery — slow is not dead — but with
     ``rebalance=True`` the coordinator asks a flagged rank to relinquish
     its unstarted blocks).  The rate is *windowed* (the last
-    ``rate_window_beats`` heartbeats), so a rank that was fast and then
+    ``RankHealth.rate_window`` heartbeats), so a rank that was fast and then
     hit a wall decays to the threshold within a window, not over its
     whole uptime; finished ranks anchor the median at their final rate,
     so detection keeps working after the fast ranks complete.
@@ -169,12 +169,10 @@ class RunHealth:
 
     def __init__(self, heartbeat_interval: float = 0.0,
                  stall_after_beats: int = 8,
-                 straggler_fraction: float = 0.25,
-                 rate_window_beats: int = 8):
+                 straggler_fraction: float = 0.25):
         self.heartbeat_interval = heartbeat_interval
         self.stall_after_beats = stall_after_beats
         self.straggler_fraction = straggler_fraction
-        self.rate_window_beats = max(2, rate_window_beats)
         self.ranks: dict[int, RankHealth] = {}
         self.heartbeats = 0
 
@@ -234,7 +232,6 @@ class RunHealth:
             attempt=attempt,
             last_signal=now,
             stalls=self.ranks[rank].stalls if rank in self.ranks else 0,
-            rate_window=self.rate_window_beats,
         )
 
     def expects(self, hb: HeartbeatMsg) -> bool:

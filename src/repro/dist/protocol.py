@@ -160,12 +160,12 @@ class ProtocolModel:
         ``telemetry``): the in-flight bound the M404 check enforces.
     work_units:
         Abstract work units (blocks) per rank in the small-scope model.
-    max_retries:
-        Retries granted per rank before reassignment (the executor
-        default is one).
-    allow_reassign:
-        Whether a twice-failed rank falls through to the coordinator's
-        inline spare worker.
+    max_retries, allow_reassign:
+        Retries granted per rank before reassignment, and whether a
+        twice-failed rank falls through to the coordinator's inline spare
+        worker.  The runtime has no such option: it always retries once,
+        then reassigns (these defaults).  Other values are mutations the
+        checker must convict (``allow_reassign=False`` loses a run, M405).
     max_extra_beats:
         Heartbeats a running worker may emit beyond the mandatory
         "worker up" beat (bounds the telemetry interleavings).

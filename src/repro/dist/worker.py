@@ -323,7 +323,7 @@ def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache,
     try:
         if msg.store_dir is not None or msg.ckpt_dir is not None:
             root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
-            store = TileStore(root, budget_bytes=msg.store_budget)
+            store = TileStore(root)
         if msg.ckpt_dir is not None:
             journal = WritebackJournal(msg.ckpt_dir, rank, suffix=journal_suffix)
         with rec.span("shm.attach", f"net.{rank}"):
@@ -387,7 +387,7 @@ def run_rank(
     forked-in ``(a, b)`` pair; :func:`_opened` consumes both.
     """
     rank = msg.proc.rank
-    rec = SpanRecorder(enabled=msg.trace, max_spans=msg.max_spans, origin=origin)
+    rec = SpanRecorder(enabled=msg.trace, origin=origin)
     if msg.trace and origin is not None and recv_done is not None:
         rec.record("inbox.wait", f"net.{rank}", 0.0, recv_done - origin)
     progress = _Progress()

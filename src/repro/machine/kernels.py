@@ -74,9 +74,3 @@ class GenerationModel:
     def time(self, nbytes: float) -> float:
         """Seconds the node's cores need to generate ``nbytes`` of tiles."""
         return float(nbytes) / self.node.gen_bandwidth
-
-    def tile_time(self, nbytes) -> np.ndarray:
-        """Per-tile generation time on a single core (vectorized) — used by
-        the discrete-event engine where generation tasks are individually
-        scheduled on the core pool."""
-        return np.asarray(nbytes, dtype=np.float64) / self.node.gen_bandwidth_per_core

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.util.validation import require_nonnegative, require_positive
@@ -25,24 +24,6 @@ class NetworkModel:
         require_positive(self.bandwidth, "bandwidth")
         require_nonnegative(self.latency, "latency")
 
-    def ptp_time(self, nbytes: float) -> float:
-        """One point-to-point message."""
-        if nbytes <= 0:
-            return 0.0
-        return self.latency + float(nbytes) / self.bandwidth
-
-    def broadcast_time(self, nbytes: float, npeers: int) -> float:
-        """Pipelined broadcast of ``nbytes`` to ``npeers`` receivers.
-
-        Bandwidth-bound for large payloads (independent of ``npeers`` up to
-        the log-latency term), which matches PaRSEC's background tile
-        broadcasts along grid rows.
-        """
-        if npeers <= 0 or nbytes <= 0:
-            return 0.0
-        depth = max(1, math.ceil(math.log2(npeers + 1)))
-        return self.latency * depth + float(nbytes) / self.bandwidth
-
     def exchange_time(self, send_bytes: float, recv_bytes: float, nmessages: int = 1) -> float:
         """Injection-bound time for a node that sends and receives in bulk.
 
@@ -52,8 +33,3 @@ class NetworkModel:
         if vol <= 0:
             return 0.0
         return self.latency * max(1, nmessages) + vol / self.bandwidth
-
-    def reduction_time(self, nbytes: float, npeers: int) -> float:
-        """Pipelined reduction of ``nbytes`` contributions from ``npeers``."""
-        # Same asymptotics as broadcast on a full-duplex non-blocking fabric.
-        return self.broadcast_time(nbytes, npeers)

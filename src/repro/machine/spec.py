@@ -143,10 +143,6 @@ class MachineSpec:
         """The paper's yardstick: ``#GPUs x 7.2 Tflop/s``."""
         return self.total_gpus * self.gpu.gemm_peak
 
-    def with_nodes(self, nnodes: int) -> "MachineSpec":
-        """The same machine scaled to ``nnodes`` nodes."""
-        return replace(self, nnodes=nnodes)
-
 
 SUMMIT_GPU = GpuSpec()
 SUMMIT_NODE = NodeSpec()

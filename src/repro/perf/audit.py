@@ -89,17 +89,6 @@ class RooflineAudit:
     def flagged_ranks(self) -> list[int]:
         return sorted({e.rank for e in self.rank_entries if e.flagged})
 
-    @property
-    def flagged_comm(self) -> list[AuditEntry]:
-        return [e for e in self.comm_entries if e.flagged]
-
-    def rank_rel(self, rank: int) -> float:
-        """The relative achieved-vs-predicted ratio of one rank (1.0 = median)."""
-        for e in self.rank_entries:
-            if e.rank == rank:
-                return e.rel
-        return 1.0
-
     def to_dict(self) -> dict:
         return {
             "band": list(self.band),

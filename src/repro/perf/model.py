@@ -128,13 +128,6 @@ class PerfModel:
             comm=comm,
         )
 
-    def predicted_rank_seconds(self) -> dict[int, float]:
-        """Summed predicted GEMM seconds per rank."""
-        out: dict[int, float] = {}
-        for p in self.gemm.values():
-            out[p.rank] = out.get(p.rank, 0.0) + p.seconds
-        return out
-
     def to_dict(self) -> dict:
         return {
             "plan_hash": self.plan_hash,

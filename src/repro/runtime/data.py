@@ -35,10 +35,6 @@ class TileSource(Protocol):
         """The tile's data, materialized for process ``proc``."""
         ...
 
-    def tile_nbytes(self, k: int, j: int) -> int:
-        """Byte size of the tile."""
-        ...
-
 
 class MatrixSource:
     """Adapter exposing a concrete :class:`BlockSparseMatrix` as a source."""
@@ -53,9 +49,6 @@ class MatrixSource:
     def tile(self, proc: int, k: int, j: int) -> np.ndarray:
         self.access_counts[(proc, k, j)] += 1
         return self.matrix.get_tile(k, j)
-
-    def tile_nbytes(self, k: int, j: int) -> int:
-        return self.matrix.get_tile(k, j).nbytes
 
     def sparse_shape(self, with_norms: bool = False) -> SparseShape:
         return self.matrix.sparse_shape(with_norms=with_norms)
@@ -88,10 +81,6 @@ class GeneratedCollection:
 
     def tile_shape(self, k: int, j: int) -> tuple[int, int]:
         return (self.shape.rows.tile_size(k), self.shape.cols.tile_size(j))
-
-    def tile_nbytes(self, k: int, j: int) -> int:
-        m, n = self.tile_shape(k, j)
-        return m * n * 8
 
     def tile(self, proc: int, k: int, j: int) -> np.ndarray:
         """Materialize tile ``(k, j)`` on process ``proc`` (cached)."""

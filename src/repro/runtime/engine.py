@@ -71,10 +71,6 @@ class DiscreteEventEngine:
         require(task.duration >= 0, "duration must be >= 0")
         self._tasks[task.name] = task
 
-    def add_tasks(self, tasks) -> None:
-        for t in tasks:
-            self.add_task(t)
-
     @property
     def ntasks(self) -> int:
         return len(self._tasks)

@@ -66,9 +66,6 @@ class GpuMemory:
             raise GpuMemoryError(f"no reservation named {name!r}") from None
         self._used -= nbytes
 
-    def holds(self, name: str) -> bool:
-        return name in self._reservations
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"GpuMemory(used={fmt_bytes(self._used)}/{fmt_bytes(self.capacity)}, "

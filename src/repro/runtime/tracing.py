@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 
 from repro.util.units import fmt_time
 
+#: Spans one :class:`SpanRecorder` retains before it starts dropping them.
+MAX_SPANS = 200_000
+
 
 def rank_of_resource(resource: str) -> int | None:
     """The process rank a resource name encodes, or ``None``.
@@ -88,7 +91,7 @@ class SpanRecorder:
     * **monotonic** — ``now()`` is ``time.monotonic()`` relative to the
       recorder's origin, so an NTP step can never produce negative
       durations or skewed deadlines;
-    * **bounded** — at most ``max_spans`` spans are retained; further
+    * **bounded** — at most :data:`MAX_SPANS` spans are retained; further
       ``record`` calls bump ``dropped`` and accumulate the lost duration
       per resource in ``counters`` (key ``dropped.<resource>``);
     * **zero-cost when disabled** — ``record`` returns immediately, and
@@ -101,10 +104,9 @@ class SpanRecorder:
     __slots__ = ("enabled", "max_spans", "spans", "counters", "dropped",
                  "_origin", "wall_origin")
 
-    def __init__(self, enabled: bool = True, max_spans: int = 200_000,
-                 origin: float | None = None):
+    def __init__(self, enabled: bool = True, origin: float | None = None):
         self.enabled = enabled
-        self.max_spans = max_spans
+        self.max_spans = MAX_SPANS
         self.spans: list[tuple[str, str, float, float]] = []
         self.counters: dict[str, float] = {}
         self.dropped = 0
@@ -165,9 +167,9 @@ class Trace:
     """An ordered record of executed tasks with utilization queries.
 
     ``capacities`` maps resource names to their parallel capacity
-    (defaulting to 1); ``busy_time`` and ``utilization`` normalize by it so
-    a capacity-4 resource running 4 tasks at once reports a busy fraction
-    of 1.0, not 4.0.
+    (defaulting to 1); ``utilization`` normalizes by it so a capacity-4
+    resource running 4 tasks at once reports a busy fraction of 1.0, not
+    4.0.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -198,17 +200,6 @@ class Trace:
         # A zero/negative capacity entry (e.g. a degenerate machine spec)
         # must degrade to unnormalized busy time, not ZeroDivisionError.
         return max(cap, 1)
-
-    def busy_time(self, resource: str, capacity: int | None = None) -> float:
-        """Capacity-normalized busy seconds of a resource.
-
-        With ``capacity`` (or a stored ``capacities`` entry) ``c``, the sum
-        of event durations is divided by ``c`` — the time an equivalent
-        capacity-1 resource would have been busy.
-        """
-        cap = capacity if capacity is not None else self.capacities.get(resource, 1)
-        cap = max(cap, 1)
-        return sum(e.duration for e in self.events if e.resource == resource) / cap
 
     def utilization(self, capacities: dict[str, int] | None = None) -> dict[str, float]:
         """Busy fraction per resource over the makespan.

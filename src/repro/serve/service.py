@@ -55,13 +55,12 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.analysis.plan_checks import verify_plan
 from repro.dist.coordinator import RunConfig, execute_plan_distributed
 from repro.dist.pool import WorkerPool
 from repro.serve.pool import drain_stale, reset_pool, shutdown_pool
-from repro.serve.warmcache import DEFAULT_BUDGET_BYTES, WarmTileCache
+from repro.serve.warmcache import WarmTileCache
 from repro.util.memo import IdentityMemo
 from repro.util.validation import require
 
@@ -86,6 +85,10 @@ def _check_job_keywords(kwargs: dict) -> None:
     if own:
         raise TypeError(f"ContractionService sets {own} itself")
 
+
+#: Seconds :meth:`ContractionService.shutdown` waits for queued jobs, then
+#: for the scheduler thread and for each worker to leave.
+_SHUTDOWN_TIMEOUT_S = 10.0
 
 #: Queue entry that sorts ahead of every job and names none: shutdown puts
 #: it to wake a scheduler asleep in ``get`` so it sees ``_stop`` at once.
@@ -164,10 +167,6 @@ class ContractionService:
     queue_limit:
         Maximum jobs queued-or-running before :meth:`submit` raises
         :class:`BackpressureError`.
-    warm_cache_bytes:
-        Per-worker budget of the process-lifetime B-tile cache; ``0``
-        disables the warm tier (pool reuse then amortizes process
-        startup only).
     dist_kwargs:
         Defaults for every job's :func:`~repro.dist.execute_plan_distributed`
         call (a job's own kwargs win), checked here: e.g. ``verify_plan``
@@ -176,15 +175,11 @@ class ContractionService:
     """
 
     def __init__(self, nranks: int, *, artifacts_dir: str | None = None,
-                 queue_limit: int = 8,
-                 warm_cache_bytes: int = DEFAULT_BUDGET_BYTES, **dist_kwargs):
+                 queue_limit: int = 8, **dist_kwargs):
         require(queue_limit >= 1, f"queue_limit must be >= 1, got {queue_limit}")
         _check_job_keywords(dist_kwargs)
         self._dist_kwargs = dist_kwargs
-        factory = (
-            partial(WarmTileCache, warm_cache_bytes) if warm_cache_bytes else None
-        )
-        self.pool = WorkerPool(nranks, tile_cache_factory=factory)
+        self.pool = WorkerPool(nranks, tile_cache_factory=WarmTileCache)
         self.artifacts_dir = artifacts_dir
         if artifacts_dir is not None:
             os.makedirs(artifacts_dir, exist_ok=True)
@@ -197,7 +192,6 @@ class ContractionService:
         self._lock = threading.Lock()
         self._seq = 0
         self._open = True
-        self._draining = False
         # (-priority, seq, job_id): higher priority first, FIFO within.
         self._pending: _queue.PriorityQueue = _queue.PriorityQueue()
         self._idle = threading.Event()
@@ -223,12 +217,10 @@ class ContractionService:
         """
         _check_job_keywords(kwargs)
         # Outside the lock: verifying a new plan takes milliseconds, and the
-        # scheduler's _finish, jobs() and status() must not wait behind it.
+        # scheduler's _finish and jobs() must not wait behind it.
         self._admit(plan)
         with self._lock:
             require(self._open, "service is shut down")
-            if self._draining:
-                raise AdmissionError("service is draining; not accepting jobs")
             active = sum(
                 1 for j in self._jobs.values() if j.state in (QUEUED, RUNNING)
             )
@@ -261,9 +253,6 @@ class ContractionService:
             raise JobFailedError(f"job {job_id} {job.state}") from job.error
         return job.result, job.report
 
-    def status(self, job_id: str) -> str:
-        return self._job(job_id).state
-
     def report(self, job_id: str):
         """The finished job's :class:`~repro.dist.DistReport` (else ``None``)."""
         return self._job(job_id).report
@@ -275,39 +264,19 @@ class ContractionService:
                 self._jobs.values(), key=lambda j: j.seq
             )]
 
-    def drain(self, timeout: float | None = None) -> bool:
-        """Stop admitting, finish everything queued; True when idle.
-
-        The pool stays warm — :meth:`resume` re-opens admission, so a
-        drain is how an owner quiesces for e.g. a checkpoint without
-        paying cold start afterwards.
-        """
-        with self._lock:
-            self._draining = True
-        return self._idle.wait(timeout=timeout)
-
-    def resume(self) -> None:
-        """Re-open admission after :meth:`drain`."""
-        with self._lock:
-            require(self._open, "service is shut down")
-            self._draining = False
-
-    def shutdown(self, timeout: float = 10.0, drain: bool = True) -> None:
-        """Stop the scheduler and the pool (idempotent).
-
-        ``drain=True`` finishes queued jobs first; ``drain=False``
-        cancels them (their waiters see :class:`JobFailedError`).
-        """
+    def shutdown(self) -> None:
+        """Refuse new jobs, finish the queued ones, then stop the scheduler
+        and the pool (idempotent).  A job still queued after
+        ``_SHUTDOWN_TIMEOUT_S`` is cancelled (its waiter sees
+        :class:`JobFailedError`)."""
         with self._lock:
             if not self._open:
                 return
             self._open = False
-            self._draining = True
-        if drain:
-            self._idle.wait(timeout=timeout)
+        self._idle.wait(timeout=_SHUTDOWN_TIMEOUT_S)
         self._stop.set()
         self._pending.put(_WAKE)
-        self._scheduler.join(timeout=timeout)
+        self._scheduler.join(timeout=_SHUTDOWN_TIMEOUT_S)
         while True:  # cancel whatever the scheduler never claimed
             try:
                 _, _, job_id = self._pending.get_nowait()
@@ -316,7 +285,7 @@ class ContractionService:
             job = self._jobs.get(job_id)
             if job is not None and job.state == QUEUED:
                 self._finish(job, CANCELLED, error=RuntimeError("service shut down"))
-        shutdown_pool(self.pool, timeout=timeout)
+        shutdown_pool(self.pool, timeout=_SHUTDOWN_TIMEOUT_S)
 
     # -- admission -----------------------------------------------------------
 
@@ -388,8 +357,8 @@ class ContractionService:
             # Result and report stay; the operands are the client's again.
             job.a = job.b = None
             job.kwargs = {}
-            # Idle the moment the last job ends: drain() and shutdown()
-            # must not wait out a scheduler poll interval to learn it.
+            # Idle the moment the last job ends: shutdown() must not wait
+            # out a scheduler poll interval to learn it.
             if not any(
                 j.state in (QUEUED, RUNNING) for j in self._jobs.values()
             ):

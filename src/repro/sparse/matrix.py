@@ -95,11 +95,6 @@ class BlockSparseMatrix:
     def __contains__(self, key: TileKey) -> bool:
         return key in self._tiles
 
-    def tile_or_zeros(self, i: int, j: int) -> np.ndarray:
-        """The stored tile, or a fresh zero tile of the right shape."""
-        t = self._tiles.get((i, j))
-        return t if t is not None else np.zeros(self.tile_shape(i, j))
-
     def set_tile(self, i: int, j: int, data: np.ndarray) -> None:
         """Insert/overwrite tile ``(i, j)`` after shape validation."""
         expected = self.tile_shape(i, j)
@@ -117,10 +112,6 @@ class BlockSparseMatrix:
             self.set_tile(i, j, data)
         else:
             cur += data
-
-    def drop_tile(self, i: int, j: int) -> None:
-        """Remove tile ``(i, j)`` if present."""
-        self._tiles.pop((i, j), None)
 
     def items(self) -> Iterator[tuple[TileKey, np.ndarray]]:
         """Iterate over stored ``((i, j), tile)`` pairs."""

@@ -99,11 +99,6 @@ class SparseShape:
         return int(self._csr.nnz)
 
     @property
-    def tile_density(self) -> float:
-        """Fraction of the tile grid that is present."""
-        return self.nnz_tiles / (self.ntile_rows * self.ntile_cols)
-
-    @property
     def element_nnz(self) -> int:
         """Total element count of all present tiles."""
         i, j = self.nonzero_tiles()
@@ -135,27 +130,11 @@ class SparseShape:
         """Whether tile ``(i, j)`` is present."""
         return bool(self._csr[i, j] != 0)
 
-    def tile_norms(self) -> sp.csr_matrix:
-        """Per-tile norms as CSR (values of the canonical matrix)."""
-        return self._csr
-
     def tile_bytes(self, dtype_bytes: int = 8) -> sp.csr_matrix:
         """CSR whose values are per-tile byte sizes of the present tiles."""
         i, j = self.nonzero_tiles()
         vals = (self.rows.sizes[i] * self.cols.sizes[j] * dtype_bytes).astype(np.float64)
         return sp.csr_matrix((vals, (i, j)), shape=self._csr.shape)
-
-    def column_element_counts(self) -> np.ndarray:
-        """Per tile-column total element count of present tiles."""
-        pattern = self.pattern()
-        col_rows = pattern.T @ self.rows.sizes.astype(np.float64)  # sum of row sizes per col
-        return (col_rows * self.cols.sizes).astype(np.int64)
-
-    def row_element_counts(self) -> np.ndarray:
-        """Per tile-row total element count of present tiles."""
-        pattern = self.pattern()
-        row_cols = pattern @ self.cols.sizes.astype(np.float64)
-        return (row_cols * self.rows.sizes).astype(np.int64)
 
     def pattern(self) -> sp.csr_matrix:
         """0/1 CSR occupancy (norms stripped)."""
@@ -177,11 +156,6 @@ class SparseShape:
         new = new + pat.multiply(1e-300)
         return SparseShape(self.rows, self.cols, new)
 
-    def intersect(self, other: "SparseShape") -> "SparseShape":
-        """Tiles present in both (norms multiplied)."""
-        self._check_same_grid(other)
-        return SparseShape(self.rows, self.cols, self._csr.multiply(other._csr))
-
     def union(self, other: "SparseShape") -> "SparseShape":
         """Tiles present in either (norms added — used for accumulation)."""
         self._check_same_grid(other)
@@ -192,12 +166,6 @@ class SparseShape:
         sel = np.asarray(tile_rows, dtype=np.int64)
         sub = self._csr[sel, :]
         return SparseShape(self.rows.restrict(sel), self.cols, sub)
-
-    def restrict_cols(self, tile_cols: np.ndarray) -> "SparseShape":
-        """Shape of the vertical slice made of the given tile columns."""
-        sel = np.asarray(tile_cols, dtype=np.int64)
-        sub = self._csr[:, sel]
-        return SparseShape(self.rows, self.cols.restrict(sel), sub)
 
     def _check_same_grid(self, other: "SparseShape") -> None:
         require(

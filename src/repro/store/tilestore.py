@@ -24,7 +24,6 @@ Properties the distributed executor leans on:
   :meth:`close`);
 * **size-bounded GC** — :meth:`gc` evicts least-recently-used objects
   (access bumps an object's mtime) until the store fits a byte budget;
-  with a ``budget_bytes`` every :meth:`put` triggers the same sweep;
 * **concurrent writers** — many ranks on one filesystem can put the same
   object simultaneously: each writes its own temp file and the last
   ``os.replace`` wins with identical bytes.  Index/stats appends are
@@ -102,20 +101,10 @@ class ObjectInfo:
 
 
 class TileStore:
-    """A persistent tile store rooted at one directory.
+    """A persistent tile store rooted at one directory (created on demand)."""
 
-    Parameters
-    ----------
-    root:
-        Store directory (created on demand).
-    budget_bytes:
-        Optional size bound; exceeding it after a :meth:`put` triggers an
-        LRU sweep back under budget.
-    """
-
-    def __init__(self, root: str, *, budget_bytes: int | None = None):
+    def __init__(self, root: str):
         self.root = root
-        self.budget_bytes = budget_bytes
         self._objects_dir = os.path.join(root, "objects")
         os.makedirs(self._objects_dir, exist_ok=True)
         self._maps: list[mmap.mmap] = []
@@ -171,8 +160,6 @@ class TileStore:
         self._session.puts += 1
         self._session.bytes_written += len(blob)
         self._append_index(digest, ns, key, len(blob))
-        if self.budget_bytes is not None:
-            self.gc(self.budget_bytes)
         return True
 
     def _append_index(self, digest: str, ns: str, key, nbytes: int) -> None:
@@ -184,9 +171,6 @@ class TileStore:
             fh.write(line + "\n")
 
     # -- read ----------------------------------------------------------------
-
-    def contains(self, ns: str, key) -> bool:
-        return os.path.exists(self._path(object_digest(ns, key)))
 
     def get(self, ns: str, key, *, verify: bool = False) -> np.ndarray | None:
         """Fetch a tile, or ``None`` when absent (or corrupt).
@@ -300,9 +284,6 @@ class TileStore:
                 out.append(info)
         out.sort(key=lambda o: (o.mtime, o.digest))
         return out
-
-    def disk_bytes(self) -> int:
-        return sum(o.nbytes for o in self.scan())
 
     def gc(self, budget_bytes: int) -> tuple[int, int]:
         """Evict LRU objects until the store fits; returns ``(n, bytes)``."""

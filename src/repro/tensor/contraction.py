@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.sparse.gemm_ref import block_gemm_reference
 from repro.sparse.matrix import BlockSparseMatrix
-from repro.sparse.shape import SparseShape
 from repro.tensor.matricize import matricize, unmatricize
 from repro.tensor.tensor import BlockSparseTensor
 from repro.util.validation import require
@@ -116,13 +115,6 @@ class ContractionPlan:
             out_tilings.append(src.tilings[src.mode_axis(m)])
         return unmatricize(
             c, self.spec.out_modes, out_tilings, self.spec.a_free, self.spec.b_free
-        )
-
-    def shapes(self) -> tuple[SparseShape, SparseShape]:
-        """Occupancy shapes of the matricized operands (planning input)."""
-        return (
-            self.matricized_a().sparse_shape(),
-            self.matricized_b().sparse_shape(),
         )
 
 

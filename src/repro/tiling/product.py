@@ -36,14 +36,6 @@ class FusedTiling:
     def ntiles(self) -> int:
         return self.tiling.ntiles
 
-    def fused_index(self, t1: int | np.ndarray, t2: int | np.ndarray):
-        """Fused tile id of constituent pair ``(t1, t2)`` (vectorized)."""
-        return t1 * self.n2 + t2
-
-    def pair_index(self, t: int | np.ndarray):
-        """Constituent pair ``(t1, t2)`` of fused tile id ``t`` (vectorized)."""
-        return t // self.n2, t % self.n2
-
 
 def fuse(outer: Tiling, inner: Tiling) -> FusedTiling:
     """Fuse two tilings into the tiling of the row-major index pair.

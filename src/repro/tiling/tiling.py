@@ -54,11 +54,6 @@ class Tiling:
         offsets = np.arange(0, extent, tile, dtype=np.int64)
         return cls(np.concatenate((offsets, [extent])))
 
-    @classmethod
-    def single(cls, extent: int) -> "Tiling":
-        """The trivial tiling: one tile covering the whole range."""
-        return cls(np.array([0, extent], dtype=np.int64))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -88,13 +83,6 @@ class Tiling:
     def tile_slice(self, t: int) -> slice:
         """Element slice ``offsets[t]:offsets[t+1]`` of tile ``t``."""
         return slice(int(self._offsets[t]), int(self._offsets[t + 1]))
-
-    def tile_of(self, index: int | np.ndarray) -> int | np.ndarray:
-        """Tile number containing element ``index`` (vectorized)."""
-        t = np.searchsorted(self._offsets, index, side="right") - 1
-        if np.any(t < 0) or np.any(np.asarray(index) >= self.extent):
-            raise IndexError(f"index {index!r} out of range [0, {self.extent})")
-        return int(t) if np.isscalar(index) else t
 
     # -- derived tilings ---------------------------------------------------
 

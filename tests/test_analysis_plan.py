@@ -21,6 +21,7 @@ from repro.sparse import random_block_sparse
 from repro.sparse.shape import SparseShape
 from repro.tiling import random_tiling
 from tests.test_property_plans import instances, machines
+from tests.findings import by_rule, rules_fired
 
 
 def _instance(seed=0, n=400, k=1200):
@@ -85,7 +86,7 @@ class TestMutations:
         i, k = int(chunk.a_rows[0]), int(chunk.a_cols[0])
         plan.a_shape = _drop_tile(plan.a_shape, i, k)
         report = verify_plan(plan)
-        assert "P101" in report.rules_fired(), report.render()
+        assert "P101" in rules_fired(report), report.render()
 
     def test_missing_b_tile_fires_p102(self, plan):
         block = plan.procs[0].blocks[0]
@@ -94,12 +95,12 @@ class TestMutations:
         k = int(csc.indices[csc.indptr[j]])
         plan.b_shape = _drop_tile(plan.b_shape, k, j)
         report = verify_plan(plan)
-        assert "P102" in report.rules_fired(), report.render()
+        assert "P102" in rules_fired(report), report.render()
 
     def test_inconsistent_b_footprint_fires_p102(self, plan):
         plan.procs[0].blocks[0].b_tile_count += 3
         report = verify_plan(plan)
-        assert "P102" in report.rules_fired(), report.render()
+        assert "P102" in rules_fired(report), report.render()
 
     def test_duplicated_c_ownership_fires_p103(self, plan):
         row0 = [p for p in plan.procs if p.row == 0]
@@ -107,16 +108,16 @@ class TestMutations:
         a, b = row0[0], row0[1]
         b.columns = np.concatenate([b.columns, a.columns[:1]])
         report = verify_plan(plan)
-        assert "P103" in report.rules_fired(), report.render()
+        assert "P103" in rules_fired(report), report.render()
         assert any("write race" in f.message for f in report.findings)
 
     def test_dropped_column_fires_p104_and_p103(self, plan):
         proc = plan.procs[0]
         proc.columns = proc.columns[1:]
         report = verify_plan(plan)
-        assert "P104" in report.rules_fired(), report.render()
+        assert "P104" in rules_fired(report), report.render()
         # The orphaned column's C tiles are now owned by nobody.
-        assert "P103" in report.rules_fired(), report.render()
+        assert "P103" in rules_fired(report), report.render()
 
     def test_duplicated_block_columns_fire_p104(self, plan):
         """A rank whose block claims a sibling rank's columns writes C tiles
@@ -124,7 +125,7 @@ class TestMutations:
         src, dst = [p for p in plan.procs if p.row == 0][:2]
         dst.blocks[0].columns = np.array(src.blocks[0].columns, copy=True)
         report = verify_plan(plan)
-        p104 = report.by_rule("P104")
+        p104 = by_rule(report, "P104")
         assert any("not assigned to the rank" in f.message for f in p104), report.render()
         assert any("in no block" in f.message for f in p104), report.render()
 
@@ -145,22 +146,22 @@ class TestMutations:
         thief.b_tile_count = len(tiles)
         thief.b_bytes = int(sum(k_sizes[k] * n_sizes[j] for k, j in tiles)) * DTYPE_BYTES
         report = verify_plan(plan)
-        assert report.rules_fired() == {"P104"}, report.render()
+        assert rules_fired(report) == {"P104"}, report.render()
         with pytest.raises(PlanVerificationError, match="P104"):
             assert_plan_valid(plan)
 
     def test_oversized_block_fires_p110(self, plan):
         plan.procs[0].blocks[0].c_bytes = plan.gpu_memory_bytes
         report = verify_plan(plan)
-        assert "P110" in report.rules_fired(), report.render()
+        assert "P110" in rules_fired(report), report.render()
 
     def test_over_budget_chunk_fires_p111(self, plan):
         chunk = plan.procs[0].blocks[0].chunks[0]
         assert chunk.ntiles > 1
         chunk.a_bytes = int(plan.gpu_memory_bytes * 0.9)
         report = verify_plan(plan)
-        assert "P111" in report.rules_fired(), report.render()
-        assert "P112" in report.rules_fired()  # double-buffering overflows too
+        assert "P111" in rules_fired(report), report.render()
+        assert "P112" in rules_fired(report)  # double-buffering overflows too
 
     def test_gpu_imbalance_fires_p113(self):
         from repro.machine.spec import GpuSpec, MachineSpec, NodeSpec
@@ -175,12 +176,12 @@ class TestMutations:
         assert len(movable) >= 2, "instance too small to unbalance"
         movable[0].gpu = 0
         report = verify_plan(plan)
-        assert "P113" in report.rules_fired(), report.render()
+        assert "P113" in rules_fired(report), report.render()
 
     def test_comm_volume_mismatch_fires_p120(self, plan):
         plan.procs[0].a_recv_bytes += 4096
         report = verify_plan(plan)
-        assert report.rules_fired() == {"P120"}, report.render()
+        assert rules_fired(report) == {"P120"}, report.render()
         assert len(report.findings) == 1
 
     def test_assert_plan_valid_raises_with_report(self, plan):

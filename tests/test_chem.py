@@ -21,14 +21,13 @@ from repro.sparse.shape_algebra import product_shape
 class TestMolecule:
     def test_c65h132_counts(self):
         m = alkane(65)
-        assert m.formula() == "C65H132"
         assert m.natoms == 197
         assert m.count("C") == 65 and m.count("H") == 132
 
     def test_small_alkanes(self):
-        assert alkane(1).formula() == "CH4"
-        assert alkane(2).formula() == "C2H6"
-        assert alkane(4).formula() == "C4H10"
+        for n in (1, 2, 4):  # CH4, C2H6, C4H10
+            m = alkane(n)
+            assert (m.count("C"), m.count("H")) == (n, 2 * n + 2)
 
     def test_quasi_1d_geometry(self):
         m = alkane(30)
@@ -154,11 +153,6 @@ class TestAbcdProblem:
     def test_named_variant_lookup(self):
         prob = build_abcd_problem(variant="v3", seed=0)
         assert prob.variant.name == "v3"
-
-    def test_describe(self):
-        prob = build_abcd_problem(alkane(10), TilingVariant("t", 3, 6), seed=8)
-        d = prob.describe()
-        assert "density" in d and "C10H22" in d
 
     def test_deterministic_given_seed(self):
         p1 = build_abcd_problem(alkane(12), TilingVariant("t", 3, 8), seed=9)

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from repro.core import assign_columns
 
 
+def imbalance(asg) -> float:
+    """``max / mean`` processor load; 1.0 is perfect balance."""
+    mean = asg.flops.mean()
+    return float(asg.flops.max() / mean) if mean > 0 else 1.0
+
+
 class TestAssignColumns:
     def test_partition_complete_and_disjoint(self):
         f = np.random.default_rng(0).uniform(0, 10, 100)
@@ -27,19 +33,19 @@ class TestAssignColumns:
         f = np.arange(2 * q, dtype=float)
         asg = assign_columns(f, q, "mirrored")
         assert np.allclose(asg.flops, asg.flops[0])
-        assert asg.imbalance == pytest.approx(1.0)
+        assert imbalance(asg) == pytest.approx(1.0)
 
     def test_cyclic_imbalanced_on_arithmetic_weights(self):
         q = 8
         f = np.arange(2 * q, dtype=float)
         asg = assign_columns(f, q, "cyclic")
-        assert asg.imbalance > 1.0
+        assert imbalance(asg) > 1.0
 
     def test_lpt_at_least_as_good(self):
         rng = np.random.default_rng(2)
         f = rng.lognormal(0, 1.5, 300)
-        lpt = assign_columns(f, 12, "lpt").imbalance
-        mir = assign_columns(f, 12, "mirrored").imbalance
+        lpt = imbalance(assign_columns(f, 12, "lpt"))
+        mir = imbalance(assign_columns(f, 12, "mirrored"))
         assert lpt <= mir + 1e-12
 
     def test_single_processor(self):
@@ -47,7 +53,7 @@ class TestAssignColumns:
         asg = assign_columns(f, 1)
         assert asg.q == 1
         assert asg.columns[0].tolist() == [0, 1, 2]
-        assert asg.imbalance == 1.0
+        assert imbalance(asg) == 1.0
 
     def test_more_processors_than_columns(self):
         f = np.array([5.0, 1.0])
@@ -95,4 +101,4 @@ class TestAssignColumns:
         rng = np.random.default_rng(seed)
         f = np.sort(rng.uniform(0.5, 1.5, 40 * q))
         asg = assign_columns(f, q, "mirrored")
-        assert asg.imbalance < 1.05
+        assert imbalance(asg) < 1.05

@@ -10,6 +10,7 @@ Fast parity checks run in tier-1; the slower multi-process scenarios
 and run via ``make test-dist``.
 """
 
+import contextlib
 import gc
 import multiprocessing as mp
 import os
@@ -32,9 +33,10 @@ from repro.dist import (
     active_segments,
     execute_plan_distributed,
 )
+from repro.dist import coordinator
 from repro.dist.comm import DoneMsg, HandoffDoneMsg
 from repro.machine import summit
-from repro.runtime import GeneratedCollection, execute_plan
+from repro.runtime import GeneratedCollection, execute_plan, tracing
 from repro.runtime.numeric import NumericStats, block_cols_of_k, chunk_groups, proc_blocks
 from repro.sparse import random_block_sparse
 from repro.sparse.gemm_ref import gemm_against_dense
@@ -211,10 +213,20 @@ def mapped_segments(names, pid="self"):
     return sorted(name for name in names if name in maps)
 
 
+@contextlib.contextmanager
+def start_method(method):
+    """One-shot runs inside the block start their processes with ``method``
+    (``spawn`` takes the arena plane on Linux, too)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator, "default_start_method", lambda: method)
+        yield
+
+
 def run_on_plane(plane, plan, a, b, **kwargs):
     """``execute_plan_distributed`` on the fork, spawn or pool plane."""
     if plane != "pool":
-        return execute_plan_distributed(plan, a, b, start_method=plane, **kwargs)
+        with start_method(plane):
+            return execute_plan_distributed(plan, a, b, **kwargs)
     pool = WorkerPool(plan.grid.nprocs)
     try:
         return execute_plan_distributed(plan, a, b, pool=pool, **kwargs)
@@ -363,14 +375,14 @@ class TestSharedMemoryLifecycle:
                 shared_memory.SharedMemory(name=name)
 
     def test_all_segments_unlinked_after_failure(self):
+        """A rank gone silent with nothing watching its heartbeats: the run
+        fails at its timeout, and teardown still unlinks every segment."""
         a, b = operands(seed=5)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
-        with pytest.raises(DistExecutionError):
+        with pytest.raises(DistExecutionError, match="timed out"):
             execute_plan_distributed(
-                plan, a, b,
-                fault_plan=FaultPlan.kill(0, 1, once=False),
-                max_retries=0,
-                allow_reassign=False,
+                plan, a, b, fault_plan=FaultPlan.stall(0, 1),
+                heartbeat_interval=0, timeout=1.0,
             )
         assert active_segments() == frozenset()
 
@@ -450,7 +462,8 @@ class TestWorkersLeave:
         a, b = operands(seed=15)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
         c_serial, _ = execute_plan(plan, a, b)
-        c, _ = execute_plan_distributed(plan, a, b, start_method=plane)
+        with start_method(plane):
+            c, _ = execute_plan_distributed(plan, a, b)
         assert np.array_equal(c.to_dense(), c_serial.to_dense())
         assert [p.exitcode for p in reaped] == [0, 0]  # not -15: nobody was signalled
         assert mp.active_children() == []
@@ -555,11 +568,13 @@ class TestFaultRecovery:
         assert report.reassigned == []
 
     @pytest.mark.dist
-    @pytest.mark.parametrize("fault,ending,reason", [
-        (FaultPlan.abort(0, 5), "aborted", "rank 0 aborted"),
-        (FaultPlan.kill(0, 5, once=False), "failed", "rank 0 failed after 2 attempt"),
+    @pytest.mark.parametrize("fault,kwargs,ending,reason", [
+        (FaultPlan.abort(0, 5), {}, "aborted", "rank 0 aborted"),
+        # Silent, with no heartbeat to miss: nothing recovers it.
+        (FaultPlan.stall(0, 1), dict(heartbeat_interval=0, timeout=1.0),
+         "failed", "distributed run timed out"),
     ], ids=["abort", "unrecoverable-rank"])
-    def test_lost_run_ends_its_log(self, tmp_path, capsys, fault, ending, reason):
+    def test_lost_run_ends_its_log(self, tmp_path, capsys, fault, kwargs, ending, reason):
         """A lost run leaves exactly one terminal record, with the reason,
         and a monitor following the log stops (exit 1) on it."""
         from repro.cli import main
@@ -571,7 +586,7 @@ class TestFaultRecovery:
         with pytest.raises(DistExecutionError, match=reason):
             psgemm_distributed(
                 a, b, summit(2), p=2, events_path=events_path,
-                fault_plan=fault, allow_reassign=False,
+                fault_plan=fault, **kwargs,
             )
         assert not active_segments()
         events = read_events(events_path)
@@ -725,7 +740,7 @@ class TestBService:
         col = self._collection()
         keys = [(k, j) for k in range(col.shape.ntile_rows)
                 for j in range(col.shape.ntile_cols) if col.has_tile(k, j)][:6]
-        budget = sum(col.tile_nbytes(k, j) for k, j in keys[:2]) + 8
+        budget = sum(col.generate_tile(k, j).nbytes for k, j in keys[:2]) + 8
         svc = BService(col, budget_bytes=budget)
         first = {key: svc.tile(0, *key).copy() for key in keys}
         assert svc.lru_evictions > 0
@@ -809,7 +824,7 @@ class TestTelemetry:
         # Every beat's bytes are counted on receipt, accepted or not —
         # and beat 0 fires on scatter receipt, so some always arrive.
         assert report.comm.telemetry_total() > 0
-        assert "telemetry" in report.render()
+        assert report.health.enabled
 
     def test_prometheus_export_from_real_run(self, q2_run):
         _, report = q2_run
@@ -837,17 +852,22 @@ class TestTelemetry:
         c_serial, _ = execute_plan(plan, a, b)
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
 
-    def test_span_recorder_bound_counts_drops(self):
-        # A tiny recorder bound: the run stays exact, the report says how
-        # much of the trace is missing instead of silently truncating.
+    @needs_fork
+    def test_span_recorder_bound_counts_drops(self, monkeypatch):
+        # A tiny recorder bound (the forked workers inherit it): the run
+        # stays exact, the report says how much of the trace is missing
+        # instead of silently truncating.
+        monkeypatch.setattr(tracing, "MAX_SPANS", 4)
         a, b = operands(seed=13, m=100, nk=200)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
-        c_dist, report = execute_plan_distributed(plan, a, b, trace_max_spans=4)
+        with start_method("fork"):
+            c_dist, report = execute_plan_distributed(plan, a, b)
         c_serial, _ = execute_plan(plan, a, b)
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
         assert report.spans_dropped > 0
         assert report.metrics.get("repro_spans_dropped_total") == report.spans_dropped
-        assert "spans dropped" in report.render()
+        lost = {k: v for k, v in report.span_counters.items() if k.startswith("dropped.")}
+        assert lost and sum(lost.values()) > 0
 
     @pytest.mark.dist
     def test_stalled_rank_detected_and_reassigned(self, tmp_path):

@@ -53,16 +53,16 @@ class TestGemmReference:
         assert np.allclose(c.to_dense(), gemm_against_dense(a, b))
 
     def test_nonconforming_raises(self):
-        a = BlockSparseMatrix(Tiling.single(3), Tiling.single(4))
-        b = BlockSparseMatrix(Tiling.single(5), Tiling.single(6))
+        a = BlockSparseMatrix(Tiling.from_sizes([3]), Tiling.from_sizes([4]))
+        b = BlockSparseMatrix(Tiling.from_sizes([5]), Tiling.from_sizes([6]))
         with pytest.raises(ValueError):
             block_gemm_reference(a, b)
 
     def test_wrong_c_grid_raises(self):
-        t = Tiling.single(3)
+        t = Tiling.from_sizes([3])
         a = random_block_sparse(t, t, 1.0, seed=0)
         b = random_block_sparse(t, t, 1.0, seed=1)
-        bad_c = BlockSparseMatrix(Tiling.single(4), Tiling.single(4))
+        bad_c = BlockSparseMatrix(Tiling.from_sizes([4]), Tiling.from_sizes([4]))
         with pytest.raises(ValueError):
             block_gemm_reference(a, b, c=bad_c)
 

@@ -24,8 +24,9 @@ class TestProcessGrid:
 
     def test_row_ranks(self):
         g = ProcessGrid(p=2, q=3, gpus_per_proc=1)
-        assert g.row_ranks(0) == [0, 1, 2]
-        assert g.row_ranks(1) == [3, 4, 5]
+        # Row-major: grid row r holds ranks r*q ... r*q + q-1.
+        assert [g.rank(0, l) for l in range(3)] == [0, 1, 2]
+        assert [g.rank(1, l) for l in range(3)] == [3, 4, 5]
 
     def test_slice_tile_rows_partition(self):
         g = ProcessGrid(p=3, q=2, gpus_per_proc=1)
@@ -35,18 +36,6 @@ class TestProcessGrid:
         # Each slice is i mod p == r.
         for r, sl in enumerate(rows):
             assert np.all(sl % 3 == r)
-
-    def test_a_owner_2d_cyclic(self):
-        g = ProcessGrid(p=2, q=3, gpus_per_proc=1)
-        assert g.a_owner(0, 0) == 0
-        assert g.a_owner(1, 0) == 3
-        assert g.a_owner(0, 4) == 1
-        owners = g.a_owner(np.array([0, 1]), np.array([4, 5]))
-        assert owners.tolist() == [1, 5]
-
-    def test_c_owner_matches_a_layout(self):
-        g = ProcessGrid(p=2, q=2, gpus_per_proc=1)
-        assert g.c_owner(3, 5) == g.a_owner(3, 5)
 
     def test_total_gpus(self):
         g = ProcessGrid(p=2, q=4, gpus_per_proc=3)

@@ -177,7 +177,6 @@ class TestStragglerDetection:
         # still heartbeating.  Its lifetime average would coast above the
         # threshold; the windowed rate collapses within rate_window beats.
         h = _health(straggler_fraction=0.25)
-        h.rate_window_beats = 4
         for r in range(3):
             h.on_scatter(r, tasks_total=100, attempt=0, now=0.0)
             h.ranks[r].rate_window = 4

@@ -37,12 +37,6 @@ class TestBlockSparseMatrix:
         with pytest.raises(KeyError):
             m.get_tile(1, 1)
 
-    def test_tile_or_zeros(self):
-        r, c = grids()
-        m = BlockSparseMatrix(r, c)
-        z = m.tile_or_zeros(1, 2)
-        assert z.shape == (3, 2) and not z.any()
-
     def test_accumulate(self):
         r, c = grids()
         m = BlockSparseMatrix(r, c)
@@ -134,13 +128,6 @@ class TestBlockSparseMatrix:
         s = m.sparse_shape(with_norms=True)
         assert s.nnz_tiles == 1
         assert s.csr[1, 1] == pytest.approx(np.sqrt(9.0 * 3))
-
-    def test_drop_tile(self):
-        r, c = grids()
-        m = random_block_sparse(r, c, 1.0, seed=6)
-        m.drop_tile(0, 0)
-        m.drop_tile(0, 0)  # idempotent
-        assert not m.has_tile(0, 0)
 
 
 class TestConstructors:

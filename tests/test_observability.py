@@ -9,7 +9,7 @@ three timing/accounting bugfixes that shipped with it:
   no longer fire deadlines or produce negative durations);
 * an oversized B tile is rejected with an actionable error *before* any
   worker starts (instead of emptying the LRU and dying mid-run);
-* ``Trace.busy_time``/``utilization`` normalize by resource capacity
+* ``Trace.utilization`` normalizes by resource capacity
   (busy fractions of multi-capacity resources no longer exceed 1.0).
 """
 
@@ -24,7 +24,8 @@ from repro.analysis.lint import lint_source
 from repro.core import inspect, psgemm_distributed, psgemm_numeric
 from repro.dist import BService, active_segments, validate_b_budget
 from repro.machine import summit
-from repro.runtime import GeneratedCollection, SpanRecorder, Trace
+from repro.runtime import GeneratedCollection, SpanRecorder, Trace, tracing
+from repro.runtime.tracing import rank_of_resource
 from repro.sparse import random_block_sparse
 from repro.tiling import random_tiling
 
@@ -55,18 +56,20 @@ class TestSpanRecorder:
             pass
         assert rec.spans == [] and rec.counters == {} and rec.dropped == 0
 
-    def test_bounded_memory_counts_drops(self):
-        rec = SpanRecorder(max_spans=3)
+    def test_bounded_memory_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 3)
+        rec = SpanRecorder()
         for i in range(5):
             rec.record(f"t{i}", "r", float(i), float(i) + 0.5)
         assert len(rec.spans) == 3
         assert rec.dropped == 2
         assert rec.stream().dropped == 2
 
-    def test_dropped_spans_charge_duration_per_resource(self):
+    def test_dropped_spans_charge_duration_per_resource(self, monkeypatch):
         """Truncation is accounted: the seconds a dropped span covered land
         in a per-resource ``dropped.<resource>`` counter."""
-        rec = SpanRecorder(max_spans=1)
+        monkeypatch.setattr(tracing, "MAX_SPANS", 1)
+        rec = SpanRecorder()
         rec.record("keep", "gpu.0.0.comp", 0.0, 1.0)
         rec.record("lost1", "gpu.0.0.comp", 1.0, 2.5)
         rec.record("lost2", "net.0", 2.0, 2.25)
@@ -126,12 +129,6 @@ class TestCapacityNormalizedUtilization:
         t.add("task", "cpu", 0.0, 1.0)
         return t
 
-    def test_busy_time_divides_by_capacity(self):
-        t = self._trace()
-        assert t.busy_time("gpu") == pytest.approx(1.0)
-        assert t.busy_time("gpu", capacity=2) == pytest.approx(2.0)
-        assert t.busy_time("cpu") == pytest.approx(1.0)
-
     def test_utilization_normalizes(self):
         util = self._trace().utilization()
         assert util["gpu"] == pytest.approx(1.0)
@@ -145,7 +142,8 @@ class TestCapacityNormalizedUtilization:
         from repro.runtime.engine import DiscreteEventEngine, Resource, SimTask
 
         eng = DiscreteEventEngine([Resource("gpu", capacity=3)])
-        eng.add_tasks(SimTask(f"t{i}", "gpu", 1.0) for i in range(3))
+        for i in range(3):
+            eng.add_task(SimTask(f"t{i}", "gpu", 1.0))
         trace = eng.run()
         assert trace.capacities == {"gpu": 3}
         # 3 unit tasks run concurrently on capacity 3: fraction 1.0, not 3.0.
@@ -250,17 +248,15 @@ class TestMergedDistributedTrace:
 
     def test_derived_metrics_populated(self, traced_run):
         _, _, report = traced_run
-        util = report.rank_utilization()
-        assert set(util) == set(report.stats.per_proc_tasks)
+        util = {
+            r: u for r, u in report.trace.utilization().items()
+            if r.startswith("gpu.") and r.endswith(".comp")
+        }
+        assert {rank_of_resource(r) for r in util} == set(report.stats.per_proc_tasks)
         assert all(0.0 < u <= 1.0 for u in util.values())
-        waits = report.queue_wait_seconds()
-        assert all(w >= 0.0 for w in waits.values())
         assert report.spans_dropped == 0
         assert report.shm_bytes > 0
-        text = report.render()
-        assert text.splitlines()[0] == report.summary()
-        assert "busy fraction" in text and "B service" in text
-        assert "per-link traffic:" in text
+        assert report.comm.link_bytes and report.comm.scatter_bytes() > 0
 
     def test_trace_off_is_bit_identical_and_span_free(self):
         a, b = operands(seed=2)
@@ -269,7 +265,7 @@ class TestMergedDistributedTrace:
         c_off, report = psgemm_distributed(a, b, machine, p=2, trace=False)
         assert np.array_equal(c_serial.to_dense(), c_off.to_dense())
         assert report.trace.events == []
-        assert report.rank_utilization() == {}
+        assert report.trace.utilization() == {}
 
     def test_wall_clock_step_does_not_break_a_run(self, monkeypatch):
         """Bugfix regression: deadlines/durations survive a stepping clock.
@@ -330,8 +326,6 @@ class TestTraceExportEdgeCases:
         assert pid_of == {"cpu.1": 2, "net.-1": 0}
 
     def test_rank_of_resource_parsing(self):
-        from repro.runtime.tracing import rank_of_resource
-
         assert rank_of_resource("gpu.2.0.comp") == 2
         assert rank_of_resource("net.-1") == -1
         assert rank_of_resource("cpu.0") == 0
@@ -345,7 +339,6 @@ class TestTraceExportEdgeCases:
             t.add(f"t{i}", "gpu.0.0.comp", 0.0, 1.0)
         t.add("zero", "gpu.0.0.comp", 0.5, 0.5)
         assert t.utilization({"gpu.0.0.comp": 3})["gpu.0.0.comp"] == pytest.approx(1.0)
-        assert t.busy_time("gpu.0.0.comp", capacity=3) == pytest.approx(1.0)
         assert t.gantt(width=12).count("|") == 2  # one row, two borders
 
 
@@ -356,17 +349,14 @@ class TestDegenerateTraces:
         trace = Trace()
         assert trace.makespan == 0.0
         assert trace.utilization() == {}
-        assert trace.busy_time("gpu.0.0.comp") == 0.0
         assert trace.to_chrome_trace() == []
 
     def test_zero_capacity_entry_degrades_to_unnormalized(self):
         # A degenerate machine spec (0 GPUs on a resource) must not turn
-        # utilization/busy_time into a ZeroDivisionError.
+        # utilization into a ZeroDivisionError.
         trace = Trace(capacities={"gpu.0.0.comp": 0})
         trace.add("t", "gpu.0.0.comp", 0.0, 2.0)
-        assert trace.busy_time("gpu.0.0.comp") == 2.0
         assert trace.utilization()["gpu.0.0.comp"] == 1.0
-        assert trace.busy_time("gpu.0.0.comp", capacity=-3) == 2.0
         assert trace.utilization({"gpu.0.0.comp": -1})["gpu.0.0.comp"] == 1.0
 
     def test_zero_duration_spans_are_fine(self):

@@ -18,6 +18,7 @@ from repro.analysis.protocol import (
     check_protocol,
     default_scenarios,
 )
+from tests.findings import by_rule, rules_fired
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +58,10 @@ class TestDroppedAckMutation:
     def test_deadlock_reported_with_trace(self, model):
         mutated = model.without("coordinator", "supervising", "recv:done")
         result = check_protocol(mutated, [Scenario(1), Scenario(2)])
-        fired = result.report.rules_fired()
+        fired = rules_fired(result.report)
         assert "M401" in fired  # the run wedges: report sent, never consumed
         assert "M402" in fired  # the message reaches an ack-less machine
-        deadlock = result.report.by_rule("M401")[0]
+        deadlock = by_rule(result.report, "M401")[0]
         # The counterexample is an ordered message trace ending in the wedge.
         assert "trace:" in deadlock.message
         assert "->" in deadlock.message
@@ -77,8 +78,8 @@ class TestRecoveryMutations:
         bad = replace(model, allow_reassign=False)
         sc = Scenario(1, FaultSpec(0, "kill", 1, once=False))
         result = check_protocol(bad, [sc])
-        assert result.report.rules_fired() == {"M405"}
-        assert "failed" in result.report.by_rule("M405")[0].message
+        assert rules_fired(result.report) == {"M405"}
+        assert "failed" in by_rule(result.report, "M405")[0].message
 
     def test_dropped_stale_heartbeat_discard_is_unhandled(self, model):
         """A retried rank's late beat must have a discard edge."""
@@ -87,8 +88,8 @@ class TestRecoveryMutations:
         )
         sc = Scenario(1, FaultSpec(0, "stall", 1, once=True))
         result = check_protocol(mutated, [sc])
-        assert "M402" in result.report.rules_fired()
-        msg = result.report.by_rule("M402")[0].message
+        assert "M402" in rules_fired(result.report)
+        msg = by_rule(result.report, "M402")[0].message
         assert "recv:heartbeat:stale" in msg
 
     def test_dropped_worker_exit_observation_deadlocks(self, model):
@@ -99,15 +100,15 @@ class TestRecoveryMutations:
         result = check_protocol(
             mutated, [Scenario(1, FaultSpec(0, "kill", 1, once=True))]
         )
-        assert "M401" in result.report.rules_fired()
+        assert "M401" in rules_fired(result.report)
 
 
 class TestDisciplineMutations:
     def test_journal_before_store_violates_m406(self, model):
         bad = replace(model, journal_after_store=False)
         result = check_protocol(bad, [Scenario(1, None, checkpoint=True)])
-        assert "M406" in result.report.rules_fired()
-        assert "store" in result.report.by_rule("M406")[0].message
+        assert "M406" in rules_fired(result.report)
+        assert "store" in by_rule(result.report, "M406")[0].message
 
     def test_correct_journal_order_is_clean_under_faults(self, model):
         result = check_protocol(
@@ -121,8 +122,8 @@ class TestDisciplineMutations:
             model, queue_budgets={**model.queue_budgets, "telemetry": 256}
         )
         result = check_protocol(bad, [Scenario(2)])
-        assert "M404" in result.report.rules_fired()
-        assert "telemetry" in result.report.by_rule("M404")[0].message
+        assert "M404" in rules_fired(result.report)
+        assert "telemetry" in by_rule(result.report, "M404")[0].message
 
 
 class TestRebalanceModel:
@@ -164,15 +165,15 @@ class TestRebalanceModel:
         request — M408's failure mode, convicted as unhandled."""
         mutated = model.without("worker", "running", "recv:relinquish")
         result = check_protocol(mutated, [Scenario(1, None, steal=True)])
-        assert "M402" in result.report.rules_fired()
-        assert "recv:relinquish" in result.report.by_rule("M402")[0].message
+        assert "M402" in rules_fired(result.report)
+        assert "recv:relinquish" in by_rule(result.report, "M402")[0].message
 
     def test_finished_worker_must_still_ack_relinquish(self, model):
         """The dispatch loop's stale-ack edge is load-bearing: drop it
         and a relinquish racing the rank's own report goes unhandled."""
         mutated = model.without("worker", "idle_done", "recv:relinquish")
         result = check_protocol(mutated, [Scenario(1, None, steal=True)])
-        assert "M402" in result.report.rules_fired()
+        assert "M402" in rules_fired(result.report)
 
     def test_dropped_dispatch_edge_loses_stolen_blocks(self, model):
         """Without recv:relinquished the yielded blocks have no owner:
@@ -181,14 +182,14 @@ class TestRebalanceModel:
             "coordinator", "supervising", "recv:relinquished"
         )
         result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        fired = result.report.rules_fired()
+        fired = rules_fired(result.report)
         assert "M402" in fired
         assert "M401" in fired
 
     def test_dropped_handoff_consumption_wedges(self, model):
         mutated = model.without("worker", "idle_done", "recv:handoff")
         result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        fired = result.report.rules_fired()
+        fired = rules_fired(result.report)
         assert "M401" in fired or "M402" in fired
 
     def test_dropped_handoff_absorb_is_convicted(self, model):
@@ -196,7 +197,7 @@ class TestRebalanceModel:
             "coordinator", "supervising", "recv:handoff_done"
         )
         result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        assert "M402" in result.report.rules_fired()
+        assert "M402" in rules_fired(result.report)
 
 
 class TestScenarioVocabulary:

@@ -291,12 +291,10 @@ class TestRunConfig:
     def test_public_keywords_are_the_config_fields(self):
         fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
         assert fields == dict(
-            fault_plan=None, max_retries=1, allow_reassign=True, timeout=120.0,
-            start_method=None, verify_plan=False, trace=True,
-            trace_max_spans=200_000, heartbeat_interval=0.25,
-            stall_after_beats=8, straggler_fraction=0.25, metrics=True,
-            events_path=None, checkpoint_dir=None, store_dir=None,
-            store_budget_bytes=None, rebalance=False,
+            fault_plan=None, timeout=120.0, verify_plan=False, trace=True,
+            heartbeat_interval=0.25, stall_after_beats=8,
+            straggler_fraction=0.25, metrics=True, events_path=None,
+            checkpoint_dir=None, store_dir=None, rebalance=False,
             pool=None, run_id=None,
         )
 

@@ -72,9 +72,55 @@ def test_names_the_definition_nothing_names(tmp_path, monkeypatch, capsys):
     assert reach.main(argv) == 0, capsys.readouterr().out
 
 
+def test_names_the_member_nothing_outside_its_class_names(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("reach", TOOL)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    monkeypatch.setattr(reach, "KEEP", {"pkg.mod:Machine.kept": "the paper's reference path"})
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    mod = pkg / "mod.py"
+    mod.write_text(
+        "import ast\n\n"
+        "class Machine:\n"
+        "    def used(self): pass\n\n"  # named by an attribute in run.py
+        "    def lonely(self, n):\n"  # named only inside its own class
+        "        return self.lonely(n - 1) if n else 0\n\n"
+        "    def on_tick(self): pass\n\n"  # named only by a string: the row.action dispatch
+        "    def kept(self): pass\n\n"  # in KEEP
+        "class Walker(ast.NodeVisitor):\n"
+        "    def visit_Call(self, node): pass\n"  # the base class dispatches it
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text(
+        "from pkg.mod import Machine, Walker\n"
+        "ROWS = ('on_tick',)\n"
+        "m = Machine()\n"
+        "m.used()\n"
+        "for action in ROWS:\n"
+        "    getattr(m, action)()\n"
+        "Walker()\n"
+    )
+    argv = ["--root", str(tmp_path), "scripts=scripts/*.py"]
+
+    assert reach.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "outside its class: 1 members, 2 lines" in out
+    assert "src/pkg/mod.py:Machine.lonely" in out
+    for live in ("used", "on_tick", "kept", "visit_Call"):
+        assert f".{live}" not in out
+
+    mod.write_text(mod.read_text().replace(
+        "    def lonely(self, n):\n        return self.lonely(n - 1) if n else 0\n\n", ""
+    ))
+    assert reach.main(argv) == 0, capsys.readouterr().out
+
+
 def test_repository_has_no_unreached_module():
     out = run_reach()
     assert out.returncode == 0, out.stdout + out.stderr
     assert "unreachable from every entry point: 0 modules" in out.stdout
     assert "re-export: 0 modules" in out.stdout
     assert "named by no file an entry point loads: 0 names" in out.stdout
+    assert "outside its class: 0 members" in out.stdout

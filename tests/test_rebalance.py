@@ -30,6 +30,7 @@ from tests.test_dist_executor import (
     mapped_segments,
     pack_spans,
     segment_tags,
+    start_method,
 )
 
 
@@ -112,7 +113,8 @@ class TestRebalanceParity:
     @pytest.mark.dist
     def test_rebalanced_spawn_run_hands_off_over_arenas(self, tmp_path):
         """The arena plane's handoff: a spawned helper attaches A and B."""
-        rep, _ = self._rebalanced_run(tmp_path, start_method="spawn")
+        with start_method("spawn"):
+            rep, _ = self._rebalanced_run(tmp_path)
         assert pack_spans(rep) == ["pack.a", "pack.b"]
 
     def test_rebalance_is_off_by_default(self):
@@ -240,10 +242,11 @@ class TestInlineHandoff:
         a, b = operands(seed=0)
         c_serial, s_serial = psgemm_numeric(a, b, summit(3), p=3)
         events = str(tmp_path / "events.jsonl")
-        c, rep = psgemm_distributed(
-            a, b, summit(3), p=3, fault_plan=slow_rank0(), events_path=events,
-            start_method="fork", **REBALANCE_KWARGS,
-        )
+        with start_method("fork"):
+            c, rep = psgemm_distributed(
+                a, b, summit(3), p=3, fault_plan=slow_rank0(), events_path=events,
+                **REBALANCE_KWARGS,
+            )
         assert np.array_equal(c.to_dense(), c_serial.to_dense())
         assert rep.stats == s_serial
         evs = read_events(events)

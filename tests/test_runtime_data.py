@@ -58,7 +58,6 @@ class TestGeneratedCollection:
     def test_ones_fill_and_bytes(self):
         g = GeneratedCollection(shape(), fill="ones")
         assert np.all(g.tile(0, 0, 0) == 1.0)
-        assert g.tile_nbytes(0, 0) == 2 * 4 * 8
         assert g.tile_shape(1, 2) == (3, 2)
 
 
@@ -70,7 +69,6 @@ class TestMatrixSource:
         src.tile(0, 1, 1)
         assert src.access_counts[(0, 1, 1)] == 2
         assert src.has_tile(1, 1)
-        assert src.tile_nbytes(1, 1) == 10 * 10 * 8
 
 
 class TestGpuMemory:
@@ -103,11 +101,6 @@ class TestGpuMemory:
         mem = GpuMemory(100)
         with pytest.raises(GpuMemoryError):
             mem.release("nope")
-
-    def test_holds(self):
-        mem = GpuMemory(10)
-        mem.reserve("x", 1)
-        assert mem.holds("x") and not mem.holds("y")
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ class TestTaskNormProducts:
         assert s.size == 50
 
     def test_empty(self):
-        t = Tiling.single(4)
+        t = Tiling.from_sizes([4])
         empty = SparseShape.empty(t, t)
         full = SparseShape.full(t, t)
         assert task_norm_products(empty, full).size == 0

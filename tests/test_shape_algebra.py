@@ -74,7 +74,7 @@ class TestCounting:
         assert gemm_task_count(a, b) == 4
 
     def test_empty_operand(self):
-        r, k, c = Tiling.single(4), Tiling.single(5), Tiling.single(6)
+        r, k, c = Tiling.from_sizes([4]), Tiling.from_sizes([5]), Tiling.from_sizes([6])
         a = SparseShape.empty(r, k)
         b = SparseShape.full(k, c)
         assert gemm_task_count(a, b) == 0
@@ -82,8 +82,8 @@ class TestCounting:
         assert product_shape(a, b).nnz_tiles == 0
 
     def test_nonconformable_raises(self):
-        a = SparseShape.full(Tiling.single(4), Tiling.single(5))
-        b = SparseShape.full(Tiling.single(6), Tiling.single(7))
+        a = SparseShape.full(Tiling.from_sizes([4]), Tiling.from_sizes([5]))
+        b = SparseShape.full(Tiling.from_sizes([6]), Tiling.from_sizes([7]))
         with pytest.raises(ValueError):
             gemm_task_count(a, b)
 

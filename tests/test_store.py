@@ -10,11 +10,12 @@ tier-1 fast; the kill/resume end-to-end scenarios live in
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis import check_checkpoint_compat, check_store_capacity
+from repro.analysis import check_checkpoint_compat, check_store_capacity, store_checks
 from repro.core import psgemm_plan
 from repro.machine import summit
 from repro.sparse import random_block_sparse
@@ -42,6 +43,7 @@ from repro.store import (
 )
 from repro.runtime import GeneratedCollection
 from repro.tiling import random_tiling
+from tests.findings import by_rule, rules_fired
 
 
 def tile(seed=0, shape=(7, 11)):
@@ -306,28 +308,28 @@ class TestStoreChecks:
         plan = small_plan()
         write_snapshot(str(tmp_path), {"v": 1, "plan": "not-this-plan"})
         report = check_checkpoint_compat(plan, str(tmp_path))
-        assert report.rules_fired() == {"P121"}
+        assert rules_fired(report) == {"P121"}
 
     def test_future_snapshot_version_fires_p121(self, tmp_path):
         plan = small_plan()
         write_snapshot(str(tmp_path), {"v": 99, "plan": plan_fingerprint(plan)})
-        assert check_checkpoint_compat(plan, str(tmp_path)).rules_fired() == {"P121"}
+        assert rules_fired(check_checkpoint_compat(plan, str(tmp_path))) == {"P121"}
 
     def test_rank_count_mismatch_fires_p121(self, tmp_path):
         plan = small_plan()
         write_snapshot(str(tmp_path), {
             "v": 1, "plan": plan_fingerprint(plan), "nranks": 99,
         })
-        assert check_checkpoint_compat(plan, str(tmp_path)).rules_fired() == {"P121"}
+        assert rules_fired(check_checkpoint_compat(plan, str(tmp_path))) == {"P121"}
 
-    def test_budget_below_largest_tile_fires_p122(self, tmp_path):
-        report = check_store_capacity(
-            small_plan(), str(tmp_path / "store"), budget_bytes=16
+    def test_working_set_over_free_space_fires_p122(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            store_checks.shutil, "disk_usage", lambda path: SimpleNamespace(free=16)
         )
-        assert report.rules_fired() == {"P122"}
+        report = check_store_capacity(small_plan(), str(tmp_path / "store"))
+        assert rules_fired(report) == {"P122"}
+        assert "16 B free" in by_rule(report, "P122")[0].message
 
     def test_ample_budget_clean(self, tmp_path):
-        report = check_store_capacity(
-            small_plan(), str(tmp_path / "store"), budget_bytes=1 << 30
-        )
+        report = check_store_capacity(small_plan(), str(tmp_path / "store"))
         assert report.ok, report.render()

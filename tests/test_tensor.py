@@ -26,7 +26,7 @@ def rand_tensor(modes, tilings, seed=0, sparsity=0.5):
 
 class TestBlockSparseTensor:
     def test_geometry(self):
-        t = BlockSparseTensor("ijk", [Tiling.from_sizes([2, 3]), Tiling.single(4), Tiling.uniform(6, 2)])
+        t = BlockSparseTensor("ijk", [Tiling.from_sizes([2, 3]), Tiling.from_sizes([4]), Tiling.uniform(6, 2)])
         assert t.order == 3
         assert t.shape == (5, 4, 6)
         assert t.tile_grid == (2, 1, 3)
@@ -37,10 +37,10 @@ class TestBlockSparseTensor:
 
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ValueError):
-            BlockSparseTensor("ii", [Tiling.single(2), Tiling.single(2)])
+            BlockSparseTensor("ii", [Tiling.from_sizes([2]), Tiling.from_sizes([2])])
 
     def test_tile_validation(self):
-        t = BlockSparseTensor("ij", [Tiling.from_sizes([2, 3]), Tiling.single(4)])
+        t = BlockSparseTensor("ij", [Tiling.from_sizes([2, 3]), Tiling.from_sizes([4])])
         with pytest.raises(ValueError):
             t.set_tile((0, 0), np.zeros((3, 4)))  # wrong shape
         with pytest.raises(ValueError):
@@ -62,13 +62,13 @@ class TestBlockSparseTensor:
         assert t.nnz_tiles == 1
 
     def test_accumulate_and_norm(self):
-        t = BlockSparseTensor("i", [Tiling.single(3)])
+        t = BlockSparseTensor("i", [Tiling.from_sizes([3])])
         t.accumulate_tile((0,), np.ones(3))
         t.accumulate_tile((0,), np.ones(3))
         assert t.norm_fro() == pytest.approx(np.sqrt(12.0))
 
     def test_allclose_and_copy(self):
-        tilings = [Tiling.from_sizes([2, 3]), Tiling.single(2)]
+        tilings = [Tiling.from_sizes([2, 3]), Tiling.from_sizes([2])]
         t, _ = rand_tensor("ij", tilings, seed=2)
         cp = t.copy()
         assert t.allclose(cp)
@@ -90,20 +90,20 @@ class TestMatricize:
         assert back.allclose(t)
 
     def test_matricize_matches_reshape_for_contiguous_modes(self):
-        tilings = [Tiling.single(2), Tiling.single(3), Tiling.single(4), Tiling.single(5)]
+        tilings = [Tiling.from_sizes([2]), Tiling.from_sizes([3]), Tiling.from_sizes([4]), Tiling.from_sizes([5])]
         t, dense = rand_tensor("ijcd", tilings, seed=4, sparsity=1.0)
         m = matricize(t, "ij", "cd")
         assert np.allclose(m.to_dense(), dense.reshape(6, 20))
 
     def test_matricize_permuted_modes(self):
-        tilings = [Tiling.single(2), Tiling.single(3), Tiling.single(4)]
+        tilings = [Tiling.from_sizes([2]), Tiling.from_sizes([3]), Tiling.from_sizes([4])]
         t, dense = rand_tensor("abc", tilings, seed=5, sparsity=1.0)
         m = matricize(t, "ca", "b")
         expect = np.transpose(dense, (2, 0, 1)).reshape(8, 3)
         assert np.allclose(m.to_dense(), expect)
 
     def test_invalid_modes(self):
-        t, _ = rand_tensor("ab", [Tiling.single(2), Tiling.single(2)], seed=6)
+        t, _ = rand_tensor("ab", [Tiling.from_sizes([2]), Tiling.from_sizes([2])], seed=6)
         with pytest.raises(ValueError):
             matricize(t, "a", "c")
 
@@ -170,13 +170,13 @@ class TestContract:
         assert np.allclose(C.to_dense(), ref)
 
     def test_tiling_mismatch_on_contracted_mode(self):
-        A, _ = rand_tensor("ik", [Tiling.single(2), Tiling.single(4)], seed=13)
-        B, _ = rand_tensor("kj", [Tiling.from_sizes([2, 2]), Tiling.single(3)], seed=14)
+        A, _ = rand_tensor("ik", [Tiling.from_sizes([2]), Tiling.from_sizes([4])], seed=13)
+        B, _ = rand_tensor("kj", [Tiling.from_sizes([2, 2]), Tiling.from_sizes([3])], seed=14)
         with pytest.raises(ValueError, match="tiled differently"):
             plan_contraction("ik,kj->ij", A, B)
 
     def test_order_mismatch(self):
-        A, _ = rand_tensor("ik", [Tiling.single(2), Tiling.single(4)], seed=15)
+        A, _ = rand_tensor("ik", [Tiling.from_sizes([2]), Tiling.from_sizes([4])], seed=15)
         with pytest.raises(ValueError):
             plan_contraction("ikz,kj->izj", A, A)
 

@@ -27,23 +27,8 @@ class TestTiling:
         assert list(t.sizes) == [4, 4, 4]
 
     def test_single(self):
-        t = Tiling.single(100)
+        t = Tiling.from_sizes([100])
         assert t.ntiles == 1 and t.extent == 100
-
-    def test_tile_of_scalar_and_vector(self):
-        t = Tiling.from_sizes([3, 5, 2])
-        assert t.tile_of(0) == 0
-        assert t.tile_of(2) == 0
-        assert t.tile_of(3) == 1
-        assert t.tile_of(9) == 2
-        assert np.array_equal(t.tile_of(np.array([0, 4, 8])), [0, 1, 2])
-
-    def test_tile_of_out_of_range(self):
-        t = Tiling.from_sizes([3, 5])
-        with pytest.raises(IndexError):
-            t.tile_of(8)
-        with pytest.raises(IndexError):
-            t.tile_of(-1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,14 +67,6 @@ class TestTiling:
         t = Tiling.from_sizes(sizes)
         assert list(t.sizes) == sizes
         assert t.extent == sum(sizes)
-
-    @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=15))
-    def test_property_tile_of_consistent_with_slices(self, sizes):
-        t = Tiling.from_sizes(sizes)
-        for tile in range(t.ntiles):
-            sl = t.tile_slice(tile)
-            assert t.tile_of(sl.start) == tile
-            assert t.tile_of(sl.stop - 1) == tile
 
 
 class TestRandomTiling:

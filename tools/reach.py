@@ -14,8 +14,15 @@ package re-export alone.  A top-level ``def`` or ``class`` of a loaded module
 (an entry file's own names are its surface) is dead when no loaded or entry file
 names it: an ``ast.Name``, an ``ast.Attribute`` or a ``from ... import`` counts,
 while its own definition, ``__all__`` strings and the imports of a package
-``__init__`` do not.  Each finding fails the gate.  Tests are deliberately not
-entry points: "only its own test uses it" is the finding.
+``__init__`` do not.  A ``def`` or property inside a class of such a module is
+dead when no loaded or entry file names it: an ``ast.Attribute``, an
+``ast.Name``, a keyword or a string constant counts (the protocol machines
+dispatch on ``getattr(self, row.action)``), while a name said inside the
+member's own class counts only when a live member of that class says it.
+Dunders, and the ``visit_*`` methods of an ``ast.NodeVisitor`` subclass (the
+base class dispatches them), are out of scope.  Each finding fails the gate.
+Tests are deliberately not entry points: "only its own test uses it" is the
+finding.
 """
 
 from __future__ import annotations
@@ -47,13 +54,40 @@ ENTRY_POINTS = {
     "examples": ["examples/*.py"],
 }
 
-#: "module:name" -> reason.  A top-level name no entry point's closure names is
-#: kept by declaring it here with its reason, as a module is kept by an entry
-#: point — not because a test uses it.
+#: "module:name" or "module:Class.member" -> reason.  A top-level name or a
+#: class member no entry point's closure names is kept by declaring it here
+#: with its reason, as a module is kept by an entry point — not because a test
+#: uses it.
 KEEP = {
     "repro.sparse.gemm_ref:gemm_against_dense":
         "the dense oracle every executor's tests compare a block-sparse product against",
+    "repro.dist.protocol:ProtocolModel.without":
+        "the protocol model's row-deletion mutant, beside its max_retries / allow_reassign / "
+        "journal_after_store mutation fields: an M4xx rule no mutant convicts proves nothing",
+    "repro.machine.spec:MachineSpec.aggregate_gemm_peak":
+        "the paper's #GPUs x 7.2 Tflop/s yardstick, read by benchmarks/bench_frontier_projection.py "
+        "(`make bench`), a side benchmark outside the entry points",
 }
+
+VISITORS = {"NodeVisitor", "NodeTransformer"}
+
+
+def span(node) -> int:
+    """Lines of a definition, its decorators included."""
+    return node.end_lineno - min(d.lineno for d in [node, *node.decorator_list]) + 1
+
+
+def said(node) -> str | None:
+    """The name one node says: an identifier, an attribute, a keyword or a string constant."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.keyword):
+        return node.arg
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 class Reach:
@@ -130,9 +164,70 @@ class Reach:
 
     def definitions(self, path: Path) -> dict[str, int]:
         """Top-level ``def`` / ``class`` names of ``path`` and their line counts."""
-        return {node.name: node.end_lineno - min(d.lineno for d in [node, *node.decorator_list]) + 1
-                for node in self.tree(path).body
+        return {node.name: span(node) for node in self.tree(path).body
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+    @functools.cache
+    def sayings(self, path: Path) -> list[tuple[str, tuple[ast.ClassDef, str] | None]]:
+        """Every name ``path`` says, with the innermost class member it is said in (``None`` outside one)."""
+        found = []
+
+        def walk(node, owner):
+            if isinstance(node, ast.ClassDef):
+                for child in ast.iter_child_nodes(node):
+                    member = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    walk(child, (node, child.name) if member else owner)
+                return
+            if (name := said(node)) is not None:
+                found.append((name, owner))
+            for child in ast.iter_child_nodes(node):
+                walk(child, owner)
+
+        walk(self.tree(path), None)
+        return found
+
+    def members(self, path: Path) -> list[tuple[ast.ClassDef, str, int, bool]]:
+        """``(class, member, lines, dispatched by Python)`` of every ``def`` or property inside a class
+        of ``path``: Python calls dunders, and ``ast.NodeVisitor`` calls its subclasses' ``visit_*``."""
+        classes = [n for n in ast.walk(self.tree(path)) if isinstance(n, ast.ClassDef)]
+        visitors = set()
+        for node in classes:  # file order: a base defined in the same file comes first
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+            if bases & (VISITORS | visitors):
+                visitors.add(node.name)
+        return [(node, f.name, span(f), (f.name.startswith("__") and f.name.endswith("__"))
+                 or (node.name in visitors and f.name.startswith("visit_")))
+                for node in classes for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def dead_members(reach: Reach, modules: set[Path], readers: set[Path]) -> set[tuple[str, int]]:
+    """Members of ``modules``' classes that no file in ``readers`` names outside their class,
+    nor any live member of their class."""
+    said_by: dict[tuple[ast.ClassDef, str] | None, set[str]] = {}
+    total: dict[str, int] = {}
+    inside: dict[tuple[ast.ClassDef, str], int] = {}
+    for path in readers:
+        for name, owner in reach.sayings(path):
+            said_by.setdefault(owner, set()).add(name)
+            total[name] = total.get(name, 0) + 1
+            if owner:
+                inside[owner[0], name] = inside.get((owner[0], name), 0) + 1
+    dead = set()
+    for path in modules:
+        by_class: dict[ast.ClassDef, dict[str, tuple[int, bool]]] = {}
+        for cls, name, n, by_python in reach.members(path):
+            by_class.setdefault(cls, {})[name] = (n, by_python)
+        for cls, members in by_class.items():
+            live = {m for m, (_, by_python) in members.items()
+                    if by_python or total.get(m, 0) > inside.get((cls, m), 0)}
+            stack = list(live)
+            while stack:
+                for m in said_by.get((cls, stack.pop()), set()) & members.keys() - live:
+                    live.add(m)
+                    stack.append(m)
+            dead |= {(f"{path.relative_to(reach.root)}:{cls.name}.{m}", n) for m, (n, _) in members.items()
+                     if m not in live and f"{reach.names[path]}:{cls.name}.{m}" not in KEEP}
+    return dead
 
 
 def lines(paths) -> int:
@@ -175,6 +270,8 @@ def main(argv=None) -> int:
             {(f"{p.relative_to(reach.root)}:{name}", n)
              for p in loaded - roots for name, n in reach.definitions(p).items()
              if name not in named and f"{reach.names[p]}:{name}" not in KEEP},
+        ("named by no file an entry point loads, outside its class", "members"):
+            dead_members(reach, loaded - roots, loaded | roots),
     }
     for (title, unit), found in findings.items():
         print(f"{title}: {len(found)} {unit}, {sum(n for _, n in found)} lines")
