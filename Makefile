@@ -17,8 +17,8 @@ loc:
 # shrinks the tree, raise them only with a reason in CHANGES.md).
 # Deterministic and host-independent — the CI slot a wall-clock benchmark
 # gate used to hold.
-LOC_MAX_REPRO := 18169
-LOC_MAX_DIST_PROTOCOL := 5000
+LOC_MAX_REPRO := 18162
+LOC_MAX_DIST_PROTOCOL := 5019
 loc-check:
 	@lines() { find "$$@" -name '*.py' | xargs cat | wc -l; }; \
 	repro=$$(lines src/repro); \
@@ -98,14 +98,18 @@ tile-sweep-smoke:
 # Where a serve job's time goes (ROADMAP item 1's budget as one command): one
 # ContractionService lifetime per loop on the ccsd_loop_serve shapes, each
 # job's submit -> result split into submit->pickup, the coordinator's phases
-# and the client-side remainder; cold job and median warm job (~15 s).  The
-# --smoke run checks the plumbing (bit-equal jobs, phases within the total,
-# nothing left in /dev/shm), not the numbers.
+# and the client-side remainder; cold job and median warm job (~15 s).
+# `--one-shot W` splits cold execute_plan_distributed calls on one of the
+# three one-shot workloads the same way.  The --smoke runs check the plumbing
+# (bit-equal results, phases within the total, nothing left in /dev/shm), not
+# the numbers.
 serve-phases:
 	python3 benchmarks/serve_job_phases.py
 
 serve-phases-smoke:
 	python3 benchmarks/serve_job_phases.py --smoke
+	for w in gemm_bound_p2 abcd_short_a_q2 fine_tiles_p2; do \
+	  python3 benchmarks/serve_job_phases.py --smoke --one-shot $$w || exit 1; done
 
 # Checkpoint/resume smoke test: abort a 2-worker run mid-flight (exit 3 =
 # resumable), resume it from the journal, and require that the resumed run

@@ -1,11 +1,11 @@
-"""Where a serve job's time goes: the per-phase budget of ``ccsd_loop_serve``.
+"""Where a run's time goes: the per-phase budget of a serve job or a one-shot call.
 
-    python3 benchmarks/serve_job_phases.py [--smoke] [--loops N] [--seed S]
+    python3 benchmarks/serve_job_phases.py [--smoke] [--loops N] [--seed S] [--one-shot W]
 
-One ``ContractionService`` lifetime per loop on the shapes of the repo
-benchmark's ``ccsd_loop_serve`` workload (five jobs, one plan, one generated
-B, a new A each; untraced, as the end-to-end pass runs them).  For every job
-the client-side ``submit`` -> ``result`` time is split into
+By default, one ``ContractionService`` lifetime per loop on the shapes of
+the repo benchmark's ``ccsd_loop_serve`` workload (five jobs, one plan, one
+generated B, a new A each; untraced, as the end-to-end pass runs them).
+For every job the client-side ``submit`` -> ``result`` time is split into
 
 * ``submit->pickup`` — admission (``verify_plan``, remembered per plan),
   queueing and the scheduler's wake-up, up to the start of the run;
@@ -16,13 +16,21 @@ the client-side ``submit`` -> ``result`` time is split into
   (fingerprints, event log), artifacts, and waking the client.
 
 and the table prints the cold job (the first of a loop) and the median warm
-job.  This is ROADMAP item 1's budget as one command; it lives beside the
+job.  With ``--one-shot W`` (``gemm_bound_p2``, ``abcd_short_a_q2`` or
+``fine_tiles_p2``) the same phases split ``N`` cold
+``execute_plan_distributed`` calls on that workload's shapes (untraced, after
+one discarded call; ``remainder`` is validation and the run's set-up), the
+table prints median and quartiles, and one traced call says when each
+rank's GEMM stream started on the run's clock.
+
+This is ROADMAP item 1's budget as one command; it lives beside the
 frozen harness, borrows its workload generator, and changes nothing in it.
 The phases are timed by wrapping the methods, so the numbers carry a few
-microseconds of wrapper each.  ``--smoke`` runs one small loop and checks the
-plumbing — every job bit-equal to the oracle, phases within the total, no
-segment left — not the numbers.  BLAS is pinned to one thread before NumPy
-loads, as in ``benchmarks/e2e/child.py``.
+microseconds of wrapper each, and the same file runs on an older checkout
+for a before/after.  ``--smoke`` runs small sizes and checks the plumbing —
+every result bit-equal to the oracle, phases within the total, no segment
+left — not the numbers.  BLAS is pinned to one thread before NumPy loads, as
+in ``benchmarks/e2e/child.py``.
 """
 
 from __future__ import annotations
@@ -46,10 +54,12 @@ import checks  # noqa: E402  (benchmarks/e2e)
 import workloads  # noqa: E402  (benchmarks/e2e)
 from repro.dist import active_segments  # noqa: E402
 from repro.dist.coordinator import _Coordinator  # noqa: E402
+from repro.runtime.tracing import rank_of_resource  # noqa: E402
 from repro.serve import ContractionService  # noqa: E402
 
 PHASES = ("pack", "scatter", "supervise", "reduce", "report", "teardown")
 COLUMNS = ("submit->pickup", *PHASES, "remainder", "total")
+ONE_SHOT = ("gemm_bound_p2", "abcd_short_a_q2", "fine_tiles_p2")
 
 
 def _accumulating(seconds: dict, key: str, method):
@@ -92,6 +102,15 @@ def phase_clock():
             setattr(cls, name, original)
 
 
+def _row(seconds: dict, total: float) -> dict:
+    """One run's phases, ``scatter`` net of the ``pack`` it contains."""
+    row = {phase: seconds.get(phase, 0.0) for phase in PHASES}
+    row["scatter"] -= row["pack"]
+    row["remainder"] = total - sum(row.values())
+    row["total"] = total
+    return row
+
+
 def serve_loop(prep, seconds: dict) -> tuple[list[dict], list]:
     """One service lifetime; returns each job's row and the ``(C, report)`` list."""
     svc = ContractionService(2, trace=False, metrics=False, timeout=workloads.OP_TIMEOUT_S)
@@ -103,28 +122,18 @@ def serve_loop(prep, seconds: dict) -> tuple[list[dict], list]:
             t_submit = time.perf_counter()
             job_id = svc.submit(prep.plan, a, prep.b.empty_clone())
             results.append(svc.result(job_id, timeout=workloads.OP_TIMEOUT_S))
-            total = time.perf_counter() - t_submit
-            row = {phase: seconds.get(phase, 0.0) for phase in PHASES}
-            row["scatter"] -= row["pack"]  # pack runs inside scatter
+            row = _row(seconds, time.perf_counter() - t_submit)
             row["submit->pickup"] = seconds["pickup_at"] - t_submit
-            row["total"] = total
-            row["remainder"] = total - sum(row[c] for c in COLUMNS[:-2])
+            row["remainder"] -= row["submit->pickup"]
             rows.append(row)
     finally:
         svc.shutdown()
     return rows, results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--loops", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
+def serve_table(args) -> list[str]:
     prep = workloads.prepare(workloads.spec_for("ccsd_loop_serve", args.smoke), args.seed)
     oracle = [c for c, _ in workloads.serial_op(prep)]
-    before = checks.shm_entries()
     cold, warm = [], []
     with phase_clock() as seconds:
         serve_loop(prep, seconds)  # discarded: imports, BLAS and page cache warm up
@@ -135,19 +144,76 @@ def main(argv=None) -> int:
                     raise SystemExit("a job's result differs from the serial oracle")
             cold.append(rows[0])
             warm.extend(rows[1:])
+    _check_totals(cold + warm)
+    lines = [
+        f"ccsd_loop_serve{' (smoke sizes)' if args.smoke else ''}, seed {args.seed}: "
+        f"{len(cold)} loop(s), {len(cold)} cold and {len(warm)} warm job(s); median ms",
+        f"{'phase':<16}{'cold':>9}{'warm':>9}",
+    ]
+    for column in COLUMNS:
+        cells = [1e3 * statistics.median(r[column] for r in rows) for rows in (cold, warm)]
+        lines.append(f"{column:<16}{cells[0]:>9.2f}{cells[1]:>9.2f}")
+    return lines
+
+
+def one_shot_table(args) -> list[str]:
+    name = args.one_shot
+    prep = workloads.prepare(workloads.spec_for(name, args.smoke), args.seed)
+    [(oracle, _)] = workloads.serial_op(prep)
+    rows = []
+    with phase_clock() as seconds:
+        for _ in range(1 + (2 if args.smoke else args.loops)):  # the first is discarded
+            seconds.clear()
+            t_call = time.perf_counter()
+            [(c, _)] = workloads.dist_op(prep, trace=False)
+            rows.append(_row(seconds, time.perf_counter() - t_call))
+            if not checks.same_bits(c, oracle):
+                raise SystemExit("a call's result differs from the serial oracle")
+            del c  # dropping a result unmaps its tiles: not the next call's time
+    del rows[0]
+    _check_totals(rows)
+    [(_, report)] = workloads.dist_op(prep, trace=True)
+    starts: dict[int, float] = {}
+    for e in report.trace.events:
+        if e.task.endswith(".gemm"):
+            rank = rank_of_resource(e.resource)
+            starts[rank] = min(e.start, starts.get(rank, e.start))
+    lines = [
+        f"{name}{' (smoke sizes)' if args.smoke else ''}, seed {args.seed}: "
+        f"{len(rows)} untraced call(s); ms",
+        f"{'phase':<16}{'median':>9}{'q1':>9}{'q3':>9}",
+    ]
+    for column in (*PHASES, "remainder", "total"):
+        q1, median, q3 = statistics.quantiles([r[column] for r in rows], n=4, method="inclusive")
+        lines.append(f"{column:<16}{1e3 * median:>9.2f}{1e3 * q1:>9.2f}{1e3 * q3:>9.2f}")
+    lines.append("first GEMM of each rank, traced call, ms on the run's clock: " + ", ".join(
+        f"rank {rank} {1e3 * t:.1f}" for rank, t in sorted(starts.items(), key=lambda kv: kv[1])
+    ))
+    return lines
+
+
+def _check_totals(rows) -> None:
+    for row in rows:
+        if row["remainder"] < -1e-4:
+            raise SystemExit(f"phases exceed the run's total: {row}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--loops", type=int, default=6,
+                        help="service lifetimes, or with --one-shot timed calls")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--one-shot", metavar="W", choices=ONE_SHOT,
+                        help="split cold execute_plan_distributed calls on workload W")
+    args = parser.parse_args(argv)
+
+    before = checks.shm_entries()
+    lines = one_shot_table(args) if args.one_shot else serve_table(args)
     leaked = sorted((checks.shm_entries() - before) | active_segments())
     if leaked:
         raise SystemExit(f"left shared memory behind: {leaked[:3]}")
-    for row in cold + warm:
-        if row["remainder"] < -1e-4:
-            raise SystemExit(f"phases exceed the job's total: {row}")
-
-    print(f"ccsd_loop_serve{' (smoke sizes)' if args.smoke else ''}, seed {args.seed}: "
-          f"{len(cold)} loop(s), {len(cold)} cold and {len(warm)} warm job(s); median ms")
-    print(f"{'phase':<16}{'cold':>9}{'warm':>9}")
-    for column in COLUMNS:
-        cells = [1e3 * statistics.median(r[column] for r in rows) for rows in (cold, warm)]
-        print(f"{column:<16}{cells[0]:>9.2f}{cells[1]:>9.2f}")
+    print("\n".join(lines))
     if args.smoke:
         print("serve-phases-smoke OK")
     return 0

@@ -41,10 +41,6 @@ class ProcessGrid:
     def nprocs(self) -> int:
         return self.p * self.q
 
-    @property
-    def total_gpus(self) -> int:
-        return self.nprocs * self.gpus_per_proc
-
     def coords(self, rank: int) -> tuple[int, int]:
         """Grid coordinates ``(row, col)`` of ``rank``."""
         require(0 <= rank < self.nprocs, f"rank {rank} out of grid")

@@ -9,14 +9,16 @@ this one.
 
 One run is one :class:`_Coordinator`; its phases, in order:
 
-* **scatter** — ship each rank its :class:`~repro.dist.comm.ScatterMsg`
-  through the :class:`~repro.dist.comm.CommLayer` (bytes counted per
-  link).  Operands take one of two data planes, chosen from what the code
-  can observe.  *Resident* (this call owns its processes and the start
-  method is ``fork``): workers are forked after A and B exist and get the
-  pair as process arguments, so nothing is packed.  *Arena* (a borrowed
-  pool predates the operands, ``spawn`` inherits nothing): A and a
-  concrete B are packed into shared-memory arenas first;
+* **scatter** — give each rank its :class:`~repro.dist.comm.ScatterMsg`,
+  the rank with the most planned flops first (processes start one after
+  another).  Operands take one of two data planes, chosen from what the
+  code can observe.  *Resident* (this call owns its processes and the start
+  method is ``fork``): a worker is forked holding A, B and its message as
+  process arguments — inherited, never pickled, nothing packed or sent.
+  *Arena* (a borrowed pool predates the operands, ``spawn`` inherits
+  nothing): A and a concrete B are packed into shared-memory arenas first,
+  and the message goes through the :class:`~repro.dist.comm.CommLayer`
+  (bytes counted per link);
 * **supervise** — every reply (a class of :mod:`repro.dist.comm`), every
   heartbeat and every patrol verdict (dead worker, missed-heartbeat stall,
   straggler, abort) is an *event* of the coordinator machine
@@ -27,11 +29,13 @@ One run is one :class:`_Coordinator`; its phases, in order:
   :func:`~repro.dist.worker.run_rank` called in this process on the
   message a worker would have got (minus the fault) — so a single faulty
   rank cannot lose the contraction;
-* **reduce** — take every producer's C tiles where its worker wrote them
-  (:meth:`~repro.dist.tile_store.TileArena.adopt`): each *becomes* the
+* **reduce** — a rank's C tiles are taken where its worker wrote them
+  (:meth:`~repro.dist.tile_store.TileArena.adopt`) the moment its live
+  report lands, while slower ranks still compute: each *becomes* the
   result's tile — a view of the arena, whose mapping lives as long as the
   tile while the segment's name goes with the run — after the input C
-  tile, if any, is added into it in place (``S + beta*C``);
+  tile, if any, is added into it in place (``S + beta*C``).  Handoff
+  producers and the input tiles no producer touched are left for the end;
 * **report** — merge per-rank stats, tallies and every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
   each recorder's single wall-clock sample) into one
@@ -41,7 +45,7 @@ One run is one :class:`_Coordinator`; its phases, in order:
   unlink every segment it created — a pool's operand arenas stay the pool's
   (the leak tests attach-probe every name).  By then the event log has its
   one terminal record: ``done`` from ``report``, ``aborted`` / ``failed``
-  from ``fail``.
+  from ``fail``, which also drops the C tiles folded so far.
 
 The run is recorded once: every recovery fact is one ``events.emit``.  The
 :class:`~repro.dist.health.EventLog` folds it into the live
@@ -326,12 +330,11 @@ def execute_plan_distributed(
                 f"fault injection targets rank {inj.rank}, but the plan has "
                 f"only {plan.grid.nprocs} rank(s)",
             )
-    run = _Coordinator(plan, a, b, alpha, cfg)
+    run = _Coordinator(plan, a, b, c, alpha, beta, cfg)
     try:
         run.scatter()
         run.supervise()
-        out = run.reduce(c, beta)
-        return out, run.report()
+        return run.reduce(), run.report()
     except BaseException as exc:
         run.fail(exc)
         raise
@@ -375,8 +378,10 @@ class _Coordinator:
 
     machine = COORDINATOR_MACHINE
 
-    def __init__(self, plan: ExecutionPlan, a, b, alpha: float, cfg: RunConfig):
+    def __init__(self, plan: ExecutionPlan, a, b, c, alpha: float, beta: float,
+                 cfg: RunConfig):
         self.plan, self.a, self.b, self.alpha, self.cfg = plan, a, b, alpha, cfg
+        self.c, self.beta = c, beta
         self.nranks = nranks = plan.grid.nprocs
         self.state = self.machine.initial
         pool = cfg.pool
@@ -465,8 +470,12 @@ class _Coordinator:
         #: handoff id -> record of a dispatch to a helper rank (origin,
         #: helper, blocks, arena, start instant).
         self.pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, adopted C tiles, stats) for the reduction.
+        #: handoff id -> (origin, C arena, C index, stats) for the reduction.
         self.handoff_results: dict[int, tuple] = {}
+        #: The result, filled as each producer is folded in, and the
+        #: producer of each of its tiles (the one-producer check).
+        self.out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
+        self.produced_by: dict[tuple[int, int], object] = {}
 
     def live_attempt(self, rank: int) -> int:
         """The 0-based attempt of ``rank`` whose replies count."""
@@ -497,8 +506,10 @@ class _Coordinator:
             getattr(self, row.action)(*subject)
 
     def fail(self, exc: BaseException) -> None:
-        """The run is lost (``aborted`` already, else ``failed``): end the
-        log with its one terminal record."""
+        """The run is lost (``aborted`` already, else ``failed``): drop the
+        C tiles folded so far — their mappings go now, not with the
+        exception — and end the log with its one terminal record."""
+        self.out = None
         if self.state != "aborted":
             self.state = "failed"
         self.events.emit(self.state, reason=str(exc) or type(exc).__name__)
@@ -547,7 +558,7 @@ class _Coordinator:
             self.run_fields, a_meta=None,
             b_spec=("resident", None) if b_spec[0] == "arena" else b_spec,
         )
-        for rank in range(self.nranks):
+        for rank in sorted(range(self.nranks), key=lambda r: -plan.procs[r].flops):
             self.scatter_rank(rank)
 
     def pack(self, tag: str, matrix):
@@ -630,12 +641,15 @@ class _Coordinator:
         )
 
     def scatter_rank(self, rank: int) -> None:
-        """Bring up a process for ``rank`` and ship it its live attempt."""
-        self.spawn(rank)
+        """Bring up a process for ``rank`` holding its live attempt: a forked
+        one is born with the message, any other reads it off its inbox."""
+        self.spawn_clock[rank] = self.rec.now()  # the message is part of start-up
         msg = self.rank_msg(rank)
-        t_send = self.rec.now()
-        self.coord.send(rank, msg)
-        self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.rec.now())
+        self.spawn(rank, msg if self.resident else None)
+        if not self.resident:
+            t_send = self.rec.now()
+            self.coord.send(rank, msg)
+            self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.rec.now())
         # Net of the blocks stolen from earlier attempts: the rank's
         # progress fraction is over what it still owns.
         tasks_total = self.plan.procs[rank].ntasks - self.block_tasks(
@@ -645,8 +659,7 @@ class _Coordinator:
             "scatter", rank=rank, attempt=msg.attempt, tasks_total=tasks_total
         )
 
-    def spawn(self, rank: int) -> None:
-        self.spawn_clock[rank] = self.rec.now()
+    def spawn(self, rank: int, msg: ScatterMsg | None = None) -> None:
         if self.cfg.pool is not None:
             # Borrowed: warm from a previous run, or respawned by the pool
             # after a failure; mirrored so liveness checks read one dict.
@@ -657,7 +670,7 @@ class _Coordinator:
         proc = self.ctx.Process(
             target=worker_main,
             args=(rank, self.comm.endpoint(rank), None, False,
-                  (self.a, self.b) if self.resident else None),
+                  (self.a, self.b) if self.resident else None, msg),
             daemon=True,
         )
         proc.start()
@@ -666,10 +679,12 @@ class _Coordinator:
     # ---- supervise: the handlers the table names ---------------------------
 
     def accept_report(self, rank: int, report: WorkerReport) -> None:
-        """The live attempt of ``rank`` finished, wherever it ran."""
+        """The live attempt of ``rank`` finished, wherever it ran: its C
+        tiles join the result now, while slower ranks still compute."""
         self.reports[rank] = report
         self.report_clock[rank] = self.rec.now()
         self.pending.discard(rank)
+        self.fold(rank, self.c_arenas[rank], report.c_index)
 
     def complete_rank(self, msg: DoneMsg) -> None:
         rank, report = msg.rank, msg.report
@@ -790,7 +805,7 @@ class _Coordinator:
 
     def finish_handoff(self, hid: int, origin: int, helper: int | None,
                        arena: TileArena, c_index: dict, stats) -> None:
-        self.handoff_results[hid] = (origin, arena.adopt(c_index), stats)
+        self.handoff_results[hid] = (origin, arena, c_index, stats)
         self.events.emit(
             "handoff_done", handoff=hid, origin=origin, helper=helper,
             tasks=stats.ntasks,
@@ -949,40 +964,39 @@ class _Coordinator:
 
     # ---- reduce ----------------------------------------------------------------
 
-    def reduce(self, c: BlockSparseMatrix | None, beta: float) -> BlockSparseMatrix:
-        """Adopt every producer's C tiles, folding ``beta*C`` into them."""
-        out = BlockSparseMatrix(self.a.rows, self.plan.b_shape.cols)
-        produced_by: dict[tuple[int, int], object] = {}
-        t_reduce = self.rec.now()
-
-        def reduce_producer(producer, tiles: dict) -> None:
-            """Fold one producer's C tiles in: an adopted arena view stays
-            where its worker wrote it, and an input C tile is added to it
-            there (``P + beta*C`` has the bits of the oracle's ``beta*C + P``)."""
-            for (i, j), tile in tiles.items():
-                prev = produced_by.setdefault((i, j), producer)
-                require(
-                    prev == producer,
-                    f"C tile ({i},{j}) produced by two processes ({prev}, {producer})",
+    def fold(self, producer, arena: TileArena, c_index: dict) -> None:
+        """Adopt one producer's C tiles into the result, as one ``reduce``
+        span: an adopted arena view stays where its worker wrote it, and an
+        input C tile is added to it there (``P + beta*C`` has the bits of
+        the oracle's ``beta*C + P``)."""
+        t_fold, c, beta = self.rec.now(), self.c, self.beta
+        for (i, j), tile in arena.adopt(c_index).items():
+            prev = self.produced_by.setdefault((i, j), producer)
+            if prev != producer:  # formatted only on failure: once per C tile
+                raise ValueError(
+                    f"C tile ({i},{j}) produced by two processes ({prev}, {producer})"
                 )
-                if c is not None and (i, j) in c:
-                    tile += c.get((i, j)) if beta == 1.0 else beta * c.get((i, j))
-                out.set_tile(i, j, tile)
+            if c is not None and (i, j) in c:
+                tile += c.get((i, j)) if beta == 1.0 else beta * c.get((i, j))
+            self.out.set_tile(i, j, tile)
+        self.rec.record("reduce", "net.-1", t_fold, self.rec.now())
 
-        for rank in range(self.nranks):
-            reduce_producer(rank, self.c_arenas[rank].adopt(self.reports[rank].c_index))
+    def reduce(self) -> BlockSparseMatrix:
+        """The result: the ranks are folded in already (:meth:`accept_report`);
+        fold the handoff producers, then the input tiles no producer touched."""
         # Handoff producers reduce exactly like ranks: blocks within one
         # process hold disjoint column sets, so a stolen block's tiles can
         # collide neither with the origin's remaining blocks nor with any
         # other rank — the one-producer check enforces it (M407).
         for hid in sorted(self.handoff_results):
-            origin, tiles, _ = self.handoff_results[hid]
-            reduce_producer(f"handoff {hid} of rank {origin}", tiles)
+            origin, arena, c_index, _ = self.handoff_results[hid]
+            self.fold(f"handoff {hid} of rank {origin}", arena, c_index)
+        t_reduce, c = self.rec.now(), self.c
         for (i, j), tile in c.items() if c is not None else ():
-            if (i, j) not in produced_by:  # no product: the tile is beta*C alone
-                out.set_tile(i, j, beta * tile)
+            if (i, j) not in self.produced_by:  # no product: beta*C alone
+                self.out.set_tile(i, j, self.beta * tile)
         self.rec.record("reduce", "net.-1", t_reduce, self.rec.now())
-        return out
+        return self.out
 
     # ---- report: merge stats / trace / comm / metrics ------------------------
 
@@ -995,7 +1009,7 @@ class _Coordinator:
         tally.spans_dropped += rec.dropped
         stats = NumericStats.merge(
             [r.stats for r in reports]
-            + [s for _, _, s in self.handoff_results.values()]
+            + [s for *_, s in self.handoff_results.values()]
         )
         run_trace = Trace()
         run_trace.extend(rec.spans)

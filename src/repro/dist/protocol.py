@@ -25,7 +25,10 @@ Reading guide, message by message:
 
 * ``scatter`` — the :class:`~repro.dist.comm.ScatterMsg` carrying one
   rank's :class:`~repro.core.plan.ProcPlan`, arena metadata, fault
-  injection and checkpoint restore list.  One per (rank, attempt).
+  injection and checkpoint restore list.  One per (rank, attempt).  On
+  the fork plane it is a process argument, not a send: the worker takes it
+  before reading its inbox — the checker's instant delivery, so the table
+  and ``make model-check`` do not change.
 * ``done`` / ``error`` — a :class:`~repro.dist.comm.DoneMsg` (the
   :class:`~repro.dist.worker.WorkerReport`) or
   :class:`~repro.dist.comm.ErrorMsg` (a formatted traceback) ends an

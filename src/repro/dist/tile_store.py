@@ -205,10 +205,12 @@ class TileArena:
     def slot(self, key: TileKey, m: int, n: int) -> np.ndarray:
         """Append an ``(m, n)`` tile under ``key``; returns its writable view
         (contents undefined until written)."""
-        require(key not in self.index, f"tile {key} already stored")
+        if key in self.index:  # formatted only on failure: once per C tile
+            raise ValueError(f"tile {key} already stored")
         off = self._cursor
         end = off + m * n * 8
-        require(end <= self.size, f"arena {self.name} overflow: {end} > {self.size}")
+        if end > self.size:
+            raise ValueError(f"arena {self.name} overflow: {end} > {self.size}")
         self.index[key] = entry = (off, m, n)
         self._cursor = end
         return self._view(entry)

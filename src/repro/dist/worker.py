@@ -4,7 +4,7 @@ the coordinator's inline spare calls the same two in its own process.
 
 Each worker is one planned process rank, and its life is
 :data:`~repro.dist.protocol.WORKER_MACHINE`, run (:func:`worker_main`):
-receive a :class:`~repro.dist.comm.ScatterMsg` from the coordinator, open
+take its :class:`~repro.dist.comm.ScatterMsg` (forked: born holding it), open
 its operands, execute its :class:`~repro.core.plan.ProcPlan` through the
 *same* :func:`repro.runtime.numeric.execute_blocks` body the serial
 executor uses (hence bit-identical numerics), and send a
@@ -638,7 +638,7 @@ class _Worker:
 
 
 def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
-                pooled: bool = False, operands=None) -> None:
+                pooled: bool = False, operands=None, scatter=None) -> None:
     """Process entry point: a dispatch loop over coordinator messages, each
     an event of :data:`WORKER_MACHINE` (:class:`_Worker`).
 
@@ -659,8 +659,10 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     job N+1 over the same B fingerprint start hot.  The serving layer's
     :class:`~repro.dist.comm.ShutdownMsg` exits the loop quietly.
 
-    ``operands`` is the run's ``(a, b)`` pair on the resident plane —
-    process arguments cross a fork by inheritance, not by pickle.
+    ``operands`` is the run's ``(a, b)`` pair on the resident plane and
+    ``scatter`` the rank's :class:`ScatterMsg` there, taken as
+    ``recv:scatter`` before the inbox is read — process arguments cross a
+    fork by inheritance, not by pickle.
 
     Every reply is a class of :mod:`repro.dist.comm` and names the attempt
     or handoff it belongs to, so the coordinator can discard one from a
@@ -668,6 +670,8 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     """
     worker = _Worker(rank, endpoint, tile_cache, pooled, operands)
     try:
+        if scatter is not None:
+            worker.fire("recv:scatter", scatter)
         while worker.state != "exited":
             _, msg, _ = endpoint.recv()
             worker.fire(_event_of(msg), msg)

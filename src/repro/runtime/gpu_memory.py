@@ -29,11 +29,6 @@ class GpuMemory:
         self._reservations: dict[str, int] = {}
 
     @property
-    def used(self) -> int:
-        """Currently reserved bytes."""
-        return self._used
-
-    @property
     def free(self) -> int:
         return self.capacity - self._used
 

@@ -83,10 +83,6 @@ class WarmTileCache:
             self._lru[(ns, key)] = data
             self._bytes += data.nbytes
 
-    @property
-    def cached_bytes(self) -> int:
-        return self._bytes
-
     def __len__(self) -> int:
         return len(self._lru)
 

@@ -99,10 +99,8 @@ class BlockSparseMatrix:
         """Insert/overwrite tile ``(i, j)`` after shape validation."""
         expected = self.tile_shape(i, j)
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        require(
-            arr.shape == expected,
-            f"tile ({i},{j}) has shape {arr.shape}, expected {expected}",
-        )
+        if arr.shape != expected:  # formatted only on failure: once per tile
+            raise ValueError(f"tile ({i},{j}) has shape {arr.shape}, expected {expected}")
         self._tiles[(i, j)] = arr
 
     def accumulate_tile(self, i: int, j: int, data: np.ndarray) -> None:
@@ -156,13 +154,6 @@ class BlockSparseMatrix:
         out = BlockSparseMatrix(self.rows, self.cols)
         for (i, j), tile in self._tiles.items():
             out._tiles[(i, j)] = tile.copy()
-        return out
-
-    def transpose(self) -> "BlockSparseMatrix":
-        """The transposed matrix (tiles transposed and re-keyed)."""
-        out = BlockSparseMatrix(self.cols, self.rows)
-        for (i, j), tile in self._tiles.items():
-            out._tiles[(j, i)] = np.ascontiguousarray(tile.T)
         return out
 
     def scale(self, alpha: float) -> "BlockSparseMatrix":

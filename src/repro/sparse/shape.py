@@ -144,10 +144,6 @@ class SparseShape:
 
     # -- algebra -----------------------------------------------------------
 
-    def transpose(self) -> "SparseShape":
-        """Shape of the transposed matrix."""
-        return SparseShape(self.cols, self.rows, self._csr.T.tocsr())
-
     def with_norms(self, norms: sp.spmatrix) -> "SparseShape":
         """Same occupancy, values replaced by ``norms`` (restricted to it)."""
         pat = self.pattern()

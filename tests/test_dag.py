@@ -29,7 +29,7 @@ class TestBuildTaskGraph:
         mach = summit(1)
         mach = replace(mach, gpu=replace(mach.gpu, memory_bytes=4 * 2**20))
         plan = inspect(a, b, mach)
-        assert plan.total_blocks > plan.grid.total_gpus  # multiple per GPU
+        assert plan.total_blocks > plan.grid.nprocs * plan.grid.gpus_per_proc  # multiple per GPU
         graph = build_task_graph(plan, mach, granularity="chunk")
         # Tasks: recv per proc + (gen + load_bc + store_c) per block +
         # (load_a + gemm) per chunk.

@@ -17,6 +17,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from repro.runtime import GeneratedCollection, execute_plan, tracing
 from repro.runtime.numeric import NumericStats, block_cols_of_k, chunk_groups, proc_blocks
 from repro.sparse import random_block_sparse
 from repro.sparse.gemm_ref import gemm_against_dense
-from repro.tiling import random_tiling
+from repro.tiling import Tiling, random_tiling
 from tests.test_numeric_executor import fine_operands, straddling_operands
 
 
@@ -162,10 +163,19 @@ class TestCommAndTrace:
         assert expected > 0
         assert report.comm.a_broadcast_bytes() == expected
 
-    def test_scatter_and_gather_bytes_counted(self, q2_run):
-        _, report = q2_run
-        assert report.comm.scatter_bytes() > 0
-        assert report.comm.gather_bytes() > 0
+    def test_scatter_and_gather_bytes_counted(self, plane_runs):
+        """A queued scatter is one message per rank; a forked rank is born
+        holding its own, so nothing leaves the coordinator."""
+        plan, _, _, _, runs = plane_runs
+        for plane, (_, report) in runs.items():
+            sent = {d: n for (s, d), n in report.comm.messages.items() if s == COORDINATOR}
+            assert report.comm.gather_bytes() > 0, plane
+            if plane == "fork":
+                assert sent == {} and report.comm.scatter_bytes() == 0
+                assert sum(report.comm.messages.values()) == plan.grid.nprocs
+            else:
+                assert sent == {r: 1 for r in range(plan.grid.nprocs)}, plane
+                assert report.comm.scatter_bytes() > 0, plane
 
     def test_per_rank_trace_events(self, q2_run):
         plan, report = q2_run
@@ -386,6 +396,49 @@ class TestSharedMemoryLifecycle:
             )
         assert active_segments() == frozenset()
 
+    @needs_fork
+    def test_lost_run_releases_the_tiles_it_folded(self, monkeypatch, tmp_path):
+        """Rank 0 is folded into the result, then rank 1 aborts: the run's
+        segments are in none of ``/dev/shm``, ``active_segments()`` or this
+        process's maps, while the exception is held and after it is gone."""
+        from repro.dist import read_events, worker
+
+        coordinator_pid, real = os.getpid(), worker.run_rank
+
+        def late(msg, *args, **kwargs):  # forked workers inherit the patch
+            if os.getpid() != coordinator_pid and msg.proc.rank == 1:
+                time.sleep(0.5)
+            return real(msg, *args, **kwargs)
+
+        names, teardown = [], coordinator._Coordinator.teardown
+
+        def spying(self):
+            names.extend(arena.name for arena in self.arenas)
+            teardown(self)
+
+        monkeypatch.setattr(worker, "run_rank", late)
+        monkeypatch.setattr(coordinator._Coordinator, "teardown", spying)
+        a, b = operands(seed=6)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
+        events_path = str(tmp_path / "events.jsonl")
+        with start_method("fork"), pytest.raises(
+            DistExecutionError, match="rank 1 aborted"
+        ) as lost:
+            execute_plan_distributed(
+                plan, a, b, fault_plan=FaultPlan.abort(1, 1), events_path=events_path
+            )
+        kinds = [(e["event"], e.get("rank")) for e in read_events(events_path)]
+        assert kinds.index(("rank_done", 0)) < kinds.index(("abort", 1))
+        assert sorted(n.rsplit("-", 1)[1] for n in names) == ["c0a0", "c1a0"]
+        assert lost.tb is not None  # the run's frames are alive ...
+        assert mapped_segments(names) == []  # ... and hold none of its tiles
+        del lost
+        gc.collect()
+        assert mapped_segments(names) == []
+        assert active_segments() == frozenset()
+        assert not set(names) & set(os.listdir("/dev/shm"))
+        assert mp.active_children() == []
+
     def test_arena_roundtrip_and_unlink(self):
         rng = np.random.default_rng(0)
         tiles = {(0, 0): rng.standard_normal((4, 5)), (1, 2): rng.standard_normal((3, 3))}
@@ -491,6 +544,43 @@ class TestWorkersLeave:
         assert mp.active_children() == []
 
 
+class TestOneShotCriticalPath:
+    """A one-shot run's fixed cost hides behind its slowest rank: the
+    heaviest rank is started first and each rank's C is folded into the
+    result the moment it reports."""
+
+    def test_heaviest_rank_is_started_first(self):
+        # Odd tile rows are 4x the even ones: rank 1 of the 2x1 grid holds
+        # four fifths of A's rows, hence most of the flops.
+        rows = Tiling.from_sizes([20, 80] * 3)
+        inner = random_tiling(300, 20, 80, seed=1)
+        a = random_block_sparse(rows, inner, 1.0, seed=2)
+        b = random_block_sparse(inner, inner, 0.5, seed=3)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, gpus_per_proc=6)
+        assert plan.procs[1].flops > plan.procs[0].flops
+        c_serial, _ = execute_plan(plan, a, b)
+        c, report = execute_plan_distributed(plan, a, b)
+        assert np.array_equal(c.to_dense(), c_serial.to_dense())
+        spawned = sorted(
+            (e.start, e.task) for e in report.trace.events if e.task.startswith("spawn.")
+        )
+        assert [task for _, task in spawned] == ["spawn.1", "spawn.0"]
+
+    def test_a_rank_is_folded_before_the_slower_one_reports(self):
+        a, b = operands(seed=3)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, gpus_per_proc=6)
+        c_serial, _ = execute_plan(plan, a, b)
+        c, report = execute_plan_distributed(
+            plan, a, b, fault_plan=FaultPlan.slow(1, at_task=1, seconds=0.002)
+        )
+        assert np.array_equal(c.to_dense(), c_serial.to_dense())
+        events = report.trace.events
+        folds = sorted(e.end for e in events if e.task == "reduce")
+        assert len(folds) == 3  # rank 0, rank 1, then the beta*C-only tiles
+        # The slow rank's C left it after the fast rank's was in the result.
+        assert folds[0] < max(e.end for e in events if e.task == "writeback.1")
+
+
 class TestFaultRecovery:
     @pytest.mark.dist
     def test_killed_worker_is_retried_and_result_exact(self):
@@ -501,8 +591,10 @@ class TestFaultRecovery:
         assert report.attempts[0] == 2  # one failure, one successful retry
         assert all(report.attempts[r] == 1 for r in report.attempts if r != 0)
         assert report.reassigned == []
-        # The retry was re-forked holding the same operands: still no arena.
+        # The retry was re-forked holding the same operands: still no arena;
+        # and holding its own attempt-1 message: nothing was sent.
         assert_resident(report)
+        assert report.comm.scatter_bytes() == 0
         assert sorted(segment_tags(report)) == ["c0a0", "c0a1", "c1a0"]
         # Only the live attempts' tiles were adopted: the dead attempt's
         # arena is unmapped as well as unlinked.
@@ -753,11 +845,12 @@ class TestBService:
         col = self._collection()
         svc = BService(col, budget_bytes=1 << 20)
         svc.tile(0, 0, 0)
-        held = svc.cached_bytes
-        assert held > 0
         svc.evict(0, 0, 0)
-        assert svc.cached_bytes == 0
         svc.evict(0, 0, 0)  # idempotent
+        # Cache and budget let go of it: the next pull regenerates and
+        # reserves it again.
+        svc.tile(0, 0, 0)
+        assert (svc.hits, svc.generated_tiles()) == (0, 2)
 
 
 class TestNumericStatsMerge:

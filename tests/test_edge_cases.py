@@ -37,7 +37,6 @@ class TestShapeEdges:
         ii, jj = s.nonzero_tiles()
         assert ii.size == jj.size == 0
         assert s.element_nnz == 0
-        assert s.transpose().nnz_tiles == 0
 
     def test_shape_not_hashable(self):
         t = Tiling.from_sizes([2])

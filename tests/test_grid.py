@@ -37,10 +37,6 @@ class TestProcessGrid:
         for r, sl in enumerate(rows):
             assert np.all(sl % 3 == r)
 
-    def test_total_gpus(self):
-        g = ProcessGrid(p=2, q=4, gpus_per_proc=3)
-        assert g.total_gpus == 24
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ProcessGrid(p=0, q=1, gpus_per_proc=1)

@@ -65,12 +65,6 @@ class TestBlockSparseMatrix:
         with pytest.raises(ValueError):
             from_dense(np.zeros((4, 7)), r, c)
 
-    def test_transpose(self):
-        r, c = grids()
-        m = random_block_sparse(r, c, 1.0, seed=1)
-        t = m.transpose()
-        assert np.allclose(t.to_dense(), m.to_dense().T)
-
     def test_scale_axpy(self):
         r, c = grids()
         m1 = random_block_sparse(r, c, 1.0, seed=2)

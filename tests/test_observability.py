@@ -256,7 +256,7 @@ class TestMergedDistributedTrace:
         assert all(0.0 < u <= 1.0 for u in util.values())
         assert report.spans_dropped == 0
         assert report.shm_bytes > 0
-        assert report.comm.link_bytes and report.comm.scatter_bytes() > 0
+        assert report.comm.link_bytes and report.comm.gather_bytes() > 0
 
     def test_trace_off_is_bit_identical_and_span_free(self):
         a, b = operands(seed=2)

@@ -166,7 +166,7 @@ def run():
     a = random_block_sparse(rows, inner, 0.8, seed=2)
     b = random_block_sparse(inner, inner, 0.8, seed=3)
     plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
-    coordinator = _Coordinator(plan, a, b, 1.0, RunConfig(heartbeat_interval=0.0))
+    coordinator = _Coordinator(plan, a, b, None, 1.0, 1.0, RunConfig(heartbeat_interval=0.0))
     coordinator.outstanding_relinquish[0] = 0
     coordinator.pending_handoffs[7] = {"origin": 0, "helper": 1}
     try:

@@ -75,13 +75,13 @@ class TestGpuMemory:
     def test_reserve_release_cycle(self):
         mem = GpuMemory(100)
         mem.reserve("block", 60)
-        assert mem.used == 60 and mem.free == 40
+        assert mem.free == 40
         mem.reserve("chunk", 40)
         assert mem.peak == 100
         mem.release("chunk")
-        assert mem.used == 60
+        assert mem.free == 40
         mem.release("block")
-        assert mem.used == 0 and mem.peak == 100
+        assert mem.free == 100 and mem.peak == 100
 
     def test_overflow_raises(self):
         mem = GpuMemory(100)
@@ -89,7 +89,7 @@ class TestGpuMemory:
         with pytest.raises(GpuMemoryError):
             mem.reserve("b", 30)
         # Failed reservation leaves state unchanged.
-        assert mem.used == 80
+        assert mem.free == 20
 
     def test_duplicate_name_raises(self):
         mem = GpuMemory(100)

@@ -100,7 +100,7 @@ class TestWarmTileCache:
         assert cache.get("ns", (0, 0)) is None  # oldest evicted
         assert cache.get("ns", (0, 2)) is not None
         assert cache.evictions == 1
-        assert cache.cached_bytes <= cache.budget_bytes
+        assert cache.stats()["cached_bytes"] <= cache.budget_bytes
 
     def test_oversized_tile_not_cached(self):
         cache = WarmTileCache(64)

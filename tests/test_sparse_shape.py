@@ -44,13 +44,6 @@ class TestSparseShape:
         assert ii.tolist() == [0, 0, 2]
         assert jj.tolist() == [1, 3, 0]
 
-    def test_transpose(self):
-        r, c = small_grid()
-        s = SparseShape.from_coo(r, c, np.array([1]), np.array([2]))
-        t = s.transpose()
-        assert t.has_tile(2, 1)
-        assert t.rows == c and t.cols == r
-
     def test_intersect_union(self):
         r, c = small_grid()
         s1 = SparseShape.from_coo(r, c, np.array([0, 1]), np.array([0, 1]))
