@@ -14,8 +14,10 @@ of 5 tiles on average, as on the benchmark's ``fine_tiles_p2`` — and as
 many inner and column tiles as keep a run near ``FLOP_BUDGET``.  The two
 paths are forced by setting the gate constant to 0 and to infinity; their
 runs alternate, and both results are held against the dense reference.
-BLAS is pinned to one thread before NumPy loads, as in
-``benchmarks/e2e/child.py``.
+``--smoke`` runs the full semantics, ``beta*C + alpha*A@B`` with a C input,
+``alpha=0.5`` and ``beta=2``.  BLAS is pinned to one thread before NumPy
+loads, as in ``benchmarks/e2e/child.py``; the header names the BLAS builds
+NumPy (``np.matmul``) and SciPy (``dgemm``) link, which need not agree.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ if "numpy" in sys.modules:
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from repro.core import inspect  # noqa: E402
 from repro.machine import summit  # noqa: E402
@@ -73,23 +76,37 @@ def problem(tile: int, flop_budget: float):
     return plan, a, b
 
 
-def sweep(tile_sizes, reps: int, flop_budget: float) -> list[dict]:
+def blas_builds() -> str:
+    """``numpy <name> <version>, scipy <name> <version>``."""
+    builds = []
+    for mod in (np, scipy):
+        blas = mod.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        builds.append(f"{mod.__name__} {blas.get('name')} {blas.get('version')}")
+    return ", ".join(builds)
+
+
+def sweep(tile_sizes, reps: int, flop_budget: float, alpha=1.0, beta=1.0) -> list[dict]:
+    """Per-task µs of both paths; a ``beta`` other than 1 adds a C input."""
     gate = numeric.KGROUP_MAX_TASK_FLOPS
     table = []
     try:
         for tile in tile_sizes:
             plan, a, b = problem(tile, flop_budget)
-            reference = a.to_dense() @ b.to_dense()
+            c = _matrix(np.random.default_rng(1000 + tile), a.rows, b.cols) if beta != 1.0 else None
+            reference = alpha * (a.to_dense() @ b.to_dense())
+            if c is not None:
+                reference += beta * c.to_dense()
             seconds = {0.0: [], math.inf: []}
             for rep in range(reps + 1):  # the first rep warms both paths
                 for forced in seconds:
                     numeric.KGROUP_MAX_TASK_FLOPS = forced
                     t0 = time.perf_counter()
-                    c, stats = execute_plan(plan, a, b)
+                    out, stats = execute_plan(plan, a, b, c, alpha, beta)
                     elapsed = time.perf_counter() - t0
                     if rep:
                         seconds[forced].append(elapsed)
-                    if stats.ntasks != plan.total_tasks or not np.allclose(c.to_dense(), reference):
+                    wrong = not np.allclose(out.to_dense(), reference)
+                    if stats.ntasks != plan.total_tasks or wrong:
                         raise SystemExit(f"tile {tile}: wrong result with the gate at {forced}")
             one, grouped = (1e6 * statistics.median(s) / plan.total_tasks for s in seconds.values())
             table.append({"tile": tile, "tasks": plan.total_tasks, "one_us": one,
@@ -115,8 +132,9 @@ def main(argv=None) -> int:
                         help="three small sizes, one rep: checks the plumbing, not the numbers")
     parser.add_argument("--reps", type=int, default=7)
     args = parser.parse_args(argv)
+    print(f"BLAS: {blas_builds()}")
     if args.smoke:
-        table = sweep(SMOKE_TILE_SIZES, 1, FLOP_BUDGET / 30)
+        table = sweep(SMOKE_TILE_SIZES, 1, FLOP_BUDGET / 30, alpha=0.5, beta=2.0)
     else:
         table = sweep(TILE_SIZES, args.reps, FLOP_BUDGET)
     print(f"{'tile':>5} {'tasks':>6} {'groups of one':>14} {'k-groups':>10} {'ratio':>6}"

@@ -20,11 +20,10 @@ identical order with identical floating-point operations, so the
 distributed result is bit-for-bit the serial result and this executor
 doubles as the distributed executor's crosscheck oracle.  (Parity is
 between the executors of one build: how a chunk's GEMMs are grouped —
-:func:`chunk_groups` — may change the last bit from build to build.)  The
-one thing a caller may choose is *where* a C tile's first product lands
-(``c_slot``): the oracle lets NumPy allocate it, a distributed worker hands
-out slots of its shared-memory output arena so the tile is born where it
-will stay.
+:func:`chunk_groups` — may change the last bit from build to build.)  Every
+product is one in-place ``dgemm``, ``C <- alpha*A@B + beta*C`` with ``beta``
+0 or 1 (:func:`gemm_into`).  A caller chooses only *where* a C tile is born
+(``c_slot``): the oracle allocates it, a worker hands out arena slots.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from repro.core.plan import Block, Chunk, ExecutionPlan, ProcPlan
 from repro.runtime.data import MatrixSource, TileSource
@@ -124,6 +124,23 @@ def chunk_groups(chunk: Chunk, tau: float | None) -> list[list[int]]:
     return list(by_k.values())
 
 
+#: Flops of one product above which it runs ``np.matmul``, which releases the
+#: GIL: f2py's ``dgemm`` holds it for the whole call, and a call longer than a
+#: worker's stall window (8 heartbeats of 0.25 s) would starve its heartbeat
+#: thread and get a healthy rank killed.  2·1024³ flops is ≤ ~40 ms on one core.
+GIL_MAX_CALL_FLOPS = 2.0 * 1024**3
+
+
+def gemm_into(dest, a, b, alpha: float, accumulate: bool, key) -> None:
+    """``dest <- alpha*a@b``, ``+ dest`` if ``accumulate``: one in-place ``dgemm``
+    on the transposes, where a C-contiguous float64 ``dest`` is the Fortran
+    array BLAS writes.  Any other would be copied: ``ValueError`` naming ``key``."""
+    if 2.0 * a.shape[0] * a.shape[1] * b.shape[1] > GIL_MAX_CALL_FLOPS:
+        dest[...] = np.matmul(a, b) * alpha + (dest if accumulate else 0.0)
+    elif dgemm(alpha, b.T, a.T, float(accumulate), dest_t := dest.T, 0, 0, 1) is not dest_t:
+        raise ValueError(f"C tile {key}: dgemm writes in place only into C-contiguous float64")
+
+
 def execute_block(
     block: Block,
     block_name: str,
@@ -145,23 +162,24 @@ def execute_block(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Run one resident block's chunk stream; returns the device C tiles.
 
-    Each chunk is walked by :func:`chunk_groups`.  A group of one is a
-    plain ``A(i,k) @ B(k,j)`` per task, in chunk tile order.  A k-group's
-    tiles are stacked once and multiply each B tile ``(k, j)`` of the block
-    as one panel into a reused scratch buffer; the product's contiguous row
-    slices are the tasks' ``(m_i, n_j)`` contributions, applied to C in
-    group order, with ``on_task`` fired once per task either way.
+    Each chunk is walked by :func:`chunk_groups`; every product is one
+    :func:`gemm_into`, ``alpha`` folded in.  A group of one writes each task
+    into its C tile in chunk tile order (the first sets it, later ones add).
+    A k-group's tiles are stacked once and multiply each B tile ``(k, j)``
+    of the block as one panel into a reused scratch buffer; its contiguous
+    row slices, the tasks' ``(m_i, n_j)`` contributions, are copied or added
+    into C in group order.  ``on_task`` fires once per task either way.
 
     ``fetch_chunk(ci, chunk)`` may supply prefetched A tiles (in chunk tile
     order) — the distributed worker's traced fetcher — otherwise tiles
     come from ``a_get_tile``.  ``c_slot((i, j), m, n)`` may supply the
-    ``(m, n)`` float64 array a C tile's *first* contribution lands in (a
-    group of one writes it there, ``np.matmul(..., out=slot)``; a k-group
-    copies its piece in); without it NumPy allocates the tile.  The GEMM
-    order and every operand are identical either way, which is what makes
-    serial and distributed runs of one build bit-equal.
+    C-contiguous float64 ``(m, n)`` array a C tile is born in (a group of
+    one raises ``ValueError`` on any other); without it, ``np.empty``.  The
+    GEMM order and every operand are identical either way, which is what
+    makes serial and distributed runs of one build bit-equal.
     """
     c_dev: dict[tuple[int, int], np.ndarray] = {}
+    new_tile = c_slot if c_slot is not None else lambda key, m, n: np.empty((m, n))
     scratch = np.empty(0)  # one reused product buffer for the fused panels
     prev_chunk: str | None = None
     for ci, chunk in enumerate(block.chunks):
@@ -198,28 +216,20 @@ def execute_block(
                 if fused:
                     if scratch.size < nrows * n:
                         scratch = np.empty(nrows * n)
-                    out = scratch[: nrows * n].reshape(nrows, n)
-                elif c_slot is not None and (members[0][0], j) not in c_dev:
-                    out = c_slot((members[0][0], j), nrows, n)  # born where it stays
-                else:
-                    out = None
-                prod = np.matmul(panel, b_tile, out=out)
-                if alpha != 1.0:
-                    prod *= alpha
+                    prod = scratch[: nrows * n].reshape(nrows, n)
+                    gemm_into(prod, panel, b_tile, alpha, False, "panel")
                 lo = 0
                 for i, m in members:
-                    piece = prod[lo : lo + m] if fused else prod
-                    lo += m
-                    acc = c_dev.get((i, j))
-                    if acc is not None:
-                        acc += piece
-                    elif not fused:
-                        c_dev[(i, j)] = piece
+                    dest = c_dev.get((i, j))
+                    if first := dest is None:  # the tile is born where it stays
+                        dest = c_dev[(i, j)] = new_tile((i, j), m, n)
+                    if not fused:
+                        gemm_into(dest, panel, b_tile, alpha, not first, (i, j))
+                    elif first:
+                        dest[...] = prod[lo : lo + m]
                     else:
-                        c_dev[(i, j)] = dest = (
-                            c_slot((i, j), m, n) if c_slot is not None else np.empty((m, n))
-                        )
-                        dest[...] = piece
+                        dest += prod[lo : lo + m]
+                    lo += m
                     if on_task is not None:
                         on_task()
                 stats.ntasks += len(members)

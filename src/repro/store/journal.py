@@ -119,8 +119,8 @@ def b_fingerprint(b) -> str:
 
 
 def run_fingerprint(plan_hash: str, b_hash: str, alpha: float) -> str:
-    """The namespace of one run's checkpointed C tiles (v2: summed by k-group panels)."""
-    h = hashlib.sha256(b"repro-run-v2")  # v1 tiles, summed pair by pair, differ in roundoff
+    """The namespace of one run's checkpointed C tiles (v3: in-place ``dgemm``)."""
+    h = hashlib.sha256(b"repro-run-v3")  # v1 and v2 tiles (older kernels) differ in roundoff
     h.update(plan_hash.encode())
     h.update(b_hash.encode())
     h.update(repr(float(alpha)).encode())

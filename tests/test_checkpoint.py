@@ -126,23 +126,24 @@ class TestKillResume:
         assert all(c2.get(key).flags.writeable for key in c2.keys())
         assert r2.shm_bytes == c2.nbytes == r1.stats.d2h_bytes
 
-    def test_journal_of_the_per_pair_kernel_is_not_resumed(self, tmp_path, monkeypatch):
-        """A checkpoint written under the ``repro-run-v1`` tag (C tiles
-        summed pair by pair, by an older build) is another namespace: none
-        of its blocks is restored and the run is the oracle's, not a
-        tile-by-tile mix of two kernels."""
+    @pytest.mark.parametrize("tag", [b"repro-run-v1", b"repro-run-v2"])
+    def test_journal_of_the_per_pair_kernel_is_not_resumed(self, tag, tmp_path, monkeypatch):
+        """A checkpoint written under an older build's tag — ``v1``, C tiles
+        summed pair by pair; ``v2``, products scaled and added in separate
+        passes — is another namespace: none of its blocks is restored and
+        the run is the oracle's, not a tile-by-tile mix of two kernels."""
         a, b, b_shape = operands(seed=2)
         kwargs = dict(b_shape=b_shape, checkpoint_dir=str(tmp_path))
 
-        def v1_fingerprint(plan_hash, b_hash, alpha):
-            h = hashlib.sha256(b"repro-run-v1")
+        def old_fingerprint(plan_hash, b_hash, alpha):
+            h = hashlib.sha256(tag)
             for part in (plan_hash, b_hash, repr(float(alpha))):
                 h.update(part.encode())
             return h.hexdigest()
 
-        assert v1_fingerprint("p", "b", 1.0) != run_fingerprint("p", "b", 1.0)
+        assert old_fingerprint("p", "b", 1.0) != run_fingerprint("p", "b", 1.0)
         with monkeypatch.context() as patch:
-            patch.setattr(coordinator, "run_fingerprint", v1_fingerprint)
+            patch.setattr(coordinator, "run_fingerprint", old_fingerprint)
             _, r1 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
         assert r1.store_puts > 0
         c2, r2 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)

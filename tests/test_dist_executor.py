@@ -37,7 +37,7 @@ from repro.dist import (
 from repro.dist import coordinator
 from repro.dist.comm import DoneMsg, HandoffDoneMsg
 from repro.machine import summit
-from repro.runtime import GeneratedCollection, execute_plan, tracing
+from repro.runtime import GeneratedCollection, execute_plan, numeric, tracing
 from repro.runtime.numeric import NumericStats, block_cols_of_k, chunk_groups, proc_blocks
 from repro.sparse import random_block_sparse
 from repro.sparse.gemm_ref import gemm_against_dense
@@ -133,12 +133,35 @@ class TestParity:
         # The paper's invariant: every B tile instantiated at most once per rank.
         assert report.b_max_instantiations == 1
 
-    def test_alpha_beta_and_c_input(self):
+    def test_alpha_beta_and_c_input(self, monkeypatch):
+        """Groups of one fold a non-power-of-two ``alpha`` into every
+        ``dgemm``; the forked ranks inherit the gate and round alike."""
+        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", 0.0)
         a, b = operands(seed=4)
         c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=9)
-        c_serial, _ = psgemm_numeric(a, b, summit(2), c=c0, p=2, alpha=2.0, beta=0.5)
-        c_dist, _ = psgemm_distributed(a, b, summit(2), c=c0, p=2, alpha=2.0, beta=0.5)
+        c_serial, _ = psgemm_numeric(a, b, summit(2), c=c0, p=2, alpha=-1.7, beta=0.5)
+        c_dist, _ = psgemm_distributed(a, b, summit(2), c=c0, p=2, alpha=-1.7, beta=0.5)
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
+        dense = -1.7 * gemm_against_dense(a, b) + 0.5 * c0.to_dense()
+        assert np.allclose(c_dist.to_dense(), dense)
+
+    def test_plan_straddling_the_gil_bound(self, monkeypatch):
+        """With the bound lowered into the plan's range, each rank runs some
+        products as ``np.matmul`` and some as ``dgemm``; the choice is the
+        product's shape, so the bits are the oracle's."""
+        bound = 2.0 * 50**3
+        monkeypatch.setattr(numeric, "GIL_MAX_CALL_FLOPS", bound)
+        a, b = operands(seed=5)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
+        for proc in plan.procs:
+            means = [ch.flops / ch.ntasks for blk in proc.blocks for ch in blk.chunks]
+            assert min(means) < bound < max(means)
+        c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=6)
+        c_serial, _ = psgemm_numeric(a, b, summit(2), c=c0, p=2, alpha=-1.7, beta=0.3)
+        c_dist, _ = psgemm_distributed(a, b, summit(2), c=c0, p=2, alpha=-1.7, beta=0.3)
+        assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
+        dense = -1.7 * gemm_against_dense(a, b) + 0.3 * c0.to_dense()
+        assert np.allclose(c_dist.to_dense(), dense)
 
     @pytest.mark.dist
     def test_plan_straddling_the_kgroup_gate(self):

@@ -233,22 +233,38 @@ class TestKGroups:
             for k in set(chunk.a_cols.tolist())
         )
 
-    @GATES
-    def test_every_executor_of_a_path_has_the_same_bits(self, gate, monkeypatch):
+    @pytest.mark.parametrize(
+        "gate,alpha,beta",
+        [(gate, alpha, beta) for alpha, beta in [(1.0, 1.0), (-1.7, 0.3)]
+         for gate in (0.0, float("inf"))],
+        ids=["ones", "kgroups", "ones-scaled", "kgroups-scaled"],
+    )
+    def test_every_executor_of_a_path_has_the_same_bits(self, gate, alpha, beta, monkeypatch):
         """``execute_plan``, a rank's ``execute_blocks`` writing into
-        ``c_slot`` buffers, and a one-block handoff: same tiles, same bits."""
+        NaN-filled ``c_slot`` buffers, and a one-block handoff: same tiles,
+        same bits — also with ``alpha`` folded into every ``dgemm`` and a
+        ``beta``-scaled C input folded in after."""
         monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", gate)
         a, b = fine_operands(seed=1)
+        c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=8) if alpha != 1.0 else None
         plan = self.plan_for(a, b, gpus_per_proc=2)
         source = MatrixSource(b)
-        c, _ = execute_plan(plan, a, source)
-        assert np.allclose(c.to_dense(), gemm_against_dense(a, b))
+        c, _ = execute_plan(plan, a, source, c0, alpha=alpha, beta=beta)
+        dense = alpha * gemm_against_dense(a, b)
+        assert np.allclose(c.to_dense(), dense if c0 is None else dense + beta * c0.to_dense())
         fused = gate > 0
         pulls = sum(source.access_counts.values())
         assert pulls == (self.b_pulls_per_chunk(plan) if fused else plan.total_tasks)
         assert fused == (pulls < plan.total_tasks)
 
-        common = dict(gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr, tau=None)
+        def folded(tiles):
+            """A rank's tiles as the oracle's result holds them: ``beta*C + P``."""
+            return {key: beta * c0.get(key) + t if c0 is not None and key in c0 else t
+                    for key, t in tiles.items()}
+
+        common = dict(
+            gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr, tau=None, alpha=alpha
+        )
         seen = set()
         for proc in plan.procs:
             arena = np.full(sum(blk.c_bytes for blk in proc.blocks) // 8, np.nan)
@@ -262,7 +278,7 @@ class TestKGroups:
             produced, _ = numeric.execute_blocks(
                 triples, proc.rank, a.get_tile, MatrixSource(b), c_slot=c_slot, **common
             )
-            assert same_tiles(produced, c, produced)
+            assert same_tiles(folded(produced), c, produced)
             assert not any(tile.flags.owndata for tile in produced.values())
             seen.update(produced)
             # A handoff helper runs one reclaimed block of the rank on its own.
@@ -270,8 +286,50 @@ class TestKGroups:
             stolen, _ = numeric.execute_blocks(
                 [(g, bi, block)], proc.rank, a.get_tile, MatrixSource(b), **common
             )
-            assert stolen and same_tiles(stolen, c, stolen)
-        assert seen == set(c.keys())
+            assert stolen and same_tiles(folded(stolen), c, stolen)
+        assert seen | set(c0.keys() if c0 is not None else ()) == set(c.keys())
+
+    def test_a_slot_blas_cannot_write_in_place_is_refused(self, monkeypatch):
+        """A ``c_slot`` that is not C-contiguous would get a copy written
+        and the tile's product dropped: the body raises instead."""
+        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", 0.0)
+        a, b = fine_operands(seed=9)
+        plan = self.plan_for(a, b)
+        proc = plan.procs[0]
+        with pytest.raises(ValueError, match=r"C tile \(\d+, \d+\)"):
+            numeric.execute_blocks(
+                numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
+                a.get_tile, MatrixSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
+                b_csr=plan.b_shape.csr, tau=None, c_slot=lambda key, m, n: np.empty((n, m)).T,
+            )
+
+    @GATES
+    def test_transposed_operand_tiles_give_the_dense_product(self, gate, monkeypatch):
+        """A and B tiles handed over as Fortran-ordered arrays (transposed
+        views of their transposes) are read as the matrices they are."""
+        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", gate)
+        a, b = fine_operands(seed=10)
+        plan = self.plan_for(a, b)
+        reference = block_gemm_reference(a, b)
+
+        class FortranB(MatrixSource):
+            def tile(self, proc, k, j):
+                return np.asfortranarray(super().tile(proc, k, j))
+
+        def fortran_a(i, k):
+            tile = np.asfortranarray(a.get_tile(i, k))
+            assert not tile.flags.c_contiguous or 1 in tile.shape
+            return tile
+
+        produced = {}
+        for proc in plan.procs:
+            produced.update(numeric.execute_blocks(
+                numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank, fortran_a,
+                FortranB(b), gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
+                tau=None, alpha=0.5,
+            )[0])
+        assert sorted(produced) == sorted(reference.keys())
+        assert all(np.allclose(t, 0.5 * reference.get_tile(*key)) for key, t in produced.items())
 
     def test_on_task_and_stats_count_every_task(self, monkeypatch):
         monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", float("inf"))
