@@ -2,7 +2,7 @@
 
 The protocol itself — wire vocabulary, role state machines, budgets — is
 declared in :mod:`repro.dist.protocol`, beside the message classes, and is
-the table the runtime dispatches on; this package *explores* it:
+the table the runtime dispatches on; this package *runs* it:
 :mod:`~repro.analysis.protocol.checker` is a bounded exhaustive search
 proving deadlock freedom, bounded queues, and recovery / resume safety over
 small scopes, with reproducing traces (``repro analyze --model-check``).

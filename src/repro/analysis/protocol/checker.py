@@ -4,13 +4,27 @@ Small-scope hypothesis, applied: protocol bugs (lost wakeups, recovery
 deadlocks, unbounded queues) almost always have counterexamples within a
 tiny scope — one to three ranks, one injected fault, a couple of work
 units, at most one steal excursion.  This module explores *every*
-interleaving of the declared protocol model
-(:mod:`repro.dist.protocol`) over exactly those scopes with an
-explicit-state breadth-first search, and reports violations as ordinary
-analysis findings (``M40x``) carrying a **reproducing trace**: the
-ordered message/action sequence from the initial state to the bad one.
+interleaving of the declared protocol (:mod:`repro.dist.protocol`) over
+exactly those scopes with an explicit-state breadth-first search, and
+reports violations as ordinary analysis findings (``M40x``) carrying a
+**reproducing trace**: the ordered message/action sequence from the
+initial state to the bad one.
 
-Checked properties:
+The checker runs the table, as the coordinator and the worker do: every
+step fires one row, and the row decides
+
+* the state the role enters: its ``next_state`` (the exceptions are a
+  respawn's initial state and the model-only markers ``reassigned``,
+  ``terminated`` and ``failed``);
+* the messages queued: each one its ``sends`` names, routed by the
+  message's declared destination and channel — ``recover_rank`` and
+  ``dispatch_handoff`` may withhold theirs, no row emits anything else;
+* the effect on the run state: the function :data:`_EFFECTS` holds under
+  its ``action``, named one-to-one with the methods the runtime calls.
+
+What stays hand-written is the environment: when an event is enabled (a
+unit computes, the armed fault fires, the patrol sees an exit, a stall, an
+abort or a straggler), whether a reply is live or stale, and the checks:
 
 * **M401 deadlock freedom** — every reachable non-terminal state has at
   least one enabled transition;
@@ -30,36 +44,28 @@ Checked properties:
   journal;
 * **M406 journal ordering** — no reachable state journals a block whose
   tiles are not yet durably in the store;
-* **M407 no lost or double-executed block** — under every steal x
-  kill/stall/raise/abort interleaving each work unit is executed exactly
-  once: a committed steal shrinks the origin's target by exactly the
-  yielded units and those units run exactly once (on the helper or the
-  coordinator's inline spare), while a steal superseded by the origin's
-  failure reverts cleanly to the full re-executed plan;
+* **M407 no lost or double-executed block** — under every steal x fault
+  interleaving each work unit runs exactly once: a committed steal shrinks
+  the origin's target by exactly the yielded units, which run once on the
+  helper or the inline spare; a steal superseded by the origin's failure
+  reverts to the full re-executed plan;
 * **M408 relinquish acked or superseded** — every relinquish request is
   acknowledged by the worker (live, empty or stale) or provably
   superseded by the rank's own completion or recovery; none is left
   dangling against a still-running attempt.
 
-The semantics mirrored here are deliberately *idealized* in one place:
-the patrol's grace window (the real coordinator waits ``_GRACE_SECONDS``
-for a late report before declaring a visibly-exited worker dead) is
-modeled as always sufficient — ``obs:worker_exit`` is not enabled while
-a current-attempt report from that rank is still in flight.  The stale
-``recv:*:stale`` transitions exist because the real window is finite;
-the coordinator discards superseded reports by attempt number either
-way.
+The environment is *idealized* in one place: the patrol's grace window
+(the real coordinator waits ``_GRACE_SECONDS`` for a late report before
+declaring a visibly-exited worker dead) is always sufficient —
+``obs:worker_exit`` is not enabled while a current-attempt report from
+that rank is in flight — so the stale ``done`` and ``error`` rows, which
+exist because the real window is finite, are declared but not explored.
 
-The steal excursion models the dynamic rebalancing path end to end:
-``obs:straggler`` (the windowed-rate patrol verdict) queues a
-``relinquish`` pinned to the origin's current attempt; the origin acks
-at its next block boundary with its unstarted units (possibly zero);
-the coordinator hands the yielded units to a finished helper rank (or
-the inline spare) and absorbs the ``handoff_done``.  Because both the
-ack and the origin's ``done`` report ride the same FIFO gather queue, a
-non-empty ack always reaches the coordinator before the origin's
-report — the model exploits (and thereby checks) exactly the ordering
-the implementation relies on.
+The steal excursion: the origin acks a ``relinquish`` at its next block
+boundary with its unstarted units (possibly none), which go to a finished
+helper rank or the inline spare.  Ack and ``done`` share the FIFO gather
+queue, so a non-empty ack reaches the coordinator before the origin's
+report — the ordering the implementation relies on.
 
 Fault kinds match :class:`repro.dist.faults.FaultInjection` (``kill``,
 ``stall``, ``abort``) plus ``raise`` — the unplanned-exception path of
@@ -69,10 +75,11 @@ Fault kinds match :class:`repro.dist.faults.FaultInjection` (``kill``,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.analysis.findings import AnalysisReport
-from repro.dist.protocol import COORDINATOR_ROLE, WORKER_ROLE, ProtocolModel
+from repro.dist.comm import COORDINATOR_ROLE, TELEMETRY_CHANNEL, WORKER_ROLE
+from repro.dist.protocol import ProtocolModel
 
 #: Longest counterexample trace rendered into a finding message.
 _MAX_TRACE_STEPS = 60
@@ -140,6 +147,7 @@ def default_scenarios(max_ranks: int = 2) -> list[Scenario]:
     and the fault target, the adversarial overlap.
     """
     scenarios: list[Scenario] = []
+    abort = FaultSpec(0, "abort", 1, once=False)
     for nranks in range(1, max_ranks + 1):
         for ckpt in (False, True):
             scenarios.append(Scenario(nranks, None, ckpt))
@@ -149,24 +157,17 @@ def default_scenarios(max_ranks: int = 2) -> list[Scenario]:
                         scenarios.append(Scenario(
                             nranks, FaultSpec(0, kind, at_unit, once), ckpt
                         ))
-            scenarios.append(Scenario(
-                nranks, FaultSpec(0, "abort", 1, once=False), ckpt
-            ))
+            scenarios.append(Scenario(nranks, abort, ckpt))
             scenarios.append(Scenario(nranks, None, ckpt, steal=True))
             for kind in ("kill", "stall", "raise"):
                 scenarios.append(Scenario(
                     nranks, FaultSpec(0, kind, 1, True), ckpt, steal=True
                 ))
-            scenarios.append(Scenario(
-                nranks, FaultSpec(0, "abort", 1, once=False), ckpt,
-                steal=True,
-            ))
+            scenarios.append(Scenario(nranks, abort, ckpt, steal=True))
     return scenarios
 
 
-# ---------------------------------------------------------------------------
-# State representation: plain nested tuples, hashable by construction.
-# ---------------------------------------------------------------------------
+# -- State: plain nested tuples, hashable by construction. -------------------
 
 #: Worker tuple fields (kept positional for hashing speed).
 #: state, attempt, done, computed, substep, stored, journaled, beats
@@ -180,41 +181,175 @@ _S_PHASE, _S_ATT, _S_STOLEN, _S_JRN = range(4)
 
 _STEAL_NONE = ("none", 0, 0, False)
 
-#: Message tuple: (name, rank, attempt)
+#: Run-state slots: coordinator state, worker tuples, complete ranks, inbox
+#: queues, gather queue, telemetry queue, steal excursion.  A message is a
+#: ``(name, rank, attempt)`` tuple.
+_INBOXES, _GATHER, _TELEMETRY, _STEAL = 3, 4, 5, 6
 _TERMINAL_COORD = ("done", "failed", "aborted")
 
 
-def _initial_state(model: ProtocolModel, sc: Scenario):
+def _initial_state(sc: Scenario):
     journal = sc.initial_journal or (0,) * sc.nranks
-    workers = tuple(
-        ("idle", 0, 0, 0, 0, journal[r], journal[r], 0)
-        for r in range(sc.nranks)
-    )
+    workers = tuple(("idle", 0, 0, 0, 0, j, j, 0) for j in journal)
     inboxes = tuple((("scatter", r, 0),) for r in range(sc.nranks))
-    return (
-        "supervising",      # coordinator machine state
-        workers,            # per-rank worker tuples
-        frozenset(),        # complete ranks
-        inboxes,            # per-rank inbox queues
-        (),                 # gather queue
-        (),                 # telemetry queue
-        _STEAL_NONE,        # steal excursion (rank 0 is the origin)
-    )
+    return ("supervising", workers, frozenset(), inboxes, (), (), _STEAL_NONE)
 
 
-def _queue_bytes(model: ProtocolModel, queue) -> int:
-    return sum(model.message(m[0]).nbytes for m in queue)
+def _put(seq: tuple, i: int, item) -> tuple:
+    return seq[:i] + (item,) + seq[i + 1:]
+
+
+def _with_worker(s, r: int, w):
+    return (s[0], _put(s[1], r, w)) + s[2:]
+
+
+def _with_steal(s, steal):
+    return s[:_STEAL] + (steal,)
+
+
+# -- Effects: what a row's ``action`` does to the run state (_EFFECTS). ------
+# Each takes the state after the row's ``next_state`` is entered, the rank
+# the event concerns, the consumed message (or None) and the ``(rank,
+# attempt)`` the row's sends go to, and returns the new state and address:
+# None withholds the sends (``recover_rank`` and ``dispatch_handoff`` *may*
+# send).
+
+def _keep(run, s, r, msg, to):
+    return s, to
+
+
+def _recover_rank(run, s, r, msg, to):
+    """Retry once (respawn + rescatter), then reassign inline, else fail."""
+    w, steal = s[1][r], s[_STEAL]
+    if r == 0 and steal[_S_PHASE] in ("requested", "acked", "acked_empty"):
+        # The failed attempt no longer owns its blocks: any in-flight
+        # relinquish or ack is superseded and the new attempt re-executes
+        # the full plan (the runtime pops outstanding_relinquish the same way).
+        steal = ("superseded",) + steal[1:]
+        s = _with_steal(s, steal)
+    att = w[_W_ATT] + 1
+    if att <= run.model.max_retries:
+        # A fresh attempt; store and journal persist across it.
+        w = (run.model.machine(WORKER_ROLE).initial, att, 0, 0, 0,
+             w[_W_STORED], w[_W_JRN], 0)
+        return _with_worker(s, r, w), (r, att)
+    if run.model.allow_reassign:
+        # The coordinator-local spare executes (and, under checkpointing,
+        # journals) the rank synchronously.
+        units = run._target(r, steal)
+        journaled = units if run.sc.checkpoint else w[_W_JRN]
+        w = ("reassigned", att, units, 0, 0, max(journaled, w[_W_STORED]),
+             max(journaled, w[_W_JRN]), 0)
+        s = _with_worker(s, r, w)
+        return s[:2] + (s[2] | {r},) + s[3:], None
+    return ("failed",) + s[1:], None
+
+
+def _dispatch_handoff(run, s, r, msg, to):
+    """Hand the yielded units to a finished helper rank, or run them on the
+    coordinator's inline spare (sidecar-journaled under checkpointing)."""
+    workers, (_phase, att, stolen, jrn) = s[1], s[_STEAL]
+    if stolen <= 0:  # the origin was already at its last block
+        return _with_steal(s, ("done", att, 0, jrn)), None
+    for h in sorted(s[2]):
+        if workers[h][_W_STATE] == "idle_done":
+            return (_with_steal(s, ("handing", att, stolen, jrn)),
+                    (h, workers[h][_W_ATT]))
+    return _with_steal(s, ("done", att, stolen, jrn or run.sc.checkpoint)), None
+
+
+def _attach_and_restore(run, s, r, msg, to):
+    w = s[1][r]
+    restored = w[_W_JRN] if run.sc.checkpoint else 0
+    return _with_worker(s, r, (w[_W_STATE], w[_W_ATT], restored, 0, 0,
+                               w[_W_STORED], w[_W_JRN], 0)), to
+
+
+def _stale_ack(run, s, r, msg, to):
+    """Ack empty: the request is from a superseded attempt, or the rank has
+    reported; either way the coordinator retires it on the ack."""
+    steal = s[_STEAL]
+    if r == 0 and steal[_S_PHASE] == "requested":
+        s = _with_steal(s, ("superseded",) + steal[1:])
+    return s, to
+
+
+def _yield_unstarted(run, s, r, msg, to):
+    """Yield every unstarted unit at this block boundary: the origin's target
+    shrinks to exactly what it has done."""
+    w, steal = s[1][r], s[_STEAL]
+    if msg[2] != w[_W_ATT] or steal[_S_PHASE] != "requested":
+        return _stale_ack(run, s, r, msg, to)
+    stolen = run._target(r, steal) - w[_W_DONE]
+    phase = "acked" if stolen > 0 else "acked_empty"
+    return _with_steal(s, (phase, w[_W_ATT], stolen, steal[_S_JRN])), to
+
+
+def _execute_handoff(run, s, r, msg, to):
+    # Under checkpointing the helper journals the stolen blocks into the
+    # origin's sidecar (store-then-journal per block) before reporting.
+    if run.sc.checkpoint:
+        s = _with_steal(s, s[_STEAL][:_S_JRN] + (True,))
+    return s, to
+
+
+def _compute_unit(run, s, r, msg, to):
+    # Under checkpointing the unit first commits in two substeps.
+    w = s[1][r]
+    w = _put(w, _W_SUB, 1) if run.sc.checkpoint else _put(w, _W_DONE, w[_W_DONE] + 1)
+    return _with_worker(s, r, w), to
+
+
+def _commit(s, r, field: int):
+    """Advance one checkpoint substep; the second completes the unit."""
+    w = list(s[1][r])
+    w[field] += 1
+    if w[_W_SUB] == 2:
+        w[_W_SUB], w[_W_DONE] = 0, w[_W_DONE] + 1
+    else:
+        w[_W_SUB] = 2
+    return _with_worker(s, r, tuple(w))
+
+
+_EFFECTS = {
+    "complete_rank": lambda run, s, r, msg, to: (s[:2] + (s[2] | {r},) + s[3:], to),
+    "discard": _keep,
+    "recover_rank": _recover_rank,
+    "fold_health": _keep,
+    "request_relinquish": lambda run, s, r, msg, to: (_with_steal(
+        s, ("requested", s[1][r][_W_ATT], 0, s[_STEAL][_S_JRN])), to),
+    "dispatch_handoff": _dispatch_handoff,
+    "absorb_handoff": lambda run, s, r, msg, to: (
+        _with_steal(s, ("done",) + s[_STEAL][1:]), to),
+    "abort_run": _keep,
+    "attach_and_restore": _attach_and_restore,
+    "stale_ack": _stale_ack,
+    "yield_unstarted": _yield_unstarted,
+    "execute_handoff": _execute_handoff,
+    "compute_unit": _compute_unit,
+    "store_unit": lambda run, s, r, msg, to: (_commit(s, r, _W_STORED), to),
+    "journal_unit": lambda run, s, r, msg, to: (_commit(s, r, _W_JRN), to),
+}
 
 
 class _Run:
-    """One scenario's exhaustive exploration (shared violation sink)."""
+    """One scenario's exhaustive exploration.  ``sink`` is shared across
+    scenarios: (rule, key) -> (message, scenario, trace) of its first
+    violation."""
 
-    def __init__(self, model: ProtocolModel, sc: Scenario, sink: "_Sink"):
-        self.model = model
-        self.sc = sc
-        self.sink = sink
-        self.worker_m = model.machine(WORKER_ROLE)
-        self.coord_m = model.machine(COORDINATOR_ROLE)
+    def __init__(self, model: ProtocolModel, sc: Scenario, sink: dict):
+        self.model, self.sc, self.sink = model, sc, sink
+        #: (role, state, event) -> its row (the first wins, as in .on)
+        self.rows = {(role, tr.state, tr.event): tr
+                     for role, machine in model.machines.items()
+                     for tr in reversed(machine.transitions)}
+        self.fired: set = set()
+        self._nbytes = {m.name: m.nbytes for m in model.messages}
+        #: message name -> (queue kind, run-state slot), from its MsgSpec
+        self._route = {m.name: (
+            ("inbox", _INBOXES) if m.dst == WORKER_ROLE
+            else ("telemetry", _TELEMETRY) if m.channel == TELEMETRY_CHANNEL
+            else ("gather", _GATHER)) for m in model.messages}
         self.states_explored = 0
         self.aborted_journals: set[tuple[int, ...]] = set()
         #: parent pointers for counterexample traces
@@ -223,25 +358,20 @@ class _Run:
     # -- trace rendering -----------------------------------------------------
 
     def trace(self, state, last_label: str | None = None) -> str:
-        steps: list[str] = []
-        cur = state
-        while True:
-            prev = self._parent.get(cur)
-            if prev is None:
-                break
-            cur, label = prev
+        steps = [last_label] if last_label else []
+        while self._parent.get(state) is not None:
+            state, label = self._parent[state]
             steps.append(label)
         steps.reverse()
-        if last_label:
-            steps.append(last_label)
         if len(steps) > _MAX_TRACE_STEPS:
             steps = steps[:_MAX_TRACE_STEPS] + ["..."]
         return " -> ".join(steps) if steps else "(initial state)"
 
     def _violate(self, rule: str, key, message: str, state, label=None) -> None:
-        self.sink.record(rule, key, message, self.sc, self.trace(state, label))
+        if (rule, key) not in self.sink:
+            self.sink[rule, key] = (message, self.sc, self.trace(state, label))
 
-    # -- transition semantics ------------------------------------------------
+    # -- the row interpreter -------------------------------------------------
 
     def _target(self, r: int, steal) -> int:
         """Units rank ``r`` must execute itself: shrunk by a committed
@@ -250,505 +380,187 @@ class _Run:
             return self.model.work_units - steal[_S_STOLEN]
         return self.model.work_units
 
-    def _send(self, state, queue_kind: str, queue, msg, label: str):
-        """Push ``msg``; returns new queue or None on budget violation."""
+    def _send(self, state, label: str, s, msg):
+        """Queue ``msg`` where its MsgSpec routes it; None on a budget
+        violation (``state`` and ``label`` locate it in the trace)."""
+        kind, slot = self._route[msg[0]]
+        queue = s[slot][msg[1]] if slot == _INBOXES else s[slot]
         new = queue + (msg,)
-        budget = self.model.queue_budgets.get(queue_kind, 1 << 62)
-        if _queue_bytes(self.model, new) > budget:
-            self._violate(
-                "M404", ("budget", queue_kind),
-                f"{queue_kind} queue exceeds its {budget} B budget "
-                f"({_queue_bytes(self.model, new)} B in flight)",
-                state, label,
-            )
+        budget = self.model.queue_budgets.get(kind, 1 << 62)
+        nbytes = sum(self._nbytes[m[0]] for m in new)
+        if nbytes > budget:
+            self._violate("M404", ("budget", kind), f"{kind} queue exceeds its "
+                          f"{budget} B budget ({nbytes} B in flight)", state, label)
             return None
-        if queue_kind == "telemetry":
+        if slot == _TELEMETRY:
             # Symmetry reduction: every telemetry consumption is
             # side-effect-free (fold or discard), so the queue's internal
             # order is unobservable — keep it in canonical sorted form to
             # collapse equivalent interleavings.  Byte accounting and
             # per-message staleness are unaffected.
             new = tuple(sorted(new))
-        return new
+        elif slot == _INBOXES:
+            new = _put(s[slot], msg[1], new)
+        return _put(s, slot, new)
 
-    def _unhandled(self, role: str, mstate: str, event: str, state, label):
-        self._violate(
-            "M402", ("unhandled", role, mstate, event),
-            f"{role} state {mstate!r} has no transition for {event!r}",
-            state, label,
-        )
-
-    def _fault_outcome(self, state, w, rank: int, label: str):
-        """Apply the armed fault to worker ``w`` (post-compute)."""
-        kind = self.sc.fault.kind
-        event = "act:raise" if kind == "raise" else f"fault:{kind}"
-        tr = self.worker_m.on("running", event)
+    def _fire(self, out, state, role: str, r, event: str, label: str,
+              base=None, msg=None) -> None:
+        """Fire ``role``'s row for ``event`` from ``base`` (``state`` with
+        the consumed ``msg`` popped or an environment step applied): enter
+        the row's ``next_state``, apply the effect its ``action`` names, and
+        queue each message its ``sends`` names, addressed by default to rank
+        ``r`` at the attempt being answered."""
+        s = state if base is None else base
+        workers = s[1]
+        mstate = s[0] if role == COORDINATOR_ROLE else workers[r][_W_STATE]
+        key = (role, mstate, event)
+        tr = self.rows.get(key)
         if tr is None:
-            self._unhandled(WORKER_ROLE, "running", event, state, label)
-            return None
-        (coord_state, workers, complete, inboxes, gather, telemetry,
-         steal) = state
-        new_w = list(w)
-        new_w[_W_STATE] = tr.next_state
-        if "error" in tr.sends:
-            gather = self._send(
-                state, "gather", gather, ("error", rank, w[_W_ATT]), label
-            )
-            if gather is None:
-                return None
-        workers = workers[:rank] + (tuple(new_w),) + workers[rank + 1:]
-        return (coord_state, workers, complete, inboxes, gather, telemetry,
-                steal)
-
-    def _recover(self, state, rank: int, label: str):
-        """The coordinator's on_failure: retry once, then reassign."""
-        (coord_state, workers, complete, inboxes, gather, telemetry,
-         steal) = state
-        w = workers[rank]
-        if rank == 0 and steal[_S_PHASE] in ("requested", "acked",
-                                             "acked_empty"):
-            # The failed attempt no longer owns its blocks: any
-            # in-flight relinquish or ack is superseded and the new
-            # attempt re-executes the full plan (the runtime pops
-            # outstanding_relinquish in on_failure the same way).
-            steal = ("superseded",) + steal[1:]
-        if w[_W_ATT] + 1 <= self.model.max_retries:
-            # Respawn + rescatter: a fresh attempt with persistent
-            # store/journal state carried over.
-            new_w = ("idle", w[_W_ATT] + 1, 0, 0, 0, w[_W_STORED], w[_W_JRN], 0)
-            inbox = self._send(
-                state, "inbox", inboxes[rank],
-                ("scatter", rank, w[_W_ATT] + 1), label,
-            )
-            if inbox is None:
-                return None
-            inboxes = inboxes[:rank] + (inbox,) + inboxes[rank + 1:]
-            workers = workers[:rank] + (new_w,) + workers[rank + 1:]
-            return (coord_state, workers, complete, inboxes, gather,
-                    telemetry, steal)
-        if self.model.allow_reassign:
-            # Inline reassignment: the coordinator-local spare executes
-            # (and, under checkpointing, journals) the rank synchronously.
-            units = self._target(rank, steal)
-            stored = journaled = units if self.sc.checkpoint else w[_W_JRN]
-            new_w = ("reassigned", w[_W_ATT] + 1, units, 0, 0,
-                     max(stored, w[_W_STORED]), max(journaled, w[_W_JRN]), 0)
-            workers = workers[:rank] + (new_w,) + workers[rank + 1:]
-            complete = complete | {rank}
-            return (coord_state, workers, complete, inboxes, gather,
-                    telemetry, steal)
-        return ("failed", workers, complete, inboxes, gather, telemetry,
-                steal)
-
-    def _dispatch(self, state, label: str):
-        """The live relinquished ack: hand the yielded units to a
-        finished helper rank, or the coordinator's inline spare."""
-        (coord_state, workers, complete, inboxes, gather, telemetry,
-         steal) = state
-        phase, att, stolen, jrn = steal
-        if stolen <= 0:
-            # The origin was already at its last block: nothing moved.
-            return (coord_state, workers, complete, inboxes, gather,
-                    telemetry, ("done", att, 0, jrn))
-        helpers = [r for r in sorted(complete)
-                   if workers[r][_W_STATE] == "idle_done"]
-        if helpers:
-            h = helpers[0]
-            inbox = self._send(
-                state, "inbox", inboxes[h],
-                ("handoff", h, workers[h][_W_ATT]), label,
-            )
-            if inbox is None:
-                return None
-            inboxes = inboxes[:h] + (inbox,) + inboxes[h + 1:]
-            return (coord_state, workers, complete, inboxes, gather,
-                    telemetry, ("handing", att, stolen, jrn))
-        # No finished helper: the coordinator-local spare executes (and,
-        # under checkpointing, sidecar-journals) the blocks inline.
-        return (coord_state, workers, complete, inboxes, gather, telemetry,
-                ("done", att, stolen, jrn or self.sc.checkpoint))
-
-    # -- successor enumeration ----------------------------------------------
-
-    def _worker_recv(self, state, r: int, out) -> None:
-        """Consume the head of rank ``r``'s inbox (scatter, relinquish
-        or handoff), per the declared worker machine."""
-        (coord_state, workers, complete, inboxes, gather, telemetry,
-         steal) = state
-        w = workers[r]
-        wstate, att = w[_W_STATE], w[_W_ATT]
-        msg = inboxes[r][0]
-        name, _mr, msg_att = msg
-        label = f"rank{r}: recv {name} (attempt {msg_att})"
-        tr = self.worker_m.on(wstate, f"recv:{name}")
-        if tr is None:
-            self._unhandled(WORKER_ROLE, wstate, f"recv:{name}", state, label)
+            self._violate("M402", ("unhandled",) + key, f"{role} state {mstate!r} "
+                          f"has no transition for {event!r}", state, label)
             return
-        new_inboxes = inboxes[:r] + (inboxes[r][1:],) + inboxes[r + 1:]
-
-        if name == "scatter":
-            restored = w[_W_JRN] if self.sc.checkpoint else 0
-            new_w = (tr.next_state, att, restored, 0, 0,
-                     w[_W_STORED], w[_W_JRN], 0)
-            new_telemetry = telemetry
-            if "heartbeat" in tr.sends:
-                new_telemetry = self._send(
-                    state, "telemetry", telemetry, ("heartbeat", r, att),
-                    label,
-                )
-                if new_telemetry is None:
-                    return
-            out.append((label, (
-                coord_state, workers[:r] + (new_w,) + workers[r + 1:],
-                complete, new_inboxes, gather, new_telemetry, steal,
-            )))
-            return
-
-        if name == "relinquish":
-            new_steal = steal
-            live = (wstate == "running" and msg_att == att
-                    and steal[_S_PHASE] == "requested")
-            if live:
-                # Yield every unstarted unit at this block boundary; the
-                # origin's target shrinks to exactly what it has done.
-                stolen = self._target(r, steal) - w[_W_DONE]
-                phase = "acked" if stolen > 0 else "acked_empty"
-                new_steal = (phase, att, stolen, steal[_S_JRN])
-                ack = ("relinquished", r, att)
+        if tr.next_state != mstate:  # most steps stay put: skip the copy
+            if role == COORDINATOR_ROLE:
+                s = (tr.next_state,) + s[1:]
             else:
-                # Stale (respawned attempt, or already reported): empty
-                # ack so the coordinator can retire the request.
-                if r == 0 and steal[_S_PHASE] == "requested":
-                    new_steal = ("superseded",) + steal[1:]
-                ack = ("relinquished", r, msg_att)
-            new_gather = self._send(state, "gather", gather, ack, label)
-            if new_gather is None:
+                s = _with_worker(s, r, (tr.next_state,) + workers[r][1:])
+        to = None if r is None else (r, workers[r][_W_ATT] if msg is None else msg[2])
+        if tr.action:
+            s, to = _EFFECTS[tr.action](self, s, r, msg, to)
+        for name in tr.sends if to else ():
+            s = self._send(state, label, s, (name,) + to)
+            if s is None:
                 return
-            out.append((label, (
-                coord_state, workers, complete, new_inboxes, new_gather,
-                telemetry, new_steal,
-            )))
-            return
+        self.fired.add(key)
+        out.append((label, s))
 
-        if name == "handoff":
-            new_gather = self._send(
-                state, "gather", gather, ("handoff_done", r, att), label
-            )
-            if new_gather is None:
-                return
-            new_steal = steal
-            if self.sc.checkpoint:
-                # The helper journals the stolen blocks into the
-                # origin's sidecar before reporting (store-then-journal
-                # per block, same discipline M406 defends).
-                new_steal = (steal[_S_PHASE], steal[_S_ATT],
-                             steal[_S_STOLEN], True)
-            out.append((label, (
-                coord_state, workers, complete, new_inboxes, new_gather,
-                telemetry, new_steal,
-            )))
+    # -- the environment: which events are enabled --------------------------
 
     def successors(self, state):
         """Every (label, next_state) enabled in ``state``."""
-        out = []
-        (coord_state, workers, complete, inboxes, gather, telemetry,
-         steal) = state
-        if coord_state in _TERMINAL_COORD:
+        out: list = []
+        cs, workers, complete, inboxes, gather, telemetry, steal = state
+        if cs in _TERMINAL_COORD:
             # Teardown: the coordinator terminates every worker and
             # discards residual queue traffic (the abort/fail paths) or
             # has already drained them (the done path — M403 audits it).
             return out
-        model, sc = self.model, self.sc
-        fault = sc.fault
+        sc, fault, W, C = self.sc, self.sc.fault, WORKER_ROLE, COORDINATOR_ROLE
 
-        # ---- worker transitions -------------------------------------------
         for r, w in enumerate(workers):
-            wstate = w[_W_STATE]
-            att = w[_W_ATT]
-
+            wstate, att, sub = w[_W_STATE], w[_W_ATT], w[_W_SUB]
             # Inbox consumption: idle blocks on recv, idle_done is the
-            # worker_main dispatch loop, running drains relinquish
-            # requests only at block boundaries (recv_nowait between
-            # blocks — mid-checkpoint substeps defer, they don't drop).
+            # worker_main dispatch loop, running drains relinquish requests
+            # only at block boundaries (recv_nowait between blocks —
+            # mid-checkpoint substeps defer, they don't drop).
             if (inboxes[r] and wstate in ("idle", "running", "idle_done")
-                    and (wstate != "running" or w[_W_SUB] == 0)):
-                self._worker_recv(state, r, out)
+                    and (wstate != "running" or sub == 0)):
+                msg = inboxes[r][0]
+                popped = _put(state, _INBOXES, _put(inboxes, r, inboxes[r][1:]))
+                self._fire(out, state, W, r, f"recv:{msg[0]}",
+                           f"rank{r}: recv {msg[0]} (attempt {msg[2]})",
+                           popped, msg)
 
-            # a finished one-shot worker may leave at any moment — unless the
-            # run rebalances: then it is a helper, and stays for handoffs
-            tr = self.worker_m.on(wstate, "act:leave")
-            if tr is not None and not sc.steal:
-                left = (tr.next_state,) + w[1:]
-                out.append((f"rank{r}: leave", (
-                    coord_state, workers[:r] + (left,) + workers[r + 1:],
-                    complete, inboxes, gather, telemetry, steal,
-                )))
+            # A finished one-shot worker may leave at any moment where its
+            # machine lets it — unless the run rebalances: then it is a
+            # helper, and stays for handoffs.
+            if not sc.steal and (W, wstate, "act:leave") in self.rows:
+                self._fire(out, state, W, r, "act:leave", f"rank{r}: leave")
 
-            if wstate == "running":
-                target = self._target(r, steal)
-                armed = (fault is not None and fault.rank == r
-                         and fault.armed(att))
+            if wstate != "running":
+                continue
+            target = self._target(r, steal)
+            if sub == 0 and w[_W_DONE] < target:
+                # A unit computes; the armed fault fires right after its
+                # GEMMs (on_task), before on_block stores/journals it.
+                computed = w[_W_COMP] + 1
+                ran = _with_worker(state, r, _put(w, _W_COMP, computed))
+                if (fault is not None and fault.rank == r
+                        and fault.armed(att) and computed == fault.at_unit):
+                    event = ("act:raise" if fault.kind == "raise"
+                             else f"fault:{fault.kind}")
+                    label = (f"rank{r}: {fault.kind} after unit {computed} "
+                             f"(attempt {att})")
+                else:
+                    event = "act:work"
+                    label = f"rank{r}: compute unit (attempt {att})"
+                self._fire(out, state, W, r, event, label, ran)
+            elif sub:
+                # Checkpoint substeps: store then journal (or the mutated
+                # reverse order, which M406 condemns).
+                order = (("act:store", "act:journal")
+                         if self.model.journal_after_store
+                         else ("act:journal", "act:store"))
+                step = order[sub - 1]
+                self._fire(out, state, W, r, step,
+                           f"rank{r}: {step[4:]} unit (attempt {att})")
+            if sub == 0 and w[_W_BEATS] < self.model.max_extra_beats:
+                self._fire(out, state, W, r, "act:beat",
+                           f"rank{r}: heartbeat (attempt {att})",
+                           _with_worker(state, r, _put(w, _W_BEATS,
+                                                       w[_W_BEATS] + 1)))
+            if sub == 0 and w[_W_DONE] >= target:
+                self._fire(out, state, W, r, "act:report",
+                           f"rank{r}: send done (attempt {att})")
 
-                # compute the next unit (the fault hook lives here: the
-                # real injection fires in on_task, after the unit's GEMMs
-                # but before on_block stores/journals it)
-                if w[_W_SUB] == 0 and w[_W_DONE] < target:
-                    tr_work = self.worker_m.on("running", "act:work")
-                    if tr_work is None:
-                        self._unhandled(WORKER_ROLE, "running", "act:work",
-                                        state, f"rank{r}: work")
-                    else:
-                        computed = w[_W_COMP] + 1
-                        if armed and computed == fault.at_unit:
-                            label = (f"rank{r}: {fault.kind} after unit "
-                                     f"{computed} (attempt {att})")
-                            nw = list(w)
-                            nw[_W_COMP] = computed
-                            res = self._fault_outcome(
-                                state, tuple(nw), r, label,
-                            )
-                            if res is not None:
-                                # _fault_outcome rebuilt from the pre-fault
-                                # state; patch in the computed counter.
-                                cs, ws, cm, ib, ga, te, st = res
-                                fw = list(ws[r])
-                                fw[_W_COMP] = computed
-                                ws = ws[:r] + (tuple(fw),) + ws[r + 1:]
-                                out.append((label,
-                                            (cs, ws, cm, ib, ga, te, st)))
-                        else:
-                            label = f"rank{r}: compute unit (attempt {att})"
-                            nw = list(w)
-                            nw[_W_COMP] = computed
-                            if sc.checkpoint:
-                                nw[_W_SUB] = 1
-                            else:
-                                nw[_W_DONE] = w[_W_DONE] + 1
-                            out.append((label, (
-                                coord_state,
-                                workers[:r] + (tuple(nw),) + workers[r + 1:],
-                                complete, inboxes, gather, telemetry, steal,
-                            )))
-
-                # checkpoint micro-steps: store then journal (or the
-                # mutated reverse order, which M406 condemns)
-                elif w[_W_SUB] in (1, 2):
-                    first, second = (
-                        ("act:store", "act:journal")
-                        if model.journal_after_store
-                        else ("act:journal", "act:store")
-                    )
-                    step = first if w[_W_SUB] == 1 else second
-                    tr_step = self.worker_m.on("running", step)
-                    if tr_step is None:
-                        self._unhandled(WORKER_ROLE, "running", step,
-                                        state, f"rank{r}: {step}")
-                    else:
-                        label = f"rank{r}: {step.split(':')[1]} unit (attempt {att})"
-                        nw = list(w)
-                        if step == "act:store":
-                            nw[_W_STORED] = w[_W_STORED] + 1
-                        else:
-                            nw[_W_JRN] = w[_W_JRN] + 1
-                        if w[_W_SUB] == 2:
-                            nw[_W_SUB] = 0
-                            nw[_W_DONE] = w[_W_DONE] + 1
-                        else:
-                            nw[_W_SUB] = 2
-                        out.append((label, (
-                            coord_state,
-                            workers[:r] + (tuple(nw),) + workers[r + 1:],
-                            complete, inboxes, gather, telemetry, steal,
-                        )))
-
-                # extra heartbeat (bounded)
-                if w[_W_SUB] == 0 and w[_W_BEATS] < model.max_extra_beats:
-                    tr = self.worker_m.on("running", "act:beat")
-                    if tr is not None and "heartbeat" in tr.sends:
-                        label = f"rank{r}: heartbeat (attempt {att})"
-                        new_telemetry = self._send(
-                            state, "telemetry", telemetry,
-                            ("heartbeat", r, att), label,
-                        )
-                        if new_telemetry is not None:
-                            nw = list(w)
-                            nw[_W_BEATS] = w[_W_BEATS] + 1
-                            out.append((label, (
-                                coord_state,
-                                workers[:r] + (tuple(nw),) + workers[r + 1:],
-                                complete, inboxes, gather, new_telemetry,
-                                steal,
-                            )))
-
-                # report home
-                if w[_W_SUB] == 0 and w[_W_DONE] >= target:
-                    tr = self.worker_m.on("running", "act:report")
-                    if tr is None:
-                        self._unhandled(WORKER_ROLE, "running", "act:report",
-                                        state, f"rank{r}: report")
-                    elif "done" in tr.sends:
-                        label = f"rank{r}: send done (attempt {att})"
-                        new_gather = self._send(
-                            state, "gather", gather, ("done", r, att), label
-                        )
-                        if new_gather is not None:
-                            nw = list(w)
-                            nw[_W_STATE] = tr.next_state
-                            out.append((label, (
-                                coord_state,
-                                workers[:r] + (tuple(nw),) + workers[r + 1:],
-                                complete, inboxes, new_gather, telemetry,
-                                steal,
-                            )))
-
-        # ---- coordinator transitions --------------------------------------
-        def coord_recv(queue_name: str, queue, set_queue):
-            msg = queue[0]
+        # The coordinator consumes the head of the gather and telemetry
+        # queues, classifying each reply live or stale.
+        for slot in (_GATHER, _TELEMETRY):
+            if not state[slot]:
+                continue
+            msg = state[slot][0]
             name, r, att = msg
-            if name == "handoff_done":
-                # The helper is in `complete` by construction: its
-                # report is never superseded.
-                stale = False
-            elif name == "relinquished":
-                stale = ((r in complete) or (att != workers[r][_W_ATT])
-                         or steal[_S_PHASE] not in ("acked", "acked_empty"))
-            else:
-                stale = (r in complete) or (att != workers[r][_W_ATT])
-            event = f"recv:{name}" + (":stale" if stale else "")
-            label = (f"coord: recv {name}{' (stale)' if stale else ''} "
-                     f"from rank {r} (attempt {att})")
-            tr = self.coord_m.on(coord_state, event)
-            if tr is None:
-                self._unhandled(COORDINATOR_ROLE, coord_state, event,
-                                state, label)
-                return
-            base = set_queue(queue[1:])
-            base = (tr.next_state,) + base[1:]
-            if tr.action == "complete_rank":
-                base = base[:2] + (base[2] | {r},) + base[3:]
-                out.append((label, base))
-            elif tr.action == "recover_rank":
-                res = self._recover(base, r, label)
-                if res is not None:
-                    out.append((label, res))
-            elif tr.action == "dispatch_handoff":
-                res = self._dispatch(base, label)
-                if res is not None:
-                    out.append((label, res))
-            elif tr.action == "absorb_handoff":
-                cs, ws, cm, ib, ga, te, st = base
-                st = ("done", st[_S_ATT], st[_S_STOLEN], st[_S_JRN])
-                out.append((label, (cs, ws, cm, ib, ga, te, st)))
-            else:  # discard / fold_health
-                out.append((label, base))
+            # A helper is in ``complete`` by construction: its handoff
+            # report is never superseded.
+            stale = name != "handoff_done" and (
+                r in complete or att != workers[r][_W_ATT]
+                or (name == "relinquished"
+                    and steal[_S_PHASE] not in ("acked", "acked_empty")))
+            self._fire(out, state, C, r,
+                       f"recv:{name}" + (":stale" if stale else ""),
+                       f"coord: recv {name}{' (stale)' if stale else ''} "
+                       f"from rank {r} (attempt {att})",
+                       _put(state, slot, state[slot][1:]), msg)
 
-        if gather:
-            coord_recv(
-                "gather", gather,
-                lambda q: (coord_state, workers, complete, inboxes, q,
-                           telemetry, steal),
-            )
-        if telemetry:
-            coord_recv(
-                "telemetry", telemetry,
-                lambda q: (coord_state, workers, complete, inboxes, gather,
-                           q, steal),
-            )
-
-        if coord_state == "supervising":
-            # patrol: the windowed-rate straggler verdict (sc.steal
-            # scopes it; once per run — the phase latch bounds the model)
-            if (sc.steal and steal[_S_PHASE] == "none"
-                    and 0 not in complete
+        if cs == "supervising":
+            # Patrol: the windowed-rate straggler verdict (sc.steal scopes
+            # it; once per run — the phase latch bounds the model).
+            if (sc.steal and steal[_S_PHASE] == "none" and 0 not in complete
                     and workers[0][_W_STATE] == "running"):
-                label = "coord: flag rank 0 as straggler (relinquish)"
-                tr = self.coord_m.on(coord_state, "obs:straggler")
-                if tr is None:
-                    self._unhandled(COORDINATOR_ROLE, coord_state,
-                                    "obs:straggler", state, label)
-                elif "relinquish" in tr.sends:
-                    inbox = self._send(
-                        state, "inbox", inboxes[0],
-                        ("relinquish", 0, workers[0][_W_ATT]), label,
-                    )
-                    if inbox is not None:
-                        new_steal = ("requested", workers[0][_W_ATT], 0,
-                                     steal[_S_JRN])
-                        out.append((label, (
-                            tr.next_state, workers, complete,
-                            (inbox,) + inboxes[1:], gather, telemetry,
-                            new_steal,
-                        )))
+                self._fire(out, state, C, 0, "obs:straggler",
+                           "coord: flag rank 0 as straggler (relinquish)")
             for r, w in enumerate(workers):
                 if r in complete:
                     continue
-                # patrol: a visibly dead worker (exit code readable).  The
-                # grace window is modeled as sufficient: not enabled while
-                # a current-attempt report from r is still in flight.
-                if w[_W_STATE] in ("exited_silent", "exited_done",
-                                   "exited_err"):
-                    in_flight = any(
-                        m[1] == r and m[2] == w[_W_ATT] for m in gather
-                    )
-                    if not in_flight:
-                        label = f"coord: observe rank {r} exit"
-                        tr = self.coord_m.on(coord_state, "obs:worker_exit")
-                        if tr is None:
-                            self._unhandled(COORDINATOR_ROLE, coord_state,
-                                            "obs:worker_exit", state, label)
-                        else:
-                            res = self._recover(state, r, label)
-                            if res is not None:
-                                out.append((label, res))
-                # missed-heartbeat stall detector (sound by construction:
-                # only a truly silent rank trips it)
+                # A visibly dead worker (exit code readable).  The grace
+                # window is modeled as sufficient: not enabled while a
+                # current-attempt report from r is still in flight.
+                if (w[_W_STATE] in ("exited_silent", "exited_err")
+                        and not any(m[1] == r and m[2] == w[_W_ATT]
+                                    for m in gather)):
+                    self._fire(out, state, C, r, "obs:worker_exit",
+                               f"coord: observe rank {r} exit")
+                # The missed-heartbeat stall detector (sound by
+                # construction: only a truly silent rank trips it)
+                # terminates the hung process, then recovers.
                 if w[_W_STATE] == "stalled":
-                    label = f"coord: stall-detect rank {r} (terminate)"
-                    tr = self.coord_m.on(coord_state, "obs:stall")
-                    if tr is None:
-                        self._unhandled(COORDINATOR_ROLE, coord_state,
-                                        "obs:stall", state, label)
-                    else:
-                        # terminate the hung process, then the shared
-                        # recovery path
-                        tw = ("terminated",) + w[1:]
-                        term = (coord_state,
-                                workers[:r] + (tw,) + workers[r + 1:],
-                                complete, inboxes, gather, telemetry, steal)
-                        res = self._recover(term, r, label)
-                        if res is not None:
-                            out.append((label, res))
-                # the reserved abort exit code: whole job lost
+                    self._fire(out, state, C, r, "obs:stall",
+                               f"coord: stall-detect rank {r} (terminate)",
+                               _with_worker(state, r, ("terminated",) + w[1:]))
+                # The reserved abort exit code: whole job lost.
                 if w[_W_STATE] == "exited_abort":
-                    label = f"coord: observe abort exit of rank {r}"
-                    tr = self.coord_m.on(coord_state, "obs:abort")
-                    if tr is None:
-                        self._unhandled(COORDINATOR_ROLE, coord_state,
-                                        "obs:abort", state, label)
-                    else:
-                        out.append((label, (tr.next_state,) + state[1:]))
-            # the gather loop exits only once no rank and no handoff is
-            # pending (`while pending or pending_handoffs`)
+                    self._fire(out, state, C, r, "obs:abort",
+                               f"coord: observe abort exit of rank {r}")
+            # The gather loop exits only once no rank and no handoff is
+            # pending (`while pending or pending_handoffs`).
             if (len(complete) == sc.nranks
                     and steal[_S_PHASE] not in ("acked", "handing")):
-                tr = self.coord_m.on(coord_state, "obs:all_done")
-                if tr is None:
-                    self._unhandled(COORDINATOR_ROLE, coord_state,
-                                    "obs:all_done", state,
-                                    "coord: all ranks done")
-                else:
-                    out.append(("coord: all ranks done",
-                                (tr.next_state,) + state[1:]))
+                self._fire(out, state, C, None, "obs:all_done",
+                           "coord: all ranks done")
 
-        if coord_state == "draining" and not telemetry:
-            tr = self.coord_m.on(coord_state, "obs:drained")
-            if tr is None:
-                self._unhandled(COORDINATOR_ROLE, coord_state, "obs:drained",
-                                state, "coord: telemetry drained")
-            else:
-                out.append(("coord: telemetry drained",
-                            (tr.next_state,) + state[1:]))
-
+        if cs == "draining" and not telemetry:
+            self._fire(out, state, C, None, "obs:drained",
+                       "coord: telemetry drained")
         return out
 
     # -- property checks -----------------------------------------------------
@@ -760,24 +572,22 @@ class _Run:
                 self._violate(
                     "M406", ("journal-order", r),
                     f"rank {r} has journaled {w[_W_JRN]} unit(s) but only "
-                    f"{w[_W_STORED]} are durably in the store: a crash here "
-                    f"leaves a journal record promising tiles that do not "
-                    f"exist (store must precede journal)",
+                    f"{w[_W_STORED]} are durably in the store: a crash here leaves "
+                    f"a journal record promising tiles that do not exist (store "
+                    f"must precede journal)",
                     state,
                 )
             if w[_W_DONE] > self._target(r, steal):
                 self._violate(
                     "M407", ("over-execute", r),
-                    f"rank {r} has executed {w[_W_DONE]} unit(s) but owns "
-                    f"only {self._target(r, steal)} after the steal: a "
-                    f"yielded block ran twice (origin and helper both "
-                    f"produced it)",
+                    f"rank {r} has executed {w[_W_DONE]} unit(s) but owns only "
+                    f"{self._target(r, steal)} after the steal: a yielded block "
+                    f"ran twice (origin and helper both produced it)",
                     state,
                 )
 
     def _check_terminal(self, state) -> None:
-        (coord_state, workers, complete, inboxes, gather, telemetry,
-         steal) = state
+        coord_state, workers, complete, inboxes, gather, telemetry, steal = state
         sc = self.sc
         phase, s_att, stolen, _jrn = steal
         if coord_state == "done":
@@ -856,7 +666,7 @@ class _Run:
     # -- the search ----------------------------------------------------------
 
     def explore(self, max_states: int = 1_000_000) -> None:
-        init = _initial_state(self.model, self.sc)
+        init = _initial_state(self.sc)
         seen = {init}
         frontier = deque([init])
         self._parent[init] = None
@@ -866,9 +676,8 @@ class _Run:
             if self.states_explored > max_states:
                 self._violate(
                     "M404", ("state-bound",),
-                    f"state space exceeds {max_states} states: the model "
-                    f"is not bounded over this scope (runaway queue or "
-                    f"counter growth)",
+                    f"state space exceeds {max_states} states: the model is not "
+                    f"bounded over this scope (runaway queue or counter growth)",
                     state,
                 )
                 return
@@ -878,12 +687,11 @@ class _Run:
                 if state[0] in _TERMINAL_COORD:
                     self._check_terminal(state)
                 else:
+                    wstates = [w[_W_STATE] for w in state[1]]
                     self._violate(
-                        "M401", ("deadlock", state[0],
-                                 tuple(w[_W_STATE] for w in state[1])),
-                        f"deadlock: coordinator {state[0]!r}, workers "
-                        f"{[w[_W_STATE] for w in state[1]]}, no transition "
-                        f"enabled and the run is not terminal",
+                        "M401", ("deadlock", state[0], tuple(wstates)),
+                        f"deadlock: coordinator {state[0]!r}, workers {wstates}, "
+                        f"no transition enabled and the run is not terminal",
                         state,
                     )
                 continue
@@ -894,21 +702,6 @@ class _Run:
                     frontier.append(nxt)
 
 
-class _Sink:
-    """Deduplicated violation collector shared across scenarios."""
-
-    def __init__(self):
-        self.violations: list[tuple[str, object, str, Scenario, str]] = []
-        self._seen: set = set()
-
-    def record(self, rule: str, key, message: str, sc: Scenario,
-               trace: str) -> None:
-        if (rule, key) in self._seen:
-            return
-        self._seen.add((rule, key))
-        self.violations.append((rule, key, message, sc, trace))
-
-
 @dataclass
 class ModelCheckResult:
     """Outcome of one full protocol model check."""
@@ -917,6 +710,9 @@ class ModelCheckResult:
     scenarios: int = 0
     states: int = 0
     per_scenario: list[tuple[str, int]] = field(default_factory=list)
+    #: Rows declared, and the ``(role, state, event)`` of those none fired.
+    rows: int = 0
+    unfired: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -925,6 +721,7 @@ class ModelCheckResult:
     def summary(self) -> str:
         return (f"model check: {self.scenarios} scenario(s), "
                 f"{self.states} state(s) explored, "
+                f"rows fired {self.rows - len(self.unfired)} of {self.rows}, "
                 f"{len(self.report.findings)} finding(s)")
 
 
@@ -945,10 +742,11 @@ def check_protocol(
     """
     if scenarios is None:
         scenarios = default_scenarios()
-    sink = _Sink()
+    sink: dict = {}
     result = ModelCheckResult(report=AnalysisReport())
     queue = list(scenarios)
     seen_scenarios = set()
+    fired: set = set()
     while queue:
         sc = queue.pop(0)
         if sc in seen_scenarios:
@@ -959,12 +757,17 @@ def check_protocol(
         result.scenarios += 1
         result.states += run.states_explored
         result.per_scenario.append((sc.label(), run.states_explored))
+        fired |= run.fired
         for journal in sorted(run.aborted_journals):
             queue.append(Scenario(
                 nranks=sc.nranks, fault=None, checkpoint=True,
                 initial_journal=journal,
             ))
-    for rule, _key, message, sc, trace in sink.violations:
+    rows = [(role, tr.state, tr.event)
+            for role, machine in model.machines.items() for tr in machine.transitions]
+    result.rows = len(rows)
+    result.unfired = [row for row in rows if row not in fired]
+    for (rule, _key), (message, sc, trace) in sink.items():
         result.report.add(
             rule,
             f"{message}; scenario [{sc.label()}]; trace: {trace}",

@@ -13,13 +13,18 @@ down, as data four consumers share *by identity*:
 * the worker (:mod:`repro.dist.worker`) does the same with every inbox
   message on :data:`WORKER_MACHINE`: a message its state has no row for
   fails the attempt, shipped home as an ``error`` the coordinator recovers;
-* the model checker (:mod:`repro.analysis.protocol.checker`) explores
-  :data:`PROTOCOL` exhaustively over small fault scopes (rules M401-M408).
+* the model checker (:mod:`repro.analysis.protocol.checker`) runs
+  :data:`PROTOCOL` the same way over every interleaving of small fault
+  scopes (rules M401-M408): each step fires a row, enters its
+  ``next_state``, queues what its ``sends`` names and applies the effect
+  its ``action`` names.
 
-So the table that is proven is the table that runs.  Everything here is a
-frozen dataclass over plain strings and ints; a test (or a deliberate
-mutation) builds a broken variant with :meth:`ProtocolModel.without` and
-watches the checker — or the coordinator's ``fire`` — catch it.
+So the table that is proven is the table that runs; only the effects are
+written twice, as the runtime's methods and as the checker's model of
+them, under the same names.  Everything here is a frozen dataclass over
+plain strings and ints; a test (or a deliberate mutation) builds a broken
+variant with :meth:`ProtocolModel.without` and watches the checker — or
+the coordinator's ``fire`` — catch it.
 
 Reading guide, message by message:
 
@@ -53,7 +58,8 @@ attempts — a terminated worker's late heartbeat, a report that raced the
 patrol's grace window, a relinquish ack from a rank that finished or was
 retried in between — which the coordinator must *discard*: acting on a
 stale report would credit a half-written C arena (or steal blocks from an
-attempt that no longer owns them).
+attempt that no longer owns them).  A row commented *Not explored* is
+declared for the runtime but fired by no scenario of ``make model-check``.
 """
 
 from __future__ import annotations
@@ -110,9 +116,10 @@ class Transition:
     * ``obs:<what>`` — a coordinator observation of the outside world
       (a dead worker's exit code, a missed-heartbeat stall, ...).
 
-    ``sends`` names the messages emitted atomically with the step, and
-    ``action`` is the semantic effect: the checker interprets it, the
-    coordinator calls the method of that name.
+    ``sends`` is what the step may emit, atomically with it: the checker
+    emits nothing else (and all of it, unless the effect withholds a
+    conditional send); the runtime does not read it.  ``action`` names the
+    effect: the method the role calls, and the checker's model of it.
     """
 
     state: str
@@ -264,6 +271,7 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
                sends=("heartbeat",), action="attach_and_restore"),
     Transition("idle", "recv:relinquish", "idle",
                sends=("relinquished",), action="stale_ack"),
+    # Not explored (the model runs one job): an unused pooled worker's pill.
     Transition("idle", "recv:shutdown", "exited"),
     Transition("running", "act:work", "running", action="compute_unit"),
     Transition("running", "act:store", "running", action="store_unit"),
@@ -280,6 +288,7 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
                sends=("relinquished",), action="stale_ack"),
     Transition("idle_done", "recv:handoff", "idle_done",
                sends=("handoff_done",), action="execute_handoff"),
+    # Not explored (the model runs one job): the pill between jobs.
     Transition("idle_done", "recv:shutdown", "exited"),
     # Not explored (the model runs one job): a pooled worker's next job.
     Transition("idle_done", "recv:scatter", "running",
@@ -306,10 +315,12 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
 COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "recv:done", "supervising",
                action="complete_rank"),
+    # Not explored (the model's grace window is ideal): a late report.
     Transition("supervising", "recv:done:stale", "supervising",
                action="discard"),
     Transition("supervising", "recv:error", "supervising",
-               action="recover_rank"),
+               sends=("scatter",), action="recover_rank"),
+    # Not explored (the model's grace window is ideal): a late traceback.
     Transition("supervising", "recv:error:stale", "supervising",
                action="discard"),
     Transition("supervising", "recv:heartbeat", "supervising",
@@ -319,24 +330,21 @@ COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "obs:straggler", "supervising",
                sends=("relinquish",), action="request_relinquish"),
     Transition("supervising", "recv:relinquished", "supervising",
-               action="dispatch_handoff"),
+               sends=("handoff",), action="dispatch_handoff"),
     Transition("supervising", "recv:relinquished:stale", "supervising",
                action="discard"),
     Transition("supervising", "recv:handoff_done", "supervising",
                action="absorb_handoff"),
-    # Not explored (the model's helper never times out): the late result of
-    # a handoff that was already redone inline.
+    # Not explored (the model's helper never times out): a redone handoff.
     Transition("supervising", "recv:handoff_done:stale", "supervising",
                action="discard"),
     Transition("supervising", "obs:worker_exit", "supervising",
-               action="recover_rank"),
+               sends=("scatter",), action="recover_rank"),
     Transition("supervising", "obs:stall", "supervising",
-               action="recover_rank"),
+               sends=("scatter",), action="recover_rank"),
     Transition("supervising", "obs:abort", "aborted",
                action="abort_run"),
     Transition("supervising", "obs:all_done", "draining"),
-    Transition("draining", "recv:heartbeat", "draining",
-               action="fold_health"),
     Transition("draining", "recv:heartbeat:stale", "draining",
                action="discard"),
     Transition("draining", "recv:relinquished:stale", "draining",

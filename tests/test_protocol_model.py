@@ -26,10 +26,28 @@ def model():
     return PROTOCOL
 
 
+@pytest.fixture(scope="module")
+def default_sweep(model):
+    """The one default sweep (~5 s) every test of it shares."""
+    return check_protocol(model)
+
+
+def with_sends(model, role, state, event, sends):
+    """``model`` with one row's ``sends`` replaced (a declaration mutant)."""
+    machine = model.machine(role)
+    rows = tuple(
+        replace(tr, sends=sends) if (tr.state, tr.event) == (state, event) else tr
+        for tr in machine.transitions
+    )
+    return replace(
+        model, machines={**model.machines, role: replace(machine, transitions=rows)}
+    )
+
+
 class TestCleanProtocol:
-    def test_default_sweep_is_clean(self, model):
+    def test_default_sweep_is_clean(self, default_sweep):
         """The shipped protocol survives every small-scope fault schedule."""
-        result = check_protocol(model)
+        result = default_sweep
         assert result.ok, result.report.render()
         assert result.scenarios >= 40  # 2 ranks x ckpt x fault kinds + resumes
         assert result.states > 10_000  # genuinely exhaustive, not a smoke run
@@ -50,6 +68,19 @@ class TestCleanProtocol:
     def test_three_ranks_still_clean(self, model):
         result = check_protocol(model, [Scenario(3, FaultSpec(0, "kill", 1))])
         assert result.ok, result.report.render()
+
+    def test_unfired_rows_are_the_ones_declared_not_explored(self, default_sweep):
+        """The rows the sweep never fires are the six the table marks "Not
+        explored"; a row that drops out of the sweep shows up here."""
+        assert set(default_sweep.unfired) == {
+            ("worker", "idle", "recv:shutdown"),
+            ("worker", "idle_done", "recv:shutdown"),
+            ("worker", "idle_done", "recv:scatter"),
+            ("coordinator", "supervising", "recv:done:stale"),
+            ("coordinator", "supervising", "recv:error:stale"),
+            ("coordinator", "supervising", "recv:handoff_done:stale"),
+        }
+        assert "rows fired 30 of 36" in default_sweep.summary()
 
 
 class TestDroppedAckMutation:
@@ -116,6 +147,16 @@ class TestDisciplineMutations:
             [Scenario(1, FaultSpec(0, "kill", 2, once=True), checkpoint=True)],
         )
         assert result.ok, result.report.render()
+
+    def test_report_that_also_sends_error_orphans_it(self, model):
+        """M403: a row may emit only what it declares, and the checker emits
+        all of it — a report that also sends ``error`` leaves the final
+        attempt's traceback queued when ``draining`` ends."""
+        bad = with_sends(model, "worker", "running", "act:report", ("done", "error"))
+        result = check_protocol(bad, [Scenario(1)])
+        assert "M403" in rules_fired(result.report)
+        orphan = by_rule(result.report, "M403")[0].message
+        assert "'error'" in orphan and "send done" in orphan
 
     def test_starved_telemetry_budget_overflows(self, model):
         bad = replace(
@@ -185,6 +226,15 @@ class TestRebalanceModel:
         fired = rules_fired(result.report)
         assert "M402" in fired
         assert "M401" in fired
+
+    def test_dropped_relinquished_ack_is_convicted(self, model):
+        """A live relinquish whose ack is not declared yields the blocks but
+        never tells the coordinator: the steal never commits."""
+        mutated = with_sends(model, "worker", "running", "recv:relinquish", ())
+        result = check_protocol(
+            mutated, [Scenario(1, steal=True), Scenario(2, steal=True)]
+        )
+        assert rules_fired(result.report) & {"M401", "M407", "M408"}
 
     def test_dropped_handoff_consumption_wedges(self, model):
         mutated = model.without("worker", "idle_done", "recv:handoff")

@@ -19,6 +19,7 @@ import pytest
 
 import repro.analysis
 import repro.analysis.protocol
+from repro.analysis.protocol import checker
 from repro.core.inspector import inspect
 from repro.dist import protocol
 from repro.dist.comm import (
@@ -79,6 +80,14 @@ class TestOneDeclaration:
         actions = {tr.action for tr in _Coordinator.machine.transitions if tr.action}
         assert actions == HANDLERS
         assert all(callable(getattr(_Coordinator, name)) for name in actions)
+
+    def test_the_checker_has_one_effect_per_action_of_both_machines(self):
+        """The checker's effects and the runtime's methods share one vocabulary."""
+        actions = {
+            tr.action for machine in protocol.PROTOCOL.machines.values()
+            for tr in machine.transitions if tr.action
+        }
+        assert set(checker._EFFECTS) == actions
 
     def test_every_message_class_is_a_dist_dataclass(self):
         for spec in protocol.MESSAGES:
