@@ -12,8 +12,8 @@ instead of failing deep inside a worker:
   columns, and each rank's blocks, partition exactly once (P104) — a
   column two blocks share is written twice even when every footprint
   is honest;
-* **memory safety** — block footprints within ``block_fraction`` of GPU
-  memory (P110), chunk footprints within ``chunk_fraction`` (P111),
+* **memory safety** — block footprints within ``BLOCK_FRACTION`` (50 %) of
+  GPU memory (P110), chunk footprints within ``CHUNK_FRACTION`` (25 %) (P111),
   block + two double-buffered chunks fit the device (P112), round-robin
   GPU balance (P113), every B tile fits the per-rank B-service LRU
   budget (P114);
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.analysis.findings import AnalysisReport
 from repro.core.inspector import DTYPE_BYTES, expected_comm_volumes
-from repro.core.plan import ExecutionPlan
+from repro.core.plan import BLOCK_FRACTION, CHUNK_FRACTION, ExecutionPlan
 
 
 class PlanVerificationError(ValueError):
@@ -139,20 +139,18 @@ def _check_b_consistency(plan: ExecutionPlan, report: AnalysisReport) -> None:
     b_csc = plan.b_shape.csr.tocsc()
     k_sizes = plan.a_shape.cols.sizes.astype(np.int64)
     n_sizes = plan.b_shape.cols.sizes.astype(np.int64)
-    tau = plan.options.screen_threshold
     counts_per_col = np.diff(b_csc.indptr)
     for proc in plan.procs:
         for bi, block in enumerate(proc.blocks):
             where = f"rank {proc.rank} / block {bi}"
             cols = block.columns.astype(np.int64)
-            # Unscreened B tiles of the block's columns.
+            # B tiles of the block's columns.
             kk = np.concatenate(
                 [b_csc.indices[b_csc.indptr[j] : b_csc.indptr[j + 1]] for j in cols]
             ) if cols.size else np.empty(0, dtype=np.int64)
             jj = np.repeat(cols, counts_per_col[cols]) if cols.size else kk
             # Every inner tile the block claims must have at least one B
-            # tile in the block's columns (screening only ever *removes*
-            # tiles, so this holds for screened plans too).
+            # tile in the block's columns.
             covered = np.unique(kk)
             orphans = np.setdiff1d(block.k_tiles, covered)
             if orphans.size:
@@ -163,21 +161,11 @@ def _check_b_consistency(plan: ExecutionPlan, report: AnalysisReport) -> None:
                     obj=where,
                 )
             nbytes = int(np.sum(k_sizes[kk] * n_sizes[jj]) * DTYPE_BYTES)
-            if tau is None:
-                if block.b_tile_count != kk.size or block.b_bytes != nbytes:
-                    report.add(
-                        "P102",
-                        f"stored B footprint ({block.b_tile_count} tiles, "
-                        f"{block.b_bytes} B) != shape-derived footprint "
-                        f"({kk.size} tiles, {nbytes} B)",
-                        obj=where,
-                    )
-            elif block.b_tile_count > kk.size or block.b_bytes > nbytes:
-                # Screening drops tiles, so stored totals can only shrink.
+            if block.b_tile_count != kk.size or block.b_bytes != nbytes:
                 report.add(
                     "P102",
                     f"stored B footprint ({block.b_tile_count} tiles, "
-                    f"{block.b_bytes} B) exceeds the unscreened shape's "
+                    f"{block.b_bytes} B) != shape-derived footprint "
                     f"({kk.size} tiles, {nbytes} B)",
                     obj=where,
                 )
@@ -223,8 +211,8 @@ def _check_c_ownership(plan: ExecutionPlan, report: AnalysisReport) -> None:
 
 def _check_memory(plan: ExecutionPlan, report: AnalysisReport) -> None:
     mem = plan.gpu_memory_bytes
-    block_budget = int(mem * plan.options.block_fraction)
-    chunk_budget = int(mem * plan.options.chunk_fraction)
+    block_budget = int(mem * BLOCK_FRACTION)
+    chunk_budget = int(mem * CHUNK_FRACTION)
     # The per-rank B service caches generated tiles under an LRU budget of
     # gpu_memory_bytes; a single tile over that budget is unservable.
     biggest_b = plan.b_shape.max_tile_nbytes(DTYPE_BYTES)
@@ -247,7 +235,7 @@ def _check_memory(plan: ExecutionPlan, report: AnalysisReport) -> None:
                     "P110",
                     f"resident B+C footprint {resident} B exceeds the block "
                     f"budget {block_budget} B "
-                    f"({plan.options.block_fraction:.0%} of {mem} B)",
+                    f"({BLOCK_FRACTION:.0%} of {mem} B)",
                     obj=where,
                 )
             if resident > mem * 0.95:

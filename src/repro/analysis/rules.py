@@ -87,10 +87,10 @@ register(Rule("P104", "plan-column-partition", E,
               "partitioned exactly once across its blocks"))
 register(Rule("P110", "plan-block-over-budget", E,
               "a block's resident B+C footprint exceeds the block budget "
-              "(block_fraction of GPU memory) or 95% of the device"))
+              "(50 % of GPU memory) or 95% of the device"))
 register(Rule("P111", "plan-chunk-over-budget", E,
               "a multi-tile chunk exceeds the chunk budget "
-              "(chunk_fraction of GPU memory)"))
+              "(25 % of GPU memory)"))
 register(Rule("P112", "plan-prefetch-overflow", E,
               "a block plus two in-flight chunks (double-buffered prefetch) "
               "does not fit in GPU memory"))

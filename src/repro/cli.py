@@ -586,6 +586,8 @@ def _cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.perf.audit import DEFAULT_BAND
+
     ap = argparse.ArgumentParser(prog="repro", description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -673,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also digest the run's JSONL life-cycle event log")
     exp.add_argument("--band", metavar="LO:HI",
                      help="relative roofline band; tasks/ranks outside "
-                          "median*LO..median*HI are flagged (default 0.5:2.0)")
+                          "median*LO..median*HI are flagged (default "
+                          f"{DEFAULT_BAND[0]:g}:{DEFAULT_BAND[1]:g})")
     exp.add_argument("--json", metavar="PATH",
                      help="write the full analysis as JSON to PATH")
     exp.add_argument("--html", metavar="PATH",

@@ -20,7 +20,7 @@
 """
 
 from repro.core.grid import ProcessGrid, make_grid
-from repro.core.plan import Block, Chunk, ExecutionPlan, PlanOptions, ProcPlan
+from repro.core.plan import Block, Chunk, ExecutionPlan, ProcPlan
 from repro.core.column_assignment import assign_columns
 from repro.core.block_partition import partition_columns_into_blocks
 from repro.core.inspector import inspect
@@ -35,7 +35,6 @@ __all__ = [
     "Block",
     "Chunk",
     "ExecutionPlan",
-    "PlanOptions",
     "ProcPlan",
     "assign_columns",
     "partition_columns_into_blocks",

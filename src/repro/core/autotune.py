@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.core.analytic import SimReport, simulate
 from repro.core.inspector import inspect
-from repro.core.plan import PlanOptions
 from repro.machine.spec import MachineSpec
 from repro.sparse.shape import SparseShape
 
@@ -50,7 +49,6 @@ def tune_grid_rows(
     machine: MachineSpec,
     candidates: list[int] | None = None,
     gpus_per_proc: int | None = None,
-    options: PlanOptions | None = None,
     overlap_rho: float = 0.25,
 ) -> TuneResult:
     """Sweep ``p`` over ``candidates`` (default: 1, 2, 4, ... up to the
@@ -76,9 +74,7 @@ def tune_grid_rows(
         if not replication_feasible(b_shape, machine, p):
             infeasible[p] = f"p={p} B replication exceeds host memory"
             continue
-        plan = inspect(
-            a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc, options=options
-        )
+        plan = inspect(a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc)
         reports[p] = simulate(plan, machine, overlap_rho=overlap_rho)
 
     if not reports:

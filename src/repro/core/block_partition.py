@@ -3,10 +3,17 @@
 On each processor, its assigned B columns are sorted by non-increasing
 memory footprint (B tiles of the column plus the local C tiles it
 produces) and packed with a *worst-fit* heuristic into blocks whose total
-footprint fits in ``block_fraction`` (default 50 %) of one GPU's memory.
+footprint fits in :data:`~repro.core.plan.BLOCK_FRACTION` (50 %) of one GPU's
+memory.
 Each GPU starts with one empty block; when a column fits in no existing
 block, a new block is created and assigned to a GPU round-robin, so no GPU
 ever holds more than one block more than any other.
+
+The paper's largest dense instances (``N = K = 750k`` with tiles up to 2048
+wide) sit exactly at the edge where one B column plus its C tiles can exceed
+half a 16 GiB GPU.  Such a column becomes a *singleton* block — still
+resident alone, with the chunk budget shrunk by the inspector to whatever
+memory remains.
 
 Blocks are streamed to their GPU one at a time, blocking: a block's B and
 C tiles are transferred exactly once and never flushed mid-block.
@@ -18,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.plan import BLOCK_FRACTION
 from repro.util.units import fmt_bytes
 from repro.util.validation import require
 
 
 class InfeasiblePartitionError(ValueError):
-    """A single column exceeds the per-block GPU memory budget."""
+    """A single column exceeds 95 % of one GPU's memory."""
 
 
 @dataclass
@@ -53,8 +61,6 @@ def partition_columns_into_blocks(
     column_bytes: np.ndarray,
     gpu_memory_bytes: int,
     ngpus: int,
-    block_fraction: float = 0.5,
-    allow_oversized: bool = True,
 ) -> list[ColumnBlock]:
     """Pack ``columns`` into per-GPU blocks with the paper's worst-fit rule.
 
@@ -67,16 +73,6 @@ def partition_columns_into_blocks(
         B-column bytes plus the local C tiles it produces.
     gpu_memory_bytes, ngpus:
         The processor's GPU size and count.
-    block_fraction:
-        Fraction of one GPU's memory a block may occupy (paper: 50 %).
-    allow_oversized:
-        The paper's largest dense instances (``N = K = 750k`` with tiles up
-        to 2048 wide) sit exactly at the edge where one B column plus its C
-        tiles can exceed half a 16 GiB GPU.  With ``allow_oversized`` (the
-        default) such a column becomes a *singleton* block — still resident
-        alone, with the chunk budget shrunk by the executor to whatever
-        memory remains.  With ``False`` the strict rule applies and the
-        partition fails.
 
     Returns
     -------
@@ -86,24 +82,21 @@ def partition_columns_into_blocks(
     Raises
     ------
     InfeasiblePartitionError
-        If a column can never be resident: larger than the block budget
-        when ``allow_oversized=False``, or larger than ~the whole GPU
-        (leaving no room to stream any A tile) regardless.
+        If a column can never be resident: larger than ~the whole GPU,
+        leaving no room to stream any A tile.
     """
     require(ngpus >= 1, "ngpus must be >= 1")
-    require(0 < block_fraction <= 1.0, "block_fraction must be in (0, 1]")
     cols = np.asarray(columns, dtype=np.int64)
     cbytes = np.asarray(column_bytes, dtype=np.int64)
     require(cols.shape == cbytes.shape, "columns/bytes length mismatch")
-    budget = int(gpu_memory_bytes * block_fraction)
+    budget = int(gpu_memory_bytes * BLOCK_FRACTION)
 
-    oversized = cbytes > budget
-    hopeless = cbytes > int(gpu_memory_bytes * 0.95)
-    if hopeless.any() or (oversized.any() and not allow_oversized):
-        worst = int(cbytes.max())
+    limit = int(gpu_memory_bytes * 0.95)
+    hopeless = cbytes > limit
+    if hopeless.any():
         raise InfeasiblePartitionError(
-            f"{int(oversized.sum())} column(s) exceed the block budget "
-            f"({fmt_bytes(worst)} > {fmt_bytes(budget)}); refine the tiling "
+            f"{int(hopeless.sum())} column(s) exceed 95% of GPU memory "
+            f"({fmt_bytes(int(cbytes.max()))} > {fmt_bytes(limit)}); refine the tiling "
             f"or increase GPU memory"
         )
 
@@ -116,7 +109,7 @@ def partition_columns_into_blocks(
     for idx in order:
         col = int(cols[idx])
         size = int(cbytes[idx])
-        if size > budget:  # singleton block (allow_oversized fast path)
+        if size > budget:  # oversized: a singleton block
             blk = ColumnBlock(gpu=next_gpu)
             next_gpu = (next_gpu + 1) % ngpus
             blk.columns.append(col)

@@ -5,19 +5,15 @@ The ``N^(t)`` tile columns of B are sorted by non-decreasing flop weight
 cyclic* (boustrophedon) order: the first ``q`` columns forward, the next
 ``q`` in reverse, repeating every ``2q`` columns — the reverse pass
 compensates the imbalance of the forward pass.
-
-Two alternative policies (plain cyclic, greedy LPT) are provided for the
-A2 ablation benchmark.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.validation import require, require_in
+from repro.util.validation import require
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,7 @@ class ColumnAssignment:
         return len(self.columns)
 
 
-def assign_columns(
-    col_flops: np.ndarray, q: int, policy: str = "mirrored"
-) -> ColumnAssignment:
+def assign_columns(col_flops: np.ndarray, q: int) -> ColumnAssignment:
     """Deal tile columns to ``q`` processors balancing flop weight.
 
     Parameters
@@ -54,34 +48,17 @@ def assign_columns(
         dealt too (they may still own C tiles) but cost nothing.
     q:
         Number of processors in the grid row.
-    policy:
-        ``"mirrored"`` (the paper's), ``"cyclic"`` (plain forward dealing)
-        or ``"lpt"`` (greedy longest-processing-time) for ablations.
     """
     require(q >= 1, "q must be >= 1")
-    require_in(policy, {"mirrored", "cyclic", "lpt"}, "policy")
     f = np.asarray(col_flops, dtype=np.float64)
     n = f.size
     require(n >= 1, "no columns to assign")
 
     order = np.argsort(f, kind="stable")  # non-decreasing, ties by index
+    pos = np.arange(n)
+    within = pos % q
     owner = np.empty(n, dtype=np.int64)
-
-    if policy == "mirrored":
-        pos = np.arange(n)
-        within = pos % q
-        block = pos // q
-        owner_sorted = np.where(block % 2 == 0, within, q - 1 - within)
-        owner[order] = owner_sorted
-    elif policy == "cyclic":
-        owner[order] = np.arange(n) % q
-    else:  # lpt: heaviest first onto the least-loaded processor
-        heap = [(0.0, proc) for proc in range(q)]
-        heapq.heapify(heap)
-        for col in order[::-1]:
-            load, proc = heapq.heappop(heap)
-            owner[col] = proc
-            heapq.heappush(heap, (load + f[col], proc))
+    owner[order] = np.where((pos // q) % 2 == 0, within, q - 1 - within)
 
     columns = [np.flatnonzero(owner == proc) for proc in range(q)]
     flops = np.array([f[c].sum() for c in columns])

@@ -7,10 +7,11 @@ process of the grid, and records every aggregate the executors need.
 Cost is ``O(N^t log N^t + nnz(B))`` per grid row, exactly the bound of
 Section 3.2.4, and fully vectorized.
 
-Norm screening (the "opt" variants of Table 1) is supported end-to-end:
-with ``options.screen_threshold = tau``, a tile product ``(i, k, j)`` is
-planned only when ``||A_ik|| * ||B_kj|| > tau``; A tiles, B tiles and C
-tiles with no surviving product are not loaded/generated/allocated at all.
+The inspector has no knobs: a block may use :data:`~repro.core.plan.BLOCK_FRACTION`
+of a GPU, a chunk :data:`~repro.core.plan.CHUNK_FRACTION`, and columns are
+dealt mirrored-cyclic.  Every structurally nonzero tile product is planned;
+the norm-screened "opt" counts of Table 1 come from
+:func:`~repro.sparse.shape_algebra.screened_product` on the shapes.
 """
 
 from __future__ import annotations
@@ -21,11 +22,18 @@ import scipy.sparse as sp
 from repro.core.block_partition import partition_columns_into_blocks
 from repro.core.chunking import cyclic_tile_order, split_by_budget
 from repro.core.column_assignment import assign_columns
-from repro.core.grid import ProcessGrid, make_grid
-from repro.core.plan import Block, Chunk, ExecutionPlan, PlanOptions, ProcPlan
+from repro.core.grid import make_grid
+from repro.core.plan import (
+    BLOCK_FRACTION,
+    CHUNK_FRACTION,
+    Block,
+    Chunk,
+    ExecutionPlan,
+    ProcPlan,
+)
 from repro.machine.spec import MachineSpec
 from repro.sparse.shape import SparseShape
-from repro.sparse.shape_algebra import per_column_flops, product_shape, screened_product
+from repro.sparse.shape_algebra import per_column_flops, product_shape
 from repro.util.validation import require
 
 DTYPE_BYTES = 8  # double precision throughout, as in the paper
@@ -34,23 +42,19 @@ DTYPE_BYTES = 8  # double precision throughout, as in the paper
 def _take_columns(csc: sp.csc_matrix, cols: np.ndarray):
     """Gather the nonzeros of the selected columns of a CSC matrix.
 
-    Returns ``(row_idx, col_pos, data)`` where ``col_pos`` indexes into
-    ``cols`` (not global column ids).  O(output) with no Python loop.
+    Returns ``(row_idx, col_pos)`` where ``col_pos`` indexes into ``cols``
+    (not global column ids).  O(output) with no Python loop.
     """
     cols = np.asarray(cols, dtype=np.int64)
     counts = np.diff(csc.indptr)[cols]
     total = int(counts.sum())
     if total == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     col_pos = np.repeat(np.arange(cols.size), counts)
     seg_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
     within = np.arange(total) - np.repeat(seg_starts, counts)
     src = csc.indptr[cols][col_pos] + within
-    return csc.indices[src].astype(np.int64), col_pos, csc.data[src]
+    return csc.indices[src].astype(np.int64), col_pos
 
 
 def inspect(
@@ -59,15 +63,13 @@ def inspect(
     machine: MachineSpec,
     p: int = 1,
     gpus_per_proc: int | None = None,
-    options: PlanOptions | None = None,
-    grid: ProcessGrid | None = None,
 ) -> ExecutionPlan:
     """Plan ``C <- C + A @ B`` on ``machine`` with ``p`` grid rows.
 
     Parameters
     ----------
     a_shape, b_shape:
-        Occupancy (optionally norm-carrying) shapes of the operands.
+        Occupancy shapes of the operands (norms, if any, are ignored).
     machine:
         Target machine; its GPU memory drives block/chunk budgets, its
         kernel model prices the chunks.
@@ -75,27 +77,15 @@ def inspect(
         Number of grid rows (the B-replication trade-off parameter).
     gpus_per_proc:
         GPUs each process drives (default: a whole node).
-    options:
-        Inspector knobs; see :class:`~repro.core.plan.PlanOptions`.
-    grid:
-        Pre-built grid (overrides ``p``/``gpus_per_proc``).
     """
     require(a_shape.cols == b_shape.rows, "A and B inner tilings differ")
-    options = options or PlanOptions()
-    if grid is None:
-        grid = make_grid(machine, p=p, gpus_per_proc=gpus_per_proc)
-    tau = options.screen_threshold
-
-    if tau is None:
-        c_shape = product_shape(a_shape, b_shape)
-    else:
-        c_shape = screened_product(a_shape, b_shape, tau).shape
+    grid = make_grid(machine, p=p, gpus_per_proc=gpus_per_proc)
+    c_shape = product_shape(a_shape, b_shape)
 
     mt = a_shape.ntile_rows
     m_sizes = a_shape.rows.sizes.astype(np.int64)
     k_sizes = a_shape.cols.sizes.astype(np.int64)
     n_sizes = b_shape.cols.sizes.astype(np.int64)
-    nK = a_shape.cols.ntiles
 
     b_csc = b_shape.csr.tocsc()
     c_csr = c_shape.csr
@@ -103,8 +93,8 @@ def inspect(
     gpu = machine.gpu
     h = gpu.eff_half_dim
     peak = gpu.gemm_peak
-    block_budget = int(gpu.memory_bytes * options.block_fraction)
-    chunk_budget = int(gpu.memory_bytes * options.chunk_fraction)
+    block_budget = int(gpu.memory_bytes * BLOCK_FRACTION)
+    chunk_budget = int(gpu.memory_bytes * CHUNK_FRACTION)
 
     procs: list[ProcPlan] = []
     for r in range(grid.p):
@@ -113,23 +103,12 @@ def inspect(
         a_slice_csc = a_slice.csr.tocsc()
         m_slice = m_sizes[slice_rows]
 
-        # Per-inner-tile max A norm in this slice (for screened B pruning).
-        if tau is not None:
-            a_csc_abs = a_slice_csc.copy()
-            max_a = np.zeros(nK)
-            kk_idx = np.repeat(
-                np.arange(nK), np.diff(a_csc_abs.indptr)
-            )
-            np.maximum.at(max_a, kk_idx, a_csc_abs.data)
-        else:
-            max_a = None
-
         # ---- 3.2.1: column assignment on this slice ----------------------
         col_flops = per_column_flops(a_slice, b_shape)
-        assignment = assign_columns(col_flops, grid.q, options.assignment_policy)
+        assignment = assign_columns(col_flops, grid.q)
 
-        # Per-column footprints: B tiles (+ screened pruning) and local C.
-        b_col_bytes = _column_bytes_b(b_csc, k_sizes, n_sizes, max_a, tau)
+        # Per-column footprints: B tiles and local C.
+        b_col_bytes = _column_bytes_b(b_csc, k_sizes, n_sizes)
         c_slice = c_shape.restrict_rows(slice_rows)
         c_col_bytes = _column_bytes_c(c_slice, n_sizes)
 
@@ -153,16 +132,13 @@ def inspect(
                 gpu_memory=gpu.memory_bytes,
                 block_budget=block_budget,
                 chunk_budget=chunk_budget,
-                options=options,
                 h=h,
                 peak=peak,
-                max_a=max_a,
             )
             procs.append(proc)
 
     plan = ExecutionPlan(
         grid=grid,
-        options=options,
         a_shape=a_shape,
         b_shape=b_shape,
         c_shape=c_shape,
@@ -173,17 +149,13 @@ def inspect(
     return plan
 
 
-def _column_bytes_b(b_csc, k_sizes, n_sizes, max_a, tau) -> np.ndarray:
-    """Per-column B footprint in bytes (screened tiles excluded)."""
+def _column_bytes_b(b_csc, k_sizes, n_sizes) -> np.ndarray:
+    """Per-column B footprint in bytes."""
     ntc = b_csc.shape[1]
     out = np.zeros(ntc, dtype=np.int64)
     kk = b_csc.indices
     col = np.repeat(np.arange(ntc), np.diff(b_csc.indptr))
-    keep = np.ones(kk.size, dtype=bool)
-    if tau is not None:
-        keep = b_csc.data * max_a[kk] > tau
-    sizes = k_sizes[kk[keep]] * n_sizes[col[keep]] * DTYPE_BYTES
-    np.add.at(out, col[keep], sizes)
+    np.add.at(out, col, k_sizes[kk] * n_sizes[col] * DTYPE_BYTES)
     return out
 
 
@@ -212,19 +184,16 @@ def _plan_process(
     gpu_memory,
     block_budget,
     chunk_budget,
-    options,
     h,
     peak,
-    max_a,
 ) -> ProcPlan:
     """Build one process's blocks and chunks."""
-    tau = options.screen_threshold
     nK = b_csc.shape[0]
 
     # ---- 3.2.2: worst-fit block partition --------------------------------
     col_bytes = b_col_bytes[cols] + c_col_bytes[cols]
     col_blocks = partition_columns_into_blocks(
-        cols, col_bytes, gpu_memory, grid.gpus_per_proc, options.block_fraction
+        cols, col_bytes, gpu_memory, grid.gpus_per_proc
     )
 
     blocks: list[Block] = []
@@ -239,11 +208,8 @@ def _plan_process(
     for cb in col_blocks:
         bcols = np.asarray(cb.columns, dtype=np.int64)
 
-        # B tiles of the block (with screening applied).
-        kk, col_pos, bnorm = _take_columns(b_csc, bcols)
-        if tau is not None:
-            keep = bnorm * max_a[kk] > tau
-            kk, col_pos, bnorm = kk[keep], col_pos[keep], bnorm[keep]
+        # B tiles of the block.
+        kk, col_pos = _take_columns(b_csc, bcols)
         b_tile_count = kk.size
         b_bytes = int(np.sum(k_sizes[kk] * n_sizes[bcols[col_pos]]) * DTYPE_BYTES)
 
@@ -255,7 +221,7 @@ def _plan_process(
         k_tiles = np.unique(kk)
 
         # C tiles of the block (local slice rows x block columns).
-        crows, _, _ = _take_columns(c_slice_csc, bcols)
+        crows, _ = _take_columns(c_slice_csc, bcols)
         c_tile_count = crows.size
         ccol_counts = np.diff(c_slice_csc.indptr)[bcols]
         ccols_rep = np.repeat(bcols, ccol_counts)
@@ -270,26 +236,14 @@ def _plan_process(
             block_chunk_budget = max((gpu_memory - resident) // 2, 1)
 
         # A tiles needed by the block: slice rows crossed with k_tiles.
-        ai_local, k_pos, anorm = _take_columns(a_slice_csc, k_tiles)
+        ai_local, k_pos = _take_columns(a_slice_csc, k_tiles)
         ak = k_tiles[k_pos]
-        if tau is not None and ai_local.size:
-            # Drop A tiles whose every product in this block is screened:
-            # max over block columns of ||B_kj|| per k.
-            max_b_k = np.zeros(nK)
-            np.maximum.at(max_b_k, kk, bnorm)
-            keep_a = anorm * max_b_k[ak] > tau
-            ai_local, ak, anorm = ai_local[keep_a], ak[keep_a], anorm[keep_a]
         ai_global = slice_rows[ai_local]
         a_tile_bytes = (m_slice[ai_local] * k_sizes[ak] * DTYPE_BYTES).astype(np.int64)
 
         # Per-A-tile task aggregates.
-        if tau is None:
-            t_cnt = cnt_k[ak]
-            t_nsum = nsum_k[ak]
-        else:
-            t_cnt, t_nsum = _screened_tile_aggregates(
-                kk, bnorm, n_sizes[bcols[col_pos]], ak, anorm, tau, nK
-            )
+        t_cnt = cnt_k[ak]
+        t_nsum = nsum_k[ak]
         t_flops = 2.0 * m_slice[ai_local] * k_sizes[ak] * t_nsum
         t_dev = (
             (2.0 / peak)
@@ -368,44 +322,6 @@ def _plan_process(
         b_gen_tiles=b_gen_tiles,
         c_bytes=c_bytes_total,
     )
-
-
-def _screened_tile_aggregates(kk, bnorm, b_nwidths, ak, anorm, tau, nK):
-    """Per-A-tile surviving-task count and summed output widths.
-
-    For every A tile ``(i, k)`` with norm ``a``, the surviving block
-    columns are those with ``||B_kj|| > tau / a``.  Sorting each inner
-    tile's B norms once and binary-searching per A tile makes this
-    O((nnzB + nnzA) log) per block.
-    """
-    order = np.lexsort((bnorm, kk))
-    kk_s = kk[order]
-    bn_s = bnorm[order]
-    nw_s = b_nwidths[order].astype(np.float64)
-    # Segment boundaries per inner tile.
-    starts = np.zeros(nK + 1, dtype=np.int64)
-    np.add.at(starts, kk_s + 1, 1)
-    starts = np.cumsum(starts)
-    # Suffix sums of widths within each segment (descending-norm side).
-    csum = np.concatenate(([0.0], np.cumsum(nw_s)))
-
-    t_cnt = np.zeros(ak.size, dtype=np.int64)
-    t_nsum = np.zeros(ak.size, dtype=np.float64)
-    if ak.size == 0:
-        return t_cnt, t_nsum
-    thr = tau / np.maximum(anorm, 1e-300)
-    lo = starts[ak]
-    hi = starts[ak + 1]
-    # Position of first surviving norm within each (sorted asc) segment.
-    # Vectorized per-segment searchsorted via global positions.
-    pos = np.empty(ak.size, dtype=np.int64)
-    for idx in range(ak.size):  # segments are tiny (columns per k in block)
-        pos[idx] = lo[idx] + np.searchsorted(
-            bn_s[lo[idx] : hi[idx]], thr[idx], side="right"
-        )
-    t_cnt = hi - pos
-    t_nsum = csum[hi] - csum[pos]
-    return t_cnt, t_nsum
 
 
 def expected_comm_volumes(plan: ExecutionPlan) -> dict[int, dict[str, int]]:

@@ -25,55 +25,11 @@ from repro.core.grid import ProcessGrid
 from repro.sparse.shape import SparseShape
 
 
-@dataclass(frozen=True)
-class PlanOptions:
-    """Inspector knobs (paper defaults; ablations vary them).
-
-    Attributes
-    ----------
-    block_fraction:
-        Fraction of GPU memory a resident B/C block may use (50 %).
-    chunk_fraction:
-        Fraction of GPU memory one A chunk may use (25 %; the mirror 25 %
-        is the prefetch buffer).
-    assignment_policy:
-        Column dealing policy; see
-        :func:`repro.core.column_assignment.assign_columns`.
-    screen_threshold:
-        Optional norm-product screening threshold producing the "opt"
-        plans of Table 1; ``None`` disables screening.
-    """
-
-    block_fraction: float = 0.5
-    chunk_fraction: float = 0.25
-    assignment_policy: str = "mirrored"
-    screen_threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.block_fraction <= 1.0:
-            raise ValueError(
-                f"block_fraction must be in (0, 1], got "
-                f"{self.block_fraction!r}; the paper default is 0.5"
-            )
-        if not 0.0 < self.chunk_fraction <= 0.5:
-            raise ValueError(
-                f"chunk_fraction must be in (0, 0.5], got "
-                f"{self.chunk_fraction!r}; the paper default is 0.25 "
-                f"(the mirror 25% is the prefetch buffer)"
-            )
-        if self.block_fraction + 2 * self.chunk_fraction > 1.0 + 1e-12:
-            raise ValueError(
-                f"block_fraction + 2*chunk_fraction must not exceed GPU "
-                f"memory: {self.block_fraction} + 2*{self.chunk_fraction} = "
-                f"{self.block_fraction + 2 * self.chunk_fraction:.3f} > 1; "
-                f"shrink one so a resident block plus a double-buffered "
-                f"chunk pair fits the device"
-            )
-        if self.screen_threshold is not None and self.screen_threshold <= 0:
-            raise ValueError(
-                f"screen_threshold must be positive (or None to disable "
-                f"screening), got {self.screen_threshold!r}"
-            )
+#: Fraction of one GPU's memory a resident B/C block may use (Section 3.2.2).
+BLOCK_FRACTION = 0.5
+#: Fraction one A chunk may use; the last quarter is its prefetch buffer
+#: (Section 3.2.3).
+CHUNK_FRACTION = 0.25
 
 
 @dataclass
@@ -214,7 +170,6 @@ class ExecutionPlan:
     """The full inspector output for one contraction on one machine."""
 
     grid: ProcessGrid
-    options: PlanOptions
     a_shape: SparseShape
     b_shape: SparseShape
     c_shape: SparseShape

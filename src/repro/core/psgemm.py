@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.analytic import SimReport, simulate
 from repro.core.inspector import inspect
-from repro.core.plan import ExecutionPlan, PlanOptions
+from repro.core.plan import ExecutionPlan
 from repro.machine.spec import MachineSpec
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.sparse.shape import SparseShape
@@ -22,12 +22,9 @@ def psgemm_plan(
     machine: MachineSpec,
     p: int = 1,
     gpus_per_proc: int | None = None,
-    options: PlanOptions | None = None,
 ) -> ExecutionPlan:
     """Inspect the contraction and return its execution plan."""
-    return inspect(
-        a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc, options=options
-    )
+    return inspect(a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc)
 
 
 def psgemm_simulate(
@@ -36,13 +33,10 @@ def psgemm_simulate(
     machine: MachineSpec,
     p: int = 1,
     gpus_per_proc: int | None = None,
-    options: PlanOptions | None = None,
     overlap_rho: float = 0.25,
 ) -> tuple[ExecutionPlan, SimReport]:
     """Plan and price the contraction; returns ``(plan, report)``."""
-    plan = psgemm_plan(
-        a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc, options=options
-    )
+    plan = psgemm_plan(a_shape, b_shape, machine, p=p, gpus_per_proc=gpus_per_proc)
     return plan, simulate(plan, machine, overlap_rho=overlap_rho)
 
 
@@ -53,7 +47,6 @@ def psgemm_numeric(
     c: BlockSparseMatrix | None = None,
     p: int = 1,
     gpus_per_proc: int | None = None,
-    options: PlanOptions | None = None,
     b_shape: SparseShape | None = None,
     alpha: float = 1.0,
     beta: float = 1.0,
@@ -83,14 +76,7 @@ def psgemm_numeric(
 
     if b_shape is None:
         b_shape = b.sparse_shape()
-    plan = psgemm_plan(
-        a.sparse_shape(with_norms=options.screen_threshold is not None if options else False),
-        b_shape,
-        machine,
-        p=p,
-        gpus_per_proc=gpus_per_proc,
-        options=options,
-    )
+    plan = psgemm_plan(a.sparse_shape(), b_shape, machine, p=p, gpus_per_proc=gpus_per_proc)
     return execute_plan(plan, a, b, c=c, alpha=alpha, beta=beta)
 
 
@@ -101,7 +87,6 @@ def psgemm_distributed(
     c: BlockSparseMatrix | None = None,
     p: int = 1,
     gpus_per_proc: int | None = None,
-    options: PlanOptions | None = None,
     b_shape: SparseShape | None = None,
     alpha: float = 1.0,
     beta: float = 1.0,
@@ -134,14 +119,7 @@ def psgemm_distributed(
 
     if b_shape is None:
         b_shape = b.sparse_shape()
-    plan = psgemm_plan(
-        a.sparse_shape(with_norms=options.screen_threshold is not None if options else False),
-        b_shape,
-        machine,
-        p=p,
-        gpus_per_proc=gpus_per_proc,
-        options=options,
-    )
+    plan = psgemm_plan(a.sparse_shape(), b_shape, machine, p=p, gpus_per_proc=gpus_per_proc)
     return execute_plan_distributed(
         plan, a, b, c=c, alpha=alpha, beta=beta, **dist_kwargs
     )

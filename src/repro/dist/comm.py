@@ -91,7 +91,6 @@ class ScatterMsg:
     gpus_per_proc: int
     gpu_memory_bytes: int
     b_csr: object
-    tau: float | None
     alpha: float
     #: ``None`` = resident plane: read the A (and ``("resident", None)``
     #: B) this rank was forked with; else ``b_spec`` is ``("arena", meta)``.
@@ -165,7 +164,6 @@ class HandoffMsg:
     c_meta: object  # ArenaMeta of the handoff's dedicated C arena
     gpu_memory_bytes: int
     b_csr: object
-    tau: float | None
     alpha: float
     store_dir: str | None = None
     b_hash: str = ""

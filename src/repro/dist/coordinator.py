@@ -547,7 +547,6 @@ class _Coordinator:
         self.run_fields = dict(
             a_meta=a_meta, b_spec=b_spec, alpha=self.alpha,
             gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
-            tau=plan.options.screen_threshold,
             store_dir=cfg.store_dir, b_hash=self.b_hash, ckpt_dir=cfg.checkpoint_dir,
             run_hash=self.run_hash,
         )

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from statistics import median
 
 from repro.runtime.metrics import SERIES
+from repro.util.jsonl import read_jsonl
 
 #: The events that end a run's log; ``repro monitor --follow`` stops at one.
 TERMINAL_EVENTS = ("done", "aborted", "failed")
@@ -470,34 +471,18 @@ def read_events(path: str, run_id: str | None = None) -> list[dict]:
     """Parse a ``run-events.jsonl`` file (skipping torn trailing lines).
 
     Crash consistency: a coordinator killed mid-``write`` leaves a torn
-    final line — possibly cut *inside* a multibyte UTF-8 character — and a
-    monitor replaying the log must shrug, not raise.  The file is read as
-    bytes and each line decoded independently, so one mangled line (torn,
-    invalid UTF-8, or valid JSON that is not an object) is skipped without
-    poisoning the rest.
+    final line, and a monitor replaying the log must shrug, not raise;
+    :func:`~repro.util.jsonl.read_jsonl` skips it.
 
     Back-compat across the per-run split: legacy single-run logs (no
     ``run`` field) and per-run logs parse identically.  ``run_id``
     filters to one run's records; records without a ``run`` stamp pass
     the filter (a legacy log *is* its only run).
     """
-    out: list[dict] = []
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    for line in raw.split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue  # torn final line of a live (or killed) file
-        if not isinstance(record, dict):
-            continue
-        if run_id is not None and record.get("run", run_id) != run_id:
-            continue
-        out.append(record)
-    return out
+    return [
+        record for record in read_jsonl(path)
+        if run_id is None or record.get("run", run_id) == run_id
+    ]
 
 
 def replay_health(events: list[dict]) -> RunHealth:

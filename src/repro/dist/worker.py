@@ -490,7 +490,6 @@ def run_rank(
             b_source,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
-            tau=msg.tau,
             alpha=msg.alpha,
             chunk_fetcher=_chunk_fetcher(a_get_tile, rec, rank) if rec.enabled else None,
             on_task=on_task if fault is not None or hb is not None else None,
@@ -558,7 +557,6 @@ def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats
             b_source,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
-            tau=msg.tau,
             alpha=msg.alpha,
             on_block=on_block,
             c_slot=c_arena.slot,

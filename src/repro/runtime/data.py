@@ -50,8 +50,8 @@ class MatrixSource:
         self.access_counts[(proc, k, j)] += 1
         return self.matrix.get_tile(k, j)
 
-    def sparse_shape(self, with_norms: bool = False) -> SparseShape:
-        return self.matrix.sparse_shape(with_norms=with_norms)
+    def sparse_shape(self) -> SparseShape:
+        return self.matrix.sparse_shape()
 
 
 class GeneratedCollection:

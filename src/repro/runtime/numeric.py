@@ -106,17 +106,17 @@ def block_cols_of_k(block: Block, b_csr) -> dict[int, list[int]]:
 KGROUP_MAX_TASK_FLOPS = 2.0 * 48**3
 
 
-def chunk_groups(chunk: Chunk, tau: float | None) -> list[list[int]]:
+def chunk_groups(chunk: Chunk) -> list[list[int]]:
     """Positions of ``chunk``'s A tiles, grouped for execution.
 
     A fine-tiled chunk is walked as *k-groups*: the tiles that share an
     inner index, in order of first appearance, multiply each B tile as one
     stacked panel.  A chunk whose mean task is large gains nothing from
-    that and would pay the stack copy, and screening decides per pair, so
-    both run groups of one — the chunk's own tile order.  A pure function
-    of the plan: every executor of a chunk walks the same groups.
+    that and would pay the stack copy, so it runs groups of one — the
+    chunk's own tile order.  A pure function of the plan: every executor of
+    a chunk walks the same groups.
     """
-    if tau is not None or chunk.flops > KGROUP_MAX_TASK_FLOPS * chunk.ntasks:
+    if chunk.flops > KGROUP_MAX_TASK_FLOPS * chunk.ntasks:
         return [[ti] for ti in range(chunk.ntiles)]
     by_k: dict[int, list[int]] = {}
     for ti, k in enumerate(chunk.a_cols.tolist()):
@@ -151,7 +151,6 @@ def execute_block(
     cols_of_k: dict[int, list[int]],
     mem: GpuMemory,
     stats: NumericStats,
-    tau: float | None,
     alpha: float = 1.0,
     fetch_chunk: Callable[[int, object], list[np.ndarray]] | None = None,
     on_task: Callable[[], None] | None = None,
@@ -195,7 +194,7 @@ def execute_block(
         a_tiles = fetch_chunk(ci, chunk) if fetch_chunk is not None else None
         t_start = clock() if on_event is not None and clock is not None else 0.0
         rows, ks = chunk.a_rows.tolist(), chunk.a_cols.tolist()
-        for group in chunk_groups(chunk, tau):
+        for group in chunk_groups(chunk):
             k = ks[group[0]]
             if a_tiles is not None:
                 tiles = [a_tiles[ti] for ti in group]
@@ -206,12 +205,8 @@ def execute_block(
             # The group's A tiles stacked once: the chunk's device copy.
             panel = np.concatenate(tiles) if fused else tiles[0]
             nrows, kdim = panel.shape
-            a_norm = np.linalg.norm(panel) if tau is not None else None
             for j in cols_of_k[k]:
                 b_tile = b.tile(rank, k, j)
-                if tau is not None:
-                    if a_norm * np.linalg.norm(b_tile) <= tau:
-                        continue
                 n = b_tile.shape[1]
                 if fused:
                     if scratch.size < nrows * n:
@@ -256,7 +251,6 @@ def execute_blocks(
     *,
     gpu_memory_bytes: int,
     b_csr,
-    tau: float | None,
     alpha: float = 1.0,
     chunk_fetcher: Callable[[int, int, Block], Callable] | None = None,
     on_task: Callable[[], None] | None = None,
@@ -322,7 +316,6 @@ def execute_blocks(
             cols_of_k=cols_of_k,
             mem=mem,
             stats=stats,
-            tau=tau,
             alpha=alpha,
             fetch_chunk=chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None,
             on_task=on_task,
@@ -391,7 +384,6 @@ def execute_plan(
             b,
             gpu_memory_bytes=plan.gpu_memory_bytes,
             b_csr=b_csr,
-            tau=plan.options.screen_threshold,
             alpha=alpha,
         )
         parts.append(proc_stats)

@@ -120,25 +120,13 @@ class BlockSparseMatrix:
 
     # -- conversions ----------------------------------------------------------
 
-    def sparse_shape(self, with_norms: bool = False) -> SparseShape:
-        """The tile-occupancy shape of this matrix.
-
-        With ``with_norms=True`` the shape carries per-tile Frobenius norms,
-        which the screened ("opt") planners consume.
-        """
+    def sparse_shape(self) -> SparseShape:
+        """The tile-occupancy shape of this matrix."""
         if not self._tiles:
             return SparseShape.empty(self.rows, self.cols)
         ii = np.fromiter((k[0] for k in self._tiles), dtype=np.int64, count=len(self._tiles))
         jj = np.fromiter((k[1] for k in self._tiles), dtype=np.int64, count=len(self._tiles))
-        norms = None
-        if with_norms:
-            norms = np.fromiter(
-                (np.linalg.norm(t) for t in self._tiles.values()),
-                dtype=np.float64,
-                count=len(self._tiles),
-            )
-            norms = np.maximum(norms, 1e-300)  # keep occupancy for zero tiles
-        return SparseShape.from_coo(self.rows, self.cols, ii, jj, norms)
+        return SparseShape.from_coo(self.rows, self.cols, ii, jj)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full dense matrix (tests / small problems only)."""

@@ -144,14 +144,6 @@ class SparseShape:
 
     # -- algebra -----------------------------------------------------------
 
-    def with_norms(self, norms: sp.spmatrix) -> "SparseShape":
-        """Same occupancy, values replaced by ``norms`` (restricted to it)."""
-        pat = self.pattern()
-        new = pat.multiply(sp.csr_matrix(norms))
-        # Keep occupancy even where the supplied norm is 0 (treat as tiny).
-        new = new + pat.multiply(1e-300)
-        return SparseShape(self.rows, self.cols, new)
-
     def union(self, other: "SparseShape") -> "SparseShape":
         """Tiles present in either (norms added — used for accumulation)."""
         self._check_same_grid(other)

@@ -4,7 +4,7 @@ Three cooperating pieces turn a checkpoint directory into a resumable run:
 
 * **fingerprints** — :func:`plan_fingerprint` hashes everything an
   :class:`~repro.core.plan.ExecutionPlan` makes a worker do (grid,
-  options, shapes, per-block column/chunk arrays); :func:`b_fingerprint`
+  shapes, per-block column/chunk arrays); :func:`b_fingerprint`
   hashes the B operand's identity (generator seed state + occupancy, or a
   concrete matrix's tile bytes); :func:`run_fingerprint` folds both with
   ``alpha`` into the run hash that namespaces every checkpointed C tile.
@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.jsonl import read_jsonl
+
 #: Journal / snapshot format version, stamped into every record.
 VERSION = 1
 
@@ -67,18 +69,12 @@ def plan_fingerprint(plan) -> str:
     """A stable SHA-256 over everything the plan tells workers to do.
 
     Built from the plan's semantic content (never ``pickle``, whose byte
-    stream is an implementation detail): grid geometry, options, operand
-    shapes, and each rank's block/chunk schedule.  Identical inspector
+    stream is an implementation detail): grid geometry, operand shapes, and each rank's block/chunk schedule.  Identical inspector
     inputs produce identical fingerprints across runs and processes.
     """
     h = hashlib.sha256(b"repro-plan-v1")
     g = plan.grid
     h.update(f"{g.p}|{g.q}|{g.gpus_per_proc}|{plan.gpu_memory_bytes}".encode())
-    o = plan.options
-    h.update(
-        f"{o.block_fraction}|{o.chunk_fraction}|{o.assignment_policy}"
-        f"|{o.screen_threshold}".encode()
-    )
     _hash_shape(h, plan.a_shape)
     _hash_shape(h, plan.b_shape)
     for proc in plan.procs:
@@ -228,19 +224,11 @@ def read_journal(ckpt_dir: str, rank: int, run_hash: str) -> list[CompletedBlock
     paths = [journal_path(ckpt_dir, rank), *_sidecar_paths(ckpt_dir, rank)]
     for path in paths:
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            records = read_jsonl(path)
         except FileNotFoundError:
             continue
-        for line in raw.split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn line: the rank died mid-append
-            if not isinstance(rec, dict) or rec.get("run") != run_hash:
+        for rec in records:
+            if rec.get("run") != run_hash:
                 continue
             try:
                 out.append(CompletedBlock(

@@ -5,7 +5,6 @@ the second cache tier behind the per-rank B-service LRU, and the durable
 home of checkpointed C tiles.  Layout under the store root::
 
     objects/ab/abcdef...tile   one codec-encoded tile per file
-    index.jsonl                append-only {digest, ns, key, nbytes} records
     stats.jsonl                one session-counter record per closed session
 
 Properties the distributed executor leans on:
@@ -26,8 +25,8 @@ Properties the distributed executor leans on:
   (access bumps an object's mtime) until the store fits a byte budget;
 * **concurrent writers** — many ranks on one filesystem can put the same
   object simultaneously: each writes its own temp file and the last
-  ``os.replace`` wins with identical bytes.  Index/stats appends are
-  single short writes in append mode (atomic on POSIX for one line).
+  ``os.replace`` wins with identical bytes.  A stats append is a single
+  short write in append mode (atomic on POSIX for one line).
 
 The store is deliberately dependency-free: stdlib ``mmap`` and
 NumPy only.
@@ -45,6 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.store.codec import CodecError, decode_tile, encode_tile, map_tile, read_header
+from repro.util.jsonl import read_jsonl
 
 _OBJ_SUFFIX = ".tile"
 _TMP_SUFFIX = ".tmp"
@@ -96,8 +96,6 @@ class ObjectInfo:
     path: str
     nbytes: int
     mtime: float
-    ns: str = ""
-    key: tuple = ()
 
 
 class TileStore:
@@ -115,10 +113,6 @@ class TileStore:
 
     def _path(self, digest: str) -> str:
         return os.path.join(self._objects_dir, digest[:2], digest + _OBJ_SUFFIX)
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, "index.jsonl")
 
     @property
     def stats_path(self) -> str:
@@ -159,16 +153,7 @@ class TileStore:
             os.replace(tmp, path)
         self._session.puts += 1
         self._session.bytes_written += len(blob)
-        self._append_index(digest, ns, key, len(blob))
         return True
-
-    def _append_index(self, digest: str, ns: str, key, nbytes: int) -> None:
-        line = json.dumps(
-            {"digest": digest, "ns": ns, "key": list(key), "nbytes": nbytes},
-            sort_keys=True,
-        )
-        with open(self.index_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
 
     # -- read ----------------------------------------------------------------
 
@@ -241,7 +226,7 @@ class TileStore:
 
     # -- scan / GC -----------------------------------------------------------
 
-    def scan(self, *, with_headers: bool = False) -> list[ObjectInfo]:
+    def scan(self) -> list[ObjectInfo]:
         """Every object on disk, oldest (least recently used) first."""
         out: list[ObjectInfo] = []
         for sub in sorted(os.listdir(self._objects_dir)):
@@ -270,18 +255,10 @@ class TileStore:
                     st = os.stat(path)
                 except FileNotFoundError:  # pragma: no cover - concurrent GC
                     continue
-                info = ObjectInfo(
+                out.append(ObjectInfo(
                     digest=name[:-len(_OBJ_SUFFIX)], path=path,
                     nbytes=st.st_size, mtime=st.st_mtime,
-                )
-                if with_headers:
-                    try:
-                        with open(path, "rb") as fh:
-                            header = read_header(fh.read(4096))
-                        info.ns, info.key = header["ns"], header["key"]
-                    except (OSError, CodecError):
-                        pass
-                out.append(info)
+                ))
         out.sort(key=lambda o: (o.mtime, o.digest))
         return out
 
@@ -345,18 +322,7 @@ def read_store_stats(root: str) -> StoreStats:
     total = StoreStats()
     stats_path = os.path.join(root, "stats.jsonl")
     if os.path.exists(stats_path):
-        with open(stats_path, "rb") as fh:
-            raw = fh.read()
-        for line in raw.split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn final record of a killed session
-            if not isinstance(rec, dict):
-                continue
+        for rec in read_jsonl(stats_path):
             for name in total.as_dict():
                 setattr(total, name, getattr(total, name) + int(rec.get(name, 0)))
     if os.path.isdir(os.path.join(root, "objects")):

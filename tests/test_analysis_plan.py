@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import PlanVerificationError, assert_plan_valid, verify_plan
-from repro.core import PlanOptions, inspect, psgemm_plan
+from repro.core import inspect, psgemm_plan
 from repro.core.block_partition import InfeasiblePartitionError
 from repro.core.inspector import DTYPE_BYTES
 from repro.dist import active_segments, execute_plan_distributed
@@ -190,32 +190,6 @@ class TestMutations:
             assert_plan_valid(plan)
         assert "P120" in str(ei.value)
         assert not ei.value.report.ok
-
-
-class TestPlanOptionsValidation:
-    def test_defaults_valid(self):
-        PlanOptions()
-
-    @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
-    def test_bad_block_fraction(self, frac):
-        with pytest.raises(ValueError, match="block_fraction"):
-            PlanOptions(block_fraction=frac)
-
-    @pytest.mark.parametrize("frac", [0.0, -0.25, 0.6])
-    def test_bad_chunk_fraction(self, frac):
-        with pytest.raises(ValueError, match="chunk_fraction"):
-            PlanOptions(chunk_fraction=frac)
-
-    def test_budget_sum_over_device(self):
-        with pytest.raises(ValueError, match="double-buffered"):
-            PlanOptions(block_fraction=0.9, chunk_fraction=0.3)
-
-    def test_budget_sum_exactly_one_allowed(self):
-        PlanOptions(block_fraction=0.5, chunk_fraction=0.25)
-
-    def test_bad_screen_threshold(self):
-        with pytest.raises(ValueError, match="screen_threshold"):
-            PlanOptions(screen_threshold=0.0)
 
 
 class TestDistributedGate:

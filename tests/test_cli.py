@@ -153,6 +153,17 @@ class TestCli:
         named = re.findall(r"^\* ``(\w+)``", parser.description, flags=re.M)
         assert sorted(named) == sorted(sub.choices)
 
+    def test_explain_band_help_names_the_audit_default(self):
+        import argparse
+
+        from repro.perf.audit import DEFAULT_BAND
+
+        (sub,) = (a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        help_text = " ".join(sub.choices["explain"].format_help().split())
+        lo, hi = DEFAULT_BAND
+        assert f"(default {lo:g}:{hi:g})" in help_text
+
 
 class TestAdvisor:
     def _builder(self):

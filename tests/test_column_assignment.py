@@ -31,22 +31,9 @@ class TestAssignColumns:
         # one pair summing to 2q-1 — perfect balance.
         q = 8
         f = np.arange(2 * q, dtype=float)
-        asg = assign_columns(f, q, "mirrored")
+        asg = assign_columns(f, q)
         assert np.allclose(asg.flops, asg.flops[0])
         assert imbalance(asg) == pytest.approx(1.0)
-
-    def test_cyclic_imbalanced_on_arithmetic_weights(self):
-        q = 8
-        f = np.arange(2 * q, dtype=float)
-        asg = assign_columns(f, q, "cyclic")
-        assert imbalance(asg) > 1.0
-
-    def test_lpt_at_least_as_good(self):
-        rng = np.random.default_rng(2)
-        f = rng.lognormal(0, 1.5, 300)
-        lpt = imbalance(assign_columns(f, 12, "lpt"))
-        mir = imbalance(assign_columns(f, 12, "mirrored"))
-        assert lpt <= mir + 1e-12
 
     def test_single_processor(self):
         f = np.array([1.0, 2.0, 3.0])
@@ -79,18 +66,15 @@ class TestAssignColumns:
             assign_columns(np.array([1.0]), 0)
         with pytest.raises(ValueError):
             assign_columns(np.array([]), 2)
-        with pytest.raises(ValueError):
-            assign_columns(np.array([1.0]), 2, policy="bogus")
 
     @settings(max_examples=40)
     @given(
         st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200),
         st.integers(min_value=1, max_value=16),
-        st.sampled_from(["mirrored", "cyclic", "lpt"]),
     )
-    def test_property_partition(self, weights, q, policy):
+    def test_property_partition(self, weights, q):
         f = np.array(weights)
-        asg = assign_columns(f, q, policy)
+        asg = assign_columns(f, q)
         merged = np.sort(np.concatenate(asg.columns)) if f.size else np.array([])
         assert np.array_equal(merged, np.arange(f.size))
         assert asg.flops.sum() == pytest.approx(f.sum(), rel=1e-9, abs=1e-6)
@@ -100,5 +84,5 @@ class TestAssignColumns:
     def test_property_mirrored_near_optimal_smooth(self, q, seed):
         rng = np.random.default_rng(seed)
         f = np.sort(rng.uniform(0.5, 1.5, 40 * q))
-        asg = assign_columns(f, q, "mirrored")
+        asg = assign_columns(f, q)
         assert imbalance(asg) < 1.05

@@ -172,7 +172,7 @@ class TestParity:
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2, gpus_per_proc=6)
         for proc in plan.procs:
             fused = {
-                any(len(g) > 1 for g in chunk_groups(ch, None))
+                any(len(g) > 1 for g in chunk_groups(ch))
                 for blk in proc.blocks for ch in blk.chunks
             }
             assert fused == {True, False}
@@ -637,7 +637,7 @@ class TestFaultRecovery:
         for _, _, block in proc_blocks(plan.procs[0], plan.grid.gpus_per_proc):
             cols_of_k = block_cols_of_k(block, plan.b_shape.csr)
             for chunk in block.chunks:
-                for group in chunk_groups(chunk, None):
+                for group in chunk_groups(chunk):
                     ncols = len(cols_of_k[int(chunk.a_cols[group[0]])])
                     if at is None and len(group) > 1 and ncols:
                         at = before + 2

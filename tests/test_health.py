@@ -9,6 +9,7 @@ attaches through) round-trip through a real file.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.dist import (
@@ -19,6 +20,32 @@ from repro.dist import (
     replay_health,
 )
 from repro.dist.health import STARTUP_GRACE_SECONDS
+from repro.store.journal import CompletedBlock, WritebackJournal, read_journal
+from repro.store.tilestore import TileStore, read_store_stats
+
+
+def _one_record_log(tmp_path, log):
+    """``(path, count)``: a JSONL log of kind ``log`` holding one record, and
+    how many records its reader returns."""
+    root = str(tmp_path)
+    if log == "events":
+        path = str(tmp_path / "run-events.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps({"t": 1.0, "event": "done"}).encode() + b"\n")
+        return path, lambda: len(read_events(path))
+    if log == "journal":
+        journal = WritebackJournal(root, rank=0)
+        try:
+            journal.record("run1", CompletedBlock(0, 0, 0, 1, 1, ((0, 0),)))
+        finally:
+            journal.close()
+        return journal.path, lambda: len(read_journal(root, 0, "run1"))
+    store = TileStore(root)
+    try:
+        store.put("ns", (0,), np.ones((2, 2)))
+    finally:
+        store.close()
+    return store.stats_path, lambda: read_store_stats(root).puts
 
 
 def _health(**kwargs):
@@ -320,16 +347,15 @@ class TestEventLog:
         events = read_events(path)
         assert len(events) == 1
 
-    def test_torn_multibyte_tail_skipped(self, tmp_path):
+    @pytest.mark.parametrize("log", ["events", "journal", "store-stats"])
+    def test_torn_multibyte_tail_skipped(self, tmp_path, log):
         # A SIGKILL can land mid-UTF-8-sequence; the partial bytes must
         # not poison the whole file (UnicodeDecodeError), only the line.
-        path = str(tmp_path / "run-events.jsonl")
-        with open(path, "wb") as fh:
-            fh.write(json.dumps({"t": 1.0, "event": "done"}).encode() + b"\n")
+        # All three JSONL logs share one reader, so all three shrug.
+        path, count = _one_record_log(tmp_path, log)
+        with open(path, "ab") as fh:
             fh.write('{"t": 2.0, "label": "café'.encode("utf-8")[:-1])
-        events = read_events(path)
-        assert len(events) == 1
-        assert events[0]["event"] == "done"
+        assert count() == 1
 
     def test_non_dict_json_line_skipped(self, tmp_path):
         path = str(tmp_path / "run-events.jsonl")

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import assert_plan_valid
-from repro.core import inspect, PlanOptions
+from repro.core import inspect
 from repro.machine import summit
 from repro.sparse import (
     gemm_flops,
     gemm_task_count,
     random_shape_with_density,
-    screened_product,
 )
 from repro.sparse.construct import from_shape
 from repro.tiling import random_tiling
@@ -81,34 +80,6 @@ class TestInspectorTotals:
             plan = inspect(a, b, summit(4), p=p)
             vol.append(sum(pp.a_recv_bytes for pp in plan.procs))
         assert vol[0] > vol[1] > vol[2]
-
-    def test_screened_plan_matches_screened_product(self):
-        a_mat = from_shape(small_instance(seed=31)[0], seed=1)
-        rows = a_mat.rows
-        inner = a_mat.cols
-        b_shape = random_shape_with_density(inner, inner, 0.5, seed=33)
-        b_mat = from_shape(b_shape, seed=2)
-        a = a_mat.sparse_shape(with_norms=True)
-        b = b_mat.sparse_shape(with_norms=True)
-        tau = float(np.median(a.csr.data) * np.median(b.csr.data))
-        plan = inspect(a, b, summit(2), p=1, options=PlanOptions(screen_threshold=tau))
-        ref = screened_product(a, b, tau)
-        assert plan.total_tasks == ref.task_count
-        assert plan.total_flops == pytest.approx(ref.flops)
-
-    def test_screened_plan_loads_fewer_a_tiles(self):
-        a, b = small_instance(seed=37)
-        rng = np.random.default_rng(0)
-        an = a.csr.copy(); an.data = rng.uniform(0.01, 1, an.nnz)
-        bn = b.csr.copy(); bn.data = rng.uniform(0.01, 1, bn.nnz)
-        a2, b2 = a.with_norms(an), b.with_norms(bn)
-        plain = inspect(a2, b2, summit(2), p=1)
-        screened = inspect(
-            a2, b2, summit(2), p=1, options=PlanOptions(screen_threshold=0.35)
-        )
-        assert screened.total_tasks < plain.total_tasks
-        tiles = lambda pl: sum(p.a_needed_rows.size for p in pl.procs)  # noqa: E731
-        assert tiles(screened) <= tiles(plain)
 
     def test_nonconforming_raises(self):
         a, _ = small_instance()

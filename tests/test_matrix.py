@@ -115,13 +115,6 @@ class TestBlockSparseMatrix:
         m.set_tile(0, 0, np.ones((2, 4)))
         assert m.nbytes == 2 * 4 * 8
 
-    def test_sparse_shape_with_norms(self):
-        r, c = grids()
-        m = BlockSparseMatrix(r, c)
-        m.set_tile(1, 1, 3.0 * np.ones((3, 1)))
-        s = m.sparse_shape(with_norms=True)
-        assert s.nnz_tiles == 1
-        assert s.csr[1, 1] == pytest.approx(np.sqrt(9.0 * 3))
 
 
 class TestConstructors:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PlanOptions, inspect, psgemm_numeric
+from repro.core import inspect, psgemm_numeric
 from repro.dist import BService
 from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan, numeric
@@ -62,22 +62,6 @@ class TestExactness:
         ref = block_gemm_reference(a, gen.as_matrix())
         assert c.allclose(ref)
         assert stats.b_tiles_generated > 0
-
-    def test_screened_execution_drops_tasks(self):
-        a, b = operands(seed=3)
-        a_sh = a.sparse_shape(with_norms=True)
-        b_sh = b.sparse_shape(with_norms=True)
-        tau = float(np.median(a_sh.csr.data) * np.median(b_sh.csr.data))
-        plan = inspect(
-            a_sh, b_sh, summit(1), options=PlanOptions(screen_threshold=tau)
-        )
-        c, stats = execute_plan(plan, a, b)
-        assert stats.ntasks == plan.total_tasks
-        assert stats.ntasks < inspect(a_sh, b_sh, summit(1)).total_tasks
-        # Screened result approximates the full product (large norms kept).
-        full = gemm_against_dense(a, b)
-        err = np.linalg.norm(c.to_dense() - full) / np.linalg.norm(full)
-        assert err < 0.9  # screened away part is the weak tail
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -263,7 +247,7 @@ class TestKGroups:
                     for key, t in tiles.items()}
 
         common = dict(
-            gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr, tau=None, alpha=alpha
+            gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr, alpha=alpha
         )
         seen = set()
         for proc in plan.procs:
@@ -300,7 +284,7 @@ class TestKGroups:
             numeric.execute_blocks(
                 numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
                 a.get_tile, MatrixSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr, tau=None, c_slot=lambda key, m, n: np.empty((n, m)).T,
+                b_csr=plan.b_shape.csr, c_slot=lambda key, m, n: np.empty((n, m)).T,
             )
 
     @GATES
@@ -326,7 +310,7 @@ class TestKGroups:
             produced.update(numeric.execute_blocks(
                 numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank, fortran_a,
                 FortranB(b), gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
-                tau=None, alpha=0.5,
+                alpha=0.5,
             )[0])
         assert sorted(produced) == sorted(reference.keys())
         assert all(np.allclose(t, 0.5 * reference.get_tile(*key)) for key, t in produced.items())
@@ -344,7 +328,7 @@ class TestKGroups:
             parts.append(numeric.execute_blocks(
                 numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
                 a.get_tile, MatrixSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr, tau=None, on_task=on_task,
+                b_csr=plan.b_shape.csr, on_task=on_task,
             )[1])
         stats = numeric.NumericStats.merge(parts)
         assert fired[0] == stats.ntasks == plan.total_tasks
@@ -355,7 +339,7 @@ class TestKGroups:
         a, b = fine_operands(seed=3)
         c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=4)
         plan = self.plan_for(a, b)
-        assert any(len(g) > 1 for g in numeric.chunk_groups(plan.procs[0].blocks[0].chunks[0], None))
+        assert any(len(g) > 1 for g in numeric.chunk_groups(plan.procs[0].blocks[0].chunks[0]))
         c, _ = execute_plan(plan, a, b, c0, alpha=0.5, beta=2.0)
         expect = 2.0 * c0.to_dense() + 0.5 * (a.to_dense() @ b.to_dense())
         assert np.allclose(c.to_dense(), expect)
@@ -371,7 +355,7 @@ class TestKGroups:
             tiles, _ = numeric.execute_blocks(
                 numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
                 a.get_tile, service, gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr, tau=None,
+                b_csr=plan.b_shape.csr,
             )
             produced.update(tiles)
             pulls += service.hits + sum(service.instantiations.values())
@@ -380,27 +364,13 @@ class TestKGroups:
         assert all(np.allclose(tile, reference.get_tile(*key)) for key, tile in produced.items())
         assert sorted(produced) == sorted(reference.keys())
 
-    def test_screening_forces_groups_of_one(self, monkeypatch):
-        a, b = fine_operands(seed=7)
-        a_sh, b_sh = a.sparse_shape(with_norms=True), b.sparse_shape(with_norms=True)
-        tau = float(np.median(a_sh.csr.data) * np.median(b_sh.csr.data))
-        plan = inspect(a_sh, b_sh, summit(2), p=2, options=PlanOptions(screen_threshold=tau))
-        chunks = [ch for pp in plan.procs for blk in pp.blocks for ch in blk.chunks]
-        assert all(len(g) == 1 for ch in chunks for g in numeric.chunk_groups(ch, tau))
-        assert any(len(g) > 1 for ch in chunks for g in numeric.chunk_groups(ch, None))
-        c, stats = execute_plan(plan, a, b)
-        assert stats.ntasks == plan.total_tasks
-        monkeypatch.setattr(numeric, "KGROUP_MAX_TASK_FLOPS", 0.0)
-        c_ones, _ = execute_plan(plan, a, b)
-        assert np.array_equal(c.to_dense(), c_ones.to_dense())
-
     def test_gate_splits_a_plan_by_chunk(self):
         """Narrow and wide B columns in one plan: their blocks fall on either
         side of the gate and the run is still the dense product."""
         a, b = straddling_operands()
         plan = self.plan_for(a, b, gpus_per_proc=6)
         sizes = {
-            max(len(g) for g in numeric.chunk_groups(ch, None)) > 1
+            max(len(g) for g in numeric.chunk_groups(ch)) > 1
             for pp in plan.procs for blk in pp.blocks for ch in blk.chunks
         }
         assert sizes == {True, False}

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import assert_plan_valid
-from repro.core import PlanOptions, inspect
+from repro.core import inspect
+from repro.core.plan import BLOCK_FRACTION
 from repro.core.analytic import simulate
 from repro.core.block_partition import InfeasiblePartitionError
 from repro.machine.spec import GpuSpec, MachineSpec, NodeSpec, summit
@@ -101,16 +102,15 @@ class TestPlannerProperties:
         assert rep.perf == 0
 
     @settings(max_examples=10, deadline=None)
-    @given(instances(), st.floats(min_value=0.2, max_value=0.9))
-    def test_block_fraction_respected(self, inst, frac):
+    @given(instances())
+    def test_block_fraction_respected(self, inst):
         a, b = inst
         machine = MachineSpec(nnodes=1, node=NodeSpec(), gpu=GpuSpec(memory_bytes=64 * MIB))
-        opts = PlanOptions(block_fraction=frac, chunk_fraction=min(0.25, (1 - frac) / 2))
         try:
-            plan = inspect(a, b, machine, options=opts)
+            plan = inspect(a, b, machine)
         except InfeasiblePartitionError:
             return
-        budget = machine.gpu.memory_bytes * frac
+        budget = machine.gpu.memory_bytes * BLOCK_FRACTION
         for proc in plan.procs:
             for blk in proc.blocks:
                 assert blk.b_bytes + blk.c_bytes <= budget or len(blk.columns) == 1

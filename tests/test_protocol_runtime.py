@@ -267,7 +267,7 @@ class TestWorkerTable:
         handoff = HandoffMsg(
             handoff_id=0, origin=1, blocks=(), a_meta=None,
             b_spec=("resident", None), c_meta=None, gpu_memory_bytes=0,
-            b_csr=None, tau=None, alpha=1.0,
+            b_csr=None, alpha=1.0,
         )
         # The pill only ends a worker that wrongly took the handoff.
         [reply] = _worker_replies(handoff, ShutdownMsg())
@@ -286,7 +286,6 @@ class TestWorkerTable:
         run.in_process_fields = dict(
             a_meta=None, b_spec=("resident", None), alpha=run.alpha,
             gpu_memory_bytes=run.plan.gpu_memory_bytes, b_csr=run.plan.b_shape.csr,
-            tau=run.plan.options.screen_threshold,
         )
         coord, worker = _fabric()
         msg = dataclasses.replace(run.rank_msg(0, in_process=True), rebalance=True)

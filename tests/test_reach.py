@@ -117,6 +117,57 @@ def test_names_the_member_nothing_outside_its_class_names(tmp_path, monkeypatch,
     assert reach.main(argv) == 0, capsys.readouterr().out
 
 
+def test_names_the_field_only_a_test_sets(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("reach", TOOL)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    monkeypatch.setattr(reach, "KEEP", {"pkg.mod:Options.hook": "a mutation hook"})
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    mod = pkg / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass, replace\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Options:\n"
+        "    name: str\n"  # no default: the caller must set it
+        "    first: int = 0\n"  # set positionally by run.py
+        "    second: int = 0\n"  # set by keyword through dataclasses.replace
+        "    third: int = 0\n"  # set by keyword in a classmethod
+        "    knob: float = 0.5\n"  # only the test sets it
+        "    hook: bool = False\n\n"  # in KEEP
+        "    @classmethod\n"
+        "    def preset(cls):\n"
+        "        return cls('p', third=3)\n\n"
+        "@dataclass\n"
+        "class Mutable:\n"
+        "    loose: int = 0\n"  # not frozen: out of scope
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import Options\nOptions('t', knob=0.9)\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    run = tmp_path / "scripts" / "run.py"
+    run.write_text(
+        "from pkg.mod import Mutable, Options, replace\n"
+        "o = replace(Options('x', 1), second=2)\n"
+        "Options.preset()\n"
+        "Mutable()\n"
+    )
+    argv = ["--root", str(tmp_path), "scripts=scripts/*.py"]
+
+    assert reach.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "set by no file an entry point loads: 1 fields, 1 lines" in out
+    assert "src/pkg/mod.py:Options.knob" in out
+    for live in ("name", "first", "second", "third", "hook", "loose"):
+        assert f".{live}" not in out
+
+    run.write_text(run.read_text() + "Options('y', *(1, 2, 3, 0.7))\n")
+    assert reach.main(argv) == 0, capsys.readouterr().out
+
+
 def test_repository_has_no_unreached_module():
     out = run_reach()
     assert out.returncode == 0, out.stdout + out.stderr
@@ -124,3 +175,4 @@ def test_repository_has_no_unreached_module():
     assert "re-export: 0 modules" in out.stdout
     assert "named by no file an entry point loads: 0 names" in out.stdout
     assert "outside its class: 0 members" in out.stdout
+    assert "set by no file an entry point loads: 0 fields" in out.stdout

@@ -128,8 +128,8 @@ class TestScreening:
         na.data = rng.uniform(0.01, 1.0, na.nnz)
         nb = b.csr.copy()
         nb.data = rng.uniform(0.01, 1.0, nb.nnz)
-        a2 = a.with_norms(na)
-        b2 = b.with_norms(nb)
+        a2 = SparseShape(a.rows, a.cols, na)
+        b2 = SparseShape(b.rows, b.cols, nb)
         prev_tasks = None
         for tau in (0.0, 0.1, 0.3, 0.6):
             res = screened_product(a2, b2, tau)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,16 +61,6 @@ class TestSparseShape:
         s = SparseShape.from_coo(r, c, np.array([2]), np.array([0]))
         tb = s.tile_bytes()
         assert tb[2, 0] == 4 * 5 * 8
-
-    def test_with_norms_keeps_occupancy(self):
-        r, c = small_grid()
-        s = SparseShape.from_coo(r, c, np.array([0, 1]), np.array([0, 1]))
-        norms = sp.csr_matrix(
-            (np.array([5.0, 0.0]), (np.array([0, 1]), np.array([0, 1]))), shape=(3, 4)
-        )
-        sn = s.with_norms(norms)
-        assert sn.nnz_tiles == 2  # zero-norm tile still occupied
-        assert sn.csr[0, 0] == pytest.approx(5.0, rel=1e-6)
 
     def test_eq(self):
         r, c = small_grid()

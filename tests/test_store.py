@@ -179,6 +179,17 @@ class TestTileStore:
         assert agg.objects == 1 and agg.disk_bytes > 0
         assert agg.hit_rate > 0
 
+    def test_root_holds_only_objects_and_stats(self, tmp_path):
+        root = str(tmp_path)
+        store = TileStore(root)
+        try:
+            for i in range(3):
+                store.put("ns", (i,), tile(i))
+            store.get("ns", (0,))
+        finally:
+            store.close()
+        assert sorted(os.listdir(root)) == ["objects", "stats.jsonl"]
+
     def test_torn_stats_line_tolerated(self, tmp_path):
         root = str(tmp_path)
         store = TileStore(root)

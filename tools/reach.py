@@ -20,7 +20,11 @@ dead when no loaded or entry file names it: an ``ast.Attribute``, an
 dispatch on ``getattr(self, row.action)``), while a name said inside the
 member's own class counts only when a live member of that class says it.
 Dunders, and the ``visit_*`` methods of an ``ast.NodeVisitor`` subclass (the
-base class dispatches them), are out of scope.  Each finding fails the gate.
+base class dispatches them), are out of scope.  A field with a default of a
+frozen dataclass of such a module is a knob nobody turns when no loaded or entry
+file sets it: a keyword of that name in any call (construction or
+``dataclasses.replace``) counts, and so does a call of the class with enough
+positional arguments to reach it.  Each finding fails the gate.
 Tests are deliberately not entry points: "only its own test uses it" is the
 finding.
 """
@@ -64,6 +68,22 @@ KEEP = {
     "repro.dist.protocol:ProtocolModel.without":
         "the protocol model's row-deletion mutant, beside its max_retries / allow_reassign / "
         "journal_after_store mutation fields: an M4xx rule no mutant convicts proves nothing",
+    **{f"repro.dist.protocol:ProtocolModel.{name}":
+           "a mutation hook of the protocol model: the M4xx suite sets it to convict a broken "
+           "protocol, and the model checker runs the default"
+       for name in ("work_units", "max_retries", "allow_reassign", "max_extra_beats",
+                    "journal_after_store")},
+    **{f"repro.chem.screening:ScreeningModel.{name}":
+           "a parameter of the sparsity model, fitted once to Table 1 (docs/calibration.md); "
+           "the chemistry tests vary the cutoffs to check each moves the density it governs"
+       for name in ("v_cutoff", "t_cutoff", "occ_pair_cutoff", "decay")},
+    "repro.machine.spec:MachineSpec.inspection_rate":
+        "a machine constant of docs/calibration.md beside the network fields the machine presets "
+        "set; a preset for another machine sets it too",
+    **{f"repro.machine.cpu:CpuModel.{name}":
+           "a parameter of the Section 5.2 CPU yardstick, pinned with `efficiency` by the paper's "
+           "two MPQC timings (308 s / 158 s); a model of another CPU sets all three"
+       for name in ("peak_per_node", "parallel_efficiency_decay")},
     "repro.machine.spec:MachineSpec.aggregate_gemm_peak":
         "the paper's #GPUs x 7.2 Tflop/s yardstick, read by benchmarks/bench_frontier_projection.py "
         "(`make bench`), a side benchmark outside the entry points",
@@ -230,6 +250,43 @@ def dead_members(reach: Reach, modules: set[Path], readers: set[Path]) -> set[tu
     return dead
 
 
+def frozen(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and said(d.func) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+               for d in cls.decorator_list)
+
+
+def unset_fields(reach: Reach, modules: set[Path], readers: set[Path]) -> set[tuple[str, int]]:
+    """Defaulted fields of ``modules``' frozen dataclasses that no file in ``readers`` sets."""
+    keywords: set[str] = set()
+    positional: dict[str, float] = {}  # class name -> most positional arguments any call passes
+
+    def construct(name, call):
+        n = float("inf") if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+        positional[name] = max(positional.get(name, 0), n)
+
+    for path in readers:
+        for node in ast.walk(reach.tree(path)):
+            if isinstance(node, ast.Call):
+                keywords |= {k.arg for k in node.keywords if k.arg}
+                construct(said(node.func), node)
+            elif isinstance(node, ast.ClassDef):  # ``cls(...)`` in its own classmethods
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and said(call.func) == "cls":
+                        construct(node.name, call)
+    unset = set()
+    for path in modules:
+        for cls in (n for n in ast.walk(reach.tree(path)) if isinstance(n, ast.ClassDef) and frozen(n)):
+            fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                      and "ClassVar" not in ast.unparse(n.annotation)]
+            unset |= {(f"{path.relative_to(reach.root)}:{cls.name}.{f.target.id}", f.end_lineno - f.lineno + 1)
+                      for i, f in enumerate(fields)
+                      if f.value is not None and f.target.id not in keywords
+                      and positional.get(cls.name, 0) <= i
+                      and f"{reach.names[path]}:{cls.name}.{f.target.id}" not in KEEP}
+    return unset
+
+
 def lines(paths) -> int:
     return sum(p.read_text().count("\n") for p in paths)
 
@@ -272,6 +329,8 @@ def main(argv=None) -> int:
              if name not in named and f"{reach.names[p]}:{name}" not in KEEP},
         ("named by no file an entry point loads, outside its class", "members"):
             dead_members(reach, loaded - roots, loaded | roots),
+        ("set by no file an entry point loads", "fields"):
+            unset_fields(reach, loaded - roots, loaded | roots),
     }
     for (title, unit), found in findings.items():
         print(f"{title}: {len(found)} {unit}, {sum(n for _, n in found)} lines")
