@@ -17,8 +17,8 @@ loc:
 # shrinks the tree, raise them only with a reason in CHANGES.md).
 # Deterministic and host-independent — the CI slot a wall-clock benchmark
 # gate used to hold.
-LOC_MAX_REPRO := 17724
-LOC_MAX_DIST_PROTOCOL := 4810
+LOC_MAX_REPRO := 17642
+LOC_MAX_DIST_PROTOCOL := 4773
 loc-check:
 	@lines() { find "$$@" -name '*.py' | xargs cat | wc -l; }; \
 	repro=$$(lines src/repro); \
@@ -112,18 +112,21 @@ serve-phases-smoke:
 	  python3 benchmarks/serve_job_phases.py --smoke --one-shot $$w || exit 1; done
 
 # Checkpoint/resume smoke test: abort a 2-worker run mid-flight (exit 3 =
-# resumable), resume it from the journal, and require that the resumed run
-# both restored journaled blocks (--resume) and bit-matched the serial
+# resumable), resume it from its block files, and require that the resumed
+# run both restored committed blocks (--resume) and bit-matched the serial
 # oracle.  The abort fires at rank 1's 60th task — past its first three
-# blocks (19 + 12 + 26 tasks), so journaled blocks exist however little
-# rank 0 got done before teardown (at task 6 rank 1 had journaled nothing
-# and the check raced rank 0's first block).
-# Finishes with the persistent store's cumulative stats.
+# blocks (19 + 12 + 26 tasks), so committed blocks exist however little
+# rank 0 got done before teardown (at task 6 rank 1 had committed nothing
+# and the check raced rank 0's first block).  Then the directory must hold
+# rank 1's block files (one file per block) and no per-rank JSONL journal.
+# Finishes with the persistent B store's cumulative stats.
 resume-smoke:
 	rm -rf /tmp/repro-ckpt
 	PYTHONPATH=src timeout 120 python -m repro selftest --procs 2 --checkpoint /tmp/repro-ckpt --inject-fault 1:60:abort; \
 	  test $$? -eq 3 || { echo "expected resumable exit code 3"; exit 1; }
 	PYTHONPATH=src timeout 120 python -m repro selftest --procs 2 --checkpoint /tmp/repro-ckpt --resume
+	ls /tmp/repro-ckpt/blocks/*/r1.*.blk > /dev/null || { echo "no rank-1 block files"; exit 1; }
+	! ls /tmp/repro-ckpt/journal-rank*.jsonl 2> /dev/null || { echo "a JSONL journal was written"; exit 1; }
 	PYTHONPATH=src python -m repro store stats /tmp/repro-ckpt/store
 
 # Observability smoke test: trace a tiny 2-worker run end to end, then

@@ -42,7 +42,7 @@ linter does not know about:
   hand-off.  Workers are killed and restarted by design (fault
   injection, crash/resume); a descriptor opened without a guaranteed
   close path leaks across retries and — on the writeback path — can
-  leave an unflushed journal or store object behind a crash.  A handle
+  leave an unflushed block file or store object behind a crash.  A handle
   deliberately owned long-term by an object that closes it carries a
   ``# repro: noqa[L308]``.
 * **L309** — a blocking ``.get()`` / ``.recv()`` call with no positional

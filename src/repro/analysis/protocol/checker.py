@@ -41,9 +41,9 @@ abort or a straggler), whether a reply is live or stale, and the checks:
   scope that the retry->reassign policy is specified to survive ends in
   a completed run with each rank's work credited exactly once, and a
   checkpointed run killed by ``abort`` resumes to completion from its
-  journal;
-* **M406 journal ordering** — no reachable state journals a block whose
-  tiles are not yet durably in the store;
+  committed block files;
+* **M406 commit ordering** — no reachable state renames a block file into
+  place (journals it) before its tiles are fsynced (stored);
 * **M407 no lost or double-executed block** — under every steal x fault
   interleaving each work unit runs exactly once: a committed steal shrinks
   the origin's target by exactly the yielded units, which run once on the
@@ -109,8 +109,8 @@ class Scenario:
     nranks: int
     fault: FaultSpec | None = None
     checkpoint: bool = False
-    #: Per-rank journaled unit counts a resume run starts from (the
-    #: abort+checkpoint sub-check); None for a fresh run.
+    #: Per-rank committed unit counts (block files) a resume run starts
+    #: from (the abort+checkpoint sub-check); None for a fresh run.
     initial_journal: tuple[int, ...] | None = None
     #: Enable the rebalancing excursion: the patrol may flag rank 0 a
     #: straggler and request a cooperative relinquish at any point while
@@ -174,7 +174,7 @@ def default_scenarios(max_ranks: int = 2) -> list[Scenario]:
 _W_STATE, _W_ATT, _W_DONE, _W_COMP, _W_SUB, _W_STORED, _W_JRN, _W_BEATS = range(8)
 
 #: Steal-excursion tuple fields: phase, pinned origin attempt, units
-#: yielded by the origin, sidecar-journaled flag.  Phases: none ->
+#: yielded by the origin, committed-under-the-origin flag.  Phases: none ->
 #: requested -> acked/acked_empty -> handing -> done, with superseded
 #: reachable from any pre-commit phase via the origin's recovery.
 _S_PHASE, _S_ATT, _S_STOLEN, _S_JRN = range(4)
@@ -247,7 +247,7 @@ def _recover_rank(run, s, r, msg, to):
 
 def _dispatch_handoff(run, s, r, msg, to):
     """Hand the yielded units to a finished helper rank, or run them on the
-    coordinator's inline spare (sidecar-journaled under checkpointing)."""
+    coordinator's inline spare (committed under the origin's name)."""
     workers, (_phase, att, stolen, jrn) = s[1], s[_STEAL]
     if stolen <= 0:  # the origin was already at its last block
         return _with_steal(s, ("done", att, 0, jrn)), None
@@ -286,8 +286,8 @@ def _yield_unstarted(run, s, r, msg, to):
 
 
 def _execute_handoff(run, s, r, msg, to):
-    # Under checkpointing the helper journals the stolen blocks into the
-    # origin's sidecar (store-then-journal per block) before reporting.
+    # Under checkpointing the helper commits the stolen blocks under the
+    # origin's name (store-then-journal per block) before reporting.
     if run.sc.checkpoint:
         s = _with_steal(s, s[_STEAL][:_S_JRN] + (True,))
     return s, to
@@ -571,10 +571,10 @@ class _Run:
             if w[_W_JRN] > w[_W_STORED]:
                 self._violate(
                     "M406", ("journal-order", r),
-                    f"rank {r} has journaled {w[_W_JRN]} unit(s) but only "
-                    f"{w[_W_STORED]} are durably in the store: a crash here leaves "
-                    f"a journal record promising tiles that do not exist (store "
-                    f"must precede journal)",
+                    f"rank {r} has renamed {w[_W_JRN]} block file(s) into "
+                    f"place but only {w[_W_STORED]} are durably stored "
+                    f"(fsynced): a crash here leaves a committed block file "
+                    f"missing tiles (the store must precede the rename)",
                     state,
                 )
             if w[_W_DONE] > self._target(r, steal):
@@ -658,7 +658,7 @@ class _Run:
             elif sc.checkpoint:
                 journal = [w[_W_JRN] for w in workers]
                 if steal[_S_JRN]:
-                    # Stolen blocks live in the origin's sidecar journal:
+                    # Stolen blocks are committed under the origin's name:
                     # resume replays them as the origin's own.
                     journal[0] += steal[_S_STOLEN]
                 self.aborted_journals.add(tuple(journal))
@@ -734,9 +734,9 @@ def check_protocol(
     """Exhaustively explore ``model`` over ``scenarios`` (default sweep).
 
     Abort faults under checkpointing additionally trigger a *resume*
-    sub-run for every distinct journal vector an aborted terminal can
-    leave behind (including sidecar journals a committed steal wrote):
-    the resumed run (same model, no fault, journal carried over) must
+    sub-run for every distinct vector of committed blocks an aborted
+    terminal can leave behind (a committed steal's under the origin's
+    name): the resumed run (same model, no fault, blocks kept) must
     itself pass every property — that is the static twin of
     ``selftest --resume``.
     """

@@ -108,7 +108,7 @@ register(Rule("P121", "checkpoint-plan-mismatch", E,
               "a checkpoint directory's coordinator snapshot was written "
               "for a different plan (or by a newer snapshot format, or a "
               "different rank count); resuming would mix incompatible "
-              "per-rank journals — use a fresh checkpoint directory"))
+              "per-rank block files — use a fresh checkpoint directory"))
 register(Rule("P122", "store-capacity", W,
               "the persistent tile store cannot hold what the run writes: "
               "the run's working set exceeds the free space of the "
@@ -152,7 +152,7 @@ register(Rule("L308", "unmanaged-file-handle", W,
               "'with' statement, a cleanup try (close in finally/except), "
               "or an immediate return: workers are killed and restarted by "
               "design, and an unguarded descriptor leaks across retries "
-              "(and can leave an unflushed journal/store object behind a "
+              "(and can leave an unflushed block file/store object behind a "
               "crash); a deliberately long-lived handle is suppressed with "
               "# repro: noqa[L308]"))
 register(Rule("L309", "unbounded-blocking-recv", E,
@@ -195,10 +195,11 @@ register(Rule("M405", "protocol-lost-work", E,
               "failed run, or completes with a rank's work missing or "
               "double-credited"))
 register(Rule("M406", "protocol-journal-order", E,
-              "the checkpoint path can journal a block before its C tiles "
-              "are durably in the store (a crash between the two leaves a "
-              "journal record promising tiles that do not exist); tiles "
-              "must land in the store before the journal line is appended"))
+              "the checkpoint path can record a block as done (rename its "
+              "block file into place) before its C tiles are durably "
+              "written (a crash between the two leaves a committed block "
+              "file missing tiles); the file must be fsynced before it is "
+              "renamed"))
 register(Rule("M407", "protocol-block-ownership", E,
               "a steal x fault interleaving loses or double-executes a "
               "work unit: a rebalanced block must run exactly once — on "

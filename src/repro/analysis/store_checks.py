@@ -8,7 +8,7 @@ scripts) prove the same invariants statically, before a long run starts:
 
 * **P121** — a checkpoint directory's coordinator snapshot belongs to a
   different plan (or a future snapshot format).  Resuming would silently
-  recompute everything at best and mix journals at worst; the runtime
+  recompute everything at best and mix block files at worst; the runtime
   raises, this reports.
 * **P122** — the store cannot hold what the run will ask of it: the
   bytes the run can write exceed the free space of the filesystem backing
@@ -68,10 +68,10 @@ def check_checkpoint_compat(
     """P121: would resuming from ``checkpoint_dir`` be refused for ``plan``?
 
     Re-derives the coordinator's own refusal: the snapshot's plan hash
-    must equal ``plan_fingerprint(plan)`` (or be absent — a journal-only
-    directory is fine, the journals are run-hash-namespaced).  Also flags
+    must equal ``plan_fingerprint(plan)`` (or be absent — a directory of
+    block files alone is fine, they are run-hash-namespaced).  Also flags
     a snapshot written by a newer format version and a rank-count
-    mismatch, either of which would make the per-rank journal files mean
+    mismatch, either of which would make the per-rank block files mean
     something different.
     """
     if report is None:
@@ -97,7 +97,7 @@ def check_checkpoint_compat(
             "P121",
             f"checkpoint belongs to a different plan "
             f"(snapshot plan hash {str(got)[:12]}..., this plan "
-            f"{want[:12]}...); resuming would mix incompatible journals — "
+            f"{want[:12]}...); resuming would mix incompatible block files — "
             f"point checkpoint_dir at a fresh directory",
             obj=where,
         )
@@ -106,7 +106,7 @@ def check_checkpoint_compat(
         report.add(
             "P121",
             f"checkpoint was written by a {nranks}-rank run but this plan "
-            f"has {len(plan.procs)} ranks; per-rank journal files would be "
+            f"has {len(plan.procs)} ranks; per-rank block files would be "
             f"misattributed on resume",
             obj=where,
         )

@@ -185,7 +185,7 @@ def _cmd_selftest(args) -> int:
             if aborted and getattr(args, "checkpoint", None):
                 print(f"run aborted: {e}")
                 print(f"resumable: re-run with --resume --checkpoint "
-                      f"{args.checkpoint} (journaled blocks will be skipped)")
+                      f"{args.checkpoint} (committed blocks will be skipped)")
                 return 3
             raise
         exact = np.array_equal(c_dist.to_dense(), c_serial.to_dense())
@@ -211,10 +211,10 @@ def _cmd_selftest(args) -> int:
                   f"{report.store_misses} miss(es) / {report.store_puts} put(s)")
             if getattr(args, "resume", False):
                 # A resume that restored nothing recomputed everything: the
-                # journal (or its tiles) went missing, which is exactly
+                # block files went missing, which is exactly
                 # what this flag exists to catch.
                 resumed = report.blocks_restored > 0
-                print(f"resume restored journaled work: {resumed}")
+                print(f"resume restored committed blocks: {resumed}")
                 ok = ok and resumed
             print(f"matches serial executor bit-for-bit: {exact}; "
                   f"overall: {ok}")
@@ -641,13 +641,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="with --procs: append the run's life-cycle events "
                          "(heartbeats, stalls, retries) to PATH as JSONL")
     st.add_argument("--checkpoint", metavar="DIR",
-                    help="with --procs: journal completed blocks to DIR so a "
+                    help="with --procs: commit finished blocks to DIR so a "
                          "killed run resumes bit-for-bit (switches B to an "
                          "on-demand generated collection, the tier the "
                          "persistent store backs)")
     st.add_argument("--resume", action="store_true",
                     help="with --checkpoint: require that the run restored "
-                         "at least one journaled block (fail if it had to "
+                         "at least one committed block (fail if it had to "
                          "recompute everything)")
     st.add_argument("--store-dir", metavar="DIR",
                     help="with --procs: persist generated B tiles to a "

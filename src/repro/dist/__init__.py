@@ -28,8 +28,8 @@ When ``rebalance=True`` the coordinator also *acts* on stragglers: a
 flagged rank is asked to relinquish its unstarted blocks at the next
 block boundary, and the yielded work is handed off to a finished rank
 (or the coordinator's inline spare) while staying bit-identical to the
-serial oracle and checkpoint-safe (handoffs journal into per-handoff
-sidecar files under the origin rank).
+serial oracle and checkpoint-safe (a handed-off block's file is
+committed under the origin rank's name).
 """
 
 from repro.dist.bservice import BService, ConcreteBSource, TieredBStore, validate_b_budget

@@ -104,11 +104,11 @@ class ScatterMsg:
     heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
     #: Persistent-store / checkpoint wiring (all inert when left at their
     #: defaults): ``store_dir`` roots the B-tile persistence tier,
-    #: ``ckpt_dir`` enables the writeback journal (and, when ``store_dir``
-    #: is unset, hosts the store under ``<ckpt_dir>/store``), ``b_hash`` /
+    #: ``ckpt_dir`` enables block-file commits (and, when ``store_dir`` is
+    #: unset, hosts the store under ``<ckpt_dir>/store``), ``b_hash`` /
     #: ``run_hash`` are the coordinator-computed operand and run
-    #: fingerprints, and ``completed`` lists the already-journaled blocks
-    #: to restore instead of recompute: ``((gpu, block, ((i, j), ...)), ...)``.
+    #: fingerprints, and ``completed`` lists the ``(gpu, block)`` positions
+    #: whose block files to restore instead of recompute.
     store_dir: str | None = None
     b_hash: str = ""
     ckpt_dir: str | None = None
@@ -148,7 +148,7 @@ class HandoffMsg:
     """Coordinator -> helper rank: execute blocks reclaimed from a straggler.
 
     ``blocks`` are ``(gpu, position, block)`` triples in the *origin*
-    rank's plan coordinates, so journals and store keys written during the
+    rank's plan coordinates, so the block files committed during the
     handoff land under the origin's identity and resume stays coherent.
     ``c_meta`` names a dedicated shared-memory arena for the produced C
     tiles.  Operand and B-service parameters mirror the original

@@ -107,12 +107,12 @@ from repro.runtime.numeric import NumericStats
 from repro.runtime.tracing import SpanRecorder, Trace
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.store import (
-    TileStore,
+    a_fingerprint,
     b_fingerprint,
+    completed_blocks,
     plan_fingerprint,
     read_snapshot,
     run_fingerprint,
-    validated_completed_blocks,
     write_snapshot,
 )
 from repro.util.validation import require
@@ -284,12 +284,13 @@ def execute_plan_distributed(
     Persistence: ``store_dir`` roots a :class:`~repro.store.TileStore`
     that backs every rank's B service as a second cache tier (tiles
     generated once are reused across runs and ranks).  ``checkpoint_dir``
-    additionally turns on crash-consistent checkpointing: each rank
-    journals every completed block (C tiles to the store first, then an
-    fsynced journal line), the coordinator records the run's identity in
-    ``coordinator.json`` before any worker starts, and *every* scatter —
-    first attempt, retry, or a fresh run over the same directory — restores
-    the journaled blocks instead of recomputing them, so a run killed at
+    turns on crash-consistent checkpointing: each rank commits every
+    finished block as one block file (fsynced, then renamed into place),
+    the coordinator records the run's identity — plan, A, B and ``alpha``
+    — in ``coordinator.json`` before any worker starts, and *every* scatter
+    — first attempt, retry, or a fresh run over the same directory with the
+    same operands — restores the committed blocks instead of recomputing
+    them, so a run killed at
     any instant (the ``abort`` fault included) resumes bit-for-bit.  A
     checkpoint directory of a *different plan* is refused up front (P121
     checks the same statically); ``repro store gc --budget`` bounds the
@@ -301,8 +302,8 @@ def execute_plan_distributed(
     unstarted blocks, which the coordinator hands off to a finished
     worker rank (or executes inline) and reduces as their own producer.
     Relinquished positions are excluded from any later retry of the
-    origin, and handoff journals land in per-handoff sidecar files under
-    the origin's rank, so checkpoint/resume replays ownership transfers
+    origin, and a handed-off block's file is committed under the origin's
+    rank, so checkpoint/resume replays ownership transfers
     transparently.  The result stays bit-for-bit equal to the serial
     executor.
     """
@@ -387,29 +388,37 @@ class _Coordinator:
         pool = cfg.pool
 
         # ---- persistence / checkpoint identity ----------------------------
-        persist = cfg.checkpoint_dir is not None or cfg.store_dir is not None
+        # Fingerprints are serial work before the first fork: each is taken
+        # only where read.  B's keys a generated B's store tier and a pool's
+        # warm cache (an empty key would alias operands); all name the run.
+        ckpt = cfg.checkpoint_dir
         self.plan_hash = self.b_hash = self.run_hash = ""
-        self.store: TileStore | None = None
-        if persist or pool is not None:
-            # A pooled run fingerprints its operands even without a disk
-            # tier: the workers' process-lifetime warm caches are keyed by
-            # the B fingerprint, and an empty namespace would alias operands.
+        if pool is not None or ckpt is not None:
             self.plan_hash = (plan_fingerprint if pool is None else pool.plan_hash)(plan)
+        if ckpt is not None or (
+            isinstance(b, GeneratedCollection)
+            and (pool is not None or cfg.store_dir is not None)
+        ):
             self.b_hash = b_fingerprint(b)
-            self.run_hash = run_fingerprint(self.plan_hash, self.b_hash, alpha)
-        if persist:
-            if cfg.checkpoint_dir is not None:
-                snap = read_snapshot(cfg.checkpoint_dir)
-                if snap is not None and snap.get("plan") not in (None, self.plan_hash):
-                    raise DistExecutionError(
-                        f"checkpoint directory {cfg.checkpoint_dir!r} belongs to a "
-                        f"different plan (snapshot plan hash "
-                        f"{str(snap.get('plan'))[:12]}..., this plan "
-                        f"{self.plan_hash[:12]}...); resume with the original "
-                        f"operands/grid or point checkpoint_dir at a fresh "
-                        f"directory"
-                    )
-            self.store = TileStore(cfg.store_dir or f"{cfg.checkpoint_dir}/store")
+        if ckpt is not None:
+            a_hash = a_fingerprint(a)
+            self.run_hash = run_fingerprint(self.plan_hash, a_hash, self.b_hash, alpha)
+            snap = read_snapshot(ckpt)
+            if snap is not None and snap.get("plan") not in (None, self.plan_hash):
+                raise DistExecutionError(
+                    f"checkpoint directory {ckpt!r} belongs to a different "
+                    f"plan (snapshot plan hash {str(snap.get('plan'))[:12]}..., "
+                    f"this plan {self.plan_hash[:12]}...); resume with the "
+                    f"original operands/grid or point checkpoint_dir at a "
+                    f"fresh directory"
+                )
+            # The run's identity, on disk before any worker exists: a later
+            # mismatched plan is refused (above, P121) whenever this run
+            # dies.  Progress is the event log's and the block files' job.
+            write_snapshot(ckpt, {
+                "v": 1, "plan": self.plan_hash, "a": a_hash, "b": self.b_hash,
+                "run": self.run_hash, "alpha": float(alpha), "nranks": nranks,
+            })
 
         if pool is not None:
             require(not pool.closed, "worker pool is closed")
@@ -519,15 +528,6 @@ class _Coordinator:
     def scatter(self) -> None:
         """Pack what the data plane needs, then spawn and scatter each rank."""
         plan, cfg, b = self.plan, self.cfg, self.b
-        if cfg.checkpoint_dir is not None:
-            # The run's identity, on disk before any worker exists: a later
-            # mismatched plan is refused (``__init__``, P121) whenever this
-            # run dies.  Progress is the event log's and the journals' job.
-            write_snapshot(cfg.checkpoint_dir, {
-                "v": 1, "plan": self.plan_hash, "b": self.b_hash,
-                "run": self.run_hash, "alpha": float(self.alpha),
-                "nranks": self.nranks,
-            })
         a_meta = None if self.resident else self.pack("a", self.a)
         if isinstance(b, BlockSparseMatrix):
             b_spec = (
@@ -576,17 +576,6 @@ class _Coordinator:
         )
         return self.arenas[-1]
 
-    def completed_for(self, rank: int) -> tuple:
-        """Journaled-and-validated blocks this scatter may skip, re-read on
-        *every* scatter: a fresh run resumes a prior run's journal, a retried
-        rank whatever its killed predecessor journaled this run."""
-        if self.cfg.checkpoint_dir is None:
-            return ()
-        done = validated_completed_blocks(
-            self.cfg.checkpoint_dir, rank, self.run_hash, self.store
-        )
-        return tuple((g, bi, rec_.tiles) for (g, bi), rec_ in sorted(done.items()))
-
     def block_tasks(self, rank: int, positions) -> int:
         """GEMM tasks in the ``(gpu, index)`` block positions of ``rank``."""
         return sum(
@@ -595,7 +584,7 @@ class _Coordinator:
 
     def rank_msg(self, rank: int, in_process: bool = False) -> ScatterMsg:
         """The live attempt of ``rank`` as a message: a fresh C arena, the
-        journaled blocks to restore, the stolen ones to skip.
+        committed blocks to restore, the stolen ones to skip.
 
         A worker process also gets the fault armed for this attempt; an
         in-process execution never does — an injection armed for every
@@ -611,18 +600,18 @@ class _Coordinator:
         if inj is not None and not inj.armed(attempt):
             inj = None
         stolen = self.stolen_blocks.get(rank, set())
-        # A journal may already hold stolen blocks (the handoff's
-        # sidecar): they are the handoff's to produce, not this rank's
-        # to restore.
-        completed = tuple(
-            t for t in self.completed_for(rank) if (t[0], t[1]) not in stolen
+        # The blocks whose files read back intact, re-listed on *every*
+        # scatter: a fresh run resumes a prior run's, a retried rank what its
+        # killed predecessor committed.  Stolen blocks a handoff committed
+        # under this rank's name are the handoff's to produce, not restore.
+        completed = () if cfg.checkpoint_dir is None else tuple(
+            p for p in completed_blocks(cfg.checkpoint_dir, self.run_hash, rank)
+            if p not in stolen
         )
         if completed:
             self.events.emit(
                 "resume", rank=rank, attempt=attempt, blocks=len(completed),
-                tasks_skipped=self.block_tasks(
-                    rank, [(g, bi) for g, bi, _ in completed]
-                ),
+                tasks_skipped=self.block_tasks(rank, completed),
             )
         return ScatterMsg(
             proc=plan.procs[rank],
@@ -745,7 +734,7 @@ class _Coordinator:
 
     def abort_run(self, rank: int) -> None:
         """The abort fault: the whole job is lost, not one rank — no retry,
-        no reassignment.  Whatever the journals captured is the resume point."""
+        no reassignment.  The committed block files are the resume point."""
         self.events.emit("abort", rank=rank, attempt=self.live_attempt(rank))
         ckpt = self.cfg.checkpoint_dir
         raise DistExecutionError(
@@ -816,7 +805,7 @@ class _Coordinator:
 
         The fallback producer: no helper rank is free, or the chosen one
         died, reported failure or timed out.  Re-executing after a partial
-        helper run is safe — duplicate journal/store records are
+        helper run is safe — a block file committed twice is
         bit-identical and only this result's arena is adopted.
         """
         msg, arena = self.handoff_msg(hid, origin, blocks, in_process=True)
@@ -1091,12 +1080,10 @@ class _Coordinator:
     # ---- clean up ------------------------------------------------------------------
 
     def teardown(self) -> None:
-        """Success or not: close the log and the store, reap the processes
+        """Success or not: close the log, reap the processes
         this run owns (all signalled, then all joined: their exits overlap),
         unlink every segment."""
         self.events.close()
-        if self.store is not None:
-            self.store.close()
         if self.cfg.pool is None:
             # One-shot run: the processes and the comm layer are ours.  A
             # borrowed pool stays warm; its owner resets it after a failure.

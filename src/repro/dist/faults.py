@@ -20,10 +20,10 @@ rebalancer are built to absorb.
 ``abort`` models losing the *whole job*, not one rank: the worker dies
 exactly like ``kill`` but with a distinguished exit code that tells the
 coordinator to give up immediately — no retry, no reassignment — leaving
-only what the checkpoint journal captured.  It exists to exercise the
+only the block files the checkpoint committed.  It exists to exercise the
 resume path end to end: run with ``checkpoint_dir`` and an ``abort``
 fault, catch :class:`~repro.dist.DistExecutionError`, run again with the
-same checkpoint directory, and the journaled blocks are skipped.
+same checkpoint directory, and the committed blocks are skipped.
 """
 
 from __future__ import annotations

@@ -180,9 +180,10 @@ class ProtocolModel:
         Heartbeats a running worker may emit beyond the mandatory
         "worker up" beat (bounds the telemetry interleavings).
     journal_after_store:
-        The checkpoint crash-consistency discipline: C tiles land in
-        the store *before* the journal line.  ``False`` models the
-        broken ordering — the checker proves it unsafe (M406).
+        The checkpoint crash-consistency discipline: a block file is
+        fsynced (``act:store``) *before* the rename that records it done
+        (``act:journal``).  ``False`` models the broken ordering — the
+        checker proves it unsafe (M406).
     """
 
     messages: tuple[MsgSpec, ...]
@@ -248,8 +249,8 @@ QUEUE_BUDGETS = {
 #: ``idle`` is a freshly spawned process blocking on its inbox.  The
 #: scatter moves it to ``running`` and emits the mandatory "worker up"
 #: heartbeat (seq 0).  Work proceeds unit by unit; under checkpointing
-#: each unit commits via ``act:store`` *then* ``act:journal`` (the
-#: crash-consistency order M406 defends).  The three fault excursions
+#: each unit commits via ``act:store`` (block file fsynced) *then*
+#: ``act:journal`` (renamed in): the crash-consistency order M406 defends.  The three fault excursions
 #: mirror :class:`repro.dist.faults.FaultInjection`: ``kill`` exits
 #: silently, ``abort`` exits with the reserved code, ``stall`` goes dark
 #: (heartbeats stop, process alive).  ``act:raise`` is the

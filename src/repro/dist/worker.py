@@ -97,14 +97,7 @@ from repro.dist.protocol import WIRE, WORKER_MACHINE, Transition
 from repro.dist.tile_store import TileArena
 from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
-from repro.store import (
-    CompletedBlock,
-    StoreStats,
-    TileStore,
-    WritebackJournal,
-    ckpt_namespace,
-    ckpt_tile_key,
-)
+from repro.store import StoreStats, TileStore, commit_block, read_block
 
 #: Exit code of an ``abort`` fault — the coordinator reads it off the dead
 #: process and fails the whole run instead of retrying the rank.
@@ -183,57 +176,47 @@ def modeled_a_link_bytes(
 
 
 def checkpoint_hooks(
-    store: TileStore,
-    journal: WritebackJournal,
+    ckpt_dir: str,
     run_hash: str,
     rank: int,
-    completed: dict[tuple[int, int], tuple],
+    completed: tuple,
     rec: SpanRecorder,
     c_slot,
 ):
     """Build the ``(restore_block, on_block, counters)`` checkpoint closures.
 
-    ``completed`` maps ``(gpu, block)`` to the journaled C-tile keys the
-    coordinator already validated against the store.  A restored tile is
-    copied once, out of the store's read-only map into ``c_slot(key, m,
-    n)`` — its place in the output arena.
+    ``completed`` lists the ``(gpu, block)`` positions whose block files
+    the coordinator already read back intact.  A restored tile is copied
+    once, out of its block file into ``c_slot(key, m, n)`` — its place in
+    the output arena.
 
-    Crash-consistency ordering lives in ``on_block``: every C tile is
-    durably in the store *before* the journal line is appended, so a kill
-    between the two leaves an unreferenced (harmless) object, never a
-    journal record promising tiles that do not exist.  Its time is the
-    ``writeback.ckpt.block<bi>`` span ``rec`` records on ``net.<rank>``.
+    ``on_block`` commits a finished block as one file
+    (:func:`~repro.store.commit_block`): fsynced before it is renamed into
+    place, so a kill never leaves a block file missing tiles.  Its time is
+    the ``writeback.ckpt.block<bi>`` span ``rec`` records on ``net.<rank>``.
     """
-    ns = ckpt_namespace(run_hash)
+    completed = set(completed)
     counters = {"blocks_restored": 0, "tasks_skipped": 0}
 
     def restore_block(g: int, bi: int, block) -> dict | None:
-        tiles = completed.get((g, bi))
-        if tiles is None:
+        if (g, bi) not in completed:
             return None
-        arrs = [store.get(ns, ckpt_tile_key(rank, g, bi, i, j)) for i, j in tiles]
-        if any(arr is None for arr in arrs):
-            return None  # validated at scatter; lost to a racing GC since
+        tiles = read_block(ckpt_dir, run_hash, rank, g, bi)
+        if tiles is None:
+            return None  # read back at scatter; damaged since
         out: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), arr in zip(tiles, arrs):
+        for key, arr in tiles.items():
             # Restored tiles must be indistinguishable from freshly
             # computed ones: writable, and where a computed tile would be.
-            dst = c_slot((i, j), *arr.shape)
+            out[key] = dst = c_slot(key, *arr.shape)
             dst[...] = arr
-            out[(i, j)] = dst
         counters["blocks_restored"] += 1
         counters["tasks_skipped"] += block.ntasks
         return out
 
     def on_block(g: int, bi: int, block, c_dev: dict) -> None:
-        tiles = tuple(sorted(c_dev))
         with rec.span(f"writeback.ckpt.block{bi}", f"net.{rank}"):
-            for i, j in tiles:
-                store.put(ns, ckpt_tile_key(rank, g, bi, i, j), c_dev[(i, j)])
-            journal.record(run_hash, CompletedBlock(
-                rank=rank, gpu=g, block=bi, chunks=len(block.chunks),
-                ntasks=block.ntasks, tiles=tiles,
-            ))
+            commit_block(ckpt_dir, run_hash, rank, g, bi, c_dev)
 
     return restore_block, on_block, counters
 
@@ -307,25 +290,22 @@ def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int):
 
 
 @contextmanager
-def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache,
-            journal_suffix: str = ""):
+def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache):
     """Open what one :class:`ScatterMsg` or ``HandoffMsg`` executes against.
 
-    Yields ``(store, journal, a_get_tile, b_source, c_arena)``: the tile
-    store and ``rank``'s writeback journal (``None`` unless the run persists
-    / checkpoints), A and B — read in place from ``operands``, the ``(a,
-    b)`` pair a resident-plane process was forked with, or through attached
-    arenas — and the message's C output arena.  Everything is closed on the
+    Yields ``(store, a_get_tile, b_source, c_arena)``: the B-tile store
+    (``None`` unless the run persists / checkpoints), A and B — read in
+    place from ``operands``, the ``(a, b)`` pair a resident-plane process
+    was forked with, or through attached arenas — and the message's C
+    output arena.  Everything is closed on the
     way out, which unmaps the arenas: the body keeps no tile view past it.
     """
-    store = journal = None
+    store = None
     attached: list[TileArena] = []
     try:
         if msg.store_dir is not None or msg.ckpt_dir is not None:
             root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
             store = TileStore(root)
-        if msg.ckpt_dir is not None:
-            journal = WritebackJournal(msg.ckpt_dir, rank, suffix=journal_suffix)
         with rec.span("shm.attach", f"net.{rank}"):
             if msg.a_meta is None:
                 a_get_tile = operands[0].get_tile
@@ -354,10 +334,8 @@ def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache,
                 attached.append(TileArena.attach(payload))
                 b_source = ConcreteBSource(attached[-1])
             attached.append(TileArena.attach(msg.c_meta))
-        yield store, journal, a_get_tile, b_source, attached[-1]
+        yield store, a_get_tile, b_source, attached[-1]
     finally:
-        if journal is not None:
-            journal.close()
         if store is not None:
             store.close()
         for arena in attached:
@@ -403,14 +381,12 @@ def run_rank(
 
     with beating as hb, _opened(
         msg, operands, rank, rec=rec, tile_cache=tile_cache,
-    ) as (store, journal, a_get_tile, b_source, c_arena):
+    ) as (store, a_get_tile, b_source, c_arena):
         restore_block = on_block = None
         ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
-        if journal is not None:
+        if msg.ckpt_dir is not None:
             restore_block, on_block, ckpt_counters = checkpoint_hooks(
-                store, journal, msg.run_hash, rank,
-                {(g, bi): tiles for g, bi, tiles in msg.completed},
-                rec, c_arena.slot,
+                msg.ckpt_dir, msg.run_hash, rank, msg.completed, rec, c_arena.slot,
             )
 
         fault = msg.fault
@@ -450,7 +426,7 @@ def run_rank(
                 (g, bi) for g, bi, _ in proc_blocks(msg.proc, msg.gpus_per_proc)
             ]
             pos_index = {p: n for n, p in enumerate(positions)}
-            restored_positions = {(g, bi) for g, bi, _ in msg.completed}
+            restored_positions = set(msg.completed)
 
             def skip_block(g: int, bi: int, block) -> bool:
                 """Poll the inbox at a block boundary: each message is an
@@ -459,7 +435,7 @@ def run_rank(
 
                 A current-attempt :class:`RelinquishMsg` yields every
                 position not yet started (including this one) that is
-                neither journaled nor already skipped; the positions are
+                neither restored nor already skipped; the positions are
                 acked back so the coordinator knows exactly which blocks
                 it now owns.  A stale request is acked empty.
                 """
@@ -536,19 +512,18 @@ def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats
     Opens the operands the way the origin did and the handoff's dedicated
     C arena (:func:`_opened`), runs the reclaimed blocks through the one
     per-block body with the *origin* as rank — so the stats, and (when the
-    run checkpoints) the ``.h<id>`` sidecar journal with its store keys, are
-    exactly what the origin itself would have written, which is what lets
+    run checkpoints) the block files under the origin's name, are exactly
+    what the origin itself would have written, which is what lets
     the reduction match the serial oracle and a resumed run replay the
     ownership transfer transparently.  Returns ``(C index, stats)``.
     """
     rec = SpanRecorder(enabled=False)
     with _opened(msg, operands, msg.origin, rec=rec, tile_cache=tile_cache,
-                 journal_suffix=f".h{msg.handoff_id}",
-                 ) as (store, journal, a_get_tile, b_source, c_arena):
+                 ) as (_, a_get_tile, b_source, c_arena):
         on_block = None
-        if journal is not None:
+        if msg.ckpt_dir is not None:
             _, on_block, _ = checkpoint_hooks(
-                store, journal, msg.run_hash, msg.origin, {}, rec, c_arena.slot,
+                msg.ckpt_dir, msg.run_hash, msg.origin, (), rec, c_arena.slot,
             )
         stats = execute_blocks(
             msg.blocks,

@@ -65,10 +65,10 @@ SERIES = {
     "repro_store_read_bytes_total":
         ("counter", "bytes read from the tile store", ("report", "store_bytes_read")),
     "repro_checkpoint_blocks_restored_total":
-        ("counter", "blocks restored from the journal instead of recomputed",
+        ("counter", "blocks restored from block files instead of recomputed",
          ("report", "blocks_restored")),
     "repro_checkpoint_tasks_skipped_total":
-        ("counter", "GEMM tasks skipped thanks to journaled blocks",
+        ("counter", "GEMM tasks skipped thanks to restored blocks",
          ("report", "tasks_skipped")),
     "repro_spans_dropped_total":
         ("counter", "trace spans discarded at the recorder bound",

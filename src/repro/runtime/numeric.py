@@ -278,8 +278,8 @@ def execute_blocks(
     block's finished ``{(i, j): tile}`` dict — the whole block is then
     skipped (no GEMMs, no stats) and the tiles enter ``produced`` as-is;
     ``on_block(g, bi, block, c_dev)`` fires after each *executed* block's
-    writeback, which is where the distributed worker journals completed
-    work.  Restored blocks are exactly the journaled ones, and journaled
+    writeback, which is where the distributed worker commits the block's
+    file.  Restored blocks are exactly the committed ones, and committed
     tiles are bit-identical to recomputed ones, so a resumed run's C
     equals an uninterrupted run's C bit for bit.
 

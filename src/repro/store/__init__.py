@@ -1,19 +1,19 @@
 """Persistent tile store and checkpoint/resume (the out-of-core layer).
 
-Two services live here, both backed by the same content-addressed on-disk
-object store:
+Two services live here, both writing :mod:`repro.store.codec` objects:
 
 * a **persistent B-tile cache tier** — :class:`TileStore` sits between the
   B-service's in-memory LRU and the generator, so tiles generated in one
   run (or by one rank) are reused by later runs and by other ranks sharing
-  a filesystem;
-* **checkpoint/resume** — :class:`WritebackJournal` plus coordinator
-  snapshots make ``psgemm_distributed(checkpoint_dir=...)`` survivable: a
-  run killed at any instant resumes bit-for-bit identical to an
-  uninterrupted serial run, recomputing only unjournaled blocks.
+  a filesystem.  It holds B tiles only;
+* **checkpoint/resume** — one block file per finished block
+  (:func:`commit_block`) plus the coordinator snapshot make
+  ``psgemm_distributed(checkpoint_dir=...)`` survivable: a run killed at
+  any instant resumes bit-for-bit identical to an uninterrupted serial
+  run, recomputing only blocks with no intact file.
 
 See ``docs/architecture.md`` ("Persistent storage & checkpointing") for
-the object format, journal protocol, and resume walk-through.
+the object format, the block-file commit, and a resume walk-through.
 """
 
 from repro.store.codec import (
@@ -26,17 +26,15 @@ from repro.store.codec import (
     read_header,
 )
 from repro.store.journal import (
-    CompletedBlock,
-    WritebackJournal,
+    a_fingerprint,
     b_fingerprint,
-    ckpt_namespace,
-    ckpt_tile_key,
-    journal_path,
+    block_path,
+    commit_block,
+    completed_blocks,
     plan_fingerprint,
-    read_journal,
+    read_block,
     read_snapshot,
     run_fingerprint,
-    validated_completed_blocks,
     write_snapshot,
 )
 from repro.store.tilestore import (
@@ -51,25 +49,23 @@ __all__ = [
     "ALIGN",
     "MAGIC",
     "CodecError",
-    "CompletedBlock",
     "ObjectInfo",
     "StoreStats",
     "TileStore",
-    "WritebackJournal",
+    "a_fingerprint",
     "b_fingerprint",
-    "ckpt_namespace",
-    "ckpt_tile_key",
+    "block_path",
+    "commit_block",
+    "completed_blocks",
     "decode_tile",
     "encode_tile",
-    "journal_path",
     "map_tile",
     "object_digest",
     "plan_fingerprint",
+    "read_block",
     "read_header",
-    "read_journal",
     "read_snapshot",
     "read_store_stats",
     "run_fingerprint",
-    "validated_completed_blocks",
     "write_snapshot",
 ]

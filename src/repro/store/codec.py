@@ -1,4 +1,4 @@
-"""The binary tile codec: one tile per object file, self-describing.
+"""The binary tile codec: one self-describing object per tile.
 
 Object layout (little-endian), designed so a reader needs *nothing* but
 the file itself:
@@ -20,8 +20,8 @@ the file itself:
 
 The metadata carries the logical identity (namespace + key), so a store
 index can always be rebuilt by scanning object headers, and the CRC makes
-torn or bit-rotted payloads detectable — the checkpoint journal refuses to
-trust a tile whose checksum does not match.
+torn or bit-rotted payloads detectable — a checkpoint resume refuses to
+trust a block file whose checksums do not match.
 
 Only C-contiguous arrays are encoded; tiles are float64 in practice but
 the codec round-trips any numpy dtype with a stable ``str`` form.
@@ -30,6 +30,7 @@ the codec round-trips any numpy dtype with a stable ``str`` form.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
@@ -51,10 +52,13 @@ class CodecError(ValueError):
     """An object file is not a valid (or not an intact) encoded tile."""
 
 
-def encode_tile(ns: str, key, arr: np.ndarray) -> bytes:
-    """Serialize one tile to the self-describing object format."""
+def encode_tile(ns: str, key, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """One tile's object as ``(header, payload)``: write them back to back.
+
+    The payload is the tile's own buffer (a contiguous tile is not
+    copied); the header carries its CRC.
+    """
     arr = np.ascontiguousarray(arr)
-    raw = arr.tobytes()
     meta = json.dumps(
         {"ns": ns, "key": list(key), "dtype": str(arr.dtype), "shape": list(arr.shape)},
         sort_keys=True,
@@ -63,10 +67,20 @@ def encode_tile(ns: str, key, arr: np.ndarray) -> bytes:
     header_size += (-header_size) % ALIGN
     prefix = _PREFIX.pack(
         MAGIC, VERSION, 0, header_size,
-        len(raw), len(raw), zlib.crc32(raw) & 0xFFFFFFFF, len(meta),
+        arr.nbytes, arr.nbytes, zlib.crc32(arr) & 0xFFFFFFFF, len(meta),
     )
     pad = b"\x00" * (header_size - _PREFIX.size - len(meta))
-    return prefix + meta + pad + raw
+    return prefix + meta + pad, arr
+
+
+def write_synced(path: str, bufs) -> None:
+    """Write ``bufs`` (encoded objects' parts) back to back to ``path``,
+    then fsync it."""
+    with open(path, "wb") as fh:
+        for buf in bufs:
+            fh.write(buf)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_header(buf) -> dict:
@@ -106,12 +120,10 @@ def read_header(buf) -> dict:
     }
 
 
-def decode_tile(buf, *, verify: bool = True) -> tuple[dict, np.ndarray]:
-    """Decode a full object buffer; returns ``(header, array)``.
-
-    ``verify=True`` checks the payload CRC.  Raises :class:`CodecError`
-    on truncation or checksum mismatch.
-    """
+def decode_tile(buf) -> tuple[dict, np.ndarray]:
+    """Decode and CRC-check a full object buffer; returns ``(header,
+    array)``.  Raises :class:`CodecError` on truncation or checksum
+    mismatch."""
     header = read_header(buf)
     start = header["header_size"]
     end = start + header["payload_bytes"]
@@ -120,7 +132,7 @@ def decode_tile(buf, *, verify: bool = True) -> tuple[dict, np.ndarray]:
             f"object truncated: {len(buf)} B on disk, payload ends at {end} B"
         )
     payload = bytes(buf[start:end])
-    if verify and (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
+    if (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
         raise CodecError("payload CRC32 mismatch (torn write or bit rot)")
     arr = np.frombuffer(payload, dtype=np.dtype(header["dtype"]))
     return header, arr.reshape(header["shape"])

@@ -1,31 +1,29 @@
-"""Crash-consistent checkpointing: fingerprints, journal, snapshots.
+"""Crash-consistent checkpointing: fingerprints, block files, snapshot.
 
-Three cooperating pieces turn a checkpoint directory into a resumable run:
+Three pieces turn a checkpoint directory into a resumable run:
 
 * **fingerprints** — :func:`plan_fingerprint` hashes everything an
   :class:`~repro.core.plan.ExecutionPlan` makes a worker do (grid,
-  shapes, per-block column/chunk arrays); :func:`b_fingerprint`
-  hashes the B operand's identity (generator seed state + occupancy, or a
-  concrete matrix's tile bytes); :func:`run_fingerprint` folds both with
-  ``alpha`` into the run hash that namespaces every checkpointed C tile.
-  Two runs share checkpoint state *iff* their run hashes match — which is
-  exactly the condition under which their per-block C tiles are
-  bit-identical.
-* **:class:`WritebackJournal`** — one append-only JSONL file per rank
-  (``journal-rank<r>.jsonl``).  A record is appended (and fsynced) only
-  *after* the block's C tiles are durably in the tile store, so a record
-  is a promise: "these tiles exist and are intact".  The resume path
-  still re-validates every promised tile against its stored CRC —
-  write-then-journal ordering plus read-time validation is what makes a
-  SIGKILL at any instant recoverable.
+  shapes, per-block column/chunk arrays); :func:`b_fingerprint` hashes the
+  B operand's identity (generator seed state + occupancy, or a concrete
+  matrix's tile bytes) and :func:`a_fingerprint` A's tile bytes;
+  :func:`run_fingerprint` folds all three with ``alpha`` into the run hash
+  that names the directory of the run's committed blocks.  Two runs share
+  checkpoint state *iff* their run hashes match — which is exactly the
+  condition under which their per-block C tiles are bit-identical.
+* **block files** — ``blocks/<run hash>/r<rank>.g<gpu>.b<block>.blk``,
+  one per finished block: its C tiles as :mod:`repro.store.codec`
+  objects, back to back, each with its CRC (:func:`commit_block`).  The
+  file is fsynced before it is renamed into place, so a file under its
+  final name is a block that never needs to run again; the resume path
+  still reads every one back whole and CRC-clean (:func:`read_block`)
+  before it trusts it.  A block a rebalancing helper ran is committed
+  under its origin rank's name.
 * **coordinator snapshot** — ``coordinator.json``, atomically replaced:
-  run/plan hashes, operand fingerprint, and per-rank progress.  The
-  resume path refuses a checkpoint directory whose hashes disagree with
-  the plan in hand (analysis rule ``P121``) instead of silently splicing
-  tiles from a different contraction into the output.
-
-Journal reads tolerate a torn final line (a rank killed mid-append), the
-same policy as :func:`repro.dist.health.read_events`.
+  the run's plan, operand and run hashes.  The resume path refuses a
+  checkpoint directory whose plan hash disagrees with the plan in hand
+  (analysis rule ``P121``) instead of silently splicing tiles from a
+  different contraction into the output.
 """
 
 from __future__ import annotations
@@ -34,14 +32,13 @@ import glob
 import hashlib
 import json
 import os
-import time
-from dataclasses import dataclass
+import re
 
 import numpy as np
 
-from repro.util.jsonl import read_jsonl
+from repro.store.codec import CodecError, decode_tile, encode_tile, write_synced
 
-#: Journal / snapshot format version, stamped into every record.
+#: Snapshot format version.
 VERSION = 1
 
 SNAPSHOT_NAME = "coordinator.json"
@@ -54,7 +51,15 @@ def _hash_update_array(h, arr) -> None:
     a = np.ascontiguousarray(arr)
     h.update(str(a.dtype).encode())
     h.update(str(a.shape).encode())
-    h.update(a.tobytes())
+    h.update(a)  # the array's own buffer: the same bytes as ``a.tobytes()``
+
+
+def _hash_matrix(h, m) -> None:
+    """Fold a concrete matrix's tiles, in key order, into the hash."""
+    h.update(b"matrix")
+    for key in sorted(m.keys()):
+        h.update(str(key).encode())
+        _hash_update_array(h, m.get_tile(*key))
 
 
 def _hash_shape(h, shape) -> None:
@@ -69,7 +74,8 @@ def plan_fingerprint(plan) -> str:
     """A stable SHA-256 over everything the plan tells workers to do.
 
     Built from the plan's semantic content (never ``pickle``, whose byte
-    stream is an implementation detail): grid geometry, operand shapes, and each rank's block/chunk schedule.  Identical inspector
+    stream is an implementation detail): grid geometry, operand shapes,
+    and each rank's block/chunk schedule.  Identical inspector
     inputs produce identical fingerprints across runs and processes.
     """
     h = hashlib.sha256(b"repro-plan-v1")
@@ -107,167 +113,107 @@ def b_fingerprint(b) -> str:
         h.update(f"generated|{b.fill}|{_state_entropy(b._rng)}".encode())
         _hash_shape(h, b.shape)
     else:  # concrete BlockSparseMatrix
-        h.update(b"matrix")
-        for key in sorted(b.keys()):
-            h.update(str(key).encode())
-            _hash_update_array(h, b.get_tile(*key))
+        _hash_matrix(h, b)
     return h.hexdigest()
 
 
-def run_fingerprint(plan_hash: str, b_hash: str, alpha: float) -> str:
-    """The namespace of one run's checkpointed C tiles (v3: in-place ``dgemm``)."""
-    h = hashlib.sha256(b"repro-run-v3")  # v1 and v2 tiles (older kernels) differ in roundoff
+def a_fingerprint(a) -> str:
+    """A stable SHA-256 of the A operand's tile bytes."""
+    h = hashlib.sha256(b"repro-a-v1")
+    _hash_matrix(h, a)
+    return h.hexdigest()
+
+
+def run_fingerprint(plan_hash: str, a_hash: str, b_hash: str, alpha: float) -> str:
+    """The name of one run's block-file directory (v4: A is part of it)."""
+    # v1 and v2 tiles (older kernels) differ in roundoff; v3 left A out.
+    h = hashlib.sha256(b"repro-run-v4")
     h.update(plan_hash.encode())
+    h.update(a_hash.encode())
     h.update(b_hash.encode())
     h.update(repr(float(alpha)).encode())
     return h.hexdigest()
 
 
-# ---- the writeback journal -------------------------------------------------
+# ---- block files -----------------------------------------------------------
+
+#: ``r<rank>.g<gpu>.b<block>.blk``: one committed block.
+_BLOCK_NAME = re.compile(r"r(\d+)\.g(\d+)\.b(\d+)\.blk")
 
 
-def ckpt_namespace(run_hash: str) -> str:
-    """The tile-store namespace of a run's checkpointed C tiles."""
-    return f"ckpt:{run_hash}"
+def block_path(ckpt_dir: str, run_hash: str, rank, gpu, block) -> str:
+    """Where one run's committed block lives (``"*"`` parts make a glob)."""
+    return os.path.join(ckpt_dir, "blocks", run_hash, f"r{rank}.g{gpu}.b{block}.blk")
 
 
-def ckpt_tile_key(rank: int, gpu: int, block: int, i: int, j: int) -> tuple:
-    """The store key of one checkpointed C tile."""
-    return (rank, gpu, block, i, j)
+def commit_block(ckpt_dir: str, run_hash: str, rank: int, gpu: int, block: int,
+                 tiles: dict) -> None:
+    """Commit one finished block: its C tiles as codec objects, back to back.
 
-
-@dataclass(frozen=True)
-class CompletedBlock:
-    """One journaled unit of finished work (scattered to resuming ranks)."""
-
-    rank: int
-    gpu: int
-    block: int
-    chunks: int
-    ntasks: int
-    tiles: tuple  # ((i, j), ...) C-tile keys the block produced
-
-
-def journal_path(ckpt_dir: str, rank: int, suffix: str = "") -> str:
-    return os.path.join(ckpt_dir, f"journal-rank{rank}{suffix}.jsonl")
-
-
-def _sidecar_paths(ckpt_dir: str, rank: int) -> list[str]:
-    """Handoff sidecar journals (``journal-rank<r>.h<id>.jsonl``), sorted.
-
-    Rebalancing hands a straggler's unstarted blocks to a helper, which
-    journals them under the *origin's* rank but in its own sidecar file —
-    two processes must never append to one journal.  Resume reads the
-    main journal plus every sidecar; record contents are identical.
+    Each object is namespaced by the run hash and keyed ``(rank, gpu,
+    block, i, j, left)``, ``left`` counting the tiles after it down to 0,
+    so a reader knows the file is whole.  The file is fsynced under a
+    temporary name, renamed into place, then its directory fsynced: the
+    rename records the block done, and a kill before it leaves only a
+    ``*.tmp`` file.  A block committed twice (a retried rank, a helper)
+    is rewritten with the same bytes.
     """
-    pattern = os.path.join(ckpt_dir, f"journal-rank{rank}.h*.jsonl")
-    return sorted(glob.glob(pattern))
-
-
-class WritebackJournal:
-    """One rank's append-only record of durably checkpointed blocks.
-
-    The writer appends exactly one fsynced JSON line per completed block,
-    *after* the block's C tiles hit the store — so every record the reader
-    accepts describes work that never needs to run again.
-
-    ``suffix`` names a handoff sidecar (``.h<id>``): a helper executing
-    blocks reclaimed from ``rank`` journals them under the origin's rank
-    without sharing the origin's file handle.
-    """
-
-    def __init__(self, ckpt_dir: str, rank: int, suffix: str = ""):
-        self.path = journal_path(ckpt_dir, rank, suffix)
-        self.rank = rank
-        os.makedirs(ckpt_dir, exist_ok=True)
-        # Append mode: a retried attempt extends its predecessor's journal
-        # (earlier completed blocks stay valid — same plan, same tiles).
-        self._fh = open(self.path, "a", encoding="utf-8")  # repro: noqa[L308] - handle owned by the journal, closed in close()
-        self.appended = 0
-
-    def record(self, run_hash: str, completed: CompletedBlock) -> None:
-        line = json.dumps({
-            "v": VERSION,
-            "run": run_hash,
-            "rank": completed.rank,
-            "gpu": completed.gpu,
-            "block": completed.block,
-            "chunks": completed.chunks,
-            "ntasks": completed.ntasks,
-            "tiles": [list(t) for t in completed.tiles],
-            "t": time.time(),  # labeling only
-        }, sort_keys=True)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self.appended += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-def read_journal(ckpt_dir: str, rank: int, run_hash: str) -> list[CompletedBlock]:
-    """Parse one rank's journal, keeping only intact records of this run.
-
-    Tolerates a missing file, a torn final line (rank killed mid-append),
-    torn multibyte characters, and records from other runs (a reused
-    checkpoint directory after the operands changed — those are simply
-    stale, not fatal; the run-hash namespace keeps their tiles separate).
-
-    Handoff sidecars (``journal-rank<r>.h*.jsonl``) are folded in after
-    the main journal: blocks a helper completed on the origin's behalf
-    resume exactly as if the origin had journaled them itself.
-    """
-    out: list[CompletedBlock] = []
-    paths = [journal_path(ckpt_dir, rank), *_sidecar_paths(ckpt_dir, rank)]
-    for path in paths:
-        try:
-            records = read_jsonl(path)
-        except FileNotFoundError:
-            continue
-        for rec in records:
-            if rec.get("run") != run_hash:
-                continue
-            try:
-                out.append(CompletedBlock(
-                    rank=int(rec["rank"]),
-                    gpu=int(rec["gpu"]),
-                    block=int(rec["block"]),
-                    chunks=int(rec.get("chunks", 0)),
-                    ntasks=int(rec.get("ntasks", 0)),
-                    tiles=tuple(
-                        (int(i), int(j)) for i, j in rec.get("tiles", [])
-                    ),
-                ))
-            except (KeyError, TypeError, ValueError):
-                continue  # malformed record: recompute that block instead
-    return out
-
-
-def validated_completed_blocks(
-    ckpt_dir: str, rank: int, run_hash: str, store
-) -> dict[tuple[int, int], CompletedBlock]:
-    """The rank's journaled blocks whose tiles all verify against the store.
-
-    Keyed by ``(gpu, block)``.  A journal record whose tiles are missing
-    or fail their CRC is dropped — the block is recomputed, which is
-    always safe (the journal is an optimization, never the only copy of
-    the truth until its tiles verify).  Duplicate records (a block
-    completed on two attempts) collapse to the last one.
-    """
-    ns = ckpt_namespace(run_hash)
-    out: dict[tuple[int, int], CompletedBlock] = {}
-    for rec in read_journal(ckpt_dir, rank, run_hash):
-        ok = all(
-            store.get(ns, ckpt_tile_key(rec.rank, rec.gpu, rec.block, i, j),
-                      verify=True) is not None
-            for i, j in rec.tiles
+    path = block_path(ckpt_dir, run_hash, rank, gpu, block)
+    folder = os.path.dirname(path)
+    os.makedirs(folder, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    keys = sorted(tiles)
+    write_synced(tmp, [
+        buf
+        for n, (i, j) in enumerate(keys)
+        for buf in encode_tile(
+            run_hash, (rank, gpu, block, i, j, len(keys) - 1 - n), tiles[(i, j)]
         )
-        if ok:
-            out[(rec.gpu, rec.block)] = rec
-    return out
+    ])
+    os.replace(tmp, path)
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def read_block(ckpt_dir: str, run_hash: str, rank: int, gpu: int,
+               block: int) -> dict | None:
+    """A committed block's C tiles by ``(i, j)``, or ``None`` unless its
+    file is there, whole, CRC-clean and this run's block of that name."""
+    try:
+        with open(block_path(ckpt_dir, run_hash, rank, gpu, block), "rb") as fh:
+            buf = memoryview(fh.read())
+    except FileNotFoundError:
+        return None
+    tiles: dict = {}
+    off, left = 0, -1
+    try:
+        while off < len(buf):
+            header, arr = decode_tile(buf[off:])
+            *where, i, j, after = header["key"]
+            if (header["ns"] != run_hash or tuple(where) != (rank, gpu, block)
+                    or (tiles and after != left - 1)):
+                return None
+            tiles[(i, j)] = arr
+            left = after
+            off += header["header_size"] + header["payload_bytes"]
+    except (CodecError, TypeError, ValueError):
+        return None
+    return tiles if left == 0 else None
+
+
+def completed_blocks(ckpt_dir: str, run_hash: str, rank: int) -> tuple:
+    """``rank``'s committed blocks of this run that read back intact, as
+    sorted ``(gpu, block)`` positions; a damaged file is recomputed."""
+    out = []
+    for path in glob.glob(block_path(ckpt_dir, run_hash, rank, "*", "*")):
+        m = _BLOCK_NAME.fullmatch(os.path.basename(path))
+        pos = (int(m[2]), int(m[3])) if m else None
+        if pos and read_block(ckpt_dir, run_hash, rank, *pos) is not None:
+            out.append(pos)
+    return tuple(sorted(out))
 
 
 # ---- coordinator snapshots -------------------------------------------------
@@ -290,7 +236,7 @@ def read_snapshot(ckpt_dir: str) -> dict | None:
 
     A corrupt snapshot cannot happen under the atomic-replace discipline,
     but a hand-edited or foreign file should degrade to "no snapshot",
-    not a crash (the journal is the source of truth for resume anyway).
+    not a crash (the block files are what a resume restores anyway).
     """
     path = os.path.join(ckpt_dir, SNAPSHOT_NAME)
     try:

@@ -1,8 +1,8 @@
 """The on-disk, content-addressed tile store.
 
-A :class:`TileStore` persists tiles across process *and* run boundaries —
-the second cache tier behind the per-rank B-service LRU, and the durable
-home of checkpointed C tiles.  Layout under the store root::
+A :class:`TileStore` persists B tiles across process *and* run boundaries:
+the second cache tier behind the per-rank B-service LRU (a checkpoint's C
+tiles are block files, :mod:`repro.store.journal`).  Layout::
 
     objects/ab/abcdef...tile   one codec-encoded tile per file
     stats.jsonl                one session-counter record per closed session
@@ -11,9 +11,8 @@ Properties the distributed executor leans on:
 
 * **content addressing** — an object's file name is the SHA-256 of its
   logical identity ``(namespace, key)``.  Namespaces fold in the operand
-  fingerprint (B generator seed/shape, or the run hash for checkpointed C
-  tiles), so two runs over identical inputs share bytes and two runs over
-  different inputs can never collide;
+  fingerprint (B generator seed/shape), so two runs over identical inputs
+  share bytes and two runs over different inputs can never collide;
 * **crash consistency** — objects are written to a temporary file in the
   same directory, fsynced, then :func:`os.replace`\\ d into place.  A
   reader sees either nothing or a complete object, never a torn one; the
@@ -43,7 +42,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.store.codec import CodecError, decode_tile, encode_tile, map_tile, read_header
+from repro.store.codec import (
+    CodecError,
+    decode_tile,
+    encode_tile,
+    map_tile,
+    read_header,
+    write_synced,
+)
 from repro.util.jsonl import read_jsonl
 
 _OBJ_SUFFIX = ".tile"
@@ -134,10 +140,7 @@ class TileStore:
         blob = encode_tile(ns, key, arr)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}{_TMP_SUFFIX}"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
+        write_synced(tmp, blob)
         try:
             os.replace(tmp, path)
         except FileNotFoundError:
@@ -146,13 +149,10 @@ class TileStore:
             # _TMP_SWEEP_SECONDS).  The content is deterministic, so just
             # write it again; second loss in a row means something is
             # actually deleting our files.
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
+            write_synced(tmp, blob)
             os.replace(tmp, path)
         self._session.puts += 1
-        self._session.bytes_written += len(blob)
+        self._session.bytes_written += len(blob[0]) + blob[1].nbytes
         return True
 
     # -- read ----------------------------------------------------------------
@@ -177,7 +177,7 @@ class TileStore:
         try:
             if verify:
                 with memoryview(mm) as view:
-                    _, arr = decode_tile(view, verify=True)
+                    _, arr = decode_tile(view)
                 mm.close()  # decode copied the payload; the map can go
             else:
                 header = read_header(mm)

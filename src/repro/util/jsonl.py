@@ -1,4 +1,4 @@
-"""Reading the append-only JSONL logs: run events, journals, store stats."""
+"""Reading the append-only JSONL logs: run events and store stats."""
 
 from __future__ import annotations
 

@@ -4,14 +4,17 @@ The contract under test: a distributed run with ``checkpoint_dir`` can be
 killed at any instant and resumed — in the same run (the coordinator's
 retry path) or by a brand-new invocation over the same directory — and
 the final C is bit-for-bit identical to the uninterrupted serial oracle,
-with journaled blocks restored from disk instead of recomputed.
+with committed blocks restored from their block files instead of
+recomputed.
 
 Fast single-process pieces are in ``tests/test_store.py``; everything
 here spawns real workers, so the slow scenarios carry the ``dist`` mark
 (run via ``make test-dist``).
 """
 
+import glob
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
 from repro.store import read_snapshot, read_store_stats, run_fingerprint
-from repro.store.journal import read_journal
 from repro.tiling import random_tiling
 from tests.test_dist_executor import assert_report_folds_its_log, assert_resident
 
@@ -43,7 +45,7 @@ def serial_oracle(a, b, b_shape, p=2):
 def fault_after_first_block(a, b_shape, rank, p=2):
     """A task index safely past the victim rank's first completed block.
 
-    A fault that fires before any block completes journals nothing and
+    A fault that fires before any block completes commits nothing and
     restores nothing — which is a valid resume, but not the one these
     tests exist to exercise.
     """
@@ -70,20 +72,21 @@ class TestCheckpointParity:
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())
         assert s_serial == report.stats
         assert report.blocks_restored == 0
-        assert report.store_puts > 0  # B tiles + C tiles landed on disk
+        assert report.store_puts > 0  # generated B tiles landed on disk
         assert not active_segments()
-        # Checkpoint time is on the trace: one span per journaled block, and
+        # Checkpoint time is on the trace: one span per committed block, and
         # the duration series is the fold of exactly those spans.
         run = read_snapshot(str(tmp_path))["run"]
-        journaled = sum(len(read_journal(str(tmp_path), r, run)) for r in (0, 1))
+        committed = glob.glob(os.path.join(str(tmp_path), "blocks", run, "r*.blk"))
         ckpt_spans = [e for e in report.trace.events
                       if e.task.startswith("writeback.ckpt.block")]
-        assert len(ckpt_spans) == journaled > 0
+        assert len(ckpt_spans) == len(committed) > 0
         assert {e.resource for e in ckpt_spans} <= {"net.0", "net.1"}
-        assert report.metrics.histograms["repro_checkpoint_seconds"].count == journaled
+        assert report.metrics.histograms["repro_checkpoint_seconds"].count == len(committed)
+        assert not glob.glob(os.path.join(str(tmp_path), "journal-rank*"))
         # coordinator.json is the run's identity; progress is not its job.
         assert sorted(read_snapshot(str(tmp_path))) == [
-            "alpha", "b", "nranks", "plan", "run", "v",
+            "a", "alpha", "b", "nranks", "plan", "run", "v",
         ]
 
 
@@ -91,7 +94,7 @@ class TestCheckpointParity:
 class TestKillResume:
     def test_in_run_kill_resumes_from_journal(self, tmp_path):
         """The retry after a mid-run kill restores the dead attempt's
-        journaled blocks instead of recomputing them."""
+        committed blocks instead of recomputing them."""
         a, b, b_shape = operands(seed=1)
         at = fault_after_first_block(a, b_shape, rank=1)
         c_dist, report = psgemm_distributed(
@@ -126,22 +129,23 @@ class TestKillResume:
         assert all(c2.get(key).flags.writeable for key in c2.keys())
         assert r2.shm_bytes == c2.nbytes == r1.stats.d2h_bytes
 
-    @pytest.mark.parametrize("tag", [b"repro-run-v1", b"repro-run-v2"])
+    @pytest.mark.parametrize("tag", [b"repro-run-v1", b"repro-run-v2", b"repro-run-v3"])
     def test_journal_of_the_per_pair_kernel_is_not_resumed(self, tag, tmp_path, monkeypatch):
         """A checkpoint written under an older build's tag — ``v1``, C tiles
         summed pair by pair; ``v2``, products scaled and added in separate
-        passes — is another namespace: none of its blocks is restored and
-        the run is the oracle's, not a tile-by-tile mix of two kernels."""
+        passes; ``v3``, a run identity without A — is another namespace:
+        none of its blocks is restored and the run is the oracle's, not a
+        tile-by-tile mix of two kernels."""
         a, b, b_shape = operands(seed=2)
         kwargs = dict(b_shape=b_shape, checkpoint_dir=str(tmp_path))
 
-        def old_fingerprint(plan_hash, b_hash, alpha):
+        def old_fingerprint(plan_hash, a_hash, b_hash, alpha):
             h = hashlib.sha256(tag)
             for part in (plan_hash, b_hash, repr(float(alpha))):
                 h.update(part.encode())
             return h.hexdigest()
 
-        assert old_fingerprint("p", "b", 1.0) != run_fingerprint("p", "b", 1.0)
+        assert old_fingerprint("p", "a", "b", 1.0) != run_fingerprint("p", "a", "b", 1.0)
         with monkeypatch.context() as patch:
             patch.setattr(coordinator, "run_fingerprint", old_fingerprint)
             _, r1 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
@@ -149,14 +153,14 @@ class TestKillResume:
         c2, r2 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
         assert r2.blocks_restored == 0 and r2.tasks_skipped == 0
         assert np.array_equal(c2.to_dense(), serial_oracle(a, b, b_shape))
-        # Its own journal is resumed as ever.
+        # Its own block files are resumed as ever.
         _, r3 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
         assert r3.tasks_skipped == r2.stats.ntasks
         assert not active_segments()
 
     def test_abort_then_resume_bit_identical(self, tmp_path):
         """The unrecoverable fault: abort raises with a resume hint, and a
-        fresh invocation completes bit-identically, skipping journaled work."""
+        fresh invocation completes bit-identically, skipping committed work."""
         a, b, b_shape = operands(seed=3)
         at = fault_after_first_block(a, b_shape, rank=1)
         with pytest.raises(DistExecutionError, match="resume"):
@@ -182,6 +186,23 @@ class TestKillResume:
         assert report.tasks_skipped > 0
         assert not active_segments()
         assert_report_folds_its_log(report)
+
+    def test_checkpoint_of_another_a_is_not_resumed(self, tmp_path):
+        """B stays and A changes every CCSD iteration: a run aborted under
+        A and resumed from its directory with -3·A (same shapes, same plan)
+        restores none of A's blocks and is the new oracle's, bit for bit."""
+        a, b, b_shape = operands(seed=3)
+        at = fault_after_first_block(a, b_shape, rank=1)
+        kwargs = dict(b_shape=b_shape, checkpoint_dir=str(tmp_path))
+        with pytest.raises(DistExecutionError, match="resume"):
+            psgemm_distributed(
+                a, b, summit(2), p=2, fault_plan=FaultPlan.abort(1, at), **kwargs
+            )
+        a_next = a.copy().scale(-3.0)
+        c_dist, report = psgemm_distributed(a_next, b, summit(2), p=2, **kwargs)
+        assert report.blocks_restored == 0 and report.tasks_skipped == 0
+        assert np.array_equal(c_dist.to_dense(), serial_oracle(a_next, b, b_shape))
+        assert not active_segments()
 
     def test_mismatched_plan_refused(self, tmp_path):
         """A checkpoint directory is married to its plan: reusing it with a

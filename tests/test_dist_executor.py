@@ -40,6 +40,7 @@ from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan, numeric, tracing
 from repro.runtime.numeric import NumericStats, block_cols_of_k, chunk_groups, proc_blocks
 from repro.sparse import random_block_sparse
+from repro.serve.warmcache import WarmTileCache
 from repro.sparse.gemm_ref import gemm_against_dense
 from repro.tiling import Tiling, random_tiling
 from tests.test_numeric_executor import fine_operands, straddling_operands
@@ -394,6 +395,35 @@ class TestDataPlanes:
         )
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+
+@pytest.mark.dist
+def test_pool_fingerprints_only_a_generated_b(monkeypatch):
+    """Only a generated B's warm cache is keyed by B's fingerprint: a
+    pooled job over a concrete B hashes none of it, while a generated B
+    still is, and its second job is served warm."""
+    calls = []
+    real = coordinator.b_fingerprint
+    monkeypatch.setattr(
+        coordinator, "b_fingerprint", lambda b: calls.append(b) or real(b)
+    )
+    a, b = operands(seed=12, m=100, nk=200)
+    b_gen = GeneratedCollection(b.sparse_shape(), seed=5)
+    plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+    pool = WorkerPool(plan.grid.nprocs, tile_cache_factory=WarmTileCache)
+    try:
+        for _ in range(2):
+            c, _ = execute_plan_distributed(plan, a, b, pool=pool)
+            assert np.array_equal(c.to_dense(), execute_plan(plan, a, b)[0].to_dense())
+        assert calls == []
+        reports = [
+            execute_plan_distributed(plan, a, b_gen.empty_clone(), pool=pool)[1]
+            for _ in range(2)
+        ]
+    finally:
+        pool.close()
+    assert len(calls) == 2
+    assert reports[0].b_store_hits == 0 and reports[1].b_store_hits > 0
 
 
 class TestSharedMemoryLifecycle:

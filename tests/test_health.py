@@ -20,7 +20,6 @@ from repro.dist import (
     replay_health,
 )
 from repro.dist.health import STARTUP_GRACE_SECONDS
-from repro.store.journal import CompletedBlock, WritebackJournal, read_journal
 from repro.store.tilestore import TileStore, read_store_stats
 
 
@@ -33,13 +32,6 @@ def _one_record_log(tmp_path, log):
         with open(path, "wb") as fh:
             fh.write(json.dumps({"t": 1.0, "event": "done"}).encode() + b"\n")
         return path, lambda: len(read_events(path))
-    if log == "journal":
-        journal = WritebackJournal(root, rank=0)
-        try:
-            journal.record("run1", CompletedBlock(0, 0, 0, 1, 1, ((0, 0),)))
-        finally:
-            journal.close()
-        return journal.path, lambda: len(read_journal(root, 0, "run1"))
     store = TileStore(root)
     try:
         store.put("ns", (0,), np.ones((2, 2)))
@@ -347,11 +339,11 @@ class TestEventLog:
         events = read_events(path)
         assert len(events) == 1
 
-    @pytest.mark.parametrize("log", ["events", "journal", "store-stats"])
+    @pytest.mark.parametrize("log", ["events", "store-stats"])
     def test_torn_multibyte_tail_skipped(self, tmp_path, log):
         # A SIGKILL can land mid-UTF-8-sequence; the partial bytes must
         # not poison the whole file (UnicodeDecodeError), only the line.
-        # All three JSONL logs share one reader, so all three shrug.
+        # Both JSONL logs share one reader, so both shrug.
         path, count = _one_record_log(tmp_path, log)
         with open(path, "ab") as fh:
             fh.write('{"t": 2.0, "label": "café'.encode("utf-8")[:-1])

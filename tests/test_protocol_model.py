@@ -190,8 +190,8 @@ class TestRebalanceModel:
         ]
         result = check_protocol(model, scenarios)
         assert result.ok, result.report.render()
-        # ckpt aborts leave journals (including the steal's sidecar
-        # variant): the resume sub-scenarios must run and pass too
+        # ckpt aborts leave committed blocks (a committed steal's under
+        # the origin's name): the resume sub-scenarios must run and pass too
         assert any("resume=" in label for label, _ in result.per_scenario)
 
     def test_three_rank_steal_is_clean(self, model):

@@ -17,12 +17,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import psgemm_distributed, psgemm_numeric
+from repro.core import psgemm_distributed, psgemm_numeric, psgemm_plan
 from repro.dist import FaultInjection, FaultPlan, read_events
 from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
-from repro.store.journal import CompletedBlock, WritebackJournal, read_journal
+from repro.store import read_snapshot
 from repro.tiling import random_tiling
 from tests.test_dist_executor import (
     assert_report_folds_its_log,
@@ -268,10 +268,10 @@ class TestInlineHandoff:
 
 @pytest.mark.dist
 class TestCheckpointedHandoff:
-    def test_sidecar_journal_written_and_resumed(self, tmp_path):
-        """A checkpointed rebalanced run journals handed-off blocks into
-        per-handoff sidecars under the *origin* rank; a second invocation
-        restores every block — including the stolen ones — bit-for-bit."""
+    def test_handoff_commits_origin_block_files_and_resumes(self, tmp_path):
+        """A checkpointed rebalanced run commits handed-off blocks under
+        the *origin* rank's name; a second invocation restores every
+        block — including the stolen ones — bit-for-bit."""
         a, b = operands(seed=4)
         b_shape = b.sparse_shape()
         bgen = GeneratedCollection(b_shape, seed=4 + 3)
@@ -285,12 +285,17 @@ class TestCheckpointedHandoff:
         )
         assert np.array_equal(c1.to_dense(), c_serial.to_dense())
         assert r1.blocks_rebalanced > 0
-        sidecars = glob.glob(os.path.join(ckpt, "journal-rank*.h*.jsonl"))
-        assert sidecars, "handoff must journal into a sidecar file"
-        # every sidecar belongs to the straggler (the origin rank)
-        assert all("journal-rank0." in os.path.basename(p) for p in sidecars)
+        # One file per planned block, the handed-off ones committed by
+        # their helper under the straggler's (the origin's) name: rank 0
+        # relinquished blocks, yet every block of its plan has its file.
+        plan = psgemm_plan(a.sparse_shape(), b_shape, summit(3), p=3)
+        blocks = os.path.join(ckpt, "blocks", read_snapshot(ckpt)["run"])
+        assert [
+            len(glob.glob(os.path.join(blocks, f"r{r}.*.blk"))) for r in range(3)
+        ] == [len(proc.blocks) for proc in plan.procs]
+        assert not glob.glob(os.path.join(ckpt, "journal-rank*"))
 
-        # resume: the second invocation replays main + sidecar journals
+        # resume: the second invocation restores the origin-named blocks
         c2, r2 = psgemm_distributed(
             a, bgen, summit(3), p=3, b_shape=b_shape, checkpoint_dir=ckpt,
             timeout=120,
@@ -304,9 +309,9 @@ class TestCheckpointedHandoff:
 
     def test_abort_after_steal_resumes_bit_identical(self, tmp_path):
         """Kill the whole run (reserved abort exit) while rank 0 drags
-        and rebalancing is live, then resume from the journals: the
+        and rebalancing is live, then resume from the block files: the
         resumed run completes bit-for-bit whether or not the handoff
-        landed before the abort — sidecar blocks replay as the origin's."""
+        landed before the abort — handed-off blocks replay as the origin's."""
         from repro.dist import DistExecutionError
 
         a, b = operands(seed=5)
@@ -332,42 +337,3 @@ class TestCheckpointedHandoff:
         )
         assert np.array_equal(c2.to_dense(), c_serial.to_dense())
         assert r2.blocks_restored > 0
-
-
-class TestHandoffJournalUnit:
-    """The sidecar format itself, no processes involved."""
-
-    def _block(self, rank, gpu, block):
-        return CompletedBlock(rank=rank, gpu=gpu, block=block, chunks=1,
-                              ntasks=3, tiles=((0, 0),))
-
-    def test_sidecar_folds_into_origin_journal(self, tmp_path):
-        main = WritebackJournal(str(tmp_path), rank=0)
-        main.record("run", self._block(0, 0, 0))
-        main.close()
-        side = WritebackJournal(str(tmp_path), rank=0, suffix=".h1")
-        side.record("run", self._block(0, 2, 5))
-        side.close()
-        got = read_journal(str(tmp_path), 0, "run")
-        assert {(c.gpu, c.block) for c in got} == {(0, 0), (2, 5)}
-
-    def test_sidecar_is_per_rank(self, tmp_path):
-        side = WritebackJournal(str(tmp_path), rank=1, suffix=".h0")
-        side.record("run", self._block(1, 0, 7))
-        side.close()
-        assert read_journal(str(tmp_path), 0, "run") == []
-        assert [c.block for c in read_journal(str(tmp_path), 1, "run")] == [7]
-
-    def test_sidecar_respects_run_hash(self, tmp_path):
-        side = WritebackJournal(str(tmp_path), rank=0, suffix=".h0")
-        side.record("other-run", self._block(0, 0, 1))
-        side.close()
-        assert read_journal(str(tmp_path), 0, "run") == []
-
-    def test_multiple_sidecars_merge_in_order(self, tmp_path):
-        for hid, block in ((0, 3), (1, 4)):
-            side = WritebackJournal(str(tmp_path), rank=0, suffix=f".h{hid}")
-            side.record("run", self._block(0, 0, block))
-            side.close()
-        got = read_journal(str(tmp_path), 0, "run")
-        assert [c.block for c in got] == [3, 4]

@@ -1,8 +1,8 @@
 """Persistent tile store unit tests (:mod:`repro.store`).
 
 Codec round-trips and corruption detection, TileStore atomicity /
-LRU GC / session stats, the writeback journal's torn-line tolerance and
-tile re-validation, run fingerprinting, coordinator snapshots, and the
+LRU GC / session stats, block-file commits and their read-back checks,
+run fingerprinting, coordinator snapshots, and the
 P121/P122 pre-flight checks.  Everything here is single-process and
 tier-1 fast; the kill/resume end-to-end scenarios live in
 ``tests/test_checkpoint.py`` (marked ``dist``).
@@ -22,23 +22,22 @@ from repro.sparse import random_block_sparse
 from repro.store import (
     ALIGN,
     CodecError,
-    CompletedBlock,
     TileStore,
-    WritebackJournal,
+    a_fingerprint,
     b_fingerprint,
-    ckpt_namespace,
-    ckpt_tile_key,
+    block_path,
+    commit_block,
+    completed_blocks,
     decode_tile,
     encode_tile,
     map_tile,
     object_digest,
     plan_fingerprint,
+    read_block,
     read_header,
-    read_journal,
     read_snapshot,
     read_store_stats,
     run_fingerprint,
-    validated_completed_blocks,
     write_snapshot,
 )
 from repro.runtime import GeneratedCollection
@@ -50,21 +49,31 @@ def tile(seed=0, shape=(7, 11)):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def encoded(ns, key, arr) -> bytes:
+    """One object as the bytes a file holds: header, then payload."""
+    return b"".join(encode_tile(ns, key, arr))
+
+
 class TestCodec:
     def test_roundtrip_uncompressed(self):
         arr = tile()
-        blob = encode_tile("b:x", (3, 4), arr)
+        blob = encoded("b:x", (3, 4), arr)
         header, out = decode_tile(blob)
         assert header["ns"] == "b:x" and header["key"] == (3, 4)
         assert np.array_equal(out, arr)
 
+    def test_payload_is_the_tiles_own_buffer(self):
+        arr = tile()
+        _, payload = encode_tile("b:x", (3, 4), arr)
+        assert np.shares_memory(payload, arr)
+
     def test_payload_is_aligned(self):
-        header = read_header(encode_tile("ns", (1, 2), tile()))
+        header = read_header(encoded("ns", (1, 2), tile()))
         assert header["header_size"] % ALIGN == 0
 
     def test_map_tile_zero_copy(self):
         arr = tile(1)
-        blob = encode_tile("ns", (0, 0), arr)
+        blob = encoded("ns", (0, 0), arr)
         view = map_tile(read_header(blob), blob)
         assert np.array_equal(view, arr)
         assert not view.flags.writeable
@@ -72,7 +81,7 @@ class TestCodec:
     def test_map_tile_refuses_compressed(self, tmp_path):
         """An object with a flag bit set (bit 0 once meant a zlib payload)
         is not a tile this codec reads; the store counts it as corrupt."""
-        blob = bytearray(encode_tile("ns", (0,), tile()))
+        blob = bytearray(encoded("ns", (0,), tile()))
         blob[6] |= 0x1
         with pytest.raises(CodecError, match="flags"):
             read_header(bytes(blob))
@@ -92,13 +101,13 @@ class TestCodec:
             read_header(b"JUNK" + b"\x00" * 60)
 
     def test_flipped_payload_bit_fails_crc(self):
-        blob = bytearray(encode_tile("ns", (0,), tile()))
+        blob = bytearray(encoded("ns", (0,), tile()))
         blob[-1] ^= 0xFF
         with pytest.raises(CodecError, match="CRC32"):
             decode_tile(bytes(blob))
 
     def test_truncated_payload_rejected(self):
-        blob = encode_tile("ns", (0,), tile())
+        blob = encoded("ns", (0,), tile())
         with pytest.raises(CodecError, match="truncated"):
             decode_tile(blob[:-8])
 
@@ -224,67 +233,123 @@ class TestFingerprints:
         assert b_fingerprint(GeneratedCollection(shape, seed=1)) != \
             b_fingerprint(GeneratedCollection(shape, seed=2))
 
+    def test_digests_are_pinned(self):
+        """Hashing an array's buffer in place hashes the bytes a copy held:
+        the digests of an earlier build's checkpoints still match."""
+        plan = small_plan()
+        inner = random_tiling(600, 20, 80, seed=1)
+        b = random_block_sparse(inner, inner, 0.5, seed=3)
+        assert plan_fingerprint(plan) == (
+            "5d58b812522c3c5dd98e9976f73c27f3bf9bfeef3f75deb3c5f71676bc2f72f4")
+        assert b_fingerprint(b) == (
+            "9916bf2dd2b2659237b8ca0ff6295b338751ebed259fe65b54498755755808a3")
+        assert b_fingerprint(GeneratedCollection(plan.b_shape, seed=1)) == (
+            "2c701ce752f0069504ab748caf148f02f94de6df967c554fcce9437c655fcf0c")
+
+    def test_a_fingerprint_tracks_values(self):
+        inner = random_tiling(600, 20, 80, seed=1)
+        a = random_block_sparse(inner, inner, 0.5, seed=3)
+        assert a_fingerprint(a) == a_fingerprint(a.copy())
+        assert a_fingerprint(a) != a_fingerprint(a.copy().scale(-3.0))
+        assert a_fingerprint(a) != b_fingerprint(a)
+
     def test_run_fingerprint_namespaces_alpha(self):
-        assert run_fingerprint("p", "b", 1.0) != run_fingerprint("p", "b", 2.0)
-        assert ckpt_namespace("abc") == "ckpt:abc"
+        assert run_fingerprint("p", "a", "b", 1.0) != run_fingerprint("p", "a", "b", 2.0)
+        assert run_fingerprint("p", "a", "b", 1.0) != run_fingerprint("p", "a2", "b", 1.0)
 
 
 class TestJournal:
-    def _block(self, rank=0, gpu=0, block=1):
-        return CompletedBlock(rank=rank, gpu=gpu, block=block, chunks=2,
-                              ntasks=9, tiles=((0, 0), (0, 1)))
+    """The journal is the set of block files: one file per finished block,
+    and its rename into place is the record that the block is done."""
+
+    TILES = {(0, 0): tile(0), (0, 1): tile(1, shape=(7, 5)), (3, 1): tile(2, shape=(4, 5))}
+
+    def _commit(self, ckpt, run="run1", rank=0, gpu=0, block=1, tiles=None):
+        commit_block(ckpt, run, rank, gpu, block, self.TILES if tiles is None else tiles)
+        return block_path(ckpt, run, rank, gpu, block)
 
     def test_record_read_roundtrip(self, tmp_path):
-        j = WritebackJournal(str(tmp_path), rank=0)
-        try:
-            j.record("run1", self._block())
-        finally:
-            j.close()
-        recs = read_journal(str(tmp_path), 0, "run1")
-        assert len(recs) == 1
-        assert recs[0].tiles == ((0, 0), (0, 1))
-
-    def test_other_run_records_filtered(self, tmp_path):
-        j = WritebackJournal(str(tmp_path), rank=0)
-        try:
-            j.record("old-run", self._block())
-        finally:
-            j.close()
-        assert read_journal(str(tmp_path), 0, "new-run") == []
-
-    def test_torn_final_line_skipped(self, tmp_path):
-        j = WritebackJournal(str(tmp_path), rank=0)
-        try:
-            j.record("run1", self._block(block=0))
-        finally:
-            j.close()
-        with open(j.path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "run": "run1", "rank": 0, "blo')  # SIGKILL here
-        assert len(read_journal(str(tmp_path), 0, "run1")) == 1
+        ckpt = str(tmp_path)
+        path = self._commit(ckpt)
+        assert path == os.path.join(ckpt, "blocks", "run1", "r0.g0.b1.blk")
+        got = read_block(ckpt, "run1", 0, 0, 1)
+        assert sorted(got) == sorted(self.TILES)
+        assert all(np.array_equal(got[k], self.TILES[k]) for k in self.TILES)
+        assert completed_blocks(ckpt, "run1", 0) == ((0, 1),)
+        # One file per block, nothing else: no temp file survives a commit.
+        assert os.listdir(os.path.dirname(path)) == ["r0.g0.b1.blk"]
 
     def test_missing_journal_is_empty(self, tmp_path):
-        assert read_journal(str(tmp_path), 3, "run1") == []
+        assert completed_blocks(str(tmp_path), "run1", 3) == ()
+        assert read_block(str(tmp_path), "run1", 3, 0, 0) is None
 
-    def test_validation_requires_tiles_in_store(self, tmp_path):
+    def test_blocks_are_per_rank(self, tmp_path):
         ckpt = str(tmp_path)
-        store = TileStore(os.path.join(ckpt, "store"))
-        try:
-            ns = ckpt_namespace("run1")
-            # Block 0's tiles are all present; block 1 is journaled but its
-            # tile never landed (the crash window the CRC validation closes).
-            for i, jdx in ((0, 0), (0, 1)):
-                store.put(ns, ckpt_tile_key(0, 0, 0, i, jdx), tile(i + jdx))
-            jr = WritebackJournal(ckpt, rank=0)
+        self._commit(ckpt, rank=1, block=7)
+        self._commit(ckpt, rank=12, block=2)
+        assert completed_blocks(ckpt, "run1", 0) == ()
+        assert completed_blocks(ckpt, "run1", 1) == ((0, 7),)
+
+    def test_truncated_block_not_restored(self, tmp_path):
+        """Cut inside an object or exactly at an object boundary: either
+        way the file is not whole, and the block is recomputed."""
+        ckpt = str(tmp_path)
+        path = self._commit(ckpt)
+        blob = open(path, "rb").read()
+        first = len(encoded("run1", (0, 0, 1, 0, 0, 2), self.TILES[(0, 0)]))
+        for cut in (len(blob) - 8, first):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            assert read_block(ckpt, "run1", 0, 0, 1) is None
+            assert completed_blocks(ckpt, "run1", 0) == ()
+
+    def test_crc_corrupt_block_not_restored(self, tmp_path):
+        ckpt = str(tmp_path)
+        path = self._commit(ckpt)
+        blob = bytearray(open(path, "rb").read())
+        blob[-1] ^= 0xFF
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        assert read_block(ckpt, "run1", 0, 0, 1) is None
+        assert completed_blocks(ckpt, "run1", 0) == ()
+
+    def test_other_run_records_filtered(self, tmp_path):
+        """A block file moved under another run's (or block's) name is not
+        restored: its objects name the run and block they belong to."""
+        ckpt = str(tmp_path)
+        path = self._commit(ckpt, run="old-run")
+        for run, name in (("new-run", "r0.g0.b1.blk"), ("old-run", "r0.g0.b2.blk")):
+            dst = os.path.join(ckpt, "blocks", run, name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            with open(path, "rb") as src, open(dst, "wb") as fh:
+                fh.write(src.read())
+        assert completed_blocks(ckpt, "new-run", 0) == ()
+        assert completed_blocks(ckpt, "old-run", 0) == ((0, 1),)
+
+    def test_block_committed_twice_is_byte_identical(self, tmp_path):
+        ckpt = str(tmp_path)
+        path = self._commit(ckpt)
+        first = open(path, "rb").read()
+        # A retried attempt (or a helper) commits the same tiles again.
+        self._commit(ckpt, tiles={k: v.copy() for k, v in self.TILES.items()})
+        assert open(path, "rb").read() == first
+
+    def test_killed_commit_leaves_only_a_temp_file(self, tmp_path):
+        """A commit killed before its rename leaves a ``*.tmp`` file and no
+        block: the rename is the record that the block is done."""
+        ckpt = str(tmp_path)
+        pid = os.fork()
+        if pid == 0:  # the committing process dies at its rename
+            os.replace = lambda *a: os._exit(9)
             try:
-                jr.record("run1", self._block(block=0))
-                jr.record("run1", self._block(block=1))
+                self._commit(ckpt)
             finally:
-                jr.close()
-            good = validated_completed_blocks(ckpt, 0, "run1", store)
-        finally:
-            store.close()
-        assert set(good) == {(0, 0)}
-        assert good[(0, 0)].ntasks == 9
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.WEXITSTATUS(status) == 9
+        names = os.listdir(os.path.join(ckpt, "blocks", "run1"))
+        assert len(names) == 1 and names[0].endswith(".tmp")
+        assert completed_blocks(ckpt, "run1", 0) == ()
 
 
 class TestSnapshot:
