@@ -7,8 +7,9 @@ the repo benchmark's ``ccsd_loop_serve`` workload (five jobs, one plan, one
 generated B, a new A each; untraced, as the end-to-end pass runs them).
 For every job the client-side ``submit`` -> ``result`` time is split into
 
-* ``submit->pickup`` — admission (``verify_plan``, remembered per plan),
-  queueing and the scheduler's wake-up, up to the start of the run;
+* ``submit->pickup`` — admission (the plan verifier's memory check,
+  remembered per plan), queueing and the scheduler's wake-up, up to the
+  start of the run;
 * ``pack`` / ``scatter`` / ``supervise`` / ``reduce`` / ``report`` /
   ``teardown`` — the phases of the run's ``_Coordinator`` (``scatter`` net of
   ``pack``; ``supervise`` holds the ranks' GEMM streams);

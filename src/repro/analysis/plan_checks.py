@@ -61,7 +61,7 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
     _check_a_coverage(plan, report)
     _check_b_consistency(plan, report)
     _check_c_ownership(plan, report)
-    _check_memory(plan, report)
+    check_memory(plan, report)
     _check_comm_volumes(plan, report)
     return report
 
@@ -209,7 +209,9 @@ def _check_c_ownership(plan: ExecutionPlan, report: AnalysisReport) -> None:
 # ---- memory safety ---------------------------------------------------------
 
 
-def _check_memory(plan: ExecutionPlan, report: AnalysisReport) -> None:
+def check_memory(plan: ExecutionPlan, report: AnalysisReport) -> None:
+    """The memory-safety rules (P110-P114) alone: all that admission
+    control (:func:`repro.serve.service.memory_findings`) runs."""
     mem = plan.gpu_memory_bytes
     block_budget = int(mem * BLOCK_FRACTION)
     chunk_budget = int(mem * CHUNK_FRACTION)

@@ -123,7 +123,7 @@ def crosscheck(
         flops_counted=gemm_flops(a_shape, b_shape),
         gpu_peak_bytes=stats.gpu_peak_bytes,
         gpu_capacity_bytes=plan.gpu_memory_bytes,
-        b_max_instantiations=b_gen.max_instantiations_per_proc_tile(),
+        b_max_instantiations=stats.b_max_instantiations,
         des_makespan=des_time,
         analytic_makespan=coarse.makespan,
     )

@@ -3,10 +3,10 @@
 The rest of the repository *models* the paper's distributed runtime; this
 package *runs* it: one Python worker process per planned rank, shared-
 memory tile arenas for zero-copy A/B/C traffic, a message fabric with
-per-link byte counters mirroring :mod:`repro.core.comm_model`, an
-on-demand per-rank B service with an LRU byte budget, operands read in
-place by forked workers, and a coordinator with fault recovery
-(retry-once-then-reassign).  The serial executor
+per-link byte counters mirroring :mod:`repro.core.comm_model`, the
+per-rank B sources of :mod:`repro.runtime.data` (re-exported here),
+operands read in place by forked workers, and a coordinator with fault
+recovery (retry-once-then-reassign).  The serial executor
 (:func:`repro.runtime.numeric.execute_plan`) is the bit-for-bit crosscheck
 oracle: same plan, same seeds, identical C.
 
@@ -14,8 +14,6 @@ oracle: same plan, same seeds, identical C.
 * :mod:`~repro.dist.comm` — coordinator/worker queues, per-link byte counts;
 * :mod:`~repro.dist.protocol` — the protocol declared once: what endpoints
   enforce, the coordinator dispatches on and the model checker explores;
-* :mod:`~repro.dist.bservice` — per-rank on-demand B generation under an
-  LRU budget (:class:`~repro.runtime.gpu_memory.GpuMemory` semantics);
 * :mod:`~repro.dist.worker` — the per-rank process and its fault hooks;
 * :mod:`~repro.dist.coordinator` — scatter / supervise / reduce / clean up;
 * :mod:`~repro.dist.pool` — a warm worker pool the coordinator can borrow,
@@ -32,7 +30,6 @@ serial oracle and checkpoint-safe (a handed-off block's file is
 committed under the origin rank's name).
 """
 
-from repro.dist.bservice import BService, ConcreteBSource, TieredBStore, validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     CommLayer,
@@ -57,6 +54,7 @@ from repro.dist.health import (
 from repro.dist.pool import WorkerPool
 from repro.dist.tile_store import ArenaMeta, TileArena, active_segments
 from repro.dist.worker import WorkerReport
+from repro.runtime.data import BService, ConcreteBSource, validate_b_budget
 
 __all__ = [
     "ArenaMeta",
@@ -77,7 +75,6 @@ __all__ = [
     "RelinquishMsg",
     "RunHealth",
     "ScatterMsg",
-    "TieredBStore",
     "TileArena",
     "WorkerPool",
     "WorkerReport",

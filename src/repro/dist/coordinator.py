@@ -72,7 +72,6 @@ if TYPE_CHECKING:
     from repro.perf import Attribution, PerfModel
 
 from repro.core.plan import ExecutionPlan
-from repro.dist.bservice import validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     COORDINATOR_ROLE,
@@ -101,7 +100,7 @@ from repro.dist.worker import (
     run_rank,
     worker_main,
 )
-from repro.runtime.data import GeneratedCollection, MatrixSource
+from repro.runtime.data import GeneratedCollection, validate_b_budget
 from repro.runtime.metrics import MetricsSnapshot, snapshot_of
 from repro.runtime.numeric import NumericStats
 from repro.runtime.tracing import SpanRecorder, Trace
@@ -169,6 +168,11 @@ class DistReport(RankTally):
     #: Run identifier the caller scoped this run's artifacts under
     #: (``None`` for unscoped one-shot runs).
     run_id: str | None = None
+
+    @property
+    def b_max_instantiations(self) -> int:
+        """The paper's at-most-once bound on B, off the merged stats."""
+        return self.stats.b_max_instantiations
 
     def summary(self) -> str:
         retried = {r: a for r, a in self.attempts.items() if a > 1}
@@ -312,8 +316,6 @@ def execute_plan_distributed(
         from repro.analysis import assert_plan_valid  # late import: avoid cycle
 
         assert_plan_valid(plan)
-    if isinstance(b, MatrixSource):
-        b = b.matrix
     require(a.rows == plan.a_shape.rows and a.cols == plan.a_shape.cols, "A tilings differ from plan")
     require(a.cols == plan.b_shape.rows, "A and B do not conform")
     require(

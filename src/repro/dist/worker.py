@@ -78,7 +78,6 @@ import numpy as np
 
 from repro.core.grid import ProcessGrid
 from repro.core.plan import Block, ProcPlan
-from repro.dist.bservice import BService, ConcreteBSource, TieredBStore
 from repro.dist.comm import (
     COORDINATOR,
     DoneMsg,
@@ -95,6 +94,7 @@ from repro.dist.comm import (
 from repro.dist.health import HeartbeatMsg
 from repro.dist.protocol import WIRE, WORKER_MACHINE, Transition
 from repro.dist.tile_store import TileArena
+from repro.runtime.data import BService, ConcreteBSource
 from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
 from repro.store import StoreStats, TileStore, commit_block, read_block
@@ -122,7 +122,6 @@ class RankTally:
     #: warm-reuse signal a serving pool's second job shows even when no
     #: disk store is configured.
     b_store_hits: int = 0
-    b_max_instantiations: int = 0  # merged by max: a per-tile bound
     store_hits: int = 0
     store_misses: int = 0
     store_puts: int = 0
@@ -135,13 +134,11 @@ class RankTally:
 
     @staticmethod
     def merge(parts) -> "RankTally":
-        """Every field summed over ``parts``; the bound is their max."""
+        """Every field summed over ``parts``."""
         out = RankTally()
         for part in parts:
             for f in fields(RankTally):
-                mine, theirs = getattr(out, f.name), getattr(part, f.name)
-                bound = f.name == "b_max_instantiations"
-                setattr(out, f.name, max(mine, theirs) if bound else mine + theirs)
+                setattr(out, f.name, getattr(out, f.name) + getattr(part, f.name))
         return out
 
 
@@ -321,12 +318,10 @@ def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache):
                 # store, so job N+1 over the same B is served from memory.  No
                 # fingerprint, no namespace to key it by: serving another
                 # operand's tiles would be a correctness bug, so skip it.
-                b_store = store
-                if tile_cache is not None and msg.b_hash:
-                    b_store = TieredBStore(tile_cache, store)
                 b_source = BService(
                     payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
-                    store=b_store, store_ns=f"b:{msg.b_hash}",
+                    warm=tile_cache if msg.b_hash else None, store=store,
+                    ns=f"b:{msg.b_hash}",
                 )
             elif kind == "resident":
                 b_source = ConcreteBSource(operands[1])
@@ -476,7 +471,6 @@ def run_rank(
             skip_block=skip_block,
             c_slot=c_arena.slot,
         )[1]
-        stats.b_tiles_generated = b_source.generated_tiles()
 
         # C leaves the rank as an index: every tile was born in its slot.
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
@@ -490,10 +484,9 @@ def run_rank(
             c_index=c_index,
             spans=rec.stream() if rec.enabled else None,
             link_bytes=modeled_a_link_bytes(msg.proc, msg.grid, a_get_tile),
-            b_max_instantiations=b_source.max_instantiations(),
             b_hits=b_source.hits,
             b_evictions=b_source.lru_evictions,
-            b_store_hits=getattr(b_source, "store_hits", 0),
+            b_store_hits=b_source.store_hits,
             store_hits=store_stats.hits,
             store_misses=store_stats.misses,
             store_puts=store_stats.puts,
@@ -536,7 +529,6 @@ def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats
             on_block=on_block,
             c_slot=c_arena.slot,
         )[1]
-        stats.b_tiles_generated = b_source.generated_tiles()
         return dict(c_arena.index), stats
 
 

@@ -6,8 +6,9 @@ forcing the scheduler to respect the block/chunk memory strategy), with
 data collections that can generate tiles on demand.  This package rebuilds
 those pieces at the fidelity a simulation needs:
 
-* :mod:`~repro.runtime.data` — tile sources, including the on-demand
-  generated B collection with its at-most-once-per-process life-cycle;
+* :mod:`~repro.runtime.data` — B tile sources: the on-demand generated
+  collection, and the per-rank sources every executor pulls B through,
+  with the at-most-once-per-process life-cycle;
 * :mod:`~repro.runtime.gpu_memory` — a GPU memory manager enforcing the
   50/25/25 budget split;
 * :mod:`~repro.runtime.numeric` — in-process *numerical* execution of an
@@ -22,9 +23,10 @@ those pieces at the fidelity a simulation needs:
 """
 
 from repro.runtime.data import (
+    BService,
+    ConcreteBSource,
     DelayedGeneratedCollection,
     GeneratedCollection,
-    MatrixSource,
     TileSource,
 )
 from repro.runtime.gpu_memory import GpuMemory, GpuMemoryError
@@ -35,9 +37,10 @@ from repro.runtime.tracing import SpanRecorder, SpanStream, Trace, TraceEvent
 
 __all__ = [
     "TileSource",
+    "BService",
+    "ConcreteBSource",
     "DelayedGeneratedCollection",
     "GeneratedCollection",
-    "MatrixSource",
     "GpuMemory",
     "GpuMemoryError",
     "NumericStats",

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from repro.core.plan import Block, Chunk, ExecutionPlan, ProcPlan
-from repro.runtime.data import MatrixSource, TileSource
+from repro.runtime.data import BService, ConcreteBSource, GeneratedCollection, TileSource
 from repro.runtime.gpu_memory import GpuMemory
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.util.validation import require
@@ -54,7 +54,10 @@ class NumericStats:
     h2d_bytes, d2h_bytes:
         Host->device traffic (B blocks + A chunks) and C writeback.
     b_tiles_generated:
-        Tiles pulled from the B source, summed over processes.
+        Tiles the B sources materialized, summed over processes.
+    b_max_instantiations:
+        The most times one process materialized one B tile: the paper's
+        at-most-once bound, so 1 after any run that pulled B.
     gpu_peak_bytes:
         Maximum device-memory high-water mark over all GPUs.
     per_proc_tasks:
@@ -66,6 +69,7 @@ class NumericStats:
     h2d_bytes: int = 0
     d2h_bytes: int = 0
     b_tiles_generated: int = 0
+    b_max_instantiations: int = 0
     gpu_peak_bytes: int = 0
     per_proc_tasks: dict[int, int] = field(default_factory=dict)
 
@@ -73,10 +77,10 @@ class NumericStats:
     def merge(cls, parts: Iterable["NumericStats"]) -> "NumericStats":
         """Combine per-process (or per-attempt) statistics into a total.
 
-        Counters are summed, ``gpu_peak_bytes`` is the max over parts (each
-        part tracks a disjoint set of GPUs), and ``per_proc_tasks`` is the
-        union of the per-rank task counts (summed on the rare key overlap,
-        e.g. a rank re-executed after a fault).
+        Counters are summed, ``b_max_instantiations`` and ``gpu_peak_bytes``
+        are the max over parts (a per-tile and a per-GPU bound), and
+        ``per_proc_tasks`` is the union of the per-rank task counts (summed
+        on the rare key overlap, e.g. a rank re-executed after a fault).
         """
         out = cls()
         for s in parts:
@@ -85,6 +89,7 @@ class NumericStats:
             out.h2d_bytes += s.h2d_bytes
             out.d2h_bytes += s.d2h_bytes
             out.b_tiles_generated += s.b_tiles_generated
+            out.b_max_instantiations = max(out.b_max_instantiations, s.b_max_instantiations)
             out.gpu_peak_bytes = max(out.gpu_peak_bytes, s.gpu_peak_bytes)
             for rank, n in s.per_proc_tasks.items():
                 out.per_proc_tasks[rank] = out.per_proc_tasks.get(rank, 0) + n
@@ -268,11 +273,13 @@ def execute_blocks(
     every rank's :func:`proc_blocks`, a distributed worker over its own, and
     a rebalance helper (or the coordinator's inline spare) over the blocks
     reclaimed from ``rank`` — stats, B-source calls and ``per_proc_tasks``
-    are attributed to ``rank`` whoever computes.  B tiles are evicted at the
-    end of each block's life-cycle (``b.evict``), C tiles are counted as
-    written back (d2h) once per block, exactly as PaRSEC's control DAG
-    forces on the real machine.  ``c_slot`` is passed through to
-    :func:`execute_block`.
+    are attributed to ``rank`` whoever computes.  ``b`` is the rank's one B
+    source (:class:`~repro.runtime.data.BService` or
+    :class:`~repro.runtime.data.ConcreteBSource`), fresh for this call: the
+    stats' B counts are read off it.  B tiles are evicted at the end of each
+    block's life-cycle (``b.evict``), C tiles are counted as written back
+    (d2h) once per block, exactly as PaRSEC's control DAG forces on the
+    real machine.  ``c_slot`` is passed through to :func:`execute_block`.
 
     Checkpoint hooks: ``restore_block(g, bi, block)`` may return the
     block's finished ``{(i, j): tile}`` dict — the whole block is then
@@ -334,21 +341,22 @@ def execute_blocks(
             on_block(g, bi, block, c_dev)
 
         # Evict the block's B tiles at end of life-cycle.
-        if hasattr(b, "evict"):
-            for k, js in cols_of_k.items():
-                for j in js:
-                    b.evict(rank, k, j)
+        for k, js in cols_of_k.items():
+            for j in js:
+                b.evict(rank, k, j)
 
         mem.release(block_name)
     stats.gpu_peak_bytes = max((mem.peak for mem in mems.values()), default=0)
     stats.per_proc_tasks[rank] = stats.ntasks
+    stats.b_tiles_generated = b.generated_tiles()
+    stats.b_max_instantiations = b.max_instantiations()
     return produced, stats
 
 
 def execute_plan(
     plan: ExecutionPlan,
     a: BlockSparseMatrix,
-    b: TileSource | BlockSparseMatrix,
+    b: GeneratedCollection | BlockSparseMatrix,
     c: BlockSparseMatrix | None = None,
     alpha: float = 1.0,
     beta: float = 1.0,
@@ -357,10 +365,11 @@ def execute_plan(
 
     ``C <- beta * C + alpha * A @ B`` — the full GEMM semantics the paper
     states (``C <- alpha A B + beta C``); ``c`` (if given) supplies the
-    input C.  The result's tilings are ``(a.rows, B cols)``.
+    input C.  The result's tilings are ``(a.rows, B cols)``.  Each rank
+    pulls B as a distributed rank does: a concrete B through a
+    :class:`~repro.runtime.data.ConcreteBSource`, a generated one through a
+    :class:`~repro.runtime.data.BService` budgeted by the plan's GPU memory.
     """
-    if isinstance(b, BlockSparseMatrix):
-        b = MatrixSource(b)
     require(a.rows == plan.a_shape.rows and a.cols == plan.a_shape.cols, "A tilings differ from plan")
     b_rows = plan.b_shape.rows
     b_cols = plan.b_shape.cols
@@ -377,11 +386,15 @@ def execute_plan(
     parts: list[NumericStats] = []
 
     for proc in plan.procs:
+        if isinstance(b, BlockSparseMatrix):
+            source = ConcreteBSource(b)
+        else:
+            source = BService(b, budget_bytes=plan.gpu_memory_bytes)
         produced, proc_stats = execute_blocks(
             proc_blocks(proc, plan.grid.gpus_per_proc),
             proc.rank,
             a.get_tile,
-            b,
+            source,
             gpu_memory_bytes=plan.gpu_memory_bytes,
             b_csr=b_csr,
             alpha=alpha,
@@ -395,9 +408,4 @@ def execute_plan(
             )
             out.accumulate_tile(i, j, tile)
 
-    stats = NumericStats.merge(parts)
-    if hasattr(b, "generated_tiles"):
-        stats.b_tiles_generated = b.generated_tiles()
-    elif isinstance(b, MatrixSource):
-        stats.b_tiles_generated = len(b.access_counts)
-    return out, stats
+    return out, NumericStats.merge(parts)

@@ -56,7 +56,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.plan_checks import verify_plan
+from repro.analysis.findings import AnalysisReport
+from repro.analysis.plan_checks import check_memory
 from repro.dist.coordinator import RunConfig, execute_plan_distributed
 from repro.dist.pool import WorkerPool
 from repro.serve.pool import drain_stale, reset_pool, shutdown_pool
@@ -70,8 +71,11 @@ MEMORY_RULES = frozenset({"P110", "P111", "P112", "P114"})
 
 
 def memory_findings(plan) -> list:
-    """What the memory-budget rules hold against ``plan`` (empty: admit)."""
-    return [f for f in verify_plan(plan).findings if f.rule in MEMORY_RULES]
+    """What the memory-budget rules hold against ``plan`` (empty: admit):
+    the plan verifier's memory check alone, without its P113 balance rule."""
+    report = AnalysisReport()
+    check_memory(plan, report)
+    return [f for f in report.findings if f.rule in MEMORY_RULES]
 
 
 def _check_job_keywords(kwargs: dict) -> None:

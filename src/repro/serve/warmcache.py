@@ -1,23 +1,24 @@
 """Process-lifetime warm B-tile cache for pooled workers.
 
 A :class:`~repro.dist.pool.WorkerPool` hands each spawned worker one
-:class:`WarmTileCache` (via ``tile_cache_factory``); the worker layers it
-in front of the run's persistent :class:`~repro.store.TileStore` through
-:class:`~repro.dist.TieredBStore`.  Because the *process* outlives the
-*run*, tiles generated during job N are still resident when job N+1
-arrives — the serving layer's "iteration N+1 starts hot" property — with
-no disk read and no regeneration.
+:class:`WarmTileCache` (via ``tile_cache_factory``); the worker's
+:class:`~repro.runtime.data.BService` consults it on an LRU miss, before
+the run's persistent :class:`~repro.store.TileStore`.  Because the
+*process* outlives the *run*, tiles generated during job N are still
+resident when job N+1 arrives — the serving layer's "iteration N+1 starts
+hot" property — with no disk read and no regeneration.
 
 Keys are ``(namespace, tile id)`` where the namespace folds in the
 operand fingerprint (``b:<fingerprint>``), so two jobs share cached
 tiles exactly when their B operands are content-identical; a different
 operand can never alias a stale tile.
 
-Two sharp edges this class is careful about:
+Two sharp edges:
 
-* **copies on put** — the back tier hands out read-only mmap views into
-  a store that closes when its run ends; caching the view would serve
-  dead memory to the next job.  Every ``put`` takes a private copy.
+* **keeps what it is given** — ``put`` stores the caller's array, no
+  copy: it must be read-only and own its memory.  ``BService`` hands it
+  the generator's own array, and a private copy of a disk-tier hit (the
+  store's mmap view dies with its run).
 * **pickles empty** — the cache is created in the pool's owner process
   and crosses the spawn boundary; under the ``spawn`` start method it is
   pickled.  Shipping accumulated tiles (or a :class:`threading.Lock`)
@@ -38,10 +39,9 @@ DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 class WarmTileCache:
     """A thread-safe byte-budgeted LRU of B tiles, keyed ``(ns, key)``.
 
-    Implements the duck-typed store interface
+    Implements the duck-typed tier interface
     (``get(ns, key) -> ndarray | None`` / ``put(ns, key, arr)``) that
-    :class:`~repro.dist.BService` and
-    :class:`~repro.dist.TieredBStore` expect from any tier.
+    :class:`~repro.runtime.data.BService` expects from its warm tier.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES):
@@ -66,22 +66,18 @@ class WarmTileCache:
             return arr
 
     def put(self, ns: str, key, arr: np.ndarray) -> None:
-        # Private, immutable copy: the caller's array may be a view into
-        # a shared-memory segment or store mmap that dies with its run.
-        data = np.array(arr)
-        data.setflags(write=False)
-        if data.nbytes > self.budget_bytes:
+        if arr.nbytes > self.budget_bytes:
             return  # would evict the whole cache and still not persist
         with self._lock:
             old = self._lru.pop((ns, key), None)
             if old is not None:
                 self._bytes -= old.nbytes
-            while self._lru and self._bytes + data.nbytes > self.budget_bytes:
+            while self._lru and self._bytes + arr.nbytes > self.budget_bytes:
                 _, dropped = self._lru.popitem(last=False)
                 self._bytes -= dropped.nbytes
                 self.evictions += 1
-            self._lru[(ns, key)] = data
-            self._bytes += data.nbytes
+            self._lru[(ns, key)] = arr
+            self._bytes += arr.nbytes
 
     def __len__(self) -> int:
         return len(self._lru)

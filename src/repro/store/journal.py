@@ -103,12 +103,10 @@ def b_fingerprint(b) -> str:
     :class:`~repro.sparse.matrix.BlockSparseMatrix` every tile's bytes are
     folded in (checkpoint-scale operands are small enough to hash).
     """
-    from repro.runtime.data import GeneratedCollection, MatrixSource
+    from repro.runtime.data import GeneratedCollection
     from repro.util.rng import _state_entropy
 
     h = hashlib.sha256(b"repro-b-v1")
-    if isinstance(b, MatrixSource):
-        b = b.matrix
     if isinstance(b, GeneratedCollection):
         h.update(f"generated|{b.fill}|{_state_entropy(b._rng)}".encode())
         _hash_shape(h, b.shape)

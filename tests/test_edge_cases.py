@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import DiscreteEventEngine, GeneratedCollection, Resource, SimTask
+from repro.runtime import BService, DiscreteEventEngine, GeneratedCollection, Resource, SimTask
 from repro.sparse import SparseShape
 from repro.tiling import Tiling
 
@@ -59,8 +59,8 @@ class TestGeneratedCollectionEdges:
 
     def test_evict_unknown_is_noop(self):
         t = Tiling.from_sizes([2])
-        g = GeneratedCollection(SparseShape.full(t, t), seed=0)
-        g.evict(0, 0, 0)  # never materialized; must not raise
+        svc = BService(GeneratedCollection(SparseShape.full(t, t), seed=0), 1 << 10)
+        svc.evict(0, 0, 0)  # never materialized; must not raise
 
 
 class TestEngineEdges:

@@ -42,7 +42,7 @@ class TestChemToNumeric:
         ref = block_gemm_reference(t_mat, v_gen.as_matrix())
         assert r.allclose(ref)
         assert stats.ntasks == plan.total_tasks
-        assert v_gen.max_instantiations_per_proc_tile() == 1
+        assert stats.b_max_instantiations == 1
 
     def test_r_occupancy_matches_inferred_shape(self, small_abcd):
         prob = small_abcd

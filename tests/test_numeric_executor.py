@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import inspect, psgemm_numeric
-from repro.dist import BService
 from repro.machine import summit
-from repro.runtime import GeneratedCollection, execute_plan, numeric
-from repro.runtime.data import MatrixSource
+from repro.runtime import BService, ConcreteBSource, GeneratedCollection, execute_plan, numeric
 from repro.sparse import random_block_sparse
 from repro.sparse.construct import from_shape
 from repro.sparse.gemm_ref import block_gemm_reference, gemm_against_dense
@@ -98,8 +96,8 @@ class TestInvariants:
         b_shape = bmat.sparse_shape()
         gen = GeneratedCollection(b_shape, seed=1)
         plan = inspect(a.sparse_shape(), b_shape, summit(2), p=2, gpus_per_proc=3)
-        execute_plan(plan, a, gen)
-        assert gen.max_instantiations_per_proc_tile() == 1
+        _, stats = execute_plan(plan, a, gen)
+        assert stats.b_max_instantiations == 1
 
     def test_h2d_accounts_blocks_and_chunks(self):
         a, b = operands(seed=7)
@@ -133,7 +131,7 @@ class TestInvariants:
             execute_plan(plan, a2, b)
 
     def test_from_shape_values_used_for_matrix_b(self):
-        # A BlockSparseMatrix passed directly is wrapped in a MatrixSource.
+        # A BlockSparseMatrix is read in place through a ConcreteBSource.
         a, b = operands(seed=12)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(1))
         c1, _ = execute_plan(plan, a, b)
@@ -232,14 +230,11 @@ class TestKGroups:
         a, b = fine_operands(seed=1)
         c0 = random_block_sparse(a.rows, b.cols, 0.3, seed=8) if alpha != 1.0 else None
         plan = self.plan_for(a, b, gpus_per_proc=2)
-        source = MatrixSource(b)
-        c, _ = execute_plan(plan, a, source, c0, alpha=alpha, beta=beta)
+        c, _ = execute_plan(plan, a, b, c0, alpha=alpha, beta=beta)
         dense = alpha * gemm_against_dense(a, b)
         assert np.allclose(c.to_dense(), dense if c0 is None else dense + beta * c0.to_dense())
         fused = gate > 0
-        pulls = sum(source.access_counts.values())
-        assert pulls == (self.b_pulls_per_chunk(plan) if fused else plan.total_tasks)
-        assert fused == (pulls < plan.total_tasks)
+        pulls = 0
 
         def folded(tiles):
             """A rank's tiles as the oracle's result holds them: ``beta*C + P``."""
@@ -259,19 +254,23 @@ class TestKGroups:
                 return arena[cursor[0] - m * n : cursor[0]].reshape(m, n)
 
             triples = list(numeric.proc_blocks(proc, plan.grid.gpus_per_proc))
+            source = ConcreteBSource(b)
             produced, _ = numeric.execute_blocks(
-                triples, proc.rank, a.get_tile, MatrixSource(b), c_slot=c_slot, **common
+                triples, proc.rank, a.get_tile, source, c_slot=c_slot, **common
             )
+            pulls += source.hits + source.generated_tiles()
             assert same_tiles(folded(produced), c, produced)
             assert not any(tile.flags.owndata for tile in produced.values())
             seen.update(produced)
             # A handoff helper runs one reclaimed block of the rank on its own.
             g, bi, block = triples[-1]
             stolen, _ = numeric.execute_blocks(
-                [(g, bi, block)], proc.rank, a.get_tile, MatrixSource(b), **common
+                [(g, bi, block)], proc.rank, a.get_tile, ConcreteBSource(b), **common
             )
             assert stolen and same_tiles(folded(stolen), c, stolen)
         assert seen | set(c0.keys() if c0 is not None else ()) == set(c.keys())
+        assert pulls == (self.b_pulls_per_chunk(plan) if fused else plan.total_tasks)
+        assert fused == (pulls < plan.total_tasks)
 
     def test_a_slot_blas_cannot_write_in_place_is_refused(self, monkeypatch):
         """A ``c_slot`` that is not C-contiguous would get a copy written
@@ -283,7 +282,7 @@ class TestKGroups:
         with pytest.raises(ValueError, match=r"C tile \(\d+, \d+\)"):
             numeric.execute_blocks(
                 numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
-                a.get_tile, MatrixSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
+                a.get_tile, ConcreteBSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
                 b_csr=plan.b_shape.csr, c_slot=lambda key, m, n: np.empty((n, m)).T,
             )
 
@@ -296,7 +295,7 @@ class TestKGroups:
         plan = self.plan_for(a, b)
         reference = block_gemm_reference(a, b)
 
-        class FortranB(MatrixSource):
+        class FortranB(ConcreteBSource):
             def tile(self, proc, k, j):
                 return np.asfortranarray(super().tile(proc, k, j))
 
@@ -327,7 +326,7 @@ class TestKGroups:
         for proc in plan.procs:
             parts.append(numeric.execute_blocks(
                 numeric.proc_blocks(proc, plan.grid.gpus_per_proc), proc.rank,
-                a.get_tile, MatrixSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
+                a.get_tile, ConcreteBSource(b), gpu_memory_bytes=plan.gpu_memory_bytes,
                 b_csr=plan.b_shape.csr, on_task=on_task,
             )[1])
         stats = numeric.NumericStats.merge(parts)
@@ -358,7 +357,7 @@ class TestKGroups:
                 b_csr=plan.b_shape.csr,
             )
             produced.update(tiles)
-            pulls += service.hits + sum(service.instantiations.values())
+            pulls += service.hits + service.generated_tiles()
             assert service.max_instantiations() == 1
         assert pulls == self.b_pulls_per_chunk(plan) < plan.total_tasks
         assert all(np.allclose(tile, reference.get_tile(*key)) for key, tile in produced.items())

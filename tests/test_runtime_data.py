@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.runtime import GeneratedCollection, GpuMemory, GpuMemoryError, MatrixSource
+from repro.runtime import BService, ConcreteBSource, GeneratedCollection, GpuMemory, GpuMemoryError
+from repro.serve import WarmTileCache
 from repro.sparse import SparseShape, random_block_sparse
 from repro.sparse.construct import from_shape
+from repro.store import TileStore
 from repro.tiling import Tiling
 
 
@@ -21,54 +23,84 @@ class TestGeneratedCollection:
         assert g.has_tile(0, 0)
         assert not g.has_tile(0, 1)
         with pytest.raises(KeyError):
-            g.tile(0, 0, 1)
+            g.generate_tile(0, 1)
 
     def test_instantiated_at_most_once_per_proc(self):
         g = GeneratedCollection(shape(), seed=0)
-        t1 = g.tile(0, 0, 0)
-        t2 = g.tile(0, 0, 0)
+        rank0 = BService(g, budget_bytes=1 << 20)
+        t1 = rank0.tile(0, 0, 0)
+        t2 = rank0.tile(0, 0, 0)
         assert t1 is t2
-        assert g.max_instantiations_per_proc_tile() == 1
-        g.tile(1, 0, 0)  # another process: its own instantiation
-        assert g.generated_tiles() == 2
-        assert g.generated_tiles(proc=0) == 1
+        assert rank0.max_instantiations() == 1 and rank0.generated_tiles() == 1
+        rank1 = BService(g, budget_bytes=1 << 20)  # another process: its own
+        assert np.array_equal(rank1.tile(1, 0, 0), t1) and rank1.tile(1, 0, 0) is not t1
+        assert rank0.generated_tiles() + rank1.generated_tiles() == 2
 
     def test_eviction_then_regeneration_same_values(self):
-        g = GeneratedCollection(shape(), seed=3)
-        before = g.tile(0, 1, 2).copy()
-        g.evict(0, 1, 2)
-        after = g.tile(0, 1, 2)
-        assert np.allclose(before, after)
+        svc = BService(GeneratedCollection(shape(), seed=3), budget_bytes=1 << 20)
+        before = svc.tile(0, 1, 2)
+        svc.evict(0, 1, 2)
+        after = svc.tile(0, 1, 2)
+        assert after is not before and np.array_equal(before, after)
+        assert svc.generated_tiles() == 2
 
     def test_values_order_independent(self):
         g1 = GeneratedCollection(shape(), seed=7)
         g2 = GeneratedCollection(shape(), seed=7)
-        a1 = g1.tile(0, 0, 0)
-        g2.tile(0, 1, 1)  # different first touch
-        a2 = g2.tile(0, 0, 0)
-        assert np.allclose(a1, a2)
+        a1 = g1.generate_tile(0, 0)
+        g2.generate_tile(1, 1)  # different first touch
+        a2 = g2.generate_tile(0, 0)
+        assert np.array_equal(a1, a2)
 
     def test_matches_from_shape_materialization(self):
         s = shape()
         g = GeneratedCollection(s, seed=11)
         mat = from_shape(s, fill="random", seed=11)
-        assert np.allclose(g.tile(0, 1, 1), mat.get_tile(1, 1))
+        assert np.allclose(g.generate_tile(1, 1), mat.get_tile(1, 1))
         assert g.as_matrix().allclose(mat)
 
     def test_ones_fill_and_bytes(self):
         g = GeneratedCollection(shape(), fill="ones")
-        assert np.all(g.tile(0, 0, 0) == 1.0)
+        assert np.all(g.generate_tile(0, 0) == 1.0)
         assert g.tile_shape(1, 2) == (3, 2)
 
 
-class TestMatrixSource:
-    def test_counts_accesses(self):
+class TestBServiceTiers:
+    """The one copy rule: generated tiles are shared, disk hits copied once."""
+
+    def test_generated_tile_is_shared_with_the_warm_cache(self):
+        warm = WarmTileCache(1 << 20)
+        svc = BService(GeneratedCollection(shape(), seed=5), 1 << 20, warm=warm, ns="b:x")
+        tile = svc.tile(0, 1, 2)
+        assert warm.get("b:x", (1, 2)) is tile
+        assert not tile.flags.writeable
+        # The next job's service over the same operand is served from memory.
+        again = BService(GeneratedCollection(shape(), seed=5), 1 << 20, warm=warm, ns="b:x")
+        assert again.tile(0, 1, 2) is tile
+        assert (again.store_hits, again.generated_tiles()) == (1, 1)
+
+    def test_disk_hit_is_promoted_as_a_private_copy(self, tmp_path):
+        g = GeneratedCollection(shape(), seed=5)
+        expect = g.generate_tile(1, 2)
+        store = TileStore(str(tmp_path))
+        BService(g, 1 << 20, store=store, ns="b:x").tile(0, 1, 2)  # writes it back
+        warm = WarmTileCache(1 << 20)
+        svc = BService(g, 1 << 20, warm=warm, store=store, ns="b:x")
+        tile = svc.tile(0, 1, 2)
+        assert svc.store_hits == 1 and warm.get("b:x", (1, 2)) is tile
+        assert tile.flags.owndata and not tile.flags.writeable
+        store.close()
+        assert np.array_equal(tile, expect)
+
+
+class TestConcreteBSource:
+    def test_counts_distinct_pulls(self):
         m = random_block_sparse(Tiling.uniform(40, 10), Tiling.uniform(40, 10), 1.0, seed=0)
-        src = MatrixSource(m)
+        src = ConcreteBSource(m)
+        assert src.tile(0, 1, 1) is m.get_tile(1, 1)  # read in place
         src.tile(0, 1, 1)
-        src.tile(0, 1, 1)
-        assert src.access_counts[(0, 1, 1)] == 2
-        assert src.has_tile(1, 1)
+        src.evict(0, 1, 1)
+        assert (src.generated_tiles(), src.hits, src.max_instantiations()) == (1, 1, 1)
 
 
 class TestGpuMemory:

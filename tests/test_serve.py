@@ -25,7 +25,9 @@ from repro.core import inspect
 from repro.machine import summit
 from repro.perf import read_run_artifact
 from repro.runtime import DelayedGeneratedCollection, GeneratedCollection, execute_plan
+from repro.analysis import verify_plan
 from repro.serve import (
+    MEMORY_RULES,
     AdmissionError,
     BackpressureError,
     ContractionService,
@@ -77,15 +79,12 @@ class TestWarmTileCache:
         assert np.array_equal(out, tile)
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
 
-    def test_put_copies_and_serves_read_only(self):
+    def test_put_keeps_the_callers_array(self):
         cache = WarmTileCache(1 << 20)
         tile = np.ones((2, 2))
+        tile.flags.writeable = False
         cache.put("ns", (0, 0), tile)
-        tile[:] = 7.0  # caller's buffer dies / mutates after the run
-        out = cache.get("ns", (0, 0))
-        assert np.array_equal(out, np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            out[0, 0] = 9.0
+        assert cache.get("ns", (0, 0)) is tile  # no copy
 
     def test_namespaces_do_not_alias(self):
         cache = WarmTileCache(1 << 20)
@@ -122,14 +121,14 @@ class TestWarmTileCache:
 
 @pytest.fixture()
 def verify_calls(monkeypatch):
-    """The plans ``verify_plan`` was asked about, in order."""
-    calls, real = [], service_module.verify_plan
+    """The plans admission's memory check was asked about, in order."""
+    calls, real = [], service_module.check_memory
 
-    def counting(plan):
+    def counting(plan, report):
         calls.append(plan)
-        return real(plan)
+        return real(plan, report)
 
-    monkeypatch.setattr(service_module, "verify_plan", counting)
+    monkeypatch.setattr(service_module, "check_memory", counting)
     return calls
 
 
@@ -155,6 +154,15 @@ class TestAdmission:
             assert svc.pool.spawns == 0
         finally:
             svc.shutdown()
+
+    def test_memory_findings_are_the_verifiers_memory_rules(self, problem):
+        plan, *_ = problem
+        plan.procs[0].blocks[0].c_bytes = plan.gpu_memory_bytes  # P110
+        plan.procs[1].blocks[0].chunks[0].a_bytes = plan.gpu_memory_bytes  # P111, P112
+        plan.gpu_memory_bytes = plan.b_shape.max_tile_nbytes() - 1  # P114
+        found = service_module.memory_findings(plan)
+        assert {f.rule for f in found} == MEMORY_RULES
+        assert found == [f for f in verify_plan(plan).findings if f.rule in MEMORY_RULES]
 
     def test_unknown_job_id(self, problem):
         plan, *_ = problem
@@ -187,14 +195,14 @@ class TestAdmission:
         plan, a, b, _ = problem
         plan.procs[0].blocks[0].c_bytes = plan.gpu_memory_bytes  # refused: no job runs
         verifying, release = threading.Event(), threading.Event()
-        real = service_module.verify_plan
+        real = service_module.check_memory
 
-        def slow_verify(p):
+        def slow_verify(p, report):
             verifying.set()
             assert release.wait(timeout=30)
-            return real(p)
+            return real(p, report)
 
-        monkeypatch.setattr(service_module, "verify_plan", slow_verify)
+        monkeypatch.setattr(service_module, "check_memory", slow_verify)
         svc = ContractionService(plan.grid.nprocs)
         outcome = []
 
