@@ -16,8 +16,9 @@ oracle: same plan, same seeds, identical C.
   enforce, the coordinator dispatches on and the model checker explores;
 * :mod:`~repro.dist.worker` — the per-rank process and its fault hooks;
 * :mod:`~repro.dist.coordinator` — scatter / supervise / reduce / clean up;
-* :mod:`~repro.dist.pool` — a warm worker pool the coordinator can borrow,
-  so the serving layer (:mod:`repro.serve`) reuses processes across runs;
+* :mod:`~repro.dist.pool` — the one owner of worker processes and their
+  comm layer: a one-shot run borrows a transient pool, the serving layer
+  (:mod:`repro.serve`) keeps one warm across runs;
 * :mod:`~repro.dist.faults` — kill/delay/stall fault plans for recovery tests;
 * :mod:`~repro.dist.health` — live heartbeats, stall/straggler detection,
   and the structured run-event log ``repro monitor`` attaches to.

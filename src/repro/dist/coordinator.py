@@ -11,14 +11,16 @@ One run is one :class:`_Coordinator`; its phases, in order:
 
 * **scatter** — give each rank its :class:`~repro.dist.comm.ScatterMsg`,
   the rank with the most planned flops first (processes start one after
-  another).  Operands take one of two data planes, chosen from what the
-  code can observe.  *Resident* (this call owns its processes and the start
-  method is ``fork``): a worker is forked holding A, B and its message as
-  process arguments — inherited, never pickled, nothing packed or sent.
-  *Arena* (a borrowed pool predates the operands, ``spawn`` inherits
-  nothing): A and a concrete B are packed into shared-memory arenas first,
-  and the message goes through the :class:`~repro.dist.comm.CommLayer`
-  (bytes counted per link);
+  another).  The processes and the :class:`~repro.dist.comm.CommLayer` are
+  a :class:`~repro.dist.pool.WorkerPool`'s: the caller's (``pool=``), or
+  one this call builds for itself and closes at teardown.  Operands take
+  one of two data planes, chosen from what the code can observe.
+  *Resident* (the pool is this call's and its start method is ``fork``):
+  the pool forks each worker holding A, B and its message as process
+  arguments — inherited, never pickled, nothing packed or sent.  *Arena*
+  (a borrowed pool predates the operands, ``spawn`` inherits nothing): A
+  and a concrete B are packed into the pool's shared-memory arenas first,
+  and the message goes through its comm layer (bytes counted per link);
 * **supervise** — every reply (a class of :mod:`repro.dist.comm`), every
   heartbeat and every patrol verdict (dead worker, missed-heartbeat stall,
   straggler, abort) is an *event* of the coordinator machine
@@ -41,11 +43,12 @@ One run is one :class:`_Coordinator`; its phases, in order:
   each recorder's single wall-clock sample) into one
   :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
   utilization queries work on real runs exactly as on simulated ones;
-* **teardown** — success or not, reap the processes this run owns and
-  unlink every segment it created — a pool's operand arenas stay the pool's
-  (the leak tests attach-probe every name).  By then the event log has its
-  one terminal record: ``done`` from ``report``, ``aborted`` / ``failed``
-  from ``fail``, which also drops the C tiles folded so far.
+* **teardown** — success or not, close this call's own pool (terminated
+  first after a failure: a busy worker never gets the pill) and unlink the
+  run's C arenas — a borrowed pool and its operand arenas stay the
+  caller's (the leak tests attach-probe every name).  By then the event
+  log has its one terminal record: ``done`` from ``report``, ``aborted`` /
+  ``failed`` from ``fail``, which also drops the C tiles folded so far.
 
 The run is recorded once: every recovery fact is one ``events.emit``.  The
 :class:`~repro.dist.health.EventLog` folds it into the live
@@ -62,9 +65,7 @@ per-rank span streams.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
-from multiprocessing import resource_tracker
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -76,7 +77,6 @@ from repro.dist.comm import (
     COORDINATOR,
     COORDINATOR_ROLE,
     TELEMETRY_CHANNEL,
-    CommLayer,
     CommStats,
     DoneMsg,
     Empty,
@@ -89,7 +89,7 @@ from repro.dist.comm import (
 )
 from repro.dist.faults import FaultPlan
 from repro.dist.health import EventLog, RunHealth
-from repro.dist.pool import default_start_method
+from repro.dist.pool import WorkerPool
 from repro.dist.protocol import COORDINATOR_MACHINE, WIRE
 from repro.dist.tile_store import TileArena
 from repro.dist.worker import (
@@ -98,7 +98,6 @@ from repro.dist.worker import (
     WorkerReport,
     run_handoff,
     run_rank,
-    worker_main,
 )
 from repro.runtime.data import GeneratedCollection, validate_b_budget
 from repro.runtime.metrics import MetricsSnapshot, snapshot_of
@@ -279,11 +278,10 @@ def execute_plan_distributed(
     layer and warm worker processes — the coordinator spawns nothing it
     can reuse and terminates nothing at teardown, so the processes (and
     any warm B-tile caches inside them) survive for the next run.  The
-    pool's owner closes it and, after a run that raised, resets it (a
-    worker may still be computing for the dead run; :mod:`repro.serve`
-    recycles the processes and drains stale traffic).  A one-shot run
-    starts its processes with :func:`~repro.dist.pool.default_start_method`,
-    as a pool does.
+    pool's owner closes it and, after a run that raised, terminates and
+    drains it (a worker may still be computing for the dead run).  With no
+    ``pool`` the call borrows a transient one of its own, started lazily
+    at scatter and closed before the call returns or raises.
 
     Persistence: ``store_dir`` roots a :class:`~repro.store.TileStore`
     that backs every rank's B service as a second cache tier (tiles
@@ -312,6 +310,9 @@ def execute_plan_distributed(
     executor.
     """
     cfg = RunConfig(**config)
+    # The run's clock, from here to the pool's close: set-up and teardown
+    # are spans of the trace, not time outside it.
+    rec = SpanRecorder(enabled=cfg.trace)
     if cfg.verify_plan:
         from repro.analysis import assert_plan_valid  # late import: avoid cycle
 
@@ -333,16 +334,21 @@ def execute_plan_distributed(
                 f"fault injection targets rank {inj.rank}, but the plan has "
                 f"only {plan.grid.nprocs} rank(s)",
             )
-    run = _Coordinator(plan, a, b, c, alpha, beta, cfg)
+    run = _Coordinator(plan, a, b, c, alpha, beta, cfg, rec)
+    rec.record("spawn.setup", "net.-1", 0.0, rec.now())
     try:
         run.scatter()
         run.supervise()
-        return run.reduce(), run.report()
+        out, report = run.reduce(), run.report()
     except BaseException as exc:
         run.fail(exc)
         raise
     finally:
+        t_teardown = rec.now()
         run.teardown()
+    if cfg.trace:
+        report.trace.add("report.teardown", "net.-1", t_teardown, rec.now())
+    return out, report
 
 
 #: When a reply is *live* — from the attempt (or handoff) the run is
@@ -382,12 +388,19 @@ class _Coordinator:
     machine = COORDINATOR_MACHINE
 
     def __init__(self, plan: ExecutionPlan, a, b, c, alpha: float, beta: float,
-                 cfg: RunConfig):
+                 cfg: RunConfig, rec: SpanRecorder | None = None):
         self.plan, self.a, self.b, self.alpha, self.cfg = plan, a, b, alpha, cfg
         self.c, self.beta = c, beta
         self.nranks = nranks = plan.grid.nprocs
         self.state = self.machine.initial
         pool = cfg.pool
+        if pool is not None:
+            require(not pool.closed, "worker pool is closed")
+            require(
+                pool.nranks == nranks,
+                f"plan wants {nranks} rank(s) but the pool serves {pool.nranks}",
+            )
+        warm = pool is not None and pool.warm
 
         # ---- persistence / checkpoint identity ----------------------------
         # Fingerprints are serial work before the first fork: each is taken
@@ -395,11 +408,11 @@ class _Coordinator:
         # warm cache (an empty key would alias operands); all name the run.
         ckpt = cfg.checkpoint_dir
         self.plan_hash = self.b_hash = self.run_hash = ""
-        if pool is not None or ckpt is not None:
-            self.plan_hash = (plan_fingerprint if pool is None else pool.plan_hash)(plan)
+        if warm or ckpt is not None:
+            self.plan_hash = (pool.plan_hash if warm else plan_fingerprint)(plan)
         if ckpt is not None or (
             isinstance(b, GeneratedCollection)
-            and (pool is not None or cfg.store_dir is not None)
+            and (warm or cfg.store_dir is not None)
         ):
             self.b_hash = b_fingerprint(b)
         if ckpt is not None:
@@ -422,21 +435,10 @@ class _Coordinator:
                 "run": self.run_hash, "alpha": float(alpha), "nranks": nranks,
             })
 
-        if pool is not None:
-            require(not pool.closed, "worker pool is closed")
-            require(
-                pool.nranks == nranks,
-                f"plan wants {nranks} rank(s) but the pool serves {pool.nranks}",
-            )
-            self.ctx, self.comm = pool.ctx, pool.comm
-        else:
-            self.ctx = mp.get_context(default_start_method())
-            self.comm = CommLayer(nranks, self.ctx)
-        self.coord = self.comm.endpoint(COORDINATOR)
         self.comm_stats = CommStats()
         # The coordinator's own recorder doubles as the run's monotonic clock
         # and the alignment anchor for every rank's span stream.
-        self.rec = SpanRecorder(enabled=cfg.trace)
+        self.rec = rec if rec is not None else SpanRecorder(enabled=cfg.trace)
         self.health = RunHealth(
             heartbeat_interval=cfg.heartbeat_interval,
             stall_after_beats=cfg.stall_after_beats,
@@ -452,19 +454,18 @@ class _Coordinator:
             tasks_per_rank={r: plan.procs[r].ntasks for r in range(nranks)},
         )
 
-        #: Arenas this run unlinks; the pool's, filled and reported, not unlinked.
+        #: The C arenas this run unlinks; the pool's operand arenas it
+        #: filled, reported but not unlinked.
         self.arenas: list[TileArena] = []
         self.borrowed: list[TileArena] = []
-        self.workers: dict[int, mp.Process] = {}
+        #: rank -> the pool's process of its live attempt.
+        self.workers: dict[int, object] = {}
         # rec.now() at proc.start() and at done-report receipt: against the
         # worker's own span extent they bound the measured ``spawn.<rank>``
         # (process startup) and ``report.<rank>`` (report pickling +
         # shipping) spans, else unattributable idle on the critical path.
         self.spawn_clock: dict[int, float] = {}
         self.report_clock: dict[int, float] = {}
-        # Processes this call forks itself are born holding A and B; a pool's
-        # predate them and spawned ones inherit nothing — those get arenas.
-        self.resident = pool is None and self.ctx.get_start_method() == "fork"
 
         #: rank -> attempts started (the live attempt is one less).
         self.attempts = {rank: 1 for rank in range(nranks)}
@@ -487,6 +488,15 @@ class _Coordinator:
         #: producer of each of its tiles (the one-producer check).
         self.out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
         self.produced_by: dict[tuple[int, int], object] = {}
+
+        #: The processes and the fabric: the caller's pool, else one of
+        #: this run's own, closed at teardown.  A process the run's own
+        #: pool forks is born holding A and B; a borrowed pool's predate
+        #: them and spawned ones inherit nothing — those get arenas.
+        self.own_pool = pool is None
+        self.pool = pool = WorkerPool(nranks) if pool is None else pool
+        self.resident = self.own_pool and pool.ctx.get_start_method() == "fork"
+        self.coord = pool.comm.endpoint(COORDINATOR)
 
     def live_attempt(self, rank: int) -> int:
         """The 0-based attempt of ``rank`` whose replies count."""
@@ -563,12 +573,9 @@ class _Coordinator:
             self.scatter_rank(rank)
 
     def pack(self, tag: str, matrix):
-        """Copy an operand into the pool's arena, else a fresh one; its meta."""
+        """Copy an operand into the pool's ``tag`` arena; its meta."""
         with self.rec.span(f"pack.{tag}", "net.-1"):
-            if self.cfg.pool is None:
-                self.arenas.append(TileArena.pack(tag, matrix.items()))
-                return self.arenas[-1].meta()
-            self.borrowed.append(self.cfg.pool.pack(tag, matrix.items()))
+            self.borrowed.append(self.pool.pack(tag, matrix.items()))
             return self.borrowed[-1].meta()
 
     def c_arena_for(self, tag: str, blocks) -> TileArena:
@@ -631,11 +638,13 @@ class _Coordinator:
         )
 
     def scatter_rank(self, rank: int) -> None:
-        """Bring up a process for ``rank`` holding its live attempt: a forked
-        one is born with the message, any other reads it off its inbox."""
+        """The pool's process for ``rank`` (warm, or (re)spawned) takes its
+        live attempt: a resident-plane one is born holding A, B and the
+        message, any other reads the message off its inbox."""
         self.spawn_clock[rank] = self.rec.now()  # the message is part of start-up
         msg = self.rank_msg(rank)
-        self.spawn(rank, msg if self.resident else None)
+        born = ((self.a, self.b), msg) if self.resident else ()
+        self.workers[rank] = self.pool.ensure(rank, *born)
         if not self.resident:
             t_send = self.rec.now()
             self.coord.send(rank, msg)
@@ -648,23 +657,6 @@ class _Coordinator:
         self.events.emit(
             "scatter", rank=rank, attempt=msg.attempt, tasks_total=tasks_total
         )
-
-    def spawn(self, rank: int, msg: ScatterMsg | None = None) -> None:
-        if self.cfg.pool is not None:
-            # Borrowed: warm from a previous run, or respawned by the pool
-            # after a failure; mirrored so liveness checks read one dict.
-            self.workers[rank] = self.cfg.pool.ensure(rank)
-            return
-        # One shared tracker, as in WorkerPool.ensure.
-        resource_tracker.ensure_running()
-        proc = self.ctx.Process(
-            target=worker_main,
-            args=(rank, self.comm.endpoint(rank), None, False,
-                  (self.a, self.b) if self.resident else None, msg),
-            daemon=True,
-        )
-        proc.start()
-        self.workers[rank] = proc
 
     # ---- supervise: the handlers the table names ---------------------------
 
@@ -1082,24 +1074,14 @@ class _Coordinator:
     # ---- clean up ------------------------------------------------------------------
 
     def teardown(self) -> None:
-        """Success or not: close the log, reap the processes
-        this run owns (all signalled, then all joined: their exits overlap),
-        unlink every segment."""
+        """Success or not: close the log and this run's own pool — after a
+        failure terminated first, so the pill never waits on a busy worker
+        (a borrowed pool stays warm; its owner resets it after a failure) —
+        and unlink the C arenas."""
         self.events.close()
-        if self.cfg.pool is None:
-            # One-shot run: the processes and the comm layer are ours.  A
-            # borrowed pool stays warm; its owner resets it after a failure.
-            for proc in self.workers.values():
-                if self.state == "done" and not self.cfg.rebalance:
-                    proc.join(timeout=2.0)  # it has left (``act:leave``)
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self.workers.values():
-                proc.join(timeout=2.0)
+        if self.own_pool:
+            if self.state != "done":
+                self.pool.terminate()
+            self.pool.close()
         for arena in self.arenas:
             arena.unlink()
-        if self.cfg.pool is None:
-            try:
-                self.comm.close()
-            except Exception:  # pragma: no cover - queue teardown best-effort
-                pass

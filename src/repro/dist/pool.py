@@ -1,32 +1,27 @@
-"""Warm worker pool: what outlives a run, split out of the coordinator.
+"""The worker pool: the one owner of worker processes and their fabric.
 
-A :class:`WorkerPool` owns, for as long as the *caller* wants, the
-:class:`~repro.dist.comm.CommLayer`, one
+A :class:`WorkerPool` owns the :class:`~repro.dist.comm.CommLayer`, one
 :func:`~repro.dist.worker.worker_main` process per rank (daemons, lint rule
-L307: a crashed owner leaves no orphans), the operand arenas its runs
-repack in place (:meth:`pack`) and the fingerprints of the plans it has run
-(:meth:`plan_hash`).  The coordinator borrows all of it for one run
-(``execute_plan_distributed(..., pool=...)``) and speaks the protocol over
-the pool's endpoints; passing no pool keeps the one-shot behaviour (the
-coordinator forks its own workers, born holding the operands, and reaps
-them in its ``finally``).
-
-This module handles lifecycle only — spawn, respawn after a failure,
-liveness, terminate (which unlinks the arenas: a reset or closed pool
-leaves ``/dev/shm`` empty) — and never sends or receives a message.  The
-serving layer (:mod:`repro.serve`) keeps one pool warm across many jobs and
-owns the cross-run concerns: the shutdown pill a pooled worker's dispatch
-loop exits on, draining stale traffic between jobs, and the
-process-lifetime warm B-tile cache it injects through
-``tile_cache_factory``.
+L307: a crashed owner leaves no orphans), the operand arenas its runs pack
+(:meth:`pack`) and the fingerprints of the plans it has run
+(:meth:`plan_hash`).  Every run borrows one and speaks the protocol over its
+endpoints: the caller's warm pool (``execute_plan_distributed(...,
+pool=...)``), which outlives the run, or a one-shot call's own, closed in
+the call's ``finally``.  The pool starts, watches and stops the processes,
+and sends or receives only what lives *between* runs: the
+:class:`~repro.dist.comm.ShutdownMsg` pill of :meth:`close` and the stale
+traffic :meth:`drain` drops.  A terminated or closed pool leaves
+``/dev/shm`` empty.  The serving layer (:mod:`repro.serve`) keeps one pool
+warm across jobs, with the warm B-tile cache ``tile_cache_factory`` makes.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
 from multiprocessing import resource_tracker
 
-from repro.dist.comm import COORDINATOR, CommLayer
+from repro.dist.comm import COORDINATOR, CommLayer, Empty, ShutdownMsg
 from repro.dist.tile_store import TileArena
 from repro.dist.worker import worker_main
 from repro.store import plan_fingerprint
@@ -40,7 +35,7 @@ def default_start_method() -> str:
 
 
 class WorkerPool:
-    """One warm worker process per rank, reusable across runs.
+    """One worker process per rank, reusable across runs.
 
     Parameters
     ----------
@@ -79,8 +74,10 @@ class WorkerPool:
         for rank in range(self.nranks):
             self.ensure(rank)
 
-    def ensure(self, rank: int):
-        """The live worker process for ``rank``, (re)spawning if needed."""
+    def ensure(self, rank: int, operands=None, scatter=None):
+        """The live worker process for ``rank``, (re)spawning if needed; a
+        new one is born holding ``scatter`` and the run's ``(a, b)``
+        ``operands`` when given (a one-shot call on the fork plane)."""
         require(not self._closed, "worker pool is closed")
         require(0 <= rank < self.nranks, f"rank {rank} outside pool of {self.nranks}")
         proc = self._workers.get(rank)
@@ -96,7 +93,7 @@ class WorkerPool:
         resource_tracker.ensure_running()
         proc = self.ctx.Process(
             target=worker_main,
-            args=(rank, self.comm.endpoint(rank), cache, True),
+            args=(rank, self.comm.endpoint(rank), cache, operands, scatter),
             daemon=True,
         )
         proc.start()
@@ -112,6 +109,11 @@ class WorkerPool:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def warm(self) -> bool:
+        """Whether this pool's workers keep a warm B-tile cache."""
+        return self._tile_cache_factory is not None
 
     def pack(self, tag: str, tiles) -> TileArena:
         """The pool's ``tag`` operand arena, now holding ``tiles``: repacked in
@@ -130,19 +132,27 @@ class WorkerPool:
         """``plan_fingerprint(plan)``, computed once per plan object."""
         return self._plan_hashes.get(plan, plan_fingerprint)
 
-    # -- teardown ------------------------------------------------------------
+    # -- between runs and teardown --------------------------------------------
 
-    def endpoint(self):
-        """The coordinator-side endpoint of the pool's comm layer.
-
-        Exposed for the serving layer's between-job housekeeping (stale
-        drain, shutdown pill); the protocol traffic itself stays in the
-        coordinator and :mod:`repro.serve`.
-        """
-        return self.comm.endpoint(COORDINATOR)
+    def drain(self) -> int:
+        """Drop (and count) the replies and heartbeats a dead run's workers
+        left queued, which the next run would mis-read as its own.
+        Non-blocking: call it between runs, never during one."""
+        endpoint = self.comm.endpoint(COORDINATOR)
+        dropped = 0
+        for recv in (endpoint.recv_nowait, endpoint.recv_telemetry):
+            while True:
+                try:
+                    recv()
+                except Empty:
+                    break
+                dropped += 1
+        return dropped
 
     def terminate(self, timeout: float = 2.0) -> None:
-        """Hard-stop every worker, unlink the arenas (comm layer stays usable)."""
+        """Hard-stop every worker — after a failed run one may still be
+        computing for it — and unlink the arenas; the comm layer stays
+        usable and ranks respawn on next use."""
         for proc in self._workers.values():
             if proc.is_alive():
                 proc.terminate()
@@ -152,22 +162,21 @@ class WorkerPool:
         while self._arenas:
             self._arenas.popitem()[1].unlink()
 
-    def join(self, timeout: float = 5.0) -> list[int]:
-        """Wait for workers to exit on their own; returns ranks still alive.
-
-        Used by the serving layer's graceful shutdown after it has sent
-        each rank the pill; stragglers are the caller's to terminate.
-        """
-        for proc in self._workers.values():
-            proc.join(timeout=timeout)
-        return self.alive_ranks()
-
-    def close(self, timeout: float = 2.0) -> None:
-        """Terminate all workers and tear the comm layer down (idempotent)."""
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop for good (idempotent): pill every live worker (an idle one
+        exits 0), join them under one ``timeout``, terminate stragglers,
+        unlink the arenas, close the comm layer.  After a failed run,
+        :meth:`terminate` first: a busy worker never reads its pill."""
         if self._closed:
             return
         self._closed = True
-        self.terminate(timeout=timeout)
+        endpoint = self.comm.endpoint(COORDINATOR)
+        for rank in self.alive_ranks():
+            endpoint.send(rank, ShutdownMsg())
+        deadline = time.monotonic() + timeout
+        for proc in self._workers.values():
+            proc.join(timeout=max(deadline - time.monotonic(), 0.0))
+        self.terminate()
         try:
             self.comm.close()
         except Exception:  # pragma: no cover - queue teardown is best-effort

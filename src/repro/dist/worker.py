@@ -8,8 +8,9 @@ take its :class:`~repro.dist.comm.ScatterMsg` (forked: born holding it), open
 its operands, execute its :class:`~repro.core.plan.ProcPlan` through the
 *same* :func:`repro.runtime.numeric.execute_blocks` body the serial
 executor uses (hence bit-identical numerics), and send a
-:class:`WorkerReport` back.  A one-shot process then leaves; when the run
-rebalances (or the process is a pool's) it stays in its dispatch loop,
+:class:`WorkerReport` back.  A process born holding its message (a
+one-shot call's, forked) then leaves; when the run rebalances, or the
+process was started ahead of its message, it stays in its dispatch loop,
 ready to accept a :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed
 from a straggler (the same body again, so handoff tiles are bit-identical
 to the tiles the origin would have produced).
@@ -30,7 +31,7 @@ while the in-flight block finishes normally.
 Operands arrive on one of two data planes (the coordinator picks, see
 :mod:`repro.dist.coordinator`): a forked one-shot worker was born holding
 A and B and reads them in place (``a_meta=None``, ``("resident", None)``);
-a pooled or spawned one attaches the coordinator's shared-memory arenas.
+any other attaches the pool's shared-memory arenas.
 Either way a chunk's A tiles reach the GEMM stream as views, so there is
 no copy for a prefetch thread to overlap: the chunk "prefetch" (the H2D of
 the paper's 25 % staging area, still budgeted in ``execute_block``) is an
@@ -552,9 +553,9 @@ class _Worker:
     calls the method an event's row names, as ``_Coordinator.fire`` does
     (``running``'s ``yield_unstarted`` is :func:`run_rank`'s poll)."""
 
-    def __init__(self, rank, endpoint, tile_cache, pooled, operands):
+    def __init__(self, rank, endpoint, tile_cache, operands, one_shot):
         self.rank, self.endpoint, self.tile_cache = rank, endpoint, tile_cache
-        self.pooled, self.operands = pooled, operands
+        self.operands, self.one_shot = operands, one_shot
         self.state, self.attempt = WORKER_MACHINE.initial, -1
         self.t_spawn = time.monotonic()
 
@@ -568,19 +569,19 @@ class _Worker:
         """Run this rank's attempt and report it; a one-shot worker of a run
         that does not rebalance then leaves."""
         self.attempt = msg.attempt
-        # A pooled worker roots each job's trace at scatter receipt: its idle
-        # stretch between jobs (and every previous job's spans) must not
-        # bleed into this job's inbox-wait accounting.  One-shot workers keep
-        # the spawn-rooted origin so process startup stays visible.
+        # A one-shot worker roots its trace at its own start, so process
+        # startup stays visible.  Any other roots each job's at scatter
+        # receipt: its idle stretch between jobs (and every previous job's
+        # spans) must not bleed into this job's inbox-wait accounting.
         report = run_rank(
             msg, self.operands,
-            origin=None if self.pooled else self.t_spawn,
-            recv_done=None if self.pooled else time.monotonic(),
+            origin=self.t_spawn if self.one_shot else None,
+            recv_done=time.monotonic() if self.one_shot else None,
             endpoint=self.endpoint, tile_cache=self.tile_cache,
         )
         self.endpoint.send(COORDINATOR, DoneMsg(self.rank, report))
         self.fire("act:report")
-        if not self.pooled and not msg.rebalance:
+        if self.one_shot and not msg.rebalance:
             # ``act:leave``: nothing can follow; its teardown overlaps the
             # slower ranks.  Flush, or the reply dies in the feeder.
             self.fire("act:leave")
@@ -603,37 +604,34 @@ class _Worker:
 
 
 def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
-                pooled: bool = False, operands=None, scatter=None) -> None:
+                operands=None, scatter=None) -> None:
     """Process entry point: a dispatch loop over coordinator messages, each
     an event of :data:`WORKER_MACHINE` (:class:`_Worker`).
 
-    The first message is normally this rank's :class:`ScatterMsg`; after
-    reporting ``done`` a one-shot worker of a run that does not rebalance
-    leaves (``act:leave``); any other stays in the loop, a helper for a
+    A one-shot worker is born holding its rank's :class:`ScatterMsg`
+    (``scatter``, taken as ``recv:scatter`` before the inbox is read) and
+    the run's ``(a, b)`` pair (``operands``): process arguments cross a
+    fork by inheritance, not by pickle.  After reporting ``done`` it leaves
+    (``act:leave``) unless its run rebalances.  Any other worker — started
+    by a :class:`~repro.dist.pool.WorkerPool` ahead of its scatter — stays
+    in the loop after each report: a helper for a
     :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a
-    straggler, until teardown.  A :class:`~repro.dist.comm.RelinquishMsg`
-    landing here (rather than at a mid-run block boundary) raced against
-    this rank's completion or respawn — it is acked empty so the
-    coordinator can retire the request.  A message the state has no row
-    for fails the attempt, shipped home as an ``ErrorMsg``.
+    straggler, ready for its next :class:`ScatterMsg` (one per job, process
+    outliving run), until the pool's :class:`~repro.dist.comm.ShutdownMsg`
+    pill exits the loop quietly.  ``tile_cache`` (pickled empty at spawn,
+    populated here) is a serving pool's process-lifetime warm B-tile cache
+    that makes job N+1 over the same B fingerprint start hot.
 
-    Pooled lifetime: under a :class:`~repro.dist.pool.WorkerPool`
-    (``pooled=True``) the same loop serves one :class:`ScatterMsg` *per
-    job*, process outliving run; ``tile_cache`` (pickled empty at spawn,
-    populated here) is the process-lifetime warm B-tile cache that makes
-    job N+1 over the same B fingerprint start hot.  The serving layer's
-    :class:`~repro.dist.comm.ShutdownMsg` exits the loop quietly.
-
-    ``operands`` is the run's ``(a, b)`` pair on the resident plane and
-    ``scatter`` the rank's :class:`ScatterMsg` there, taken as
-    ``recv:scatter`` before the inbox is read — process arguments cross a
-    fork by inheritance, not by pickle.
-
-    Every reply is a class of :mod:`repro.dist.comm` and names the attempt
-    or handoff it belongs to, so the coordinator can discard one from a
-    superseded attempt instead of recovering a rank it already recovered.
+    A :class:`~repro.dist.comm.RelinquishMsg` landing here (rather than at
+    a mid-run block boundary) raced against this rank's completion or
+    respawn — it is acked empty so the coordinator can retire the request.
+    A message the state has no row for fails the attempt, shipped home as
+    an ``ErrorMsg``.  Every reply is a class of :mod:`repro.dist.comm` and
+    names the attempt or handoff it belongs to, so the coordinator can
+    discard one from a superseded attempt instead of recovering a rank it
+    already recovered.
     """
-    worker = _Worker(rank, endpoint, tile_cache, pooled, operands)
+    worker = _Worker(rank, endpoint, tile_cache, operands, scatter is not None)
     try:
         if scatter is not None:
             worker.fire("recv:scatter", scatter)

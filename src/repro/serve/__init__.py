@@ -1,29 +1,27 @@
 """The serving layer: a persistent contraction service over a warm pool.
 
-Everything below :mod:`repro.dist` executes *one* run and tears its
-world down; this package keeps the expensive parts — worker processes
-and generated B tiles — alive *across* runs.  One
-:class:`ContractionService` owns one :class:`~repro.dist.WorkerPool`
-(spawned once, reused by every job) and a priority-FIFO scheduler with
-admission control and backpressure; in-process clients ``submit`` plans
-and ``result`` them from any thread.  Each worker carries a
-process-lifetime :class:`WarmTileCache` layered over the persistent
-:class:`~repro.store.TileStore` tier, keyed by operand fingerprint, so
-a job over a previously-seen B starts hot.  Each job's observability
+A one-shot call below :mod:`repro.dist` borrows a transient
+:class:`~repro.dist.WorkerPool` and closes it; this package keeps the
+expensive parts — worker processes and generated B tiles — alive
+*across* runs.  One :class:`ContractionService` owns one
+:class:`~repro.dist.WorkerPool` (spawned once, reused by every job, and
+drained, reset and closed through its own methods) and a priority-FIFO
+scheduler with admission control and backpressure; in-process clients
+``submit`` plans and ``result`` them from any thread.  Each worker
+carries a process-lifetime :class:`WarmTileCache` layered over the
+persistent :class:`~repro.store.TileStore` tier, keyed by operand
+fingerprint, so a job over a previously-seen B starts hot.  Each job's observability
 (event log, Chrome trace, Prometheus metrics) is isolated under its own
 run id.
 
 * :mod:`~repro.serve.service` — :class:`ContractionService`, jobs,
   admission, scheduling;
-* :mod:`~repro.serve.warmcache` — the cross-job B-tile cache;
-* :mod:`~repro.serve.pool` — the shutdown pill and between-job
-  housekeeping for the warm pool.
+* :mod:`~repro.serve.warmcache` — the cross-job B-tile cache.
 
 CLI: ``repro serve --spec jobs.json`` submits a batch from a spec file
 and renders a live queue table.
 """
 
-from repro.serve.pool import ShutdownMsg, drain_stale, reset_pool, shutdown_pool
 from repro.serve.service import (
     MEMORY_RULES,
     AdmissionError,
@@ -41,9 +39,5 @@ __all__ = [
     "Job",
     "JobFailedError",
     "MEMORY_RULES",
-    "ShutdownMsg",
     "WarmTileCache",
-    "drain_stale",
-    "reset_pool",
-    "shutdown_pool",
 ]

@@ -43,8 +43,9 @@ event log), ``trace.<run_id>.json`` (the run artifact ``repro explain
 never clobber each other's observability.
 
 Failure containment: a job that raises marks only that job failed; the
-service recycles the pool's processes (:func:`~repro.serve.reset_pool`)
-and drains stale traffic so the next job starts clean.
+service recycles the pool's processes
+(:meth:`~repro.dist.pool.WorkerPool.terminate`) and drains stale traffic
+(:meth:`~repro.dist.pool.WorkerPool.drain`) so the next job starts clean.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro.analysis.findings import AnalysisReport
 from repro.analysis.plan_checks import check_memory
 from repro.dist.coordinator import RunConfig, execute_plan_distributed
 from repro.dist.pool import WorkerPool
-from repro.serve.pool import drain_stale, reset_pool, shutdown_pool
 from repro.serve.warmcache import WarmTileCache
 from repro.util.memo import IdentityMemo
 from repro.util.validation import require
@@ -289,7 +289,7 @@ class ContractionService:
             job = self._jobs.get(job_id)
             if job is not None and job.state == QUEUED:
                 self._finish(job, CANCELLED, error=RuntimeError("service shut down"))
-        shutdown_pool(self.pool, timeout=_SHUTDOWN_TIMEOUT_S)
+        self.pool.close(timeout=_SHUTDOWN_TIMEOUT_S)
 
     # -- admission -----------------------------------------------------------
 
@@ -331,7 +331,7 @@ class ContractionService:
     def _execute(self, job: Job) -> None:
         job.state = RUNNING
         job.started_s = time.monotonic()
-        drain_stale(self.pool)  # a failed predecessor may have left traffic
+        self.pool.drain()  # a failed predecessor may have left traffic
         kwargs = dict(self._dist_kwargs)
         kwargs.update(job.kwargs)
         if self.artifacts_dir is not None:
@@ -350,7 +350,8 @@ class ContractionService:
             # Contain the blast radius: this job fails, the service
             # survives.  Workers may be mid-run for the dead job, so
             # recycle them and drop whatever they had already sent.
-            reset_pool(self.pool)
+            self.pool.terminate()
+            self.pool.drain()
             self._finish(job, FAILED, error=exc)
 
     def _finish(self, job: Job, state: str, error: BaseException | None = None):

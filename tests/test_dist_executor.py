@@ -28,13 +28,14 @@ from repro.dist import (
     BService,
     DistExecutionError,
     FaultPlan,
+    HeartbeatMsg,
     TileArena,
     WorkerPool,
     WorkerReport,
     active_segments,
     execute_plan_distributed,
 )
-from repro.dist import coordinator
+from repro.dist import coordinator, pool as dist_pool
 from repro.dist.comm import DoneMsg, HandoffDoneMsg
 from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan, numeric, tracing
@@ -201,6 +202,14 @@ class TestCommAndTrace:
                 assert sent == {r: 1 for r in range(plan.grid.nprocs)}, plane
                 assert report.comm.scatter_bytes() > 0, plane
 
+    def test_the_trace_spans_the_whole_call(self, q2_run):
+        """Set-up (validation, the pool, fingerprints) and teardown (the
+        pool's close, the C arenas' unlink) are spans of the call's trace."""
+        _, report = q2_run
+        spans = {e.task: e for e in report.trace.events}
+        assert spans["spawn.setup"].start == 0.0 < spans["spawn.setup"].end
+        assert spans["report.teardown"].end == report.trace.makespan
+
     def test_per_rank_trace_events(self, q2_run):
         plan, report = q2_run
         trace = report.trace
@@ -249,10 +258,11 @@ def mapped_segments(names, pid="self"):
 
 @contextlib.contextmanager
 def start_method(method):
-    """One-shot runs inside the block start their processes with ``method``
-    (``spawn`` takes the arena plane on Linux, too)."""
+    """Pools built inside the block — a one-shot run's own among them —
+    start their processes with ``method`` (``spawn`` takes the arena plane
+    on Linux, too)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coordinator, "default_start_method", lambda: method)
+        patch.setattr(dist_pool, "default_start_method", lambda: method)
         yield
 
 
@@ -426,6 +436,31 @@ def test_pool_fingerprints_only_a_generated_b(monkeypatch):
     assert reports[0].b_store_hits == 0 and reports[1].b_store_hits > 0
 
 
+class TestPoolLifecycle:
+    def test_close_ends_idle_workers_through_the_pill(self):
+        pool = WorkerPool(2)
+        pool.start()
+        procs = [pool.ensure(rank) for rank in range(2)]
+        pool.close()
+        assert [p.exitcode for p in procs] == [0, 0]  # not -15: none was signalled
+        assert mp.active_children() == []
+        pool.close()  # idempotent
+
+    def test_drain_drops_what_a_dead_run_left(self):
+        pool = WorkerPool(1)
+        try:
+            worker_end = pool.comm.endpoint(0)
+            worker_end.send(COORDINATOR, DoneMsg(0, WorkerReport(0, 3, NumericStats(), c_index={})))
+            worker_end.send_telemetry(HeartbeatMsg(0, 3, 0, 0))
+            deadline = time.monotonic() + 5.0
+            dropped = 0
+            while dropped < 2 and time.monotonic() < deadline:
+                dropped += pool.drain()  # the feeder threads deliver asynchronously
+            assert dropped == 2 and pool.drain() == 0
+        finally:
+            pool.close()
+
+
 class TestSharedMemoryLifecycle:
     def test_all_segments_unlinked_after_success(self, q2_run):
         from multiprocessing import shared_memory
@@ -546,22 +581,22 @@ class TestSharedMemoryLifecycle:
 
 @pytest.fixture()
 def reaped(monkeypatch):
-    """The worker processes of every run in this test, as its teardown left them."""
-    from repro.dist.coordinator import _Coordinator
+    """The worker processes of every pool closed in this test, as its
+    ``close`` left them (a one-shot run closes its own at teardown)."""
+    procs, close = [], WorkerPool.close
 
-    procs, teardown = [], _Coordinator.teardown
+    def spying(self, *args, **kwargs):
+        procs.extend(self._workers.values())
+        close(self, *args, **kwargs)
 
-    def spying(self):
-        teardown(self)
-        procs.extend(self.workers.values())
-
-    monkeypatch.setattr(_Coordinator, "teardown", spying)
+    monkeypatch.setattr(WorkerPool, "close", spying)
     return procs
 
 
 class TestWorkersLeave:
     """A one-shot rank that has reported — and can get no handoff — exits on
-    its own; teardown finds nothing to signal."""
+    its own, and one that waits in its dispatch loop exits on the pool's
+    pill: teardown signals nobody."""
 
     @pytest.mark.parametrize("plane", [pytest.param("fork", marks=needs_fork), "spawn"])
     def test_fault_free_workers_exit_zero(self, reaped, plane):
@@ -579,8 +614,23 @@ class TestWorkersLeave:
     def test_rebalancing_run_keeps_its_helpers_until_teardown(self, reaped):
         a, b = operands(seed=15)
         assert_bit_equal_runs(a, b, summit(2), 1, 6, rebalance=True)
-        assert [p.exitcode for p in reaped] == [-15, -15]
+        assert [p.exitcode for p in reaped] == [0, 0]  # idle helpers take the pill
         assert mp.active_children() == []
+
+    @pytest.mark.parametrize("plane", [pytest.param("fork", marks=needs_fork), "spawn"])
+    def test_no_process_or_segment_outlives_a_call(self, plane):
+        """Fault-free or aborted, a one-shot call closes the pool it
+        borrowed: no child process, no segment is left."""
+        a, b = operands(seed=15)
+        plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
+        with start_method(plane):
+            execute_plan_distributed(plan, a, b)
+            assert mp.active_children() == []
+            assert active_segments() == frozenset()
+            with pytest.raises(DistExecutionError, match="aborted"):
+                execute_plan_distributed(plan, a, b, fault_plan=FaultPlan.abort(1, 1))
+        assert mp.active_children() == []
+        assert active_segments() == frozenset()
 
     @pytest.mark.dist
     def test_late_kill_is_retried_after_the_sibling_has_left(self, reaped):
@@ -615,7 +665,8 @@ class TestOneShotCriticalPath:
         c, report = execute_plan_distributed(plan, a, b)
         assert np.array_equal(c.to_dense(), c_serial.to_dense())
         spawned = sorted(
-            (e.start, e.task) for e in report.trace.events if e.task.startswith("spawn.")
+            (e.start, e.task) for e in report.trace.events
+            if e.task.startswith("spawn.") and e.task != "spawn.setup"
         )
         assert [task for _, task in spawned] == ["spawn.1", "spawn.0"]
 

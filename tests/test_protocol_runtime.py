@@ -247,12 +247,13 @@ class TestFire:
 
 
 def _worker_replies(*msgs):
-    """Run a pooled ``worker_main`` (nothing ``os._exit``s) over an inbox
-    holding ``msgs``; what it sent the coordinator, in order."""
+    """Run a pooled ``worker_main`` (started ahead of its scatter: nothing
+    ``os._exit``s) over an inbox holding ``msgs``; what it sent the
+    coordinator, in order."""
     coord, worker = _fabric()
     for msg in msgs:
         coord.send(0, msg)
-    worker_main(0, worker, pooled=True)
+    worker_main(0, worker)
     replies = []
     while not worker.gather.empty():
         replies.append(coord.recv(timeout=1)[1])

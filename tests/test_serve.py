@@ -581,7 +581,7 @@ class TestPoolLifetimeArenas:
             )
             with pytest.raises(JobFailedError):
                 svc.result(doomed, timeout=120)
-            # reset_pool: the workers and the pool's arena are gone.
+            # terminate() + drain(): the workers and the pool's arena are gone.
             assert own_segments() == [] and active_segments() == frozenset()
             a_next = fresh_values(a, seed=7)
             ref, _ = execute_plan(plan, a_next, b.empty_clone())
