@@ -58,8 +58,8 @@ The environment is *idealized* in one place: the patrol's grace window
 (the real coordinator waits ``_GRACE_SECONDS`` for a late report before
 declaring a visibly-exited worker dead) is always sufficient —
 ``obs:worker_exit`` is not enabled while a current-attempt report from
-that rank is in flight — so the stale ``done`` and ``error`` rows, which
-exist because the real window is finite, are declared but not explored.
+that rank is in flight — so the stale ``done`` and ``error`` rows are
+declared but not explored here; the simulated-pool schedules fire them.
 
 The steal excursion: the origin acks a ``relinquish`` at its next block
 boundary with its unstarted units (possibly none), which go to a finished

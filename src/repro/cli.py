@@ -139,7 +139,7 @@ def _cmd_selftest(args) -> int:
         b = random_block_sparse(inner, inner, 0.5, seed=args.seed + 3)
         machine = summit(args.procs)
         dist_kwargs = {}
-        persist = getattr(args, "checkpoint", None) or getattr(args, "store_dir", None)
+        persist = args.checkpoint or args.store_dir
         if persist:
             # The persistent tiers only engage for on-demand B: a concrete
             # B is read in place or from shared memory, bypassing the
@@ -156,11 +156,11 @@ def _cmd_selftest(args) -> int:
             )
         else:
             c_serial, _ = psgemm_numeric(a, b, machine, p=args.procs)
-        if getattr(args, "checkpoint", None):
+        if args.checkpoint:
             dist_kwargs["checkpoint_dir"] = args.checkpoint
-        if getattr(args, "store_dir", None):
+        if args.store_dir:
             dist_kwargs["store_dir"] = args.store_dir
-        if getattr(args, "events", None):
+        if args.events:
             dist_kwargs["events_path"] = args.events
         if fault_plan is not None and any(
             inj.kind == "stall" for inj in fault_plan.injections
@@ -168,7 +168,7 @@ def _cmd_selftest(args) -> int:
             # Tighten the heartbeat cadence so an injected stall is caught
             # in about a second instead of the production-default window.
             dist_kwargs.update(heartbeat_interval=0.1, stall_after_beats=5)
-        if getattr(args, "rebalance", False):
+        if args.rebalance:
             # Act on stragglers: tight patrol cadence and a permissive
             # rate threshold so an injected slow rank is flagged — and
             # its unstarted blocks handed off — within the run.
@@ -182,7 +182,7 @@ def _cmd_selftest(args) -> int:
             aborted = fault_plan is not None and any(
                 inj.kind == "abort" for inj in fault_plan.injections
             )
-            if aborted and getattr(args, "checkpoint", None):
+            if aborted and args.checkpoint:
                 print(f"run aborted: {e}")
                 print(f"resumable: re-run with --resume --checkpoint "
                       f"{args.checkpoint} (committed blocks will be skipped)")
@@ -191,7 +191,7 @@ def _cmd_selftest(args) -> int:
         exact = np.array_equal(c_dist.to_dense(), c_serial.to_dense())
         print(f"distributed executor ran {report.summary()}")
         print(f"per-rank tasks: {dict(sorted(report.stats.per_proc_tasks.items()))}")
-        if getattr(args, "trace", None):
+        if args.trace:
             report.write_artifact(
                 args.trace,
                 meta={
@@ -209,7 +209,7 @@ def _cmd_selftest(args) -> int:
                   f"block(s), skipped {report.tasks_skipped} task(s); "
                   f"store {report.store_hits} hit(s) / "
                   f"{report.store_misses} miss(es) / {report.store_puts} put(s)")
-            if getattr(args, "resume", False):
+            if args.resume:
                 # A resume that restored nothing recomputed everything: the
                 # block files went missing, which is exactly
                 # what this flag exists to catch.
@@ -330,7 +330,7 @@ def _cmd_monitor(args) -> int:
     from repro.dist import read_events, replay_health, resolve_events_path
     from repro.dist.health import TERMINAL_EVENTS
 
-    run_id = getattr(args, "run_id", None)
+    run_id = args.run_id
     path = resolve_events_path(args.events, run_id)
 
     def render() -> tuple[str, str | None]:

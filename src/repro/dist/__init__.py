@@ -37,6 +37,7 @@ from repro.dist.comm import (
     CommStats,
     Endpoint,
     HandoffMsg,
+    HeartbeatMsg,
     RelinquishMsg,
     ScatterMsg,
 )
@@ -44,7 +45,6 @@ from repro.dist.coordinator import DistExecutionError, DistReport, execute_plan_
 from repro.dist.faults import FaultInjection, FaultPlan
 from repro.dist.health import (
     EventLog,
-    HeartbeatMsg,
     RankHealth,
     RunHealth,
     read_events,

@@ -12,7 +12,7 @@ reproduces the inspector's ``a_recv_bytes`` per process exactly (the tests
 assert this).
 
 A third, out-of-band channel carries **telemetry**: periodic worker
-heartbeats (:class:`repro.dist.health.HeartbeatMsg`) flow through their own
+heartbeats (:class:`HeartbeatMsg`) flow through their own
 shared queue so they can never reorder or delay the control-plane
 ``done``/``error`` messages, and their bytes are accounted in a separate
 ``telemetry_bytes`` counter so the plan-derived comm-volume crosschecks
@@ -188,6 +188,20 @@ class ErrorMsg:
     rank: int
     attempt: int
     traceback: str
+
+
+@dataclass(frozen=True)
+class HeartbeatMsg:
+    """Worker -> coordinator, on the telemetry channel: one beat of an
+    attempt.  ``seq`` counts the attempt's beats (0, the "worker up" beat,
+    goes out on scatter receipt); ``tasks_done`` is cumulative — a lost
+    beat costs freshness, not data; ``uptime`` only labels the log."""
+
+    rank: int
+    attempt: int
+    seq: int
+    tasks_done: int
+    uptime: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,10 @@ One run is one :class:`_Coordinator`; its phases, in order:
   each recorder's single wall-clock sample) into one
   :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
   utilization queries work on real runs exactly as on simulated ones;
-* **teardown** — success or not, close this call's own pool (terminated
-  first after a failure: a busy worker never gets the pill) and unlink the
-  run's C arenas — a borrowed pool and its operand arenas stay the
-  caller's (the leak tests attach-probe every name).  By then the event
+* **teardown** — success or not, close this call's own pool (its ranks
+  killed first after a failure: a busy worker never reads the pill) and
+  unlink the run's C arenas — a borrowed pool and its operand arenas stay
+  the caller's (the leak tests attach-probe every name).  By then the event
   log has its one terminal record: ``done`` from ``report``, ``aborted`` /
   ``failed`` from ``fail``, which also drops the C tiles folded so far.
 
@@ -54,18 +54,20 @@ The run is recorded once: every recovery fact is one ``events.emit``.  The
 :class:`~repro.dist.health.EventLog` folds it into the live
 :class:`~repro.dist.health.RunHealth`, tallies it and (given
 ``events_path``) appends it to the file ``repro monitor`` replays through
-the same fold; ``report`` derives its metrics and recovery fields from both.
+the same fold; the report's metrics and recovery fields are folds of both.
 
-Clock policy: every run-relative clock and deadline here is
-``time.monotonic()`` — an NTP step can neither fire nor suppress the
-fault-recovery deadline, and durations can never go negative.  The single
-wall-clock stamp (taken inside :class:`SpanRecorder`) exists only to align
-per-rank span streams.
+Clock policy: the run clock is the pool's.  Every deadline, patrol cadence
+and health fold reads ``pool.clock()`` (``time.monotonic`` for a real pool:
+an NTP step can neither fire nor suppress a recovery deadline); a dead rank
+is ``pool.exit_code(rank)`` and a stalled one is put down by
+``pool.kill(rank)``.  Holding no process handle and no clock of its own, the
+coordinator runs unchanged on a simulated pool's fake clock.  The
+:class:`SpanRecorder` only times spans (its one wall-clock stamp aligns the
+ranks' span streams).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -120,7 +122,7 @@ from repro.util.validation import require
 _GRACE_SECONDS = 1.0
 
 #: Upper bound between patrol passes: dead-worker/stall/straggler checks
-#: must run on a monotonic cadence even when the message and telemetry
+#: must run on the run clock's cadence even when the message and telemetry
 #: streams never go quiet (a busy inbox used to starve detection).
 _PATROL_INTERVAL_SECONDS = 0.1
 
@@ -142,22 +144,17 @@ class DistReport(RankTally):
     trace: Trace
     comm: CommStats
     attempts: dict[int, int]
-    reassigned: list[int]
     segments: list[str]
     nworkers: int = 0
     shm_bytes: int = 0
     #: The series of :data:`repro.runtime.metrics.SERIES`, folded from this
     #: report (``None`` when the run was configured ``metrics=False``).
     metrics: MetricsSnapshot | None = None
-    health: RunHealth | None = None
+    health: RunHealth = field(default_factory=RunHealth)
     events_path: str | None = None
     #: The event log's tallies: ``(kind, None)`` -> records emitted,
     #: ``(kind, field)`` -> the sum of that field over them.
     event_totals: dict = field(default_factory=dict)
-    stalled: list[int] = field(default_factory=list)
-    handoffs: int = 0
-    blocks_rebalanced: int = 0
-    tasks_rebalanced: int = 0
     #: Predicted-cost model of the executed plan (when tracing was on);
     #: what ``repro explain`` audits the run against.
     model: "PerfModel | None" = None
@@ -172,6 +169,28 @@ class DistReport(RankTally):
     def b_max_instantiations(self) -> int:
         """The paper's at-most-once bound on B, off the merged stats."""
         return self.stats.b_max_instantiations
+
+    # -- recovery: folds of the event log (its health and its tallies) -------
+
+    @property
+    def stalled(self) -> list[int]:
+        return sorted(r for r, rh in self.health.ranks.items() if rh.stalls)
+
+    @property
+    def reassigned(self) -> list[int]:
+        return sorted(r for r, rh in self.health.ranks.items() if rh.state == "reassigned")
+
+    @property
+    def handoffs(self) -> int:
+        return self.event_totals.get(("handoff", None), 0)
+
+    @property
+    def blocks_rebalanced(self) -> int:
+        return self.event_totals.get(("handoff", "blocks"), 0)
+
+    @property
+    def tasks_rebalanced(self) -> int:
+        return self.event_totals.get(("handoff", "tasks"), 0)
 
     def summary(self) -> str:
         retried = {r: a for r, a in self.attempts.items() if a > 1}
@@ -274,10 +293,10 @@ def execute_plan_distributed(
     ``report.events_path`` names the file written.
 
     Pooled execution: ``pool`` (a :class:`~repro.dist.pool.WorkerPool`
-    with ``pool.nranks == plan.grid.nprocs``) lends this run its comm
-    layer and warm worker processes — the coordinator spawns nothing it
-    can reuse and terminates nothing at teardown, so the processes (and
-    any warm B-tile caches inside them) survive for the next run.  The
+    with ``pool.nranks == plan.grid.nprocs``) is this run's environment —
+    comm layer, warm worker processes, clock: the coordinator spawns nothing
+    it can reuse and kills only a stalled rank it retries, so the processes
+    (and any warm B-tile caches inside them) survive for the next run.  The
     pool's owner closes it and, after a run that raised, terminates and
     drains it (a worker may still be computing for the dead run).  With no
     ``pool`` the call borrows a transient one of its own, started lazily
@@ -435,9 +454,17 @@ class _Coordinator:
                 "run": self.run_hash, "alpha": float(alpha), "nranks": nranks,
             })
 
+        #: The run's environment (processes, fabric, clock): the caller's
+        #: pool, else one of this run's own, closed at teardown.  A process
+        #: this run's pool forks is born holding A and B; a borrowed pool's
+        #: predate them and spawned ones inherit nothing — those get arenas.
+        self.own_pool = pool is None
+        self.pool = pool = WorkerPool(nranks) if pool is None else pool
+        self.resident = self.own_pool and pool.ctx.get_start_method() == "fork"
+        self.coord = pool.comm.endpoint(COORDINATOR)
+
         self.comm_stats = CommStats()
-        # The coordinator's own recorder doubles as the run's monotonic clock
-        # and the alignment anchor for every rank's span stream.
+        # The coordinator's own spans, and the anchor of every rank's stream.
         self.rec = rec if rec is not None else SpanRecorder(enabled=cfg.trace)
         self.health = RunHealth(
             heartbeat_interval=cfg.heartbeat_interval,
@@ -445,7 +472,7 @@ class _Coordinator:
             straggler_fraction=cfg.straggler_fraction,
         )
         #: The run's one record; ``health`` changes only by its fold.
-        self.events = EventLog(cfg.events_path, cfg.run_id, self.health)
+        self.events = EventLog(cfg.events_path, cfg.run_id, self.health, pool.clock)
         self.events.emit(
             "plan_accepted",
             nranks=nranks,
@@ -458,8 +485,6 @@ class _Coordinator:
         #: filled, reported but not unlinked.
         self.arenas: list[TileArena] = []
         self.borrowed: list[TileArena] = []
-        #: rank -> the pool's process of its live attempt.
-        self.workers: dict[int, object] = {}
         # rec.now() at proc.start() and at done-report receipt: against the
         # worker's own span extent they bound the measured ``spawn.<rank>``
         # (process startup) and ``report.<rank>`` (report pickling +
@@ -488,15 +513,6 @@ class _Coordinator:
         #: producer of each of its tiles (the one-producer check).
         self.out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
         self.produced_by: dict[tuple[int, int], object] = {}
-
-        #: The processes and the fabric: the caller's pool, else one of
-        #: this run's own, closed at teardown.  A process the run's own
-        #: pool forks is born holding A and B; a borrowed pool's predate
-        #: them and spawned ones inherit nothing — those get arenas.
-        self.own_pool = pool is None
-        self.pool = pool = WorkerPool(nranks) if pool is None else pool
-        self.resident = self.own_pool and pool.ctx.get_start_method() == "fork"
-        self.coord = pool.comm.endpoint(COORDINATOR)
 
     def live_attempt(self, rank: int) -> int:
         """The 0-based attempt of ``rank`` whose replies count."""
@@ -644,7 +660,7 @@ class _Coordinator:
         self.spawn_clock[rank] = self.rec.now()  # the message is part of start-up
         msg = self.rank_msg(rank)
         born = ((self.a, self.b), msg) if self.resident else ()
-        self.workers[rank] = self.pool.ensure(rank, *born)
+        self.pool.ensure(rank, *born)
         if not self.resident:
             t_send = self.rec.now()
             self.coord.send(rank, msg)
@@ -711,12 +727,8 @@ class _Coordinator:
         # state with it: a slow *second* attempt is re-flaggable), and any
         # relinquish in flight to the dead attempt is superseded.
         self.outstanding_relinquish.pop(rank, None)
-        old = self.workers.pop(rank, None)
-        if old is not None and old.is_alive():
-            # Still breathing (a stalled or wedged worker): put it down
-            # before its rank is re-executed anywhere else.
-            old.terminate()
-            old.join(timeout=1.0)
+        # Put a stalled or wedged worker down before its rank runs elsewhere.
+        self.pool.kill(rank)
         self.attempts[rank] += 1
         if self.attempts[rank] == 2:
             self.events.emit(
@@ -765,11 +777,8 @@ class _Coordinator:
     def pick_helper(self) -> int | None:
         """A finished worker rank able to absorb a handoff, or ``None``: one
         with a live process (an inline-reassigned rank has none)."""
-        for r in sorted(self.reports):  # reported, hence no longer pending
-            proc = self.workers.get(r)
-            if proc is not None and proc.is_alive():
-                return r
-        return None
+        alive = self.pool.alive_ranks()  # reported, hence no longer pending
+        return next((r for r in sorted(self.reports) if r in alive), None)
 
     def handoff_msg(self, hid: int, origin: int, blocks: tuple,
                     in_process: bool = False) -> tuple[HandoffMsg, TileArena]:
@@ -845,7 +854,7 @@ class _Coordinator:
         msg, arena = self.handoff_msg(hid, origin, blocks)
         self.pending_handoffs[hid] = {
             "origin": origin, "helper": helper, "blocks": blocks,
-            "arena": arena, "started": time.monotonic(),
+            "arena": arena, "started": self.pool.clock(),
         }
         self.coord.send(helper, msg)
 
@@ -874,20 +883,19 @@ class _Coordinator:
     def patrol(self) -> None:
         """Dead-worker, stall, and straggler checks between messages; each
         verdict is an ``obs:`` event of the table."""
-        now = time.monotonic()
+        now = self.pool.clock()
         for rank in sorted(self.pending):
-            proc = self.workers.get(rank)
-            if proc is None or proc.exitcode is None:
+            code = self.pool.exit_code(rank)
+            if code is None:
                 continue
-            if proc.exitcode == ABORT_EXIT_CODE:
+            if code == ABORT_EXIT_CODE:
                 self.fire("obs:abort", rank)
             elif now - self.suspects.setdefault(rank, now) >= _GRACE_SECONDS:
                 self.fire("obs:worker_exit", ErrorMsg(
-                    rank, self.live_attempt(rank),
-                    f"worker exited with code {proc.exitcode}",
+                    rank, self.live_attempt(rank), f"worker exited with code {code}",
                 ))
-        for rank in self.health.stalled_ranks(time.monotonic(), self.pending):
-            silent = time.monotonic() - self.health.ranks[rank].last_signal
+        for rank in self.health.stalled_ranks(now, self.pending):
+            silent = now - self.health.ranks[rank].last_signal
             att = self.live_attempt(rank)
             self.events.emit(
                 "stall", rank=rank, attempt=att, silent_seconds=round(silent, 3)
@@ -898,7 +906,7 @@ class _Coordinator:
                 f"(> {self.cfg.stall_after_beats} x {self.cfg.heartbeat_interval} s)",
             ))
         flagged = {r for r, rh in self.health.ranks.items() if rh.state == "straggler"}
-        current = set(self.health.straggler_ranks(time.monotonic()))
+        current = set(self.health.straggler_ranks(now))
         for rank in sorted(current - flagged):
             self.fire("obs:straggler", rank)
         for rank in sorted(flagged - current):
@@ -909,34 +917,34 @@ class _Coordinator:
             self.events.emit("straggler_recovered", rank=rank)
         for hid in sorted(self.pending_handoffs):
             h = self.pending_handoffs[hid]
-            proc = self.workers.get(h["helper"])
-            if proc is None or proc.exitcode is not None:
+            if h["helper"] not in self.pool.alive_ranks():
                 self.fail_handoff(hid, "helper died")
             elif now - h["started"] > _HANDOFF_TIMEOUT_SECONDS:
                 self.fail_handoff(hid, "timeout")
 
     def supervise(self) -> None:
         """Gather replies until no rank and no handoff is pending."""
-        deadline = time.monotonic() + self.cfg.timeout
-        last_patrol = time.monotonic()
+        clock = self.pool.clock
+        deadline = clock() + self.cfg.timeout
+        last_patrol = clock()
         while self.pending or self.pending_handoffs:
-            if time.monotonic() > deadline:
+            if clock() > deadline:
                 raise DistExecutionError(
                     f"distributed run timed out after {self.cfg.timeout:.0f} s "
                     f"(pending ranks: {sorted(self.pending)})"
                 )
             self.drain_telemetry()
-            # Patrol on a bounded monotonic cadence, not only when the
-            # inbox goes quiet: a steady message stream used to starve
+            # Patrol on a bounded cadence, not only when the inbox goes
+            # quiet: a steady message stream used to starve
             # dead-worker/stall/straggler detection entirely.
-            if time.monotonic() - last_patrol >= _PATROL_INTERVAL_SECONDS:
+            if clock() - last_patrol >= _PATROL_INTERVAL_SECONDS:
                 self.patrol()
-                last_patrol = time.monotonic()
+                last_patrol = clock()
             try:
                 src, msg, nbytes = self.coord.recv(timeout=0.1)
             except Empty:
                 self.patrol()
-                last_patrol = time.monotonic()
+                last_patrol = clock()
                 continue
             self.comm_stats.absorb({(src, COORDINATOR): nbytes}, {(src, COORDINATOR): 1})
             self.fire(self.event_of(msg), msg)
@@ -1032,26 +1040,18 @@ class _Coordinator:
                 plan, plan_hash=self.plan_hash or plan_fingerprint(plan)
             )
 
-        ranks = self.health.ranks
-        stalled = sorted(r for r, rh in ranks.items() if rh.stalls)
-        reassigned = sorted(r for r, rh in ranks.items() if rh.state == "reassigned")
         arenas = self.borrowed + self.arenas
         dist_report = DistReport(
             stats=stats,
             trace=run_trace,
             comm=self.comm_stats,
             attempts=self.attempts,
-            reassigned=reassigned,
             segments=[arena.name for arena in arenas],
             nworkers=self.nranks,
             shm_bytes=sum(arena.used_bytes for arena in arenas),
             health=self.health,
             events_path=events.path,
             event_totals=dict(events.totals),
-            stalled=stalled,
-            handoffs=events.total("handoff"),
-            blocks_rebalanced=events.total("handoff", "blocks"),
-            tasks_rebalanced=events.total("handoff", "tasks"),
             model=perf_model,
             span_counters=span_counters,
             run_id=cfg.run_id,
@@ -1064,8 +1064,8 @@ class _Coordinator:
             ntasks=stats.ntasks,
             heartbeats=events.total("heartbeat"),
             retried=sorted(r for r, a in self.attempts.items() if a > 1),
-            stalled=stalled,
-            reassigned=reassigned,
+            stalled=dist_report.stalled,
+            reassigned=dist_report.reassigned,
             handoffs=dist_report.handoffs,
             blocks_rebalanced=dist_report.blocks_rebalanced,
         )
@@ -1075,13 +1075,14 @@ class _Coordinator:
 
     def teardown(self) -> None:
         """Success or not: close the log and this run's own pool — after a
-        failure terminated first, so the pill never waits on a busy worker
-        (a borrowed pool stays warm; its owner resets it after a failure) —
-        and unlink the C arenas."""
+        failure each rank killed first, so the pill never waits on a busy
+        worker (a borrowed pool stays warm; its owner resets it after a
+        failure) — and unlink the C arenas."""
         self.events.close()
         if self.own_pool:
-            if self.state != "done":
-                self.pool.terminate()
+            if self.state != "done":  # a busy worker never reads its pill
+                for rank in range(self.nranks):
+                    self.pool.kill(rank)
             self.pool.close()
         for arena in self.arenas:
             arena.unlink()

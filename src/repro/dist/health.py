@@ -5,12 +5,8 @@ you what happened *after* a run finishes; this module is the live layer —
 what the coordinator knows *while* workers run, and the only signal that
 can save a multi-hour allocation from a hung rank.
 
-Three pieces:
+Two pieces, fed by the workers' :class:`~repro.dist.comm.HeartbeatMsg`:
 
-* :class:`HeartbeatMsg` — the wire format workers emit on the comm
-  layer's telemetry channel every ``heartbeat_interval`` seconds: a
-  monotone sequence number and the rank's cumulative task progress.
-  Cumulative, not incremental: a lost heartbeat costs freshness, not data.
 * :class:`RunHealth` — the coordinator's aggregate: per-rank
   :class:`RankHealth` state machines, a *fold of the event log*
   (:meth:`RunHealth.apply`, run on every record emitted and, by
@@ -46,8 +42,9 @@ Three pieces:
   one JSON object per line — the attach point for ``repro monitor`` and
   the artifact CI uploads when a distributed test fails.
 
-Clock policy: detection runs purely on ``time.monotonic()`` deltas; the
-single wall-clock stamp per event only labels log lines for humans.
+Clock policy: detection runs on deltas of the run clock — its pool's,
+which the :class:`EventLog` is handed and folds every record at; the single
+wall-clock stamp per event only labels log lines for humans.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from statistics import median
 
+from repro.dist.comm import HeartbeatMsg
 from repro.runtime.metrics import SERIES
 from repro.util.jsonl import read_jsonl
 
@@ -83,38 +81,11 @@ _SUMMED = {
 STARTUP_GRACE_SECONDS = 5.0
 
 
-@dataclass(frozen=True)
-class HeartbeatMsg:
-    """One worker heartbeat (the telemetry channel's wire format).
-
-    Attributes
-    ----------
-    rank:
-        The emitting worker rank.
-    attempt:
-        The rank's 0-based attempt number (heartbeats from a stale
-        attempt are discarded by the coordinator).
-    seq:
-        Monotone per-attempt sequence number (0 = the "worker up" beat,
-        sent as soon as the scatter is received).
-    tasks_done:
-        GEMM tasks the rank has executed so far (cumulative).
-    uptime:
-        Seconds since the worker's monotonic origin — labeling only.
-    """
-
-    rank: int
-    attempt: int
-    seq: int
-    tasks_done: int
-    uptime: float = 0.0
-
-
 @dataclass
 class RankHealth:
     """One rank's live state as the coordinator sees it.
 
-    ``last_signal``/``first_beat`` are coordinator-monotonic instants;
+    ``last_signal``/``first_beat`` are instants of the run clock;
     ``state`` walks ``scattered -> up -> running -> done`` with
     ``stalled``/``straggler``/``retried``/``reassigned``/``failed``
     excursions.
@@ -175,7 +146,6 @@ class RunHealth:
         self.stall_after_beats = stall_after_beats
         self.straggler_fraction = straggler_fraction
         self.ranks: dict[int, RankHealth] = {}
-        self.heartbeats = 0
 
     @property
     def enabled(self) -> bool:
@@ -184,7 +154,7 @@ class RunHealth:
     def apply(self, record: dict, now: float) -> None:
         """Fold one event record in — the one way a run's health changes:
         its :class:`EventLog` calls it on every record emitted (``now`` = the
-        monotonic clock), :func:`replay_health` on every one read back
+        run's clock), :func:`replay_health` on every one read back
         (``now`` = the logged ``t``)."""
         kind, rank = record.get("event"), record.get("rank")
 
@@ -265,7 +235,6 @@ class RunHealth:
         # below threshold.
         if hb.tasks_done > 0 and rh.state == "up":
             rh.state = "running"
-        self.heartbeats += 1
         return True
 
     def on_done(self, rank: int, now: float) -> None:
@@ -416,7 +385,8 @@ class EventLog:
     """The run's one record: every life-cycle event, as it happens.
 
     ``emit`` builds the record ``{"t": <wall seconds>, "event": <kind>,
-    ...fields}``, folds it into ``health`` (:meth:`RunHealth.apply`) and
+    ...fields}``, folds it into ``health`` at ``clock()`` — the run's clock,
+    not one of the log's own (:meth:`RunHealth.apply`) — and
     tallies it (:meth:`total`); with a ``path`` it also appends it to a
     JSONL file, one object per line.  The coordinator is the only writer,
     so lines are never interleaved, and each ``emit`` flushes — a monitor
@@ -430,12 +400,10 @@ class EventLog:
     """
 
     def __init__(self, path: str | None, run_id: str | None = None,
-                 health: RunHealth | None = None):
+                 health: RunHealth | None = None, clock=None):
         if path and run_id:
             path = run_scoped_events_path(path, run_id)
-        self.path = path
-        self.run_id = run_id
-        self.health = health
+        self.path, self.run_id, self.health, self.clock = path, run_id, health, clock
         self._fh = open(path, "w", encoding="utf-8") if path else None  # repro: noqa[L308] - handle owned by the log, closed in close()
         #: ``(event kind, None)`` -> records so far; ``(kind, field)`` -> the
         #: sum of that field, for the pairs in ``_SUMMED``.
@@ -451,7 +419,7 @@ class EventLog:
             if kind == event:
                 self.totals[kind, name] += fields[name]
         if self.health is not None:
-            self.health.apply(record, time.monotonic())
+            self.health.apply(record, self.clock())
         if self._fh is not None:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
@@ -491,7 +459,7 @@ def replay_health(events: list[dict]) -> RunHealth:
     This is how ``repro monitor`` attaches to a run it does not own: the
     same :meth:`RunHealth.apply` the run folded each record through when
     it emitted it, over the records read back.  Wall timestamps in the log
-    stand in for the coordinator's monotonic clock — fine for display,
+    stand in for the run clock — fine for display,
     never used for detection.  Events whose fields do not parse (a
     half-flushed record from a killed coordinator) are skipped; replay
     never raises on a readable log.

@@ -10,9 +10,14 @@ pool=...)``), which outlives the run, or a one-shot call's own, closed in
 the call's ``finally``.  The pool starts, watches and stops the processes,
 and sends or receives only what lives *between* runs: the
 :class:`~repro.dist.comm.ShutdownMsg` pill of :meth:`close` and the stale
-traffic :meth:`drain` drops.  A terminated or closed pool leaves
-``/dev/shm`` empty.  The serving layer (:mod:`repro.serve`) keeps one pool
-warm across jobs, with the warm B-tile cache ``tile_cache_factory`` makes.
+traffic :meth:`drain` drops.  It is a run's whole environment: the
+coordinator holds no process handle and reads no clock of its own, but asks
+the pool for the time (:meth:`clock`), a rank's exit code (:meth:`exit_code`)
+and a stalled rank's death (:meth:`kill`) — so a pool on in-memory queues and
+a fake clock (the tests' simulated pool) runs fault schedules through it.  A
+terminated or closed pool leaves ``/dev/shm`` empty.  The serving layer
+(:mod:`repro.serve`) keeps one pool warm across jobs, with the warm B-tile
+cache ``tile_cache_factory`` makes.
 """
 
 from __future__ import annotations
@@ -101,10 +106,24 @@ class WorkerPool:
         self.spawns += 1
         return proc
 
+    def clock(self) -> float:
+        """The run clock every deadline, patrol and health fold reads."""
+        return time.monotonic()
+
+    def exit_code(self, rank: int) -> int | None:
+        """``rank``'s exit code; ``None`` while it runs or if there is none."""
+        proc = self._workers.get(rank)
+        return None if proc is None else proc.exitcode
+
+    def kill(self, rank: int) -> None:
+        """Stop ``rank``'s process if it still breathes, and forget it."""
+        proc = self._workers.pop(rank, None)
+        if proc is not None and proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=1.0)
+
     def alive_ranks(self) -> list[int]:
-        return sorted(
-            r for r, p in self._workers.items() if p is not None and p.is_alive()
-        )
+        return sorted(r for r, p in self._workers.items() if p.is_alive())
 
     @property
     def closed(self) -> bool:
@@ -149,16 +168,12 @@ class WorkerPool:
                 dropped += 1
         return dropped
 
-    def terminate(self, timeout: float = 2.0) -> None:
+    def terminate(self) -> None:
         """Hard-stop every worker — after a failed run one may still be
         computing for it — and unlink the arenas; the comm layer stays
         usable and ranks respawn on next use."""
-        for proc in self._workers.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._workers.values():
-            proc.join(timeout=timeout)
-        self._workers.clear()
+        for rank in list(self._workers):
+            self.kill(rank)
         while self._arenas:
             self._arenas.popitem()[1].unlink()
 

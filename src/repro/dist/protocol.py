@@ -38,7 +38,7 @@ Reading guide, message by message:
   :class:`~repro.dist.worker.WorkerReport`) or
   :class:`~repro.dist.comm.ErrorMsg` (a formatted traceback) ends an
   attempt.
-* ``heartbeat`` — :class:`~repro.dist.health.HeartbeatMsg` liveness beats
+* ``heartbeat`` — :class:`~repro.dist.comm.HeartbeatMsg` liveness beats
   (cumulative task progress); they ride the out-of-band telemetry queue so
   they can never delay or reorder control traffic.
 * ``relinquish`` / ``relinquished`` — the coordinator asks a flagged
@@ -59,7 +59,8 @@ patrol's grace window, a relinquish ack from a rank that finished or was
 retried in between — which the coordinator must *discard*: acting on a
 stale report would credit a half-written C arena (or steal blocks from an
 attempt that no longer owns them).  A row commented *Not explored* is
-declared for the runtime but fired by no scenario of ``make model-check``.
+fired by no scenario of ``make model-check``; the tests' seeded schedules
+on a simulated pool (``make sim``) fire every one, through the runtime.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ from repro.dist.comm import (
     ErrorMsg,
     HandoffDoneMsg,
     HandoffMsg,
+    HeartbeatMsg,
     RelinquishedMsg,
     RelinquishMsg,
     ScatterMsg,
     ShutdownMsg,
 )
-from repro.dist.health import HeartbeatMsg
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ coordinator's fold of the merged report
 
 Live telemetry: when the scatter carries a positive ``heartbeat_interval``
 the worker runs a daemon heartbeat thread that ships a
-:class:`~repro.dist.health.HeartbeatMsg` — sequence number and cumulative
+:class:`~repro.dist.comm.HeartbeatMsg` — sequence number and cumulative
 task progress — to the coordinator on the comm layer's out-of-band
 telemetry channel every interval.  The first beat goes out immediately ("worker up"); the thread
 stops when the rank finishes, errors, or is deliberately stalled.
@@ -87,12 +87,12 @@ from repro.dist.comm import (
     ErrorMsg,
     HandoffDoneMsg,
     HandoffMsg,
+    HeartbeatMsg,
     ProtocolError,
     RelinquishedMsg,
     RelinquishMsg,
     ScatterMsg,
 )
-from repro.dist.health import HeartbeatMsg
 from repro.dist.protocol import WIRE, WORKER_MACHINE, Transition
 from repro.dist.tile_store import TileArena
 from repro.runtime.data import BService, ConcreteBSource

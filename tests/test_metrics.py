@@ -97,7 +97,7 @@ class TestSeriesFold:
                   ("handoff", "tasks"): 4}
         report = DistReport(
             stats=NumericStats.merge([r.stats for r in ranks] + [handoff]),
-            trace=trace, comm=CommStats(), attempts={}, reassigned=[],
+            trace=trace, comm=CommStats(), attempts={},
             segments=[], event_totals=totals, **vars(RankTally.merge(ranks)),
         )
         return ranks, handoff, totals, report

@@ -29,6 +29,7 @@ from repro.dist.comm import (
     ErrorMsg,
     HandoffDoneMsg,
     HandoffMsg,
+    HeartbeatMsg,
     ProtocolError,
     RelinquishedMsg,
     RelinquishMsg,
@@ -41,7 +42,6 @@ from repro.dist.coordinator import (
     _Coordinator,
     execute_plan_distributed,
 )
-from repro.dist.health import HeartbeatMsg
 from repro.dist.worker import WorkerReport, _Worker, run_rank, worker_main
 from repro.machine import summit
 from repro.runtime.numeric import NumericStats

@@ -117,6 +117,7 @@ class TestRebalanceParity:
             rep, _ = self._rebalanced_run(tmp_path)
         assert pack_spans(rep) == ["pack.a", "pack.b"]
 
+    @pytest.mark.dist
     def test_rebalance_is_off_by_default(self):
         """Without opting in, a slow rank is flagged but never stolen
         from — the run just takes longer and stays bit-identical."""
