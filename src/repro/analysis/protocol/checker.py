@@ -3,7 +3,7 @@
 Small-scope hypothesis, applied: protocol bugs (lost wakeups, recovery
 deadlocks, unbounded queues) almost always have counterexamples within a
 tiny scope — one to three ranks, one injected fault, a couple of work
-units, at most one steal excursion.  This module explores *every*
+units.  This module explores *every*
 interleaving of the declared protocol (:mod:`repro.dist.protocol`) over
 exactly those scopes with an explicit-state breadth-first search, and
 reports violations as ordinary analysis findings (``M40x``) carrying a
@@ -17,8 +17,8 @@ step fires one row, and the row decides
   respawn's initial state and the model-only markers ``reassigned``,
   ``terminated`` and ``failed``);
 * the messages queued: each one its ``sends`` names, routed by the
-  message's declared destination and channel — ``recover_rank`` and
-  ``dispatch_handoff`` may withhold theirs, no row emits anything else;
+  message's declared destination and channel — ``recover_rank`` may
+  withhold its scatter, no row emits anything else;
 * the effect on the run state: the function :data:`_EFFECTS` holds under
   its ``action``, named one-to-one with the methods the runtime calls.
 
@@ -27,32 +27,24 @@ unit computes, the armed fault fires, the patrol sees an exit, a stall, an
 abort or a straggler), whether a reply is live or stale, and the checks:
 
 * **M401 deadlock freedom** — every reachable non-terminal state has at
-  least one enabled transition;
+  least one enabled transition that leads elsewhere (the patrol's
+  straggler verdict, an observation that changes no state, does not
+  count);
 * **M402 no unhandled message** — whenever a message can reach the head
   of a role's queue, that role's declared machine has a transition for
   it (including the ``:stale`` variants for superseded-attempt traffic);
 * **M403 no orphaned sends** — when a run terminates cleanly, no
   message from a rank's *final* attempt is still queued (superseded
-  traffic is legitimately discarded at teardown; an abandoned
-  relinquish/ack pair is M408's jurisdiction, not an orphan);
+  traffic is legitimately discarded at teardown);
 * **M404 queue byte budgets** — no interleaving pushes an inbox, the
   gather queue, or the telemetry queue past its declared byte budget;
 * **M405 recovery / resume safety** — every fault schedule inside the
   scope that the retry->reassign policy is specified to survive ends in
-  a completed run with each rank's work credited exactly once, and a
-  checkpointed run killed by ``abort`` resumes to completion from its
+  a completed run with each rank's work units executed exactly once, and
+  a checkpointed run killed by ``abort`` resumes to completion from its
   committed block files;
 * **M406 commit ordering** — no reachable state renames a block file into
-  place (journals it) before its tiles are fsynced (stored);
-* **M407 no lost or double-executed block** — under every steal x fault
-  interleaving each work unit runs exactly once: a committed steal shrinks
-  the origin's target by exactly the yielded units, which run once on the
-  helper or the inline spare; a steal superseded by the origin's failure
-  reverts to the full re-executed plan;
-* **M408 relinquish acked or superseded** — every relinquish request is
-  acknowledged by the worker (live, empty or stale) or provably
-  superseded by the rank's own completion or recovery; none is left
-  dangling against a still-running attempt.
+  place (journals it) before its tiles are fsynced (stored).
 
 The environment is *idealized* in one place: the patrol's grace window
 (the real coordinator waits ``_GRACE_SECONDS`` for a late report before
@@ -60,12 +52,6 @@ declaring a visibly-exited worker dead) is always sufficient —
 ``obs:worker_exit`` is not enabled while a current-attempt report from
 that rank is in flight — so the stale ``done`` and ``error`` rows are
 declared but not explored here; the simulated-pool schedules fire them.
-
-The steal excursion: the origin acks a ``relinquish`` at its next block
-boundary with its unstarted units (possibly none), which go to a finished
-helper rank or the inline spare.  Ack and ``done`` share the FIFO gather
-queue, so a non-empty ack reaches the coordinator before the origin's
-report — the ordering the implementation relies on.
 
 Fault kinds match :class:`repro.dist.faults.FaultInjection` (``kill``,
 ``stall``, ``abort``) plus ``raise`` — the unplanned-exception path of
@@ -112,18 +98,12 @@ class Scenario:
     #: Per-rank committed unit counts (block files) a resume run starts
     #: from (the abort+checkpoint sub-check); None for a fresh run.
     initial_journal: tuple[int, ...] | None = None
-    #: Enable the rebalancing excursion: the patrol may flag rank 0 a
-    #: straggler and request a cooperative relinquish at any point while
-    #: it is running (every such point, by exhaustiveness).
-    steal: bool = False
 
     def label(self) -> str:
         parts = [f"ranks={self.nranks}"]
         parts.append(f"fault={self.fault.label() if self.fault else 'none'}")
         if self.checkpoint:
             parts.append("ckpt")
-        if self.steal:
-            parts.append("steal")
         if self.initial_journal is not None:
             parts.append(f"resume={list(self.initial_journal)}")
         return " ".join(parts)
@@ -139,12 +119,6 @@ def default_scenarios(max_ranks: int = 2) -> list[Scenario]:
     by symmetry of the model a fault on any rank explores the same
     protocol states, while the remaining ranks run fault-free
     concurrently and supply the interleavings.
-
-    The steal sweep crosses the rebalancing excursion with each fault
-    kind once (the full once/at-unit matrix above already covers plain
-    recovery; the product that matters for M407/M408 is steal x
-    {clean, kill, stall, raise, abort}) — rank 0 is both the straggler
-    and the fault target, the adversarial overlap.
     """
     scenarios: list[Scenario] = []
     abort = FaultSpec(0, "abort", 1, once=False)
@@ -158,12 +132,6 @@ def default_scenarios(max_ranks: int = 2) -> list[Scenario]:
                             nranks, FaultSpec(0, kind, at_unit, once), ckpt
                         ))
             scenarios.append(Scenario(nranks, abort, ckpt))
-            scenarios.append(Scenario(nranks, None, ckpt, steal=True))
-            for kind in ("kill", "stall", "raise"):
-                scenarios.append(Scenario(
-                    nranks, FaultSpec(0, kind, 1, True), ckpt, steal=True
-                ))
-            scenarios.append(Scenario(nranks, abort, ckpt, steal=True))
     return scenarios
 
 
@@ -173,18 +141,10 @@ def default_scenarios(max_ranks: int = 2) -> list[Scenario]:
 #: state, attempt, done, computed, substep, stored, journaled, beats
 _W_STATE, _W_ATT, _W_DONE, _W_COMP, _W_SUB, _W_STORED, _W_JRN, _W_BEATS = range(8)
 
-#: Steal-excursion tuple fields: phase, pinned origin attempt, units
-#: yielded by the origin, committed-under-the-origin flag.  Phases: none ->
-#: requested -> acked/acked_empty -> handing -> done, with superseded
-#: reachable from any pre-commit phase via the origin's recovery.
-_S_PHASE, _S_ATT, _S_STOLEN, _S_JRN = range(4)
-
-_STEAL_NONE = ("none", 0, 0, False)
-
 #: Run-state slots: coordinator state, worker tuples, complete ranks, inbox
-#: queues, gather queue, telemetry queue, steal excursion.  A message is a
-#: ``(name, rank, attempt)`` tuple.
-_INBOXES, _GATHER, _TELEMETRY, _STEAL = 3, 4, 5, 6
+#: queues, gather queue, telemetry queue.  A message is a ``(name, rank,
+#: attempt)`` tuple.
+_INBOXES, _GATHER, _TELEMETRY = 3, 4, 5
 _TERMINAL_COORD = ("done", "failed", "aborted")
 
 
@@ -192,7 +152,7 @@ def _initial_state(sc: Scenario):
     journal = sc.initial_journal or (0,) * sc.nranks
     workers = tuple(("idle", 0, 0, 0, 0, j, j, 0) for j in journal)
     inboxes = tuple((("scatter", r, 0),) for r in range(sc.nranks))
-    return ("supervising", workers, frozenset(), inboxes, (), (), _STEAL_NONE)
+    return ("supervising", workers, frozenset(), inboxes, (), ())
 
 
 def _put(seq: tuple, i: int, item) -> tuple:
@@ -203,16 +163,11 @@ def _with_worker(s, r: int, w):
     return (s[0], _put(s[1], r, w)) + s[2:]
 
 
-def _with_steal(s, steal):
-    return s[:_STEAL] + (steal,)
-
-
 # -- Effects: what a row's ``action`` does to the run state (_EFFECTS). ------
 # Each takes the state after the row's ``next_state`` is entered, the rank
 # the event concerns, the consumed message (or None) and the ``(rank,
 # attempt)`` the row's sends go to, and returns the new state and address:
-# None withholds the sends (``recover_rank`` and ``dispatch_handoff`` *may*
-# send).
+# None withholds the sends (``recover_rank`` *may* send).
 
 def _keep(run, s, r, msg, to):
     return s, to
@@ -220,13 +175,7 @@ def _keep(run, s, r, msg, to):
 
 def _recover_rank(run, s, r, msg, to):
     """Retry once (respawn + rescatter), then reassign inline, else fail."""
-    w, steal = s[1][r], s[_STEAL]
-    if r == 0 and steal[_S_PHASE] in ("requested", "acked", "acked_empty"):
-        # The failed attempt no longer owns its blocks: any in-flight
-        # relinquish or ack is superseded and the new attempt re-executes
-        # the full plan (the runtime pops outstanding_relinquish the same way).
-        steal = ("superseded",) + steal[1:]
-        s = _with_steal(s, steal)
+    w = s[1][r]
     att = w[_W_ATT] + 1
     if att <= run.model.max_retries:
         # A fresh attempt; store and journal persist across it.
@@ -236,7 +185,7 @@ def _recover_rank(run, s, r, msg, to):
     if run.model.allow_reassign:
         # The coordinator-local spare executes (and, under checkpointing,
         # journals) the rank synchronously.
-        units = run._target(r, steal)
+        units = run.model.work_units
         journaled = units if run.sc.checkpoint else w[_W_JRN]
         w = ("reassigned", att, units, 0, 0, max(journaled, w[_W_STORED]),
              max(journaled, w[_W_JRN]), 0)
@@ -245,52 +194,11 @@ def _recover_rank(run, s, r, msg, to):
     return ("failed",) + s[1:], None
 
 
-def _dispatch_handoff(run, s, r, msg, to):
-    """Hand the yielded units to a finished helper rank, or run them on the
-    coordinator's inline spare (committed under the origin's name)."""
-    workers, (_phase, att, stolen, jrn) = s[1], s[_STEAL]
-    if stolen <= 0:  # the origin was already at its last block
-        return _with_steal(s, ("done", att, 0, jrn)), None
-    for h in sorted(s[2]):
-        if workers[h][_W_STATE] == "idle_done":
-            return (_with_steal(s, ("handing", att, stolen, jrn)),
-                    (h, workers[h][_W_ATT]))
-    return _with_steal(s, ("done", att, stolen, jrn or run.sc.checkpoint)), None
-
-
 def _attach_and_restore(run, s, r, msg, to):
     w = s[1][r]
     restored = w[_W_JRN] if run.sc.checkpoint else 0
     return _with_worker(s, r, (w[_W_STATE], w[_W_ATT], restored, 0, 0,
                                w[_W_STORED], w[_W_JRN], 0)), to
-
-
-def _stale_ack(run, s, r, msg, to):
-    """Ack empty: the request is from a superseded attempt, or the rank has
-    reported; either way the coordinator retires it on the ack."""
-    steal = s[_STEAL]
-    if r == 0 and steal[_S_PHASE] == "requested":
-        s = _with_steal(s, ("superseded",) + steal[1:])
-    return s, to
-
-
-def _yield_unstarted(run, s, r, msg, to):
-    """Yield every unstarted unit at this block boundary: the origin's target
-    shrinks to exactly what it has done."""
-    w, steal = s[1][r], s[_STEAL]
-    if msg[2] != w[_W_ATT] or steal[_S_PHASE] != "requested":
-        return _stale_ack(run, s, r, msg, to)
-    stolen = run._target(r, steal) - w[_W_DONE]
-    phase = "acked" if stolen > 0 else "acked_empty"
-    return _with_steal(s, (phase, w[_W_ATT], stolen, steal[_S_JRN])), to
-
-
-def _execute_handoff(run, s, r, msg, to):
-    # Under checkpointing the helper commits the stolen blocks under the
-    # origin's name (store-then-journal per block) before reporting.
-    if run.sc.checkpoint:
-        s = _with_steal(s, s[_STEAL][:_S_JRN] + (True,))
-    return s, to
 
 
 def _compute_unit(run, s, r, msg, to):
@@ -316,16 +224,9 @@ _EFFECTS = {
     "discard": _keep,
     "recover_rank": _recover_rank,
     "fold_health": _keep,
-    "request_relinquish": lambda run, s, r, msg, to: (_with_steal(
-        s, ("requested", s[1][r][_W_ATT], 0, s[_STEAL][_S_JRN])), to),
-    "dispatch_handoff": _dispatch_handoff,
-    "absorb_handoff": lambda run, s, r, msg, to: (
-        _with_steal(s, ("done",) + s[_STEAL][1:]), to),
+    "flag_straggler": _keep,
     "abort_run": _keep,
     "attach_and_restore": _attach_and_restore,
-    "stale_ack": _stale_ack,
-    "yield_unstarted": _yield_unstarted,
-    "execute_handoff": _execute_handoff,
     "compute_unit": _compute_unit,
     "store_unit": lambda run, s, r, msg, to: (_commit(s, r, _W_STORED), to),
     "journal_unit": lambda run, s, r, msg, to: (_commit(s, r, _W_JRN), to),
@@ -372,13 +273,6 @@ class _Run:
             self.sink[rule, key] = (message, self.sc, self.trace(state, label))
 
     # -- the row interpreter -------------------------------------------------
-
-    def _target(self, r: int, steal) -> int:
-        """Units rank ``r`` must execute itself: shrunk by a committed
-        steal (the origin stops at its ack point), full otherwise."""
-        if r == 0 and steal[_S_PHASE] in ("acked", "handing", "done"):
-            return self.model.work_units - steal[_S_STOLEN]
-        return self.model.work_units
 
     def _send(self, state, label: str, s, msg):
         """Queue ``msg`` where its MsgSpec routes it; None on a budget
@@ -439,7 +333,7 @@ class _Run:
     def successors(self, state):
         """Every (label, next_state) enabled in ``state``."""
         out: list = []
-        cs, workers, complete, inboxes, gather, telemetry, steal = state
+        cs, workers, complete, inboxes, gather, telemetry = state
         if cs in _TERMINAL_COORD:
             # Teardown: the coordinator terminates every worker and
             # discards residual queue traffic (the abort/fail paths) or
@@ -450,11 +344,8 @@ class _Run:
         for r, w in enumerate(workers):
             wstate, att, sub = w[_W_STATE], w[_W_ATT], w[_W_SUB]
             # Inbox consumption: idle blocks on recv, idle_done is the
-            # worker_main dispatch loop, running drains relinquish requests
-            # only at block boundaries (recv_nowait between blocks —
-            # mid-checkpoint substeps defer, they don't drop).
-            if (inboxes[r] and wstate in ("idle", "running", "idle_done")
-                    and (wstate != "running" or sub == 0)):
+            # worker_main dispatch loop; a running worker reads no inbox.
+            if inboxes[r] and wstate in ("idle", "idle_done"):
                 msg = inboxes[r][0]
                 popped = _put(state, _INBOXES, _put(inboxes, r, inboxes[r][1:]))
                 self._fire(out, state, W, r, f"recv:{msg[0]}",
@@ -462,14 +353,13 @@ class _Run:
                            popped, msg)
 
             # A finished one-shot worker may leave at any moment where its
-            # machine lets it — unless the run rebalances: then it is a
-            # helper, and stays for handoffs.
-            if not sc.steal and (W, wstate, "act:leave") in self.rows:
+            # machine lets it.
+            if (W, wstate, "act:leave") in self.rows:
                 self._fire(out, state, W, r, "act:leave", f"rank{r}: leave")
 
             if wstate != "running":
                 continue
-            target = self._target(r, steal)
+            target = self.model.work_units
             if sub == 0 and w[_W_DONE] < target:
                 # A unit computes; the armed fault fires right after its
                 # GEMMs (on_task), before on_block stores/journals it.
@@ -510,12 +400,7 @@ class _Run:
                 continue
             msg = state[slot][0]
             name, r, att = msg
-            # A helper is in ``complete`` by construction: its handoff
-            # report is never superseded.
-            stale = name != "handoff_done" and (
-                r in complete or att != workers[r][_W_ATT]
-                or (name == "relinquished"
-                    and steal[_S_PHASE] not in ("acked", "acked_empty")))
+            stale = r in complete or att != workers[r][_W_ATT]
             self._fire(out, state, C, r,
                        f"recv:{name}" + (":stale" if stale else ""),
                        f"coord: recv {name}{' (stale)' if stale else ''} "
@@ -523,15 +408,14 @@ class _Run:
                        _put(state, slot, state[slot][1:]), msg)
 
         if cs == "supervising":
-            # Patrol: the windowed-rate straggler verdict (sc.steal scopes
-            # it; once per run — the phase latch bounds the model).
-            if (sc.steal and steal[_S_PHASE] == "none" and 0 not in complete
-                    and workers[0][_W_STATE] == "running"):
-                self._fire(out, state, C, 0, "obs:straggler",
-                           "coord: flag rank 0 as straggler (relinquish)")
             for r, w in enumerate(workers):
                 if r in complete:
                     continue
+                # The windowed-rate straggler verdict, on any running rank:
+                # named in the log, it changes no state.
+                if w[_W_STATE] == "running":
+                    self._fire(out, state, C, r, "obs:straggler",
+                               f"coord: flag rank {r} a straggler")
                 # A visibly dead worker (exit code readable).  The grace
                 # window is modeled as sufficient: not enabled while a
                 # current-attempt report from r is still in flight.
@@ -551,10 +435,8 @@ class _Run:
                 if w[_W_STATE] == "exited_abort":
                     self._fire(out, state, C, r, "obs:abort",
                                f"coord: observe abort exit of rank {r}")
-            # The gather loop exits only once no rank and no handoff is
-            # pending (`while pending or pending_handoffs`).
-            if (len(complete) == sc.nranks
-                    and steal[_S_PHASE] not in ("acked", "handing")):
+            # The gather loop exits once no rank is pending.
+            if len(complete) == sc.nranks:
                 self._fire(out, state, C, None, "obs:all_done",
                            "coord: all ranks done")
 
@@ -566,8 +448,7 @@ class _Run:
     # -- property checks -----------------------------------------------------
 
     def _check_invariants(self, state) -> None:
-        _, workers, _, _, _, _, steal = state
-        for r, w in enumerate(workers):
+        for r, w in enumerate(state[1]):
             if w[_W_JRN] > w[_W_STORED]:
                 self._violate(
                     "M406", ("journal-order", r),
@@ -577,19 +458,10 @@ class _Run:
                     f"missing tiles (the store must precede the rename)",
                     state,
                 )
-            if w[_W_DONE] > self._target(r, steal):
-                self._violate(
-                    "M407", ("over-execute", r),
-                    f"rank {r} has executed {w[_W_DONE]} unit(s) but owns only "
-                    f"{self._target(r, steal)} after the steal: a yielded block "
-                    f"ran twice (origin and helper both produced it)",
-                    state,
-                )
 
     def _check_terminal(self, state) -> None:
-        coord_state, workers, complete, inboxes, gather, telemetry, steal = state
+        coord_state, workers, complete, inboxes, gather, telemetry = state
         sc = self.sc
-        phase, s_att, stolen, _jrn = steal
         if coord_state == "done":
             if len(complete) != sc.nranks:
                 self._violate(
@@ -600,11 +472,6 @@ class _Run:
                 )
             for queue in (gather, telemetry, *inboxes):
                 for name, r, att in queue:
-                    if name in ("relinquish", "relinquished"):
-                        # Abandonment is legal: the request raced the
-                        # rank's own completion or recovery and was
-                        # superseded — M408's jurisdiction, not M403's.
-                        continue
                     if att == workers[r][_W_ATT]:
                         self._violate(
                             "M403", ("orphan", name),
@@ -613,34 +480,17 @@ class _Run:
                             f"termination: sent but never consumable",
                             state,
                         )
+            units = self.model.work_units
             for r, w in enumerate(workers):
-                tgt = self._target(r, steal)
-                if w[_W_DONE] != tgt:
+                if w[_W_DONE] != units:
                     self._violate(
-                        "M407", ("credit", r),
-                        f"rank {r} completed with {w[_W_DONE]} of "
-                        f"{tgt} owned unit(s) executed: a block was "
-                        f"{'double-executed' if w[_W_DONE] > tgt else 'lost'}"
-                        f" across the steal/recovery interleaving",
+                        "M405", ("credit", r),
+                        f"rank {r} completed with {w[_W_DONE]} of {units} "
+                        f"unit(s) executed: a unit was "
+                        f"{'double-executed' if w[_W_DONE] > units else 'lost'}"
+                        f" across the recovery interleaving",
                         state,
                     )
-            if stolen > 0 and phase in ("acked", "handing"):
-                self._violate(
-                    "M407", ("stolen-lost",),
-                    f"run completed with {stolen} yielded unit(s) never "
-                    f"executed: the steal committed (phase {phase!r}) but "
-                    f"no helper or inline spare absorbed the blocks",
-                    state,
-                )
-            if (phase == "requested" and 0 not in complete
-                    and s_att == workers[0][_W_ATT]):
-                self._violate(
-                    "M408", ("dangling-relinquish",),
-                    "run completed with a relinquish request still "
-                    "dangling against rank 0's live attempt: neither "
-                    "acked nor superseded",
-                    state,
-                )
         elif coord_state == "failed":
             self._violate(
                 "M405", ("failed",),
@@ -656,12 +506,7 @@ class _Run:
                     state,
                 )
             elif sc.checkpoint:
-                journal = [w[_W_JRN] for w in workers]
-                if steal[_S_JRN]:
-                    # Stolen blocks are committed under the origin's name:
-                    # resume replays them as the origin's own.
-                    journal[0] += steal[_S_STOLEN]
-                self.aborted_journals.add(tuple(journal))
+                self.aborted_journals.add(tuple(w[_W_JRN] for w in workers))
 
     # -- the search ----------------------------------------------------------
 
@@ -682,7 +527,10 @@ class _Run:
                 )
                 return
             self._check_invariants(state)
-            succ = self.successors(state)
+            # A step that leaves the state as it was (the straggler verdict)
+            # fires its row but is no way out of a deadlock.
+            succ = [(label, nxt) for label, nxt in self.successors(state)
+                    if nxt != state]
             if not succ:
                 if state[0] in _TERMINAL_COORD:
                     self._check_terminal(state)
@@ -735,8 +583,7 @@ def check_protocol(
 
     Abort faults under checkpointing additionally trigger a *resume*
     sub-run for every distinct vector of committed blocks an aborted
-    terminal can leave behind (a committed steal's under the origin's
-    name): the resumed run (same model, no fault, blocks kept) must
+    terminal can leave behind: the resumed run (same model, no fault, blocks kept) must
     itself pass every property — that is the static twin of
     ``selftest --resume``.
     """

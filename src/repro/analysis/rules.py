@@ -200,15 +200,3 @@ register(Rule("M406", "protocol-journal-order", E,
               "written (a crash between the two leaves a committed block "
               "file missing tiles); the file must be fsynced before it is "
               "renamed"))
-register(Rule("M407", "protocol-block-ownership", E,
-              "a steal x fault interleaving loses or double-executes a "
-              "work unit: a rebalanced block must run exactly once — on "
-              "the origin (steal superseded by its recovery), the helper "
-              "rank, or the coordinator's inline spare — and the origin's "
-              "target must shrink by exactly the units it yielded"))
-register(Rule("M408", "protocol-relinquish-unacked", E,
-              "a relinquish request is left dangling against a live "
-              "attempt: every relinquish must be acknowledged by the "
-              "worker (with the yielded positions, or empty when stale) "
-              "or be provably superseded by the rank's own completion or "
-              "recovery"))

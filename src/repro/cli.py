@@ -162,27 +162,21 @@ def _cmd_selftest(args) -> int:
             dist_kwargs["store_dir"] = args.store_dir
         if args.events:
             dist_kwargs["events_path"] = args.events
-        if fault_plan is not None and any(
-            inj.kind == "stall" for inj in fault_plan.injections
-        ):
+        kinds = {inj.kind for inj in fault_plan.injections} if fault_plan else set()
+        if "stall" in kinds:
             # Tighten the heartbeat cadence so an injected stall is caught
             # in about a second instead of the production-default window.
             dist_kwargs.update(heartbeat_interval=0.1, stall_after_beats=5)
-        if args.rebalance:
-            # Act on stragglers: tight patrol cadence and a permissive
-            # rate threshold so an injected slow rank is flagged — and
-            # its unstarted blocks handed off — within the run.
-            dist_kwargs.update(rebalance=True, heartbeat_interval=0.05,
-                               straggler_fraction=0.5)
+        if "slow" in kinds:
+            # Beat fast and flag below half the median rate, so the patrol
+            # names an injected slow rank a straggler within the run.
+            dist_kwargs.update(heartbeat_interval=0.05, straggler_fraction=0.5)
         try:
             c_dist, report = psgemm_distributed(
                 a, b, machine, p=args.procs, fault_plan=fault_plan, **dist_kwargs
             )
         except DistExecutionError as e:
-            aborted = fault_plan is not None and any(
-                inj.kind == "abort" for inj in fault_plan.injections
-            )
-            if aborted and args.checkpoint:
+            if "abort" in kinds and args.checkpoint:
                 print(f"run aborted: {e}")
                 print(f"resumable: re-run with --resume --checkpoint "
                       f"{args.checkpoint} (committed blocks will be skipped)")
@@ -632,11 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "when resumable via --checkpoint) and verify the "
                          "retry/reassign recovery still produces the exact "
                          "result")
-    st.add_argument("--rebalance", action="store_true",
-                    help="with --procs: act on flagged stragglers — ask them "
-                         "to relinquish unstarted blocks and hand the work "
-                         "to finished ranks (pairs with --inject-fault "
-                         "R:T:slow; result stays bit-identical)")
     st.add_argument("--events", metavar="PATH",
                     help="with --procs: append the run's life-cycle events "
                          "(heartbeats, stalls, retries) to PATH as JSONL")

@@ -103,8 +103,7 @@ def psgemm_distributed(
 
     Extra keyword arguments are the fields of
     :class:`repro.dist.coordinator.RunConfig` (plan verification, tracing,
-    recovery policy, telemetry, checkpoint / store tiers, rebalancing,
-    pool);
+    recovery policy, telemetry, checkpoint / store tiers, pool);
     :func:`repro.dist.execute_plan_distributed` documents each one, and
     anything else is a ``TypeError``.
 

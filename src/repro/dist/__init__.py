@@ -23,12 +23,9 @@ oracle: same plan, same seeds, identical C.
 * :mod:`~repro.dist.health` — live heartbeats, stall/straggler detection,
   and the structured run-event log ``repro monitor`` attaches to.
 
-When ``rebalance=True`` the coordinator also *acts* on stragglers: a
-flagged rank is asked to relinquish its unstarted blocks at the next
-block boundary, and the yielded work is handed off to a finished rank
-(or the coordinator's inline spare) while staying bit-identical to the
-serial oracle and checkpoint-safe (a handed-off block's file is
-committed under the origin rank's name).
+The executor is static, as the paper's is: every block runs on the rank
+the inspector gave it.  A stalled or crashed rank is recovered (retried,
+then reassigned whole); a straggler is only named in the event log.
 """
 
 from repro.dist.comm import (
@@ -36,9 +33,7 @@ from repro.dist.comm import (
     CommLayer,
     CommStats,
     Endpoint,
-    HandoffMsg,
     HeartbeatMsg,
-    RelinquishMsg,
     ScatterMsg,
 )
 from repro.dist.coordinator import DistExecutionError, DistReport, execute_plan_distributed
@@ -70,10 +65,8 @@ __all__ = [
     "EventLog",
     "FaultInjection",
     "FaultPlan",
-    "HandoffMsg",
     "HeartbeatMsg",
     "RankHealth",
-    "RelinquishMsg",
     "RunHealth",
     "ScatterMsg",
     "TileArena",

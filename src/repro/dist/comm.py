@@ -20,14 +20,7 @@ stay byte-exact regardless of heartbeat cadence.
 
 Every message is a class the receiver dispatches on: the coordinator
 starts an attempt with a :class:`ScatterMsg`, a worker ends it with a
-:class:`DoneMsg` or an :class:`ErrorMsg`, and dynamic
-rebalancing adds two request/reply pairs — the coordinator asks a flagged
-straggler to :class:`RelinquishMsg` its unstarted blocks (acked with a
-:class:`RelinquishedMsg` at the worker's next block boundary), then ships
-the reclaimed blocks to a finished helper rank as a :class:`HandoffMsg`
-(answered with a :class:`HandoffDoneMsg`).  These ride the ordinary
-inbox/gather queues: they only exist when ``rebalance=True``, and the
-comm-volume crosscheck tests run without it.  A serving pool ends a warm
+:class:`DoneMsg` or an :class:`ErrorMsg`, and a serving pool ends a warm
 worker between jobs with a :class:`ShutdownMsg`.
 
 The vocabulary is closed: :mod:`repro.dist.protocol` declares each message
@@ -99,6 +92,9 @@ class ScatterMsg:
     b_spec: tuple
     c_meta: ArenaMeta
     fault: FaultInjection | None
+    #: Which attempt this is: numbered per rank over the pool's life
+    #: (:meth:`~repro.dist.pool.WorkerPool.next_attempt`), so a late reply
+    #: of an earlier job never names an attempt of this one.
     attempt: int
     trace: bool = True
     heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
@@ -114,13 +110,6 @@ class ScatterMsg:
     ckpt_dir: str | None = None
     run_hash: str = ""
     completed: tuple = ()
-    #: Block positions ``(gpu, index)`` this rank must *not* execute: they
-    #: were relinquished to the rebalancer in an earlier attempt and are
-    #: owned by a handoff now (producing them here would double-produce).
-    excluded: tuple = ()
-    #: Whether the rank polls its inbox between blocks for relinquish
-    #: requests (the coordinator's ``rebalance=True``).
-    rebalance: bool = False
 
 
 @dataclass(frozen=True)
@@ -129,46 +118,6 @@ class ShutdownMsg:
     Sent by the serving layer between jobs, never during a run."""
 
     reason: str = "shutdown"
-
-
-@dataclass(frozen=True)
-class RelinquishMsg:
-    """Coordinator -> straggler: yield your unstarted blocks.
-
-    ``attempt`` pins the request to one scatter generation; a worker that
-    already finished (or was retried) sees a stale attempt and acks with
-    an empty position list so the coordinator can retire the request.
-    """
-
-    attempt: int
-
-
-@dataclass(frozen=True)
-class HandoffMsg:
-    """Coordinator -> helper rank: execute blocks reclaimed from a straggler.
-
-    ``blocks`` are ``(gpu, position, block)`` triples in the *origin*
-    rank's plan coordinates, so the block files committed during the
-    handoff land under the origin's identity and resume stays coherent.
-    ``c_meta`` names a dedicated shared-memory arena for the produced C
-    tiles.  Operand and B-service parameters mirror the original
-    ``ScatterMsg`` (resident plane included) so the helper reproduces
-    tiles bit-for-bit.
-    """
-
-    handoff_id: int
-    origin: int
-    blocks: tuple  # of (gpu, position, Block) in the origin's plan
-    a_meta: object  # ArenaMeta of the shared A arena; None = resident
-    b_spec: tuple
-    c_meta: object  # ArenaMeta of the handoff's dedicated C arena
-    gpu_memory_bytes: int
-    b_csr: object
-    alpha: float
-    store_dir: str | None = None
-    b_hash: str = ""
-    ckpt_dir: str | None = None
-    run_hash: str = ""
 
 
 @dataclass(frozen=True)
@@ -202,27 +151,6 @@ class HeartbeatMsg:
     seq: int
     tasks_done: int
     uptime: float = 0.0
-
-
-@dataclass(frozen=True)
-class RelinquishedMsg:
-    """Worker -> coordinator: the ack of a :class:`RelinquishMsg` —
-    the ``(gpu, index)`` block positions yielded, none if it was stale."""
-
-    rank: int
-    attempt: int
-    positions: tuple
-
-
-@dataclass(frozen=True)
-class HandoffDoneMsg:
-    """Helper -> coordinator: a :class:`HandoffMsg`'s C index and stats;
-    ``c_index=None`` means the helper failed and the blocks must be redone."""
-
-    rank: int
-    handoff_id: int
-    c_index: dict | None
-    stats: object
 
 
 @dataclass
@@ -283,10 +211,9 @@ class Endpoint:
         return src, pickle.loads(blob), len(blob)
 
     def recv_nowait(self):
-        """Non-blocking receive; raises :class:`Empty` when the inbox is
-        drained.  Workers poll this at block boundaries so a coordinator
-        :class:`RelinquishMsg` is noticed without ever blocking compute.
-        """
+        """Non-blocking receive; raises :class:`Empty` when the queue is
+        drained (what :meth:`~repro.dist.pool.WorkerPool.drain` empties a
+        dead run's replies with)."""
         source = self.gather if self.rank == COORDINATOR else self.inboxes[self.rank]
         src, blob = source.get_nowait()
         return src, pickle.loads(blob), len(blob)

@@ -25,19 +25,21 @@ One run is one :class:`_Coordinator`; its phases, in order:
   heartbeat and every patrol verdict (dead worker, missed-heartbeat stall,
   straggler, abort) is an *event* of the coordinator machine
   :mod:`repro.dist.protocol` declares, and the row's ``action`` names the
-  method that handles it: the table the model checker proves (M401-M408)
-  is the dispatch table.  A failed rank is *retried once* in a fresh
-  process, then *reassigned* to a coordinator-local spare —
-  :func:`~repro.dist.worker.run_rank` called in this process on the
-  message a worker would have got (minus the fault) — so a single faulty
-  rank cannot lose the contraction;
+  method that handles it: the table the model checker proves (M401-M406)
+  is the dispatch table.  Every attempt is numbered by the pool
+  (:meth:`~repro.dist.pool.WorkerPool.next_attempt`), so a reply is live
+  only if it names the attempt the run is waiting on.  A failed rank is
+  *retried once* in a fresh process, then *reassigned* to a
+  coordinator-local spare — :func:`~repro.dist.worker.run_rank` called in
+  this process on the message a worker would have got (minus the fault) —
+  so a single faulty rank cannot lose the contraction;
 * **reduce** — a rank's C tiles are taken where its worker wrote them
   (:meth:`~repro.dist.tile_store.TileArena.adopt`) the moment its live
   report lands, while slower ranks still compute: each *becomes* the
   result's tile — a view of the arena, whose mapping lives as long as the
   tile while the segment's name goes with the run — after the input C
-  tile, if any, is added into it in place (``S + beta*C``).  Handoff
-  producers and the input tiles no producer touched are left for the end;
+  tile, if any, is added into it in place (``S + beta*C``).  The input
+  tiles no producer touched are left for the end;
 * **report** — merge per-rank stats, tallies and every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
   each recorder's single wall-clock sample) into one
@@ -83,10 +85,6 @@ from repro.dist.comm import (
     DoneMsg,
     Empty,
     ErrorMsg,
-    HandoffDoneMsg,
-    HandoffMsg,
-    RelinquishedMsg,
-    RelinquishMsg,
     ScatterMsg,
 )
 from repro.dist.faults import FaultPlan
@@ -98,7 +96,6 @@ from repro.dist.worker import (
     ABORT_EXIT_CODE,
     RankTally,
     WorkerReport,
-    run_handoff,
     run_rank,
 )
 from repro.runtime.data import GeneratedCollection, validate_b_budget
@@ -126,10 +123,6 @@ _GRACE_SECONDS = 1.0
 #: streams never go quiet (a busy inbox used to starve detection).
 _PATROL_INTERVAL_SECONDS = 0.1
 
-#: Seconds an outstanding handoff may run on a helper rank before the
-#: coordinator gives up on it and re-executes the blocks inline.
-_HANDOFF_TIMEOUT_SECONDS = 60.0
-
 
 class DistExecutionError(RuntimeError):
     """The distributed run could not complete (even after recovery)."""
@@ -152,8 +145,7 @@ class DistReport(RankTally):
     metrics: MetricsSnapshot | None = None
     health: RunHealth = field(default_factory=RunHealth)
     events_path: str | None = None
-    #: The event log's tallies: ``(kind, None)`` -> records emitted,
-    #: ``(kind, field)`` -> the sum of that field over them.
+    #: The event log's tallies: event kind -> records emitted.
     event_totals: dict = field(default_factory=dict)
     #: Predicted-cost model of the executed plan (when tracing was on);
     #: what ``repro explain`` audits the run against.
@@ -180,18 +172,6 @@ class DistReport(RankTally):
     def reassigned(self) -> list[int]:
         return sorted(r for r, rh in self.health.ranks.items() if rh.state == "reassigned")
 
-    @property
-    def handoffs(self) -> int:
-        return self.event_totals.get(("handoff", None), 0)
-
-    @property
-    def blocks_rebalanced(self) -> int:
-        return self.event_totals.get(("handoff", "blocks"), 0)
-
-    @property
-    def tasks_rebalanced(self) -> int:
-        return self.event_totals.get(("handoff", "tasks"), 0)
-
     def summary(self) -> str:
         retried = {r: a for r, a in self.attempts.items() if a > 1}
         return (
@@ -204,12 +184,6 @@ class DistReport(RankTally):
                 f", resumed {self.blocks_restored} block(s) "
                 f"({self.tasks_skipped} tasks skipped)"
                 if self.blocks_restored else ""
-            )
-            + (
-                f", rebalanced {self.blocks_rebalanced} block(s) "
-                f"({self.tasks_rebalanced} tasks over {self.handoffs} "
-                f"handoff(s))"
-                if self.blocks_rebalanced else ""
             )
         )
 
@@ -248,7 +222,6 @@ class RunConfig:
     events_path: str | None = None
     checkpoint_dir: str | None = None
     store_dir: str | None = None
-    rebalance: bool = False
     pool: object = None
     run_id: str | None = None
 
@@ -265,7 +238,8 @@ def execute_plan_distributed(
     operands and seeds.  ``config`` takes the fields of :class:`RunConfig`
     (anything else is a ``TypeError``).  ``fault_plan`` sabotages workers
     for recovery testing: a failed rank is retried once in a fresh process,
-    then reassigned to the coordinator-local spare.
+    then reassigned to the coordinator-local spare.  A slow rank is named
+    a straggler in the event log and keeps its blocks: the plan is static.
     ``verify_plan=True`` runs the static plan verifier
     (:func:`repro.analysis.verify_plan`) first and raises
     :class:`repro.analysis.PlanVerificationError` on any finding — a
@@ -316,17 +290,6 @@ def execute_plan_distributed(
     checkpoint directory of a *different plan* is refused up front (P121
     checks the same statically); ``repro store gc --budget`` bounds the
     store on disk.
-
-    Rebalancing: ``rebalance=True`` turns straggler detection into
-    action.  A flagged straggler is sent a cooperative relinquish
-    request; at its next block boundary it acks the positions of its
-    unstarted blocks, which the coordinator hands off to a finished
-    worker rank (or executes inline) and reduces as their own producer.
-    Relinquished positions are excluded from any later retry of the
-    origin, and a handed-off block's file is committed under the origin's
-    rank, so checkpoint/resume replays ownership transfers
-    transparently.  The result stays bit-for-bit equal to the serial
-    executor.
     """
     cfg = RunConfig(**config)
     # The run's clock, from here to the pool's close: set-up and teardown
@@ -370,10 +333,10 @@ def execute_plan_distributed(
     return out, report
 
 
-#: When a reply is *live* — from the attempt (or handoff) the run is
-#: waiting on; anything else is the table's ``:stale`` variant, discarded:
-#: acting on it would credit a half-written C arena or recover a rank
-#: twice.  One predicate per message a worker may send, keyed by wire name.
+#: When a reply is *live* — from the attempt the run is waiting on; anything
+#: else is the table's ``:stale`` variant, discarded: acting on it would
+#: credit a half-written C arena or recover a rank twice.  One predicate per
+#: message a worker may send, keyed by wire name.
 _LIVE = {
     "done": lambda run, m: (
         m.rank in run.pending and m.report.attempt == run.live_attempt(m.rank)
@@ -382,15 +345,6 @@ _LIVE = {
     "error": lambda run, m: (
         m.rank in run.pending and m.attempt in (-1, run.live_attempt(m.rank))
     ),
-    # Only the ack of the request sent to the live attempt: the rank may
-    # have finished, died or been retried in between.
-    "relinquished": lambda run, m: (
-        m.rank in run.pending
-        and m.attempt == run.live_attempt(m.rank)
-        == run.outstanding_relinquish.get(m.rank)
-    ),
-    # Already resolved (timed out and redone inline) or a duplicate.
-    "handoff_done": lambda run, m: m.handoff_id in run.pending_handoffs,
     "heartbeat": lambda run, m: run.health.expects(m),
 }
 
@@ -492,37 +446,35 @@ class _Coordinator:
         self.spawn_clock: dict[int, float] = {}
         self.report_clock: dict[int, float] = {}
 
-        #: rank -> attempts started (the live attempt is one less).
-        self.attempts = {rank: 1 for rank in range(nranks)}
+        #: rank -> attempts started in this run (retry, then reassign) ...
+        self.attempts = {rank: 0 for rank in range(nranks)}
+        #: ... and the pool's number of the live one, which its replies name.
+        self.live: dict[int, int] = {}
+        for rank in range(nranks):
+            self.start_attempt(rank)
         self.c_arenas: dict[int, TileArena] = {}
-        #: Block positions reclaimed from each rank, cumulative across its
-        #: attempts: a retried origin must never re-execute a block the
-        #: rebalancer already owns (that would double-produce its tiles).
-        self.stolen_blocks: dict[int, set[tuple[int, int]]] = {}
         self.reports: dict[int, WorkerReport] = {}
         self.pending = set(range(nranks))
         self.suspects: dict[int, float] = {}
-        #: rank -> attempt of the one relinquish request in flight to it.
-        self.outstanding_relinquish: dict[int, int] = {}
-        #: handoff id -> record of a dispatch to a helper rank (origin,
-        #: helper, blocks, arena, start instant).
-        self.pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, C arena, C index, stats) for the reduction.
-        self.handoff_results: dict[int, tuple] = {}
         #: The result, filled as each producer is folded in, and the
         #: producer of each of its tiles (the one-producer check).
         self.out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
         self.produced_by: dict[tuple[int, int], object] = {}
 
+    def start_attempt(self, rank: int) -> None:
+        """Count a new attempt of ``rank`` and take its number from the pool."""
+        self.attempts[rank] += 1
+        self.live[rank] = self.pool.next_attempt(rank)
+
     def live_attempt(self, rank: int) -> int:
-        """The 0-based attempt of ``rank`` whose replies count."""
-        return self.attempts.get(rank, 0) - 1
+        """The attempt of ``rank`` whose replies count."""
+        return self.live[rank]
 
     # ---- the table, dispatched ---------------------------------------------
 
     def event_of(self, msg) -> str:
         """Classify a reply as ``recv:<name>``, or ``recv:<name>:stale`` when
-        it is not from the attempt (or handoff) the run is waiting on."""
+        it is not from the attempt the run is waiting on."""
         spec = WIRE.get(type(msg))
         if spec is None or spec.dst != COORDINATOR_ROLE:
             raise DistExecutionError(f"unexpected message {msg!r}")
@@ -570,17 +522,17 @@ class _Coordinator:
                 f"GeneratedCollection B, got {type(b).__name__}"
             )
 
-        #: What every scatter and handoff of this run says about operands,
-        #: numerics and persistence: one dict, so the two cannot drift.
+        #: What every scatter of this run says about operands, numerics and
+        #: persistence: one dict, so no attempt can drift from another.
         self.run_fields = dict(
             a_meta=a_meta, b_spec=b_spec, alpha=self.alpha,
             gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
             store_dir=cfg.store_dir, b_hash=self.b_hash, ckpt_dir=cfg.checkpoint_dir,
             run_hash=self.run_hash,
         )
-        #: The same, for a rank or handoff this process executes itself
-        #: (`run_rank` / `run_handoff` called in-process): it reads the A
-        #: and B it holds, whatever plane the worker processes are on.
+        #: The same, for a rank this process executes itself (`run_rank`
+        #: called in-process): it reads the A and B it holds, whatever
+        #: plane the worker processes are on.
         self.in_process_fields = dict(
             self.run_fields, a_meta=None,
             b_spec=("resident", None) if b_spec[0] == "arena" else b_spec,
@@ -608,12 +560,13 @@ class _Coordinator:
         )
 
     def rank_msg(self, rank: int, in_process: bool = False) -> ScatterMsg:
-        """The live attempt of ``rank`` as a message: a fresh C arena, the
-        committed blocks to restore, the stolen ones to skip.
+        """The live attempt of ``rank`` as a message: a fresh C arena and
+        the committed blocks to restore.
 
-        A worker process also gets the fault armed for this attempt; an
-        in-process execution never does — an injection armed for every
-        attempt would ``os._exit`` the coordinator.
+        A worker process also gets the fault armed for this attempt (the
+        run's first, or a later one); an in-process execution never does —
+        an injection armed for every attempt would ``os._exit`` the
+        coordinator.
         """
         plan, cfg, attempt = self.plan, self.cfg, self.live_attempt(rank)
         self.c_arenas[rank] = self.c_arena_for(
@@ -622,16 +575,13 @@ class _Coordinator:
         inj = None
         if not in_process and cfg.fault_plan is not None:
             inj = cfg.fault_plan.for_rank(rank)
-        if inj is not None and not inj.armed(attempt):
+        if inj is not None and not inj.armed(self.attempts[rank] - 1):
             inj = None
-        stolen = self.stolen_blocks.get(rank, set())
         # The blocks whose files read back intact, re-listed on *every*
         # scatter: a fresh run resumes a prior run's, a retried rank what its
-        # killed predecessor committed.  Stolen blocks a handoff committed
-        # under this rank's name are the handoff's to produce, not restore.
+        # killed predecessor committed.
         completed = () if cfg.checkpoint_dir is None else tuple(
-            p for p in completed_blocks(cfg.checkpoint_dir, self.run_hash, rank)
-            if p not in stolen
+            completed_blocks(cfg.checkpoint_dir, self.run_hash, rank)
         )
         if completed:
             self.events.emit(
@@ -648,8 +598,6 @@ class _Coordinator:
             trace=cfg.trace,
             heartbeat_interval=cfg.heartbeat_interval,
             completed=completed,
-            excluded=tuple(sorted(stolen)),
-            rebalance=cfg.rebalance,
             **(self.in_process_fields if in_process else self.run_fields),
         )
 
@@ -665,13 +613,9 @@ class _Coordinator:
             t_send = self.rec.now()
             self.coord.send(rank, msg)
             self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.rec.now())
-        # Net of the blocks stolen from earlier attempts: the rank's
-        # progress fraction is over what it still owns.
-        tasks_total = self.plan.procs[rank].ntasks - self.block_tasks(
-            rank, self.stolen_blocks.get(rank, ())
-        )
         self.events.emit(
-            "scatter", rank=rank, attempt=msg.attempt, tasks_total=tasks_total
+            "scatter", rank=rank, attempt=msg.attempt,
+            tasks_total=self.plan.procs[rank].ntasks,
         )
 
     # ---- supervise: the handlers the table names ---------------------------
@@ -688,8 +632,6 @@ class _Coordinator:
         rank, report = msg.rank, msg.report
         self.accept_report(rank, report)
         self.suspects.pop(rank, None)
-        # A done report supersedes any relinquish in flight to it (M408).
-        self.outstanding_relinquish.pop(rank, None)
         self.events.emit(
             "rank_done", rank=rank, attempt=report.attempt,
             tasks=report.stats.ntasks,
@@ -701,11 +643,9 @@ class _Coordinator:
         spec = WIRE[type(msg)]
         if spec.channel == TELEMETRY_CHANNEL:
             return
-        if spec.name == "handoff_done":
-            ref = {"handoff": msg.handoff_id}
-        else:  # a DoneMsg names its attempt inside the report
-            ref = {"attempt": getattr(msg, "report", msg).attempt}
-        self.events.emit("stale_report", rank=msg.rank, kind=spec.name, **ref)
+        # A DoneMsg names its attempt inside the report.
+        attempt = getattr(msg, "report", msg).attempt
+        self.events.emit("stale_report", rank=msg.rank, kind=spec.name, attempt=attempt)
 
     def run_inline(self, rank: int) -> None:
         """Reassign a twice-failed rank to the coordinator-local spare:
@@ -715,7 +655,7 @@ class _Coordinator:
         msg = self.rank_msg(rank, in_process=True)
         self.spawn_clock.pop(rank, None)  # no process start-up to attribute
         self.accept_report(rank, run_rank(msg, (self.a, self.b)))
-        self.events.emit("reassign", rank=rank, attempt=self.attempts[rank])
+        self.events.emit("reassign", rank=rank, attempt=msg.attempt)
 
     def recover_rank(self, failure: ErrorMsg) -> None:
         """Retry the rank once in a fresh process, then reassign it inline.
@@ -723,13 +663,11 @@ class _Coordinator:
         for a rank that exited or went silent."""
         rank, reason = failure.rank, failure.traceback
         self.suspects.pop(rank, None)
-        # A retried or reassigned rank starts a fresh attempt (its health
-        # state with it: a slow *second* attempt is re-flaggable), and any
-        # relinquish in flight to the dead attempt is superseded.
-        self.outstanding_relinquish.pop(rank, None)
         # Put a stalled or wedged worker down before its rank runs elsewhere.
         self.pool.kill(rank)
-        self.attempts[rank] += 1
+        # A fresh attempt (its health state with it: a slow *second*
+        # attempt is re-flaggable); the dead one's replies go stale.
+        self.start_attempt(rank)
         if self.attempts[rank] == 2:
             self.events.emit(
                 "retry", rank=rank, attempt=self.live_attempt(rank), reason=reason
@@ -758,115 +696,10 @@ class _Coordinator:
             tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
         )
 
-    def request_relinquish(self, rank: int) -> None:
-        """Flag a straggler and, when rebalancing, ask it to yield its
-        unstarted blocks.
-
-        At most one request per rank is in flight, pinned to the live
-        attempt so worker and :data:`_LIVE` discard one that raced a retry.
-        """
+    def flag_straggler(self, rank: int) -> None:
+        """Name a straggler in the log: slow is not dead, and the plan is
+        static, so the rank keeps its blocks."""
         self.events.emit("straggler", rank=rank)
-        if (not self.cfg.rebalance or rank in self.outstanding_relinquish
-                or rank not in self.pending):
-            return
-        att = self.live_attempt(rank)
-        self.outstanding_relinquish[rank] = att
-        self.coord.send(rank, RelinquishMsg(attempt=att))
-        self.events.emit("rebalance", rank=rank, attempt=att)
-
-    def pick_helper(self) -> int | None:
-        """A finished worker rank able to absorb a handoff, or ``None``: one
-        with a live process (an inline-reassigned rank has none)."""
-        alive = self.pool.alive_ranks()  # reported, hence no longer pending
-        return next((r for r in sorted(self.reports) if r in alive), None)
-
-    def handoff_msg(self, hid: int, origin: int, blocks: tuple,
-                    in_process: bool = False) -> tuple[HandoffMsg, TileArena]:
-        """One execution of a handoff as a message, with its own fresh
-        ``h<id>`` C arena: a re-execution never shares the arena a failed
-        or timed-out helper may still be writing."""
-        arena = self.c_arena_for(f"h{hid}", [blk for _, _, blk in blocks])
-        return HandoffMsg(
-            handoff_id=hid,
-            origin=origin,
-            blocks=blocks,
-            c_meta=arena.meta(),
-            **(self.in_process_fields if in_process else self.run_fields),
-        ), arena
-
-    def finish_handoff(self, hid: int, origin: int, helper: int | None,
-                       arena: TileArena, c_index: dict, stats) -> None:
-        self.handoff_results[hid] = (origin, arena, c_index, stats)
-        self.events.emit(
-            "handoff_done", handoff=hid, origin=origin, helper=helper,
-            tasks=stats.ntasks,
-        )
-
-    def run_handoff_inline(self, hid: int, origin: int, blocks: tuple) -> None:
-        """Execute one handoff's blocks in the coordinator process
-        (:func:`~repro.dist.worker.run_handoff`, called in-process).
-
-        The fallback producer: no helper rank is free, or the chosen one
-        died, reported failure or timed out.  Re-executing after a partial
-        helper run is safe — a block file committed twice is
-        bit-identical and only this result's arena is adopted.
-        """
-        msg, arena = self.handoff_msg(hid, origin, blocks, in_process=True)
-        self.finish_handoff(
-            hid, origin, None, arena, *run_handoff(msg, (self.a, self.b))
-        )
-
-    def fail_handoff(self, hid: int, reason: str) -> None:
-        """A helper lost handoff ``hid``: redo its blocks inline."""
-        h = self.pending_handoffs.pop(hid)
-        self.events.emit(
-            "handoff_failed", handoff=hid, origin=h["origin"],
-            helper=h["helper"], reason=reason,
-        )
-        self.run_handoff_inline(hid, h["origin"], h["blocks"])
-
-    def dispatch_handoff(self, ack: RelinquishedMsg) -> None:
-        """The live ack of a relinquish request: the yielded blocks now
-        belong to a handoff — shipped to a helper rank, or run inline."""
-        origin, positions = ack.rank, ack.positions
-        del self.outstanding_relinquish[origin]
-        moved = self.block_tasks(origin, positions)
-        self.events.emit(
-            "relinquished", rank=origin, attempt=ack.attempt,
-            blocks=len(positions), tasks=moved,
-        )
-        if not positions:
-            return
-        self.stolen_blocks.setdefault(origin, set()).update(positions)
-        hid = self.events.total("handoff")  # ids number the ``handoff`` records
-        blocks = tuple(
-            (g, bi, self.plan.procs[origin].gpu_blocks(g)[bi])
-            for g, bi in positions
-        )
-        helper = self.pick_helper()
-        self.events.emit(
-            "handoff", handoff=hid, origin=origin, helper=helper,
-            blocks=len(blocks), tasks=moved,
-        )
-        if helper is None:
-            self.run_handoff_inline(hid, origin, blocks)
-            return
-        msg, arena = self.handoff_msg(hid, origin, blocks)
-        self.pending_handoffs[hid] = {
-            "origin": origin, "helper": helper, "blocks": blocks,
-            "arena": arena, "started": self.pool.clock(),
-        }
-        self.coord.send(helper, msg)
-
-    def absorb_handoff(self, msg: HandoffDoneMsg) -> None:
-        hid = msg.handoff_id
-        if msg.c_index is None:
-            self.fail_handoff(hid, "helper error")
-            return
-        h = self.pending_handoffs.pop(hid)
-        self.finish_handoff(
-            hid, h["origin"], msg.rank, h["arena"], msg.c_index, msg.stats
-        )
 
     # ---- supervise: the loop -------------------------------------------------
 
@@ -915,19 +748,13 @@ class _Coordinator:
             # — a sticky flag would mute every straggler after its first
             # offense.
             self.events.emit("straggler_recovered", rank=rank)
-        for hid in sorted(self.pending_handoffs):
-            h = self.pending_handoffs[hid]
-            if h["helper"] not in self.pool.alive_ranks():
-                self.fail_handoff(hid, "helper died")
-            elif now - h["started"] > _HANDOFF_TIMEOUT_SECONDS:
-                self.fail_handoff(hid, "timeout")
 
     def supervise(self) -> None:
-        """Gather replies until no rank and no handoff is pending."""
+        """Gather replies until no rank is pending."""
         clock = self.pool.clock
         deadline = clock() + self.cfg.timeout
         last_patrol = clock()
-        while self.pending or self.pending_handoffs:
+        while self.pending:
             if clock() > deadline:
                 raise DistExecutionError(
                     f"distributed run timed out after {self.cfg.timeout:.0f} s "
@@ -973,14 +800,7 @@ class _Coordinator:
 
     def reduce(self) -> BlockSparseMatrix:
         """The result: the ranks are folded in already (:meth:`accept_report`);
-        fold the handoff producers, then the input tiles no producer touched."""
-        # Handoff producers reduce exactly like ranks: blocks within one
-        # process hold disjoint column sets, so a stolen block's tiles can
-        # collide neither with the origin's remaining blocks nor with any
-        # other rank — the one-producer check enforces it (M407).
-        for hid in sorted(self.handoff_results):
-            origin, arena, c_index, _ = self.handoff_results[hid]
-            self.fold(f"handoff {hid} of rank {origin}", arena, c_index)
+        add the input tiles no producer touched."""
         t_reduce, c = self.rec.now(), self.c
         for (i, j), tile in c.items() if c is not None else ():
             if (i, j) not in self.produced_by:  # no product: beta*C alone
@@ -997,10 +817,7 @@ class _Coordinator:
         reports = [self.reports[rank] for rank in range(self.nranks)]
         tally = RankTally.merge(reports)
         tally.spans_dropped += rec.dropped
-        stats = NumericStats.merge(
-            [r.stats for r in reports]
-            + [s for *_, s in self.handoff_results.values()]
-        )
+        stats = NumericStats.merge([r.stats for r in reports])
         run_trace = Trace()
         run_trace.extend(rec.spans)
         span_counters: dict[str, float] = dict(rec.counters)
@@ -1066,8 +883,6 @@ class _Coordinator:
             retried=sorted(r for r, a in self.attempts.items() if a > 1),
             stalled=dist_report.stalled,
             reassigned=dist_report.reassigned,
-            handoffs=dist_report.handoffs,
-            blocks_rebalanced=dist_report.blocks_rebalanced,
         )
         return dist_report
 

@@ -14,8 +14,8 @@ is persistent and recovery must fall through to reassignment.
 ``slow`` models a straggler rather than a crash: from its *k*-th GEMM
 task onward the worker sleeps a little before **every** task, so its
 heartbeat rate collapses while the rank keeps making (slow) progress —
-the shape the coordinator's straggler detector and the dynamic
-rebalancer are built to absorb.
+the shape the coordinator's straggler detector names in the event log.
+The rank keeps its blocks (the plan is static) and the run waits for it.
 
 ``abort`` models losing the *whole job*, not one rank: the worker dies
 exactly like ``kill`` but with a distinguished exit code that tells the
@@ -110,8 +110,8 @@ class FaultPlan:
         """A live straggler: sleep before every task from ``at_task`` on.
 
         ``slow`` faults are persistent by construction (a retried attempt
-        of a slow node is still slow); the rebalancer, not recovery, is
-        the intended remedy."""
+        of a slow node is still slow); slow is not dead, so the run only
+        names the rank a straggler and waits for it."""
         return cls(
             (FaultInjection(rank=rank, at_task=at_task, kind="slow",
                             delay_seconds=seconds, once=False),)

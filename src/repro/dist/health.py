@@ -23,9 +23,8 @@ Two pieces, fed by the workers' :class:`~repro.dist.comm.HeartbeatMsg`:
   - **straggler** — a rank whose task-progress rate falls below
     ``straggler_fraction`` of the median rate across beating ranks is
     flagged (surfaced in the health table and the event log; unlike a
-    stall it triggers no recovery — slow is not dead — but with
-    ``rebalance=True`` the coordinator asks a flagged rank to relinquish
-    its unstarted blocks).  The rate is *windowed* (the last
+    stall it triggers no recovery — slow is not dead — and the rank keeps
+    its blocks).  The rate is *windowed* (the last
     ``RankHealth.rate_window`` heartbeats), so a rank that was fast and then
     hit a wall decays to the threshold within a window, not over its
     whole uptime; finished ranks anchor the median at their final rate,
@@ -56,7 +55,6 @@ from dataclasses import dataclass, field
 from statistics import median
 
 from repro.dist.comm import HeartbeatMsg
-from repro.runtime.metrics import SERIES
 from repro.util.jsonl import read_jsonl
 
 #: The events that end a run's log; ``repro monitor --follow`` stops at one.
@@ -68,12 +66,6 @@ _STATE_OF_EVENT = {
     "straggler": "straggler",
     "straggler_recovered": "running",
     "retry": "retried",
-}
-
-#: The ``(event kind, field)`` sums the ``events`` rows of
-#: :data:`~repro.runtime.metrics.SERIES` (the coordinator's counters) ask for.
-_SUMMED = {
-    fold[1:] for _, _, fold in SERIES.values() if fold[0] == "events" and fold[2]
 }
 
 #: Extra seconds granted before a rank's *first* heartbeat of an attempt
@@ -173,7 +165,6 @@ class RunHealth:
         elif rank is None:
             return
         elif kind == "scatter":
-            # The logged total is net of blocks stolen from earlier attempts.
             self.on_scatter(int(rank), num("tasks_total"), num("attempt"), now)
         elif kind == "heartbeat":
             self.on_heartbeat(
@@ -188,11 +179,6 @@ class RunHealth:
             # Logged once the inline spare has run the rank to its end.
             self.on_done(int(rank), now)
             self.mark(int(rank), "reassigned")
-        elif kind == "relinquished" and int(rank) in self.ranks:
-            # Blocks yielded to the rebalancer leave the denominator, so
-            # progress stays honest.
-            rh = self.ranks[int(rank)]
-            rh.tasks_total = max(0, rh.tasks_total - num("tasks"))
 
     def on_scatter(self, rank: int, tasks_total: int, attempt: int,
                    now: float) -> None:
@@ -296,8 +282,7 @@ class RunHealth:
         Needs at least three beating contributors (a median of one or two
         is noise) and a nonzero median rate.  Finished ranks still anchor
         the median at their *final* rate — frozen at their last beat — so
-        a slow rank stays detectable after the fast ranks complete (the
-        exact moment rebalancing has idle helpers to offer).
+        a slow rank stays detectable after the fast ranks complete.
         """
         active = [
             rh for rh in self.ranks.values()
@@ -405,8 +390,7 @@ class EventLog:
             path = run_scoped_events_path(path, run_id)
         self.path, self.run_id, self.health, self.clock = path, run_id, health, clock
         self._fh = open(path, "w", encoding="utf-8") if path else None  # repro: noqa[L308] - handle owned by the log, closed in close()
-        #: ``(event kind, None)`` -> records so far; ``(kind, field)`` -> the
-        #: sum of that field, for the pairs in ``_SUMMED``.
+        #: event kind -> records so far.
         self.totals: Counter = Counter()
 
     def emit(self, event: str, **fields) -> None:
@@ -414,20 +398,16 @@ class EventLog:
         if self.run_id:
             record["run"] = self.run_id
         record.update(fields)
-        self.totals[event, None] += 1
-        for kind, name in _SUMMED:
-            if kind == event:
-                self.totals[kind, name] += fields[name]
+        self.totals[event] += 1
         if self.health is not None:
             self.health.apply(record, self.clock())
         if self._fh is not None:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
 
-    def total(self, event: str, summed: str | None = None) -> int:
-        """Records of kind ``event`` so far, or (for the pairs an ``events``
-        row of ``SERIES`` names) the sum of their ``summed`` field."""
-        return self.totals[event, summed]
+    def total(self, event: str) -> int:
+        """Records of kind ``event`` so far."""
+        return self.totals[event]
 
     def close(self) -> None:
         if self._fh is not None:

@@ -12,8 +12,9 @@ and sends or receives only what lives *between* runs: the
 :class:`~repro.dist.comm.ShutdownMsg` pill of :meth:`close` and the stale
 traffic :meth:`drain` drops.  It is a run's whole environment: the
 coordinator holds no process handle and reads no clock of its own, but asks
-the pool for the time (:meth:`clock`), a rank's exit code (:meth:`exit_code`)
-and a stalled rank's death (:meth:`kill`) — so a pool on in-memory queues and
+the pool for the time (:meth:`clock`), a rank's exit code (:meth:`exit_code`),
+a stalled rank's death (:meth:`kill`) and each attempt's number
+(:meth:`next_attempt`) — so a pool on in-memory queues and
 a fake clock (the tests' simulated pool) runs fault schedules through it.  A
 terminated or closed pool leaves ``/dev/shm`` empty.  The serving layer
 (:mod:`repro.serve`) keeps one pool warm across jobs, with the warm B-tile
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from collections import Counter
 from multiprocessing import resource_tracker
 
 from repro.dist.comm import COORDINATOR, CommLayer, Empty, ShutdownMsg
@@ -69,6 +71,8 @@ class WorkerPool:
         self._workers: dict[int, mp.process.BaseProcess] = {}
         self._arenas: dict[str, TileArena] = {}
         self._plan_hashes = IdentityMemo()
+        #: rank -> attempts numbered so far, over the pool's whole life.
+        self.attempts = Counter()
         self.spawns = 0
         self._closed = False
 
@@ -105,6 +109,13 @@ class WorkerPool:
         self._workers[rank] = proc
         self.spawns += 1
         return proc
+
+    def next_attempt(self, rank: int) -> int:
+        """A number for ``rank``'s next attempt, never handed out before by
+        this pool: a reply names its attempt, so one job's late reply cannot
+        pass for the next job's, whatever order the fabric delivers in."""
+        self.attempts[rank] += 1
+        return self.attempts[rank] - 1
 
     def clock(self) -> float:
         """The run clock every deadline, patrol and health fold reads."""

@@ -15,7 +15,7 @@ down, as data four consumers share *by identity*:
   fails the attempt, shipped home as an ``error`` the coordinator recovers;
 * the model checker (:mod:`repro.analysis.protocol.checker`) runs
   :data:`PROTOCOL` the same way over every interleaving of small fault
-  scopes (rules M401-M408): each step fires a row, enters its
+  scopes (rules M401-M406): each step fires a row, enters its
   ``next_state``, queues what its ``sends`` names and applies the effect
   its ``action`` names.
 
@@ -41,24 +41,15 @@ Reading guide, message by message:
 * ``heartbeat`` — :class:`~repro.dist.comm.HeartbeatMsg` liveness beats
   (cumulative task progress); they ride the out-of-band telemetry queue so
   they can never delay or reorder control traffic.
-* ``relinquish`` / ``relinquished`` — the coordinator asks a flagged
-  straggler (:class:`~repro.dist.comm.RelinquishMsg`, pinned to one
-  attempt) to yield its unstarted blocks; the ack
-  (:class:`~repro.dist.comm.RelinquishedMsg`) carries their positions —
-  possibly none: the rank was at its last block, or the request was stale.
-* ``handoff`` / ``handoff_done`` — reclaimed blocks shipped to a finished
-  helper rank (:class:`~repro.dist.comm.HandoffMsg`) and its result
-  (:class:`~repro.dist.comm.HandoffDoneMsg`: C index + stats, or
-  ``c_index=None`` sending the blocks to the in-process ``run_handoff``).
 * ``shutdown`` — the :class:`~repro.dist.comm.ShutdownMsg` pill the
   serving layer sends a pooled worker between jobs; no run ever sends it.
 
 Stale variants (``recv:<msg>:stale``) cover traffic from superseded
 attempts — a terminated worker's late heartbeat, a report that raced the
-patrol's grace window, a relinquish ack from a rank that finished or was
-retried in between — which the coordinator must *discard*: acting on a
-stale report would credit a half-written C arena (or steal blocks from an
-attempt that no longer owns them).  A row commented *Not explored* is
+patrol's grace window, a reply a warm pool's earlier job left queued —
+which the coordinator must *discard*: acting on a stale report would
+credit a half-written C arena.  Attempt numbers never repeat over a
+pool's life, so "superseded" needs no help from the fabric's ordering.  A row commented *Not explored* is
 fired by no scenario of ``make model-check``; the tests' seeded schedules
 on a simulated pool (``make sim``) fire every one, through the runtime.
 """
@@ -74,11 +65,7 @@ from repro.dist.comm import (
     WORKER_ROLE,
     DoneMsg,
     ErrorMsg,
-    HandoffDoneMsg,
-    HandoffMsg,
     HeartbeatMsg,
-    RelinquishedMsg,
-    RelinquishMsg,
     ScatterMsg,
     ShutdownMsg,
 )
@@ -221,10 +208,6 @@ MESSAGES = (
     MsgSpec("done", DoneMsg, _W, _C, DATA_CHANNEL, 2048),
     MsgSpec("error", ErrorMsg, _W, _C, DATA_CHANNEL, 512),
     MsgSpec("heartbeat", HeartbeatMsg, _W, _C, TELEMETRY_CHANNEL, 256),
-    MsgSpec("relinquish", RelinquishMsg, _C, _W, DATA_CHANNEL, 128),
-    MsgSpec("relinquished", RelinquishedMsg, _W, _C, DATA_CHANNEL, 256),
-    MsgSpec("handoff", HandoffMsg, _C, _W, DATA_CHANNEL, 2048),
-    MsgSpec("handoff_done", HandoffDoneMsg, _W, _C, DATA_CHANNEL, 1024),
     MsgSpec("shutdown", ShutdownMsg, _C, _W, DATA_CHANNEL, 128),
 )
 
@@ -238,10 +221,8 @@ _NBYTES = {m.name: m.nbytes for m in MESSAGES}
 #: beats); a model change that lets traffic accumulate without bound
 #: trips M404 long before these numbers matter.
 QUEUE_BUDGETS = {
-    # A retry can queue a fresh scatter behind an unconsumed relinquish;
-    # a helper's inbox holds at most one handoff.
-    "inbox": _NBYTES["scatter"] + _NBYTES["relinquish"] + _NBYTES["handoff"],
-    "gather": 8 * _NBYTES["done"],         # reports + stale retries + acks
+    "inbox": _NBYTES["scatter"],           # one attempt at a time
+    "gather": 8 * _NBYTES["done"],         # reports + stale retries
     "telemetry": 24 * _NBYTES["heartbeat"],
 }
 
@@ -258,38 +239,24 @@ QUEUE_BUDGETS = {
 #: unplanned-exception path of ``worker_main`` — traceback shipped as an
 #: ``error`` message, then a clean exit.
 #:
-#: Rebalancing edges: ``recv:relinquish`` while running acks at the next
-#: block boundary with the unstarted positions; after reporting, the
-#: worker parks in ``idle_done`` (the dispatch loop of ``worker_main``)
-#: where it acks stray relinquish requests as stale and executes handoffs
-#: of blocks reclaimed from stragglers.  A relinquish landing on a
-#: freshly (re)spawned ``idle`` worker is from a superseded attempt —
-#: acked empty so the coordinator can retire the request (rule M408).
-#: ``recv:shutdown`` ends a pooled worker between jobs, ``recv:scatter``
-#: starts its next job, and ``act:leave`` ends a one-shot one once it has
-#: reported (if no handoff can come).
+#: After reporting, the worker parks in ``idle_done`` (the dispatch loop of
+#: ``worker_main``): ``recv:shutdown`` ends a pooled worker between jobs,
+#: ``recv:scatter`` starts its next job, and ``act:leave`` ends a one-shot
+#: one once it has reported.
 WORKER_MACHINE = RoleMachine(_W, "idle", (
     Transition("idle", "recv:scatter", "running",
                sends=("heartbeat",), action="attach_and_restore"),
-    Transition("idle", "recv:relinquish", "idle",
-               sends=("relinquished",), action="stale_ack"),
     # Not explored (the model runs one job): an unused pooled worker's pill.
     Transition("idle", "recv:shutdown", "exited"),
     Transition("running", "act:work", "running", action="compute_unit"),
     Transition("running", "act:store", "running", action="store_unit"),
     Transition("running", "act:journal", "running", action="journal_unit"),
     Transition("running", "act:beat", "running", sends=("heartbeat",)),
-    Transition("running", "recv:relinquish", "running",
-               sends=("relinquished",), action="yield_unstarted"),
     Transition("running", "act:report", "idle_done", sends=("done",)),
     Transition("running", "act:raise", "exited_err", sends=("error",)),
     Transition("running", "fault:kill", "exited_silent"),
     Transition("running", "fault:abort", "exited_abort"),
     Transition("running", "fault:stall", "stalled"),
-    Transition("idle_done", "recv:relinquish", "idle_done",
-               sends=("relinquished",), action="stale_ack"),
-    Transition("idle_done", "recv:handoff", "idle_done",
-               sends=("handoff_done",), action="execute_handoff"),
     # Not explored (the model runs one job): the pill between jobs.
     Transition("idle_done", "recv:shutdown", "exited"),
     # Not explored (the model runs one job): a pooled worker's next job.
@@ -309,11 +276,9 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
 #: ``aborted`` and ``failed`` (recovery exhausted, timeout, any other
 #: error — entered without a row) are the unrecoverable terminals.
 #:
-#: Rebalancing edges: ``obs:straggler`` is the patrol's windowed-rate
-#: verdict requesting a cooperative relinquish; the ack
-#: (``recv:relinquished``) dispatches a handoff to a finished helper (or
-#: runs the blocks on the coordinator's inline spare) and
-#: ``recv:handoff_done`` absorbs the helper's C tiles into the reduce.
+#: ``obs:straggler`` is the patrol's windowed-rate verdict on a rank that
+#: lags the median: it is only named in the log (slow is not dead), and
+#: the rank keeps every block the inspector gave it.
 COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "recv:done", "supervising",
                action="complete_rank"),
@@ -330,16 +295,7 @@ COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "recv:heartbeat:stale", "supervising",
                action="discard"),
     Transition("supervising", "obs:straggler", "supervising",
-               sends=("relinquish",), action="request_relinquish"),
-    Transition("supervising", "recv:relinquished", "supervising",
-               sends=("handoff",), action="dispatch_handoff"),
-    Transition("supervising", "recv:relinquished:stale", "supervising",
-               action="discard"),
-    Transition("supervising", "recv:handoff_done", "supervising",
-               action="absorb_handoff"),
-    # Not explored (the model's helper never times out): a redone handoff.
-    Transition("supervising", "recv:handoff_done:stale", "supervising",
-               action="discard"),
+               action="flag_straggler"),
     Transition("supervising", "obs:worker_exit", "supervising",
                sends=("scatter",), action="recover_rank"),
     Transition("supervising", "obs:stall", "supervising",
@@ -348,8 +304,6 @@ COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
                action="abort_run"),
     Transition("supervising", "obs:all_done", "draining"),
     Transition("draining", "recv:heartbeat:stale", "draining",
-               action="discard"),
-    Transition("draining", "recv:relinquished:stale", "draining",
                action="discard"),
     Transition("draining", "obs:drained", "done"),
 ))

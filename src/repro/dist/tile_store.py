@@ -3,7 +3,7 @@
 A :class:`TileArena` is one ``multiprocessing.shared_memory`` segment
 holding many dense float64 tiles back to back, plus a small pickle-able
 index ``{key: (offset, m, n)}``.  Every run has one C output arena per
-worker attempt (and per rebalance handoff); A and a concrete B are packed
+worker attempt; A and a concrete B are packed
 into arenas too only on the arena plane (see
 :mod:`repro.dist.coordinator`).  Workers merely attach, and read or write
 through NumPy views, so no tile bytes are ever pickled through a queue.

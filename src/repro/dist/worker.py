@@ -1,6 +1,6 @@
 """The per-rank worker process of the distributed executor, and the one
-place a rank (:func:`run_rank`) or a handoff (:func:`run_handoff`) runs:
-the coordinator's inline spare calls the same two in its own process.
+place a rank runs (:func:`run_rank`): the coordinator's inline spare calls
+it in its own process.
 
 Each worker is one planned process rank, and its life is
 :data:`~repro.dist.protocol.WORKER_MACHINE`, run (:func:`worker_main`):
@@ -9,24 +9,16 @@ its operands, execute its :class:`~repro.core.plan.ProcPlan` through the
 *same* :func:`repro.runtime.numeric.execute_blocks` body the serial
 executor uses (hence bit-identical numerics), and send a
 :class:`WorkerReport` back.  A process born holding its message (a
-one-shot call's, forked) then leaves; when the run rebalances, or the
-process was started ahead of its message, it stays in its dispatch loop,
-ready to accept a :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed
-from a straggler (the same body again, so handoff tiles are bit-identical
-to the tiles the origin would have produced).
+one-shot call's, forked) then leaves; one started ahead of its message
+stays in its dispatch loop, ready for its next job or the pool's pill.
 
 C is written once: the body's ``c_slot`` hook hands every C tile's first
-product a slot of the attempt's (or handoff's) shared-memory output arena,
+product a slot of the attempt's shared-memory output arena,
 later products accumulate there, and a checkpoint-restored tile is copied
 from the store straight into its slot — when the rank is done its C is
 already where the coordinator will adopt it, and the report carries only
 the index.  The worker keeps no tile view past the close of its arenas
 (:func:`_opened`), which unmaps them there and then.
-
-Rebalancing yield points: between blocks the worker polls its inbox; a
-coordinator :class:`~repro.dist.comm.RelinquishMsg` makes it give up its
-not-yet-started blocks (acked with their positions, skipped thereafter)
-while the in-flight block finishes normally.
 
 Operands arrive on one of two data planes (the coordinator picks, see
 :mod:`repro.dist.coordinator`): a forked one-shot worker was born holding
@@ -82,15 +74,10 @@ from repro.core.plan import Block, ProcPlan
 from repro.dist.comm import (
     COORDINATOR,
     DoneMsg,
-    Empty,
     Endpoint,
     ErrorMsg,
-    HandoffDoneMsg,
-    HandoffMsg,
     HeartbeatMsg,
     ProtocolError,
-    RelinquishedMsg,
-    RelinquishMsg,
     ScatterMsg,
 )
 from repro.dist.protocol import WIRE, WORKER_MACHINE, Transition
@@ -289,7 +276,7 @@ def _chunk_fetcher(a_get_tile, rec: SpanRecorder, rank: int):
 
 @contextmanager
 def _opened(msg, operands, rank: int, *, rec: SpanRecorder, tile_cache):
-    """Open what one :class:`ScatterMsg` or ``HandoffMsg`` executes against.
+    """Open what one :class:`ScatterMsg` executes against.
 
     Yields ``(store, a_get_tile, b_source, c_arena)``: the B-tile store
     (``None`` unless the run persists / checkpoints), A and B — read in
@@ -354,8 +341,8 @@ def run_rank(
     wait in :func:`worker_main`; the recorder's clock is rooted at
     ``origin`` so the wait appears as the rank's first span.  ``endpoint``
     carries heartbeats out on the telemetry channel; without one — the
-    coordinator's in-process call — the rank neither beats nor polls an
-    inbox (as with ``msg.heartbeat_interval <= 0`` and ``rebalance`` off).
+    coordinator's in-process call — the rank does not beat (as with
+    ``msg.heartbeat_interval <= 0``).
     ``tile_cache`` is a serving pool's process-lifetime warm B-tile cache
     (``None`` reproduces the one-shot behaviour) and ``operands`` the
     forked-in ``(a, b)`` pair; :func:`_opened` consumes both.
@@ -410,49 +397,6 @@ def run_rank(
                 else:
                     time.sleep(fault.delay_seconds)
 
-        # ---- rebalancing yield points -------------------------------
-        # ``skipped`` holds block positions this rank must not execute:
-        # the coordinator's exclusions from earlier attempts, plus any
-        # positions relinquished mid-run.  ``skip_block`` doubles as the
-        # inbox poll at every block boundary.
-        skipped: set[tuple[int, int]] = set(msg.excluded)
-        skip_block = None
-        if skipped or (msg.rebalance and endpoint is not None):
-            positions = [
-                (g, bi) for g, bi, _ in proc_blocks(msg.proc, msg.gpus_per_proc)
-            ]
-            pos_index = {p: n for n, p in enumerate(positions)}
-            restored_positions = set(msg.completed)
-
-            def skip_block(g: int, bi: int, block) -> bool:
-                """Poll the inbox at a block boundary: each message is an
-                event of ``running`` (:func:`_row`), and its one ``recv:``
-                row is ``yield_unstarted``.
-
-                A current-attempt :class:`RelinquishMsg` yields every
-                position not yet started (including this one) that is
-                neither restored nor already skipped; the positions are
-                acked back so the coordinator knows exactly which blocks
-                it now owns.  A stale request is acked empty.
-                """
-                while msg.rebalance and endpoint is not None:
-                    try:
-                        _, req, _ = endpoint.recv_nowait()
-                    except Empty:
-                        break
-                    _row("running", _event_of(req))
-                    remaining = ()
-                    if req.attempt == msg.attempt:
-                        remaining = tuple(
-                            p for p in positions[pos_index[(g, bi)]:]
-                            if p not in skipped and p not in restored_positions
-                        )
-                        skipped.update(remaining)
-                    endpoint.send(
-                        COORDINATOR, RelinquishedMsg(rank, req.attempt, remaining)
-                    )
-                return (g, bi) in skipped
-
         # Only the stats are kept: the tiles are in the arena already, and
         # a view held here would dangle once the attachment is closed.
         stats = execute_blocks(
@@ -469,7 +413,6 @@ def run_rank(
             clock=rec.now,
             restore_block=restore_block,
             on_block=on_block,
-            skip_block=skip_block,
             c_slot=c_arena.slot,
         )[1]
 
@@ -499,40 +442,6 @@ def run_rank(
         )
 
 
-def run_handoff(msg, operands=None, tile_cache=None) -> tuple[dict, NumericStats]:
-    """Execute one :class:`~repro.dist.comm.HandoffMsg` (on a helper rank
-    or, as the fallback, inside the coordinator).
-
-    Opens the operands the way the origin did and the handoff's dedicated
-    C arena (:func:`_opened`), runs the reclaimed blocks through the one
-    per-block body with the *origin* as rank — so the stats, and (when the
-    run checkpoints) the block files under the origin's name, are exactly
-    what the origin itself would have written, which is what lets
-    the reduction match the serial oracle and a resumed run replay the
-    ownership transfer transparently.  Returns ``(C index, stats)``.
-    """
-    rec = SpanRecorder(enabled=False)
-    with _opened(msg, operands, msg.origin, rec=rec, tile_cache=tile_cache,
-                 ) as (_, a_get_tile, b_source, c_arena):
-        on_block = None
-        if msg.ckpt_dir is not None:
-            _, on_block, _ = checkpoint_hooks(
-                msg.ckpt_dir, msg.run_hash, msg.origin, (), rec, c_arena.slot,
-            )
-        stats = execute_blocks(
-            msg.blocks,
-            msg.origin,
-            a_get_tile,
-            b_source,
-            gpu_memory_bytes=msg.gpu_memory_bytes,
-            b_csr=msg.b_csr,
-            alpha=msg.alpha,
-            on_block=on_block,
-            c_slot=c_arena.slot,
-        )[1]
-        return dict(c_arena.index), stats
-
-
 def _event_of(msg) -> str:
     """An inbox message as a worker event: ``recv:<its wire name>``."""
     return f"recv:{getattr(WIRE.get(type(msg)), 'name', type(msg).__name__)}"
@@ -550,8 +459,7 @@ def _row(state: str, event: str) -> Transition:
 
 class _Worker:
     """A worker process's ``state`` in :data:`WORKER_MACHINE`; :meth:`fire`
-    calls the method an event's row names, as ``_Coordinator.fire`` does
-    (``running``'s ``yield_unstarted`` is :func:`run_rank`'s poll)."""
+    calls the method an event's row names, as ``_Coordinator.fire`` does."""
 
     def __init__(self, rank, endpoint, tile_cache, operands, one_shot):
         self.rank, self.endpoint, self.tile_cache = rank, endpoint, tile_cache
@@ -566,8 +474,8 @@ class _Worker:
             getattr(self, row.action)(msg)
 
     def attach_and_restore(self, msg: ScatterMsg) -> None:
-        """Run this rank's attempt and report it; a one-shot worker of a run
-        that does not rebalance then leaves."""
+        """Run this rank's attempt and report it; a one-shot worker then
+        leaves."""
         self.attempt = msg.attempt
         # A one-shot worker roots its trace at its own start, so process
         # startup stays visible.  Any other roots each job's at scatter
@@ -581,7 +489,7 @@ class _Worker:
         )
         self.endpoint.send(COORDINATOR, DoneMsg(self.rank, report))
         self.fire("act:report")
-        if self.one_shot and not msg.rebalance:
+        if self.one_shot:
             # ``act:leave``: nothing can follow; its teardown overlaps the
             # slower ranks.  Flush, or the reply dies in the feeder.
             self.fire("act:leave")
@@ -589,18 +497,6 @@ class _Worker:
                 q.close()
                 q.join_thread()
             os._exit(0)
-
-    def stale_ack(self, msg: RelinquishMsg) -> None:
-        self.endpoint.send(COORDINATOR, RelinquishedMsg(self.rank, msg.attempt, ()))
-
-    def execute_handoff(self, msg: HandoffMsg) -> None:
-        try:
-            c_index, stats = run_handoff(msg, self.operands, tile_cache=self.tile_cache)
-        except Exception:  # noqa: BLE001 - helper failure is recoverable
-            c_index = stats = None
-        self.endpoint.send(
-            COORDINATOR, HandoffDoneMsg(self.rank, msg.handoff_id, c_index, stats)
-        )
 
 
 def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
@@ -612,24 +508,20 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     (``scatter``, taken as ``recv:scatter`` before the inbox is read) and
     the run's ``(a, b)`` pair (``operands``): process arguments cross a
     fork by inheritance, not by pickle.  After reporting ``done`` it leaves
-    (``act:leave``) unless its run rebalances.  Any other worker — started
-    by a :class:`~repro.dist.pool.WorkerPool` ahead of its scatter — stays
-    in the loop after each report: a helper for a
-    :class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a
-    straggler, ready for its next :class:`ScatterMsg` (one per job, process
-    outliving run), until the pool's :class:`~repro.dist.comm.ShutdownMsg`
-    pill exits the loop quietly.  ``tile_cache`` (pickled empty at spawn,
-    populated here) is a serving pool's process-lifetime warm B-tile cache
-    that makes job N+1 over the same B fingerprint start hot.
+    (``act:leave``).  Any other worker — started by a
+    :class:`~repro.dist.pool.WorkerPool` ahead of its scatter — stays in the
+    loop after each report, ready for its next :class:`ScatterMsg` (one per
+    job, process outliving run), until the pool's
+    :class:`~repro.dist.comm.ShutdownMsg` pill exits the loop quietly.
+    ``tile_cache`` (pickled empty at spawn, populated here) is a serving
+    pool's process-lifetime warm B-tile cache that makes job N+1 over the
+    same B fingerprint start hot.
 
-    A :class:`~repro.dist.comm.RelinquishMsg` landing here (rather than at
-    a mid-run block boundary) raced against this rank's completion or
-    respawn — it is acked empty so the coordinator can retire the request.
     A message the state has no row for fails the attempt, shipped home as
     an ``ErrorMsg``.  Every reply is a class of :mod:`repro.dist.comm` and
-    names the attempt or handoff it belongs to, so the coordinator can
-    discard one from a superseded attempt instead of recovering a rank it
-    already recovered.
+    names the attempt it belongs to, so the coordinator can discard one
+    from a superseded attempt instead of recovering a rank it already
+    recovered.
     """
     worker = _Worker(rank, endpoint, tile_cache, operands, scatter is not None)
     try:

@@ -12,8 +12,8 @@ the numeric result of a run is schedule-independent and any equal-state
 copy — one pickled to a worker — hands out bit-identical tiles.
 
 Every executor of a rank's blocks — the serial oracle
-(:func:`repro.runtime.numeric.execute_plan`), a distributed worker, a
-rebalance helper, the inline spare — pulls B through one source per rank:
+(:func:`repro.runtime.numeric.execute_plan`), a distributed worker, the
+inline spare — pulls B through one source per rank:
 
 * :class:`BService` for a generated B: the life-cycle above, under an LRU
   byte budget enforced through :class:`~repro.runtime.gpu_memory.GpuMemory`

@@ -3,8 +3,8 @@
 A run is measured once.  What a rank counts it counts on plain attributes
 that its report carries home (``NumericStats``, the ``RankTally`` fields),
 what the coordinator sees it emits as events, and what took time is a span
-of the trace; ``RankTally.merge`` / ``NumericStats.merge`` total the ranks
-(handoffs included).  Every series here is a *fold* of that one report:
+of the trace; ``RankTally.merge`` / ``NumericStats.merge`` total the ranks.
+Every series here is a *fold* of that one report:
 :data:`SERIES` declares each series' name, kind, help text and the report
 field, event tally or span kind it reads, and :func:`snapshot_of` evaluates
 the table into a :class:`MetricsSnapshot` — ``report.metrics``, rendered by
@@ -36,9 +36,9 @@ DEFAULT_BUCKETS = (
 
 #: ``series name -> (kind, help, fold)``.  A fold names where the value is
 #: read: ``("stats", field)`` off ``report.stats``, ``("report", field)`` off
-#: the report's own (``RankTally``) fields, ``("events", kind, summed)`` off
-#: ``report.event_totals`` — the count of the run's ``kind`` event records,
-#: or the sum of their ``summed`` field — and ``("spans", bucket, prefix)``:
+#: the report's own (``RankTally``) fields, ``("events", kind)`` off
+#: ``report.event_totals`` — the count of the run's ``kind`` event records —
+#: and ``("spans", bucket, prefix)``:
 #: the durations of the trace's spans that ``classify`` files under
 #: ``bucket`` and whose task name starts with ``prefix``.
 SERIES = {
@@ -74,27 +74,15 @@ SERIES = {
         ("counter", "trace spans discarded at the recorder bound",
          ("report", "spans_dropped")),
     "repro_heartbeats_total":
-        ("counter", "worker heartbeats received", ("events", "heartbeat", None)),
+        ("counter", "worker heartbeats received", ("events", "heartbeat")),
     "repro_stalls_detected_total":
         ("counter", "ranks declared stalled via missed heartbeats",
-         ("events", "stall", None)),
+         ("events", "stall")),
     "repro_worker_retries_total":
         ("counter", "worker processes respawned after a failure",
-         ("events", "retry", None)),
+         ("events", "retry")),
     "repro_ranks_reassigned_total":
-        ("counter", "ranks reassigned to the coordinator", ("events", "reassign", None)),
-    "repro_rebalance_requests_total":
-        ("counter", "relinquish requests sent to flagged stragglers",
-         ("events", "rebalance", None)),
-    "repro_rebalance_blocks_reclaimed_total":
-        ("counter", "blocks reclaimed from stragglers and handed off",
-         ("events", "handoff", "blocks")),
-    "repro_rebalance_tasks_moved_total":
-        ("counter", "GEMM tasks moved off stragglers by the rebalancer",
-         ("events", "handoff", "tasks")),
-    "repro_rebalance_handoffs_total":
-        ("counter", "handoffs dispatched (to helper ranks or the inline spare)",
-         ("events", "handoff", None)),
+        ("counter", "ranks reassigned to the coordinator", ("events", "reassign")),
     "repro_chunk_gemm_seconds":
         ("histogram", "per-chunk GEMM stream durations", ("spans", "gemm", "")),
     "repro_prefetch_seconds":
@@ -224,7 +212,7 @@ def snapshot_of(report) -> MetricsSnapshot:
                 snap.helps[name] = text
             continue
         if source == "events":
-            value = report.event_totals.get(tuple(key), 0)
+            value = report.event_totals.get(key[0], 0)
         else:
             value = getattr(report.stats if source == "stats" else report, *key)
         (snap.counters if kind == "counter" else snap.gauges)[name] = value

@@ -14,8 +14,8 @@ performance model alone cannot:
    process, and every C tile is produced by exactly one process.
 
 The per-block body (:func:`execute_blocks`) is shared with the real
-multi-process executor in :mod:`repro.dist` — ranks, handoff helpers and
-the inline spare all run it: everyone walks blocks, chunks and GEMMs in the
+multi-process executor in :mod:`repro.dist` — worker ranks and the inline
+spare both run it: everyone walks blocks, chunks and GEMMs in the
 identical order with identical floating-point operations, so the
 distributed result is bit-for-bit the serial result and this executor
 doubles as the distributed executor's crosscheck oracle.  (Parity is
@@ -263,17 +263,15 @@ def execute_blocks(
     clock: Callable[[], float] | None = None,
     restore_block: Callable[[int, int, Block], dict | None] | None = None,
     on_block: Callable[[int, int, Block, dict], None] | None = None,
-    skip_block: Callable[[int, int, Block], bool] | None = None,
     c_slot: Callable[[tuple[int, int], int, int], np.ndarray] | None = None,
 ) -> tuple[dict[tuple[int, int], np.ndarray], NumericStats]:
     """Execute ``(gpu, position, block)`` triples of ``rank``'s plan;
     returns ``(C tiles, stats)``.
 
     The one per-block body: the serial :func:`execute_plan` runs it over
-    every rank's :func:`proc_blocks`, a distributed worker over its own, and
-    a rebalance helper (or the coordinator's inline spare) over the blocks
-    reclaimed from ``rank`` — stats, B-source calls and ``per_proc_tasks``
-    are attributed to ``rank`` whoever computes.  ``b`` is the rank's one B
+    every rank's :func:`proc_blocks`, a distributed worker (or the
+    coordinator's inline spare) over its own — stats, B-source calls and
+    ``per_proc_tasks`` are attributed to ``rank`` whoever computes.  ``b`` is the rank's one B
     source (:class:`~repro.runtime.data.BService` or
     :class:`~repro.runtime.data.ConcreteBSource`), fresh for this call: the
     stats' B counts are read off it.  B tiles are evicted at the end of each
@@ -289,20 +287,12 @@ def execute_blocks(
     file.  Restored blocks are exactly the committed ones, and committed
     tiles are bit-identical to recomputed ones, so a resumed run's C
     equals an uninterrupted run's C bit for bit.
-
-    ``skip_block(g, bi, block)`` is the rebalancer's yield point, checked
-    *before* the restore hook at every block boundary: a ``True`` return
-    drops the block entirely (someone else now owns it — its tiles arrive
-    through that owner, so producing them here would violate the
-    one-producer-per-tile reduction invariant).
     """
     stats = NumericStats()
     produced: dict[tuple[int, int], np.ndarray] = {}
     mems: dict[int, GpuMemory] = {}
     for g, bi, block in blocks:
         block_name = f"block{bi}"
-        if skip_block is not None and skip_block(g, bi, block):
-            continue
         if restore_block is not None:
             restored = restore_block(g, bi, block)
             if restored is not None:

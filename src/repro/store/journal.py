@@ -17,8 +17,7 @@ Three pieces turn a checkpoint directory into a resumable run:
   file is fsynced before it is renamed into place, so a file under its
   final name is a block that never needs to run again; the resume path
   still reads every one back whole and CRC-clean (:func:`read_block`)
-  before it trusts it.  A block a rebalancing helper ran is committed
-  under its origin rank's name.
+  before it trusts it.
 * **coordinator snapshot** — ``coordinator.json``, atomically replaced:
   the run's plan, operand and run hashes.  The resume path refuses a
   checkpoint directory whose plan hash disagrees with the plan in hand

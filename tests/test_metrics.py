@@ -75,12 +75,10 @@ def _rank_report(rank, seed):
 
 
 class TestSeriesFold:
-    """``snapshot_of`` over a hand-built report: two ranks and one handoff."""
+    """``snapshot_of`` over a hand-built report: two ranks."""
 
     def _report(self):
         ranks = [_rank_report(0, seed=3), _rank_report(1, seed=5)]
-        handoff = NumericStats(ntasks=4, flops=44.0, b_tiles_generated=2,
-                               gpu_peak_bytes=9999, per_proc_tasks={0: 4})
         trace = Trace()
         for n, (task, resource) in enumerate([
             ("block0.chunk0.gemm", "gpu.0.0.comp"),
@@ -91,37 +89,34 @@ class TestSeriesFold:
             ("gen.1.2", "cpu.0"),
         ]):
             trace.add(task, resource, float(n), n + 0.002)
-        totals = {("heartbeat", None): 6, ("stall", None): 1, ("retry", None): 1,
-                  ("reassign", None): 1, ("rebalance", None): 2,
-                  ("handoff", None): 2, ("handoff", "blocks"): 3,
-                  ("handoff", "tasks"): 4}
+        totals = {"heartbeat": 6, "stall": 1, "retry": 2, "reassign": 1}
         report = DistReport(
-            stats=NumericStats.merge([r.stats for r in ranks] + [handoff]),
+            stats=NumericStats.merge([r.stats for r in ranks]),
             trace=trace, comm=CommStats(), attempts={},
             segments=[], event_totals=totals, **vars(RankTally.merge(ranks)),
         )
-        return ranks, handoff, totals, report
+        return ranks, totals, report
 
     def test_every_row_equals_its_source(self):
-        ranks, handoff, totals, report = self._report()
+        ranks, totals, report = self._report()
         snap = snapshot_of(report)
-        parts = [r.stats for r in ranks] + [handoff]
+        parts = [r.stats for r in ranks]
         for name, (kind, text, (source, *key)) in SERIES.items():
             assert snap.helps[name] == text
             if source == "stats":
                 values = [getattr(s, key[0]) for s in parts]
-                # every stat is a sum over ranks and handoffs; the gauge a max
+                # every stat is a sum over ranks; the gauge a max
                 expected = max(values) if kind == "gauge" else sum(values)
             elif source == "report":
                 expected = sum(getattr(r, key[0]) for r in ranks)
             elif source == "events":
-                expected = totals[tuple(key)]
+                expected = totals[key[0]]
             else:
                 assert kind == "histogram"
                 continue
             assert snap.get(name, None) == expected, name
-        assert snap.get("repro_gemm_tasks_total") == 30 + 50 + 4
-        assert snap.get("repro_gpu_peak_bytes") == 9999
+        assert snap.get("repro_gemm_tasks_total") == 30 + 50
+        assert snap.get("repro_gpu_peak_bytes") == 500
         assert {n: h.count for n, h in snap.histograms.items()} == {
             "repro_chunk_gemm_seconds": 2, "repro_prefetch_seconds": 1,
             "repro_checkpoint_seconds": 1,
@@ -131,7 +126,7 @@ class TestSeriesFold:
         assert set(snap.counters) | set(snap.gauges) | set(snap.histograms) == set(SERIES)
 
     def test_untraced_report_has_no_histograms(self):
-        _, _, _, report = self._report()
+        _, _, report = self._report()
         report.trace = Trace()
         snap = snapshot_of(report)
         assert snap.histograms == {} and histograms_of(Trace()) == {}

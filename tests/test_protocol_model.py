@@ -70,7 +70,7 @@ class TestCleanProtocol:
         assert result.ok, result.report.render()
 
     def test_unfired_rows_are_the_ones_declared_not_explored(self, default_sweep):
-        """The rows the sweep never fires are the six the table marks "Not
+        """The rows the sweep never fires are the five the table marks "Not
         explored"; a row that drops out of the sweep shows up here."""
         assert set(default_sweep.unfired) == {
             ("worker", "idle", "recv:shutdown"),
@@ -78,9 +78,8 @@ class TestCleanProtocol:
             ("worker", "idle_done", "recv:scatter"),
             ("coordinator", "supervising", "recv:done:stale"),
             ("coordinator", "supervising", "recv:error:stale"),
-            ("coordinator", "supervising", "recv:handoff_done:stale"),
         }
-        assert "rows fired 30 of 36" in default_sweep.summary()
+        assert "rows fired 22 of 27" in default_sweep.summary()
 
 
 class TestDroppedAckMutation:
@@ -165,89 +164,6 @@ class TestDisciplineMutations:
         result = check_protocol(bad, [Scenario(2)])
         assert "M404" in rules_fired(result.report)
         assert "telemetry" in by_rule(result.report, "M404")[0].message
-
-
-class TestRebalanceModel:
-    """The steal excursion: M407/M408 proven clean, mutations convicted."""
-
-    def test_steal_scenarios_are_swept(self):
-        steals = [sc for sc in default_scenarios() if sc.steal]
-        assert len(steals) >= 10
-        kinds = {sc.fault.kind for sc in steals if sc.fault is not None}
-        assert kinds == {"kill", "stall", "raise", "abort"}
-
-    def test_steal_label(self):
-        sc = Scenario(2, FaultSpec(0, "kill", 1), steal=True)
-        assert sc.label() == "ranks=2 fault=kill@r0u1 steal"
-
-    def test_steal_with_faults_is_clean(self, model):
-        """M407/M408 over every steal x kill/stall/abort interleaving."""
-        scenarios = [
-            Scenario(2, FaultSpec(0, kind, 1, once=(kind != "abort")), ckpt,
-                     steal=True)
-            for kind in ("kill", "stall", "abort")
-            for ckpt in (False, True)
-        ]
-        result = check_protocol(model, scenarios)
-        assert result.ok, result.report.render()
-        # ckpt aborts leave committed blocks (a committed steal's under
-        # the origin's name): the resume sub-scenarios must run and pass too
-        assert any("resume=" in label for label, _ in result.per_scenario)
-
-    def test_three_rank_steal_is_clean(self, model):
-        small = replace(model, max_extra_beats=0)
-        result = check_protocol(
-            small, [Scenario(3, FaultSpec(0, "kill", 1), steal=True)]
-        )
-        assert result.ok, result.report.render()
-
-    def test_worker_ignoring_relinquish_is_convicted(self, model):
-        """A running worker with no relinquish yield point strands the
-        request — M408's failure mode, convicted as unhandled."""
-        mutated = model.without("worker", "running", "recv:relinquish")
-        result = check_protocol(mutated, [Scenario(1, None, steal=True)])
-        assert "M402" in rules_fired(result.report)
-        assert "recv:relinquish" in by_rule(result.report, "M402")[0].message
-
-    def test_finished_worker_must_still_ack_relinquish(self, model):
-        """The dispatch loop's stale-ack edge is load-bearing: drop it
-        and a relinquish racing the rank's own report goes unhandled."""
-        mutated = model.without("worker", "idle_done", "recv:relinquish")
-        result = check_protocol(mutated, [Scenario(1, None, steal=True)])
-        assert "M402" in rules_fired(result.report)
-
-    def test_dropped_dispatch_edge_loses_stolen_blocks(self, model):
-        """Without recv:relinquished the yielded blocks have no owner:
-        the ack wedges the gather queue and the run deadlocks."""
-        mutated = model.without(
-            "coordinator", "supervising", "recv:relinquished"
-        )
-        result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        fired = rules_fired(result.report)
-        assert "M402" in fired
-        assert "M401" in fired
-
-    def test_dropped_relinquished_ack_is_convicted(self, model):
-        """A live relinquish whose ack is not declared yields the blocks but
-        never tells the coordinator: the steal never commits."""
-        mutated = with_sends(model, "worker", "running", "recv:relinquish", ())
-        result = check_protocol(
-            mutated, [Scenario(1, steal=True), Scenario(2, steal=True)]
-        )
-        assert rules_fired(result.report) & {"M401", "M407", "M408"}
-
-    def test_dropped_handoff_consumption_wedges(self, model):
-        mutated = model.without("worker", "idle_done", "recv:handoff")
-        result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        fired = rules_fired(result.report)
-        assert "M401" in fired or "M402" in fired
-
-    def test_dropped_handoff_absorb_is_convicted(self, model):
-        mutated = model.without(
-            "coordinator", "supervising", "recv:handoff_done"
-        )
-        result = check_protocol(mutated, [Scenario(2, None, steal=True)])
-        assert "M402" in rules_fired(result.report)
 
 
 class TestScenarioVocabulary:

@@ -27,12 +27,8 @@ from repro.dist.comm import (
     DoneMsg,
     Endpoint,
     ErrorMsg,
-    HandoffDoneMsg,
-    HandoffMsg,
     HeartbeatMsg,
     ProtocolError,
-    RelinquishedMsg,
-    RelinquishMsg,
     ShutdownMsg,
 )
 from repro.dist.coordinator import (
@@ -42,7 +38,8 @@ from repro.dist.coordinator import (
     _Coordinator,
     execute_plan_distributed,
 )
-from repro.dist.worker import WorkerReport, _Worker, run_rank, worker_main
+from repro.dist.pool import WorkerPool
+from repro.dist.worker import WorkerReport, _Worker, worker_main
 from repro.machine import summit
 from repro.runtime.numeric import NumericStats
 from repro.sparse import random_block_sparse
@@ -50,12 +47,11 @@ from repro.tiling import random_tiling
 
 HANDLERS = {
     "complete_rank", "discard", "recover_rank", "fold_health",
-    "request_relinquish", "dispatch_handoff", "absorb_handoff", "abort_run",
+    "flag_straggler", "abort_run",
 }
 
-#: What a worker's ``recv:`` rows name: three in ``worker_main``'s loop, one
-#: (``yield_unstarted``) in ``run_rank``'s block-boundary poll.
-WORKER_HANDLERS = {"attach_and_restore", "stale_ack", "execute_handoff"}
+#: What a worker's ``recv:`` rows name, all in ``worker_main``'s loop.
+WORKER_HANDLERS = {"attach_and_restore"}
 
 
 class TestOneDeclaration:
@@ -108,9 +104,10 @@ class TestOneDeclaration:
 
     def test_every_worker_recv_action_is_dispatched_and_vice_versa(self):
         recv = [tr for tr in protocol.WORKER_MACHINE.transitions
-                if tr.event.startswith("recv:") and tr.action]
-        assert {tr.action for tr in recv if tr.state != "running"} == WORKER_HANDLERS
-        assert {tr.action for tr in recv if tr.state == "running"} == {"yield_unstarted"}
+                if tr.event.startswith("recv:")]
+        assert {tr.action for tr in recv if tr.action} == WORKER_HANDLERS
+        # A running worker reads no inbox: the plan it runs is static.
+        assert not [tr for tr in recv if tr.state == "running"]
         methods = {name for name, v in vars(_Worker).items()
                    if callable(v) and not name.startswith("_")}
         assert methods - {"fire"} == WORKER_HANDLERS
@@ -145,8 +142,8 @@ class TestEndpointRefusals:
     def test_wrong_sender_role_is_refused(self):
         coord, worker = _fabric()
         with pytest.raises(ProtocolError, match="coordinator -> worker"):
-            worker.send(COORDINATOR, RelinquishMsg(attempt=0))
-        assert coord.send(0, RelinquishMsg(attempt=0)) > 0
+            worker.send(COORDINATOR, ShutdownMsg())
+        assert coord.send(0, ShutdownMsg()) > 0
 
     def test_wrong_channel_is_refused(self):
         coord, worker = _fabric()
@@ -168,16 +165,14 @@ class TestEndpointRefusals:
 
 @pytest.fixture
 def run():
-    """A coordinator over a 2-rank plan, set up but never scattered: rank 0
-    has a relinquish request out, handoff 7 is with a helper."""
+    """A coordinator over a 2-rank plan, set up but never scattered: the
+    live attempt of each rank is 0."""
     rows = random_tiling(60, 10, 20, seed=0)
     inner = random_tiling(120, 10, 20, seed=1)
     a = random_block_sparse(rows, inner, 0.8, seed=2)
     b = random_block_sparse(inner, inner, 0.8, seed=3)
     plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
     coordinator = _Coordinator(plan, a, b, None, 1.0, 1.0, RunConfig(heartbeat_interval=0.0))
-    coordinator.outstanding_relinquish[0] = 0
-    coordinator.pending_handoffs[7] = {"origin": 0, "helper": 1}
     try:
         yield coordinator
     finally:
@@ -195,11 +190,6 @@ class TestEventOf:
         (ErrorMsg(0, 0, "tb"), "recv:error"),
         (ErrorMsg(0, -1, "tb"), "recv:error"),  # failed before any scatter
         (ErrorMsg(0, 7, "tb"), "recv:error:stale"),
-        (RelinquishedMsg(0, 0, ()), "recv:relinquished"),
-        (RelinquishedMsg(0, 7, ()), "recv:relinquished:stale"),
-        (RelinquishedMsg(1, 0, ()), "recv:relinquished:stale"),  # never asked
-        (HandoffDoneMsg(1, 7, {}, NumericStats()), "recv:handoff_done"),
-        (HandoffDoneMsg(1, 99, {}, NumericStats()), "recv:handoff_done:stale"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_reply_is_live_or_stale(self, run, msg, event):
         assert run.event_of(msg) == event
@@ -207,11 +197,28 @@ class TestEventOf:
 
     def test_finished_rank_makes_every_later_reply_stale(self, run):
         run.pending.discard(0)
-        for msg in (_done(0, 0), ErrorMsg(0, 0, "tb"), RelinquishedMsg(0, 0, ())):
+        for msg in (_done(0, 0), ErrorMsg(0, 0, "tb")):
             assert run.event_of(msg).endswith(":stale")
 
+    def test_an_earlier_jobs_reply_on_the_same_pool_is_stale(self, run):
+        """The pool numbers attempts over its life: the second job's rank 0
+        runs attempt 1, so the first job's attempt-0 report is not its own
+        even when it arrives late, after that job has ended."""
+        pool = WorkerPool(2)
+        try:
+            first = _Coordinator(run.plan, run.a, run.b, None, 1.0, 1.0,
+                                 RunConfig(heartbeat_interval=0.0, pool=pool))
+            second = _Coordinator(run.plan, run.a, run.b, None, 1.0, 1.0,
+                                  RunConfig(heartbeat_interval=0.0, pool=pool))
+            assert (first.live_attempt(0), second.live_attempt(0)) == (0, 1)
+            assert first.event_of(_done(0, 0)) == "recv:done"
+            assert second.event_of(_done(0, 0)) == "recv:done:stale"
+            assert second.event_of(_done(0, 1)) == "recv:done"
+        finally:
+            pool.close()
+
     def test_what_no_worker_may_send_is_not_an_event(self, run):
-        for msg in (("done", 0, None), RelinquishMsg(attempt=0)):
+        for msg in (("done", 0, None), ShutdownMsg()):
             with pytest.raises(DistExecutionError, match="unexpected message"):
                 run.event_of(msg)
 
@@ -264,37 +271,14 @@ class TestWorkerTable:
     """The worker runs WORKER_MACHINE: a message its state has no row for
     fails the attempt (M402 at runtime) instead of being dropped or run."""
 
-    def test_handoff_to_an_idle_worker_is_an_error_naming_the_row(self):
-        handoff = HandoffMsg(
-            handoff_id=0, origin=1, blocks=(), a_meta=None,
-            b_spec=("resident", None), c_meta=None, gpu_memory_bytes=0,
-            b_csr=None, alpha=1.0,
-        )
-        # The pill only ends a worker that wrongly took the handoff.
-        [reply] = _worker_replies(handoff, ShutdownMsg())
+    def test_an_undeclared_payload_fails_naming_the_row(self):
+        """The fabric carries a builtin payload; no worker row takes one."""
+        [reply] = _worker_replies(("ping", 1))
         assert isinstance(reply, ErrorMsg) and reply.attempt == -1
-        assert "state 'idle' has no transition for 'recv:handoff'" in reply.traceback
-
-    def test_relinquish_in_idle_is_acked_empty(self):
-        replies = _worker_replies(RelinquishMsg(attempt=3), ShutdownMsg())
-        assert replies == [RelinquishedMsg(0, 3, ())]
+        assert "state 'idle' has no transition for 'recv:tuple'" in reply.traceback
 
     def test_shutdown_returns_with_nothing_sent(self):
         assert _worker_replies(ShutdownMsg()) == []
-
-    def test_shutdown_mid_run_fails_a_rebalancing_rank(self, run):
-        # What ``scatter`` sets for an in-process rank (the run never scatters).
-        run.in_process_fields = dict(
-            a_meta=None, b_spec=("resident", None), alpha=run.alpha,
-            gpu_memory_bytes=run.plan.gpu_memory_bytes, b_csr=run.plan.b_shape.csr,
-        )
-        coord, worker = _fabric()
-        msg = dataclasses.replace(run.rank_msg(0, in_process=True), rebalance=True)
-        coord.send(0, ShutdownMsg())
-        with pytest.raises(ProtocolError, match="'running' has no transition for 'recv:shutdown'"):
-            run_rank(msg, (run.a, run.b), endpoint=worker)
-        assert worker.gather.empty()
-
 
 class TestRunConfig:
     def test_public_keywords_are_the_config_fields(self):
@@ -303,8 +287,7 @@ class TestRunConfig:
             fault_plan=None, timeout=120.0, verify_plan=False, trace=True,
             heartbeat_interval=0.25, stall_after_beats=8,
             straggler_fraction=0.25, metrics=True, events_path=None,
-            checkpoint_dir=None, store_dir=None, rebalance=False,
-            pool=None, run_id=None,
+            checkpoint_dir=None, store_dir=None, pool=None, run_id=None,
         )
 
     def test_unknown_keyword_is_a_type_error(self):
