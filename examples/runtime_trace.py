@@ -1,41 +1,37 @@
 #!/usr/bin/env python
-"""Inside the runtime: the two-DAG task graph and its execution trace.
+"""Inside the runtime: a measured execution trace.
 
-Builds a small contraction, expands its plan into the PaRSEC-style task
-graph — dataflow edges (GEMMs wait for their tiles) plus control edges
-(blocking block loads, two-deep chunk prefetch) — runs it through the
-discrete-event engine at per-GEMM granularity, and prints the resulting
-trace: an ASCII Gantt chart, per-resource utilization, and the edge-set
-sizes of the two superimposed DAGs (Section 4 of the paper).
+Runs a small contraction across two real worker processes with tracing on,
+and prints what the ranks did: the plan, then an ASCII Gantt chart of the
+merged trace (one row per resource — each rank's GEMM stream, its link,
+its B-generation core, and the coordinator's ``net.-1``) and per-resource
+utilization.  The blocks and chunks run in plan order under the 50/25/25
+GPU-memory budget, the order the paper's control DAG enforces in PaRSEC
+(Section 4).
 
 Run:  python examples/runtime_trace.py
 """
 
-from repro.core import psgemm_plan
+from repro.core import psgemm_distributed, psgemm_plan
 from repro.machine import summit
-from repro.runtime.dag import build_task_graph
-from repro.sparse import random_shape_with_density
+from repro.runtime import GeneratedCollection
+from repro.sparse import random_block_sparse, random_shape_with_density
 from repro.tiling import random_tiling
-from repro.util import fmt_time
 
 
 def main() -> None:
-    rows = random_tiling(1_000, 100, 300, seed=1)
-    inner = random_tiling(6_000, 100, 300, seed=2)
-    a = random_shape_with_density(rows, inner, 0.5, seed=3)
-    b = random_shape_with_density(inner, inner, 0.5, seed=4)
+    rows = random_tiling(400, 40, 100, seed=1)
+    inner = random_tiling(1_200, 40, 100, seed=2)
+    a = random_block_sparse(rows, inner, 0.5, seed=3)
+    b = GeneratedCollection(random_shape_with_density(inner, inner, 0.5, seed=4), seed=5)
     machine = summit(1)
 
-    plan = psgemm_plan(a, b, machine, p=1)
-    print(plan.summary())
+    grid = dict(p=2, gpus_per_proc=3)  # two ranks of three GPUs
+    print(psgemm_plan(a.sparse_shape(), b.shape, machine, **grid).summary())
 
-    graph = build_task_graph(plan, machine, granularity="task")
-    print(f"\nTask graph: {graph.ntasks} tasks, "
-          f"{graph.dataflow_edges} dataflow edges, "
-          f"{graph.control_edges} control edges")
-
-    trace = graph.engine.run()
-    print(f"\nSimulated makespan: {fmt_time(trace.makespan)}")
+    _, report = psgemm_distributed(a, b, machine, b_shape=b.shape, trace=True, **grid)
+    trace = report.trace
+    print(f"\nMeasured trace: {len(trace.events)} spans")
     print("\nGantt (one row per resource):")
     print(trace.gantt(width=72))
     print("\nUtilization:")

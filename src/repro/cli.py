@@ -612,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="numeric end-to-end check")
     st.add_argument("--deep", action="store_true",
-                    help="cross-validate all three executors (numeric, DES, analytic)")
+                    help="check the numeric executor against the dense reference, "
+                         "the shape algebra's counts and the memory budget")
     st.add_argument("--procs", type=int, metavar="N",
                     help="run the plan across N real worker processes and "
                          "crosscheck bit-for-bit against the serial executor")

@@ -6,9 +6,12 @@ what tasks exist, and how the data must flow between them") produces an
 columns, each block's chunks of A tiles, and the aggregate task/flop/byte
 counts of every chunk.  The same plan is consumed by three executors:
 
-* :func:`repro.runtime.numeric.execute_plan` — real data, exact numerics;
-* :mod:`repro.runtime.engine` — fine-grained discrete-event simulation;
-* :func:`repro.core.analytic.simulate` — vectorized coarse timing.
+* :func:`repro.runtime.numeric.execute_plan` — real data, exact numerics,
+  blocks and chunks in plan order under the 50/25/25 memory budget;
+* :func:`repro.dist.execute_plan_distributed` — the same block body on
+  real worker processes, one per rank;
+* :func:`repro.core.analytic.simulate` — vectorized timing, the one
+  timing model.
 
 Plans never enumerate individual GEMM tasks (C65H132 tiling v1 has 1.9 M);
 chunks carry the tile-coordinate arrays plus per-inner-tile aggregates from

@@ -43,8 +43,8 @@ One run is one :class:`_Coordinator`; its phases, in order:
 * **report** — merge per-rank stats, tallies and every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
   each recorder's single wall-clock sample) into one
-  :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
-  utilization queries work on real runs exactly as on simulated ones;
+  :class:`~repro.runtime.tracing.Trace`, which ``to_chrome_trace()``,
+  ``gantt()`` and the utilization and attribution queries read;
 * **teardown** — success or not, close this call's own pool (its ranks
   killed first after a failure: a busy worker never reads the pill) and
   unlink the run's C arenas — a borrowed pool and its operand arenas stay
@@ -118,9 +118,10 @@ from repro.util.validation import require
 #: coordinator declares it dead.
 _GRACE_SECONDS = 1.0
 
-#: Upper bound between patrol passes: dead-worker/stall/straggler checks
-#: must run on the run clock's cadence even when the message and telemetry
-#: streams never go quiet (a busy inbox used to starve detection).
+#: Longest wait for a reply between patrol passes.  The patrol runs
+#: whenever no reply is readable, so dead-worker/stall/straggler checks keep
+#: the run clock's cadence however busy the telemetry stream is (replies are
+#: a few per attempt; heartbeats never hold a patrol off).
 _PATROL_INTERVAL_SECONDS = 0.1
 
 
@@ -753,7 +754,6 @@ class _Coordinator:
         """Gather replies until no rank is pending."""
         clock = self.pool.clock
         deadline = clock() + self.cfg.timeout
-        last_patrol = clock()
         while self.pending:
             if clock() > deadline:
                 raise DistExecutionError(
@@ -761,18 +761,17 @@ class _Coordinator:
                     f"(pending ranks: {sorted(self.pending)})"
                 )
             self.drain_telemetry()
-            # Patrol on a bounded cadence, not only when the inbox goes
-            # quiet: a steady message stream used to starve
-            # dead-worker/stall/straggler detection entirely.
-            if clock() - last_patrol >= _PATROL_INTERVAL_SECONDS:
-                self.patrol()
-                last_patrol = clock()
             try:
-                src, msg, nbytes = self.coord.recv(timeout=0.1)
+                # Every reply readable now goes before any patrol verdict: a
+                # rank whose report is already queued is neither dead nor
+                # stalled.
+                src, msg, nbytes = self.coord.recv_nowait()
             except Empty:
                 self.patrol()
-                last_patrol = clock()
-                continue
+                try:
+                    src, msg, nbytes = self.coord.recv(timeout=_PATROL_INTERVAL_SECONDS)
+                except Empty:
+                    continue
             self.comm_stats.absorb({(src, COORDINATOR): nbytes}, {(src, COORDINATOR): 1})
             self.fire(self.event_of(msg), msg)
         self.fire("obs:all_done")

@@ -38,28 +38,28 @@ BUCKETS = ("gemm", "bgen", "fetch", "qwait", "shm", "writeback", "comm",
            "other", "idle")
 
 
-def classify(task: str, resource: str = "") -> str:
-    """Map a span's task name (and resource) to its blame bucket.
+def classify(task: str) -> str:
+    """Map a span's task name to its blame bucket.
 
-    Understands both span vocabularies that feed a :class:`Trace`: the
-    measured executor's (``block0.chunk1.gemm``, ``gen.3.7``,
-    ``inbox.wait``, ...) and the discrete-event engine's task-graph names
-    (``gemm.p0.g0.b1.c2``, ``load_a.*``, ``store_c.*``, ``recv_a.*``).
+    The names are the ones the executor's producers record:
+    ``block0.chunk1.gemm``, ``gen.3.7``, ``block0.chunk1.prefetch``,
+    ``inbox.wait``, ``shm.attach``, ``writeback.*``, ``scatter.<r>``,
+    ``pack.*``, ``reduce`` and ``report.*``; anything else (``spawn.<r>``)
+    is ``other``.
     """
-    if task.endswith(".gemm") or task.startswith("gemm."):
+    if task.endswith(".gemm"):
         return "gemm"
     if task.startswith("gen."):
         return "bgen"
-    if task.endswith(".prefetch") or task.startswith(("h2d.", "load.", "load_a.")):
+    if task.endswith(".prefetch"):
         return "fetch"
-    if task.endswith(".qwait") or task == "inbox.wait":
+    if task == "inbox.wait":
         return "qwait"
     if task == "shm.attach":
         return "shm"
-    if task.startswith(("writeback", "store.", "store_c.", "d2h.")):
+    if task.startswith("writeback"):
         return "writeback"
-    if task.startswith(("scatter", "pack.", "reduce", "recv.", "recv_a.",
-                        "send.", "report.")):
+    if task.startswith(("scatter.", "pack.", "reduce", "report.")):
         return "comm"
     return "other"
 
@@ -96,7 +96,7 @@ def _span_segment(e: TraceEvent, start: float, end: float) -> PathSegment:
         task=e.task,
         resource=e.resource,
         rank=rank_of_resource(e.resource),
-        bucket=classify(e.task, e.resource),
+        bucket=classify(e.task),
         start=start,
         end=end,
     )
@@ -266,7 +266,7 @@ def attribute(trace: Trace) -> Attribution:
     trace_buckets: dict[str, float] = {}
     rank_buckets: dict[int | None, dict[str, float]] = {}
     for e in trace.events:
-        b = classify(e.task, e.resource)
+        b = classify(e.task)
         r = rank_of_resource(e.resource)
         trace_buckets[b] = trace_buckets.get(b, 0.0) + e.duration
         per = rank_buckets.setdefault(r, {})

@@ -15,11 +15,10 @@ and, per rank, the inspector's expected communication volumes
 :func:`repro.core.inspector.expected_comm_volumes` recomputes and the
 plan verifier cross-checks.
 
-The task-id vocabulary matches both the measured trace (a worker's
+The task ids match the measured trace (a worker's
 ``block<bi>.chunk<ci>.gemm`` span on ``gpu.<rank>.<g>.comp`` maps to
-``p<rank>.g<g>.b<bi>.c<ci>``) and the task graph built by
-:func:`repro.runtime.dag.build_task_graph` (``gemm.p<r>.g<g>.b<bi>.c<ci>``),
-so predictions join measurements by key, no plan in hand.
+``p<rank>.g<g>.b<bi>.c<ci>``), so predictions join measurements by key, no
+plan in hand.
 """
 
 from __future__ import annotations
@@ -43,12 +42,8 @@ def span_task_id(task: str, resource: str) -> str | None:
     """Map a measured GEMM span to its plan-task id, or ``None``.
 
     ``block<bi>.chunk<ci>.gemm`` on ``gpu.<rank>.<g>.comp`` →
-    ``p<rank>.g<g>.b<bi>.c<ci>``; engine task names
-    ``gemm.p<r>.g<g>.b<bi>.c<ci>`` pass through.  Anything else is not a
-    GEMM span.
+    ``p<rank>.g<g>.b<bi>.c<ci>``.  Anything else is not a GEMM span.
     """
-    if task.startswith("gemm.p"):
-        return task[5:].split(".t")[0]  # strip per-task suffix if present
     if not task.endswith(".gemm"):
         return None
     parts = task.split(".")

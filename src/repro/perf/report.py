@@ -197,7 +197,7 @@ def html_report(
                 "resource": e.resource,
                 "start": e.start,
                 "end": e.end,
-                "bucket": classify(e.task, e.resource),
+                "bucket": classify(e.task),
             }
             for e in trace.events
         ],

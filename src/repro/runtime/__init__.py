@@ -3,8 +3,10 @@
 The paper executes its plan through the PaRSEC runtime: tasks connected by
 a *dataflow* DAG (correctness) plus a *control-flow* DAG (performance —
 forcing the scheduler to respect the block/chunk memory strategy), with
-data collections that can generate tiles on demand.  This package rebuilds
-those pieces at the fidelity a simulation needs:
+data collections that can generate tiles on demand.  Here that order is
+code that runs: :func:`~repro.runtime.numeric.execute_plan` walks each
+GPU's blocks and chunks in plan order under :class:`GpuMemory`'s budget,
+for the serial oracle and for every rank of :mod:`repro.dist` alike.
 
 * :mod:`~repro.runtime.data` — B tile sources: the on-demand generated
   collection, and the per-rank sources every executor pulls B through,
@@ -14,12 +16,10 @@ those pieces at the fidelity a simulation needs:
 * :mod:`~repro.runtime.numeric` — in-process *numerical* execution of an
   :class:`~repro.core.plan.ExecutionPlan`: real tiles, real GEMMs, real
   memory accounting — proving the plan computes exactly ``C + A @ B``;
-* :mod:`~repro.runtime.engine` — a discrete-event simulator that executes
-  the two-DAG task graph on modelled resources (GPU streams, host links,
-  core pools, NICs) for fine-grained timing of small instances;
-* :mod:`~repro.runtime.dag` — builds the dataflow + control DAGs from a
-  plan (the generic PTG of Section 4);
-* :mod:`~repro.runtime.tracing` — execution traces and utilization.
+* :mod:`~repro.runtime.tracing` — measured span recording, the merged
+  run trace and its utilization;
+* :mod:`~repro.runtime.metrics` — the run's metric series, a fold of its
+  report.
 """
 
 from repro.runtime.data import (
@@ -31,8 +31,6 @@ from repro.runtime.data import (
 )
 from repro.runtime.gpu_memory import GpuMemory, GpuMemoryError
 from repro.runtime.numeric import NumericStats, execute_plan
-from repro.runtime.engine import DiscreteEventEngine, Resource, SimTask
-from repro.runtime.dag import build_task_graph
 from repro.runtime.tracing import SpanRecorder, SpanStream, Trace, TraceEvent
 
 __all__ = [
@@ -45,10 +43,6 @@ __all__ = [
     "GpuMemoryError",
     "NumericStats",
     "execute_plan",
-    "DiscreteEventEngine",
-    "Resource",
-    "SimTask",
-    "build_task_graph",
     "SpanRecorder",
     "SpanStream",
     "Trace",

@@ -13,9 +13,7 @@ A series therefore cannot disagree with the report field beside it.
 
 The duration histograms bucket the trace's spans through the one span
 vocabulary of ``src/``, :func:`repro.perf.attribution.classify`, which
-reads the measured executor's names and the discrete-event engine's alike:
-:func:`histograms_of` yields the same series for a simulated
-:class:`~repro.runtime.tracing.Trace` as for a measured one.  A run with
+knows exactly the names the executor's producers record.  A run with
 ``trace=False`` recorded no spans, so its snapshot has every counter and
 the gauge but no histograms.
 
@@ -187,15 +185,15 @@ def _fmt(v: float) -> str:
 
 
 def histograms_of(trace) -> dict[str, HistogramSnapshot]:
-    """The ``histogram`` rows of :data:`SERIES` over one trace, measured or
-    simulated; a series none of whose spans occur is left out."""
+    """The ``histogram`` rows of :data:`SERIES` over one trace; a series
+    none of whose spans occur is left out."""
     from repro.perf.attribution import classify
 
     rows = [(name, fold[1:]) for name, (_, _, fold) in SERIES.items()
             if fold[0] == "spans"]
     durations: dict[str, list[float]] = {}
     for e in trace.events:
-        bucket = classify(e.task, e.resource)
+        bucket = classify(e.task)
         for name, (wanted, prefix) in rows:
             if bucket == wanted and e.task.startswith(prefix):
                 durations.setdefault(name, []).append(e.duration)

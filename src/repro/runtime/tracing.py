@@ -1,17 +1,11 @@
 """Execution traces, span recording, and utilization queries.
 
-Two producers feed one consumer vocabulary:
-
-* the discrete-event engine (:mod:`repro.runtime.engine`) emits a
-  :class:`Trace` of simulated task intervals;
-* the real multi-process executor (:mod:`repro.dist`) records *measured*
-  spans per rank through a :class:`SpanRecorder` (monotonic clock, bounded
-  memory, zero-cost when disabled) and the coordinator merges the per-rank
-  :class:`SpanStream` s into the same :class:`Trace`.
-
-Because both ends speak the same ``(task, resource, start, end)`` tuples,
-``to_chrome_trace()``, ``utilization()`` and makespan queries work
-unchanged on simulated and real runs alike.
+The multi-process executor (:mod:`repro.dist`) records *measured* spans per
+rank through a :class:`SpanRecorder` (monotonic clock, bounded memory,
+zero-cost when disabled), and the coordinator merges the per-rank
+:class:`SpanStream` s into one :class:`Trace` of ``(task, resource, start,
+end)`` events, which ``to_chrome_trace()``, ``gantt()``, ``utilization()``
+and makespan queries read.
 
 Clock alignment: monotonic clocks are not comparable across processes, so
 each :class:`SpanRecorder` samples the wall clock *once* at its origin
@@ -38,8 +32,8 @@ def rank_of_resource(resource: str) -> int | None:
 
     The executor's resource vocabulary carries the rank in its second
     dot-field — ``gpu.<rank>.<g>.comp``, ``net.<rank>``, ``cpu.<rank>`` —
-    with ``-1`` for the coordinator.  Simulated node-shared resources
-    (``net.n0``, ``cpu.n1``) and foreign names return ``None``.
+    with ``-1`` for the coordinator.  Any other name (``net.n0``, ``x``)
+    returns ``None``.
     """
     parts = resource.split(".")
     if len(parts) < 2 or parts[0] not in ("gpu", "net", "cpu"):
@@ -164,16 +158,9 @@ class SpanRecorder:
 
 @dataclass
 class Trace:
-    """An ordered record of executed tasks with utilization queries.
-
-    ``capacities`` maps resource names to their parallel capacity
-    (defaulting to 1); ``utilization`` normalizes by it so a capacity-4
-    resource running 4 tasks at once reports a busy fraction of 1.0, not
-    4.0.
-    """
+    """An ordered record of executed tasks with utilization queries."""
 
     events: list[TraceEvent] = field(default_factory=list)
-    capacities: dict[str, int] = field(default_factory=dict)
 
     def add(self, task: str, resource: str, start: float, end: float) -> None:
         self.events.append(TraceEvent(task, resource, start, end))
@@ -192,32 +179,15 @@ class Trace:
     def makespan(self) -> float:
         return max((e.end for e in self.events), default=0.0)
 
-    def _capacity(self, resource: str, override) -> int:
-        if override is not None and resource in override:
-            cap = override[resource]
-        else:
-            cap = self.capacities.get(resource, 1)
-        # A zero/negative capacity entry (e.g. a degenerate machine spec)
-        # must degrade to unnormalized busy time, not ZeroDivisionError.
-        return max(cap, 1)
-
-    def utilization(self, capacities: dict[str, int] | None = None) -> dict[str, float]:
-        """Busy fraction per resource over the makespan.
-
-        Normalized by each resource's capacity (from ``capacities``, then
-        the trace's stored map, then 1), so fractions never exceed 1.0 for
-        a correctly simulated multi-capacity resource.
-        """
+    def utilization(self) -> dict[str, float]:
+        """Busy fraction per resource over the makespan."""
         span = self.makespan
         if span <= 0:
             return {}
         busy: dict[str, float] = defaultdict(float)
         for e in self.events:
             busy[e.resource] += e.duration
-        return {
-            r: b / (span * self._capacity(r, capacities))
-            for r, b in sorted(busy.items())
-        }
+        return {r: b / span for r, b in sorted(busy.items())}
 
     def to_chrome_trace(self) -> list[dict]:
         """Chrome ``chrome://tracing`` / Perfetto event list.

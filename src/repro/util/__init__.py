@@ -22,7 +22,6 @@ from repro.util.units import (
 )
 from repro.util.validation import (
     require,
-    require_in,
     require_nonnegative,
     require_positive,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "fmt_rate",
     "fmt_time",
     "require",
-    "require_in",
     "require_nonnegative",
     "require_positive",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any, Collection
-
 
 def require(cond: bool, message: str) -> None:
     """Raise :class:`ValueError` with ``message`` unless ``cond`` holds."""
@@ -21,9 +19,3 @@ def require_nonnegative(value: float, name: str) -> None:
     """Raise unless ``value >= 0``."""
     if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-def require_in(value: Any, allowed: Collection[Any], name: str) -> None:
-    """Raise unless ``value`` is one of ``allowed``."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {sorted(map(repr, allowed))}, got {value!r}")

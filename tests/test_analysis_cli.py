@@ -63,10 +63,12 @@ class TestLintNoFilesMatched:
 
 class TestModelCheckCommand:
     def test_analyze_model_check_passes_clean(self, capsys):
-        """The shipped protocol model-checks clean from the CLI — the same
-        gate `make model-check` runs in CI."""
+        """The CLI's model-check plumbing, on the one-rank scenarios.  The
+        full default sweep runs once in tier-1
+        (``test_protocol_model::test_default_sweep_is_clean``) and in CI
+        (``make model-check``)."""
         assert main(["analyze", "--procs", "2", "--nodes", "2",
-                     "--model-check"]) == 0
+                     "--model-check", "--max-ranks", "1"]) == 0
         out = capsys.readouterr().out
         assert "model check:" in out
         assert "scenario(s)" in out and "state(s) explored" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import BService, DiscreteEventEngine, GeneratedCollection, Resource, SimTask
+from repro.runtime import BService, GeneratedCollection
 from repro.sparse import SparseShape
 from repro.tiling import Tiling
 
@@ -61,26 +61,6 @@ class TestGeneratedCollectionEdges:
         t = Tiling.from_sizes([2])
         svc = BService(GeneratedCollection(SparseShape.full(t, t), seed=0), 1 << 10)
         svc.evict(0, 0, 0)  # never materialized; must not raise
-
-
-class TestEngineEdges:
-    def test_insertion_order_breaks_priority_ties(self):
-        e = DiscreteEventEngine([Resource("r")])
-        e.add_task(SimTask("first", "r", 1.0, priority=1))
-        e.add_task(SimTask("second", "r", 1.0, priority=1))
-        trace = e.run()
-        assert [ev.task for ev in trace.events] == ["first", "second"]
-
-    def test_empty_engine_runs(self):
-        e = DiscreteEventEngine([Resource("r")])
-        trace = e.run()
-        assert trace.makespan == 0.0
-        assert trace.events == []
-
-    def test_negative_duration_rejected(self):
-        e = DiscreteEventEngine([Resource("r")])
-        with pytest.raises(ValueError):
-            e.add_task(SimTask("bad", "r", -1.0))
 
 
 class TestFormattingEdges:

@@ -617,6 +617,19 @@ def test_pooled_regression_schedule(seed, busy, tmp_path):
     assert (0, "done", 0) in stale
 
 
+def test_a_queued_report_gets_no_stall_verdict(tmp_path):
+    """After a busy stretch the coordinator reads every reply already
+    queued before it patrols: in job 2 of the busy late-report schedule,
+    rank 0's report of its live attempt is readable when the patrol would
+    find the rank silent, and it is credited — no stall, no retry.  The
+    one stale report is job 1's late attempt 0."""
+    check_schedule(late_report_schedule(13, 0.5), str(tmp_path))
+    events = read_events(str(tmp_path / "events.jsonl"))
+    assert not [e for e in events if e["event"] in ("stall", "retry") and e["rank"] == 0]
+    stale = [(e["rank"], e["kind"], e["attempt"]) for e in events if e["event"] == "stale_report"]
+    assert stale == [(0, "done", 0)]
+
+
 # ---- the sweep -----------------------------------------------------------------
 
 SEEDS = range(int(os.environ.get("REPRO_SIM_SEEDS", "500")))

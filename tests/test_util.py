@@ -13,7 +13,6 @@ from repro.util import (
     fmt_rate,
     fmt_time,
     require,
-    require_in,
     require_nonnegative,
     require_positive,
     resolve_rng,
@@ -101,11 +100,6 @@ class TestValidation:
         require_nonnegative(0, "x")
         with pytest.raises(ValueError):
             require_nonnegative(-1, "x")
-
-    def test_require_in(self):
-        require_in("a", {"a", "b"}, "mode")
-        with pytest.raises(ValueError, match="mode"):
-            require_in("c", {"a", "b"}, "mode")
 
 
 class TestRngBitGenerators:
