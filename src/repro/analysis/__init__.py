@@ -5,9 +5,7 @@ Three layers reporting through one uniform :class:`Finding` vocabulary
 
 * :mod:`~repro.analysis.plan_checks` — the plan verifier: coverage,
   memory safety, and comm-consistency proofs over an
-  :class:`~repro.core.plan.ExecutionPlan` (rules ``P1xx``), joined by
-  :mod:`~repro.analysis.store_checks` — checkpoint/plan compatibility
-  and tile-store capacity pre-flight (``P121``/``P122``) — the one
+  :class:`~repro.core.plan.ExecutionPlan` (rules ``P1xx``) — the one
   verifier of the plan every executor trusts;
 * :mod:`~repro.analysis.lint` — an AST concurrency lint for the hazards
   specific to this codebase: leaked shared memory, start-method-unsafe
@@ -49,11 +47,6 @@ from repro.analysis.protocol import (
     default_scenarios,
 )
 from repro.analysis.rules import Rule, all_rules, get_rule
-from repro.analysis.store_checks import (
-    check_checkpoint_compat,
-    check_store_capacity,
-    verify_store_setup,
-)
 
 __all__ = [
     "AnalysisReport",
@@ -68,15 +61,12 @@ __all__ = [
     "Severity",
     "all_rules",
     "assert_plan_valid",
-    "check_checkpoint_compat",
     "check_protocol",
     "check_rule_catalog",
-    "check_store_capacity",
     "default_scenarios",
     "get_rule",
     "rule_catalog_markdown",
     "verify_plan",
-    "verify_store_setup",
     "lint_paths",
     "lint_source",
     "write_rule_catalog",

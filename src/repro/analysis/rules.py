@@ -2,8 +2,7 @@
 
 Rule ids are stable, grep-able, and grouped by layer:
 
-* ``P1xx`` — plan verifier (:mod:`repro.analysis.plan_checks`) and
-  store/checkpoint pre-flight (:mod:`repro.analysis.store_checks`);
+* ``P1xx`` — plan verifier (:mod:`repro.analysis.plan_checks`);
 * ``L3xx`` — AST concurrency lint (:mod:`repro.analysis.lint`);
 * ``M4xx`` — protocol model checker (:mod:`repro.analysis.protocol`):
   bounded exhaustive exploration of the coordinator/worker message
@@ -104,15 +103,6 @@ register(Rule("P114", "plan-b-tile-over-budget", E,
 register(Rule("P120", "plan-comm-mismatch", E,
               "a process's stored communication volumes differ from the "
               "volumes implied by the plan (inspector aggregate drift)"))
-register(Rule("P121", "checkpoint-plan-mismatch", E,
-              "a checkpoint directory's coordinator snapshot was written "
-              "for a different plan (or by a newer snapshot format, or a "
-              "different rank count); resuming would mix incompatible "
-              "per-rank block files — use a fresh checkpoint directory"))
-register(Rule("P122", "store-capacity", W,
-              "the persistent tile store cannot hold what the run writes: "
-              "the run's working set exceeds the free space of the "
-              "store's filesystem"))
 
 # ---- L3xx: AST concurrency lint -------------------------------------------
 

@@ -503,14 +503,6 @@ def _cmd_analyze(args) -> int:
     plan = psgemm_plan(a.sparse_shape(), b.sparse_shape(), machine, p=args.procs)
 
     report = verify_plan(plan)
-    if args.checkpoint or args.store_dir:
-        from repro.analysis import verify_store_setup
-
-        report.extend(verify_store_setup(
-            plan,
-            checkpoint_dir=args.checkpoint,
-            store_dir=args.store_dir,
-        ))
     print(f"analyzed plan: {plan.grid.nprocs} rank(s), "
           f"{sum(len(pp.blocks) for pp in plan.procs)} block(s)")
     if args.model_check:
@@ -722,11 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid rows (ranks) for the analyzed plan")
     an.add_argument("--nodes", type=int, default=3,
                     help="machine size (Summit-like nodes)")
-    an.add_argument("--checkpoint", metavar="DIR",
-                    help="also pre-flight a checkpoint directory against the "
-                         "analyzed plan (P121) and its store capacity (P122)")
-    an.add_argument("--store-dir", metavar="DIR",
-                    help="also pre-flight the tile store at DIR (P122)")
     an.add_argument("--model-check", action="store_true",
                     help="also model-check the distributed executor protocol "
                          "(bounded exhaustive exploration, M4xx rules)")

@@ -43,6 +43,7 @@ class ConsistencyReport:
     tasks_executed: int
     tasks_counted: int
     flops_planned: float
+    flops_executed: float
     flops_counted: float
     gpu_peak_bytes: int
     gpu_capacity_bytes: int
@@ -50,7 +51,10 @@ class ConsistencyReport:
 
     @property
     def counts_consistent(self) -> bool:
-        return self.tasks_planned == self.tasks_executed == self.tasks_counted
+        return (
+            self.tasks_planned == self.tasks_executed == self.tasks_counted
+            and self.flops_planned == self.flops_executed == self.flops_counted
+        )
 
     @property
     def memory_safe(self) -> bool:
@@ -74,6 +78,8 @@ class ConsistencyReport:
             f"numeric exact vs dense reference : {self.numeric_exact}",
             f"task counts (plan/exec/algebra)  : {self.tasks_planned} / "
             f"{self.tasks_executed} / {self.tasks_counted}",
+            f"flops (plan/exec/algebra)        : {self.flops_planned:.0f} / "
+            f"{self.flops_executed:.0f} / {self.flops_counted:.0f}",
             f"GPU peak / capacity              : {self.gpu_peak_bytes} / "
             f"{self.gpu_capacity_bytes}",
             f"max B instantiations per proc    : {self.b_max_instantiations}",
@@ -106,6 +112,7 @@ def crosscheck(
         tasks_executed=stats.ntasks,
         tasks_counted=gemm_task_count(a_shape, b_shape),
         flops_planned=plan.total_flops,
+        flops_executed=stats.flops,
         flops_counted=gemm_flops(a_shape, b_shape),
         gpu_peak_bytes=stats.gpu_peak_bytes,
         gpu_capacity_bytes=plan.gpu_memory_bytes,

@@ -288,9 +288,9 @@ def execute_plan_distributed(
     same operands — restores the committed blocks instead of recomputing
     them, so a run killed at
     any instant (the ``abort`` fault included) resumes bit-for-bit.  A
-    checkpoint directory of a *different plan* is refused up front (P121
-    checks the same statically); ``repro store gc --budget`` bounds the
-    store on disk.
+    checkpoint directory of a *different plan* is refused up front, before
+    any process, arena or event log exists; ``repro store gc --budget``
+    bounds the store on disk.
     """
     cfg = RunConfig(**config)
     # The run's clock, from here to the pool's close: set-up and teardown
@@ -402,8 +402,8 @@ class _Coordinator:
                     f"fresh directory"
                 )
             # The run's identity, on disk before any worker exists: a later
-            # mismatched plan is refused (above, P121) whenever this run
-            # dies.  Progress is the event log's and the block files' job.
+            # mismatched plan is refused (above) whenever this run dies.
+            # Progress is the event log's and the block files' job.
             write_snapshot(ckpt, {
                 "v": 1, "plan": self.plan_hash, "a": a_hash, "b": self.b_hash,
                 "run": self.run_hash, "alpha": float(alpha), "nranks": nranks,

@@ -113,7 +113,6 @@ class RankTally:
     store_hits: int = 0
     store_misses: int = 0
     store_puts: int = 0
-    store_evictions: int = 0
     store_bytes_written: int = 0
     store_bytes_read: int = 0
     blocks_restored: int = 0
@@ -420,7 +419,7 @@ def run_rank(
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
             c_index = dict(c_arena.index)
 
-        store_stats = store.stats() if store is not None else StoreStats()
+        store_stats = store.session if store is not None else StoreStats()
         return WorkerReport(
             rank=rank,
             attempt=msg.attempt,
@@ -434,7 +433,6 @@ def run_rank(
             store_hits=store_stats.hits,
             store_misses=store_stats.misses,
             store_puts=store_stats.puts,
-            store_evictions=store_stats.evictions,
             store_bytes_written=store_stats.bytes_written,
             store_bytes_read=store_stats.bytes_read,
             spans_dropped=rec.dropped,

@@ -56,8 +56,6 @@ SERIES = {
         ("counter", "persistent tile-store hits", ("report", "store_hits")),
     "repro_store_misses_total":
         ("counter", "persistent tile-store misses", ("report", "store_misses")),
-    "repro_store_evictions_total":
-        ("counter", "tile-store LRU evictions", ("report", "store_evictions")),
     "repro_store_written_bytes_total":
         ("counter", "bytes written to the tile store", ("report", "store_bytes_written")),
     "repro_store_read_bytes_total":

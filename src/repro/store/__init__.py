@@ -25,7 +25,7 @@ from repro.store.codec import (
     map_tile,
     read_header,
 )
-from repro.store.journal import (
+from repro.store.checkpoint import (
     a_fingerprint,
     b_fingerprint,
     block_path,

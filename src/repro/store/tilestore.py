@@ -2,7 +2,7 @@
 
 A :class:`TileStore` persists B tiles across process *and* run boundaries:
 the second cache tier behind the per-rank B-service LRU (a checkpoint's C
-tiles are block files, :mod:`repro.store.journal`).  Layout::
+tiles are block files, :mod:`repro.store.checkpoint`).  Layout::
 
     objects/ab/abcdef...tile   one codec-encoded tile per file
     stats.jsonl                one session-counter record per closed session
@@ -112,7 +112,9 @@ class TileStore:
         self._objects_dir = os.path.join(root, "objects")
         os.makedirs(self._objects_dir, exist_ok=True)
         self._maps: list[mmap.mmap] = []
-        self._session = StoreStats()  # objects / disk_bytes filled by stats()
+        #: This session's counters; ``objects`` / ``disk_bytes`` stay 0
+        #: (:meth:`stats` lists the store to fill them).
+        self.session = StoreStats()
         self._closed = False
 
     # -- paths ---------------------------------------------------------------
@@ -151,8 +153,8 @@ class TileStore:
             # actually deleting our files.
             write_synced(tmp, blob)
             os.replace(tmp, path)
-        self._session.puts += 1
-        self._session.bytes_written += len(blob[0]) + blob[1].nbytes
+        self.session.puts += 1
+        self.session.bytes_written += len(blob[0]) + blob[1].nbytes
         return True
 
     # -- read ----------------------------------------------------------------
@@ -172,7 +174,7 @@ class TileStore:
             self._corrupt()
             return None
         if mm is None:
-            self._session.misses += 1
+            self.session.misses += 1
             return None
         try:
             if verify:
@@ -190,8 +192,8 @@ class TileStore:
             mm.close()
             self._corrupt()
             return None
-        self._session.hits += 1
-        self._session.bytes_read += arr.nbytes
+        self.session.hits += 1
+        self.session.bytes_read += arr.nbytes
         self._touch(path)
         return arr
 
@@ -213,8 +215,8 @@ class TileStore:
             return None
 
     def _corrupt(self) -> None:
-        self._session.corrupt += 1
-        self._session.misses += 1
+        self.session.corrupt += 1
+        self.session.misses += 1
 
     @staticmethod
     def _touch(path: str) -> None:
@@ -274,7 +276,7 @@ class TileStore:
             total -= obj.nbytes
             freed += obj.nbytes
             evicted += 1
-            self._session.evictions += 1
+            self.session.evictions += 1
         return evicted, freed
 
     # -- stats / life-cycle --------------------------------------------------
@@ -283,7 +285,7 @@ class TileStore:
         """This session's counters plus the current on-disk totals."""
         objs = self.scan()
         return replace(
-            self._session, objects=len(objs),
+            self.session, objects=len(objs),
             disk_bytes=sum(o.nbytes for o in objs),
         )
 
@@ -295,7 +297,7 @@ class TileStore:
         invalidate the views) — they die with the process.
         """
         if not self._closed:
-            s = self._session
+            s = self.session
             if s.hits or s.misses or s.puts or s.evictions:
                 record = {"t": time.time(), **s.as_dict()}
                 with open(self.stats_path, "a", encoding="utf-8") as fh:

@@ -1,5 +1,7 @@
 """Tests for the cross-executor consistency harness."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.crosscheck import ConsistencyReport, crosscheck, random_crosscheck
@@ -27,6 +29,14 @@ class TestCrosscheck:
         assert report.b_lifecycle_ok
         assert report.flops_planned == pytest.approx(report.flops_counted)
         assert "PASS" in report.summary()
+
+    def test_disagreeing_flop_counts_fail_the_report(self):
+        report = random_crosscheck(seed=0)
+        assert report.ok, report.summary()
+        for field in ("flops_planned", "flops_executed", "flops_counted"):
+            bad = replace(report, **{field: getattr(report, field) + 2.0})
+            assert not bad.counts_consistent and not bad.ok, field
+            assert "FAIL" in bad.summary()
 
     def test_deep_selftest_cli(self, capsys):
         from repro.cli import main

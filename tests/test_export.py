@@ -1,14 +1,34 @@
 """Tests for the JSON experiment export."""
 
+import contextlib
+import io
 import json
 
-from repro.experiments.export import (
-    export_all,
-    fig2_data,
-    mpqc_data,
-    scaling_data,
-    table1_data,
-)
+import pytest
+
+from repro.experiments import export
+from repro.experiments.export import mpqc_data, scaling_data, table1_data
+
+
+@pytest.fixture(scope="module")
+def cli_export(tmp_path_factory):
+    """One quick-scale ``repro export`` run, end to end through the CLI,
+    shared by every test of the whole artifact: its exit code, stdout, the
+    file it wrote, and the dict ``export_all`` returned to it."""
+    from repro.cli import main
+
+    real, returned = export.export_all, {}
+
+    def export_all(*args, **kwargs):
+        returned.update(real(*args, **kwargs))
+        return returned
+
+    out = str(tmp_path_factory.mktemp("export") / "r.json")
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(export, "export_all", export_all)
+        code = main(["export", "-o", out, "--gpus", "3", "12"])
+    return code, stdout.getvalue(), out, returned
 
 
 class TestExport:
@@ -19,8 +39,8 @@ class TestExport:
             assert v["tasks"] >= v["tasks_opt"] > 0
             assert 0 < v["density_v"] < 1
 
-    def test_fig2_points(self):
-        pts = fig2_data(scale="quick")
+    def test_fig2_points(self, cli_export):
+        pts = cli_export[3]["fig2"]
         assert len(pts) == 15  # 3 sizes x 5 densities
         for p in pts:
             assert p["parsec_tflops"] > 0
@@ -41,19 +61,16 @@ class TestExport:
         assert [r["nodes"] for r in rows] == [8, 16]
         assert all(r["speedup"] > 1 for r in rows)
 
-    def test_export_all_roundtrip(self, tmp_path):
-        path = str(tmp_path / "out.json")
-        data = export_all(path, gpu_counts=(3, 12))
+    def test_export_all_roundtrip(self, cli_export):
+        _, _, path, data = cli_export
         with open(path) as f:
             back = json.load(f)
         assert back["meta"]["paper"].startswith("Herault")
         assert back["table1"].keys() == data["table1"].keys()
         assert len(back["fig2"]) == len(data["fig2"])
 
-    def test_export_cli(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = str(tmp_path / "r.json")
-        assert main(["export", "-o", out, "--gpus", "3", "12"]) == 0
-        assert "wrote" in capsys.readouterr().out
+    def test_export_cli(self, cli_export):
+        code, stdout, out, _ = cli_export
+        assert code == 0
+        assert "wrote" in stdout
         json.load(open(out))

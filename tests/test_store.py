@@ -2,21 +2,26 @@
 
 Codec round-trips and corruption detection, TileStore atomicity /
 LRU GC / session stats, block-file commits and their read-back checks,
-run fingerprinting, coordinator snapshots, and the
-P121/P122 pre-flight checks.  Everything here is single-process and
+run fingerprinting, coordinator snapshots, and the coordinator's refusal
+of a foreign checkpoint directory.  Everything here is single-process and
 tier-1 fast; the kill/resume end-to-end scenarios live in
 ``tests/test_checkpoint.py`` (marked ``dist``).
 """
 
 import json
+import multiprocessing
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis import check_checkpoint_compat, check_store_capacity, store_checks
 from repro.core import psgemm_plan
+from repro.dist import (
+    DistExecutionError,
+    active_segments,
+    coordinator,
+    execute_plan_distributed,
+)
 from repro.machine import summit
 from repro.sparse import random_block_sparse
 from repro.store import (
@@ -42,7 +47,6 @@ from repro.store import (
 )
 from repro.runtime import GeneratedCollection
 from repro.tiling import random_tiling
-from tests.findings import by_rule, rules_fired
 
 
 def tile(seed=0, shape=(7, 11)):
@@ -371,41 +375,33 @@ class TestSnapshot:
         assert [f for f in os.listdir(str(tmp_path)) if f.endswith(".tmp")] == []
 
 
-class TestStoreChecks:
-    def test_fresh_dir_and_matching_snapshot_clean(self, tmp_path):
-        plan = small_plan()
-        assert check_checkpoint_compat(plan, str(tmp_path)).ok
-        write_snapshot(str(tmp_path), {
-            "v": 1, "plan": plan_fingerprint(plan), "nranks": len(plan.procs),
-        })
-        assert check_checkpoint_compat(plan, str(tmp_path)).ok
-
-    def test_plan_mismatch_fires_p121(self, tmp_path):
-        plan = small_plan()
-        write_snapshot(str(tmp_path), {"v": 1, "plan": "not-this-plan"})
-        report = check_checkpoint_compat(plan, str(tmp_path))
-        assert rules_fired(report) == {"P121"}
-
-    def test_future_snapshot_version_fires_p121(self, tmp_path):
-        plan = small_plan()
-        write_snapshot(str(tmp_path), {"v": 99, "plan": plan_fingerprint(plan)})
-        assert rules_fired(check_checkpoint_compat(plan, str(tmp_path))) == {"P121"}
-
-    def test_rank_count_mismatch_fires_p121(self, tmp_path):
-        plan = small_plan()
-        write_snapshot(str(tmp_path), {
-            "v": 1, "plan": plan_fingerprint(plan), "nranks": 99,
-        })
-        assert rules_fired(check_checkpoint_compat(plan, str(tmp_path))) == {"P121"}
-
-    def test_working_set_over_free_space_fires_p122(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            store_checks.shutil, "disk_usage", lambda path: SimpleNamespace(free=16)
+class TestForeignCheckpoint:
+    def test_other_plans_directory_refused_before_any_resource(self, tmp_path, monkeypatch):
+        """The coordinator's one check of a checkpoint directory: a snapshot
+        of plan X refuses a run of plan Y before a pool process, arena or
+        event log exists."""
+        rows = random_tiling(200, 20, 80, seed=0)
+        inner = random_tiling(600, 20, 80, seed=1)
+        a = random_block_sparse(rows, inner, 0.5, seed=2)
+        b = random_block_sparse(inner, inner, 0.5, seed=3)
+        plan_x, plan_y = (
+            psgemm_plan(a.sparse_shape(), b.sparse_shape(), summit(p), p=p)
+            for p in (2, 1)
         )
-        report = check_store_capacity(small_plan(), str(tmp_path / "store"))
-        assert rules_fired(report) == {"P122"}
-        assert "16 B free" in by_rule(report, "P122")[0].message
+        ckpt = tmp_path / "ckpt"
+        write_snapshot(str(ckpt), {"v": 1, "plan": plan_fingerprint(plan_x)})
 
-    def test_ample_budget_clean(self, tmp_path):
-        report = check_store_capacity(small_plan(), str(tmp_path / "store"))
-        assert report.ok, report.render()
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(coordinator, "WorkerPool", no_pool)
+        events = tmp_path / "events.jsonl"
+        children = set(multiprocessing.active_children())
+        with pytest.raises(DistExecutionError, match="different plan"):
+            execute_plan_distributed(
+                plan_y, a, b, checkpoint_dir=str(ckpt), events_path=str(events)
+            )
+        assert set(multiprocessing.active_children()) == children
+        assert not active_segments()
+        assert not events.exists()
+        assert read_snapshot(str(ckpt))["plan"] == plan_fingerprint(plan_x)
