@@ -17,8 +17,8 @@ loc:
 # shrinks the tree, raise them only with a reason in CHANGES.md).
 # Deterministic and host-independent — the CI slot a wall-clock benchmark
 # gate used to hold.
-LOC_MAX_REPRO := 16172
-LOC_MAX_DIST_PROTOCOL := 3945
+LOC_MAX_REPRO := 16084
+LOC_MAX_DIST_PROTOCOL := 3830
 loc-check:
 	@lines() { find "$$@" -name '*.py' | xargs cat | wc -l; }; \
 	repro=$$(lines src/repro); \
@@ -71,17 +71,19 @@ docs-rules:
 
 # The full multi-process executor suite (fault injection, 4-worker grids,
 # checkpoint/resume, CLI round-trips); budgeted so a hung worker can never
-# wedge CI.  The selftest at the end drags rank 0 with a `slow` fault and logs
-# its events: the log must name the straggler, and `repro monitor` must replay
-# it to a finished table — every rank done (or reassigned) at 100 %.
+# wedge CI.  The selftest at the end drags rank 0 with a `slow` fault, traces
+# it and logs its events: `repro explain`'s audit of the trace must flag rank
+# 0 and no other, and `repro monitor` must replay the log to a finished table
+# — every rank done (or reassigned) at 100 %.
 test-dist:
 	PYTHONPATH=src timeout 120 pytest tests/test_dist_executor.py -m "" -q
 	PYTHONPATH=src timeout 300 pytest tests/test_checkpoint.py -m "" -q
 	PYTHONPATH=src timeout 420 pytest tests/test_serve.py -m "" -q
 	PYTHONPATH=src timeout 120 python -m repro selftest --procs 3 \
-		--inject-fault 0:1:slow --events /tmp/repro-straggler-events.jsonl
-	PYTHONPATH=src python -c "from repro.dist import read_events; ev = read_events('/tmp/repro-straggler-events.jsonl'); assert 0 in {e['rank'] for e in ev if e['event'] == 'straggler'}, 'rank 0 not named a straggler'; print('straggler-smoke OK: rank 0 named')"
-	PYTHONPATH=src python -m repro monitor /tmp/repro-straggler-events.jsonl | tee /tmp/repro-monitor.out
+		--inject-fault 0:1:slow --events /tmp/repro-slow-events.jsonl --trace /tmp/repro-slow-run.json
+	PYTHONPATH=src timeout 120 python -m repro explain --trace /tmp/repro-slow-run.json --json /tmp/repro-slow-explain.json > /dev/null
+	PYTHONPATH=src python -c "import json; flagged = json.load(open('/tmp/repro-slow-explain.json'))['audit']['flagged_ranks']; assert flagged == [0], f'audit flagged {flagged}, not [0]'; print('audit-smoke OK: rank 0 flagged, no other')"
+	PYTHONPATH=src python -m repro monitor /tmp/repro-slow-events.jsonl | tee /tmp/repro-monitor.out
 	PYTHONPATH=src python -c "head, _, *ranks = [l.split() for l in open('/tmp/repro-monitor.out').read().splitlines()]; assert 'run complete' in ' '.join(head), head; assert len(ranks) == 3 and all(r[1] in ('done', 'reassigned') and r[5] == '100%' for r in ranks), ranks; print(f'monitor-smoke OK: {len(ranks)} ranks replayed to 100%')"
 
 # The repo benchmark's plumbing (BENCHMARK.json, `python3 benchmarks/e2e/run.py`):

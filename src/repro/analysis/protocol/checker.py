@@ -23,13 +23,11 @@ step fires one row, and the row decides
   its ``action``, named one-to-one with the methods the runtime calls.
 
 What stays hand-written is the environment: when an event is enabled (a
-unit computes, the armed fault fires, the patrol sees an exit, a stall, an
-abort or a straggler), whether a reply is live or stale, and the checks:
+unit computes, the armed fault fires, the patrol sees an exit, a stall or
+an abort), whether a reply is live or stale, and the checks:
 
 * **M401 deadlock freedom** — every reachable non-terminal state has at
-  least one enabled transition that leads elsewhere (the patrol's
-  straggler verdict, an observation that changes no state, does not
-  count);
+  least one enabled transition;
 * **M402 no unhandled message** — whenever a message can reach the head
   of a role's queue, that role's declared machine has a transition for
   it (including the ``:stale`` variants for superseded-attempt traffic);
@@ -224,7 +222,6 @@ _EFFECTS = {
     "discard": _keep,
     "recover_rank": _recover_rank,
     "fold_health": _keep,
-    "flag_straggler": _keep,
     "abort_run": _keep,
     "attach_and_restore": _attach_and_restore,
     "compute_unit": _compute_unit,
@@ -411,11 +408,6 @@ class _Run:
             for r, w in enumerate(workers):
                 if r in complete:
                     continue
-                # The windowed-rate straggler verdict, on any running rank:
-                # named in the log, it changes no state.
-                if w[_W_STATE] == "running":
-                    self._fire(out, state, C, r, "obs:straggler",
-                               f"coord: flag rank {r} a straggler")
                 # A visibly dead worker (exit code readable).  The grace
                 # window is modeled as sufficient: not enabled while a
                 # current-attempt report from r is still in flight.
@@ -527,10 +519,7 @@ class _Run:
                 )
                 return
             self._check_invariants(state)
-            # A step that leaves the state as it was (the straggler verdict)
-            # fires its row but is no way out of a deadlock.
-            succ = [(label, nxt) for label, nxt in self.successors(state)
-                    if nxt != state]
+            succ = self.successors(state)
             if not succ:
                 if state[0] in _TERMINAL_COORD:
                     self._check_terminal(state)

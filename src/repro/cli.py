@@ -8,8 +8,8 @@ Commands mirror the paper's evaluation artifacts:
 * ``mpqc``       — the Section 5.2 CPU comparison;
 * ``advise``     — the tiling advisor (the paper's future work);
 * ``selftest``   — numeric end-to-end check of the distributed plan;
-* ``explain``    — performance attribution of a traced run: critical-path
-  blame buckets, model-vs-measured roofline audit, and (with
+* ``explain``    — performance attribution of a traced run: the critical
+  path by layer, model-vs-measured roofline audit, and (with
   ``--baseline``) a run-to-run diff of what got slower;
 * ``monitor``    — render a run's live per-rank health table from its
   ``run-events.jsonl`` event log (``--follow`` tails a running job;
@@ -167,10 +167,6 @@ def _cmd_selftest(args) -> int:
             # Tighten the heartbeat cadence so an injected stall is caught
             # in about a second instead of the production-default window.
             dist_kwargs.update(heartbeat_interval=0.1, stall_after_beats=5)
-        if "slow" in kinds:
-            # Beat fast and flag below half the median rate, so the patrol
-            # names an injected slow rank a straggler within the run.
-            dist_kwargs.update(heartbeat_interval=0.05, straggler_fraction=0.5)
         try:
             c_dist, report = psgemm_distributed(
                 a, b, machine, p=args.procs, fault_plan=fault_plan, **dist_kwargs
@@ -614,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="with --procs: sabotage worker RANK after TASK GEMM "
                          "tasks (stall hangs it silently until the missed-"
                          "heartbeat detector fires; slow drags every "
-                         "subsequent task so the straggler patrol flags it; "
+                         "subsequent task so `repro explain`'s audit flags "
+                         "the rank; "
                          "abort tears the run down unrecoverably — exit 3 "
                          "when resumable via --checkpoint) and verify the "
                          "retry/reassign recovery still produces the exact "
@@ -643,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser(
         "explain",
-        help="attribute a traced run: critical path, blame buckets, "
+        help="attribute a traced run: critical path by layer, "
              "model-vs-measured audit, optional run-to-run diff",
     )
     exp.add_argument("--trace", required=True, metavar="PATH",
@@ -652,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--baseline", metavar="PATH",
                      help="a second run artifact of the same plan to diff "
                           "against (attributes the makespan delta to "
-                          "buckets/ranks)")
+                          "layers/ranks)")
     exp.add_argument("--events", metavar="PATH",
                      help="also digest the run's JSONL life-cycle event log")
     exp.add_argument("--band", metavar="LO:HI",
@@ -663,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the full analysis as JSON to PATH")
     exp.add_argument("--html", metavar="PATH",
                      help="write a self-contained HTML report (timeline with "
-                          "the critical path, bucket bars, audit table)")
+                          "the critical path, layer bars, audit table)")
     exp.set_defaults(func=_cmd_explain)
 
     mo = sub.add_parser(

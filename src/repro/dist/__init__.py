@@ -20,12 +20,13 @@ oracle: same plan, same seeds, identical C.
   comm layer: a one-shot run borrows a transient pool, the serving layer
   (:mod:`repro.serve`) keeps one warm across runs;
 * :mod:`~repro.dist.faults` — kill/delay/stall fault plans for recovery tests;
-* :mod:`~repro.dist.health` — live heartbeats, stall/straggler detection,
-  and the structured run-event log ``repro monitor`` attaches to.
+* :mod:`~repro.dist.health` — live heartbeats, stall detection, and the
+  structured run-event log ``repro monitor`` attaches to.
 
 The executor is static, as the paper's is: every block runs on the rank
 the inspector gave it.  A stalled or crashed rank is recovered (retried,
-then reassigned whole); a straggler is only named in the event log.
+then reassigned whole); a slow rank keeps its blocks, and the audit of
+``repro explain`` names it from the run's trace.
 """
 
 from repro.dist.comm import (

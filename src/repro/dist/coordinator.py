@@ -23,7 +23,7 @@ One run is one :class:`_Coordinator`; its phases, in order:
   and the message goes through its comm layer (bytes counted per link);
 * **supervise** — every reply (a class of :mod:`repro.dist.comm`), every
   heartbeat and every patrol verdict (dead worker, missed-heartbeat stall,
-  straggler, abort) is an *event* of the coordinator machine
+  abort) is an *event* of the coordinator machine
   :mod:`repro.dist.protocol` declares, and the row's ``action`` names the
   method that handles it: the table the model checker proves (M401-M406)
   is the dispatch table.  Every attempt is numbered by the pool
@@ -119,7 +119,7 @@ from repro.util.validation import require
 _GRACE_SECONDS = 1.0
 
 #: Longest wait for a reply between patrol passes.  The patrol runs
-#: whenever no reply is readable, so dead-worker/stall/straggler checks keep
+#: whenever no reply is readable, so dead-worker and stall checks keep
 #: the run clock's cadence however busy the telemetry stream is (replies are
 #: a few per attempt; heartbeats never hold a patrol off).
 _PATROL_INTERVAL_SECONDS = 0.1
@@ -200,7 +200,7 @@ class DistReport(RankTally):
     # -- performance attribution (repro.perf) --------------------------------
 
     def attribution(self) -> "Attribution":
-        """Critical-path blame buckets of the merged trace (see
+        """The merged trace's critical path, charged to layers (see
         :func:`repro.perf.attribute`)."""
         from repro.perf import attribute
 
@@ -218,7 +218,6 @@ class RunConfig:
     trace: bool = True
     heartbeat_interval: float = 0.25
     stall_after_beats: int = 8
-    straggler_fraction: float = 0.25
     metrics: bool = True
     events_path: str | None = None
     checkpoint_dir: str | None = None
@@ -239,8 +238,8 @@ def execute_plan_distributed(
     operands and seeds.  ``config`` takes the fields of :class:`RunConfig`
     (anything else is a ``TypeError``).  ``fault_plan`` sabotages workers
     for recovery testing: a failed rank is retried once in a fresh process,
-    then reassigned to the coordinator-local spare.  A slow rank is named
-    a straggler in the event log and keeps its blocks: the plan is static.
+    then reassigned to the coordinator-local spare.  A slow rank keeps its
+    blocks and the run waits for it: the plan is static.
     ``verify_plan=True`` runs the static plan verifier
     (:func:`repro.analysis.verify_plan`) first and raises
     :class:`repro.analysis.PlanVerificationError` on any finding — a
@@ -424,7 +423,6 @@ class _Coordinator:
         self.health = RunHealth(
             heartbeat_interval=cfg.heartbeat_interval,
             stall_after_beats=cfg.stall_after_beats,
-            straggler_fraction=cfg.straggler_fraction,
         )
         #: The run's one record; ``health`` changes only by its fold.
         self.events = EventLog(cfg.events_path, cfg.run_id, self.health, pool.clock)
@@ -697,11 +695,6 @@ class _Coordinator:
             tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
         )
 
-    def flag_straggler(self, rank: int) -> None:
-        """Name a straggler in the log: slow is not dead, and the plan is
-        static, so the rank keeps its blocks."""
-        self.events.emit("straggler", rank=rank)
-
     # ---- supervise: the loop -------------------------------------------------
 
     def drain_telemetry(self) -> None:
@@ -715,8 +708,8 @@ class _Coordinator:
             self.fire(self.event_of(msg), msg)
 
     def patrol(self) -> None:
-        """Dead-worker, stall, and straggler checks between messages; each
-        verdict is an ``obs:`` event of the table."""
+        """Dead-worker and stall checks between messages; each verdict is
+        an ``obs:`` event of the table."""
         now = self.pool.clock()
         for rank in sorted(self.pending):
             code = self.pool.exit_code(rank)
@@ -739,16 +732,6 @@ class _Coordinator:
                 f"stalled: no heartbeat for {silent:.2f} s "
                 f"(> {self.cfg.stall_after_beats} x {self.cfg.heartbeat_interval} s)",
             ))
-        flagged = {r for r, rh in self.health.ranks.items() if rh.state == "straggler"}
-        current = set(self.health.straggler_ranks(now))
-        for rank in sorted(current - flagged):
-            self.fire("obs:straggler", rank)
-        for rank in sorted(flagged - current):
-            # Recovery: the rank's windowed rate climbed back over the
-            # threshold.  Clearing the flag lets a later slowdown re-flag it
-            # — a sticky flag would mute every straggler after its first
-            # offense.
-            self.events.emit("straggler_recovered", rank=rank)
 
     def supervise(self) -> None:
         """Gather replies until no rank is pending."""

@@ -12,10 +12,11 @@ coordinator's retry-once recovery succeeds; with ``once=False`` the fault
 is persistent and recovery must fall through to reassignment.
 
 ``slow`` models a straggler rather than a crash: from its *k*-th GEMM
-task onward the worker sleeps a little before **every** task, so its
-heartbeat rate collapses while the rank keeps making (slow) progress —
-the shape the coordinator's straggler detector names in the event log.
-The rank keeps its blocks (the plan is static) and the run waits for it.
+task onward the worker sleeps a little before **every** task, inside the
+task's GEMM span, while the rank keeps making (slow) progress.  The rank
+keeps its blocks (the plan is static) and the run waits for it; the
+post-hoc audit of ``repro explain`` (:func:`repro.perf.audit_run`) flags
+the rank from the run's trace.
 
 ``abort`` models losing the *whole job*, not one rank: the worker dies
 exactly like ``kill`` but with a distinguished exit code that tells the
@@ -46,7 +47,7 @@ class FaultInjection:
     kind:
         ``"kill"``, ``"delay"``, ``"stall"`` (hang silently — heartbeats
         stop, process stays alive), ``"slow"`` (persistent per-task
-        delay: a live straggler, not a crash), or ``"abort"`` (die like
+        delay: slow, not a crash), or ``"abort"`` (die like
         ``kill`` but unrecoverably: the coordinator fails the whole run,
         to be resumed from its checkpoint).
     delay_seconds:
@@ -110,8 +111,8 @@ class FaultPlan:
         """A live straggler: sleep before every task from ``at_task`` on.
 
         ``slow`` faults are persistent by construction (a retried attempt
-        of a slow node is still slow); slow is not dead, so the run only
-        names the rank a straggler and waits for it."""
+        of a slow node is still slow); slow is not dead, so the run waits
+        for it, and the audit flags it afterwards."""
         return cls(
             (FaultInjection(rank=rank, at_task=at_task, kind="slow",
                             delay_seconds=seconds, once=False),)

@@ -1,4 +1,4 @@
-"""Live run health: heartbeats, stall/straggler detection, event log.
+"""Live run health: heartbeats, stall detection, event log.
 
 The post-mortem observability layer (:mod:`repro.runtime.tracing`) tells
 you what happened *after* a run finishes; this module is the live layer —
@@ -11,28 +11,20 @@ Two pieces, fed by the workers' :class:`~repro.dist.comm.HeartbeatMsg`:
   :class:`RankHealth` state machines, a *fold of the event log*
   (:meth:`RunHealth.apply`, run on every record emitted and, by
   :func:`replay_health`, on every record read back — the live table and
-  ``repro monitor``'s cannot disagree).  Two detectors run on it:
-
-  - **stall** — a rank whose last signal (scatter or heartbeat) is older
-    than ``stall_after_beats * heartbeat_interval`` is declared stalled.
-    The coordinator feeds that flag into the *same* fault-recovery path a
-    crashed worker takes (retry once, then reassign), so a hung worker's
-    columns are re-executed, not waited on.  Before a rank's first beat
-    of an attempt the window is widened by a startup grace (process
-    spawn + interpreter import can dwarf the heartbeat interval).
-  - **straggler** — a rank whose task-progress rate falls below
-    ``straggler_fraction`` of the median rate across beating ranks is
-    flagged (surfaced in the health table and the event log; unlike a
-    stall it triggers no recovery — slow is not dead — and the rank keeps
-    its blocks).  The rate is *windowed* (the last
-    ``RankHealth.rate_window`` heartbeats), so a rank that was fast and then
-    hit a wall decays to the threshold within a window, not over its
-    whole uptime; finished ranks anchor the median at their final rate,
-    so detection keeps working after the fast ranks complete.
+  ``repro monitor``'s cannot disagree).  One detector runs on it:
+  **stall** — a rank whose last signal (scatter or heartbeat) is older
+  than ``stall_after_beats * heartbeat_interval`` is declared stalled.
+  The coordinator feeds that flag into the *same* fault-recovery path a
+  crashed worker takes (retry once, then reassign), so a hung worker's
+  columns are re-executed, not waited on.  Before a rank's first beat of
+  an attempt the window is widened by a startup grace (process spawn +
+  interpreter import can dwarf the heartbeat interval).  A slow rank gets
+  no live verdict: the plan is static, so nothing would act on one;
+  ``repro explain``'s audit names it from the run's trace.
 
 * :class:`EventLog` — the run's one record, a structured stream of its
   life-cycle: ``plan_accepted``, ``worker_up``, ``heartbeat``, ``stall``,
-  ``straggler``, ``retry``, ``reassign``, ``rank_done``, and exactly one
+  ``retry``, ``reassign``, ``rank_done``, and exactly one
   terminal record — ``done``, or ``aborted`` / ``failed`` with a
   ``reason`` (:data:`TERMINAL_EVENTS`).  Every record is folded into the
   health and tallied (the ``events`` rows of
@@ -51,8 +43,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from statistics import median
+from dataclasses import dataclass
 
 from repro.dist.comm import HeartbeatMsg
 from repro.util.jsonl import read_jsonl
@@ -63,8 +54,6 @@ TERMINAL_EVENTS = ("done", "aborted", "failed")
 #: Events that only move a rank to a state (:meth:`RunHealth.apply`).
 _STATE_OF_EVENT = {
     "stall": "stalled",
-    "straggler": "straggler",
-    "straggler_recovered": "running",
     "retry": "retried",
 }
 
@@ -79,8 +68,7 @@ class RankHealth:
 
     ``last_signal``/``first_beat`` are instants of the run clock;
     ``state`` walks ``scattered -> up -> running -> done`` with
-    ``stalled``/``straggler``/``retried``/``reassigned``/``failed``
-    excursions.
+    ``stalled``/``retried``/``reassigned``/``failed`` excursions.
     """
 
     rank: int
@@ -93,10 +81,6 @@ class RankHealth:
     last_signal: float = 0.0
     first_beat: float | None = None
     stalls: int = 0
-    #: Sliding window of ``(instant, tasks_done)`` heartbeat samples; the
-    #: oldest retained sample is the baseline of :meth:`rate`.
-    rate_window: int = 8
-    samples: list = field(default_factory=list)
 
     @property
     def progress(self) -> float:
@@ -105,38 +89,20 @@ class RankHealth:
             return 1.0 if self.state == "done" else 0.0
         return min(1.0, self.tasks_done / self.tasks_total)
 
-    def rate(self, now: float) -> float:
-        """Tasks per second over the last ``rate_window`` heartbeats.
-
-        Baseline is the oldest sample still in the window (the first
-        beat, until ``rate_window`` beats have arrived), so a rank that
-        was fast and then hung decays toward zero within one window
-        instead of coasting on its lifetime average.
-        """
-        if self.first_beat is None or not self.samples:
-            return 0.0
-        t0, tasks0 = self.samples[0]
-        elapsed = now - t0
-        if elapsed <= 0.0:
-            return 0.0
-        return (self.tasks_done - tasks0) / elapsed
-
 
 class RunHealth:
     """Aggregated live health of one distributed run.
 
     A fold of the run's event records (:meth:`apply`); queried by the stall
-    and straggler detectors and rendered by :meth:`table` (the ``repro
-    monitor`` view).  Picklable — it rides inside :class:`DistReport` so
-    post-mortem consumers see the final health picture too.
+    detector and rendered by :meth:`table` (the ``repro monitor`` view).
+    Picklable — it rides inside :class:`DistReport` so post-mortem
+    consumers see the final health picture too.
     """
 
     def __init__(self, heartbeat_interval: float = 0.0,
-                 stall_after_beats: int = 8,
-                 straggler_fraction: float = 0.25):
+                 stall_after_beats: int = 8):
         self.heartbeat_interval = heartbeat_interval
         self.stall_after_beats = stall_after_beats
-        self.straggler_fraction = straggler_fraction
         self.ranks: dict[int, RankHealth] = {}
 
     @property
@@ -212,41 +178,17 @@ class RunHealth:
         if rh.first_beat is None:
             rh.first_beat = now
             rh.state = "up"
-        rh.samples.append((now, rh.tasks_done))
-        if len(rh.samples) > rh.rate_window:
-            del rh.samples[0]
-        # A flagged straggler stays flagged until the detector clears it
-        # (a ``straggler_recovered`` record) — a beat alone must not
-        # flicker the table back to "running" while the rank is still
-        # below threshold.
         if hb.tasks_done > 0 and rh.state == "up":
             rh.state = "running"
         return True
 
     def on_done(self, rank: int, now: float) -> None:
-        """Fold a rank's final report in: all tasks done, rate frozen.
-
-        Appends a closing ``(now, tasks_total)`` sample so the rank's
-        anchored rate reflects its actual finish — a fast rank that
-        completed before its second heartbeat would otherwise anchor the
-        straggler median at a meaningless 0.0 (one sample, zero elapsed).
-        """
+        """Fold a rank's final report in: all tasks done."""
         rh = self.ranks.get(rank)
         if rh is None:
             return
         rh.state = "done"
         rh.tasks_done = rh.tasks_total
-        if not rh.samples:
-            # A rank so fast it finished before its first heartbeat:
-            # synthesize the scatter instant as the baseline so it still
-            # anchors the median (at its true lifetime rate) instead of
-            # silently dropping out of the contributor count.
-            rh.samples.append((rh.last_signal, 0))
-        if rh.first_beat is None:
-            rh.first_beat = now
-        rh.samples.append((now, rh.tasks_done))
-        if len(rh.samples) > rh.rate_window:
-            del rh.samples[0]
         rh.last_signal = now
 
     def mark(self, rank: int, state: str) -> None:
@@ -276,49 +218,21 @@ class RunHealth:
                 out.append(rank)
         return out
 
-    def straggler_ranks(self, now: float) -> list[int]:
-        """Beating ranks whose windowed progress rate trails the median.
-
-        Needs at least three beating contributors (a median of one or two
-        is noise) and a nonzero median rate.  Finished ranks still anchor
-        the median at their *final* rate — frozen at their last beat — so
-        a slow rank stays detectable after the fast ranks complete.
-        """
-        active = [
-            rh for rh in self.ranks.values()
-            if rh.beats > 0 and rh.state in ("up", "running", "straggler")
-        ]
-        done = [
-            rh for rh in self.ranks.values()
-            if rh.samples and rh.state == "done"
-        ]
-        if not active or len(active) + len(done) < 3:
-            return []
-        rates = {rh.rank: rh.rate(now) for rh in active}
-        anchors = [rh.rate(rh.last_signal) for rh in done]
-        med = median(list(rates.values()) + anchors)
-        if med <= 0.0:
-            return []
-        return sorted(
-            r for r, v in rates.items() if v < self.straggler_fraction * med
-        )
-
     def table(self, now: float | None = None) -> str:
         """The per-rank health table ``repro monitor`` renders."""
         if not self.ranks:
             return "(no ranks)"
         lines = [
             f"{'rank':>4s} {'state':<10s} {'att':>3s} {'beats':>5s} "
-            f"{'tasks':>11s} {'prog':>6s} {'rate/s':>8s} {'silent':>7s}"
+            f"{'tasks':>11s} {'prog':>6s} {'silent':>7s}"
         ]
         for rank in sorted(self.ranks):
             rh = self.ranks[rank]
             silent = f"{now - rh.last_signal:6.1f}s" if now is not None else "     --"
-            rate = f"{rh.rate(now):8.1f}" if now is not None else "      --"
             lines.append(
                 f"{rank:>4d} {rh.state:<10s} {rh.attempt:>3d} {rh.beats:>5d} "
                 f"{rh.tasks_done:>5d}/{rh.tasks_total:<5d} {rh.progress:>6.0%} "
-                f"{rate} {silent}"
+                f"{silent}"
             )
         return "\n".join(lines)
 

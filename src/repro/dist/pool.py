@@ -190,7 +190,7 @@ class WorkerPool:
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop for good (idempotent): pill every live worker (an idle one
-        exits 0), join them under one ``timeout``, terminate stragglers,
+        exits 0), join them under one ``timeout``, terminate the rest,
         unlink the arenas, close the comm layer.  After a failed run,
         :meth:`terminate` first: a busy worker never reads its pill."""
         if self._closed:

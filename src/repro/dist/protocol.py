@@ -274,11 +274,10 @@ WORKER_MACHINE = RoleMachine(_W, "idle", (
 #: then reassign inline).  Once every rank is complete the coordinator
 #: drains residual telemetry (``draining``) and terminates in ``done``;
 #: ``aborted`` and ``failed`` (recovery exhausted, timeout, any other
-#: error — entered without a row) are the unrecoverable terminals.
-#:
-#: ``obs:straggler`` is the patrol's windowed-rate verdict on a rank that
-#: lags the median: it is only named in the log (slow is not dead), and
-#: the rank keeps every block the inspector gave it.
+#: error — entered without a row) are the unrecoverable terminals.  A slow
+#: rank has no row: the plan is static, so it keeps every block the
+#: inspector gave it, and only the post-hoc audit (``repro explain``)
+#: names it.
 COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
     Transition("supervising", "recv:done", "supervising",
                action="complete_rank"),
@@ -294,8 +293,6 @@ COORDINATOR_MACHINE = RoleMachine(_C, "supervising", (
                action="fold_health"),
     Transition("supervising", "recv:heartbeat:stale", "supervising",
                action="discard"),
-    Transition("supervising", "obs:straggler", "supervising",
-               action="flag_straggler"),
     Transition("supervising", "obs:worker_exit", "supervising",
                sends=("scatter",), action="recover_rank"),
     Transition("supervising", "obs:stall", "supervising",

@@ -378,7 +378,7 @@ def run_rank(
             if fault is None:
                 return
             if fault.kind == "slow":
-                # A live straggler: every task from at_task on is slow.
+                # A slow rank: every task from at_task on is slow.
                 if progress.tasks >= fault.at_task:
                     time.sleep(fault.delay_seconds)
                 return

@@ -5,13 +5,14 @@ The post-mortem side of the observability stack.  Where
 *why the run took as long as it did*:
 
 * :func:`attribute` — extract the critical path of a merged trace and
-  decompose it into blame buckets (GEMM, B-gen, fetch, queue wait, shm,
-  writeback, comm, idle) per rank and run-wide;
+  charge it to the layers of :data:`LAYERS` (the repo benchmark's:
+  ``dist.worker.gemm``, ``dist.coordinator.spawn``, …, ``unattributed``)
+  per rank and run-wide;
 * :func:`audit_run` — join measured GEMM seconds and realized comm bytes
   to the plan's roofline predictions (:class:`PerfModel`) and flag
   tasks/ranks outside a configurable band;
 * :func:`diff_attributions` — align two runs of the same plan and attribute the
-  makespan delta to buckets/ranks;
+  makespan delta to layers/ranks;
 * :func:`write_run_artifact` / :func:`read_run_artifact` — the enriched
   Chrome-trace file ``repro explain`` consumes;
 * :func:`text_report` / :func:`html_report` — terminal and single-file
@@ -24,7 +25,7 @@ from repro.perf.artifact import (
     write_run_artifact,
 )
 from repro.perf.attribution import (
-    BUCKETS,
+    LAYERS,
     Attribution,
     PathSegment,
     attribute,
@@ -49,9 +50,9 @@ from repro.perf.model import (
 from repro.perf.report import html_report, text_report
 
 __all__ = [
-    "BUCKETS",
     "COMM_BAND",
     "DEFAULT_BAND",
+    "LAYERS",
     "Attribution",
     "AuditEntry",
     "GemmPrediction",

@@ -1,29 +1,33 @@
-"""Critical-path extraction and blame-bucket attribution over a trace.
+"""Critical-path extraction and per-layer attribution over a trace.
 
 The question this module answers is the one a makespan number cannot:
 *which work bounded the run?*  A merged :class:`~repro.runtime.tracing.Trace`
 holds every rank's measured spans on one timeline; the critical path is the
 dependency-ordered chain of spans that covers the makespan — at every
 instant the path sits on some span that was still running (or, when nothing
-was, on an explicit *idle* segment).  Decomposing the path into blame
-buckets (GEMM, B-generation, A-fetch, queue wait, shared memory, writeback,
-control-plane comm, idle) turns "the run took 4.2 s" into "3.1 s of GEMM on
-rank 2, 0.6 s of queue wait, 0.3 s idle".
+was, on a segment under no span).  Charging the path to the layer of each
+span turns "the run took 4.2 s" into "3.1 s of ``dist.worker.gemm`` on
+rank 2, 0.6 s of ``dist.worker.qwait``, 0.3 s ``unattributed``".
+
+The layers are the repo benchmark's (``benchmarks/e2e/layers.py``), named
+after the module that does the work: :func:`classify` is its ``layer_of``
+and :data:`LAYERS` lists them, so ``repro explain``'s table and the
+benchmark's per-layer rows are the same rows.
 
 Extraction is a backward greedy sweep: start from the span with the latest
 end and walk a time cursor toward zero, at each step handing the cursor to
 the span that covers the most time immediately before it (preferring the
-same rank on ties — dependencies are overwhelmingly rank-local: qwait
-feeds gemm feeds writeback).  Any instant no span covers becomes an idle
-segment, so by construction::
+same rank on ties — dependencies are overwhelmingly rank-local: the queue
+wait feeds the GEMM stream feeds the writeback).  Any instant no span covers becomes a segment
+with no task, charged to ``unattributed``, so by construction::
 
-    sum(bucket seconds) + idle == path length == makespan
+    sum(layer seconds) == path length == makespan
 
 which is exactly the invariant ``tests/test_attribution.py`` asserts.
 
-The same bucket classifier also aggregates *whole-trace* busy seconds per
-rank and bucket — the stable basis :mod:`repro.perf.diff` uses to attribute
-a makespan delta between two runs.
+The same classifier also aggregates *whole-trace* busy seconds per rank and
+layer — the stable basis :mod:`repro.perf.diff` uses to attribute a
+makespan delta between two runs.
 """
 
 from __future__ import annotations
@@ -33,45 +37,61 @@ from dataclasses import dataclass, field
 from repro.runtime.tracing import Trace, TraceEvent, rank_of_resource
 from repro.util.units import fmt_time
 
-#: Blame buckets in display order (``idle`` closes the path sum).
-BUCKETS = ("gemm", "bgen", "fetch", "qwait", "shm", "writeback", "comm",
-           "other", "idle")
+#: Path time under no span, and spans of no layer.
+UNATTRIBUTED = "unattributed"
+
+#: The layers in display order, the order a run passes through them.
+LAYERS = (
+    "dist.coordinator.pack", "dist.coordinator.spawn", "dist.coordinator.scatter",
+    "dist.worker.shm_attach", "dist.worker.qwait", "dist.worker.prefetch",
+    "dist.bservice.gen", "dist.worker.gemm", "dist.worker.writeback",
+    "dist.coordinator.reduce", "dist.coordinator.report", UNATTRIBUTED,
+)
 
 
 def classify(task: str) -> str:
-    """Map a span's task name to its blame bucket.
+    """The layer a span belongs to, by the span's task name.
 
-    The names are the ones the executor's producers record:
-    ``block0.chunk1.gemm``, ``gen.3.7``, ``block0.chunk1.prefetch``,
-    ``inbox.wait``, ``shm.attach``, ``writeback.*``, ``scatter.<r>``,
-    ``pack.*``, ``reduce`` and ``report.*``; anything else (``spawn.<r>``)
-    is ``other``.
+    The names are the ones the executor's producers record: ``pack.*``,
+    ``spawn.<r>``, ``scatter.<r>``, ``shm.attach``, ``inbox.wait``,
+    ``block0.chunk1.prefetch``, ``gen.3.7``, ``block0.chunk1.gemm``,
+    ``writeback.<r>`` / ``writeback.ckpt.block2``, ``reduce`` and
+    ``report.<r>``; anything else is ``unattributed``.
     """
+    if task.startswith("pack."):
+        return "dist.coordinator.pack"
+    if task.startswith("spawn."):
+        return "dist.coordinator.spawn"
+    if task.startswith("scatter."):
+        return "dist.coordinator.scatter"
+    if task == "reduce":
+        return "dist.coordinator.reduce"
+    if task.startswith("report."):
+        return "dist.coordinator.report"
     if task.endswith(".gemm"):
-        return "gemm"
-    if task.startswith("gen."):
-        return "bgen"
+        return "dist.worker.gemm"
     if task.endswith(".prefetch"):
-        return "fetch"
+        return "dist.worker.prefetch"
     if task == "inbox.wait":
-        return "qwait"
-    if task == "shm.attach":
-        return "shm"
+        return "dist.worker.qwait"
     if task.startswith("writeback"):
-        return "writeback"
-    if task.startswith(("scatter.", "pack.", "reduce", "report.")):
-        return "comm"
-    return "other"
+        return "dist.worker.writeback"
+    if task == "shm.attach":
+        return "dist.worker.shm_attach"
+    if task.startswith("gen."):
+        return "dist.bservice.gen"
+    return UNATTRIBUTED
 
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One stretch of the critical path: a span interval, or idle time."""
+    """One stretch of the critical path: a span interval, or time under no
+    span (``task`` None)."""
 
-    task: str | None  # None for idle segments
+    task: str | None
     resource: str | None
     rank: int | None
-    bucket: str
+    layer: str
     start: float
     end: float
 
@@ -84,7 +104,7 @@ class PathSegment:
             "task": self.task,
             "resource": self.resource,
             "rank": self.rank,
-            "bucket": self.bucket,
+            "layer": self.layer,
             "start": self.start,
             "end": self.end,
             "duration": self.duration,
@@ -96,26 +116,26 @@ def _span_segment(e: TraceEvent, start: float, end: float) -> PathSegment:
         task=e.task,
         resource=e.resource,
         rank=rank_of_resource(e.resource),
-        bucket=classify(e.task),
+        layer=classify(e.task),
         start=start,
         end=end,
     )
 
 
 def _idle_segment(start: float, end: float) -> PathSegment:
-    return PathSegment(task=None, resource=None, rank=None, bucket="idle",
+    return PathSegment(task=None, resource=None, rank=None, layer=UNATTRIBUTED,
                        start=start, end=end)
 
 
 def critical_path(events: list[TraceEvent], eps: float = 1e-9) -> list[PathSegment]:
-    """The chain of span intervals (plus idle gaps) bounding the makespan.
+    """The chain of span intervals (plus gaps) bounding the makespan.
 
     Backward greedy sweep from the latest span end toward time zero.  At
     each step the cursor's current span contributes the interval it covers
     immediately before the cursor; the predecessor is the span covering
     the most time before the new cursor position (same-rank, then longer
-    spans win ties).  Gaps no span covers become explicit ``idle``
-    segments, so the returned segments tile ``[0, makespan]`` exactly.
+    spans win ties).  Gaps no span covers become segments with no task,
+    so the returned segments tile ``[0, makespan]`` exactly.
     """
     evs = [e for e in events if e.duration > eps]
     if not evs:
@@ -153,7 +173,7 @@ def critical_path(events: list[TraceEvent], eps: float = 1e-9) -> list[PathSegme
                 if better:
                     best = e
         if best is None:
-            # Nothing ran before the cursor: the head of the run is idle.
+            # Nothing ran before the cursor: the head of the run is under no span.
             segments.append(_idle_segment(0.0, t))
             t = 0.0
             break
@@ -167,20 +187,20 @@ def critical_path(events: list[TraceEvent], eps: float = 1e-9) -> list[PathSegme
 
 @dataclass
 class Attribution:
-    """The critical path of one run plus its bucket/rank decompositions.
+    """The critical path of one run plus its layer/rank decompositions.
 
-    ``buckets`` decomposes the *path* (so its values, idle included, sum
-    to ``path_length``); ``trace_buckets``/``rank_buckets`` aggregate the
-    *whole trace's* busy seconds — every span, on or off the path — which
-    is the stable quantity run-to-run diffs compare.
+    ``layers`` decomposes the *path* (so its values, ``unattributed``
+    included, sum to ``path_length``); ``trace_layers``/``rank_layers``
+    aggregate the *whole trace's* busy seconds — every span, on or off the
+    path — which is the stable quantity run-to-run diffs compare.
     """
 
     makespan: float
     path: list[PathSegment] = field(default_factory=list)
-    buckets: dict[str, float] = field(default_factory=dict)
+    layers: dict[str, float] = field(default_factory=dict)
     path_rank_seconds: dict[int | None, float] = field(default_factory=dict)
-    trace_buckets: dict[str, float] = field(default_factory=dict)
-    rank_buckets: dict[int | None, dict[str, float]] = field(default_factory=dict)
+    trace_layers: dict[str, float] = field(default_factory=dict)
+    rank_layers: dict[int | None, dict[str, float]] = field(default_factory=dict)
 
     @property
     def path_length(self) -> float:
@@ -191,11 +211,12 @@ class Attribution:
 
     @property
     def idle_seconds(self) -> float:
-        return self.buckets.get("idle", 0.0)
+        """Path time under no span."""
+        return sum(s.duration for s in self.path if s.task is None)
 
     @property
     def coverage(self) -> float:
-        """Fraction of the makespan covered by *span* (non-idle) segments."""
+        """Fraction of the makespan covered by span segments."""
         if self.makespan <= 0:
             return 0.0
         busy = sum(s.duration for s in self.path if s.task is not None)
@@ -206,19 +227,19 @@ class Attribution:
             "makespan": self.makespan,
             "path_length": self.path_length,
             "coverage": self.coverage,
-            "buckets": {b: s for b, s in self.buckets.items()},
+            "layers": dict(self.layers),
             "path_rank_seconds": {
                 str(r): s for r, s in self.path_rank_seconds.items()
             },
-            "trace_buckets": dict(self.trace_buckets),
-            "rank_buckets": {
-                str(r): dict(bs) for r, bs in self.rank_buckets.items()
+            "trace_layers": dict(self.trace_layers),
+            "rank_layers": {
+                str(r): dict(ls) for r, ls in self.rank_layers.items()
             },
             "critical_path": [s.to_dict() for s in self.path],
         }
 
     def summary(self, top: int = 8) -> str:
-        """A terminal-sized digest: bucket table plus the heaviest segments."""
+        """A terminal-sized digest: layer table plus the heaviest segments."""
         if not self.path:
             return "(no critical path: empty trace)"
         lines = [
@@ -227,12 +248,12 @@ class Attribution:
             f"{fmt_time(self.makespan)} makespan, "
             f"{len(self.path)} segment(s))"
         ]
-        for b in BUCKETS:
-            s = self.buckets.get(b, 0.0)
+        for layer in LAYERS:
+            s = self.layers.get(layer, 0.0)
             if s <= 0:
                 continue
             frac = s / self.path_length if self.path_length > 0 else 0.0
-            lines.append(f"  {b:>9s} {fmt_time(s):>10s}  {frac:6.1%}")
+            lines.append(f"  {layer:<24s} {fmt_time(s):>10s}  {frac:6.1%}")
         by_rank = sorted(
             ((r, s) for r, s in self.path_rank_seconds.items() if r is not None),
             key=lambda kv: -kv[1],
@@ -256,26 +277,26 @@ class Attribution:
 
 
 def attribute(trace: Trace) -> Attribution:
-    """Extract the critical path of ``trace`` and decompose it into buckets."""
+    """Extract the critical path of ``trace`` and charge it to layers."""
     path = critical_path(trace.events)
-    buckets: dict[str, float] = {}
+    layers: dict[str, float] = {}
     path_rank: dict[int | None, float] = {}
     for s in path:
-        buckets[s.bucket] = buckets.get(s.bucket, 0.0) + s.duration
+        layers[s.layer] = layers.get(s.layer, 0.0) + s.duration
         path_rank[s.rank] = path_rank.get(s.rank, 0.0) + s.duration
-    trace_buckets: dict[str, float] = {}
-    rank_buckets: dict[int | None, dict[str, float]] = {}
+    trace_layers: dict[str, float] = {}
+    rank_layers: dict[int | None, dict[str, float]] = {}
     for e in trace.events:
-        b = classify(e.task)
+        layer = classify(e.task)
         r = rank_of_resource(e.resource)
-        trace_buckets[b] = trace_buckets.get(b, 0.0) + e.duration
-        per = rank_buckets.setdefault(r, {})
-        per[b] = per.get(b, 0.0) + e.duration
+        trace_layers[layer] = trace_layers.get(layer, 0.0) + e.duration
+        per = rank_layers.setdefault(r, {})
+        per[layer] = per.get(layer, 0.0) + e.duration
     return Attribution(
         makespan=trace.makespan,
         path=path,
-        buckets=buckets,
+        layers=layers,
         path_rank_seconds=path_rank,
-        trace_buckets=trace_buckets,
-        rank_buckets=rank_buckets,
+        trace_layers=trace_layers,
+        rank_layers=rank_layers,
     )

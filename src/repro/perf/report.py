@@ -2,7 +2,7 @@
 
 The text report is what ``repro explain`` prints; the HTML report is a
 single self-contained file (embedded JSON + inline JS/CSS, no external
-fetches) with a canvas timeline, the critical path overlaid, bucket bars,
+fetches) with a canvas timeline, the critical path overlaid, layer bars,
 and the audit table — suitable for attaching to a CI failure.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from repro.perf.attribution import BUCKETS, Attribution, classify
+from repro.perf.attribution import LAYERS, Attribution, classify
 from repro.perf.audit import RooflineAudit
 from repro.perf.diff import TraceDiff
 from repro.runtime.tracing import Trace
@@ -37,12 +37,12 @@ def text_report(
     return "\n".join(parts)
 
 
-#: Stable bucket colors shared by the bars and the timeline legend.
-_BUCKET_COLORS = {
-    "gemm": "#4c78a8", "bgen": "#9ecae9", "fetch": "#f58518",
-    "qwait": "#e45756", "shm": "#b279a2", "writeback": "#54a24b",
-    "comm": "#eeca3b", "other": "#9d9d9d", "idle": "#e7e7e7",
-}
+#: Stable layer colors shared by the bars and the timeline legend, in
+#: :data:`~repro.perf.attribution.LAYERS` order.
+_LAYER_COLORS = dict(zip(LAYERS, (
+    "#eeca3b", "#9d9d9d", "#d8b5a5", "#b279a2", "#e45756", "#f58518",
+    "#9ecae9", "#4c78a8", "#54a24b", "#72b7b2", "#ff9da6", "#e7e7e7",
+)))
 
 _PAGE = """<!DOCTYPE html>
 <html lang="en">
@@ -70,8 +70,8 @@ pre { background: #f7f7f7; padding: .6em; overflow-x: auto; }
 <body>
 <h1>Performance attribution — __TITLE__</h1>
 <div id="head"></div>
-<h2>Critical-path blame buckets</h2>
-<div class="bar" id="bucketbar"></div>
+<h2>Critical path by layer</h2>
+<div class="bar" id="layerbar"></div>
 <div class="legend" id="legend"></div>
 <h2>Timeline <span class="muted">(critical path outlined in red)</span></h2>
 <canvas id="timeline" width="900" height="10"></canvas>
@@ -88,12 +88,12 @@ document.getElementById("head").innerHTML =
   "makespan <b>" + fmt(A.makespan) + "</b>, critical path " +
   fmt(A.path_length) + " (" + (100 * A.coverage).toFixed(1) +
   "% span coverage, " + A.critical_path.length + " segments)";
-// Bucket bar + legend.
-const bar = document.getElementById("bucketbar");
+// Layer bar + legend.
+const bar = document.getElementById("layerbar");
 const leg = document.getElementById("legend");
-const total = Object.values(A.buckets).reduce((a, b) => a + b, 0) || 1;
-for (const b of D.bucket_order) {
-  const s = A.buckets[b] || 0;
+const total = Object.values(A.layers).reduce((a, b) => a + b, 0) || 1;
+for (const b of D.layer_order) {
+  const s = A.layers[b] || 0;
   if (s <= 0) continue;
   const d = document.createElement("div");
   d.style.width = (100 * s / total) + "%";
@@ -121,7 +121,7 @@ lanes.forEach((r, i) => {
 });
 for (const e of D.events) {
   const i = lanes.indexOf(e.resource);
-  ctx.fillStyle = COLORS[e.bucket] || COLORS.other;
+  ctx.fillStyle = COLORS[e.layer];
   ctx.fillRect(X(e.start), i * LH + 2,
                Math.max(1, X(e.end) - X(e.start)), LH - 4);
 }
@@ -190,14 +190,14 @@ def html_report(
         "attribution": attribution.to_dict(),
         "audit": audit.to_dict() if audit is not None else None,
         "diff": trace_diff.to_dict() if trace_diff is not None else None,
-        "bucket_order": list(BUCKETS),
+        "layer_order": list(LAYERS),
         "events": [
             {
                 "task": e.task,
                 "resource": e.resource,
                 "start": e.start,
                 "end": e.end,
-                "bucket": classify(e.task),
+                "layer": classify(e.task),
             }
             for e in trace.events
         ],
@@ -206,6 +206,6 @@ def html_report(
     blob = json.dumps(data).replace("</", "<\\/")
     return (
         _PAGE.replace("__TITLE__", title)
-        .replace("__COLORS__", json.dumps(_BUCKET_COLORS))
+        .replace("__COLORS__", json.dumps(_LAYER_COLORS))
         .replace("__DATA__", blob)
     )

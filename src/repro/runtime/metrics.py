@@ -11,9 +11,9 @@ the table into a :class:`MetricsSnapshot` — ``report.metrics``, rendered by
 :meth:`MetricsSnapshot.to_prometheus` into a job's ``metrics.<id>.prom``.
 A series therefore cannot disagree with the report field beside it.
 
-The duration histograms bucket the trace's spans through the one span
-vocabulary of ``src/``, :func:`repro.perf.attribution.classify`, which
-knows exactly the names the executor's producers record.  A run with
+The duration histograms read the trace's spans through the one span
+vocabulary of ``src/``, the layers of :func:`repro.perf.attribution.classify`,
+which knows exactly the names the executor's producers record.  A run with
 ``trace=False`` recorded no spans, so its snapshot has every counter and
 the gauge but no histograms.
 
@@ -36,9 +36,9 @@ DEFAULT_BUCKETS = (
 #: read: ``("stats", field)`` off ``report.stats``, ``("report", field)`` off
 #: the report's own (``RankTally``) fields, ``("events", kind)`` off
 #: ``report.event_totals`` — the count of the run's ``kind`` event records —
-#: and ``("spans", bucket, prefix)``:
+#: and ``("spans", layer, prefix)``:
 #: the durations of the trace's spans that ``classify`` files under
-#: ``bucket`` and whose task name starts with ``prefix``.
+#: ``layer`` and whose task name starts with ``prefix``.
 SERIES = {
     "repro_gemm_tasks_total":
         ("counter", "GEMM tasks executed", ("stats", "ntasks")),
@@ -80,12 +80,12 @@ SERIES = {
     "repro_ranks_reassigned_total":
         ("counter", "ranks reassigned to the coordinator", ("events", "reassign")),
     "repro_chunk_gemm_seconds":
-        ("histogram", "per-chunk GEMM stream durations", ("spans", "gemm", "")),
+        ("histogram", "per-chunk GEMM stream durations", ("spans", "dist.worker.gemm", "")),
     "repro_prefetch_seconds":
-        ("histogram", "A-chunk prefetch durations", ("spans", "fetch", "")),
+        ("histogram", "A-chunk prefetch durations", ("spans", "dist.worker.prefetch", "")),
     "repro_checkpoint_seconds":
         ("histogram", "per-block checkpoint writeback durations",
-         ("spans", "writeback", "writeback.ckpt.")),
+         ("spans", "dist.worker.writeback", "writeback.ckpt.")),
 }
 
 
@@ -191,9 +191,9 @@ def histograms_of(trace) -> dict[str, HistogramSnapshot]:
             if fold[0] == "spans"]
     durations: dict[str, list[float]] = {}
     for e in trace.events:
-        bucket = classify(e.task)
+        layer = classify(e.task)
         for name, (wanted, prefix) in rows:
-            if bucket == wanted and e.task.startswith(prefix):
+            if layer == wanted and e.task.startswith(prefix):
                 durations.setdefault(name, []).append(e.duration)
     return {name: bucket_durations(ds) for name, ds in durations.items()}
 

@@ -29,6 +29,7 @@ the codec round-trips any numpy dtype with a stable ``str`` form.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -75,12 +76,17 @@ def encode_tile(ns: str, key, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 def write_synced(path: str, bufs) -> None:
     """Write ``bufs`` (encoded objects' parts) back to back to ``path``,
-    then fsync it."""
-    with open(path, "wb") as fh:
-        for buf in bufs:
-            fh.write(buf)
-        fh.flush()
-        os.fsync(fh.fileno())
+    then fsync it; on any error, remove the partial file and re-raise."""
+    try:
+        with open(path, "wb") as fh:
+            for buf in bufs:
+                fh.write(buf)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
 
 
 def read_header(buf) -> dict:

@@ -1,8 +1,9 @@
 """Tests for the performance-attribution subsystem (:mod:`repro.perf`).
 
-Unit tests exercise each stage on synthetic traces: the bucket
-classifier, the backward-greedy critical-path sweep and its tiling
-invariant (buckets + idle == path length == makespan), the plan-derived
+Unit tests exercise each stage on synthetic traces: the layer
+classifier (the repo benchmark's ``layer_of``, checked against it), the
+backward-greedy critical-path sweep and its tiling invariant (layer seconds,
+``unattributed`` included, == path length == makespan), the plan-derived
 :class:`PerfModel` and its serialization, the run-artifact round trip,
 the median-normalized roofline audit, and the run-to-run diff.
 
@@ -11,10 +12,12 @@ assert the headline criteria: a clean traced run's critical path covers
 >= 90% of the makespan; with an injected ``slow`` fault the audit flags
 exactly the slowed rank (its relative achieved-vs-predicted ratio lands
 outside the band); and ``repro explain --baseline`` against the clean
-run attributes the makespan delta to that rank's GEMM bucket.
+run attributes the makespan delta to that rank's GEMM layer.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +25,8 @@ from repro.core import inspect, psgemm_distributed
 from repro.dist import FaultPlan
 from repro.machine import summit
 from repro.perf import (
-    BUCKETS,
     DEFAULT_BAND,
+    LAYERS,
     GemmPrediction,
     PerfModel,
     attribute,
@@ -51,27 +54,75 @@ def operands(seed=0, m=300, nk=900, density=0.5):
     return a, b
 
 
+#: One span name of every shape a producer in ``src/repro`` records.
+RECORDED_SPANS = (
+    "block0.chunk1.gemm", "block3.chunk0.prefetch", "gen.3.7", "inbox.wait",
+    "shm.attach", "writeback.1", "writeback.ckpt.block2", "pack.a", "pack.b",
+    "spawn.setup", "spawn.1", "scatter.1", "reduce", "report.0",
+    "report.teardown",
+)
+
+#: A traced ``repro selftest --procs 2 --checkpoint DIR --trace F`` run:
+#: spawn, shm attach, queue wait, prefetch, B generation, GEMM, checkpoint
+#: writeback, reduce and report spans, and path time under no span.
+SELFTEST_ARTIFACT = Path(__file__).parent / "data" / "selftest_trace.json"
+
+
+def benchmark_layers():
+    """The repo benchmark's ``benchmarks/e2e/layers.py``, loaded by path."""
+    path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestClassify:
     def test_measured_span_vocabulary(self):
-        # Every name a producer records lands in its bucket — the diff
+        # Every name a producer records lands in its layer — the diff
         # depends on this being stable.
-        assert classify("block0.chunk1.gemm") == "gemm"
-        assert classify("gen.3.7") == "bgen"
-        assert classify("block0.chunk1.prefetch") == "fetch"
-        assert classify("inbox.wait") == "qwait"
-        assert classify("shm.attach") == "shm"
-        assert classify("writeback.0") == "writeback"
-        assert classify("writeback.ckpt.block2") == "writeback"
-        assert classify("scatter.1") == "comm"
-        assert classify("pack.a") == "comm"
-        assert classify("reduce") == "comm"
-        assert classify("report.2") == "comm"
-        assert classify("spawn.1") == "other"
+        assert classify("block0.chunk1.gemm") == "dist.worker.gemm"
+        assert classify("gen.3.7") == "dist.bservice.gen"
+        assert classify("block0.chunk1.prefetch") == "dist.worker.prefetch"
+        assert classify("inbox.wait") == "dist.worker.qwait"
+        assert classify("shm.attach") == "dist.worker.shm_attach"
+        assert classify("writeback.0") == "dist.worker.writeback"
+        assert classify("writeback.ckpt.block2") == "dist.worker.writeback"
+        assert classify("scatter.1") == "dist.coordinator.scatter"
+        assert classify("pack.a") == "dist.coordinator.pack"
+        assert classify("reduce") == "dist.coordinator.reduce"
+        assert classify("report.2") == "dist.coordinator.report"
+        assert classify("spawn.1") == "dist.coordinator.spawn"
 
-    def test_every_bucket_is_known(self):
-        for task in ("block0.chunk0.gemm", "gen.0.0", "inbox.wait",
-                     "shm.attach", "writeback", "scatter.0", "mystery"):
-            assert classify(task) in BUCKETS
+    def test_every_layer_is_known(self):
+        for task in RECORDED_SPANS + ("mystery",):
+            assert classify(task) in LAYERS
+        assert classify("mystery") == "unattributed"
+
+    def test_classify_is_the_benchmarks_layer_of(self):
+        """One vocabulary: the program names every span it records as the
+        repo benchmark does."""
+        layer_of = benchmark_layers().layer_of
+        for task in RECORDED_SPANS:
+            assert classify(task) == layer_of(task), task
+        assert set(map(layer_of, RECORDED_SPANS)) | {"unattributed"} == set(LAYERS)
+
+    def test_explain_rows_are_the_benchmarks_run_rows(self, tmp_path):
+        """On a committed traced artifact, ``repro explain --json``'s
+        per-layer path seconds are the benchmark's ``run_rows``, row for
+        row, to 1 us."""
+        from repro.cli import main
+
+        out = str(tmp_path / "explain.json")
+        assert main(["explain", "--trace", str(SELFTEST_ARTIFACT), "--json", out]) == 0
+        explained = json.load(open(out))["attribution"]["layers"]
+        att = attribute(read_run_artifact(str(SELFTEST_ARTIFACT)).trace)
+        rows = benchmark_layers().run_rows(att, att.makespan)
+        assert rows.pop("dist.coordinator.untraced") == 0.0
+        assert set(explained) == set(rows)
+        assert len(rows) >= 8 and rows["unattributed"] > 0
+        for layer, seconds in rows.items():
+            assert explained[layer] == pytest.approx(seconds, abs=1e-6), layer
 
 
 class TestSpanTaskId:
@@ -97,14 +148,15 @@ class TestCriticalPath:
         t.add("block0.chunk0.gemm", "gpu.0.0.comp", 0.0, 2.0)
         t.add("inbox.wait", "cpu.0", 3.0, 5.0)
         att = attribute(t)
-        assert [s.bucket for s in att.path] == ["gemm", "idle", "qwait"]
+        assert [s.layer for s in att.path] == [
+            "dist.worker.gemm", "unattributed", "dist.worker.qwait"]
         assert att.path[0].start == pytest.approx(0.0)
         assert att.path[-1].end == pytest.approx(att.makespan)
         for prev, nxt in zip(att.path, att.path[1:]):
             assert nxt.start == pytest.approx(prev.end)
-        # The tiling invariant: buckets (idle included) sum to the path
-        # length, which spans the whole makespan.
-        assert sum(att.buckets.values()) == pytest.approx(att.path_length)
+        # The tiling invariant: layers (unattributed included) sum to the
+        # path length, which spans the whole makespan.
+        assert sum(att.layers.values()) == pytest.approx(att.path_length)
         assert att.path_length == pytest.approx(att.makespan) == pytest.approx(5.0)
         assert att.idle_seconds == pytest.approx(1.0)
         assert att.coverage == pytest.approx(4.0 / 5.0)
@@ -113,7 +165,7 @@ class TestCriticalPath:
         t = Trace()
         t.add("block0.chunk0.gemm", "gpu.0.0.comp", 1.0, 2.0)
         att = attribute(t)
-        assert [s.bucket for s in att.path] == ["idle", "gemm"]
+        assert [s.layer for s in att.path] == ["unattributed", "dist.worker.gemm"]
         assert att.coverage == pytest.approx(0.5)
 
     def test_overlapping_spans_never_double_count(self):
@@ -121,21 +173,21 @@ class TestCriticalPath:
         t.add("block0.chunk0.gemm", "gpu.0.0.comp", 0.0, 3.0)
         t.add("block0.chunk0.gemm", "gpu.1.0.comp", 1.0, 4.0)
         att = attribute(t)
-        assert sum(att.buckets.values()) == pytest.approx(4.0)
+        assert sum(att.layers.values()) == pytest.approx(4.0)
         assert att.idle_seconds == 0.0
         # Whole-trace busy seconds do sum both spans.
-        assert att.trace_buckets["gemm"] == pytest.approx(6.0)
-        assert att.rank_buckets[0]["gemm"] == pytest.approx(3.0)
-        assert att.rank_buckets[1]["gemm"] == pytest.approx(3.0)
+        assert att.trace_layers["dist.worker.gemm"] == pytest.approx(6.0)
+        assert att.rank_layers[0]["dist.worker.gemm"] == pytest.approx(3.0)
+        assert att.rank_layers[1]["dist.worker.gemm"] == pytest.approx(3.0)
 
     def test_to_dict_carries_the_acceptance_fields(self):
         t = Trace()
         t.add("block0.chunk0.gemm", "gpu.0.0.comp", 0.0, 1.0)
         d = attribute(t).to_dict()
-        for key in ("makespan", "path_length", "coverage", "buckets",
-                    "trace_buckets", "rank_buckets", "critical_path"):
+        for key in ("makespan", "path_length", "coverage", "layers",
+                    "trace_layers", "rank_layers", "critical_path"):
             assert key in d
-        assert d["critical_path"][0]["bucket"] == "gemm"
+        assert d["critical_path"][0]["layer"] == "dist.worker.gemm"
 
 
 class TestPerfModel:
@@ -272,7 +324,7 @@ class TestDiff:
         assert d.regressed and d.delta == pytest.approx(2.0)
         assert d.slowest_rank() == 1
         what, grew = d.top_contributors(1)[0]
-        assert what == "rank 1 gemm" and grew == pytest.approx(2.0)
+        assert what == "rank 1 dist.worker.gemm" and grew == pytest.approx(2.0)
         assert "what got slower" in d.summary()
         assert "largest growth on rank 1" in d.summary()
 
@@ -291,7 +343,7 @@ class TestDiff:
     def test_to_dict_lists_top_contributors(self):
         d = _diff(_gemm_trace({0: 1.0}), _gemm_trace({0: 2.0}))
         payload = json.loads(json.dumps(d.to_dict()))
-        assert payload["top_contributors"][0]["what"] == "rank 0 gemm"
+        assert payload["top_contributors"][0]["what"] == "rank 0 dist.worker.gemm"
 
 
 class TestReports:
@@ -352,13 +404,13 @@ class TestAcceptanceCleanRun:
         assert att.path[-1].end == pytest.approx(att.makespan, rel=1e-6)
         for prev, nxt in zip(att.path, att.path[1:]):
             assert nxt.start == pytest.approx(prev.end, abs=1e-6)
-        # Blame buckets (idle included) sum to the path length exactly.
-        assert sum(att.buckets.values()) == pytest.approx(att.path_length,
-                                                          rel=1e-6)
+        # Layers (unattributed included) sum to the path length exactly.
+        assert sum(att.layers.values()) == pytest.approx(att.path_length,
+                                                         rel=1e-6)
         assert att.path_length == pytest.approx(att.makespan, rel=1e-6)
         # The acceptance bar: measured spans explain >= 90% of the run.
         assert att.coverage >= 0.9
-        assert att.buckets.get("gemm", 0.0) > 0
+        assert att.layers.get("dist.worker.gemm", 0.0) > 0
 
     def test_clean_run_audit_is_quiet(self, clean_run):
         audit = run_audit(clean_run)
@@ -366,8 +418,8 @@ class TestAcceptanceCleanRun:
         assert audit.flagged_ranks == []
 
     def test_report_attribution_matches_module_function(self, clean_run):
-        assert clean_run.attribution().trace_buckets == pytest.approx(
-            attribute(clean_run.trace).trace_buckets
+        assert clean_run.attribution().trace_layers == pytest.approx(
+            attribute(clean_run.trace).trace_layers
         )
 
 
@@ -396,7 +448,7 @@ class TestAcceptanceSlowFault:
         assert d.regressed
         assert d.slowest_rank() == SLOW_RANK
         what, _ = d.top_contributors(1)[0]
-        assert what == f"rank {SLOW_RANK} gemm"
+        assert what == f"rank {SLOW_RANK} dist.worker.gemm"
         # The slowed rank's busy growth explains the bulk of the delta.
         assert d.rank_deltas[SLOW_RANK] >= 0.5 * d.delta
 

@@ -489,10 +489,16 @@ class TestSharedMemoryLifecycle:
         from repro.dist import read_events, worker
 
         coordinator_pid, real = os.getpid(), worker.run_rank
+        folded, fold = mp.get_context("fork").Event(), coordinator._Coordinator.fold
+
+        def folding(self, producer, *args):
+            fold(self, producer, *args)
+            if producer == 0:
+                folded.set()
 
         def late(msg, *args, **kwargs):  # forked workers inherit the patch
             if os.getpid() != coordinator_pid and msg.proc.rank == 1:
-                time.sleep(0.5)
+                folded.wait(timeout=60)  # rank 1 starts once rank 0 is folded
             return real(msg, *args, **kwargs)
 
         names, teardown = [], coordinator._Coordinator.teardown
@@ -502,6 +508,7 @@ class TestSharedMemoryLifecycle:
             teardown(self)
 
         monkeypatch.setattr(worker, "run_rank", late)
+        monkeypatch.setattr(coordinator._Coordinator, "fold", folding)
         monkeypatch.setattr(coordinator._Coordinator, "teardown", spying)
         a, b = operands(seed=6)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=2)
@@ -509,8 +516,10 @@ class TestSharedMemoryLifecycle:
         with start_method("fork"), pytest.raises(
             DistExecutionError, match="rank 1 aborted"
         ) as lost:
+            # No heartbeats: however long rank 1 waits, it is not a stall.
             execute_plan_distributed(
-                plan, a, b, fault_plan=FaultPlan.abort(1, 1), events_path=events_path
+                plan, a, b, fault_plan=FaultPlan.abort(1, 1), events_path=events_path,
+                heartbeat_interval=0,
             )
         kinds = [(e["event"], e.get("rank")) for e in read_events(events_path)]
         assert kinds.index(("rank_done", 0)) < kinds.index(("abort", 1))

@@ -1,8 +1,8 @@
 """Unit tests for live run health (:mod:`repro.dist.health`).
 
 Everything here drives :class:`RunHealth` with a synthetic clock — no
-processes, no sleeping — so the stall window, startup grace, straggler
-median and the state machine are checked deterministically.  The event
+processes, no sleeping — so the stall window, startup grace and the
+state machine are checked deterministically.  The event
 log and the ``replay_health`` reconstruction (what ``repro monitor``
 attaches through) round-trip through a real file.
 """
@@ -110,15 +110,6 @@ class TestStateMachine:
         h.mark(0, "done")
         assert h.ranks[0].progress == 1.0
 
-    def test_rate_is_tasks_per_second_since_first_beat(self):
-        h = _health()
-        h.on_scatter(0, tasks_total=100, attempt=0, now=0.0)
-        assert h.ranks[0].rate(5.0) == 0.0  # no beat yet
-        _beat(h, 0, seq=0, tasks_done=0, now=1.0)
-        _beat(h, 0, seq=1, tasks_done=20, now=3.0)
-        assert h.ranks[0].rate(3.0) == pytest.approx(10.0)
-        assert h.ranks[0].rate(1.0) == 0.0  # degenerate elapsed <= 0
-
 
 class TestStallDetection:
     def test_silence_past_window_flags_rank(self):
@@ -154,136 +145,6 @@ class TestStallDetection:
         assert not h.enabled
         h.on_scatter(0, tasks_total=10, attempt=0, now=0.0)
         assert h.stalled_ranks(now=1e9, pending=[0]) == []
-
-
-class TestStragglerDetection:
-    def _three_ranks(self, rates, now=10.0):
-        h = _health(straggler_fraction=0.25)
-        for r, tasks in enumerate(rates):
-            h.on_scatter(r, tasks_total=100, attempt=0, now=0.0)
-            _beat(h, r, seq=0, tasks_done=0, now=0.0)
-            _beat(h, r, seq=1, tasks_done=tasks, now=now)
-        return h
-
-    def test_slow_rank_flagged_against_median(self):
-        # Rates 10, 10, 1 tasks/s: median 10, threshold 2.5 -> rank 2 lags.
-        h = self._three_ranks([100, 100, 10])
-        assert h.straggler_ranks(now=10.0) == [2]
-
-    def test_needs_three_active_ranks(self):
-        h = self._three_ranks([100, 1])
-        assert h.straggler_ranks(now=10.0) == []
-
-    def test_done_ranks_anchor_median(self):
-        # A finished fast rank keeps contributing its final rate to the
-        # median, so the slow rank stays flagged after the field thins.
-        h = self._three_ranks([100, 100, 10])
-        h.mark(0, "done")
-        assert h.straggler_ranks(now=10.0) == [2]
-
-    def test_all_done_flags_nothing(self):
-        h = self._three_ranks([100, 100, 10])
-        for r in range(3):
-            h.mark(r, "done")
-        assert h.straggler_ranks(now=10.0) == []
-
-    def test_zero_median_is_noise(self):
-        h = self._three_ranks([0, 0, 0])
-        assert h.straggler_ranks(now=10.0) == []
-
-    def test_windowed_rate_decays_for_fast_then_hung_rank(self):
-        # Rank 2 races through 90 tasks, then hangs on a huge block while
-        # still heartbeating.  Its lifetime average would coast above the
-        # threshold; the windowed rate collapses within rate_window beats.
-        h = _health(straggler_fraction=0.25)
-        for r in range(3):
-            h.on_scatter(r, tasks_total=100, attempt=0, now=0.0)
-            h.ranks[r].rate_window = 4
-        for beat in range(1, 21):
-            now = float(beat)
-            for r in (0, 1):
-                _beat(h, r, seq=beat, tasks_done=5 * beat, now=now)
-            _beat(h, 2, seq=beat, tasks_done=min(90, 9 * beat), now=now)
-        # Lifetime average of rank 2 is 90/20 = 4.5 > 0.25 * 5; the
-        # 4-beat window has seen no progress at all.
-        assert h.ranks[2].rate(20.0) == 0.0
-        assert h.straggler_ranks(now=20.0) == [2]
-
-    def test_flagged_straggler_does_not_flicker_back_on_a_beat(self):
-        h = self._three_ranks([100, 100, 10])
-        assert h.straggler_ranks(now=10.0) == [2]
-        h.mark(2, "straggler")
-        _beat(h, 2, seq=2, tasks_done=11, now=10.5)
-        assert h.ranks[2].state == "straggler"  # still below threshold
-        h.mark(2, "running")  # the detector's recovery path clears it
-        assert h.ranks[2].state == "running"
-
-    def test_rate_window_is_trimmed(self):
-        h = _health()
-        h.on_scatter(0, tasks_total=100, attempt=0, now=0.0)
-        h.ranks[0].rate_window = 3
-        for beat in range(10):
-            _beat(h, 0, seq=beat, tasks_done=beat, now=float(beat))
-        assert len(h.ranks[0].samples) == 3
-        assert h.ranks[0].samples[0] == (7.0, 7)
-
-    def test_beatless_done_ranks_still_anchor_median(self):
-        # Regression: ranks 0 and 1 finish before their first heartbeat
-        # ever fires.  Without the synthesized baseline in on_done their
-        # rate was 0.0 (one sample, zero elapsed), the median collapsed,
-        # and the genuinely slow rank 2 was never flagged — exactly the
-        # moment two idle helpers were available to take its blocks.
-        h = _health(straggler_fraction=0.25)
-        for r in range(3):
-            h.on_scatter(r, tasks_total=100, attempt=0, now=0.0)
-        h.on_done(0, now=1.0)
-        h.on_done(1, now=1.0)
-        _beat(h, 2, seq=0, tasks_done=0, now=0.0)
-        _beat(h, 2, seq=1, tasks_done=10, now=10.0)
-        # the anchor is the done rank's *final* rate, frozen at its
-        # last signal: 100 tasks in 1s
-        assert h.ranks[0].rate(h.ranks[0].last_signal) == pytest.approx(100.0)
-        assert h.straggler_ranks(now=10.0) == [2]
-
-    def test_flag_recover_reflag_lifecycle(self):
-        # A rank that recovers (coordinator clears the flag and marks it
-        # running) must be flaggable *again* if it slows back down — the
-        # old set-once bookkeeping silenced every later excursion.
-        h = _health(straggler_fraction=0.25)
-        for r in range(3):
-            h.on_scatter(r, tasks_total=100, attempt=0, now=0.0)
-            h.ranks[r].rate_window = 3
-
-        def tick(beat, slow_tasks):
-            now = float(beat)
-            for r in (0, 1):
-                _beat(h, r, seq=beat, tasks_done=10 * beat, now=now)
-            _beat(h, 2, seq=beat, tasks_done=slow_tasks, now=now)
-            return now
-
-        # slow phase: 1 task/beat against the field's 10 -> flagged
-        for beat in range(1, 5):
-            now = tick(beat, slow_tasks=beat)
-        assert h.straggler_ranks(now=now) == [2]
-        h.mark(2, "straggler")
-        # recovery: three fast beats push the 3-beat window to 10/s
-        for beat, tasks in ((5, 14), (6, 24), (7, 34)):
-            now = tick(beat, slow_tasks=tasks)
-        assert h.straggler_ranks(now=now) == []
-        h.mark(2, "running")  # the coordinator's recovery path
-        # relapse: the window decays again and the re-flag fires
-        for beat, tasks in ((8, 35), (9, 36), (10, 37)):
-            now = tick(beat, slow_tasks=tasks)
-        assert h.straggler_ranks(now=now) == [2]
-
-    def test_rescatter_clears_straggler_state(self):
-        # A flagged rank that is retried gets a fresh RankHealth: the new
-        # attempt starts from "scattered", not from the stale flag.
-        h = self._three_ranks([100, 100, 10])
-        h.mark(2, "straggler")
-        h.on_scatter(2, tasks_total=100, attempt=1, now=10.0)
-        assert h.ranks[2].state == "scattered"
-        assert h.straggler_ranks(now=10.0) == []
 
 
 class TestTable:
@@ -406,28 +267,6 @@ class TestReplay:
         # And the reconstructed view renders (the monitor's whole job).
         assert "reassigned" in health.table(now=events[-1]["t"])
 
-    def test_replay_clears_a_recovered_straggler_and_closes_the_rate(self, tmp_path):
-        """The replayed table is the live one: ``straggler_recovered`` puts
-        the rank back to ``running`` (it used to stay ``straggler`` until
-        ``rank_done``), and a finished rank carries the closing ``(t,
-        tasks_total)`` sample its frozen rate is read from."""
-        events = self._log(tmp_path, [
-            ("plan_accepted", dict(nranks=1, heartbeat_interval=0.1,
-                                   tasks_per_rank={"0": 10})),
-            ("scatter", dict(rank=0, attempt=0, tasks_total=10)),
-            ("heartbeat", dict(rank=0, attempt=0, seq=0, tasks_done=2)),
-            ("straggler", dict(rank=0)),
-            ("straggler_recovered", dict(rank=0)),
-            ("rank_done", dict(rank=0, attempt=0, tasks=10)),
-        ])
-        assert replay_health(events[:4]).ranks[0].state == "straggler"
-        assert replay_health(events[:5]).ranks[0].state == "running"
-        rh = replay_health(events).ranks[0]
-        assert rh.state == "done"
-        assert rh.samples[-1] == (events[-1]["t"], 10)
-        assert rh.last_signal == events[-1]["t"]
-        assert rh.rate(rh.last_signal) > 0.0
-
     def test_replay_is_the_fold_the_log_ran_live(self, tmp_path):
         """One ``apply``: the health an ``EventLog`` folds its records into
         as it emits them is the health ``replay_health`` rebuilds from the
@@ -477,12 +316,11 @@ class TestReplay:
         events = self._log(tmp_path, [
             ("plan_accepted", dict(nranks=1, heartbeat_interval=0.1,
                                    tasks_per_rank={"0": 2})),
-            ("straggler", dict(rank=0)),
             ("some_future_event", dict(rank=0, detail="ignored")),
             ("done", dict(ntasks=2)),
         ])
         health = replay_health(events)
-        assert health.ranks[0].state == "straggler"
+        assert health.ranks[0].state == "scattered"
 
 
 class TestRunScopedEventLog:

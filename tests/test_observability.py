@@ -106,14 +106,18 @@ class TestSpanRecorder:
         t1 = rec.now()
         assert t1 >= t0 >= 0.0
 
-    def test_shared_origin_yields_comparable_clocks(self):
-        import time
+    def test_shared_origin_yields_comparable_clocks(self, monkeypatch):
+        from types import SimpleNamespace
 
-        origin = time.monotonic()
-        a, b = SpanRecorder(origin=origin), SpanRecorder(origin=origin)
-        # Same monotonic origin => same wall origin (up to clock read jitter).
-        assert abs(a.wall_origin - b.wall_origin) < 0.1
-        assert abs(a.now() - b.now()) < 0.1
+        # Each recorder reads both clocks once, and both clocks advance by
+        # the same 0.5 s between the two recorders.
+        mono, wall = iter((100.0, 100.5, 101.0, 101.0)), iter((1000.0, 1000.5))
+        monkeypatch.setattr(tracing, "time", SimpleNamespace(
+            monotonic=lambda: next(mono), time=lambda: next(wall)))
+        a, b = SpanRecorder(origin=90.0), SpanRecorder(origin=90.0)
+        # Same monotonic origin => the same wall origin, exactly.
+        assert a.wall_origin == b.wall_origin == 990.0
+        assert a.now() == b.now() == 11.0
 
 
 class TestTraceQueries:

@@ -79,7 +79,7 @@ class TestCleanProtocol:
             ("coordinator", "supervising", "recv:done:stale"),
             ("coordinator", "supervising", "recv:error:stale"),
         }
-        assert "rows fired 22 of 27" in default_sweep.summary()
+        assert "rows fired 21 of 26" in default_sweep.summary()
 
 
 class TestDroppedAckMutation:

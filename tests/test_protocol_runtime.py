@@ -46,8 +46,7 @@ from repro.sparse import random_block_sparse
 from repro.tiling import random_tiling
 
 HANDLERS = {
-    "complete_rank", "discard", "recover_rank", "fold_health",
-    "flag_straggler", "abort_run",
+    "complete_rank", "discard", "recover_rank", "fold_health", "abort_run",
 }
 
 #: What a worker's ``recv:`` rows name, all in ``worker_main``'s loop.
@@ -286,7 +285,7 @@ class TestRunConfig:
         assert fields == dict(
             fault_plan=None, timeout=120.0, verify_plan=False, trace=True,
             heartbeat_interval=0.25, stall_after_beats=8,
-            straggler_fraction=0.25, metrics=True, events_path=None,
+            metrics=True, events_path=None,
             checkpoint_dir=None, store_dir=None, pool=None, run_id=None,
         )
 

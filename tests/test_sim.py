@@ -451,7 +451,7 @@ class Schedule:
 def make_schedule(seed: int) -> Schedule:
     rng = random.Random(seed)
     kind = rng.choices(
-        ("clean", "faults", "straggler", "timeout", "abort", "pooled"),
+        ("clean", "faults", "slow", "timeout", "abort", "pooled"),
         weights=(12, 35, 12, 3, 8, 20),
     )[0]
     config = dict(heartbeat_interval=rng.choice((0.0, 0.1, 0.25)),
@@ -468,10 +468,10 @@ def make_schedule(seed: int) -> Schedule:
     if kind == "faults":
         config["heartbeat_interval"] = rng.choice((0.1, 0.25))
         faulty(range(operands(variant).plan.grid.nprocs))
-    elif kind == "straggler":
-        # Rank 0 lags the median: named, never relieved of a block.
+    elif kind == "slow":
+        # Rank 0 lags the others: never recovered, never relieved of a block.
         variant = "r3"
-        config.update(heartbeat_interval=0.1, straggler_fraction=0.5)
+        config.update(heartbeat_interval=0.1)
         fates[0, 0] = "slow"
         faulty((1, 2), attempts=1, p=0.3, kinds=("kill", "stall", "raise", "late"))
     elif kind == "timeout":
@@ -680,7 +680,7 @@ def test_the_sweep_fires_every_reachable_coordinator_row(sweep):
     """Every row of the coordinator's table is reachable at runtime, and fires."""
     fired = {(state, event) for role, state, event in sweep[0] if role == "coordinator"}
     rows = {(tr.state, tr.event) for tr in COORDINATOR_MACHINE.transitions}
-    assert len(rows) == 13
+    assert len(rows) == 12
     assert fired == rows
 
 
@@ -706,18 +706,16 @@ def test_the_sim_pool_has_a_worker_pools_state():
         real.close()
 
 
-def test_a_slow_rank_is_flagged_and_keeps_its_blocks(tmp_path):
-    """A straggler is recorded, and that is all: no rank is recovered, every
-    rank runs its own blocks, and the run stays bit-exact."""
+def test_a_slow_rank_is_never_recovered_and_keeps_its_blocks(tmp_path):
+    """A slow rank is not a failed one: no rank is recovered, every rank
+    runs its own blocks, and the run stays bit-exact."""
     ops = operands("r3")
     events_path = str(tmp_path / "events.jsonl")
     pool = SimPool(3, seed=1, fates={(0, 0): "slow"})
-    c, report = ops.run(pool, heartbeat_interval=0.05, straggler_fraction=0.5,
-                        events_path=events_path)
+    c, report = ops.run(pool, heartbeat_interval=0.05, events_path=events_path)
     pool.close()
-    kinds = [e["event"] for e in read_events(events_path)]
-    assert "straggler" in kinds
-    assert not {"retry", "reassign", "stale_report"} & set(kinds)
+    kinds = {e["event"] for e in read_events(events_path)}
+    assert not {"stall", "retry", "reassign", "stale_report"} & kinds
     assert report.attempts == {0: 1, 1: 1, 2: 1}
     assert report.stats.per_proc_tasks == {p.rank: p.ntasks for p in ops.plan.procs}
     assert np.array_equal(c.to_dense(), ops.expected)

@@ -8,6 +8,7 @@ tier-1 fast; the kill/resume end-to-end scenarios live in
 ``tests/test_checkpoint.py`` (marked ``dist``).
 """
 
+import errno
 import json
 import multiprocessing
 import os
@@ -354,6 +355,33 @@ class TestJournal:
         names = os.listdir(os.path.join(ckpt, "blocks", "run1"))
         assert len(names) == 1 and names[0].endswith(".tmp")
         assert completed_blocks(ckpt, "run1", 0) == ()
+
+
+    def test_a_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        """A disk that fills at the fsync: the error reaches the caller of
+        ``commit_block`` and of ``TileStore.put``, no ``*.tmp`` file and no
+        new block or object remain, and the block committed before the
+        fault still reads whole."""
+        ckpt = str(tmp_path)
+        self._commit(ckpt, block=1)
+        store = TileStore(os.path.join(ckpt, "store"))
+
+        def full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full)
+        for write in (lambda: self._commit(ckpt, block=2),
+                      lambda: store.put("ns", (0,), tile(3))):
+            with pytest.raises(OSError) as err:
+                write()
+            assert err.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+        files = [name for _, _, names in os.walk(ckpt) for name in names]
+        assert files == ["r0.g0.b1.blk"]
+        assert store.get("ns", (0,)) is None
+        store.close()
+        got = read_block(ckpt, "run1", 0, 0, 1)
+        assert all(np.array_equal(got[k], self.TILES[k]) for k in self.TILES)
 
 
 class TestSnapshot:
